@@ -415,11 +415,11 @@ fn main() {
         ("regimes".to_owned(), Value::object(regime_objects)),
     ]);
     let json = serde_json::to_string(&doc).expect("serialize");
-    std::fs::write("BENCH_adaptive_modes.json", &json).expect("write BENCH_adaptive_modes.json");
+    alpha_bench::write_artefact("BENCH_adaptive_modes.json", &json);
     assert!(
         failures.is_empty(),
         "adaptive guarantees violated:\n{}",
         failures.join("\n")
     );
-    println!("\nAll regime guarantees held; wrote BENCH_adaptive_modes.json");
+    println!("All regime guarantees held");
 }

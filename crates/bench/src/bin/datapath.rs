@@ -357,8 +357,7 @@ fn main() {
     );
     let _ = writeln!(json, "  \"alloc_reduction_ratio\": {ratio:.4}");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_datapath.json", &json).expect("write BENCH_datapath.json");
-    println!("wrote BENCH_datapath.json");
+    alpha_bench::write_artefact("BENCH_datapath.json", &json);
 
     assert!(
         ratio >= 2.0,

@@ -300,8 +300,7 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"e2e_speedup_vs_scalar\": {e2e_speedup:.4}");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_digest.json", &json).expect("write BENCH_digest.json");
-    println!("wrote BENCH_digest.json");
+    alpha_bench::write_artefact("BENCH_digest.json", &json);
 
     if !quick {
         assert!(

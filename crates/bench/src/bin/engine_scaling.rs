@@ -414,8 +414,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_engine_scaling.json", &json).expect("write BENCH_engine_scaling.json");
-    println!("wrote BENCH_engine_scaling.json");
+    alpha_bench::write_artefact("BENCH_engine_scaling.json", &json);
 
     if !quick {
         assert!(

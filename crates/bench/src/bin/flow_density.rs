@@ -554,8 +554,7 @@ fn main() {
         }
     }
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_flow_density.json", &json).expect("write BENCH_flow_density.json");
-    println!("wrote BENCH_flow_density.json");
+    alpha_bench::write_artefact("BENCH_flow_density.json", &json);
 
     // Acceptance gates — meaningful in release builds only (debug-mode
     // hashing would inflate the wake latency tenfold).

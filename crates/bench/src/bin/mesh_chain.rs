@@ -251,6 +251,5 @@ fn main() {
     );
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_mesh_chain.json", &json).expect("write BENCH_mesh_chain.json");
-    println!("wrote BENCH_mesh_chain.json");
+    alpha_bench::write_artefact("BENCH_mesh_chain.json", &json);
 }

@@ -1,9 +1,8 @@
 //! UDP I/O bench — aggregate relayed datagrams/s of the relay engine
-//! over real loopback sockets: completion-mode `uring` backend vs
-//! batched `mmsg` backend vs the portable `recv_from` fallback, at
-//! 1/2/4/8 workers. Each run also reports `syscalls_per_datagram`
-//! (recv + send + wait kernel entries over datagrams moved) — the one
-//! axis all three backends are comparable on.
+//! over real loopback sockets: the `mmsg` rung (batched sockets, epoll
+//! wait) vs the portable rung (`recv_from`, blocking wait), at 1/2/4/8
+//! workers. Each run also reports `syscalls_per_datagram` (recv + send
+//! + wait kernel entries over datagrams moved).
 //!
 //! Methodology (loaded-queue, flow-controlled): per flow, a full
 //! association is bootstrapped out-of-band and its client-direction
@@ -155,8 +154,7 @@ struct RunResult {
 }
 
 /// `recv + send + wait` kernel entries over datagrams moved (in +
-/// out) — the honesty stat that makes a multishot backend (0 recv
-/// syscalls) comparable to a batched or per-datagram one.
+/// out).
 fn syscalls_per_datagram(recv: u64, send: u64, wait: u64, datagrams: u64) -> f64 {
     if datagrams == 0 {
         return 0.0;
@@ -164,8 +162,7 @@ fn syscalls_per_datagram(recv: u64, send: u64, wait: u64, datagrams: u64) -> f64
     (recv + send + wait) as f64 / datagrams as f64
 }
 
-/// Datagrams per receive syscall; 0 on a completion-mode run (no recv
-/// syscalls exist to divide by).
+/// Datagrams per receive syscall.
 fn datagrams_per_recv(injected: u64, recv: u64) -> f64 {
     if recv == 0 {
         return 0.0;
@@ -474,21 +471,6 @@ fn run_share_nothing(
 }
 
 fn main() {
-    // CI probe: report (via exit status) whether the uring backend can
-    // come up on this kernel, so callers can gate forced-uring runs
-    // without reimplementing the feature probe in shell.
-    if std::env::args().any(|a| a == "--probe-uring") {
-        let supported = UdpBackend::Uring.is_supported();
-        println!(
-            "uring backend {} on this host",
-            if supported {
-                "supported"
-            } else {
-                "unsupported"
-            }
-        );
-        std::process::exit(if supported { 0 } else { 1 });
-    }
     let quick = std::env::args().any(|a| a == "--quick");
     let (flows, exchanges) = if quick { (8, 16) } else { (64, 192) };
     let cfg = Config::new(Algorithm::Sha1).with_chain_len(2 * exchanges as u64 + 16);
@@ -501,11 +483,6 @@ fn main() {
     let mut backends = vec![UdpBackend::Fallback];
     if UdpBackend::Mmsg.is_supported() {
         backends.push(UdpBackend::Mmsg);
-    }
-    if UdpBackend::Uring.is_supported() {
-        backends.push(UdpBackend::Uring);
-    } else {
-        println!("uring backend unsupported on this kernel; skipping its rungs");
     }
 
     // Live (wall-clock concurrent) reuseport runs are bounded by what
@@ -533,7 +510,7 @@ fn main() {
             // the JSON records both the makespan projection and a true
             // thread-parallel measurement.
             let mut runs = Vec::new();
-            if matches!(backend, UdpBackend::Mmsg | UdpBackend::Uring) && workers > 1 {
+            if backend == UdpBackend::Mmsg && workers > 1 {
                 runs.push(run_share_nothing(&traffic, backend, workers, cfg));
                 if workers <= live_cap {
                     runs.push(run_wall_clock(&traffic, backend, workers, cfg));
@@ -560,7 +537,7 @@ fn main() {
     }
 
     table::print(
-        "UDP I/O — loopback relay forwarding: uring vs mmsg vs recv_from fallback",
+        "UDP I/O — loopback relay forwarding: mmsg vs recv_from fallback",
         &[
             "backend",
             "workers",
@@ -592,14 +569,8 @@ fn main() {
             .unwrap_or(0.0)
     };
     let mmsg_supported = UdpBackend::Mmsg.is_supported();
-    let uring_supported = UdpBackend::Uring.is_supported();
     let ratio = if mmsg_supported {
         tput(UdpBackend::Mmsg) / tput(UdpBackend::Fallback)
-    } else {
-        0.0
-    };
-    let uring_ratio = if uring_supported && mmsg_supported {
-        tput(UdpBackend::Uring) / tput(UdpBackend::Mmsg)
     } else {
         0.0
     };
@@ -615,16 +586,6 @@ fn main() {
              {batch_depth:.1} datagrams per recvmmsg",
             tput(UdpBackend::Fallback),
             tput(UdpBackend::Mmsg)
-        );
-    }
-    if uring_supported && mmsg_supported {
-        println!(
-            "{max_workers} workers: {:.0} dgrams/s mmsg -> {:.0} dgrams/s uring: \
-             {uring_ratio:.2}x at {:.4} vs {:.4} syscalls/datagram",
-            tput(UdpBackend::Mmsg),
-            tput(UdpBackend::Uring),
-            sys_per_dgram(UdpBackend::Uring),
-            sys_per_dgram(UdpBackend::Mmsg),
         );
     }
     println!(
@@ -675,15 +636,10 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"uring_vs_mmsg_at_{max_workers}_workers\": {uring_ratio:.4},"
-    );
-    let _ = writeln!(
-        json,
         "  \"syscalls_per_datagram_at_{max_workers}_workers\": {{\"fallback\": {:.4}, \
-         \"mmsg\": {:.4}, \"uring\": {:.4}}},",
+         \"mmsg\": {:.4}}},",
         sys_per_dgram(UdpBackend::Fallback),
         sys_per_dgram(UdpBackend::Mmsg),
-        sys_per_dgram(UdpBackend::Uring),
     );
     let _ = writeln!(json, "  \"runs\": [");
     for (i, r) in results.iter().enumerate() {
@@ -726,8 +682,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_udp_io.json", &json).expect("write BENCH_udp_io.json");
-    println!("wrote BENCH_udp_io.json");
+    alpha_bench::write_artefact("BENCH_udp_io.json", &json);
 
     if !quick && mmsg_supported {
         assert!(
@@ -738,31 +693,6 @@ fn main() {
         assert!(
             batch_depth > 4.0,
             "recvmmsg must average >4 datagrams per syscall under load, got {batch_depth:.1}"
-        );
-    }
-    if !quick && uring_supported && mmsg_supported {
-        // The structural claim — completion-mode I/O crosses the
-        // kernel far less often — is robust run-to-run, so gate it
-        // hard (measured ~0.42x of mmsg's syscalls per datagram).
-        assert!(
-            sys_per_dgram(UdpBackend::Uring) < 0.6 * sys_per_dgram(UdpBackend::Mmsg),
-            "uring must spend measurably fewer syscalls per datagram than mmsg \
-             ({:.4} vs {:.4})",
-            sys_per_dgram(UdpBackend::Uring),
-            sys_per_dgram(UdpBackend::Mmsg),
-        );
-        // Throughput parity is host-sensitive: on this shared VM the
-        // ratio swings 0.3x-1.9x across invocations (the max-of-8
-        // slices makespan amplifies scheduler noise, uring's
-        // task-work wakes are hit hardest by a contended core, and
-        // with mitigations off a kernel crossing is nearly free, so
-        // the syscall savings convert to little here). Floor the
-        // ratio as a collapse guard only; EXPERIMENTS.md discloses
-        // the measured band and why.
-        assert!(
-            uring_ratio >= 0.25,
-            "uring relay rate collapsed vs mmsg at {max_workers} workers \
-             (got {uring_ratio:.2}x, expected parity within host noise)"
         );
     }
 }

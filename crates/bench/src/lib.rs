@@ -87,12 +87,10 @@ pub fn host_cores() -> usize {
 /// `host_cores` lets a reader judge whether a live number could have
 /// exhibited parallelism at all, `workers` is the worker/thread count
 /// the artifact was produced with (1 for single-threaded benches), and
-/// `wait_backend` records how engine workers slept
-/// (`ALPHA_WAIT_BACKEND`) and `kernel_release` names the kernel the
-/// numbers were taken on (io_uring availability and multishot
-/// semantics are kernel-dependent) — both ride along even in
-/// model-mode artifacts so every file names the full runtime
-/// configuration.
+/// `wait_backend` records how engine workers sleep on the resolved UDP
+/// backend and `kernel_release` names the kernel the numbers were
+/// taken on — both ride along even in model-mode artifacts so every
+/// file names the full runtime configuration.
 #[must_use]
 pub fn runtime_fields(runtime_mode: &str, workers: usize) -> String {
     assert!(
@@ -103,7 +101,7 @@ pub fn runtime_fields(runtime_mode: &str, workers: usize) -> String {
         "\"runtime_mode\": \"{runtime_mode}\", \"host_cores\": {}, \"workers\": {workers}, \
          \"wait_backend\": \"{}\", \"kernel_release\": \"{}\"",
         host_cores(),
-        alpha_transport::wait::active().name(),
+        alpha_transport::io::active().wait_name(),
         kernel_release()
     )
 }
@@ -117,6 +115,23 @@ pub fn kernel_release() -> String {
         Ok(s) if !s.trim().is_empty() => s.trim().to_string(),
         _ => "unknown".to_string(),
     }
+}
+
+/// Write a bench artefact and say where it went. A full run refreshes
+/// `name` in the working directory (the repo root, where the committed
+/// `BENCH_*.json` live); a `--quick` smoke writes under
+/// `target/bench-quick/` instead, so running `ci.sh` never replaces
+/// committed full-run numbers with smoke numbers.
+pub fn write_artefact(name: &str, json: &str) {
+    let path = if std::env::args().any(|a| a == "--quick") {
+        let dir = std::path::Path::new("target/bench-quick");
+        std::fs::create_dir_all(dir).expect("create target/bench-quick");
+        dir.join(name)
+    } else {
+        std::path::PathBuf::from(name)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 /// Resolved chain-storage label for a bench run, honouring the

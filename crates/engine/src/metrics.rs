@@ -163,9 +163,9 @@ pub struct IoWorker {
     /// were silent spins before this counter existed.
     pub send_retries: AtomicU64,
     /// Wait syscalls issued around the datagram path: `epoll_wait`
-    /// returns on the readiness backend, `io_uring_enter` waits on the
-    /// uring backend. Zero on the blocking fallback, where the receive
-    /// syscall *is* the wait (already in `recv_calls`).
+    /// returns under the epoll wait. Zero under the blocking wait,
+    /// where the receive syscall *is* the wait (already in
+    /// `recv_calls`).
     pub wait_calls: AtomicU64,
     /// Datagrams this worker drained from its handoff rings (they
     /// arrived on another worker's socket but this worker owns the
@@ -233,10 +233,8 @@ impl IoTotals {
     }
 
     /// Kernel crossings per datagram moved: every receive, send and
-    /// wait syscall over every datagram in or out — the one axis on
-    /// which the three UDP backends are directly comparable (portable
-    /// loop ~1, mmsg ~1/batch, uring ~1/wake). 0.0 before any
-    /// datagrams move.
+    /// wait syscall over every datagram in or out (portable loop ~1,
+    /// mmsg ~1/batch). 0.0 before any datagrams move.
     #[must_use]
     pub fn syscalls_per_datagram(&self) -> f64 {
         let datagrams = self.datagrams_in + self.datagrams_out;

@@ -1,22 +1,14 @@
 //! Runtime-selected batched UDP I/O backends.
 //!
 //! Mirrors `alpha_crypto::backend`: a process-wide backend resolved
-//! once — `ALPHA_UDP_BACKEND` if set (`uring`, `mmsg`, `fallback`,
-//! `auto`), otherwise auto-detection — behind [`active`], with
-//! [`force`] for benches and tests that compare tiers in one process.
-//! All backends move byte-identical datagrams; selection only changes
-//! how many syscalls that takes:
+//! once — `ALPHA_UDP_BACKEND` if set (`mmsg`, `fallback`, `auto`),
+//! otherwise auto-detection — behind [`active`], with [`force`] for
+//! benches and tests that compare the two in one process. Both
+//! backends move byte-identical datagrams; selection only changes how
+//! many syscalls that takes. It is the runtime's one override: how an
+//! engine worker *waits* is derived from it ([`UdpBackend::wait_name`]),
+//! not selected separately.
 //!
-//! - [`UdpBackend::Uring`] — Linux io_uring completion mode via the
-//!   hand-declared FFI in [`crate::uring`]: the engine worker loop
-//!   runs a per-worker ring (multishot `RECVMSG` into provided
-//!   buffers, batched `SENDMSG`, doorbells/timer folded in) where one
-//!   `io_uring_enter` replaces the whole wait+recv+send syscall
-//!   train. Probed end-to-end at startup; detection falls back to
-//!   mmsg on kernels without it. Plain [`UdpIo`] endpoints (clients,
-//!   benches, the engine's control handle) have no ring attached and
-//!   use the mmsg syscall path below — the ring is a worker-loop
-//!   runtime, not a per-socket mode.
 //! - [`UdpBackend::Mmsg`] — Linux `recvmmsg`/`sendmmsg` via the
 //!   hand-declared FFI in [`crate::mmsg`]: up to [`MAX_BATCH`]
 //!   datagrams per syscall, received straight into pooled frames.
@@ -50,9 +42,6 @@ pub const MAX_BATCH: usize = 32;
 /// Identifies one of the compiled-in UDP I/O backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UdpBackend {
-    /// Linux io_uring completion mode (see [`crate::uring`]); engine
-    /// workers run rings, plain endpoints use the mmsg syscall path.
-    Uring,
     /// Linux `recvmmsg`/`sendmmsg` batching (see [`crate::mmsg`]).
     Mmsg,
     /// Portable one-datagram-per-syscall loop; always available, the
@@ -66,7 +55,6 @@ impl UdpBackend {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            UdpBackend::Uring => "uring",
             UdpBackend::Mmsg => "mmsg",
             UdpBackend::Fallback => "fallback",
         }
@@ -76,7 +64,6 @@ impl UdpBackend {
     #[must_use]
     pub fn parse(name: &str) -> Option<UdpBackend> {
         match name {
-            "uring" => Some(UdpBackend::Uring),
             "mmsg" => Some(UdpBackend::Mmsg),
             "fallback" => Some(UdpBackend::Fallback),
             _ => None,
@@ -89,12 +76,20 @@ impl UdpBackend {
         match self {
             UdpBackend::Fallback => true,
             UdpBackend::Mmsg => cfg!(target_os = "linux"),
-            // A live probe, not a cfg: io_uring needs kernel support
-            // for multishot RECVMSG + provided-buffer rings (>= 6.0).
-            #[cfg(target_os = "linux")]
-            UdpBackend::Uring => crate::uring::supported(),
-            #[cfg(not(target_os = "linux"))]
-            UdpBackend::Uring => false,
+        }
+    }
+
+    /// Name of the wait an engine worker pairs with this backend, as
+    /// reported in `wait_backend`: `"epoll"` (readiness set, doorbells,
+    /// timerfd) with `mmsg`, `"fallback"` (blocking receive behind a
+    /// read timeout) with the portable backend. An engine whose
+    /// doorbells fail to come up at bind reports `"fallback"` whatever
+    /// this says.
+    #[must_use]
+    pub fn wait_name(self) -> &'static str {
+        match self {
+            UdpBackend::Mmsg => "epoll",
+            UdpBackend::Fallback => "fallback",
         }
     }
 }
@@ -112,18 +107,13 @@ pub fn available() -> Vec<UdpBackend> {
     if UdpBackend::Mmsg.is_supported() {
         v.push(UdpBackend::Mmsg);
     }
-    if UdpBackend::Uring.is_supported() {
-        v.push(UdpBackend::Uring);
-    }
     v
 }
 
 /// What auto-detection picks on this platform (ignoring the override).
 #[must_use]
 pub fn detect() -> UdpBackend {
-    if UdpBackend::Uring.is_supported() {
-        UdpBackend::Uring
-    } else if UdpBackend::Mmsg.is_supported() {
+    if UdpBackend::Mmsg.is_supported() {
         UdpBackend::Mmsg
     } else {
         UdpBackend::Fallback
@@ -137,7 +127,6 @@ fn code(kind: UdpBackend) -> u8 {
     match kind {
         UdpBackend::Mmsg => 1,
         UdpBackend::Fallback => 2,
-        UdpBackend::Uring => 3,
     }
 }
 
@@ -150,7 +139,6 @@ pub fn active() -> UdpBackend {
     match ACTIVE.load(Ordering::Relaxed) {
         1 => UdpBackend::Mmsg,
         2 => UdpBackend::Fallback,
-        3 => UdpBackend::Uring,
         _ => {
             let kind = resolve();
             ACTIVE.store(code(kind), Ordering::Relaxed);
@@ -171,7 +159,7 @@ fn resolve() -> UdpBackend {
                 Some(kind) => {
                     eprintln!(
                         "alpha-transport: ALPHA_UDP_BACKEND={} not supported on this \
-                         platform/kernel; falling back to {}",
+                         platform; falling back to {}",
                         kind.name(),
                         detect().name()
                     );
@@ -180,7 +168,7 @@ fn resolve() -> UdpBackend {
                 None => {
                     eprintln!(
                         "alpha-transport: unknown ALPHA_UDP_BACKEND={raw:?} \
-                         (expected uring|mmsg|fallback|auto); falling back to {}",
+                         (expected mmsg|fallback|auto); falling back to {}",
                         detect().name()
                     );
                     detect()
@@ -302,11 +290,8 @@ impl UdpIo {
         max: usize,
     ) -> io::Result<usize> {
         match self.backend {
-            // A plain endpoint under the uring backend has no ring
-            // attached (rings live in the engine worker loop); it uses
-            // the batched syscall path.
             #[cfg(target_os = "linux")]
-            UdpBackend::Mmsg | UdpBackend::Uring => {
+            UdpBackend::Mmsg => {
                 self.counters.recv_calls.fetch_add(1, Ordering::Relaxed);
                 match crate::mmsg::recv_batch(&self.socket, pool, &mut self.rx_frames, out, max) {
                     Ok(0) => {
@@ -327,9 +312,7 @@ impl UdpIo {
                 }
             }
             #[cfg(not(target_os = "linux"))]
-            UdpBackend::Mmsg | UdpBackend::Uring => {
-                unreachable!("batched backend rejected at construction")
-            }
+            UdpBackend::Mmsg => unreachable!("mmsg backend rejected at construction"),
             UdpBackend::Fallback => {
                 let _ = max;
                 if self.scratch.is_empty() {
@@ -367,7 +350,7 @@ impl UdpIo {
     pub fn send_batch(&self, msgs: &[(SocketAddr, Frame)]) -> io::Result<usize> {
         match self.backend {
             #[cfg(target_os = "linux")]
-            UdpBackend::Mmsg | UdpBackend::Uring => {
+            UdpBackend::Mmsg => {
                 let mut sent = 0usize;
                 while sent < msgs.len() {
                     let chunk = (msgs.len() - sent).min(MAX_BATCH);
@@ -398,9 +381,7 @@ impl UdpIo {
                 Ok(sent)
             }
             #[cfg(not(target_os = "linux"))]
-            UdpBackend::Mmsg | UdpBackend::Uring => {
-                unreachable!("batched backend rejected at construction")
-            }
+            UdpBackend::Mmsg => unreachable!("mmsg backend rejected at construction"),
             UdpBackend::Fallback => {
                 for (dst, frame) in msgs {
                     loop {
@@ -436,7 +417,7 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for kind in [UdpBackend::Uring, UdpBackend::Mmsg, UdpBackend::Fallback] {
+        for kind in [UdpBackend::Mmsg, UdpBackend::Fallback] {
             assert_eq!(UdpBackend::parse(kind.name()), Some(kind));
         }
         assert_eq!(UdpBackend::parse("carrier-pigeon"), None);

@@ -19,17 +19,16 @@
 //!   per-worker `SO_REUSEPORT` sockets on the batched backend.
 //!
 //! All of them move datagrams through the runtime-selected backends in
-//! [`io`]: io_uring completion mode for the engine's worker loops
-//! ([`uring`]), `recvmmsg`/`sendmmsg` batching on Linux ([`mmsg`]), a
+//! [`io`]: `recvmmsg`/`sendmmsg` batching on Linux ([`mmsg`]), a
 //! portable `recv_from` loop elsewhere, overridable per process with
-//! `ALPHA_UDP_BACKEND=uring|mmsg|fallback|auto`. Receives land in pooled
+//! `ALPHA_UDP_BACKEND=mmsg|fallback|auto`. Receives land in pooled
 //! frames ([`alpha_wire::FramePool`]) and whole bursts go to the engine
 //! in one call, so the batched syscall layer lines up with the engine's
 //! batch verification; the transport owns sockets and the clock, the
 //! engine owns flow state, timers, admission and metrics.
 
 /// Hand-declared Linux FFI for `epoll`, `eventfd` and `timerfd` —
-/// the readiness wait backend (empty on other platforms).
+/// the readiness wait of the `mmsg` rung (empty on other platforms).
 pub mod epoll;
 pub mod io;
 pub mod loadgen;
@@ -37,15 +36,10 @@ pub mod loadgen;
 /// `SO_REUSEPORT` socket groups (empty on other platforms).
 pub mod mmsg;
 mod server;
-/// Hand-declared Linux io_uring FFI — the completion-mode I/O backend
-/// for engine workers (empty on other platforms).
-pub mod uring;
-pub mod wait;
 
 pub use io::{RxDatagram, UdpBackend, UdpIo};
 pub use loadgen::{probe_handoff, HandoffProbe, LoadgenConfig, LoadgenReport};
 pub use server::{query_stats, DeliverySink, Engine, RECV_TIMEOUT, STATS_MAGIC};
-pub use wait::WaitBackend;
 
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::Ordering::Relaxed;

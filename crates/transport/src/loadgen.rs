@@ -121,8 +121,8 @@ pub struct LoadgenReport {
     /// truthfully).
     pub wait_backend: &'static str,
     /// Worker wakeups per second measured with the engine bound but no
-    /// client traffic — the wasted-CPU number the readiness backend
-    /// collapses (fallback: ~`1s / RECV_TIMEOUT` per worker).
+    /// client traffic — the wasted-CPU number the epoll wait collapses
+    /// (blocking wait: ~`1s / RECV_TIMEOUT` per worker).
     pub idle_wakeups_per_sec: f64,
     /// Cross-worker handed-off datagrams measured during the run.
     pub handoff_samples: u64,
@@ -201,8 +201,8 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
 
     // Idle section: the engine is up, no client traffic yet, no timers
     // armed. The wakeup rate with nothing to do is pure overhead — the
-    // number the readiness backend collapses from `workers / 5ms` to a
-    // few backstop ticks per second.
+    // number the epoll wait collapses from `workers / 5ms` to a few
+    // backstop ticks per second.
     let idle_window = cfg
         .duration
         .clamp(Duration::from_millis(100), Duration::from_millis(400));
@@ -399,9 +399,9 @@ pub struct HandoffProbe {
 /// *must* cross a handoff ring — the regression-test configuration.
 /// The client side is paced (one exchange per idle flow per ~2 ms
 /// round), so the ring wait measures the receiving worker's wakeup
-/// path, not queueing under saturation: under the epoll backend the
-/// doorbell wakes the owner in microseconds; under the fallback the
-/// datagram sits until the owner's next timeout expiry.
+/// path, not queueing under saturation: under the epoll wait the
+/// doorbell wakes the owner in microseconds; under the blocking wait
+/// the datagram sits until the owner's next timeout expiry.
 pub fn probe_handoff(duration: Duration, preclaim: bool) -> io::Result<HandoffProbe> {
     const SHARDS: usize = 4;
     const CLIENTS: usize = 16;
@@ -520,8 +520,8 @@ mod tests {
         assert!(report.s2_per_sec > 0.0);
         assert_eq!(report.flows, cfg.total_flows());
         assert_eq!(report.sign_errors, 0);
-        // The readiness fields carry the backend the workers ran.
-        assert_eq!(report.wait_backend, crate::wait::active().name());
+        // The readiness fields carry the wait the workers ran.
+        assert_eq!(report.wait_backend, crate::io::active().wait_name());
         assert!(report.idle_wakeups_per_sec >= 0.0);
         // The JSON render carries the honesty fields.
         let json = report.json();

@@ -62,7 +62,7 @@ const SO_RCVBUF: c_int = 8;
 const SO_REUSEPORT: c_int = 15;
 const SO_RCVBUFFORCE: c_int = 33;
 /// Per-message flag set by the kernel when a datagram was cut to fit.
-pub(crate) const MSG_TRUNC: c_int = 0x20;
+const MSG_TRUNC: c_int = 0x20;
 /// Block for the first message only; drain the rest nonblocking.
 const MSG_WAITFORONE: c_int = 0x10000;
 
@@ -73,23 +73,23 @@ const MSG_WAITFORONE: c_int = 0x10000;
 /// `struct iovec`: one scatter/gather element.
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct IoVec {
-    pub(crate) iov_base: *mut c_void,
-    pub(crate) iov_len: usize,
+struct IoVec {
+    iov_base: *mut c_void,
+    iov_len: usize,
 }
 
 /// `struct msghdr` (x86_64/aarch64: 4 bytes of padding after
 /// `msg_namelen` and after `msg_flags`, which `#[repr(C)]` reproduces).
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub(crate) struct MsgHdr {
-    pub(crate) msg_name: *mut c_void,
-    pub(crate) msg_namelen: u32,
-    pub(crate) msg_iov: *mut IoVec,
-    pub(crate) msg_iovlen: usize,
-    pub(crate) msg_control: *mut c_void,
-    pub(crate) msg_controllen: usize,
-    pub(crate) msg_flags: c_int,
+struct MsgHdr {
+    msg_name: *mut c_void,
+    msg_namelen: u32,
+    msg_iov: *mut IoVec,
+    msg_iovlen: usize,
+    msg_control: *mut c_void,
+    msg_controllen: usize,
+    msg_flags: c_int,
 }
 
 /// `struct mmsghdr`: a `msghdr` plus the kernel-filled datagram length.
@@ -105,12 +105,12 @@ struct MMsgHdr {
 /// (28 bytes) into it; we decode by hand from the documented offsets.
 #[repr(C, align(8))]
 #[derive(Clone, Copy)]
-pub(crate) struct SockaddrStorage {
-    pub(crate) bytes: [u8; 128],
+struct SockaddrStorage {
+    bytes: [u8; 128],
 }
 
 impl SockaddrStorage {
-    pub(crate) const fn zeroed() -> SockaddrStorage {
+    const fn zeroed() -> SockaddrStorage {
         SockaddrStorage { bytes: [0u8; 128] }
     }
 }
@@ -150,7 +150,7 @@ extern "C" {
 /// encoded length. Layouts: `sockaddr_in` = family:u16(native) |
 /// port:u16(BE) | addr:4B | zero:8B; `sockaddr_in6` = family:u16 |
 /// port:u16(BE) | flowinfo:u32 | addr:16B | scope_id:u32(native).
-pub(crate) fn encode_addr(addr: &SocketAddr, store: &mut SockaddrStorage) -> u32 {
+fn encode_addr(addr: &SocketAddr, store: &mut SockaddrStorage) -> u32 {
     store.bytes = [0u8; 128];
     match addr {
         SocketAddr::V4(a) => {
@@ -172,7 +172,7 @@ pub(crate) fn encode_addr(addr: &SocketAddr, store: &mut SockaddrStorage) -> u32
 
 /// Decode a kernel-written name back into a [`SocketAddr`]; `None` for
 /// families we do not speak (the caller skips the datagram).
-pub(crate) fn decode_addr(store: &SockaddrStorage, len: u32) -> Option<SocketAddr> {
+fn decode_addr(store: &SockaddrStorage, len: u32) -> Option<SocketAddr> {
     let b = &store.bytes;
     let family = u16::from_ne_bytes([b[0], b[1]]);
     if family == AF_INET && len as usize >= 16 {

@@ -4,8 +4,8 @@
 //! batched I/O layer ([`crate::io`]) — there is no receiver thread and
 //! no user-space demux hop:
 //!
-//! - On the `mmsg` and `uring` backends with more than one worker, the
-//!   sockets form a `SO_REUSEPORT` group bound to one address: the kernel's 4-tuple
+//! - On the `mmsg` backend with more than one worker, the sockets
+//!   form a `SO_REUSEPORT` group bound to one address: the kernel's 4-tuple
 //!   hash pins each remote source to one member socket, so every flow's
 //!   datagrams arrive on one worker, in order, spread across workers by
 //!   kernel RSS. If the group bind fails (platform policy, exotic
@@ -37,32 +37,30 @@
 //! Unclaimed shards fall back to modulo ownership for timer polling so
 //! connecting/renewing flows never starve before their first datagram.
 //!
-//! *How a worker waits* is a runtime-selected backend
-//! ([`crate::wait`], `ALPHA_WAIT_BACKEND`) — unless the `uring` UDP
-//! backend is active, which subsumes it: the worker's doorbells and
-//! timerfd are registered as multishot polls in its per-worker
-//! io_uring and the worker blocks in a single `io_uring_enter` that
-//! also submits TX batches and reaps RX completions
-//! ([`crate::uring`]). `wait_backend` in stats still names the
-//! resolved epoll/fallback loop, which is the ladder a worker degrades
-//! to if ring setup fails; `wait_calls` + `syscalls_per_datagram` in
-//! stats show what actually ran.
+//! Every worker runs the same loop ([`Worker::run`]): wait, drain
+//! handoffs, poll timers, receive and ingest, flush. *How it waits* is
+//! the one per-rung difference, and it is derived from the resolved UDP
+//! backend, not selected: `wait_backend` in stats names what ran.
 //!
-//! - **`epoll`** (Linux default): the worker blocks in one `epoll_wait`
-//!   over its socket, one `eventfd` doorbell per inbound handoff ring,
-//!   and a `timerfd` armed from the engine's per-worker min-deadline
-//!   hint ([`EngineCore::worker_next_deadline`], O(1) per iteration).
-//!   Senders ring the doorbell *after* the ring push, so a handed-off
-//!   datagram is processed microseconds later instead of "whenever the
-//!   owner's read timeout expires"; timers fire at microsecond
-//!   precision; and an idle engine parks in the kernel (a long backstop
-//!   timeout bounds the wakeup rate at a few per second).
-//! - **`fallback`** (portable): the worker blocks in the receive
-//!   syscall behind an `SO_RCVTIMEO` read timeout sized from the same
-//!   deadline hint, re-scanned each iteration
-//!   ([`EngineCore::refresh_worker_deadline`]) and quantized to whole
-//!   milliseconds so an unchanged horizon costs no `setsockopt`. Timer
-//!   lateness and handoff latency are bounded by [`RECV_TIMEOUT`].
+//! - **`epoll`** (with `mmsg`, the Linux default): the worker blocks in
+//!   one `epoll_wait` over its socket, one `eventfd` doorbell per
+//!   inbound handoff ring, and a `timerfd` armed from the engine's
+//!   per-worker min-deadline hint ([`EngineCore::worker_next_deadline`],
+//!   O(1) per iteration). Senders ring the doorbell *after* the ring
+//!   push, so a handed-off datagram is processed microseconds later
+//!   instead of "whenever the owner's read timeout expires"; timers
+//!   fire at microsecond precision; and an idle engine parks in the
+//!   kernel (a long backstop timeout bounds the wakeup rate at a few
+//!   per second). If the doorbells cannot be created at bind the whole
+//!   engine takes the blocking wait below; if one worker's epoll set or
+//!   timerfd cannot, that worker alone does.
+//! - **`fallback`** (with the portable backend, and the only wait off
+//!   Linux): the worker blocks in the receive syscall behind an
+//!   `SO_RCVTIMEO` read timeout sized from the same deadline hint,
+//!   rescanned each iteration ([`EngineCore::refresh_worker_deadline`])
+//!   and quantized to whole milliseconds so an unchanged horizon costs
+//!   no `setsockopt`. Timer lateness and handoff latency are bounded by
+//!   [`RECV_TIMEOUT`].
 //!
 //! A stats datagram (prefix [`STATS_MAGIC`]) is answered inline by
 //! whichever worker receives it, so `engine stats` works against a
@@ -87,15 +85,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::io::{RxDatagram, UdpBackend, UdpIo, MAX_DATAGRAM};
-use crate::wait::WaitBackend;
 
 /// First bytes of a stats-query datagram. Starts with 0x00, which no
 /// ALPHA packet type uses, so protocol traffic can never alias it.
 pub const STATS_MAGIC: &[u8] = b"\x00ALPHA-ENGINE-STATS";
 
-/// Ceiling on a worker's blocking receive window under the fallback
-/// wait backend (and on timer lateness when the deadline computation
-/// cannot help).
+/// Ceiling on a worker's blocking receive window under the blocking
+/// wait (and on timer lateness when the deadline computation cannot
+/// help).
 pub const RECV_TIMEOUT: Duration = Duration::from_millis(5);
 const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 /// Most datagrams drained into one worker burst before timers and
@@ -103,8 +100,8 @@ const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 const MAX_BURST: usize = 32;
 /// `epoll_wait` backstop timeout: with no traffic, no doorbells and no
 /// armed timer, a worker still wakes this often to re-check shutdown.
-/// This is the idle-engine wakeup rate under the epoll backend (~4/s
-/// per worker, vs. 200/s at [`RECV_TIMEOUT`] under the fallback).
+/// This is the idle-engine wakeup rate under the epoll wait (~4/s per
+/// worker, vs. 200/s at [`RECV_TIMEOUT`] under the blocking wait).
 #[cfg(target_os = "linux")]
 const EPOLL_BACKSTOP_MS: i32 = 250;
 /// Kernel receive-buffer request for every worker socket: deep enough
@@ -119,9 +116,8 @@ const RECV_BUFFER_BYTES: usize = 4 << 20;
 /// `rings[dst][src]`. The diagonal `cells[w][w]` (no ring exists for a
 /// worker-to-itself handoff) is worker `w`'s *control* bell: the
 /// engine's deadline waker and [`Engine::shutdown`] ring it to knock
-/// the worker out of `epoll_wait`. Built under the epoll wait backend
-/// and for the uring runtime, which registers the same fds as ring
-/// polls.
+/// the worker out of `epoll_wait`. Built when the resolved UDP backend
+/// is `mmsg`.
 #[cfg(target_os = "linux")]
 struct Doorbells {
     cells: Vec<Vec<crate::epoll::EventFd>>,
@@ -198,42 +194,35 @@ impl Engine {
         let core = Arc::new(core);
         core.metrics().io.set_backend(backend.name());
 
-        // Resolve the wait backend. Doorbell creation is all-or-nothing
-        // at bind time: if any eventfd fails the whole engine degrades
-        // to the fallback loop, so `wait_backend` in stats always names
-        // the loop the workers actually run.
-        let wait = crate::wait::active();
+        // The wait is derived from the backend: mmsg workers sleep in
+        // epoll sets, which need the doorbell mesh. Doorbell creation is
+        // all-or-nothing at bind time: if any eventfd fails the whole
+        // engine degrades to the blocking wait, so `wait_backend` in
+        // stats always names a wait the workers can actually run.
         #[cfg(target_os = "linux")]
-        let (wait, doorbells) = {
-            // Doorbells serve the epoll wait backend *and* the uring
-            // runtime (which folds the same eventfds into its ring as
-            // multishot polls); creation stays all-or-nothing so
-            // `wait_backend` in stats always names a loop the workers
-            // can actually run.
-            let want = wait == WaitBackend::Epoll || backend == UdpBackend::Uring;
-            if want {
-                match Doorbells::new(workers) {
-                    Ok(bells) => (wait, Some(Arc::new(bells))),
-                    Err(e) => {
-                        eprintln!(
-                            "alpha-transport: eventfd doorbells unavailable ({e}); \
-                             using the fallback wait backend"
-                        );
-                        (WaitBackend::Fallback, None)
-                    }
+        let doorbells = if backend == UdpBackend::Mmsg {
+            match Doorbells::new(workers) {
+                Ok(bells) => Some(Arc::new(bells)),
+                Err(e) => {
+                    eprintln!(
+                        "alpha-transport: eventfd doorbells unavailable ({e}); \
+                         using the blocking wait"
+                    );
+                    None
                 }
-            } else {
-                (WaitBackend::Fallback, None)
             }
+        } else {
+            None
+        };
+        #[cfg(target_os = "linux")]
+        let wait = if doorbells.is_some() {
+            backend
+        } else {
+            UdpBackend::Fallback
         };
         #[cfg(not(target_os = "linux"))]
-        let wait = {
-            debug_assert_eq!(wait, WaitBackend::Fallback);
-            WaitBackend::Fallback
-        };
-        core.metrics().io.set_wait_backend(wait.name());
-        #[cfg(target_os = "linux")]
-        let wait_epoll = wait == WaitBackend::Epoll && doorbells.is_some();
+        let wait = UdpBackend::Fallback;
+        core.metrics().io.set_wait_backend(wait.wait_name());
 
         // Per-worker min-deadline hints; under epoll the engine also
         // gets a waker that rings a worker's control bell whenever its
@@ -292,14 +281,9 @@ impl Engine {
                 rings: Arc::clone(&rings),
                 #[cfg(target_os = "linux")]
                 doorbells: doorbells.clone(),
-                #[cfg(target_os = "linux")]
-                wait_epoll,
-                #[cfg(target_os = "linux")]
-                uring: None,
                 per_worker_sockets: reuseport,
                 shutdown: Arc::clone(&shutdown),
                 ready: Arc::clone(&ready),
-                announced: false,
                 start,
                 sink: sink.clone(),
                 rng: StdRng::from_entropy(),
@@ -309,9 +293,9 @@ impl Engine {
             };
             threads.push(std::thread::spawn(move || worker.run()));
         }
-        // Wait (bounded) for every worker's wait runtime to come up, so
-        // traffic sent the instant `bind` returns meets installed
-        // rings/epoll sets rather than racing their setup. Setup is
+        // Wait (bounded) for every worker's wait to come up, so traffic
+        // sent the instant `bind` returns meets installed epoll sets
+        // rather than racing their setup. Setup is
         // milliseconds even on a loaded single-core host; a worker that
         // somehow never reports (thread spawn starvation) only costs
         // the bound — the engine still works, workers just finish
@@ -372,32 +356,25 @@ impl Engine {
         self.core.stats_json()
     }
 
-    /// Knock every worker out of `epoll_wait` so a shutdown is seen
-    /// now, not at the next backstop tick. No-op under the fallback
-    /// wait (its read timeouts already bound the reaction time).
-    fn wake_all_workers(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(bells) = &self.doorbells {
-            for w in 0..bells.cells.len() {
-                bells.cells[w][w].ring();
-            }
-        }
-    }
-
-    /// Signal shutdown and join every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.wake_all_workers();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Signal shutdown and join every thread (what dropping does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        self.wake_all_workers();
+        // Knock every worker out of `epoll_wait` so the shutdown is
+        // seen now, not at the next backstop tick. Nothing to ring
+        // under the blocking wait (its read timeouts already bound the
+        // reaction time).
+        #[cfg(target_os = "linux")]
+        if let Some(bells) = &self.doorbells {
+            for w in 0..bells.cells.len() {
+                bells.cells[w][w].ring();
+            }
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -412,7 +389,7 @@ fn bind_worker_sockets(
     backend: UdpBackend,
 ) -> io::Result<(Vec<UdpSocket>, bool)> {
     #[cfg(target_os = "linux")]
-    if matches!(backend, UdpBackend::Mmsg | UdpBackend::Uring) && workers > 1 {
+    if backend == UdpBackend::Mmsg && workers > 1 {
         // Graceful fallback: any failure here (policy, odd kernels)
         // just means a shared socket below.
         if let Ok(group) = crate::mmsg::bind_reuseport_group(addr, workers) {
@@ -443,20 +420,9 @@ struct Worker {
     /// `rings[dst][src]`: this worker pushes to `rings[owner][index]`
     /// and drains `rings[index][*]`.
     rings: Arc<Vec<Vec<HandoffRing<RxDatagram>>>>,
-    /// Present iff the engine runs the epoll wait backend or the
-    /// uring UDP backend (both need the eventfd mesh).
+    /// Present iff the engine runs the epoll wait.
     #[cfg(target_os = "linux")]
     doorbells: Option<Arc<Doorbells>>,
-    /// Whether the resolved wait backend is epoll (the uring runtime
-    /// builds doorbells even under the fallback wait, so doorbell
-    /// presence alone no longer implies the epoll loop).
-    #[cfg(target_os = "linux")]
-    wait_epoll: bool,
-    /// The completion-mode runtime, installed by
-    /// [`Worker::run_uring`]; when present, dispatch routes TX through
-    /// the ring instead of `send_batch`.
-    #[cfg(target_os = "linux")]
-    uring: Option<crate::uring::UringIo>,
     /// Whether each worker owns its own `SO_REUSEPORT` socket. Shard
     /// ownership and handoff only make sense when the kernel pins a
     /// flow to one worker's socket; on a shared socket every worker
@@ -465,13 +431,10 @@ struct Worker {
     /// workers process what they receive under the shard locks.
     per_worker_sockets: bool,
     shutdown: Arc<AtomicBool>,
-    /// Count of workers whose wait runtime is installed;
-    /// [`Engine::bind`] blocks (bounded) until it reaches `workers` so
-    /// callers never race ring/epoll setup with live traffic.
+    /// Count of workers whose wait is installed; [`Engine::bind`]
+    /// blocks (bounded) until it reaches `workers` so callers never
+    /// race epoll setup with live traffic.
     ready: Arc<AtomicUsize>,
-    /// Whether this worker already bumped `ready` (a degrade from
-    /// uring to the readiness ladder must not count twice).
-    announced: bool,
     start: Instant,
     sink: Option<Arc<DeliverySink>>,
     rng: StdRng,
@@ -484,31 +447,6 @@ struct Worker {
     local: Vec<RxDatagram>,
 }
 
-/// Where a worker's dispatch transmits: the syscall I/O layer, or the
-/// uring runtime (which takes ownership of TX frames until their
-/// completions settle).
-enum Tx<'a> {
-    Io(&'a UdpIo),
-    #[cfg(target_os = "linux")]
-    Ring(&'a mut crate::uring::UringIo, &'a FramePool),
-}
-
-/// Build a [`Tx`] from disjoint `Worker` field borrows. A method
-/// returning it would borrow all of `self` mutably and conflict with
-/// the sibling borrows (`core`, `rng`, scratch) the call sites need.
-macro_rules! worker_tx {
-    ($w:expr) => {{
-        #[cfg(target_os = "linux")]
-        let tx = match $w.uring.as_mut() {
-            Some(ring) => Tx::Ring(ring, &$w.rx_pool),
-            None => Tx::Io(&$w.io),
-        };
-        #[cfg(not(target_os = "linux"))]
-        let tx = Tx::Io(&$w.io);
-        tx
-    }};
-}
-
 /// Feed one burst to the engine and dispatch its output, building the
 /// borrow batch in a stack array: the `(addr, &bytes)` views borrow
 /// `burst`, so a heap batch could not be hoisted across iterations —
@@ -516,7 +454,7 @@ macro_rules! worker_tx {
 /// allocation instead.
 fn feed(
     core: &EngineCore,
-    tx: &mut Tx<'_>,
+    io: &UdpIo,
     sink: Option<&DeliverySink>,
     rng: &mut StdRng,
     burst: &[RxDatagram],
@@ -529,54 +467,68 @@ fn feed(
         for (slot, d) in batch.iter_mut().zip(chunk) {
             *slot = (d.from, &d.frame[..]);
         }
-        let mut out = core.handle_datagrams(&batch[..chunk.len()], now, rng);
-        dispatch(tx, &mut out, sink);
+        let out = core.handle_datagrams(&batch[..chunk.len()], now, rng);
+        dispatch(io, &out, sink);
     }
 }
 
 impl Worker {
+    /// The worker loop, the same on both rungs: wait, drain handoffs,
+    /// poll timers, receive and ingest (each engine call flushes its
+    /// own output). Returns on shutdown.
     fn run(mut self) {
-        #[cfg(target_os = "linux")]
-        {
-            if self.io.backend() == UdpBackend::Uring {
-                if let Some(bells) = self.doorbells.clone() {
-                    CURRENT_WORKER.with(|c| c.set(Some(self.me)));
-                    match self.run_uring(&bells) {
-                        Ok(()) => return,
-                        Err(e) => {
-                            // Ring setup failed on this worker alone
-                            // (fd pressure, memlock limits): degrade
-                            // one rung down the ladder.
-                            eprintln!(
-                                "alpha-transport: worker {} io_uring setup failed ({e}); \
-                                 degrading to the readiness ladder",
-                                self.index
-                            );
-                        }
-                    }
-                }
+        let mut wait = Wait::install(&self);
+        self.ready.fetch_add(1, Ordering::Release);
+        loop {
+            if self.shutdown.load(Ordering::Relaxed) {
+                return;
             }
-            if self.wait_epoll {
-                if let Some(bells) = self.doorbells.clone() {
-                    CURRENT_WORKER.with(|c| c.set(Some(self.me)));
-                    match self.run_epoll(&bells) {
-                        Ok(()) => return,
-                        Err(e) => {
-                            // Per-worker epoll/timerfd setup failed; this
-                            // worker alone degrades to the blocking loop. Its
-                            // doorbells go unrung-drained but an eventfd
-                            // counter saturating is harmless.
-                            eprintln!(
-                                "alpha-transport: worker {} readiness setup failed ({e}); \
-                                 using blocking waits",
-                                self.index
-                            );
-                        }
+            let hint = self.core.worker_next_deadline(self.me);
+            let woke = match wait.sleep(&self, hint) {
+                Ok(woke) => woke,
+                Err(_) => {
+                    // Unexpected post-setup failure: pace the loop so
+                    // a persistent error cannot spin a core.
+                    self.counters
+                        .read_timeout_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(MIN_READ_TIMEOUT);
+                    continue;
+                }
+            };
+            // One wakeup per wait return, fruitful or not: the idle
+            // rate of this counter is what the epoll wait collapses.
+            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            if self.shutdown.load(Ordering::Relaxed) {
+                return;
+            }
+            let mut now = self.now();
+            // Drain rings until below the burst cap: doorbells are
+            // edge-like (quieted by the wait), so backlog must not
+            // wait for the next ring.
+            while self.drain_handoffs(now) {
+                now = self.now();
+            }
+            self.poll_timers(now);
+            if woke.timer {
+                // Timers fired and were consumed; rescan to raise the
+                // hint past them (fetch_min alone can never raise it).
+                self.core.refresh_worker_deadline(self.me);
+            }
+            if woke.socket {
+                self.rx.clear();
+                // One receive per wake. Under epoll, level-triggered
+                // readiness re-reports whatever the burst cap left
+                // queued; under the blocking wait this receive *is*
+                // the sleep, up to the read timeout `sleep` sized.
+                if let Ok(n) = self.io.recv_batch(&self.rx_pool, &mut self.rx, MAX_BURST) {
+                    if n > 0 {
+                        let now = self.now();
+                        self.ingest(now);
                     }
                 }
             }
         }
-        self.run_blocking();
     }
 
     fn now(&self) -> Timestamp {
@@ -604,10 +556,9 @@ impl Worker {
             self.counters
                 .handoff_in
                 .fetch_add(self.handed.len() as u64, Ordering::Relaxed);
-            let mut tx = worker_tx!(self);
             feed(
                 &self.core,
-                &mut tx,
+                &self.io,
                 self.sink.as_deref(),
                 &mut self.rng,
                 &self.handed,
@@ -625,8 +576,7 @@ impl Worker {
                 self.core.poll_shard(s, now, &mut self.rng, &mut out);
             }
         }
-        let mut tx = worker_tx!(self);
-        dispatch(&mut tx, &mut out, self.sink.as_deref());
+        dispatch(&self.io, &out, self.sink.as_deref());
     }
 
     /// Sort a received burst: answer control datagrams inline, hand
@@ -700,10 +650,9 @@ impl Worker {
             // The whole burst goes to the engine in one call, so its
             // relay path can batch-verify and the responses leave in
             // one gathered send.
-            let mut tx = worker_tx!(self);
             feed(
                 &self.core,
-                &mut tx,
+                &self.io,
                 self.sink.as_deref(),
                 &mut self.rng,
                 &self.local,
@@ -711,112 +660,90 @@ impl Worker {
             );
         }
     }
+}
 
-    /// Report this worker's wait runtime as installed (once — a
-    /// degrade from uring down the ladder re-enters a loop but must
-    /// not count twice). [`Engine::bind`] blocks on the tally.
-    fn mark_ready(&mut self) {
-        if !self.announced {
-            self.announced = true;
-            self.ready.fetch_add(1, Ordering::Release);
-        }
-    }
+/// What ended a [`Wait::sleep`]: whether the socket should be read and
+/// whether the deadline timer may have fired.
+struct Woke {
+    socket: bool,
+    timer: bool,
+}
 
-    /// The portable wait: block in the receive syscall behind a
-    /// deadline-sized read timeout.
-    fn run_blocking(&mut self) {
-        self.mark_ready();
-        // (Re-)establish the baseline timeout — this loop may be
-        // entered after a failed readiness setup left the socket with
-        // a microsecond timeout.
-        let mut read_timeout = RECV_TIMEOUT;
-        if self
-            .io
-            .socket()
-            .set_read_timeout(Some(read_timeout))
-            .is_err()
-        {
-            self.counters
-                .read_timeout_errors
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let now = self.now();
-            let drained_full = self.drain_handoffs(now);
-            self.poll_timers(now);
-            if drained_full {
-                // The rings still carry backlog; skip the blocking
-                // receive and keep draining at full speed.
-                continue;
-            }
-            // Rescan this worker's shards for the earliest deadline
-            // (the one operation allowed to raise the hint) and size
-            // the blocking window from it.
-            let wait = self
-                .core
-                .refresh_worker_deadline(self.me)
-                .map_or(RECV_TIMEOUT, |d| Duration::from_micros(d.since(now)))
-                .clamp(MIN_READ_TIMEOUT, RECV_TIMEOUT);
-            // Quantize to whole milliseconds so an unchanged deadline
-            // horizon costs no setsockopt on the hot path.
-            let wait = Duration::from_millis((wait.as_micros() as u64).div_ceil(1000).max(1));
-            if wait != read_timeout {
-                // A failed setsockopt means the previous window is
-                // still in effect — timers run late but nothing
-                // breaks; make it visible instead of ignoring it.
-                if self.io.socket().set_read_timeout(Some(wait)).is_err() {
-                    self.counters
-                        .read_timeout_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                } else {
-                    read_timeout = wait;
+/// How a worker sleeps — the one thing the two runtime rungs do
+/// differently. Everything else in [`Worker::run`] is shared.
+enum Wait {
+    /// Portable: the worker sleeps inside its receive syscall, behind
+    /// an `SO_RCVTIMEO` window (`read_timeout`, as last set) sized from
+    /// the deadline hint.
+    Blocking { read_timeout: Duration },
+    /// Linux: park in `epoll_wait` over the socket, the handoff
+    /// doorbells and a min-deadline `timerfd`.
+    #[cfg(target_os = "linux")]
+    Epoll {
+        ep: crate::epoll::Epoll,
+        timer: crate::epoll::TimerFd,
+        bells: Arc<Doorbells>,
+        tokens: Vec<u64>,
+        /// Deadline (µs) the timerfd is currently armed for;
+        /// `u64::MAX` = disarmed. Re-arming only on change keeps
+        /// `timerfd_settime` off the steady-state path.
+        armed: u64,
+    },
+}
+
+// Doorbell tokens are the source worker index; these two sit above any
+// plausible worker count.
+#[cfg(target_os = "linux")]
+const TOKEN_SOCKET: u64 = u64::MAX;
+#[cfg(target_os = "linux")]
+const TOKEN_TIMER: u64 = u64::MAX - 1;
+
+impl Wait {
+    /// The epoll wait when the engine has doorbells and this worker's
+    /// epoll set and timerfd come up; the blocking wait otherwise.
+    fn install(worker: &Worker) -> Wait {
+        #[cfg(target_os = "linux")]
+        if let Some(bells) = &worker.doorbells {
+            CURRENT_WORKER.with(|c| c.set(Some(worker.me)));
+            match Wait::epoll(worker, bells) {
+                Ok(wait) => return wait,
+                Err(e) => {
+                    // This worker alone degrades to the blocking wait.
+                    // Its doorbells are rung but never drained; an
+                    // eventfd counter saturating is harmless.
+                    eprintln!(
+                        "alpha-transport: worker {} readiness setup failed ({e}); \
+                         using blocking waits",
+                        worker.index
+                    );
                 }
             }
-            self.rx.clear();
-            let got = self.io.recv_batch(&self.rx_pool, &mut self.rx, MAX_BURST);
-            // One wakeup per blocking-receive return, fruitful or not:
-            // the idle rate of this counter is what the epoll backend
-            // collapses.
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            match got {
-                Ok(n) if n > 0 => {}
-                _ => continue, // timeout (re-check shutdown) or transient error
-            }
-            let now = self.now();
-            self.ingest(now);
+        }
+        // `bind` left the socket at this timeout, and a failed epoll
+        // setup does not get as far as changing it.
+        Wait::Blocking {
+            read_timeout: RECV_TIMEOUT,
         }
     }
 
-    /// The readiness wait: park in `epoll_wait` over the socket, the
-    /// handoff doorbells and a min-deadline `timerfd`. An `Err` means
-    /// setup failed (the loop itself only returns on shutdown); the
-    /// caller falls back to [`Worker::run_blocking`].
     #[cfg(target_os = "linux")]
-    fn run_epoll(&mut self, bells: &Arc<Doorbells>) -> io::Result<()> {
+    fn epoll(worker: &Worker, bells: &Arc<Doorbells>) -> io::Result<Wait> {
         use std::os::fd::AsRawFd;
 
         use crate::epoll::{Epoll, TimerFd, MAX_EVENTS};
-
-        // Doorbell tokens are the source worker index; these two sit
-        // above any plausible worker count.
-        const TOKEN_SOCKET: u64 = u64::MAX;
-        const TOKEN_TIMER: u64 = u64::MAX - 1;
 
         let ep = Epoll::new()?;
         // On a shared socket every worker's set watches the same fd;
         // EPOLLEXCLUSIVE wakes one worker per datagram instead of the
         // whole herd.
         ep.add(
-            self.io.socket().as_raw_fd(),
+            worker.io.socket().as_raw_fd(),
             TOKEN_SOCKET,
-            !self.per_worker_sockets,
+            !worker.per_worker_sockets,
         )?;
         let timer = TimerFd::new()?;
         ep.add(timer.as_raw_fd(), TOKEN_TIMER, false)?;
-        for (src, bell) in bells.cells[self.index].iter().enumerate() {
+        for (src, bell) in bells.cells[worker.index].iter().enumerate() {
             ep.add(bell.as_raw_fd(), src as u64, false)?;
         }
         // Readiness decides when to receive, so the socket keeps a
@@ -825,248 +752,114 @@ impl Worker {
         // blocks one jiffy instead of [`RECV_TIMEOUT`]. Sends stay
         // blocking — under saturation the kernel applies backpressure
         // instead of dropping.
-        self.io
+        worker
+            .io
             .socket()
             .set_read_timeout(Some(Duration::from_micros(1)))?;
-        self.mark_ready();
-
-        let mut tokens: Vec<u64> = Vec::with_capacity(MAX_EVENTS);
-        // Deadline (µs) the timerfd is currently armed for; u64::MAX =
-        // disarmed. Re-arming only on change keeps timerfd_settime off
-        // the steady-state path.
-        let mut armed = u64::MAX;
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            let hint = self
-                .core
-                .worker_next_deadline(self.me)
-                .map_or(u64::MAX, |t| t.micros());
-            if hint != armed {
-                let res = if hint == u64::MAX {
-                    timer.disarm()
-                } else {
-                    let now_us = self.now().micros();
-                    timer.arm_in(Duration::from_micros(hint.saturating_sub(now_us)))
-                };
-                if res.is_err() {
-                    // The previously-armed expiry (or the backstop)
-                    // still bounds lateness; count it, don't hide it.
-                    self.counters
-                        .read_timeout_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                armed = hint;
-            }
-            tokens.clear();
-            match ep.wait(EPOLL_BACKSTOP_MS, &mut tokens) {
-                Ok(_) => {}
-                Err(_) => {
-                    // Unexpected post-setup failure: pace the loop so
-                    // a persistent error cannot spin a core.
-                    self.counters
-                        .read_timeout_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(MIN_READ_TIMEOUT);
-                    continue;
-                }
-            }
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.counters.wait_calls.fetch_add(1, Ordering::Relaxed);
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            let mut socket_ready = false;
-            let mut timer_fired = false;
-            for &t in &tokens {
-                match t {
-                    TOKEN_SOCKET => socket_ready = true,
-                    TOKEN_TIMER => timer_fired = true,
-                    src => {
-                        // Quiet the bell; the rings are drained below
-                        // regardless (ring-after-push makes bell-then-
-                        // ring-drain ordering safe, see crate::epoll).
-                        bells.cells[self.index][src as usize].drain();
-                    }
-                }
-            }
-            if timer_fired {
-                timer.drain();
-                // Force a re-arm from the post-poll hint even if the
-                // deadline value happens to recur.
-                armed = u64::MAX;
-            }
-            let mut now = self.now();
-            // Drain rings until below the burst cap: doorbells are
-            // edge-like (drained above), so backlog must not wait for
-            // the next ring.
-            while self.drain_handoffs(now) {
-                now = self.now();
-            }
-            self.poll_timers(now);
-            if timer_fired {
-                // Timers fired and were consumed; rescan to raise the
-                // hint past them (fetch_min alone can never raise it).
-                self.core.refresh_worker_deadline(self.me);
-            }
-            if socket_ready {
-                self.rx.clear();
-                // One receive per wake: level-triggered epoll
-                // re-reports whatever the burst cap left queued.
-                if let Ok(n) = self.io.recv_batch(&self.rx_pool, &mut self.rx, MAX_BURST) {
-                    if n > 0 {
-                        let now = self.now();
-                        self.ingest(now);
-                    }
-                }
-            }
-        }
+        Ok(Wait::Epoll {
+            ep,
+            timer,
+            bells: Arc::clone(bells),
+            tokens: Vec::with_capacity(MAX_EVENTS),
+            armed: u64::MAX,
+        })
     }
 
-    /// The completion-mode loop: install a per-worker io_uring that
-    /// carries the socket (multishot `RECVMSG` into provided
-    /// [`FramePool`] buffers, batched `SENDMSG`), the doorbell
-    /// eventfds, and a timerfd as multishot polls, then block on one
-    /// `io_uring_enter` per wake. Setup errors return `Err` so
-    /// [`Worker::run`] degrades to the readiness ladder; post-setup
-    /// errors pace the loop exactly like [`Worker::run_epoll`].
-    #[cfg(target_os = "linux")]
-    fn run_uring(&mut self, bells: &Arc<Doorbells>) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
-
-        use crate::epoll::TimerFd;
-
-        let timer = TimerFd::new()?;
-        let mut poll_fds: Vec<std::os::fd::RawFd> = bells.cells[self.index]
-            .iter()
-            .map(|b| b.as_raw_fd())
-            .collect();
-        let timer_idx = poll_fds.len();
-        poll_fds.push(timer.as_raw_fd());
-        self.uring = Some(crate::uring::UringIo::new(
-            self.io.socket().as_raw_fd(),
-            &poll_fds,
-            &self.rx_pool,
-            Arc::clone(&self.counters),
-        )?);
-        self.mark_ready();
-
-        let backstop = Duration::from_millis(EPOLL_BACKSTOP_MS as u64);
-        let mut fired: Vec<usize> = Vec::new();
-        // Deadline (µs) the timerfd is currently armed for; u64::MAX =
-        // disarmed (same protocol as the epoll loop).
-        let mut armed = u64::MAX;
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                // Drop the runtime on this thread so its cancel +
-                // quiesce drain runs before the socket closes.
-                self.uring = None;
-                return Ok(());
+    /// Arm the wait for `hint` (the worker's earliest deadline) and
+    /// sleep. An `Err` is a failed `epoll_wait`; failures to arm are
+    /// counted, not returned — the previous window (or the backstop)
+    /// still bounds timer lateness.
+    fn sleep(&mut self, worker: &Worker, hint: Option<Timestamp>) -> io::Result<Woke> {
+        let arm_failed = || {
+            worker
+                .counters
+                .read_timeout_errors
+                .fetch_add(1, Ordering::Relaxed);
+        };
+        match self {
+            Wait::Blocking { read_timeout } => {
+                let window = hint
+                    .map_or(RECV_TIMEOUT, |d| {
+                        Duration::from_micros(d.since(worker.now()))
+                    })
+                    .clamp(MIN_READ_TIMEOUT, RECV_TIMEOUT);
+                // Quantize to whole milliseconds so an unchanged
+                // deadline horizon costs no setsockopt on the hot path.
+                let window =
+                    Duration::from_millis((window.as_micros() as u64).div_ceil(1000).max(1));
+                if window != *read_timeout {
+                    if worker.io.socket().set_read_timeout(Some(window)).is_err() {
+                        arm_failed();
+                    } else {
+                        *read_timeout = window;
+                    }
+                }
+                // The receive does the sleeping, and cannot tell a
+                // timer expiry from a quiet socket: always read, always
+                // rescan the deadline.
+                Ok(Woke {
+                    socket: true,
+                    timer: true,
+                })
             }
-            let hint = self
-                .core
-                .worker_next_deadline(self.me)
-                .map_or(u64::MAX, |t| t.micros());
-            if hint != armed {
-                let res = if hint == u64::MAX {
-                    timer.disarm()
-                } else {
-                    let now_us = self.now().micros();
-                    timer.arm_in(Duration::from_micros(hint.saturating_sub(now_us)))
+            #[cfg(target_os = "linux")]
+            Wait::Epoll {
+                ep,
+                timer,
+                bells,
+                tokens,
+                armed,
+            } => {
+                let hint = hint.map_or(u64::MAX, |t| t.micros());
+                if hint != *armed {
+                    let res = if hint == u64::MAX {
+                        timer.disarm()
+                    } else {
+                        let now_us = worker.now().micros();
+                        timer.arm_in(Duration::from_micros(hint.saturating_sub(now_us)))
+                    };
+                    if res.is_err() {
+                        arm_failed();
+                    }
+                    *armed = hint;
+                }
+                tokens.clear();
+                ep.wait(EPOLL_BACKSTOP_MS, tokens)?;
+                worker.counters.wait_calls.fetch_add(1, Ordering::Relaxed);
+                let mut woke = Woke {
+                    socket: false,
+                    timer: false,
                 };
-                if res.is_err() {
-                    // The previously-armed expiry (or the backstop)
-                    // still bounds lateness; count it, don't hide it.
-                    self.counters
-                        .read_timeout_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                for &t in tokens.iter() {
+                    match t {
+                        TOKEN_SOCKET => woke.socket = true,
+                        TOKEN_TIMER => woke.timer = true,
+                        src => {
+                            // Quiet the bell; the rings are drained by
+                            // the loop regardless (ring-after-push
+                            // makes bell-then-ring-drain ordering safe,
+                            // see crate::epoll).
+                            bells.cells[worker.index][src as usize].drain();
+                        }
+                    }
                 }
-                armed = hint;
-            }
-            fired.clear();
-            let mut rx = std::mem::take(&mut self.rx);
-            rx.clear();
-            let res = self.uring.as_mut().expect("installed above").wait(
-                backstop,
-                &self.rx_pool,
-                &mut rx,
-                &mut fired,
-            );
-            self.rx = rx;
-            if res.is_err() {
-                // Unexpected post-setup failure: pace the loop so a
-                // persistent error cannot spin a core.
-                self.counters
-                    .read_timeout_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(MIN_READ_TIMEOUT);
-                continue;
-            }
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-            if self.shutdown.load(Ordering::Relaxed) {
-                self.uring = None;
-                return Ok(());
-            }
-            let mut timer_fired = false;
-            for &idx in &fired {
-                if idx == timer_idx {
-                    timer_fired = true;
-                } else if let Some(bell) = bells.cells[self.index].get(idx) {
-                    // Quiet the bell; the rings are drained below
-                    // regardless (multishot POLL_ADD is level-like
-                    // here: an undrained eventfd re-fires).
-                    bell.drain();
+                if woke.timer {
+                    timer.drain();
+                    // Force a re-arm from the post-poll hint even if
+                    // the deadline value happens to recur.
+                    *armed = u64::MAX;
                 }
-            }
-            if timer_fired {
-                timer.drain();
-                // Force a re-arm from the post-poll hint even if the
-                // deadline value happens to recur.
-                armed = u64::MAX;
-            }
-            let mut now = self.now();
-            // Drain rings until below the burst cap: doorbells are
-            // edge-like (drained above), so backlog must not wait for
-            // the next ring.
-            while self.drain_handoffs(now) {
-                now = self.now();
-            }
-            self.poll_timers(now);
-            if timer_fired {
-                // Timers fired and were consumed; rescan to raise the
-                // hint past them (fetch_min alone can never raise it).
-                self.core.refresh_worker_deadline(self.me);
-            }
-            if !self.rx.is_empty() {
-                let now = self.now();
-                self.ingest(now);
+                Ok(woke)
             }
         }
     }
 }
 
-/// Route an engine output burst to the wire: one gathered
-/// `send_batch` on the syscall backends; staged `SENDMSG` SQEs
-/// flushed with one `io_uring_enter` on the uring runtime. The flush
-/// happens *here*, per burst, so replies leave before the worker goes
-/// back to its wait — and because that enter also posts accrued
-/// completions (GETEVENTS task-work), the next wait usually reaps
-/// them straight off the CQ ring without a syscall: one kernel
-/// crossing per steady-state relay cycle.
-fn dispatch(tx: &mut Tx<'_>, out: &mut EngineOutput, sink: Option<&DeliverySink>) {
-    match tx {
-        Tx::Io(io) => {
-            let _ = io.send_batch(&out.datagrams);
-        }
-        #[cfg(target_os = "linux")]
-        Tx::Ring(ring, pool) => {
-            for (to, frame) in out.datagrams.drain(..) {
-                ring.send(to, frame, pool);
-            }
-            ring.flush();
-        }
-    }
+/// Route an engine output burst to the wire in one gathered
+/// `send_batch`, so replies leave before the worker goes back to its
+/// wait, then hand deliveries to the sink.
+fn dispatch(io: &UdpIo, out: &EngineOutput, sink: Option<&DeliverySink>) {
+    let _ = io.send_batch(&out.datagrams);
     if let Some(sink) = sink {
         if !out.delivered.is_empty() || !out.extracted.is_empty() || !out.completed.is_empty() {
             sink(out);
@@ -1183,7 +976,7 @@ mod tests {
         let backend = v.get("udp_backend").and_then(serde::Value::as_str);
         assert_eq!(backend, Some(crate::io::active().name()));
         let wait = v.get("wait_backend").and_then(serde::Value::as_str);
-        assert_eq!(wait, Some(crate::wait::active().name()));
+        assert_eq!(wait, Some(crate::io::active().wait_name()));
         let io = m.get("io").expect("io metrics");
         assert!(
             io.get("datagrams_in")
