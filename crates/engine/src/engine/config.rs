@@ -1,0 +1,222 @@
+//! Engine tunables, API errors and per-call output.
+
+use std::net::SocketAddr;
+
+use alpha_adapt::AdaptConfig;
+use alpha_core::{Config, ProtocolError, RelayConfig};
+use alpha_store::PacerConfig;
+use alpha_wire::Frame;
+
+use crate::chainstore;
+use crate::shard::FlowKey;
+
+/// Engine-level tunables. Protocol behaviour stays in the wrapped
+/// [`Config`] / [`RelayConfig`]; everything here is about serving many
+/// flows at once.
+#[derive(Clone, Copy)]
+pub struct EngineConfig {
+    /// Protocol configuration for host-role flows (and the chains of
+    /// handshakes this engine answers).
+    pub protocol: Config,
+    /// Relay policy for relay-role flows.
+    pub relay: RelayConfig,
+    /// Flow-table shards. More shards = less lock contention; workers
+    /// own disjoint shard sets.
+    pub shards: usize,
+    /// Per-flow engine admission budget for S1/HS1 bytes per second
+    /// (`None` disables). This runs *before* any protocol processing,
+    /// under a shard read lock.
+    pub s1_bytes_per_sec: Option<u64>,
+    /// Global cap on bytes buffered across every relay flow's
+    /// pre-signature stores. When exceeded, new S1s are shed until
+    /// disclosure drains the buffers (backpressure valve).
+    pub max_buffered_bytes: Option<u64>,
+    /// Answer unknown-flow HS1 packets by standing up a new host
+    /// association (server behaviour). Disable for pure relays.
+    pub accept_handshakes: bool,
+    /// Handshake resend attempts before a connecting flow is abandoned.
+    pub handshake_retries: u32,
+    /// Per-flow adaptation (`alpha-adapt`): when set, every host flow
+    /// carries a channel estimator + mode controller, and
+    /// [`sign_adaptive`](super::EngineCore::sign_adaptive) picks mode
+    /// and bundle size online.
+    pub adapt: Option<AdaptConfig>,
+    /// Freeze a host flow that has seen no datagram for this many
+    /// microseconds into the flow lifecycle store (`alpha-store`); the
+    /// next verified datagram thaws it. `None` disables hibernation.
+    pub hibernate_after: Option<u64>,
+    /// Byte budget for frozen flow records. Past it, the coldest
+    /// records are evicted (those flows are dropped for good). `None`
+    /// disables eviction.
+    pub frozen_budget: Option<u64>,
+    /// Renewal-storm pacing: deterministic per-flow deadline jitter
+    /// plus the global renewal token bucket.
+    pub pacer: PacerConfig,
+    /// Schedule a paced chain renewal when a host flow's signer chain
+    /// has at most this many exchanges left.
+    pub renew_below: u64,
+    /// Capacity (datagrams) of each cross-worker handoff ring in the
+    /// live runtime. When a ring is full the receiving worker processes
+    /// the datagram itself under the shard lock (counted in
+    /// `handoff_overflow`) rather than stall or drop.
+    pub handoff_ring: usize,
+}
+
+impl EngineConfig {
+    /// Defaults around a protocol config: 8 shards, 1 MiB/s per-flow S1
+    /// budget, 64 MiB global buffer valve, handshakes accepted,
+    /// hibernation off. Long chains left on the default `Full` storage
+    /// are switched to dyadic pebbling here (see [`chainstore`];
+    /// `ALPHA_CHAIN_STORAGE` overrides).
+    #[must_use]
+    pub fn new(protocol: Config) -> EngineConfig {
+        EngineConfig {
+            protocol: chainstore::resolve(protocol),
+            relay: RelayConfig::default(),
+            shards: 8,
+            s1_bytes_per_sec: Some(1 << 20),
+            max_buffered_bytes: Some(64 << 20),
+            accept_handshakes: true,
+            handshake_retries: 10,
+            adapt: None,
+            hibernate_after: None,
+            frozen_budget: Some(256 << 20),
+            pacer: PacerConfig::default(),
+            renew_below: 8,
+            handoff_ring: 1024,
+        }
+    }
+
+    /// Set the shard count.
+    #[must_use]
+    pub fn with_shards(mut self, shards: usize) -> EngineConfig {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Set the relay policy.
+    #[must_use]
+    pub fn with_relay(mut self, relay: RelayConfig) -> EngineConfig {
+        self.relay = relay;
+        self
+    }
+
+    /// Set the per-flow S1/HS1 admission budget.
+    #[must_use]
+    pub fn with_s1_budget(mut self, bytes_per_sec: Option<u64>) -> EngineConfig {
+        self.s1_bytes_per_sec = bytes_per_sec;
+        self
+    }
+
+    /// Set the global relay-buffer byte valve.
+    #[must_use]
+    pub fn with_buffer_valve(mut self, max_bytes: Option<u64>) -> EngineConfig {
+        self.max_buffered_bytes = max_bytes;
+        self
+    }
+
+    /// Enable per-flow adaptation with the given tunables.
+    #[must_use]
+    pub fn with_adapt(mut self, adapt: AdaptConfig) -> EngineConfig {
+        self.adapt = Some(adapt);
+        self
+    }
+
+    /// Set the hibernation idle threshold (µs); `None` disables.
+    #[must_use]
+    pub fn with_hibernate_after(mut self, idle_us: Option<u64>) -> EngineConfig {
+        self.hibernate_after = idle_us;
+        self
+    }
+
+    /// Set the frozen-record byte budget; `None` disables eviction.
+    #[must_use]
+    pub fn with_frozen_budget(mut self, max_bytes: Option<u64>) -> EngineConfig {
+        self.frozen_budget = max_bytes;
+        self
+    }
+
+    /// Set the renewal pacing tunables.
+    #[must_use]
+    pub fn with_pacer(mut self, pacer: PacerConfig) -> EngineConfig {
+        self.pacer = pacer;
+        self
+    }
+
+    /// Set the remaining-exchange threshold for paced renewals.
+    #[must_use]
+    pub fn with_renew_below(mut self, exchanges: u64) -> EngineConfig {
+        self.renew_below = exchanges;
+        self
+    }
+
+    /// Set the per-pair handoff ring capacity (datagrams).
+    #[must_use]
+    pub fn with_handoff_ring(mut self, capacity: usize) -> EngineConfig {
+        self.handoff_ring = capacity.max(2);
+        self
+    }
+}
+
+/// Errors from engine API calls (not from network input, which is
+/// counted in metrics and never raised).
+#[derive(Debug)]
+pub enum EngineError {
+    /// No flow with this key.
+    UnknownFlow(FlowKey),
+    /// The flow exists but is not an established host association.
+    NotAHostFlow(FlowKey),
+    /// The protocol rejected the operation.
+    Protocol(ProtocolError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::UnknownFlow(k) => write!(f, "no flow {}#{}", k.peer, k.assoc_id),
+            EngineError::NotAHostFlow(k) => {
+                write!(
+                    f,
+                    "flow {}#{} is not an established host",
+                    k.peer, k.assoc_id
+                )
+            }
+            EngineError::Protocol(e) => write!(f, "protocol error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<ProtocolError> for EngineError {
+    fn from(e: ProtocolError) -> EngineError {
+        EngineError::Protocol(e)
+    }
+}
+
+/// Everything one engine call produced. The caller owns transmission
+/// (`datagrams`) and consumption (`delivered` / `extracted`).
+#[derive(Default)]
+pub struct EngineOutput {
+    /// Datagrams to transmit, already bundled/chunked at wire limits.
+    /// Frames are on loan from the engine's pool and recycle themselves
+    /// on drop, so steady-state TX does no per-datagram allocation.
+    pub datagrams: Vec<(SocketAddr, Frame)>,
+    /// Verified payloads delivered to host-role flows:
+    /// `(assoc_id, message index, payload)`.
+    pub delivered: Vec<(u64, u32, Vec<u8>)>,
+    /// Payloads verified in transit by relay-role flows.
+    pub extracted: Vec<(u64, Vec<u8>)>,
+    /// Handshakes that completed during this call.
+    pub completed: Vec<FlowKey>,
+}
+
+impl EngineOutput {
+    /// Merge `other` into `self`.
+    pub fn absorb(&mut self, other: EngineOutput) {
+        self.datagrams.extend(other.datagrams);
+        self.delivered.extend(other.delivered);
+        self.extracted.extend(other.extracted);
+        self.completed.extend(other.completed);
+    }
+}

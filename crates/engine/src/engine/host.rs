@@ -1,0 +1,497 @@
+//! Host-role flows: [`HostFlow`], the three steps every host path is
+//! built from — install-and-arm, [`ingest`], settle — and flow creation
+//! (add / connect / accept / complete) and signing on top of them.
+
+use super::*;
+
+/// Per-flow chain-renewal pacing state (lives inside [`HostFlow`]).
+pub(super) enum RenewalSlot {
+    /// No renewal scheduled or in flight.
+    Idle,
+    /// A jittered renewal deadline is armed on the timer wheel.
+    Scheduled(Timestamp),
+    /// The renewal S1 is in flight; commit on `ExchangeComplete`.
+    Offered(Box<RenewalOffer>),
+}
+
+/// An established end-host association and the engine state around it.
+pub(super) struct HostFlow {
+    pub(super) assoc: Box<Association>,
+    /// When the current outbound exchange started (RTT metric).
+    pub(super) inflight_since: Option<Timestamp>,
+    /// Channel estimator + mode controller, present when
+    /// [`EngineConfig::adapt`](super::EngineConfig::adapt) is set.
+    pub(super) adapt: Option<Box<FlowAdapt>>,
+    /// Last datagram or local sign on this flow — the hibernation
+    /// idle clock.
+    pub(super) last_seen: Timestamp,
+    /// Deadline of the armed idle-check wheel entry
+    /// ([`Timestamp::ZERO`] when hibernation is off). Datagrams
+    /// only refresh `last_seen`; the idle check re-arms itself
+    /// lazily when it fires, so each flow keeps at most one idle
+    /// entry on the wheel regardless of traffic.
+    pub(super) idle_deadline: Timestamp,
+    /// Paced chain-renewal state.
+    pub(super) renewal: RenewalSlot,
+}
+
+/// Ingest: feed one parsed packet to an association. S2 packets — the
+/// data path — go through the field-level borrowed interface; the rare
+/// control packets materialise an owned [`Packet`].
+pub(super) fn ingest(
+    assoc: &mut Association,
+    view: &PacketView<'_>,
+    now: Timestamp,
+    rng: &mut dyn RngCore,
+) -> Result<Response, ProtocolError> {
+    match &view.body {
+        BodyView::S2 {
+            key,
+            seq,
+            path,
+            payload,
+        } => {
+            let path = path.to_path();
+            assoc.handle_s2_fields(
+                view.assoc_id,
+                view.chain_index,
+                key,
+                *seq,
+                &path,
+                payload,
+                now,
+            )
+        }
+        _ => assoc.handle(&view.to_packet(), now, rng),
+    }
+}
+
+/// Map a host-side protocol rejection onto the drop taxonomy.
+pub(super) fn protocol_drop_reason(e: ProtocolError) -> DropReason {
+    match e {
+        ProtocolError::Chain(_) => DropReason::BadChainElement,
+        ProtocolError::BadMac | ProtocolError::BadAuth => DropReason::BadMac,
+        ProtocolError::UnexpectedPacket | ProtocolError::NoExchange => DropReason::Unsolicited,
+        ProtocolError::WrongAssociation => DropReason::UnknownAssociation,
+        _ => DropReason::Malformed,
+    }
+}
+
+impl EngineCore {
+    /// Host state at the start of its engine life: nothing in flight,
+    /// idle clock started at `now`, no renewal pending.
+    pub(super) fn fresh_host(
+        &self,
+        assoc: Association,
+        adapt: Option<Box<FlowAdapt>>,
+        now: Timestamp,
+    ) -> FlowState {
+        FlowState::Host(HostFlow {
+            assoc: Box::new(assoc),
+            inflight_since: None,
+            adapt,
+            last_seen: now,
+            idle_deadline: self
+                .cfg
+                .hibernate_after
+                .map_or(Timestamp::ZERO, |us| now.plus_micros(us)),
+            renewal: RenewalSlot::Idle,
+        })
+    }
+
+    /// Fresh per-flow adaptation state, when the engine enables it.
+    pub(super) fn new_adapt(&self) -> Option<Box<FlowAdapt>> {
+        self.cfg.adapt.map(|c| Box::new(FlowAdapt::new(c)))
+    }
+
+    /// A fresh per-flow S1/HS1 admission limiter.
+    pub(super) fn new_limiter(&self) -> SharedS1Limiter {
+        SharedS1Limiter::new(self.cfg.s1_bytes_per_sec)
+    }
+
+    /// Install-and-arm: `state` becomes `key`'s flow state and every
+    /// deadline it owns goes on the wheel — a connecting flow's resend;
+    /// a host flow's protocol poll, idle check (when hibernation is on)
+    /// and `Scheduled` renewal. With `limiter` the flow is new to this
+    /// table and any entry displaced at `key` is returned; `None`
+    /// promotes the resident entry (handshake completion, thaw), which
+    /// keeps the admission limiter it has been charged on, and does
+    /// nothing if `key` is not resident.
+    pub(super) fn install(
+        &self,
+        shard: &mut Shard,
+        key: FlowKey,
+        limiter: Option<SharedS1Limiter>,
+        state: FlowState,
+    ) -> Option<FlowEntry> {
+        let hibernation = self.cfg.hibernate_after.is_some();
+        let due = match &state {
+            FlowState::Connecting { next_resend, .. } => [Some(*next_resend), None, None],
+            FlowState::Host(flow) => [
+                flow.assoc.poll_at(),
+                hibernation.then_some(flow.idle_deadline),
+                match flow.renewal {
+                    RenewalSlot::Scheduled(due) => Some(due),
+                    _ => None,
+                },
+            ],
+            FlowState::Hibernated | FlowState::Relay { .. } => [None; 3],
+        };
+        let prev = match limiter {
+            Some(limiter) => shard.flows.insert(key, FlowEntry { limiter, state }),
+            None => {
+                shard.flows.get_mut(&key)?.state = state;
+                None
+            }
+        };
+        for t in due.into_iter().flatten() {
+            shard.wheel.schedule(t, key);
+        }
+        self.cache_deadline(shard);
+        prev
+    }
+
+    /// Install an already-established host association (e.g. from an
+    /// out-of-band or authenticated handshake) as a flow toward `peer`.
+    pub fn add_host(&self, peer: SocketAddr, assoc: Association, now: Timestamp) -> FlowKey {
+        let key = FlowKey {
+            peer,
+            assoc_id: assoc.assoc_id(),
+        };
+        let idx = self.shard_index(&key);
+        let flow = self.fresh_host(assoc, self.new_adapt(), now);
+        let limiter = Some(self.new_limiter());
+        self.install(&mut self.shards.write(idx), key, limiter, flow);
+        self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
+        key
+    }
+
+    /// Start an (unprotected) handshake toward `peer`: emits the HS1
+    /// and arms jittered exponential resends until HS2 arrives or the
+    /// retry budget runs out. Completion is reported through
+    /// [`EngineOutput::completed`].
+    pub fn connect(
+        &self,
+        peer: SocketAddr,
+        assoc_id: u64,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+    ) -> (FlowKey, EngineOutput) {
+        let mut out = EngineOutput::default();
+        let (hs, pkt) = bootstrap::initiate(self.cfg.protocol, assoc_id, None, rng);
+        let wire = pkt.emit();
+        let key = FlowKey { peer, assoc_id };
+        let mut backoff = Backoff::handshake();
+        let next_resend = now.plus_micros(backoff.next_delay(rng).as_micros() as u64);
+        let idx = self.shard_index(&key);
+        let state = FlowState::Connecting {
+            hs: Some(Box::new(hs)),
+            wire: wire.clone(),
+            backoff,
+            started: now,
+            next_resend,
+        };
+        let limiter = Some(self.new_limiter());
+        self.install(&mut self.shards.write(idx), key, limiter, state);
+        self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
+        self.push_bytes(&mut out, peer, &wire);
+        (key, out)
+    }
+
+    /// Unknown flow: if it is an HS1 and this engine accepts
+    /// handshakes, stand up a new host association and reply with HS2.
+    pub(super) fn accept_handshake(
+        &self,
+        key: FlowKey,
+        view: &PacketView<'_>,
+        wire_len: usize,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut EngineOutput,
+    ) {
+        let is_hs1 = matches!(&view.body, BodyView::Handshake(h) if h.role == HandshakeRole::Init);
+        if !self.cfg.accept_handshakes || !is_hs1 {
+            self.metrics.record_drop(DropReason::UnknownAssociation);
+            return;
+        }
+        // Handshakes are rare and carry owned blobs anyway: materialise.
+        let pkt = view.to_packet();
+        match bootstrap::respond(self.cfg.protocol, &pkt, None, AuthRequirement::None, rng) {
+            Ok((assoc, reply, _key)) => {
+                let idx = self.shard_index(&key);
+                let limiter = self.new_limiter();
+                limiter.allow(wire_len as u64, now); // charge the HS1
+                let flow = self.fresh_host(assoc, self.new_adapt(), now);
+                self.install(&mut self.shards.write(idx), key, Some(limiter), flow);
+                self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
+                self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
+                out.completed.push(key);
+                self.push_packets(out, key.peer, &[reply]);
+            }
+            Err(_) => self.metrics.record_drop(DropReason::Malformed),
+        }
+    }
+
+    /// Connecting flow: try to finish the handshake with this packet.
+    pub(super) fn complete_handshake(
+        &self,
+        mut shard: RwLockWriteGuard<'_, Shard>,
+        key: FlowKey,
+        view: &PacketView<'_>,
+        now: Timestamp,
+        out: &mut EngineOutput,
+    ) {
+        let is_hs2 = matches!(&view.body, BodyView::Handshake(h) if h.role == HandshakeRole::Reply)
+            && view.assoc_id == key.assoc_id;
+        if !is_hs2 {
+            // Everything but an HS2 reply is noise while connecting
+            // (e.g. a duplicated HS1 reflection).
+            self.metrics.record_drop(DropReason::Unsolicited);
+            return;
+        }
+        let Some(FlowState::Connecting { hs, started, .. }) =
+            shard.flows.get_mut(&key).map(|e| &mut e.state)
+        else {
+            return;
+        };
+        let started = *started;
+        let Some(hs) = hs.take() else {
+            return;
+        };
+        match hs.complete(&view.to_packet(), AuthRequirement::None) {
+            Ok((assoc, _peer_key)) => {
+                let flow = self.fresh_host(assoc, self.new_adapt(), now);
+                self.install(&mut shard, key, None, flow);
+                self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
+                self.metrics.handshake_us.record(now.since(started));
+                out.completed.push(key);
+            }
+            Err(_) => {
+                // Unrecoverable (the handshaker is consumed): drop the
+                // flow; a caller-level retry starts a fresh connect.
+                shard.flows.remove(&key);
+                self.metrics.flows_active.fetch_sub(1, Ordering::Relaxed);
+                self.metrics.record_drop(DropReason::Malformed);
+            }
+        }
+    }
+
+    /// Run `f` against the flow's association (any flow whose state is
+    /// an established host). Returns `None` for unknown or non-host
+    /// flows.
+    pub fn with_association<R>(
+        &self,
+        key: FlowKey,
+        f: impl FnOnce(&mut Association) -> R,
+    ) -> Option<R> {
+        let idx = self.shard_index(&key);
+        let mut shard = self.shards.write(idx);
+        match shard.flows.get_mut(&key).map(|e| &mut e.state) {
+            Some(FlowState::Host(flow)) => Some(f(&mut flow.assoc)),
+            _ => None,
+        }
+    }
+
+    /// Whether a host flow has no exchange in flight.
+    #[must_use]
+    pub fn flow_is_idle(&self, key: FlowKey) -> bool {
+        self.with_association(key, |a| a.signer().is_idle())
+            .unwrap_or(false)
+    }
+
+    /// Sign and stage a batch on an established host flow.
+    pub fn sign_batch(
+        &self,
+        key: FlowKey,
+        messages: &[&[u8]],
+        mode: Mode,
+        now: Timestamp,
+    ) -> Result<EngineOutput, EngineError> {
+        self.sign_on_flow(key, messages, Some(mode), now)
+            .map(|(_, out)| out)
+    }
+
+    /// Sign a bundle whose mode and size the flow's controller picks
+    /// from its channel estimate: up to `min(n*, messages.len())`
+    /// messages are consumed, front first. Returns how many were taken
+    /// plus the staged output; the caller re-offers the remainder after
+    /// the exchange completes. Flows without adaptation (engine built
+    /// without [`EngineConfig::with_adapt`](super::EngineConfig::with_adapt))
+    /// take everything in the protocol config's mode.
+    pub fn sign_adaptive(
+        &self,
+        key: FlowKey,
+        messages: &[&[u8]],
+        now: Timestamp,
+    ) -> Result<(usize, EngineOutput), EngineError> {
+        self.sign_on_flow(key, messages, None, now)
+    }
+
+    /// Shared signing path: `fixed` forces a mode (classic
+    /// `sign_batch`), `None` asks the flow's controller.
+    fn sign_on_flow(
+        &self,
+        key: FlowKey,
+        messages: &[&[u8]],
+        fixed: Option<Mode>,
+        now: Timestamp,
+    ) -> Result<(usize, EngineOutput), EngineError> {
+        let mut out = EngineOutput::default();
+        let idx = self.shard_index(&key);
+        let mut guard = self.shards.write(idx);
+        let shard = &mut *guard;
+        let Some(entry) = shard.flows.get_mut(&key) else {
+            return Err(EngineError::UnknownFlow(key));
+        };
+        let FlowState::Host(flow) = &mut entry.state else {
+            return Err(EngineError::NotAHostFlow(key));
+        };
+        let (mode, take) = match (fixed, flow.adapt.as_ref()) {
+            (Some(mode), _) => (mode, messages.len()),
+            (None, Some(a)) => a.plan(messages.len()),
+            (None, None) => (self.cfg.protocol.mode, messages.len()),
+        };
+        let pkt = flow.assoc.sign_batch(&messages[..take], mode, now)?;
+        flow.inflight_since = Some(now);
+        flow.last_seen = now;
+        if let Some(a) = flow.adapt.as_mut() {
+            let payload: u64 = messages[..take].iter().map(|m| m.len() as u64).sum();
+            a.begin_exchange(mode, take, payload, now);
+            a.observe_packets(std::slice::from_ref(&pkt));
+        }
+        if let Some(t) = flow.assoc.poll_at() {
+            shard.wheel.schedule(t, key);
+            self.cache_deadline(shard);
+        }
+        drop(guard);
+        self.push_packets(&mut out, key.peer, &[pkt]);
+        Ok((take, out))
+    }
+
+    /// Run `f` against the flow's adaptation state; `None` for unknown
+    /// flows, non-host flows, or engines without adaptation.
+    pub fn with_adapt<R>(&self, key: FlowKey, f: impl FnOnce(&FlowAdapt) -> R) -> Option<R> {
+        let idx = self.shard_index(&key);
+        let shard = self.shards.read(idx);
+        match shard.flows.get(&key).map(|e| &e.state) {
+            Some(FlowState::Host(HostFlow { adapt: Some(a), .. })) => Some(f(a)),
+            _ => None,
+        }
+    }
+
+    /// Established host flow (`ingress` passes the held shard lock in):
+    /// ingest the packet, settle the response.
+    pub(super) fn host_handle(
+        &self,
+        mut guard: RwLockWriteGuard<'_, Shard>,
+        key: FlowKey,
+        view: &PacketView<'_>,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut EngineOutput,
+    ) {
+        let shard = &mut *guard;
+        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state) else {
+            return;
+        };
+        if let Some(a) = flow.adapt.as_mut() {
+            if view.packet_type() == PacketType::A1 {
+                a.on_a1(now);
+            }
+        }
+        match ingest(&mut flow.assoc, view, now, rng) {
+            Ok(resp) => {
+                self.settle(&mut shard.wheel, key, flow, &resp, now, true);
+                self.cache_deadline(shard);
+                drop(guard);
+                self.stage(out, key, resp);
+            }
+            Err(e) => {
+                drop(guard);
+                self.metrics.record_drop(protocol_drop_reason(e));
+            }
+        }
+    }
+
+    /// Settle: fold one [`Response`] into the flow's engine state —
+    /// RTT sample, adaptation, renewal lifecycle, counters, next poll
+    /// deadline — under the shard write lock, on the datagram, thaw and
+    /// timer paths alike. The caller then refreshes `cache_deadline`,
+    /// drops the lock and hands the response to [`EngineCore::stage`].
+    ///
+    /// `from_peer`: the response answers a datagram that verified, not
+    /// a timer fire. Only that proves a live peer, so only that
+    /// refreshes the idle clock and may arm a chain renewal (a timer
+    /// re-arming abandoned renewals would burn a dead peer's chain).
+    pub(super) fn settle(
+        &self,
+        wheel: &mut TimerWheel<FlowKey>,
+        key: FlowKey,
+        flow: &mut HostFlow,
+        resp: &Response,
+        now: Timestamp,
+        from_peer: bool,
+    ) {
+        if flow.assoc.signer().is_idle() {
+            if let Some(started) = flow.inflight_since.take() {
+                self.metrics.rtt_us.record(now.since(started));
+            }
+        }
+        if let Some(a) = flow.adapt.as_mut() {
+            let before = a.switches_total();
+            a.observe(&resp.packets, &resp.signer_events);
+            self.metrics
+                .adapt_switches
+                .fetch_add(a.switches_total() - before, Ordering::Relaxed);
+            if let Some(rto) = a.rto_us() {
+                flow.assoc.set_rto_micros(rto);
+            }
+        }
+        // Renewal lifecycle: the signer admits one exchange at a time,
+        // so while an offer is outstanding the next completion or
+        // abandonment verdict is the renewal's. An abandoned offer
+        // frees the slot for a future (re-jittered) attempt.
+        if matches!(flow.renewal, RenewalSlot::Offered(_)) {
+            if resp.signer_events.contains(&SignerEvent::ExchangeComplete) {
+                if let RenewalSlot::Offered(offer) =
+                    std::mem::replace(&mut flow.renewal, RenewalSlot::Idle)
+                {
+                    let _ = flow.assoc.commit_renewal(*offer);
+                }
+            } else if resp.signer_events.contains(&SignerEvent::ExchangeAbandoned) {
+                flow.renewal = RenewalSlot::Idle;
+            }
+        }
+        if from_peer {
+            flow.last_seen = now;
+            // Arm a jittered renewal deadline when the chain runs low
+            // (deterministic per-flow spread, see alpha-store).
+            let signer = flow.assoc.signer();
+            if matches!(flow.renewal, RenewalSlot::Idle)
+                && signer.is_idle()
+                && signer.remaining_exchanges() <= self.cfg.renew_below
+            {
+                let due = now.plus_micros(self.pacer.lock().jitter_us(key.stable_hash()));
+                flow.renewal = RenewalSlot::Scheduled(due);
+                wheel.schedule(due, key);
+            }
+        }
+        self.metrics
+            .s2_verified
+            .fetch_add(resp.deliveries.len() as u64, Ordering::Relaxed);
+        if let Some(t) = flow.assoc.poll_at() {
+            wheel.schedule(t, key);
+        }
+    }
+
+    /// Hand a settled response to the caller: deliveries, then its
+    /// packets as one datagram toward the flow's peer. Needs no lock.
+    pub(super) fn stage(&self, out: &mut EngineOutput, key: FlowKey, resp: Response) {
+        out.delivered.extend(
+            resp.deliveries
+                .into_iter()
+                .map(|(seq, p)| (key.assoc_id, seq, p)),
+        );
+        self.push_packets(out, key.peer, &resp.packets);
+    }
+}
