@@ -22,9 +22,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> datapath bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin datapath -- --quick
 
-echo "==> digest backend equivalence (forced scalar, then auto-detected)"
-ALPHA_DIGEST_BACKEND=scalar cargo test -q -p alpha-crypto --test backend_props
-cargo test -q -p alpha-crypto --test backend_props
+# On a SHA-NI host auto-detection never runs the lanes4 tier, and the
+# streaming hasher and chain walker follow the process-wide backend, so
+# each tier is forced in turn.
+echo "==> digest backend equivalence, padding and chain-walker suites (forced scalar, forced lanes4, then auto-detected)"
+for backend in scalar lanes4 auto; do
+    ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
+        --test backend_props --test padding --test chain_walker
+done
 
 echo "==> digest throughput bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin digest_throughput -- --quick
@@ -67,6 +72,15 @@ cargo test -q -p alpha-core --test freeze_thaw
 
 echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms)"
 cargo run --release -p alpha-bench --bin flow_density -- --quick
+
+# The driver builds benchmark/ against crates/ as they are; an API break
+# there should fail here first. Numbers of a --quick run mean nothing.
+echo "==> benchmark crate: build (release, offline) and --quick smoke into a temp dir"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+bench_out=$(mktemp -d)
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --quick --out "$bench_out" >/dev/null
+rm -rf "$bench_out"
 
 echo "==> decoder robustness properties (release)"
 cargo test --release --test properties -q -- \

@@ -1,15 +1,20 @@
 //! Digest backend throughput — what the pluggable backend layer in
 //! `alpha-crypto` buys at each tier.
 //!
-//! Three measurements, each across every backend the host CPU supports
+//! Four measurements, each across every backend the host CPU supports
 //! (scalar always, portable 4-lane always, SHA-NI when detected):
 //!
-//! 1. **Single-message latency**: one digest at a time, the floor any
-//!    non-batched call site pays.
+//! 1. **Single-message latency**: `digest_batch` of one input — the
+//!    batch entry point's floor, whose padding comes from the batch
+//!    code, not from the streaming hasher.
 //! 2. **Batched throughput**: `digest_batch` over many independent
 //!    messages — the shape of HMAC pre-signature generation, Merkle
 //!    level builds, and relay batch verification.
-//! 3. **End-to-end relay S2/sec**: the engine-scaling harness in
+//! 3. **One-shot calls**: what the protocol actually calls per packet —
+//!    `Algorithm::hash` (streaming hasher and its `finish` padding) at
+//!    20 / 64 / 1024 B, and building one 1024-element chain and a
+//!    signature/acknowledgment chain pair through the chain walker.
+//! 4. **End-to-end relay S2/sec**: the engine-scaling harness in
 //!    miniature, with bundled ALPHA-C exchanges flowing through one
 //!    relay `EngineCore`, re-run with the backend forced to each tier.
 //!
@@ -18,6 +23,7 @@
 //! tiny runs on loaded CI hosts are noise).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -25,6 +31,7 @@ use alpha_bench::table;
 use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::{Config, Mode, Timestamp};
 use alpha_crypto::backend::{self, BackendKind};
+use alpha_crypto::chain::{ChainKind, HashChain, StorageKind};
 use alpha_crypto::{Algorithm, Digest};
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::bundle;
@@ -45,6 +52,64 @@ fn single_ns(kind: BackendKind, alg: Algorithm, len: usize, iters: usize) -> f64
         backend::digest_batch_using(kind, alg, &refs, &mut out);
     }
     t.elapsed().as_nanos() as f64 / iters as f64
+}
+
+const ONE_SHOT_LENS: [usize; 3] = [20, 64, 1024];
+const CHAIN_LEN: u64 = 1024;
+
+/// Nanoseconds per call of `f` with the process-wide backend forced to
+/// `kind`: the median of nine timed runs of `iters` calls each.
+fn forced_ns(kind: BackendKind, iters: usize, mut f: impl FnMut()) -> f64 {
+    backend::force(kind).expect("supported backend");
+    f(); // warm up
+    let mut runs: Vec<f64> = (0..9)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
+/// The one-shot rows for one backend and algorithm: `(what, ns)`.
+fn one_shot_rows(kind: BackendKind, alg: Algorithm, iters: usize) -> Vec<(String, f64)> {
+    let msg = vec![0xA5u8; 1024];
+    let mut rows: Vec<(String, f64)> = ONE_SHOT_LENS
+        .iter()
+        .map(|&len| {
+            let ns = forced_ns(kind, iters, || {
+                black_box(alg.hash(black_box(&msg[..len])));
+            });
+            (format!("hash_{len}B"), ns)
+        })
+        .collect();
+    let builds = (iters / 1024).max(3);
+    let ns = forced_ns(kind, builds, || {
+        black_box(HashChain::from_seed(
+            alg,
+            ChainKind::RoleBoundSignature,
+            CHAIN_LEN,
+            black_box(&msg[..20]),
+        ));
+    });
+    rows.push((format!("chain_build_{CHAIN_LEN}"), ns));
+    let ns = forced_ns(kind, builds, || {
+        black_box(HashChain::from_seeds_batch(
+            alg,
+            CHAIN_LEN,
+            StorageKind::Full,
+            &[
+                (ChainKind::RoleBoundSignature, black_box(&msg[..20])),
+                (ChainKind::RoleBoundAck, black_box(&msg[20..40])),
+            ],
+        ));
+    });
+    rows.push((format!("chain_pair_build_{CHAIN_LEN}"), ns));
+    rows
 }
 
 /// MB/s hashing `n` independent messages per batch call.
@@ -218,7 +283,34 @@ fn main() {
         }
     );
 
-    // 3: end-to-end relay verification, backend forced per run.
+    // 3: one-shot calls, backend forced per row.
+    let mut one_shot: Vec<(BackendKind, Algorithm, String, f64)> = Vec::new();
+    for &alg in &ALGS {
+        for &kind in &backends {
+            for (what, ns) in one_shot_rows(kind, alg, single_iters) {
+                one_shot.push((kind, alg, what, ns));
+            }
+        }
+    }
+    backend::force(detected).expect("detected backend is supported");
+    let one_shot_table: Vec<Vec<String>> = one_shot
+        .iter()
+        .map(|(kind, alg, what, ns)| {
+            vec![
+                alg.to_string(),
+                what.clone(),
+                kind.name().to_owned(),
+                format!("{ns:.0}"),
+            ]
+        })
+        .collect();
+    table::print(
+        "One-shot calls — Algorithm::hash and chain builds through the walker",
+        &["alg", "call", "backend", "ns"],
+        &one_shot_table,
+    );
+
+    // 4: end-to-end relay verification, backend forced per run.
     let (flows, exchanges, bundle_msgs) = if quick { (8, 2, 4) } else { (64, 4, 8) };
     let cfg = Config::new(Algorithm::Sha256).with_chain_len(64);
     let traffic: Vec<FlowTraffic> = (0..flows)
@@ -270,6 +362,17 @@ fn main() {
              \"ns_per_digest\": {ns:.1}}}{}",
             kind.name(),
             if i + 1 == single.len() { "" } else { "," }
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"one_shot_ns\": [");
+    for (i, (kind, alg, what, ns)) in one_shot.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"backend\": \"{}\", \"alg\": \"{alg}\", \"call\": \"{what}\", \
+             \"ns\": {ns:.1}}}{}",
+            kind.name(),
+            if i + 1 == one_shot.len() { "" } else { "," }
         );
     }
     let _ = writeln!(json, "  ],");

@@ -15,7 +15,7 @@
 //! ([`crate::Relay::observe`]); for pre-deployed networks (static WSNs)
 //! use [`crate::Relay::adopt`] and [`Association::from_chains`] directly.
 
-use alpha_crypto::chain::{ChainKind, HashChain};
+use alpha_crypto::chain::{ChainKind, HashChain, StorageKind};
 use alpha_pk::{PublicKey, Signer, VerifyingKey};
 use alpha_wire::{Body, Handshake, HandshakeAuth, HandshakeRole, Packet};
 use rand::RngCore;
@@ -143,46 +143,30 @@ impl Handshaker {
     }
 }
 
-fn make_chains(cfg: &Config, rng: &mut dyn RngCore) -> (HashChain, HashChain) {
-    match cfg.chain_storage {
-        // Full storage generates both chains in lockstep so every
-        // derivation step hashes the signature and ack lanes together.
-        crate::ChainStorage::Full => {
-            let mut sig_seed = [0u8; 32];
-            let mut ack_seed = [0u8; 32];
-            rng.fill_bytes(&mut sig_seed);
-            rng.fill_bytes(&mut ack_seed);
-            let mut chains = HashChain::from_seeds_batch(
-                cfg.algorithm,
-                cfg.chain_len,
-                &[
-                    (ChainKind::RoleBoundSignature, &sig_seed),
-                    (ChainKind::RoleBoundAck, &ack_seed),
-                ],
-            );
-            let ack = chains.pop().expect("two chains requested");
-            let sig = chains.pop().expect("two chains requested");
-            (sig, ack)
-        }
-        crate::ChainStorage::Sqrt => (
-            HashChain::generate_compact(
-                cfg.algorithm,
-                ChainKind::RoleBoundSignature,
-                cfg.chain_len,
-                rng,
-            ),
-            HashChain::generate_compact(cfg.algorithm, ChainKind::RoleBoundAck, cfg.chain_len, rng),
-        ),
-        crate::ChainStorage::Dyadic => (
-            HashChain::generate_dyadic(
-                cfg.algorithm,
-                ChainKind::RoleBoundSignature,
-                cfg.chain_len,
-                rng,
-            ),
-            HashChain::generate_dyadic(cfg.algorithm, ChainKind::RoleBoundAck, cfg.chain_len, rng),
-        ),
-    }
+/// A host's own signature and acknowledgment chains per `cfg`, derived in
+/// one two-lane pass whatever the storage layout (handshake and renewal).
+pub(crate) fn make_chains(cfg: &Config, rng: &mut dyn RngCore) -> (HashChain, HashChain) {
+    let mut sig_seed = [0u8; 32];
+    let mut ack_seed = [0u8; 32];
+    rng.fill_bytes(&mut sig_seed);
+    rng.fill_bytes(&mut ack_seed);
+    let storage = match cfg.chain_storage {
+        crate::ChainStorage::Full => StorageKind::Full,
+        crate::ChainStorage::Sqrt => StorageKind::Compact,
+        crate::ChainStorage::Dyadic => StorageKind::Dyadic,
+    };
+    let mut chains = HashChain::from_seeds_batch(
+        cfg.algorithm,
+        cfg.chain_len,
+        storage,
+        &[
+            (ChainKind::RoleBoundSignature, &sig_seed),
+            (ChainKind::RoleBoundAck, &ack_seed),
+        ],
+    );
+    let ack = chains.pop().expect("two chains requested");
+    let sig = chains.pop().expect("two chains requested");
+    (sig, ack)
 }
 
 fn handshake_packet(

@@ -25,7 +25,7 @@
 //! analogue of §3.4's observation that identity flows from whatever
 //! authenticated the first anchors.
 
-use alpha_crypto::chain::{ChainKind, HashChain};
+use alpha_crypto::chain::HashChain;
 use alpha_crypto::{Algorithm, Digest};
 use rand::RngCore;
 
@@ -52,19 +52,7 @@ pub struct RenewalAnchors {
 /// Generate fresh chains per `cfg` and the payload announcing them.
 #[must_use]
 pub fn offer(cfg: &Config, rng: &mut dyn RngCore) -> (RenewalOffer, Vec<u8>) {
-    let gen = |kind, rng: &mut dyn RngCore| match cfg.chain_storage {
-        crate::ChainStorage::Full => HashChain::generate(cfg.algorithm, kind, cfg.chain_len, rng),
-        crate::ChainStorage::Sqrt => {
-            HashChain::generate_compact(cfg.algorithm, kind, cfg.chain_len, rng)
-        }
-        crate::ChainStorage::Dyadic => {
-            HashChain::generate_dyadic(cfg.algorithm, kind, cfg.chain_len, rng)
-        }
-    };
-    let (sig_chain, ack_chain) = (
-        gen(ChainKind::RoleBoundSignature, rng),
-        gen(ChainKind::RoleBoundAck, rng),
-    );
+    let (sig_chain, ack_chain) = crate::bootstrap::make_chains(cfg, rng);
     let payload = encode(cfg.algorithm, &sig_chain, &ack_chain);
     (
         RenewalOffer {

@@ -4,13 +4,18 @@
 //! paper), so this module lets the crate pick the fastest implementation the
 //! host CPU offers — once, at startup — and exposes *batch* entry points for
 //! the call sites that hash many independent short inputs (HMAC
-//! pre-signatures, Merkle levels, chain walks, relay S2 verification).
+//! pre-signatures, Merkle levels, relay S2 verification). Hash chains have
+//! their own fixed-block entry, [`hash_padded_blocks`], driven by the one
+//! walker in [`crate::chain`].
 //!
 //! Three tiers exist:
 //!
 //! - [`BackendKind::ShaNi`] — x86_64 SHA extension instructions for SHA-1 and
 //!   SHA-256, selected only when `is_x86_feature_detected!` proves support.
-//!   All `unsafe` lives in the feature-gated `shani` module.
+//!   One kernel per algorithm runs one stream or two interleaved ones (a
+//!   chain pair, two Merkle siblings), the second filling the first's
+//!   instruction latency. All `unsafe` lives in the feature-gated `shani`
+//!   module.
 //! - [`BackendKind::Lanes4`] — a portable 4-lane interleaved scalar
 //!   implementation ([`crate::multilane`]): four independent messages walk
 //!   the compression function in lockstep over `[u32; 4]` words, which the
@@ -201,48 +206,65 @@ pub fn force(kind: BackendKind) -> Result<(), UnsupportedBackend> {
 }
 
 // ---------------------------------------------------------------------------
-// Block-compression dispatch (used by the streaming Sha1/Sha256 contexts).
+// Block-compression dispatch (used by the streaming Sha1/Sha256 contexts,
+// the batch paths below and the chain walker).
 // ---------------------------------------------------------------------------
 
 /// Compress `blocks` (length a multiple of 64) into `state` with the active
 /// backend.
 pub(crate) fn sha1_compress(state: &mut [u32; 5], blocks: &[u8]) {
-    sha1_compress_with(active(), state, blocks);
+    sha1_compress_with(active(), std::array::from_mut(state), [blocks]);
 }
 
 /// Compress `blocks` (length a multiple of 64) into `state` with the active
 /// backend.
 pub(crate) fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
-    sha256_compress_with(active(), state, blocks);
+    sha256_compress_with(active(), std::array::from_mut(state), [blocks]);
 }
 
-pub(crate) fn sha1_compress_with(kind: BackendKind, state: &mut [u32; 5], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// Compress `N` independent streams — `blocks[s]` (equal lengths, a multiple
+/// of 64) into `states[s]`. SHA-NI interleaves the streams in one kernel;
+/// the portable tiers run them one after another.
+pub(crate) fn sha1_compress_with<const N: usize>(
+    kind: BackendKind,
+    states: &mut [[u32; 5]; N],
+    blocks: [&[u8]; N],
+) {
     #[cfg(target_arch = "x86_64")]
     if kind == BackendKind::ShaNi {
-        crate::shani::sha1_compress(state, blocks);
+        crate::shani::sha1_compress(states, blocks);
         return;
     }
     let _ = kind;
-    for block in blocks.chunks_exact(64) {
-        // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
-        let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
-        crate::sha1::compress_block(state, block);
+    for (state, blocks) in states.iter_mut().zip(blocks) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        for block in blocks.chunks_exact(64) {
+            // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+            crate::sha1::compress_block(state, block);
+        }
     }
 }
 
-pub(crate) fn sha256_compress_with(kind: BackendKind, state: &mut [u32; 8], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// SHA-256 variant of [`sha1_compress_with`].
+pub(crate) fn sha256_compress_with<const N: usize>(
+    kind: BackendKind,
+    states: &mut [[u32; 8]; N],
+    blocks: [&[u8]; N],
+) {
     #[cfg(target_arch = "x86_64")]
     if kind == BackendKind::ShaNi {
-        crate::shani::sha256_compress(state, blocks);
+        crate::shani::sha256_compress(states, blocks);
         return;
     }
     let _ = kind;
-    for block in blocks.chunks_exact(64) {
-        // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
-        let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
-        crate::sha256::compress_block(state, block);
+    for (state, blocks) in states.iter_mut().zip(blocks) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        for block in blocks.chunks_exact(64) {
+            // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+            crate::sha256::compress_block(state, block);
+        }
     }
 }
 
@@ -384,9 +406,9 @@ pub fn digest_batch_using(kind: BackendKind, alg: Algorithm, inputs: &[&[u8]], o
 pub(crate) const LANES: usize = 4;
 
 /// Hash arbitrarily many independent multi-part messages with the active
-/// backend — the crate-internal workhorse behind Merkle level construction,
-/// lockstep chain generation, and AMT leaf hashing. Byte-identical to
-/// [`Algorithm::hash_parts`] per job, with the same counting.
+/// backend — the crate-internal workhorse behind Merkle level construction
+/// and AMT leaf hashing. Byte-identical to [`Algorithm::hash_parts`] per
+/// job, with the same counting.
 pub(crate) fn hash_parts_lanes(alg: Algorithm, jobs: &[PartsRef<'_>], out: &mut [Digest]) {
     debug_assert_eq!(jobs.len(), out.len());
     let kind = active();
@@ -421,84 +443,100 @@ pub(crate) fn hash_lanes_with(
         }
         Algorithm::Sha1 | Algorithm::Sha256 => {}
     }
-    // Lane-parallel only pays off with >1 message on the portable tier.
     if kind == BackendKind::Lanes4 && jobs.len() > 1 {
+        // Lane-parallel only pays off with >1 message on the portable tier.
         match alg {
             Algorithm::Sha1 => crate::multilane::sha1_lanes(jobs, out),
             Algorithm::Sha256 => crate::multilane::sha256_lanes(jobs, out),
             Algorithm::MmoAes => unreachable!(),
         }
-        for job in jobs {
-            counting::record(alg, job.total_len());
+    } else {
+        // Neighbours with equal block counts (Merkle levels, AMT leaves,
+        // HMAC passes) go as two streams, which SHA-NI interleaves.
+        let mut i = 0;
+        while i < jobs.len() {
+            if i + 1 < jobs.len() && jobs[i].num_blocks64() == jobs[i + 1].num_blocks64() {
+                hash_streams(kind, alg, &mut out[i..i + 2], |compress| {
+                    run_blocks64([&jobs[i], &jobs[i + 1]], compress);
+                });
+                i += 2;
+            } else {
+                hash_streams(kind, alg, &mut out[i..=i], |compress| {
+                    run_blocks64([&jobs[i]], compress);
+                });
+                i += 1;
+            }
         }
-        return;
     }
-    for (job, slot) in jobs.iter().zip(out.iter_mut()) {
-        *slot = hash_one_with(kind, alg, job);
+    for job in jobs {
         counting::record(alg, job.total_len());
     }
 }
 
-/// Single-message hash honoring an explicit backend (no counting).
-fn hash_one_with(kind: BackendKind, alg: Algorithm, job: &PartsRef<'_>) -> Digest {
+/// Hash `N` messages that are each one already-padded 64-byte block (no
+/// counting) — the chain walker's step.
+pub(crate) fn hash_padded_blocks<const N: usize>(
+    kind: BackendKind,
+    alg: Algorithm,
+    blocks: &[[u8; 64]; N],
+    out: &mut [Digest; N],
+) {
+    hash_streams(kind, alg, out, |compress| {
+        compress(blocks.each_ref().map(|b| &b[..]));
+    });
+}
+
+/// `N` SHA compression streams from the IV to their digests, honoring an
+/// explicit backend: `feed` pushes the padded messages through the
+/// compressor it is handed, every call carrying one equally long run of
+/// 64-byte blocks per stream.
+fn hash_streams<const N: usize>(
+    kind: BackendKind,
+    alg: Algorithm,
+    out: &mut [Digest],
+    feed: impl FnOnce(&mut dyn FnMut([&[u8]; N])),
+) {
+    debug_assert_eq!(out.len(), N);
     match alg {
         Algorithm::Sha1 => {
-            let mut state = crate::sha1::INIT;
-            run_blocks64(kind, alg, &mut state_adapter_sha1(&mut state), job);
-            let mut bytes = [0u8; 20];
-            for (i, word) in state.iter().enumerate() {
-                bytes[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            let mut states = [crate::sha1::INIT; N];
+            feed(&mut |blocks| sha1_compress_with(kind, &mut states, blocks));
+            for (slot, state) in out.iter_mut().zip(&states) {
+                *slot = Digest::from_be_words(state);
             }
-            Digest::from_slice(&bytes)
         }
         Algorithm::Sha256 => {
-            let mut state = crate::sha256::INIT;
-            run_blocks64(kind, alg, &mut state_adapter_sha256(&mut state), job);
-            let mut bytes = [0u8; 32];
-            for (i, word) in state.iter().enumerate() {
-                bytes[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+            let mut states = [crate::sha256::INIT; N];
+            feed(&mut |blocks| sha256_compress_with(kind, &mut states, blocks));
+            for (slot, state) in out.iter_mut().zip(&states) {
+                *slot = Digest::from_be_words(state);
             }
-            Digest::from_slice(&bytes)
         }
-        Algorithm::MmoAes => unreachable!("MMO handled by caller"),
+        Algorithm::MmoAes => unreachable!("MMO has no 64-byte block path"),
     }
 }
 
-// Small adapter so `run_blocks64` can drive either SHA state width without
-// generics over the two compress signatures.
-enum ShaState<'s> {
-    Sha1(&'s mut [u32; 5]),
-    Sha256(&'s mut [u32; 8]),
-}
-
-fn state_adapter_sha1(state: &mut [u32; 5]) -> ShaState<'_> {
-    ShaState::Sha1(state)
-}
-
-fn state_adapter_sha256(state: &mut [u32; 8]) -> ShaState<'_> {
-    ShaState::Sha256(state)
-}
-
-fn run_blocks64(kind: BackendKind, _alg: Algorithm, state: &mut ShaState<'_>, job: &PartsRef<'_>) {
-    let compress = |state: &mut ShaState<'_>, blocks: &[u8]| match state {
-        ShaState::Sha1(s) => sha1_compress_with(kind, s, blocks),
-        ShaState::Sha256(s) => sha256_compress_with(kind, s, blocks),
-    };
-    let nblocks = job.num_blocks64();
+/// Feed the padded 64-byte blocks of `jobs` (equal block counts) to
+/// `compress`, stream `s` of every call carrying `jobs[s]`'s next blocks.
+fn run_blocks64<const N: usize>(jobs: [&PartsRef<'_>; N], compress: &mut dyn FnMut([&[u8]; N])) {
+    let nblocks = jobs[0].num_blocks64();
+    debug_assert!(jobs.iter().all(|j| j.num_blocks64() == nblocks));
     let mut next = 0usize;
-    if let Some(data) = job.contiguous() {
+    if jobs.iter().all(|j| j.contiguous().is_some()) {
         // Fast path: compress the contiguous full blocks directly, then only
         // materialize the 1-2 padding blocks.
-        let full = data.len() / 64;
+        let full = jobs.iter().map(|j| j.total_len() / 64).min().unwrap_or(0);
         if full > 0 {
-            compress(state, &data[..full * 64]);
+            compress(jobs.map(|j| &j.contiguous().expect("checked above")[..full * 64]));
             next = full;
         }
     }
-    let mut block = [0u8; 64];
+    let mut blocks = [[0u8; 64]; N];
     while next < nblocks {
-        job.fill_block64(next, &mut block);
-        compress(state, &block);
+        for (job, block) in jobs.iter().zip(blocks.iter_mut()) {
+            job.fill_block64(next, block);
+        }
+        compress(blocks.each_ref().map(|b| &b[..]));
         next += 1;
     }
 }

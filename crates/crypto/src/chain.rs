@@ -26,8 +26,9 @@
 //! the MAC and is disclosed in the S2 packet. Acknowledgment chains use the
 //! same structure with their own tag pair (A1/A2).
 
-use crate::{Algorithm, Digest};
+use crate::{backend, counting, Algorithm, Digest};
 use rand::RngCore;
+use std::ops::RangeInclusive;
 
 /// How chain elements are derived from their predecessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +171,72 @@ enum Storage {
     },
 }
 
+impl Storage {
+    /// `f`'s layout holding only `h_0`, ready to [`Storage::absorb`] the
+    /// rebuild walk.
+    fn seeded(f: &FrozenChain) -> Storage {
+        debug_assert!(f.len >= 2 && f.len.is_multiple_of(2));
+        let (len, seed_hash) = (f.len, f.seed_hash);
+        match f.storage {
+            StorageKind::Full => {
+                let mut elements = Vec::with_capacity(len as usize + 1);
+                elements.push(seed_hash); // h_0: never disclosed
+                Storage::Full(elements)
+            }
+            StorageKind::Compact => {
+                let interval = (len as f64).sqrt().ceil() as u64;
+                let mut checkpoints = Vec::with_capacity((len / interval) as usize + 1);
+                checkpoints.push(seed_hash);
+                Storage::Compact {
+                    seed_hash,
+                    interval,
+                    checkpoints,
+                    len,
+                }
+            }
+            StorageKind::Dyadic => {
+                let cursor = f.rebuild_steps();
+                // ⌈log2 len⌉ + 1 pebbles; pebble j sits at
+                // base_j(cursor) = (cursor >> j) << j.
+                let levels = 64 - (len - 1).leading_zeros() as u64 + 1;
+                let mut positions: Vec<u64> = (0..levels).map(|j| (cursor >> j) << j).collect();
+                // Highest pebble anchors the recursion at the seed.
+                *positions.last_mut().expect("levels >= 1") = 0;
+                Storage::Dyadic {
+                    pebbles: vec![seed_hash; levels as usize],
+                    positions,
+                    len,
+                }
+            }
+        }
+    }
+
+    /// Rebuild-walk sink: keep `h_i` wherever this layout stores it.
+    fn absorb(&mut self, i: u64, element: &Digest) {
+        match self {
+            Storage::Full(elements) => elements.push(*element),
+            Storage::Compact {
+                interval,
+                checkpoints,
+                ..
+            } => {
+                if i.is_multiple_of(*interval) {
+                    checkpoints.push(*element);
+                }
+            }
+            Storage::Dyadic {
+                pebbles, positions, ..
+            } => {
+                for (pebble, &pos) in pebbles.iter_mut().zip(positions.iter()) {
+                    if pos == i {
+                        *pebble = *element;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A generated hash chain owned by the signing (or acknowledging) side.
 ///
 /// ```
@@ -217,85 +284,37 @@ impl HashChain {
     /// Deterministic generation from an explicit seed (tests, regeneration).
     #[must_use]
     pub fn from_seed(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        let len = if len.is_multiple_of(2) { len } else { len + 1 };
-        assert!(len >= 2, "chain must hold at least one exchange pair");
-        Self::full_from_h0(alg, kind, len, alg.hash(seed))
+        FrozenChain::fresh(alg, kind, StorageKind::Full, len, seed).thaw()
     }
 
-    /// Full storage rebuilt from the seed hash `h_0` (even `len >= 2`).
-    fn full_from_h0(alg: Algorithm, kind: ChainKind, len: u64, h0: Digest) -> HashChain {
-        debug_assert!(len >= 2 && len.is_multiple_of(2));
-        let mut elements = Vec::with_capacity(len as usize + 1);
-        elements.push(h0); // h_0: never disclosed
-        for i in 1..=len {
-            let prev = elements[(i - 1) as usize];
-            elements.push(derive(alg, kind, i, &prev));
-        }
-        HashChain {
-            alg,
-            kind,
-            storage: Storage::Full(elements),
-            next: len - 1,
-        }
-    }
-
-    /// Deterministic generation of several chains in lockstep, hashing each
-    /// derivation step across all chains in one multi-lane sweep (see
-    /// [`crate::backend`]). Every chain shares `alg` and `len` (rounded up
-    /// to even as in [`HashChain::from_seed`]); each `specs` entry supplies
-    /// a chain's derivation kind and seed, and the output order matches
-    /// `specs`. Byte-identical to calling [`HashChain::from_seed`] per
-    /// entry — lanes change the schedule, never the derivation.
+    /// Deterministic generation of several chains, two at a time in
+    /// lockstep (see [`FrozenChain::thaw_pair`]). Every chain shares `alg`,
+    /// `len` (rounded up to even as in [`HashChain::from_seed`]) and the
+    /// `storage` layout; each `specs` entry supplies a chain's derivation
+    /// kind and seed, and the output order matches `specs`. Byte-identical
+    /// to generating each entry on its own — lanes change the schedule,
+    /// never the derivation.
     ///
-    /// Bootstrap is the natural caller: an association's signature and
-    /// acknowledgment chains have the same algorithm and length, so both
-    /// are produced in a single two-lane pass.
+    /// Bootstrap and renewal are the callers: an association's signature
+    /// and acknowledgment chains have the same algorithm and length, so
+    /// both are produced in a single two-lane pass.
     #[must_use]
     pub fn from_seeds_batch(
         alg: Algorithm,
         len: u64,
+        storage: StorageKind,
         specs: &[(ChainKind, &[u8])],
     ) -> Vec<HashChain> {
-        let len = if len.is_multiple_of(2) { len } else { len + 1 };
-        assert!(len >= 2, "chain must hold at least one exchange pair");
-        let n = specs.len();
-        let seeds: Vec<&[u8]> = specs.iter().map(|(_, s)| *s).collect();
-        let mut cur = vec![Digest::zero(alg); n];
-        crate::backend::digest_batch(alg, &seeds, &mut cur);
-        let mut elements: Vec<Vec<Digest>> = cur
-            .iter()
-            .map(|h0| {
-                let mut v = Vec::with_capacity(len as usize + 1);
-                v.push(*h0); // h_0: never disclosed
-                v
-            })
-            .collect();
-        let mut next = vec![Digest::zero(alg); n];
-        for i in 1..=len {
-            let jobs: Vec<crate::backend::PartsRef<'_>> = specs
-                .iter()
-                .zip(cur.iter())
-                .map(|((kind, _), prev)| match kind.tag(i) {
-                    Some(tag) => crate::backend::PartsRef::new(&[tag, prev.as_bytes()]),
-                    None => crate::backend::PartsRef::one(prev.as_bytes()),
-                })
-                .collect();
-            crate::backend::hash_parts_lanes(alg, &jobs, &mut next);
-            for (v, d) in elements.iter_mut().zip(next.iter()) {
-                v.push(*d);
+        let fresh =
+            |&(kind, seed): &(ChainKind, &[u8])| FrozenChain::fresh(alg, kind, storage, len, seed);
+        let mut chains = Vec::with_capacity(specs.len());
+        for lanes in specs.chunks(2) {
+            match lanes {
+                [a, b] => chains.extend(rebuild([&fresh(a), &fresh(b)])),
+                _ => chains.extend(rebuild([&fresh(&lanes[0])])),
             }
-            std::mem::swap(&mut cur, &mut next);
         }
-        specs
-            .iter()
-            .zip(elements)
-            .map(|(&(kind, _), elements)| HashChain {
-                alg,
-                kind,
-                storage: Storage::Full(elements),
-                next: len - 1,
-            })
-            .collect()
+        chains
     }
 
     /// Generate a chain with O(√n) checkpointed storage instead of keeping
@@ -316,34 +335,7 @@ impl HashChain {
     /// Deterministic compact generation (see [`HashChain::generate_compact`]).
     #[must_use]
     pub fn from_seed_compact(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        let len = if len.is_multiple_of(2) { len } else { len + 1 };
-        assert!(len >= 2, "chain must hold at least one exchange pair");
-        Self::compact_from_h0(alg, kind, len, alg.hash(seed))
-    }
-
-    /// Compact storage rebuilt from the seed hash `h_0` (even `len >= 2`).
-    fn compact_from_h0(alg: Algorithm, kind: ChainKind, len: u64, seed_hash: Digest) -> HashChain {
-        debug_assert!(len >= 2 && len.is_multiple_of(2));
-        let interval = (len as f64).sqrt().ceil() as u64;
-        let mut checkpoints = vec![seed_hash];
-        let mut cur = seed_hash;
-        for i in 1..=len {
-            cur = derive(alg, kind, i, &cur);
-            if i % interval == 0 {
-                checkpoints.push(cur);
-            }
-        }
-        HashChain {
-            alg,
-            kind,
-            storage: Storage::Compact {
-                seed_hash,
-                interval,
-                checkpoints,
-                len,
-            },
-            next: len - 1,
-        }
+        FrozenChain::fresh(alg, kind, StorageKind::Compact, len, seed).thaw()
     }
 
     /// Generate a chain with O(log n) dyadic-pebble storage — the lowest-
@@ -363,52 +355,7 @@ impl HashChain {
     /// Deterministic dyadic generation (see [`HashChain::generate_dyadic`]).
     #[must_use]
     pub fn from_seed_dyadic(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        let len = if len.is_multiple_of(2) { len } else { len + 1 };
-        assert!(len >= 2, "chain must hold at least one exchange pair");
-        let seed_hash = alg.hash(seed);
-        // The traversal starts by disclosing len-1 (the anchor is published
-        // at bootstrap), so the pebbles are positioned for cursor = len-1.
-        Self::dyadic_from_h0(alg, kind, len, len - 1, seed_hash)
-    }
-
-    /// Dyadic storage rebuilt from the seed hash `h_0`, with every pebble
-    /// positioned for a traversal cursor at `cursor` (even `len >= 2`,
-    /// `cursor < len`).
-    fn dyadic_from_h0(
-        alg: Algorithm,
-        kind: ChainKind,
-        len: u64,
-        cursor: u64,
-        seed_hash: Digest,
-    ) -> HashChain {
-        debug_assert!(len >= 2 && len.is_multiple_of(2));
-        debug_assert!(cursor < len);
-        let levels = 64 - (len - 1).leading_zeros() as u64 + 1; // ⌈log2 len⌉ + 1
-                                                                // Pebble j sits at base_j(cursor) = (cursor >> j) << j.
-        let mut positions: Vec<u64> = (0..levels).map(|j| (cursor >> j) << j).collect();
-        // Highest pebble anchors the recursion at the seed.
-        *positions.last_mut().expect("levels >= 1") = 0;
-        let mut pebbles = vec![seed_hash; levels as usize];
-        // One forward pass fills every pebble.
-        let mut cur = seed_hash;
-        for i in 1..=cursor {
-            cur = derive(alg, kind, i, &cur);
-            for (j, &pos) in positions.iter().enumerate() {
-                if pos == i {
-                    pebbles[j] = cur;
-                }
-            }
-        }
-        HashChain {
-            alg,
-            kind,
-            storage: Storage::Dyadic {
-                pebbles,
-                positions,
-                len,
-            },
-            next: cursor,
-        }
+        FrozenChain::fresh(alg, kind, StorageKind::Dyadic, len, seed).thaw()
     }
 
     fn total_len(&self) -> u64 {
@@ -448,23 +395,13 @@ impl HashChain {
             }
             // Walk forward from the next-higher pebble that is already
             // correct (level j+1 was fixed in the previous iteration).
-            let (mut pos, mut cur) = (positions[j + 1], pebbles[j + 1]);
-            debug_assert!(pos <= want, "upper pebble must not be ahead");
-            while pos < want {
-                pos += 1;
-                cur = derive(alg, kind, pos, &cur);
-            }
+            debug_assert!(positions[j + 1] <= want, "upper pebble must not be ahead");
+            pebbles[j] = advance(alg, kind, pebbles[j + 1], positions[j + 1], want);
             positions[j] = want;
-            pebbles[j] = cur;
         }
         // Level 0 now holds base_0(index) = index… unless index == want
         // chain above already; walk the residue (index - positions[0]).
-        let (mut pos, mut cur) = (positions[0], pebbles[0]);
-        while pos < index {
-            pos += 1;
-            cur = derive(alg, kind, pos, &cur);
-        }
-        cur
+        advance(alg, kind, pebbles[0], positions[0], index)
     }
 
     /// Hash algorithm of this chain.
@@ -523,27 +460,20 @@ impl HashChain {
                 ..
             } => {
                 let k = index / interval;
-                let mut cur = checkpoints[k as usize];
-                for i in (k * interval + 1)..=index {
-                    cur = derive(self.alg, self.kind, i, &cur);
-                }
-                cur
+                let checkpoint = checkpoints[k as usize];
+                advance(self.alg, self.kind, checkpoint, k * interval, index)
             }
             Storage::Dyadic {
                 pebbles, positions, ..
             } => {
-                let (mut pos, mut cur) = pebbles
+                let (pos, pebble) = pebbles
                     .iter()
                     .zip(positions.iter())
                     .filter(|(_, &p)| p <= index)
                     .map(|(e, &p)| (p, *e))
                     .max_by_key(|&(p, _)| p)
                     .expect("the seed pebble is always at 0");
-                while pos < index {
-                    pos += 1;
-                    cur = derive(self.alg, self.kind, pos, &cur);
-                }
-                cur
+                advance(self.alg, self.kind, pebble, pos, index)
             }
         })
     }
@@ -710,29 +640,46 @@ pub struct FrozenChain {
 }
 
 impl FrozenChain {
-    /// Rebuild the live chain. Costs `len` forward hashes (the same work
-    /// as generating the chain), re-deriving full elements, compact
-    /// checkpoints, or dyadic pebbles positioned at the frozen cursor.
+    /// The record of an unused chain of `len` elements above `H(seed)`.
+    /// `len` is rounded up to the next even number so exchanges always
+    /// consume aligned (announce, disclose) pairs.
+    fn fresh(
+        alg: Algorithm,
+        kind: ChainKind,
+        storage: StorageKind,
+        len: u64,
+        seed: &[u8],
+    ) -> FrozenChain {
+        let len = if len.is_multiple_of(2) { len } else { len + 1 };
+        assert!(len >= 2, "chain must hold at least one exchange pair");
+        FrozenChain {
+            alg,
+            kind,
+            storage,
+            len,
+            // The anchor `h_len` is published at bootstrap, so the
+            // traversal starts by disclosing `len - 1`.
+            next: len - 1,
+            seed_hash: alg.hash(seed),
+        }
+    }
+
+    /// Forward hashes a rebuild costs: the whole chain (the same work as
+    /// generating it), except that dyadic pebbles only need the elements
+    /// up to the frozen cursor — an exhausted chain parks them at the seed.
+    fn rebuild_steps(&self) -> u64 {
+        match self.storage {
+            StorageKind::Full | StorageKind::Compact => self.len,
+            StorageKind::Dyadic => self.next.min(self.len - 1),
+        }
+    }
+
+    /// Rebuild the live chain: full elements, compact checkpoints, or
+    /// dyadic pebbles positioned at the frozen cursor, re-derived in
+    /// [`FrozenChain::rebuild_steps`] forward hashes.
     #[must_use]
     pub fn thaw(&self) -> HashChain {
-        let mut chain = match self.storage {
-            StorageKind::Full => {
-                HashChain::full_from_h0(self.alg, self.kind, self.len, self.seed_hash)
-            }
-            StorageKind::Compact => {
-                HashChain::compact_from_h0(self.alg, self.kind, self.len, self.seed_hash)
-            }
-            StorageKind::Dyadic => HashChain::dyadic_from_h0(
-                self.alg,
-                self.kind,
-                self.len,
-                // Pebbles positioned exactly at the frozen cursor; an
-                // exhausted chain parks them at the seed.
-                self.next.min(self.len - 1),
-                self.seed_hash,
-            ),
-        };
-        chain.next = self.next;
+        let [chain] = rebuild([self]);
         chain
     }
 
@@ -744,61 +691,117 @@ impl FrozenChain {
 
     /// Thaw two chains in one two-lane rebuild — the wake path of a
     /// hibernated association rehydrates its signature and
-    /// acknowledgment chains together, and lane-parallel hashing (see
-    /// [`crate::backend`]) hides the per-step latency a sequential
-    /// rebuild pays twice. Byte-identical to two [`FrozenChain::thaw`]
-    /// calls; layouts that don't pair up (different algorithm or
-    /// length, non-full storage) fall back to exactly that.
+    /// acknowledgment chains together, and the second lane hides the
+    /// per-step latency a sequential rebuild pays twice. Byte-identical to
+    /// two [`FrozenChain::thaw`] calls (and the same hash count) for every
+    /// storage layout, length and cursor; only chains of different
+    /// algorithms fall back to exactly that.
     #[must_use]
     pub fn thaw_pair(a: &FrozenChain, b: &FrozenChain) -> (HashChain, HashChain) {
-        if a.alg != b.alg
-            || a.len != b.len
-            || a.storage != StorageKind::Full
-            || b.storage != StorageKind::Full
-        {
+        if a.alg != b.alg {
             return (a.thaw(), b.thaw());
         }
-        let (alg, len) = (a.alg, a.len);
-        let kinds = [a.kind, b.kind];
-        let mut cur = vec![a.seed_hash, b.seed_hash];
-        let mut elements: Vec<Vec<Digest>> = cur
-            .iter()
-            .map(|h0| {
-                let mut v = Vec::with_capacity(len as usize + 1);
-                v.push(*h0); // h_0: never disclosed
-                v
-            })
-            .collect();
-        let mut next = vec![Digest::zero(alg); 2];
-        for i in 1..=len {
-            let jobs: Vec<crate::backend::PartsRef<'_>> = kinds
-                .iter()
-                .zip(cur.iter())
-                .map(|(kind, prev)| match kind.tag(i) {
-                    Some(tag) => crate::backend::PartsRef::new(&[tag, prev.as_bytes()]),
-                    None => crate::backend::PartsRef::one(prev.as_bytes()),
-                })
-                .collect();
-            crate::backend::hash_parts_lanes(alg, &jobs, &mut next);
-            elements[0].push(next[0]);
-            elements[1].push(next[1]);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let mut chains = kinds
-            .iter()
-            .zip(elements)
-            .map(|(&kind, elements)| HashChain {
-                alg,
-                kind,
-                storage: Storage::Full(elements),
-                next: 0,
-            });
-        let mut ca = chains.next().expect("two lanes");
-        let mut cb = chains.next().expect("two lanes");
-        ca.next = a.next;
-        cb.next = b.next;
-        (ca, cb)
+        let [chain_a, chain_b] = rebuild([a, b]);
+        (chain_a, chain_b)
     }
+}
+
+/// Rebuild `N` chains of one algorithm in lockstep: the lanes walk together
+/// as far as all of them go, then the longer ones finish alone, so each
+/// lane costs exactly its own [`FrozenChain::rebuild_steps`].
+fn rebuild<const N: usize>(lanes: [&FrozenChain; N]) -> [HashChain; N] {
+    let alg = lanes[0].alg;
+    debug_assert!(lanes.iter().all(|f| f.alg == alg));
+    let kinds = lanes.map(|f| f.kind);
+    let mut storages = lanes.map(Storage::seeded);
+    let shared = lanes.iter().map(|f| f.rebuild_steps()).min().unwrap_or(0);
+    let seeds = lanes.map(|f| f.seed_hash);
+    let at_shared = walk(alg, kinds, seeds, 1..=shared, |i, els| {
+        for (storage, el) in storages.iter_mut().zip(els) {
+            storage.absorb(i, el);
+        }
+    });
+    for l in 0..N {
+        let rest = shared + 1..=lanes[l].rebuild_steps();
+        walk(alg, [kinds[l]], [at_shared[l]], rest, |i, [el]| {
+            storages[l].absorb(i, el);
+        });
+    }
+    let mut storages = storages.into_iter();
+    lanes.map(|f| HashChain {
+        alg,
+        kind: f.kind,
+        storage: storages.next().expect("one storage per lane"),
+        next: f.next,
+    })
+}
+
+/// The one place chain elements are derived: walk `N` lanes of `alg`, each
+/// of its own kind, from their elements just below `steps` through every
+/// position in `steps`, hand each step's position and elements to `sink`,
+/// and return the elements at the end.
+///
+/// A SHA step hashes `tag | h` — at most 34 bytes, always one block — so
+/// each lane keeps one pre-padded 64-byte block, rewrites only its tag and
+/// digest bytes per step and compresses it from the IV with the backend
+/// resolved once; two lanes share the two-stream SHA-NI kernel. MMO's
+/// 16-byte block (and a digest of foreign length) takes the ordinary
+/// hasher. [`counting`] sees exactly what hashing each step on its own
+/// would have recorded.
+fn walk<const N: usize>(
+    alg: Algorithm,
+    kinds: [ChainKind; N],
+    mut cur: [Digest; N],
+    steps: RangeInclusive<u64>,
+    mut sink: impl FnMut(u64, &[Digest; N]),
+) -> [Digest; N] {
+    if steps.is_empty() {
+        return cur;
+    }
+    let digest_len = alg.digest_len();
+    if alg.block_len() != 64 || cur.iter().any(|el| el.len() != digest_len) {
+        for i in steps {
+            for (kind, el) in kinds.iter().zip(cur.iter_mut()) {
+                *el = alg.hash_parts(&[kind.tag(i).unwrap_or_default(), el.as_bytes()]);
+            }
+            sink(i, &cur);
+        }
+        return cur;
+    }
+    let tier = backend::active();
+    let mut blocks = [[0u8; 64]; N];
+    // Where each lane's digest sits in its block: right after the tag.
+    let at = kinds.map(|k| k.tag(1).map_or(0, <[u8]>::len));
+    for l in 0..N {
+        let end = at[l] + digest_len;
+        blocks[l][at[l]..end].copy_from_slice(cur[l].as_bytes());
+        blocks[l][end] = 0x80;
+        blocks[l][56..].copy_from_slice(&(end as u64 * 8).to_be_bytes());
+    }
+    let mut taken = 0;
+    for i in steps {
+        for l in 0..N {
+            if let Some(tag) = kinds[l].tag(i) {
+                blocks[l][..at[l]].copy_from_slice(tag);
+            }
+        }
+        backend::hash_padded_blocks(tier, alg, &blocks, &mut cur);
+        for l in 0..N {
+            blocks[l][at[l]..at[l] + digest_len].copy_from_slice(cur[l].as_bytes());
+        }
+        sink(i, &cur);
+        taken += 1;
+    }
+    for offset in at {
+        counting::record_n(alg, offset + digest_len, taken);
+    }
+    cur
+}
+
+/// One lane from `h_from` to `h_to`, the elements in between discarded.
+fn advance(alg: Algorithm, kind: ChainKind, h_from: Digest, from: u64, to: u64) -> Digest {
+    let [h_to] = walk(alg, [kind], [h_from], from + 1..=to, |_, _| {});
+    h_to
 }
 
 /// Derive `h_index` from `h_{index-1}` — one forward step of the chain.
@@ -806,10 +809,8 @@ impl FrozenChain {
 /// an already-authenticated announce element without rewinding a tracker.
 #[must_use]
 pub fn derive(alg: Algorithm, kind: ChainKind, index: u64, prev: &Digest) -> Digest {
-    match kind.tag(index) {
-        Some(tag) => alg.hash_parts(&[tag, prev.as_bytes()]),
-        None => alg.hash(prev.as_bytes()),
-    }
+    let [h] = walk(alg, [kind], [*prev], index..=index, |_, _| {});
+    h
 }
 
 /// Verifier-side chain state: the last authenticated element and its index.
@@ -884,10 +885,7 @@ impl ChainVerifier {
         if skip > self.max_skip {
             return Err(ChainError::SkipTooLarge);
         }
-        let mut cur = *element;
-        for i in (index + 1)..=self.last_index {
-            cur = derive(self.alg, self.kind, i, &cur);
-        }
+        let cur = advance(self.alg, self.kind, *element, index, self.last_index);
         if crate::ct_eq(cur.as_bytes(), self.last.as_bytes()) {
             Ok(())
         } else {
@@ -949,8 +947,8 @@ mod tests {
 
     #[test]
     fn thaw_pair_matches_independent_thaws() {
-        // Paired lanes: same algorithm and length, full storage,
-        // distinct kinds and cursors.
+        // Same algorithm and length, full storage, distinct kinds and
+        // cursors.
         let a = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"a");
         let mut b = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundAck, 64, b"b");
         b.disclose().unwrap();
@@ -962,7 +960,7 @@ mod tests {
         assert_eq!(ta.remaining(), a.remaining());
         assert_eq!(tb.remaining(), b.remaining(), "cursor survives the pair");
 
-        // Mismatched layouts fall back to two sequential thaws.
+        // Mixed layouts pair up too, each lane keeping its own.
         let c =
             HashChain::from_seed_dyadic(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"c");
         let (tc, td) = FrozenChain::thaw_pair(&c.freeze(), &b.freeze());
@@ -1000,7 +998,7 @@ mod tests {
                 (ChainKind::Plain, b""),
                 (ChainKind::RoleBoundAck, b"sixth lane spills a sweep"),
             ];
-            let batch = HashChain::from_seeds_batch(alg, 12, &specs);
+            let batch = HashChain::from_seeds_batch(alg, 12, StorageKind::Full, &specs);
             assert_eq!(batch.len(), specs.len());
             for ((kind, seed), chain) in specs.iter().zip(&batch) {
                 let solo = HashChain::from_seed(alg, *kind, 12, seed);

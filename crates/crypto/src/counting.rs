@@ -70,15 +70,21 @@ thread_local! {
 
 /// Record one finished hash invocation. Called by `Hasher::finish`.
 pub(crate) fn record(alg: Algorithm, input_len: usize) {
+    record_n(alg, input_len, 1);
+}
+
+/// Record `n` finished invocations of `input_len` bytes each in one counter
+/// access (the chain walker reports a whole walk at once).
+pub(crate) fn record_n(alg: Algorithm, input_len: usize, n: u64) {
     COUNTS.with(|c| {
         let mut c = c.borrow_mut();
-        c.invocations += 1;
-        c.input_bytes += input_len as u64;
+        c.invocations += n;
+        c.input_bytes += n * input_len as u64;
         // Chain steps hash tag+digest; tree nodes hash two or three digests;
         // HMAC's outer pass hashes block+digest. Anything beyond
         // 3*digest+block must be a message-sized input.
         if input_len > 3 * alg.digest_len() + alg.block_len() {
-            c.long_input_invocations += 1;
+            c.long_input_invocations += n;
         }
     });
 }

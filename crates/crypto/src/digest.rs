@@ -106,6 +106,18 @@ impl Digest {
         }
     }
 
+    /// Serialize a SHA state (big-endian words) as its digest.
+    pub(crate) fn from_be_words(words: &[u32]) -> Digest {
+        let mut bytes = [0u8; MAX_DIGEST_LEN];
+        for (chunk, word) in bytes.chunks_exact_mut(4).zip(words) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Digest {
+            len: (words.len() * 4) as u8,
+            bytes,
+        }
+    }
+
     /// The all-zero digest of `alg`'s output length; used as the padding
     /// leaf for non-power-of-two Merkle trees.
     #[must_use]
@@ -165,6 +177,26 @@ impl AsRef<[u8]> for Digest {
     fn as_ref(&self) -> &[u8] {
         self.as_bytes()
     }
+}
+
+/// Merkle–Damgård strengthening, shared by the three streaming contexts:
+/// `buf[..n]` is the buffered input tail (`n < B`); append `0x80`, zeros and
+/// the 64-bit big-endian bit length in the block's last 8 bytes, spilling
+/// into a second block when fewer than 9 bytes are free.
+pub(crate) fn md_finish<const B: usize>(
+    buf: &mut [u8; B],
+    n: usize,
+    bit_len: u64,
+    mut compress: impl FnMut(&[u8; B]),
+) {
+    buf[n] = 0x80;
+    buf[n + 1..].fill(0);
+    if n + 9 > B {
+        compress(buf);
+        buf.fill(0);
+    }
+    buf[B - 8..].copy_from_slice(&bit_len.to_be_bytes());
+    compress(buf);
 }
 
 /// Streaming hash context over any [`Algorithm`].

@@ -16,11 +16,15 @@ use crate::{counting, Algorithm, Digest, Hasher};
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
+/// Largest block length of any [`Algorithm`]; key blocks live on the stack.
+const MAX_BLOCK_LEN: usize = 64;
+
 /// Streaming HMAC context.
 pub struct HmacContext {
     alg: Algorithm,
     inner: Hasher,
-    opad_key: Vec<u8>,
+    /// Zero-padded key; `finish` XORs the outer pad over it.
+    key_block: [u8; MAX_BLOCK_LEN],
 }
 
 impl HmacContext {
@@ -28,21 +32,19 @@ impl HmacContext {
     #[must_use]
     pub fn new(alg: Algorithm, key: &[u8]) -> HmacContext {
         let block = alg.block_len();
-        let mut k = vec![0u8; block];
+        let mut key_block = [0u8; MAX_BLOCK_LEN];
         if key.len() > block {
             let kd = alg.hash(key);
-            k[..kd.len()].copy_from_slice(kd.as_bytes());
+            key_block[..kd.len()].copy_from_slice(kd.as_bytes());
         } else {
-            k[..key.len()].copy_from_slice(key);
+            key_block[..key.len()].copy_from_slice(key);
         }
         let mut inner = Hasher::new(alg);
-        let ipad_key: Vec<u8> = k.iter().map(|b| b ^ IPAD).collect();
-        inner.update(&ipad_key);
-        let opad_key: Vec<u8> = k.iter().map(|b| b ^ OPAD).collect();
+        inner.update(&key_block.map(|b| b ^ IPAD)[..block]);
         HmacContext {
             alg,
             inner,
-            opad_key,
+            key_block,
         }
     }
 
@@ -56,7 +58,7 @@ impl HmacContext {
     pub fn finish(self) -> Digest {
         let inner_digest = self.inner.finish();
         let mut outer = Hasher::new(self.alg);
-        outer.update(&self.opad_key);
+        outer.update(&self.key_block.map(|b| b ^ OPAD)[..self.alg.block_len()]);
         outer.update(inner_digest.as_bytes());
         counting::record_mac(2);
         outer.finish()

@@ -65,8 +65,7 @@ impl Mmo {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                self.state = Mmo::compress(&self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
@@ -74,7 +73,7 @@ impl Mmo {
             let (block, rest) = data.split_at(BLOCK_LEN);
             let mut b = [0u8; 16];
             b.copy_from_slice(block);
-            self.compress(&b);
+            self.state = Mmo::compress(&self.state, &b);
             data = rest;
         }
         if !data.is_empty() {
@@ -87,22 +86,19 @@ impl Mmo {
     #[must_use]
     pub fn finish(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 8 {
-            self.update(&[0u8]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        crate::digest::md_finish(&mut self.buf, self.buf_len, bit_len, |block| {
+            self.state = Mmo::compress(&self.state, block);
+        });
         self.state
     }
 
-    fn compress(&mut self, block: &[u8; 16]) {
-        let cipher = Aes128::new(&self.state);
-        let mut out = cipher.encrypt(block);
+    /// `E_state(block) XOR block`: the next chaining value.
+    fn compress(state: &[u8; 16], block: &[u8; 16]) -> [u8; 16] {
+        let mut out = Aes128::new(state).encrypt(block);
         for (o, m) in out.iter_mut().zip(block.iter()) {
             *o ^= m;
         }
-        self.state = out;
+        out
     }
 }
 

@@ -250,11 +250,7 @@ pub(crate) fn sha256_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
         sweep256(&mut states, &blocks);
         for l in 0..jobs.len() {
             if idx + 1 == nblocks[l] {
-                let mut bytes = [0u8; 32];
-                for (i, word) in states[l].iter().enumerate() {
-                    bytes[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-                out[l] = Digest::from_slice(&bytes);
+                out[l] = Digest::from_be_words(&states[l]);
             }
         }
     }
@@ -279,11 +275,7 @@ pub(crate) fn sha1_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
         sweep1(&mut states, &blocks);
         for l in 0..jobs.len() {
             if idx + 1 == nblocks[l] {
-                let mut bytes = [0u8; 20];
-                for (i, word) in states[l].iter().enumerate() {
-                    bytes[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-                out[l] = Digest::from_slice(&bytes);
+                out[l] = Digest::from_be_words(&states[l]);
             }
         }
     }

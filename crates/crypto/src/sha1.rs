@@ -76,17 +76,9 @@ impl Sha1 {
     #[must_use]
     pub fn finish(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` adjusted total_len; padding length must not count, so we
-        // restore afterwards via a saved value instead: pad with zeros until
-        // 8 bytes remain in the block.
-        while self.buf_len != 56 {
-            let zero = [0u8];
-            // Cheap single-byte absorb that reuses the buffering logic.
-            self.update(&zero);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        crate::digest::md_finish(&mut self.buf, self.buf_len, bit_len, |block| {
+            crate::backend::sha1_compress(&mut self.state, block);
+        });
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

@@ -81,12 +81,9 @@ impl Sha256 {
     #[must_use]
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0u8]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        crate::digest::md_finish(&mut self.buf, self.buf_len, bit_len, |block| {
+            crate::backend::sha256_compress(&mut self.state, block);
+        });
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

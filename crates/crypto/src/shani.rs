@@ -43,35 +43,44 @@ pub(crate) fn sha_ni_detected() -> bool {
     })
 }
 
-/// SHA-256 multi-block compression; falls back to scalar when SHA-NI is
-/// somehow absent (see module safety argument).
-pub(crate) fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// SHA-256 compression of `N` independent streams, each absorbing its own
+/// run of 64-byte blocks (equal counts) into its own state; with `N = 2`
+/// the second stream's rounds fill the first's instruction latency. Falls
+/// back to scalar when SHA-NI is somehow absent (see module safety
+/// argument).
+pub(crate) fn sha256_compress<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
+    assert!(blocks.iter().all(|b| b.len() == blocks[0].len()));
+    debug_assert_eq!(blocks[0].len() % 64, 0);
     if sha_ni_detected() {
         // SAFETY: shape 1 — target_feature("sha,ssse3,sse4.1") call gated on
         // sha_ni_detected().
-        unsafe { sha256_compress_ni(state, blocks) }
+        unsafe { sha256_compress_ni(states, blocks) }
     } else {
-        for block in blocks.chunks_exact(64) {
-            // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
-            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
-            crate::sha256::compress_block(state, block);
+        for (state, blocks) in states.iter_mut().zip(blocks) {
+            for block in blocks.chunks_exact(64) {
+                // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+                let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+                crate::sha256::compress_block(state, block);
+            }
         }
     }
 }
 
-/// SHA-1 multi-block compression; same contract as [`sha256_compress`].
-pub(crate) fn sha1_compress(state: &mut [u32; 5], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// SHA-1 multi-stream compression; same contract as [`sha256_compress`].
+pub(crate) fn sha1_compress<const N: usize>(states: &mut [[u32; 5]; N], blocks: [&[u8]; N]) {
+    assert!(blocks.iter().all(|b| b.len() == blocks[0].len()));
+    debug_assert_eq!(blocks[0].len() % 64, 0);
     if sha_ni_detected() {
         // SAFETY: shape 1 — target_feature("sha,ssse3,sse4.1") call gated on
         // sha_ni_detected().
-        unsafe { sha1_compress_ni(state, blocks) }
+        unsafe { sha1_compress_ni(states, blocks) }
     } else {
-        for block in blocks.chunks_exact(64) {
-            // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
-            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
-            crate::sha1::compress_block(state, block);
+        for (state, blocks) in states.iter_mut().zip(blocks) {
+            for block in blocks.chunks_exact(64) {
+                // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+                let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+                crate::sha1::compress_block(state, block);
+            }
         }
     }
 }
@@ -255,13 +264,15 @@ fn sha1_compress4_sse(states: &mut [[u32; 5]; LANES], blocks: &[[u8; 64]; LANES]
     }
 }
 
-/// SHA-256 over any number of 64-byte blocks using the SHA extension
-/// instructions (canonical Intel flow).
+/// SHA-256 over `N` independent streams of 64-byte blocks (equal counts,
+/// checked by the safe wrapper) using the SHA extension instructions: the
+/// canonical Intel flow, with every step applied to each stream in turn so
+/// the streams' `sha256rnds2` dependency chains overlap.
 ///
 /// # Safety
 /// Requires the `sha`, `ssse3` and `sse4.1` CPU features.
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-unsafe fn sha256_compress_ni(state: &mut [u32; 8], blocks: &[u8]) {
+unsafe fn sha256_compress_ni<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
     // Byte shuffle turning 16 little-endian-loaded bytes into four
     // big-endian u32 message words (per 128-bit lane quarter).
     let mask = _mm_set_epi64x(
@@ -269,77 +280,93 @@ unsafe fn sha256_compress_ni(state: &mut [u32; 8], blocks: &[u8]) {
         0x0405_0607_0001_0203_u64 as i64,
     );
 
-    // SAFETY: shape 2 — unaligned loads of the 8-word state array.
-    let dcba = unsafe { _mm_loadu_si128(state.as_ptr().cast()) };
-    let hgfe = unsafe { _mm_loadu_si128(state.as_ptr().add(4).cast()) };
+    let mut abef = [_mm_setzero_si128(); N];
+    let mut cdgh = [_mm_setzero_si128(); N];
+    for s in 0..N {
+        // SAFETY: shape 2 — unaligned loads of the 8-word state array.
+        let dcba = unsafe { _mm_loadu_si128(states[s].as_ptr().cast()) };
+        let hgfe = unsafe { _mm_loadu_si128(states[s].as_ptr().add(4).cast()) };
+        // Repack [a,b,c,d]/[e,f,g,h] into the ABEF/CDGH register layout the
+        // sha256rnds2 instruction expects.
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        abef[s] = _mm_alignr_epi8(cdab, efgh, 8);
+        cdgh[s] = _mm_blend_epi16(efgh, cdab, 0xF0);
+    }
 
-    // Repack [a,b,c,d]/[e,f,g,h] into the ABEF/CDGH register layout the
-    // sha256rnds2 instruction expects.
-    let cdab = _mm_shuffle_epi32(dcba, 0xB1);
-    let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
-
-    for block in blocks.chunks_exact(64) {
+    for b in 0..blocks[0].len() / 64 {
         let abef_save = abef;
         let cdgh_save = cdgh;
 
-        let p: *const __m128i = block.as_ptr().cast();
-        // SAFETY: shape 2 — four unaligned 16-byte loads inside the 64-byte
-        // block.
-        let mut ws = unsafe {
-            [
-                _mm_shuffle_epi8(_mm_loadu_si128(p), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask),
-            ]
-        };
-
-        for g in 0..16 {
-            let w = if g < 4 {
-                ws[g]
-            } else {
-                // w[t] schedule for the next four rounds:
-                // sha256msg2(sha256msg1(w0,w1) + alignr(w3,w2,4), w3).
-                let t1 = _mm_sha256msg1_epu32(ws[g % 4], ws[(g + 1) % 4]);
-                let t2 = _mm_alignr_epi8(ws[(g + 3) % 4], ws[(g + 2) % 4], 4);
-                let next = _mm_sha256msg2_epu32(_mm_add_epi32(t1, t2), ws[(g + 3) % 4]);
-                ws[g % 4] = next;
-                next
+        let mut ws = [[_mm_setzero_si128(); 4]; N];
+        for s in 0..N {
+            let p: *const __m128i = blocks[s][b * 64..(b + 1) * 64].as_ptr().cast();
+            // SAFETY: shape 2 — four unaligned 16-byte loads inside the
+            // bounds-checked 64-byte block slice.
+            ws[s] = unsafe {
+                [
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask),
+                ]
             };
-            // SAFETY: shape 2 — in-bounds unaligned load of four round
-            // constants from the static K table.
-            let k = unsafe { _mm_loadu_si128(crate::sha256::K.as_ptr().add(4 * g).cast()) };
-            let wk = _mm_add_epi32(w, k);
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            let wk_hi = _mm_shuffle_epi32(wk, 0x0E);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, wk_hi);
         }
 
-        abef = _mm_add_epi32(abef, abef_save);
-        cdgh = _mm_add_epi32(cdgh, cdgh_save);
+        // Four rounds of every stream. `$g` is a literal, so the schedule
+        // window indices are constants and `ws` lives in registers; a
+        // `for g in 0..16` loop is not unrolled and indexes `ws` in memory.
+        macro_rules! rounds4 {
+            ($($g:literal)*) => {$(
+                // SAFETY: shape 2 — in-bounds unaligned load of four round
+                // constants from the static K table.
+                let k = unsafe { _mm_loadu_si128(crate::sha256::K.as_ptr().add(4 * $g).cast()) };
+                for s in 0..N {
+                    let ws = &mut ws[s];
+                    if $g >= 4 {
+                        // w[t] schedule for the next four rounds:
+                        // sha256msg2(sha256msg1(w0,w1) + alignr(w3,w2,4), w3).
+                        let t1 = _mm_sha256msg1_epu32(ws[$g % 4], ws[($g + 1) % 4]);
+                        let t2 = _mm_alignr_epi8(ws[($g + 3) % 4], ws[($g + 2) % 4], 4);
+                        ws[$g % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(t1, t2), ws[($g + 3) % 4]);
+                    }
+                    let wk = _mm_add_epi32(ws[$g % 4], k);
+                    cdgh[s] = _mm_sha256rnds2_epu32(cdgh[s], abef[s], wk);
+                    let wk_hi = _mm_shuffle_epi32(wk, 0x0E);
+                    abef[s] = _mm_sha256rnds2_epu32(abef[s], cdgh[s], wk_hi);
+                }
+            )*};
+        }
+        rounds4!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+
+        for s in 0..N {
+            abef[s] = _mm_add_epi32(abef[s], abef_save[s]);
+            cdgh[s] = _mm_add_epi32(cdgh[s], cdgh_save[s]);
+        }
     }
 
-    // Unpack ABEF/CDGH back to [a,b,c,d] / [e,f,g,h].
-    let feba = _mm_shuffle_epi32(abef, 0x1B);
-    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-    let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
-    let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-    // SAFETY: shape 2 — unaligned stores back into the 8-word state array.
-    unsafe {
-        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+    for s in 0..N {
+        // Unpack ABEF/CDGH back to [a,b,c,d] / [e,f,g,h].
+        let feba = _mm_shuffle_epi32(abef[s], 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh[s], 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: shape 2 — unaligned stores back into the 8-word state
+        // array.
+        unsafe {
+            _mm_storeu_si128(states[s].as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(states[s].as_mut_ptr().add(4).cast(), hgfe);
+        }
     }
 }
 
-/// SHA-1 over any number of 64-byte blocks using the SHA extension
-/// instructions (canonical Intel flow).
+/// SHA-1 over `N` independent streams of 64-byte blocks; same shape and
+/// contract as [`sha256_compress_ni`], interleaving `sha1rnds4`.
 ///
 /// # Safety
 /// Requires the `sha`, `ssse3` and `sse4.1` CPU features.
 #[target_feature(enable = "sha,ssse3,sse4.1")]
-unsafe fn sha1_compress_ni(state: &mut [u32; 5], blocks: &[u8]) {
+unsafe fn sha1_compress_ni<const N: usize>(states: &mut [[u32; 5]; N], blocks: [&[u8]; N]) {
     // Reverses bytes within each dword AND reverses dword order, so lane 3
     // holds w0 — the layout sha1rnds4/sha1nexte expect.
     let mask = _mm_set_epi64x(
@@ -347,66 +374,78 @@ unsafe fn sha1_compress_ni(state: &mut [u32; 5], blocks: &[u8]) {
         0x0809_0a0b_0c0d_0e0f_u64 as i64,
     );
 
-    // SAFETY: shape 2 — unaligned load of state[0..4].
-    let mut abcd = unsafe { _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0x1B) };
-    let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+    let mut abcd = [_mm_setzero_si128(); N];
+    let mut e = [_mm_setzero_si128(); N];
+    for s in 0..N {
+        // SAFETY: shape 2 — unaligned load of state[0..4].
+        abcd[s] = unsafe { _mm_shuffle_epi32(_mm_loadu_si128(states[s].as_ptr().cast()), 0x1B) };
+        e[s] = _mm_set_epi32(states[s][4] as i32, 0, 0, 0);
+    }
 
-    for block in blocks.chunks_exact(64) {
+    for b in 0..blocks[0].len() / 64 {
         let abcd_save = abcd;
         let e_save = e;
 
-        let p: *const __m128i = block.as_ptr().cast();
-        // SAFETY: shape 2 — four unaligned 16-byte loads inside the 64-byte
-        // block.
-        let mut ws = unsafe {
-            [
-                _mm_shuffle_epi8(_mm_loadu_si128(p), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask),
-                _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask),
-            ]
-        };
+        let mut ws = [[_mm_setzero_si128(); 4]; N];
+        for s in 0..N {
+            let p: *const __m128i = blocks[s][b * 64..(b + 1) * 64].as_ptr().cast();
+            // SAFETY: shape 2 — four unaligned 16-byte loads inside the
+            // bounds-checked 64-byte block slice.
+            ws[s] = unsafe {
+                [
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask),
+                ]
+            };
+        }
 
         // prev_abcd after iteration g = the ABCD value entering group g;
         // sha1nexte derives group g+1's E term from it (rol30 of its `a`).
         let mut prev_abcd = abcd;
-        for g in 0..20 {
-            let w = if g < 4 {
-                ws[g]
-            } else {
-                // w schedule: sha1msg2(sha1msg1(w0,w1) ^ w2, w3).
-                let t = _mm_xor_si128(
-                    _mm_sha1msg1_epu32(ws[g % 4], ws[(g + 1) % 4]),
-                    ws[(g + 2) % 4],
-                );
-                let next = _mm_sha1msg2_epu32(t, ws[(g + 3) % 4]);
-                ws[g % 4] = next;
-                next
-            };
-            let e_in = if g == 0 {
-                _mm_add_epi32(e, w)
-            } else {
-                _mm_sha1nexte_epu32(prev_abcd, w)
-            };
-            prev_abcd = abcd;
-            abcd = match g / 5 {
-                0 => _mm_sha1rnds4_epu32(abcd, e_in, 0),
-                1 => _mm_sha1rnds4_epu32(abcd, e_in, 1),
-                2 => _mm_sha1rnds4_epu32(abcd, e_in, 2),
-                _ => _mm_sha1rnds4_epu32(abcd, e_in, 3),
-            };
+        // Four rounds of every stream; `$g` is a literal for the reason
+        // given in `sha256_compress_ni`, and it also makes the round
+        // function selector `$g / 5` the immediate `sha1rnds4` needs.
+        macro_rules! rounds4 {
+            ($($g:literal)*) => {$(
+                for s in 0..N {
+                    let ws = &mut ws[s];
+                    if $g >= 4 {
+                        // w schedule: sha1msg2(sha1msg1(w0,w1) ^ w2, w3).
+                        let t = _mm_xor_si128(
+                            _mm_sha1msg1_epu32(ws[$g % 4], ws[($g + 1) % 4]),
+                            ws[($g + 2) % 4],
+                        );
+                        ws[$g % 4] = _mm_sha1msg2_epu32(t, ws[($g + 3) % 4]);
+                    }
+                    let w = ws[$g % 4];
+                    let e_in = if $g == 0 {
+                        _mm_add_epi32(e[s], w)
+                    } else {
+                        _mm_sha1nexte_epu32(prev_abcd[s], w)
+                    };
+                    prev_abcd[s] = abcd[s];
+                    abcd[s] = _mm_sha1rnds4_epu32::<{ $g / 5 }>(abcd[s], e_in);
+                }
+            )*};
         }
+        rounds4!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
 
         // Davies–Meyer feed-forward: e += rol30(a from rounds 76..79's
         // input), abcd += saved state.
-        e = _mm_sha1nexte_epu32(prev_abcd, e_save);
-        abcd = _mm_add_epi32(abcd, abcd_save);
+        for s in 0..N {
+            e[s] = _mm_sha1nexte_epu32(prev_abcd[s], e_save[s]);
+            abcd[s] = _mm_add_epi32(abcd[s], abcd_save[s]);
+        }
     }
 
-    let dcba = _mm_shuffle_epi32(abcd, 0x1B);
-    // SAFETY: shape 2 — unaligned store back into state[0..4].
-    unsafe { _mm_storeu_si128(state.as_mut_ptr().cast(), dcba) };
-    state[4] = _mm_extract_epi32(e, 3) as u32;
+    for s in 0..N {
+        let dcba = _mm_shuffle_epi32(abcd[s], 0x1B);
+        // SAFETY: shape 2 — unaligned store back into state[0..4].
+        unsafe { _mm_storeu_si128(states[s].as_mut_ptr().cast(), dcba) };
+        states[s][4] = _mm_extract_epi32(e[s], 3) as u32;
+    }
 }
 
 #[cfg(test)]
@@ -426,7 +465,7 @@ mod tests {
         for nblocks in 1..=5usize {
             let data: Vec<u8> = (0..nblocks * 64).map(|i| (i * 13 % 251) as u8).collect();
             let mut ni_state = crate::sha256::INIT;
-            sha256_compress(&mut ni_state, &data);
+            sha256_compress(std::array::from_mut(&mut ni_state), [&data]);
             let mut sc_state = crate::sha256::INIT;
             for block in data.chunks_exact(64) {
                 // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
@@ -446,7 +485,7 @@ mod tests {
         for nblocks in 1..=5usize {
             let data: Vec<u8> = (0..nblocks * 64).map(|i| (i * 29 % 241) as u8).collect();
             let mut ni_state = crate::sha1::INIT;
-            sha1_compress(&mut ni_state, &data);
+            sha1_compress(std::array::from_mut(&mut ni_state), [&data]);
             let mut sc_state = crate::sha1::INIT;
             for block in data.chunks_exact(64) {
                 // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
@@ -454,6 +493,45 @@ mod tests {
                 crate::sha1::compress_block(&mut sc_state, block);
             }
             assert_eq!(ni_state, sc_state, "nblocks={nblocks}");
+        }
+    }
+
+    #[test]
+    fn two_stream_kernels_match_scalar_per_stream() {
+        use rand::{RngCore, SeedableRng};
+        if !sha_ni_detected() {
+            eprintln!("skipping: no SHA-NI on this CPU");
+            return;
+        }
+        // Random states (mid-message chaining values, not just the IV) and
+        // random blocks; each stream must come out as if hashed alone.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x2571);
+        for nblocks in [1usize, 2, 5] {
+            for _ in 0..64 {
+                let mut data = [vec![0u8; nblocks * 64], vec![0u8; nblocks * 64]];
+                rng.fill_bytes(&mut data[0]);
+                rng.fill_bytes(&mut data[1]);
+                let blocks = [&data[0][..], &data[1][..]];
+
+                let mut ni1: [[u32; 5]; 2] =
+                    core::array::from_fn(|_| core::array::from_fn(|_| rng.next_u32()));
+                let mut sc1 = ni1;
+                sha1_compress(&mut ni1, blocks);
+                let mut ni256: [[u32; 8]; 2] =
+                    core::array::from_fn(|_| core::array::from_fn(|_| rng.next_u32()));
+                let mut sc256 = ni256;
+                sha256_compress(&mut ni256, blocks);
+                for s in 0..2 {
+                    for block in data[s].chunks_exact(64) {
+                        // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+                        let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+                        crate::sha1::compress_block(&mut sc1[s], block);
+                        crate::sha256::compress_block(&mut sc256[s], block);
+                    }
+                }
+                assert_eq!(ni1, sc1, "sha1 nblocks={nblocks}");
+                assert_eq!(ni256, sc256, "sha256 nblocks={nblocks}");
+            }
         }
     }
 
@@ -470,7 +548,7 @@ mod tests {
         block[56..].copy_from_slice(&(24u64).to_be_bytes());
 
         let mut state = crate::sha256::INIT;
-        sha256_compress(&mut state, &block);
+        sha256_compress(std::array::from_mut(&mut state), [&block]);
         let mut out = [0u8; 32];
         for (i, w) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
@@ -481,7 +559,7 @@ mod tests {
         );
 
         let mut state = crate::sha1::INIT;
-        sha1_compress(&mut state, &block);
+        sha1_compress(std::array::from_mut(&mut state), [&block]);
         let mut out = [0u8; 20];
         for (i, w) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());

@@ -48,10 +48,12 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Upper bounds (µs, inclusive) of each bounded bucket.
-    pub const BOUNDS: [u64; 16] = [
-        100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000,
-        1_000_000, 2_000_000, 5_000_000, 10_000_000,
+    /// Upper bounds (µs, inclusive) of each bounded bucket: one 1-2-5
+    /// ladder from 1 µs (a hash-chain thaw or a handshake is tens of µs)
+    /// to 10 s.
+    pub const BOUNDS: [u64; 22] = [
+        1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
+        200_000, 500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000,
     ];
 
     /// An empty histogram.
@@ -687,15 +689,20 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let h = Histogram::new();
-        for v in [50, 150, 150, 900, 40_000, 9_000_000, 60_000_000] {
+        for v in [0, 3, 50, 150, 150, 900, 40_000, 9_000_000, 60_000_000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 7);
+        assert_eq!(h.count(), 9);
         assert!(h.mean_us() > 0.0);
-        assert!(h.quantile_us(0.01) <= 100);
+        // The ladder resolves below 100 µs: 0 lands in the first bucket,
+        // 3 in (2, 5], 50 in (20, 50].
+        assert_eq!(h.quantile_us(0.01), 1);
+        assert_eq!(h.quantile_us(0.2), 5);
+        assert_eq!(h.quantile_us(0.3), 50);
+        assert_eq!(h.quantile_us(0.5), 200);
         assert_eq!(h.quantile_us(1.0), u64::MAX); // overflow bucket
         let snap = h.snapshot();
-        assert_eq!(snap.get("count").unwrap().as_u64(), Some(7));
+        assert_eq!(snap.get("count").unwrap().as_u64(), Some(9));
     }
 
     #[test]
