@@ -51,9 +51,16 @@ cargo run --release -p alpha-bench --bin udp_io -- --quick
 
 # Still serialized with the loopback suites above: each run saturates
 # the single CI core.
-echo "==> loadgen smoke (live engine saturation over loopback, --quick; forced fallback, then auto)"
+echo "==> loadgen smoke (live engine saturation over loopback, --quick; forced fallback, then auto as --json with the segment-offload counters present)"
 ALPHA_UDP_BACKEND=fallback cargo run --release -p alpha-cli --bin alpha -- loadgen --quick
-cargo run --release -p alpha-cli --bin alpha -- loadgen --quick
+loadgen_json=$(cargo run --release -p alpha-cli --bin alpha -- loadgen --quick --json)
+echo "$loadgen_json"
+for key in gso_sends gso_segments gro_recvs gro_segments gso_refused; do
+    case "$loadgen_json" in
+        *"\"$key\":"*) ;;
+        *) echo "loadgen --json lacks \"$key\""; exit 1 ;;
+    esac
+done
 
 echo "==> engine scaling bench smoke (release, --quick; live >=1.5x speedup gate at min(host_cores,4) workers when host_cores >= 2)"
 cargo run --release -p alpha-bench --bin engine_scaling -- --quick

@@ -486,6 +486,15 @@ pub fn loadgen(
         report.io.wait_calls,
         report.io.send_retries,
     );
+    println!(
+        "segment offload: {} datagram(s) out in {} coalesced send(s), {} in via {} coalesced \
+         receive(s), gso_refused={}",
+        report.io.gso_segments,
+        report.io.gso_sends,
+        report.io.gro_segments,
+        report.io.gro_recvs,
+        report.io.gso_refused,
+    );
     if report.host_cores < 2 {
         println!("note: host has 1 core; this number is concurrency, not parallel speedup");
     }
@@ -573,7 +582,8 @@ fn render_engine_stats(snap: &serde_json::Value) -> String {
                     out,
                     "io: {} datagram(s) in / {} recv syscall(s) ({:.2} per call), \
                      {} out / {} send syscall(s), eagain={} partial_sends={} worker(s)={} \
-                     wakeups={} read_timeout_errors={}",
+                     wakeups={} read_timeout_errors={} gso_sends={} gso_segments={} \
+                     gro_recvs={} gro_segments={} gso_refused={}",
                     iu("datagrams_in"),
                     iu("recv_calls"),
                     f(io.get("datagrams_per_recv_call")),
@@ -584,6 +594,11 @@ fn render_engine_stats(snap: &serde_json::Value) -> String {
                     workers,
                     iu("wakeups"),
                     iu("read_timeout_errors"),
+                    iu("gso_sends"),
+                    iu("gso_segments"),
+                    iu("gro_recvs"),
+                    iu("gro_segments"),
+                    iu("gso_refused"),
                 );
             }
         }
@@ -733,6 +748,11 @@ mod tests {
                     "partial_sends": 0u64,
                     "wakeups": 9u64,
                     "read_timeout_errors": 0u64,
+                    "gso_sends": 1u64,
+                    "gso_segments": 16u64,
+                    "gro_recvs": 2u64,
+                    "gro_segments": 32u64,
+                    "gso_refused": 0u64,
                     "datagrams_per_recv_call": 8.0,
                     "per_worker": [{}, {}]
                 }
@@ -766,6 +786,10 @@ mod tests {
         );
         assert!(text.contains("worker(s)=2"), "{text}");
         assert!(text.contains("wakeups=9"), "{text}");
+        assert!(
+            text.contains("gso_sends=1 gso_segments=16 gro_recvs=2 gro_segments=32 gso_refused=0"),
+            "{text}"
+        );
         assert!(text.contains("verified=10"), "{text}");
         assert!(text.contains("adapt_switches=3"), "{text}");
         assert!(

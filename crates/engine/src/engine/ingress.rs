@@ -20,17 +20,32 @@ impl EngineCore {
         rng: &mut dyn RngCore,
     ) -> EngineOutput {
         let mut out = EngineOutput::default();
+        self.handle_datagram_into(from, bytes, now, rng, &mut out);
+        out
+    }
+
+    /// [`EngineCore::handle_datagram`], appending to the caller's
+    /// output: a burst shares one `EngineOutput` instead of building
+    /// and merging one per datagram.
+    fn handle_datagram_into(
+        &self,
+        from: SocketAddr,
+        bytes: &[u8],
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut EngineOutput,
+    ) {
         self.metrics.packets_in.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .bytes_in
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         if !self.admits_source(from) {
-            return out;
+            return;
         }
         let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
         let Ok(n) = bundle::split(bytes, &mut slices) else {
             self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            return out;
+            return;
         };
         let mut views: [Option<PacketView<'_>>; MAX_BUNDLE] = [None; MAX_BUNDLE];
         for i in 0..n {
@@ -38,20 +53,19 @@ impl EngineCore {
                 Ok(v) => views[i] = Some(v),
                 Err(_) => {
                     self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                    return out;
+                    return;
                 }
             }
         }
         match self.route_of(from) {
-            Some(dst) => self.relay_datagram(from, dst, &slices[..n], &views[..n], now, &mut out),
+            Some(dst) => self.relay_datagram(from, dst, &slices[..n], &views[..n], now, out),
             None => {
                 for (slice, view) in slices[..n].iter().zip(&views[..n]) {
                     let Some(view) = view else { continue };
-                    self.host_packet(from, slice, view, now, rng, &mut out);
+                    self.host_packet(from, slice, view, now, rng, out);
                 }
             }
         }
-        out
     }
 
     /// Feed a burst of received datagrams through the engine in one
@@ -68,7 +82,7 @@ impl EngineCore {
     ) -> EngineOutput {
         let mut out = EngineOutput::default();
         for &(from, bytes) in batch {
-            out.absorb(self.handle_datagram(from, bytes, now, rng));
+            self.handle_datagram_into(from, bytes, now, rng, &mut out);
         }
         out
     }

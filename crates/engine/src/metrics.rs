@@ -164,6 +164,23 @@ pub struct IoWorker {
     /// EINTR): a datagram handed back by the kernel and retried. These
     /// were silent spins before this counter existed.
     pub send_retries: AtomicU64,
+    /// Coalesced messages sent: runs of two or more datagrams that left
+    /// as one `UDP_SEGMENT` message (one trip through the kernel's
+    /// UDP/IP path instead of one per datagram).
+    pub gso_sends: AtomicU64,
+    /// Datagrams that left inside coalesced messages (also counted in
+    /// `datagrams_out`).
+    pub gso_segments: AtomicU64,
+    /// Coalesced messages received: `UDP_GRO` frames carrying two or
+    /// more datagrams.
+    pub gro_recvs: AtomicU64,
+    /// Datagrams that arrived inside coalesced messages (also counted
+    /// in `datagrams_in`).
+    pub gro_segments: AtomicU64,
+    /// Coalesced sends the kernel refused (route MTU, no checksum
+    /// offload, old kernel): the run went out uncoalesced and the
+    /// socket stopped coalescing. At most one per socket.
+    pub gso_refused: AtomicU64,
     /// Wait syscalls issued around the datagram path: `epoll_wait`
     /// returns under the epoll wait. Zero under the blocking wait,
     /// where the receive syscall *is* the wait (already in
@@ -208,6 +225,17 @@ pub struct IoTotals {
     pub partial_sends: u64,
     /// Send-side transient-failure resubmissions.
     pub send_retries: u64,
+    /// Coalesced (`UDP_SEGMENT`) messages sent.
+    pub gso_sends: u64,
+    /// Datagrams sent inside coalesced messages.
+    pub gso_segments: u64,
+    /// Coalesced (`UDP_GRO`) messages received.
+    pub gro_recvs: u64,
+    /// Datagrams received inside coalesced messages.
+    pub gro_segments: u64,
+    /// Coalesced sends the kernel refused (sockets that stopped
+    /// coalescing).
+    pub gso_refused: u64,
     /// Wait syscalls around the datagram path.
     pub wait_calls: u64,
     /// Datagrams drained from handoff rings.
@@ -313,6 +341,11 @@ impl IoMetrics {
             t.eagain += w.eagain.load(Ordering::Relaxed);
             t.partial_sends += w.partial_sends.load(Ordering::Relaxed);
             t.send_retries += w.send_retries.load(Ordering::Relaxed);
+            t.gso_sends += w.gso_sends.load(Ordering::Relaxed);
+            t.gso_segments += w.gso_segments.load(Ordering::Relaxed);
+            t.gro_recvs += w.gro_recvs.load(Ordering::Relaxed);
+            t.gro_segments += w.gro_segments.load(Ordering::Relaxed);
+            t.gso_refused += w.gso_refused.load(Ordering::Relaxed);
             t.wait_calls += w.wait_calls.load(Ordering::Relaxed);
             t.handoff_in += w.handoff_in.load(Ordering::Relaxed);
             t.handoff_out += w.handoff_out.load(Ordering::Relaxed);
@@ -342,6 +375,11 @@ impl IoMetrics {
                     ("eagain".to_owned(), ld(&w.eagain)),
                     ("partial_sends".to_owned(), ld(&w.partial_sends)),
                     ("send_retries".to_owned(), ld(&w.send_retries)),
+                    ("gso_sends".to_owned(), ld(&w.gso_sends)),
+                    ("gso_segments".to_owned(), ld(&w.gso_segments)),
+                    ("gro_recvs".to_owned(), ld(&w.gro_recvs)),
+                    ("gro_segments".to_owned(), ld(&w.gro_segments)),
+                    ("gso_refused".to_owned(), ld(&w.gso_refused)),
                     ("wait_calls".to_owned(), ld(&w.wait_calls)),
                     ("handoff_in".to_owned(), ld(&w.handoff_in)),
                     ("handoff_out".to_owned(), ld(&w.handoff_out)),
@@ -367,6 +405,11 @@ impl IoMetrics {
             ("eagain".to_owned(), Value::U64(t.eagain)),
             ("partial_sends".to_owned(), Value::U64(t.partial_sends)),
             ("send_retries".to_owned(), Value::U64(t.send_retries)),
+            ("gso_sends".to_owned(), Value::U64(t.gso_sends)),
+            ("gso_segments".to_owned(), Value::U64(t.gso_segments)),
+            ("gro_recvs".to_owned(), Value::U64(t.gro_recvs)),
+            ("gro_segments".to_owned(), Value::U64(t.gro_segments)),
+            ("gso_refused".to_owned(), Value::U64(t.gso_refused)),
             ("wait_calls".to_owned(), Value::U64(t.wait_calls)),
             ("handoff_in".to_owned(), Value::U64(t.handoff_in)),
             ("handoff_out".to_owned(), Value::U64(t.handoff_out)),
@@ -732,22 +775,39 @@ mod tests {
         b.recv_calls.fetch_add(2, Ordering::Relaxed);
         b.datagrams_in.fetch_add(12, Ordering::Relaxed);
         b.partial_sends.fetch_add(1, Ordering::Relaxed);
+        a.gso_sends.fetch_add(1, Ordering::Relaxed);
+        a.gso_segments.fetch_add(16, Ordering::Relaxed);
+        b.gso_sends.fetch_add(2, Ordering::Relaxed);
+        b.gso_segments.fetch_add(5, Ordering::Relaxed);
+        b.gro_recvs.fetch_add(1, Ordering::Relaxed);
+        b.gro_segments.fetch_add(12, Ordering::Relaxed);
+        b.gso_refused.fetch_add(1, Ordering::Relaxed);
         let t = m.io.totals();
         assert_eq!(t.recv_calls, 4);
         assert_eq!(t.datagrams_in, 32);
         assert_eq!(t.partial_sends, 1);
+        assert_eq!((t.gso_sends, t.gso_segments), (3, 21));
+        assert_eq!((t.gro_recvs, t.gro_segments, t.gso_refused), (1, 12, 1));
         assert!((t.datagrams_per_recv() - 8.0).abs() < 1e-9);
         let snap = m.snapshot();
         let io = snap.get("io").unwrap();
         assert_eq!(io.get("udp_backend").unwrap().as_str(), Some("mmsg"));
         assert_eq!(io.get("datagrams_in").unwrap().as_u64(), Some(32));
-        assert_eq!(
-            io.get("per_worker").and_then(|v| match v {
-                Value::Array(a) => Some(a.len()),
-                _ => None,
-            }),
-            Some(2)
-        );
+        let Some(Value::Array(rows)) = io.get("per_worker") else {
+            panic!("per_worker array");
+        };
+        assert_eq!(rows.len(), 2);
+        // The segment-offload counters ride both levels of the snapshot.
+        for (key, total, of_b) in [
+            ("gso_sends", 3, 2),
+            ("gso_segments", 21, 5),
+            ("gro_recvs", 1, 1),
+            ("gro_segments", 12, 12),
+            ("gso_refused", 1, 1),
+        ] {
+            assert_eq!(io.get(key).unwrap().as_u64(), Some(total), "{key}");
+            assert_eq!(rows[1].get(key).unwrap().as_u64(), Some(of_b), "{key}");
+        }
     }
 
     #[test]

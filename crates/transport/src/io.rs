@@ -11,7 +11,11 @@
 //!
 //! - [`UdpBackend::Mmsg`] — Linux `recvmmsg`/`sendmmsg` via the
 //!   hand-declared FFI in [`crate::mmsg`]: up to [`MAX_BATCH`]
-//!   datagrams per syscall, received straight into pooled frames.
+//!   messages per syscall, received straight into pooled frames, with
+//!   UDP segment offload inside it — a run of equal-size datagrams to
+//!   one destination leaves as one `UDP_SEGMENT` message, and a socket
+//!   that asked for `UDP_GRO` ([`crate::mmsg::set_gro`]) receives such a
+//!   run as one frame of several [`RxDatagram::segments`].
 //! - [`UdpBackend::Fallback`] — portable `recv_from`/`send_to`, one
 //!   datagram per syscall, into a reused scratch buffer then one copy
 //!   into a pooled frame (no per-datagram allocation either way).
@@ -22,7 +26,7 @@
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use alpha_engine::IoWorker;
@@ -205,8 +209,12 @@ pub fn force(kind: UdpBackend) -> Result<(), UnsupportedBackend> {
     Ok(())
 }
 
-/// One received datagram: its source, its pooled frame, and whether the
-/// kernel had to cut it to fit the frame.
+/// One received message: its source, its pooled frame, and whether the
+/// kernel had to cut it to fit the frame. One datagram — except on a
+/// socket that asked for coalesced receives ([`crate::mmsg::set_gro`];
+/// the engine's `mmsg` workers do, nothing else), where a frame may
+/// carry a run of datagrams from one source, to be read through
+/// [`RxDatagram::segments`].
 #[derive(Debug)]
 pub struct RxDatagram {
     /// Source address.
@@ -219,6 +227,36 @@ pub struct RxDatagram {
     /// batched backend). Cross-worker handoff latency is measured from
     /// here to ring drain.
     pub received: std::time::Instant,
+    /// 0: the frame is one datagram. Otherwise the frame is a coalesced
+    /// run of two or more datagrams of this many bytes each, the last
+    /// possibly shorter.
+    pub segment_len: usize,
+}
+
+impl RxDatagram {
+    /// The datagrams in the frame, in arrival order: the whole frame
+    /// when it is not coalesced, `segment_len`-byte pieces when it is.
+    pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
+        // `chunks` cannot express "one piece, even if empty".
+        let (whole, pieces): (_, &[u8]) = if self.segment_len == 0 {
+            (Some(&self.frame[..]), &[])
+        } else {
+            (None, &self.frame)
+        };
+        whole
+            .into_iter()
+            .chain(pieces.chunks(self.segment_len.max(1)))
+    }
+
+    /// How many datagrams [`RxDatagram::segments`] yields.
+    #[must_use]
+    pub fn segment_count(&self) -> usize {
+        if self.segment_len == 0 {
+            1
+        } else {
+            self.frame.len().div_ceil(self.segment_len)
+        }
+    }
 }
 
 /// A socket plus the backend that moves datagrams through it and the
@@ -230,9 +268,13 @@ pub struct UdpIo {
     /// Fallback receive staging: one reused buffer instead of a fresh
     /// allocation per datagram.
     scratch: Vec<u8>,
-    /// Batched-receive staging: checked-out frames kept across calls so
-    /// an idle poll costs no pool churn (see [`crate::mmsg::recv_batch`]).
-    rx_frames: Vec<Frame>,
+    /// Batched-receive staging kept across calls (see
+    /// [`crate::mmsg::RecvScratch`]).
+    #[cfg(target_os = "linux")]
+    rx: crate::mmsg::RecvScratch,
+    /// Latched by the first coalesced send the kernel refuses on this
+    /// socket: from then on every datagram goes out as its own message.
+    gso_refused: AtomicBool,
 }
 
 impl UdpIo {
@@ -256,7 +298,9 @@ impl UdpIo {
             backend,
             counters,
             scratch: Vec::new(),
-            rx_frames: Vec::new(),
+            #[cfg(target_os = "linux")]
+            rx: crate::mmsg::RecvScratch::default(),
+            gso_refused: AtomicBool::new(false),
         }
     }
 
@@ -278,9 +322,10 @@ impl UdpIo {
         &self.counters
     }
 
-    /// Receive up to `max` datagrams into pooled frames appended to
+    /// Receive up to `max` messages into pooled frames appended to
     /// `out`, blocking for the first one up to the socket's read
-    /// timeout. Returns how many arrived; `Ok(0)` on timeout. The
+    /// timeout. Returns how many datagrams arrived (the segments of a
+    /// coalesced frame counted one by one); `Ok(0)` on timeout. The
     /// batched backend drains whatever else is queued in the same
     /// syscall; the fallback moves exactly one datagram per call.
     pub fn recv_batch(
@@ -293,7 +338,8 @@ impl UdpIo {
             #[cfg(target_os = "linux")]
             UdpBackend::Mmsg => {
                 self.counters.recv_calls.fetch_add(1, Ordering::Relaxed);
-                match crate::mmsg::recv_batch(&self.socket, pool, &mut self.rx_frames, out, max) {
+                let before = out.len();
+                match crate::mmsg::recv_batch(&self.socket, pool, &mut self.rx, out, max) {
                     Ok(0) => {
                         self.counters.eagain.fetch_add(1, Ordering::Relaxed);
                         Ok(0)
@@ -302,6 +348,18 @@ impl UdpIo {
                         self.counters
                             .datagrams_in
                             .fetch_add(n as u64, Ordering::Relaxed);
+                        let frames = &out[before..];
+                        let coalesced = frames.iter().filter(|d| d.segment_len != 0).count();
+                        if coalesced > 0 {
+                            // Every other frame is one of the `n`.
+                            let segments = n - (frames.len() - coalesced);
+                            self.counters
+                                .gro_recvs
+                                .fetch_add(coalesced as u64, Ordering::Relaxed);
+                            self.counters
+                                .gro_segments
+                                .fetch_add(segments as u64, Ordering::Relaxed);
+                        }
                         Ok(n)
                     }
                     Err(e) if recoverable(&e) => {
@@ -331,6 +389,7 @@ impl UdpIo {
                             // exactly scratch size from a truncated one.
                             truncated: n == self.scratch.len(),
                             received: std::time::Instant::now(),
+                            segment_len: 0,
                         });
                         Ok(1)
                     }
@@ -345,8 +404,10 @@ impl UdpIo {
     }
 
     /// Send every datagram in `msgs`, gathering up to [`MAX_BATCH`] per
-    /// syscall on the batched backend and resubmitting any tail a
-    /// partial `sendmmsg` leaves behind. Returns the count sent.
+    /// syscall on the batched backend — runs of equal-size datagrams to
+    /// one destination coalesced into one message each, until the
+    /// kernel first refuses that on this socket — and resubmitting any
+    /// tail a partial `sendmmsg` leaves behind. Returns the count sent.
     pub fn send_batch(&self, msgs: &[(SocketAddr, Frame)]) -> io::Result<usize> {
         match self.backend {
             #[cfg(target_os = "linux")]
@@ -354,21 +415,38 @@ impl UdpIo {
                 let mut sent = 0usize;
                 while sent < msgs.len() {
                     let chunk = (msgs.len() - sent).min(MAX_BATCH);
-                    match crate::mmsg::send_batch(&self.socket, &msgs[sent..sent + chunk]) {
-                        Ok(0) => {
+                    let coalesce = !self.gso_refused.load(Ordering::Relaxed);
+                    match crate::mmsg::send_batch(&self.socket, &msgs[sent..sent + chunk], coalesce)
+                    {
+                        Ok(crate::mmsg::Sent { datagrams: 0, .. }) => {
                             // The kernel accepted nothing but reported
                             // success: treat as an error rather than spin.
                             return Err(io::Error::other("sendmmsg accepted 0 datagrams"));
                         }
-                        Ok(n) => {
-                            self.counters.send_calls.fetch_add(1, Ordering::Relaxed);
+                        Ok(s) => {
+                            // A refusal is one more (failed) syscall.
+                            self.counters
+                                .send_calls
+                                .fetch_add(1 + u64::from(s.refused), Ordering::Relaxed);
                             self.counters
                                 .datagrams_out
-                                .fetch_add(n as u64, Ordering::Relaxed);
-                            if n < chunk {
+                                .fetch_add(s.datagrams as u64, Ordering::Relaxed);
+                            if s.datagrams < chunk {
                                 self.counters.partial_sends.fetch_add(1, Ordering::Relaxed);
                             }
-                            sent += n;
+                            if s.gso_sends > 0 {
+                                self.counters
+                                    .gso_sends
+                                    .fetch_add(s.gso_sends as u64, Ordering::Relaxed);
+                                self.counters
+                                    .gso_segments
+                                    .fetch_add(s.gso_segments as u64, Ordering::Relaxed);
+                            }
+                            if s.refused {
+                                self.gso_refused.store(true, Ordering::Relaxed);
+                                self.counters.gso_refused.fetch_add(1, Ordering::Relaxed);
+                            }
+                            sent += s.datagrams;
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                             // Resubmitted below; was a silent spin

@@ -148,6 +148,8 @@ impl LoadgenReport {
                 "\"lock_contended\":{},\"reuseport\":{},\"udp_backend\":\"{}\",",
                 "\"wait_backend\":\"{}\",\"idle_wakeups_per_sec\":{:.1},",
                 "\"send_retries\":{},\"syscalls_per_datagram\":{:.4},",
+                "\"gso_sends\":{},\"gso_segments\":{},\"gro_recvs\":{},",
+                "\"gro_segments\":{},\"gso_refused\":{},",
                 "\"handoff_samples\":{},\"handoff_wait_p50_us\":{},",
                 "\"handoff_wait_p99_us\":{},",
                 "\"sign_errors\":{}}}"
@@ -169,6 +171,11 @@ impl LoadgenReport {
             self.idle_wakeups_per_sec,
             self.io.send_retries,
             self.io.syscalls_per_datagram(),
+            self.io.gso_sends,
+            self.io.gso_segments,
+            self.io.gro_recvs,
+            self.io.gro_segments,
+            self.io.gso_refused,
             self.handoff_samples,
             self.handoff_p50_us,
             self.handoff_p99_us,

@@ -62,6 +62,13 @@
 //!   no `setsockopt`. Timer lateness and handoff latency are bounded by
 //!   [`RECV_TIMEOUT`].
 //!
+//! On the `mmsg` rung each worker socket asks for coalesced receives
+//! (`UDP_GRO`), so one received frame may carry a run of datagrams from
+//! one source ([`RxDatagram::segments`]): the worker sorts, claims and
+//! hands off by frame — one source, hence one shard — and feeds the
+//! engine by segment, [`MAX_BURST`] at a time, looking at its timers
+//! between bursts so a deep receive cannot make them late.
+//!
 //! A stats datagram (prefix [`STATS_MAGIC`]) is answered inline by
 //! whichever worker receives it, so `engine stats` works against a
 //! live engine without a side channel. Mesh control datagrams ride the
@@ -190,6 +197,12 @@ impl Engine {
         #[cfg(target_os = "linux")]
         for s in &sockets {
             let _ = crate::mmsg::set_recv_buffer(s, RECV_BUFFER_BYTES);
+            // Coalesced receives, here and not in `UdpIo`: the worker
+            // loop is the one reader that walks a frame's segments.
+            // Best-effort — without it every frame is one datagram.
+            if backend == UdpBackend::Mmsg {
+                let _ = crate::mmsg::set_gro(s);
+            }
         }
         let core = Arc::new(core);
         core.metrics().io.set_backend(backend.name());
@@ -447,28 +460,27 @@ struct Worker {
     local: Vec<RxDatagram>,
 }
 
-/// Feed one burst to the engine and dispatch its output, building the
-/// borrow batch in a stack array: the `(addr, &bytes)` views borrow
-/// `burst`, so a heap batch could not be hoisted across iterations —
-/// a fixed-size array sized to the burst cap avoids the per-burst
-/// allocation instead.
-fn feed(
-    core: &EngineCore,
-    io: &UdpIo,
-    sink: Option<&DeliverySink>,
-    rng: &mut StdRng,
-    burst: &[RxDatagram],
-    now: Timestamp,
-) {
-    const EMPTY: &[u8] = &[];
-    let nowhere: SocketAddr = SocketAddr::from(([0, 0, 0, 0], 0));
-    for chunk in burst.chunks(MAX_BURST) {
-        let mut batch: [(SocketAddr, &[u8]); MAX_BURST] = [(nowhere, EMPTY); MAX_BURST];
-        for (slot, d) in batch.iter_mut().zip(chunk) {
-            *slot = (d.from, &d.frame[..]);
-        }
-        let out = core.handle_datagrams(&batch[..chunk.len()], now, rng);
-        dispatch(io, &out, sink);
+/// A datagram served below the engine, by whichever worker receives
+/// it.
+enum Control<'a> {
+    Stats,
+    Ping(u64),
+    Replica(&'a [u8]),
+}
+
+/// `bytes` as a control datagram, `None` for everything the engine
+/// judges. Every control prefix starts with 0x00, which no ALPHA packet
+/// does, so protocol traffic pays one byte compare.
+fn control(bytes: &[u8]) -> Option<Control<'_>> {
+    if bytes.first() != Some(&0) {
+        return None;
+    }
+    if bytes.starts_with(STATS_MAGIC) {
+        Some(Control::Stats)
+    } else if let Some(nonce) = mesh::parse_ping(bytes) {
+        Some(Control::Ping(nonce))
+    } else {
+        mesh::parse_replica(bytes).map(Control::Replica)
     }
 }
 
@@ -556,16 +568,56 @@ impl Worker {
             self.counters
                 .handoff_in
                 .fetch_add(self.handed.len() as u64, Ordering::Relaxed);
-            feed(
-                &self.core,
-                &self.io,
-                self.sink.as_deref(),
-                &mut self.rng,
-                &self.handed,
-                now,
-            );
+            let handed = std::mem::take(&mut self.handed);
+            self.feed(&handed, now);
+            self.handed = handed;
         }
         full
+    }
+
+    /// Feed received frames to the engine, [`MAX_BURST`] datagrams per
+    /// call, and dispatch each call's output. The batch is a stack
+    /// array: the `(addr, &bytes)` views borrow `frames`, so a heap
+    /// batch could not be hoisted across iterations.
+    ///
+    /// Coalesced frames make `frames` many bursts deep (one receive can
+    /// return 32 frames of 32 datagrams or more each), so between
+    /// bursts the worker looks at its deadline hint and polls its
+    /// timers when one has come due: lateness stays bounded by one
+    /// burst, as when a receive was one burst.
+    fn feed(&mut self, frames: &[RxDatagram], mut now: Timestamp) {
+        const EMPTY: &[u8] = &[];
+        let nowhere: SocketAddr = SocketAddr::from(([0, 0, 0, 0], 0));
+        // The receiving worker answered the control segments (`ingest`).
+        let mut datagrams = frames
+            .iter()
+            .flat_map(|d| {
+                d.segments()
+                    .filter(|s| control(s).is_none())
+                    .map(|s| (d.from, s))
+            })
+            .peekable();
+        while datagrams.peek().is_some() {
+            let mut batch: [(SocketAddr, &[u8]); MAX_BURST] = [(nowhere, EMPTY); MAX_BURST];
+            let mut n = 0;
+            while n < MAX_BURST {
+                let Some(datagram) = datagrams.next() else {
+                    break;
+                };
+                batch[n] = datagram;
+                n += 1;
+            }
+            let out = self.core.handle_datagrams(&batch[..n], now, &mut self.rng);
+            dispatch(&self.io, &out, self.sink.as_deref());
+            if datagrams.peek().is_some() {
+                now = self.now();
+                let hint = self.core.worker_next_deadline(self.me);
+                if hint.is_some_and(|due| due <= now) {
+                    self.poll_timers(now);
+                    self.core.refresh_worker_deadline(self.me);
+                }
+            }
+        }
     }
 
     /// Advance the timers of every shard this worker polls.
@@ -579,31 +631,43 @@ impl Worker {
         dispatch(&self.io, &out, self.sink.as_deref());
     }
 
+    /// Answer a control datagram inline.
+    fn serve_control(&mut self, ctl: Control<'_>, from: SocketAddr, now: Timestamp) {
+        match ctl {
+            Control::Stats => {
+                let _ = self
+                    .io
+                    .socket()
+                    .send_to(self.core.stats_json().as_bytes(), from);
+            }
+            // Mesh liveness probe: echoed inline like stats, so a
+            // peer's health check measures this worker's real service
+            // latency, not a side channel's.
+            Control::Ping(nonce) => {
+                let _ = self.io.socket().send_to(&mesh::encode_pong(nonce), from);
+            }
+            // Handshake replica from an upstream relay toward a
+            // standby: learn the association, emit nothing.
+            Control::Replica(inner) => self.core.absorb_replica(from, inner, now, &mut self.rng),
+        }
+    }
+
     /// Sort a received burst: answer control datagrams inline, hand
-    /// RSS-mismatched datagrams to their owning worker, process the
-    /// rest here.
+    /// RSS-mismatched frames to their owning worker, process the rest
+    /// here. A coalesced frame is sorted whole — all its datagrams have
+    /// one source, hence one shard.
     fn ingest(&mut self, now: Timestamp) {
         let mut rx = std::mem::take(&mut self.rx);
         self.local.clear();
         for d in rx.drain(..) {
-            if d.frame.starts_with(STATS_MAGIC) {
-                let _ = self
-                    .io
-                    .socket()
-                    .send_to(self.core.stats_json().as_bytes(), d.from);
-                continue;
+            let mut for_engine = false;
+            for segment in d.segments() {
+                match control(segment) {
+                    Some(ctl) => self.serve_control(ctl, d.from, now),
+                    None => for_engine = true,
+                }
             }
-            if let Some(nonce) = mesh::parse_ping(&d.frame) {
-                // Mesh liveness probe: echoed inline like stats, so
-                // a peer's health check measures this worker's real
-                // service latency, not a side channel's.
-                let _ = self.io.socket().send_to(&mesh::encode_pong(nonce), d.from);
-                continue;
-            }
-            if let Some(inner) = mesh::parse_replica(&d.frame) {
-                // Handshake replica from an upstream relay toward a
-                // standby: learn the association, emit nothing.
-                self.core.absorb_replica(d.from, inner, now, &mut self.rng);
+            if !for_engine {
                 continue;
             }
             if self.workers == 1 || !self.per_worker_sockets {
@@ -650,14 +714,9 @@ impl Worker {
             // The whole burst goes to the engine in one call, so its
             // relay path can batch-verify and the responses leave in
             // one gathered send.
-            feed(
-                &self.core,
-                &self.io,
-                self.sink.as_deref(),
-                &mut self.rng,
-                &self.local,
-                now,
-            );
+            let local = std::mem::take(&mut self.local);
+            self.feed(&local, now);
+            self.local = local;
         }
     }
 }
@@ -1029,6 +1088,138 @@ mod tests {
             "replicas must not generate a response"
         );
         server.shutdown();
+    }
+
+    /// Segment offload can put a control datagram and protocol traffic
+    /// in one received frame; each must still go where it belongs.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_ping_and_a_datagram_in_one_coalesced_message_are_both_served() {
+        let server = Engine::bind("127.0.0.1:0", EngineCore::new(engine_cfg()), 1).expect("bind");
+        let addr = server.local_addr().unwrap();
+        let sock = UdpSocket::bind("127.0.0.1:0").expect("client socket");
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let ping = mesh::encode_ping(7);
+        // Not control (no 0x00 prefix) and not ALPHA either: the engine
+        // judges it, and the verdict is a parse error.
+        let datagram = vec![0xA5; ping.len()];
+        let msgs = [(addr, ping.into()), (addr, datagram.into())];
+        let sent = crate::mmsg::send_batch(&sock, &msgs, true).expect("coalesced send");
+        assert_eq!((sent.datagrams, sent.gso_sends), (2, 1));
+
+        let mut buf = [0u8; 64];
+        let (n, _) = sock.recv_from(&mut buf).expect("pong");
+        assert_eq!(mesh::parse_pong(&buf[..n]), Some(7));
+        let m = server.core().metrics();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while m.parse_errors.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "the datagram was never judged");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            m.packets_in.load(Ordering::Relaxed),
+            1,
+            "the engine sees the datagram and not the ping"
+        );
+        let io = m.io.totals();
+        assert_eq!(io.datagrams_in, 2);
+        // On the mmsg rung the two arrived as one frame; on the portable
+        // rung the kernel split them again.
+        let coalesced = u64::from(crate::io::active() == UdpBackend::Mmsg);
+        assert_eq!((io.gro_recvs, io.gro_segments), (coalesced, 2 * coalesced));
+        server.shutdown();
+    }
+
+    /// One receive can hand a worker `MAX_BATCH` coalesced frames of
+    /// `MAX_BURST` datagrams each; a timer that is due must fire between
+    /// two bursts of that backlog, not after it.
+    #[test]
+    fn a_due_timer_fires_within_one_burst_of_a_deep_backlog() {
+        use alpha_wire::PacketView;
+
+        const TIMER_ASSOC: u64 = 999;
+        let frames = crate::io::MAX_BATCH;
+        let sink = UdpSocket::bind("127.0.0.1:0").expect("sink");
+        sink.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let sink_addr = sink.local_addr().unwrap();
+        let source: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+
+        // A relay for `source` -> `sink` that also has a handshake of
+        // its own toward `sink` outstanding: its resend is the timer.
+        let core = Arc::new(EngineCore::new(engine_cfg()));
+        core.add_route(source, sink_addr);
+        core.install_worker_hints(1, None);
+        drop(core.connect(sink_addr, TIMER_ASSOC, Timestamp::ZERO, &mut rng));
+
+        // The backlog: per frame one HS1 the relay forwards (so the sink
+        // sees where each burst ends) and 31 datagrams it rejects.
+        let client = EngineCore::new(engine_cfg());
+        let backlog: Vec<RxDatagram> = (0..frames as u64)
+            .map(|assoc| {
+                let (_, out) = client.connect(sink_addr, assoc, Timestamp::ZERO, &mut rng);
+                let mut bytes = out.datagrams[0].1.to_vec();
+                let segment_len = bytes.len();
+                bytes.resize(segment_len * MAX_BURST, 0xA5);
+                RxDatagram {
+                    from: source,
+                    frame: bytes.into(),
+                    truncated: false,
+                    received: Instant::now(),
+                    segment_len,
+                }
+            })
+            .collect();
+
+        let counters = core.metrics().io.register_worker();
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("worker socket");
+        let mut worker = Worker {
+            index: 0,
+            me: 0,
+            workers: 1,
+            shards: core.shard_count(),
+            io: UdpIo::new(socket, Arc::clone(&counters)),
+            counters,
+            rx_pool: FramePool::new(MAX_DATAGRAM, 1),
+            core: Arc::clone(&core),
+            rings: Arc::new(vec![vec![HandoffRing::with_capacity(1)]]),
+            #[cfg(target_os = "linux")]
+            doorbells: None,
+            per_worker_sockets: false,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            ready: Arc::new(AtomicUsize::new(0)),
+            // Backdated: the resend (due within 100 ms of time zero)
+            // is overdue when the backlog arrives.
+            start: Instant::now()
+                .checked_sub(Duration::from_secs(2))
+                .expect("host up for two seconds"),
+            sink: None,
+            rng,
+            rx: backlog,
+            handed: Vec::new(),
+            local: Vec::new(),
+        };
+        let now = worker.now();
+        worker.ingest(now);
+
+        let m = core.metrics();
+        assert_eq!(
+            m.packets_in.load(Ordering::Relaxed),
+            (frames * MAX_BURST) as u64
+        );
+        assert_eq!(m.timer_fires.load(Ordering::Relaxed), 1);
+        // What reached the sink, in order: a forward per burst, and the
+        // resend right after the first burst.
+        let mut buf = [0u8; 2048];
+        let arrivals: Vec<u64> = (0..=frames)
+            .map(|_| {
+                let (n, _) = sink.recv_from(&mut buf).expect("forward or resend");
+                PacketView::parse(&buf[..n]).expect("a handshake").assoc_id
+            })
+            .collect();
+        let mut want: Vec<u64> = (0..frames as u64).collect();
+        want.insert(1, TIMER_ASSOC);
+        assert_eq!(arrivals, want);
     }
 
     #[test]
