@@ -19,9 +19,6 @@ cargo fmt --all --check
 echo "==> clippy -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> datapath bench smoke (release, --quick)"
-cargo run --release -p alpha-bench --bin datapath -- --quick
-
 # On a SHA-NI host auto-detection never runs the lanes4 tier, and the
 # streaming hasher and chain walker follow the process-wide backend, so
 # each tier is forced in turn.
@@ -62,7 +59,9 @@ for key in gso_sends gso_segments gro_recvs gro_segments gso_refused; do
     esac
 done
 
-echo "==> engine scaling bench smoke (release, --quick; live >=1.5x speedup gate at min(host_cores,4) workers when host_cores >= 2)"
+# The live ratio is printed, not asserted: loadgen is a closed loop, so
+# the multi-worker gate waits for ROADMAP item 1's open-loop workloads.
+echo "==> engine scaling bench smoke (release, --quick; live multi-worker ratio reported, not gated)"
 cargo run --release -p alpha-bench --bin engine_scaling -- --quick
 
 echo "==> mesh: chained sim scenarios + per-hop verification tests"
@@ -89,17 +88,24 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
     --quick --out "$bench_out" >/dev/null
 rm -rf "$bench_out"
 
+# A filter that matches nothing passes with 0 tests, so the count is
+# checked: a renamed property must be renamed here too.
 echo "==> decoder robustness properties (release)"
-cargo test --release --test properties -q -- \
-    truncation_at_every_offset_agrees \
-    single_flipped_byte_never_diverges \
-    view_never_disagrees_with_owned
+robustness=$(cargo test --release --test properties -q -- \
+    accepted_bytes_are_canonical \
+    every_strict_prefix_is_an_error \
+    arbitrary_bytes_never_panic_a_decoder) || { echo "$robustness"; exit 1; }
+echo "$robustness"
+case "$robustness" in
+    *"running 3 tests"*) ;;
+    *) echo "ci: the decoder robustness step did not run its 3 properties" >&2; exit 1 ;;
+esac
 
 # The --quick smokes above wrote to target/bench-quick/ (what this tree
 # emits now); the files at the root are the committed full runs.
-echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel"
-for name in BENCH_datapath.json BENCH_digest.json BENCH_udp_io.json \
-            BENCH_engine_scaling.json BENCH_mesh_chain.json BENCH_flow_density.json; do
+echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel, and no udp backend the tree cannot run"
+for name in BENCH_digest.json BENCH_udp_io.json BENCH_engine_scaling.json \
+            BENCH_mesh_chain.json BENCH_flow_density.json; do
     for f in "$name" "target/bench-quick/$name"; do
         grep -q '"wait_backend"' "$f" || {
             echo "ci: $f lacks wait_backend" >&2
@@ -110,6 +116,13 @@ for name in BENCH_datapath.json BENCH_digest.json BENCH_udp_io.json \
             exit 1
         }
     done
+done
+# `udp_backend` values are `UdpBackend::name`'s (crates/transport/src/io.rs).
+for f in BENCH_*.json target/bench-quick/BENCH_*.json; do
+    if grep -o '"udp_backend": *"[^"]*"' "$f" | grep -v -e '"mmsg"$' -e '"fallback"$' | grep -q .; then
+        echo "ci: $f records a udp_backend this tree cannot run" >&2
+        exit 1
+    fi
 done
 
 echo "==> ci OK"

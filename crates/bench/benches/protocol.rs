@@ -6,6 +6,7 @@ use rand::SeedableRng;
 
 use alpha_core::{Association, Config, Mode, Relay, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
+use alpha_wire::{Packet, PacketView};
 
 const T: Timestamp = Timestamp::ZERO;
 
@@ -68,6 +69,12 @@ fn bench_modes(c: &mut Criterion) {
     g.finish();
 }
 
+/// One packet as a relay meets it: decode the bytes, judge the view.
+fn observe(relay: &mut Relay, bytes: &[u8]) -> alpha_core::RelayDecision {
+    let view = PacketView::parse(bytes).expect("own encoding");
+    relay.observe_view(&view, bytes.len(), T).0
+}
+
 fn bench_relay(c: &mut Criterion) {
     let mut g = c.benchmark_group("relay-observe");
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -94,6 +101,11 @@ fn bench_relay(c: &mut Criterion) {
         let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
         let s2s = alice.handle(&a1, t, &mut rng).unwrap().packets;
 
+        // What a relay is handed: encoded packets. Decode and judgment
+        // are timed together, as `engine/relay.rs` runs them.
+        let [init, reply, s1, a1] = [&init, &reply, &s1, &a1].map(Packet::emit);
+        let s2s: Vec<Vec<u8>> = s2s.iter().map(Packet::emit).collect();
+
         g.throughput(Throughput::Bytes((n * 1024) as u64));
         g.bench_function(BenchmarkId::new("s1-a1-s2s", n), |b| {
             b.iter_batched(
@@ -102,16 +114,15 @@ fn bench_relay(c: &mut Criterion) {
                         s1_bytes_per_sec: None,
                         ..RelayConfig::default()
                     });
-                    relay.observe(&init, t);
-                    relay.observe(&reply, t);
+                    observe(&mut relay, &init);
+                    observe(&mut relay, &reply);
                     relay
                 },
                 |mut relay| {
-                    relay.observe(&s1, t);
-                    relay.observe(&a1, t);
+                    observe(&mut relay, &s1);
+                    observe(&mut relay, &a1);
                     for s2 in &s2s {
-                        let (d, _) = relay.observe(s2, t);
-                        assert_eq!(d, alpha_core::RelayDecision::Forward);
+                        assert_eq!(observe(&mut relay, s2), alpha_core::RelayDecision::Forward);
                     }
                 },
                 criterion::BatchSize::SmallInput,

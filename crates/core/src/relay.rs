@@ -25,7 +25,8 @@ use alpha_crypto::chain::{ChainVerifier, Role};
 use alpha_crypto::preack::PreAckPair;
 use alpha_crypto::{merkle, Algorithm, Digest};
 use alpha_wire::{
-    A2Disclosure, AckCommit, Body, BodyView, HandshakeRole, Packet, PacketView, PreSignature,
+    A2DisclosureView, AckCommit, Body, BodyView, HandshakeRole, Packet, PacketView,
+    PreSignatureView,
 };
 
 use crate::limiter::S1Limiter;
@@ -299,27 +300,49 @@ impl Relay {
         );
     }
 
-    /// Observe one packet in transit. Returns the forwarding decision and
-    /// any extraction events.
+    /// Observe one owned packet in transit. Returns the forwarding
+    /// decision and any extraction events. This is an adapter for callers
+    /// that hold a [`Packet`] (tests, examples, the table bins): it
+    /// encodes the packet, decodes the bytes as a relay receives them and
+    /// lets [`Relay::observe_view`] judge, so there is one judgment and
+    /// the engine runs it. An owned packet whose encoding the decoder
+    /// rejects (zero MACs, a zero-leaf root) is dropped as malformed.
     pub fn observe(&mut self, pkt: &Packet, now: Timestamp) -> (RelayDecision, Vec<RelayEvent>) {
-        match &pkt.body {
-            Body::Handshake(hs) => {
-                let (decision, learned) = self.observe_handshake(pkt.assoc_id, pkt.alg, hs);
-                let events = learned
-                    .map(|id| vec![RelayEvent::AssociationLearned(id)])
-                    .unwrap_or_default();
-                (decision, events)
-            }
-            _ => self.observe_data(pkt, now),
+        let bytes = pkt.emit();
+        let Ok(view) = PacketView::parse(&bytes) else {
+            return (RelayDecision::Drop(DropReason::Malformed), Vec::new());
+        };
+        let (decision, outcome) = self.observe_view(&view, bytes.len(), now);
+        let assoc_id = pkt.assoc_id;
+        let mut events = Vec::new();
+        if let Some(id) = outcome.learned {
+            events.push(RelayEvent::AssociationLearned(id));
         }
+        if let (Some((forward_direction, seq)), Body::S2 { payload, .. }) =
+            (outcome.verified_s2, &pkt.body)
+        {
+            events.push(RelayEvent::VerifiedPayload {
+                assoc_id,
+                forward_direction,
+                seq,
+                payload: payload.clone(),
+            });
+        }
+        events.extend(
+            outcome
+                .verdicts
+                .into_iter()
+                .map(|(seq, ack)| RelayEvent::VerifiedVerdict { assoc_id, seq, ack }),
+        );
+        (decision, events)
     }
 
-    /// Observe one borrowed packet view in transit — the zero-copy
-    /// equivalent of [`Relay::observe`]. `wire_len` is the encoded length
-    /// of the packet (the slice it was parsed from) and is what the S1
-    /// flood limiter charges. The outcome carries no payload bytes; a
-    /// caller that extracts verified payloads copies the view's own
-    /// payload slice exactly once.
+    /// Observe one borrowed packet view in transit: the relay's one
+    /// judgment. `wire_len` is the encoded length of the packet (the
+    /// slice it was parsed from) and is what the S1 flood limiter
+    /// charges. The outcome carries no payload bytes; a caller that
+    /// extracts verified payloads copies the view's own payload slice
+    /// exactly once.
     pub fn observe_view(
         &mut self,
         view: &PacketView<'_>,
@@ -441,68 +464,6 @@ impl Relay {
         Ok(a)
     }
 
-    fn observe_data(&mut self, pkt: &Packet, now: Timestamp) -> (RelayDecision, Vec<RelayEvent>) {
-        let cfg = self.cfg;
-        let a = match self.data_assoc(pkt.assoc_id, pkt.alg) {
-            Ok(a) => a,
-            Err(decision) => return (decision, Vec::new()),
-        };
-        match &pkt.body {
-            Body::S1 { element, presig } => {
-                let decision = s1_parts(a, pkt.chain_index, element, pkt.wire_len(), now, || {
-                    presig_from_owned(presig)
-                });
-                (decision, Vec::new())
-            }
-            Body::A1 { element, commit } => {
-                (a1_parts(a, pkt.chain_index, element, commit), Vec::new())
-            }
-            Body::S2 {
-                key,
-                seq,
-                path,
-                payload,
-            } => match s2_parts(&cfg, a, pkt.chain_index, key, *seq, path, payload, now) {
-                Err(reason) => (RelayDecision::Drop(reason), Vec::new()),
-                Ok(S2Outcome::Unverified) => (RelayDecision::Forward, Vec::new()),
-                Ok(S2Outcome::Verified { is_fwd, close }) => {
-                    if close {
-                        self.assocs.remove(&pkt.assoc_id);
-                    }
-                    (
-                        RelayDecision::Forward,
-                        vec![RelayEvent::VerifiedPayload {
-                            assoc_id: pkt.assoc_id,
-                            forward_direction: is_fwd,
-                            seq: *seq,
-                            payload: payload.clone(),
-                        }],
-                    )
-                }
-            },
-            Body::A2 {
-                element,
-                disclosure,
-            } => match a2_parts(a, pkt.chain_index, element, disclosure) {
-                Err(reason) => (RelayDecision::Drop(reason), Vec::new()),
-                Ok(verdicts) => {
-                    let events = verdicts
-                        .into_iter()
-                        .map(|(seq, ack)| RelayEvent::VerifiedVerdict {
-                            assoc_id: pkt.assoc_id,
-                            seq,
-                            ack,
-                        })
-                        .collect();
-                    (RelayDecision::Forward, events)
-                }
-            },
-            // Allowlist: `observe` dispatches handshakes before reaching
-            // here, so no network input can hit this arm.
-            Body::Handshake(_) => unreachable!("handled by observe"),
-        }
-    }
-
     fn observe_view_data(
         &mut self,
         view: &PacketView<'_>,
@@ -517,9 +478,7 @@ impl Relay {
         };
         match &view.body {
             BodyView::S1 { element, presig } => {
-                let decision = s1_parts(a, view.chain_index, element, wire_len, now, || {
-                    presig_from_view(presig)
-                });
+                let decision = s1_parts(a, view.chain_index, element, wire_len, now, presig);
                 (decision, none)
             }
             BodyView::A1 { element, commit } => {
@@ -555,21 +514,16 @@ impl Relay {
             BodyView::A2 {
                 element,
                 disclosure,
-            } => {
-                // A2s are rare (one per exchange) — the owned disclosure
-                // conversion is off the hot path.
-                let disclosure = disclosure.to_disclosure();
-                match a2_parts(a, view.chain_index, element, &disclosure) {
-                    Err(reason) => (RelayDecision::Drop(reason), none),
-                    Ok(verdicts) => (
-                        RelayDecision::Forward,
-                        RelayViewOutcome {
-                            verdicts,
-                            ..RelayViewOutcome::default()
-                        },
-                    ),
-                }
-            }
+            } => match a2_parts(a, view.chain_index, element, disclosure) {
+                Err(reason) => (RelayDecision::Drop(reason), none),
+                Ok(verdicts) => (
+                    RelayDecision::Forward,
+                    RelayViewOutcome {
+                        verdicts,
+                        ..RelayViewOutcome::default()
+                    },
+                ),
+            },
             // Allowlist: `observe_view` dispatches handshakes before
             // reaching here, so no network input can hit this arm.
             BodyView::Handshake(_) => unreachable!("handled by observe_view"),
@@ -828,36 +782,10 @@ fn carries_control(payload: &[u8]) -> bool {
     payload.starts_with(crate::signal::MAGIC) || payload.starts_with(crate::renewal::MAGIC)
 }
 
-/// Buffer an S1's pre-signature for later S2 verification (owned body).
-fn presig_from_owned(presig: &PreSignature) -> Result<RelayPresig, DropReason> {
-    match presig {
-        PreSignature::Cumulative(macs) => Ok(RelayPresig::Macs(macs.clone())),
-        PreSignature::MerkleRoot { root, leaves } => {
-            if *leaves == 0 {
-                return Err(DropReason::Malformed);
-            }
-            Ok(RelayPresig::Root {
-                root: *root,
-                leaves: *leaves,
-            })
-        }
-        PreSignature::MerkleForest(trees) => forest_presig(
-            trees
-                .iter()
-                .map(|t| PreSignatureTree {
-                    root: t.root,
-                    leaves: t.leaves,
-                })
-                .collect(),
-        ),
-    }
-}
-
-/// Buffer an S1's pre-signature for later S2 verification (borrowed
-/// body). The buffered state must outlive the datagram, so this is where
-/// the relay's one deliberate S1 copy happens.
-fn presig_from_view(presig: &alpha_wire::PreSignatureView<'_>) -> Result<RelayPresig, DropReason> {
-    use alpha_wire::PreSignatureView;
+/// Buffer an S1's pre-signature for later S2 verification. The buffered
+/// state must outlive the datagram, so this is where the relay's one
+/// deliberate S1 copy happens.
+fn presig_from_view(presig: &PreSignatureView<'_>) -> Result<RelayPresig, DropReason> {
     match presig {
         PreSignatureView::Cumulative(macs) => Ok(RelayPresig::Macs(macs.to_vec())),
         PreSignatureView::MerkleRoot { root, leaves } => {
@@ -901,14 +829,14 @@ fn forest_presig(trees: Vec<PreSignatureTree>) -> Result<RelayPresig, DropReason
     })
 }
 
-/// The S1 logic shared by the owned and borrowed observe paths.
+/// The S1 judgment.
 fn s1_parts(
     a: &mut RelayAssociation,
     chain_index: u64,
     element: &Digest,
     wire_len: usize,
     now: Timestamp,
-    build_presig: impl FnOnce() -> Result<RelayPresig, DropReason>,
+    presig: &PreSignatureView<'_>,
 ) -> RelayDecision {
     // Authenticate the chain element *before* charging the rate
     // limiter: forged S1 floods die at the (cheap, skip-bounded)
@@ -950,7 +878,7 @@ fn s1_parts(
     if !a.limiter.allow(wire_len as u64, now) {
         return RelayDecision::Drop(DropReason::RateLimited);
     }
-    let fresh = match build_presig() {
+    let fresh = match presig_from_view(presig) {
         Ok(p) => p,
         Err(reason) => return RelayDecision::Drop(reason),
     };
@@ -974,7 +902,7 @@ fn s1_parts(
     RelayDecision::Forward
 }
 
-/// The A1 logic shared by the owned and borrowed observe paths.
+/// The A1 judgment.
 fn a1_parts(
     a: &mut RelayAssociation,
     chain_index: u64,
@@ -1277,11 +1205,10 @@ fn s2_finish(
     })
 }
 
-/// The S2 verification logic shared by the owned and borrowed observe
-/// paths, recomposed from the three phases. Takes slices end-to-end: no
-/// allocation happens here regardless of which decode produced the
-/// fields.
-#[allow(clippy::too_many_arguments)] // one call site per decode path
+/// The single-shot S2 judgment, recomposed from the three phases. Takes
+/// fields rather than a view because `observe_s2_one` reaches it with a
+/// batch item; slices end-to-end, so no allocation happens here.
+#[allow(clippy::too_many_arguments)] // one S2's fields, from a view or a batch item
 fn s2_parts(
     cfg: &RelayConfig,
     a: &mut RelayAssociation,
@@ -1304,13 +1231,15 @@ fn s2_parts(
     }
 }
 
-/// The A2 verification logic shared by the owned and borrowed observe
-/// paths. Returns the verified `(seq, ack)` verdicts.
+/// The A2 judgment. Returns the verified `(seq, ack)` verdicts. AMT
+/// items are copied out of the datagram one at a time, and only once the
+/// chain element is accepted and a commitment is buffered: a forged A2
+/// costs its chain check, whatever it claims to disclose.
 fn a2_parts(
     a: &mut RelayAssociation,
     chain_index: u64,
     element: &Digest,
-    disclosure: &A2Disclosure,
+    disclosure: &A2DisclosureView<'_>,
 ) -> Result<Vec<(u32, bool)>, DropReason> {
     let alg = a.alg;
     let mut dir = None;
@@ -1336,7 +1265,7 @@ fn a2_parts(
     };
     let mut verdicts = Vec::new();
     match (&ex.commit, disclosure) {
-        (Some(RelayCommit::Flat(pair)), A2Disclosure::Flat { ack, secret }) => {
+        (Some(RelayCommit::Flat(pair)), A2DisclosureView::Flat { ack, secret }) => {
             let d = alpha_crypto::preack::AckDisclosure {
                 ack: *ack,
                 secret: *secret,
@@ -1346,13 +1275,13 @@ fn a2_parts(
             }
             verdicts.push((0, *ack));
         }
-        (Some(RelayCommit::Amt { root, leaves }), A2Disclosure::Amt(items)) => {
-            for item in items {
+        (Some(RelayCommit::Amt { root, leaves }), A2DisclosureView::Amt(items)) => {
+            for item in items.iter() {
                 match alpha_crypto::amt::verify_disclosure(
                     alg,
                     element,
                     *leaves as usize,
-                    item,
+                    &item,
                     root,
                 ) {
                     None => return Err(DropReason::BadVerdict),

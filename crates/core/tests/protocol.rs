@@ -594,6 +594,62 @@ fn relay_verifies_verdicts() {
         .any(|e| matches!(e, RelayEvent::VerifiedVerdict { ack: true, .. })));
 }
 
+/// AMT verdicts (§3.3.3) through the relay: each disclosure verifies
+/// against the buffered AMT root and surfaces with its own packet index;
+/// a disclosure that does not verify is a bad verdict, and an A2 whose
+/// chain element is forged is turned away on the element alone.
+#[test]
+fn relay_verifies_amt_verdicts_per_packet() {
+    let c = cfg(Algorithm::Sha1).with_reliability(Reliability::Reliable);
+    let (mut alice, mut bob, mut relay, mut r) = relayed_pair(c, 27);
+    let msgs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 8]).collect();
+    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+    let s1 = alice.sign_batch(&refs, Mode::Merkle, T0).unwrap();
+    relay.observe(&s1, T0);
+    let a1 = bob.handle(&s1, T0, &mut r).unwrap().packet().unwrap();
+    relay.observe(&a1, T0);
+    let s2s = alice.handle(&a1, T0, &mut r).unwrap().packets;
+    for (want, s2) in [(2u32, &s2s[2]), (0, &s2s[0])] {
+        relay.observe(s2, T0);
+        let a2 = bob.handle(s2, T0, &mut r).unwrap().packets.remove(0);
+
+        let mut forged = a2.clone();
+        let Body::A2 { element, .. } = &mut forged.body else {
+            panic!("expected A2");
+        };
+        *element = Algorithm::Sha1.hash(b"not on the chain");
+        assert_eq!(
+            relay.observe(&forged, T0).0,
+            RelayDecision::Drop(DropReason::BadChainElement)
+        );
+
+        let (dec, events) = relay.observe(&a2, T0);
+        assert_eq!(dec, RelayDecision::Forward);
+        assert_eq!(
+            events,
+            vec![RelayEvent::VerifiedVerdict {
+                assoc_id: 9,
+                seq: want,
+                ack: true
+            }]
+        );
+
+        let mut flipped = a2;
+        let Body::A2 {
+            disclosure: alpha_wire::A2Disclosure::Amt(items),
+            ..
+        } = &mut flipped.body
+        else {
+            panic!("expected AMT disclosure");
+        };
+        items[0].ack = false;
+        assert_eq!(
+            relay.observe(&flipped, T0),
+            (RelayDecision::Drop(DropReason::BadVerdict), Vec::new())
+        );
+    }
+}
+
 #[test]
 fn relay_unknown_association_policy() {
     let (mut alice, mut bob, _relay, mut r) = relayed_pair(cfg(Algorithm::Sha1), 25);
@@ -610,6 +666,41 @@ fn relay_unknown_association_policy() {
     );
     let mut loose = Relay::new(RelayConfig::default());
     assert_eq!(loose.observe(&s1, T0).0, RelayDecision::Forward);
+}
+
+/// `Relay::observe` judges an owned packet through its wire encoding. A
+/// packet no relay could receive — its encoding is one the decoder
+/// rejects — is malformed whether or not the relay knows the association,
+/// and the genuine S1 behind it still passes.
+#[test]
+fn relay_drops_owned_packets_the_decoder_rejects() {
+    use alpha_wire::PreSignature;
+    let (mut alice, _bob, mut relay, _r) = relayed_pair(cfg(Algorithm::Sha1), 26);
+    let s1 = alice.sign(b"x", T0).unwrap();
+    let Body::S1 { element, .. } = s1.body else {
+        panic!("expected S1");
+    };
+    let mut stranger = Relay::new(RelayConfig::default());
+    for presig in [
+        PreSignature::MerkleRoot {
+            root: element,
+            leaves: 0,
+        },
+        PreSignature::Cumulative(Vec::new()),
+    ] {
+        let bad = alpha_wire::Packet {
+            body: Body::S1 { element, presig },
+            ..s1.clone()
+        };
+        assert!(alpha_wire::Packet::parse(&bad.emit()).is_err());
+        for relay in [&mut relay, &mut stranger] {
+            assert_eq!(
+                relay.observe(&bad, T0),
+                (RelayDecision::Drop(DropReason::Malformed), Vec::new())
+            );
+        }
+    }
+    assert_eq!(relay.observe(&s1, T0).0, RelayDecision::Forward);
 }
 
 // ---------------------------------------------------------------------

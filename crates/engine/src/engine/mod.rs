@@ -451,10 +451,16 @@ impl EngineCore {
             many => {
                 for chunk in many.chunks(MAX_BUNDLE) {
                     let mut frame = self.pool.checkout();
-                    // Allowlist: `chunks` yields 1..=MAX_BUNDLE packets,
-                    // so the count limits cannot trip.
-                    bundle::emit_into(chunk, frame.buf_mut()).expect("chunked within limits");
-                    self.push_datagram(out, dst, frame);
+                    // `chunks` yields 1..=MAX_BUNDLE packets, so only a
+                    // packet longer than the bundle's u16 length prefix
+                    // (a 64 KiB S2) can be refused; the frame is then as
+                    // checked out and the chunk goes out unbundled.
+                    match bundle::emit_into(chunk, frame.buf_mut()) {
+                        Ok(()) => self.push_datagram(out, dst, frame),
+                        Err(_) => chunk
+                            .iter()
+                            .for_each(|p| self.push_packets(out, dst, std::slice::from_ref(p))),
+                    }
                 }
             }
         }

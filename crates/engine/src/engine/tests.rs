@@ -89,6 +89,32 @@ fn connect_accept_and_exchange_in_memory() {
     assert_eq!(client.metrics().rtt_us.count(), 1, "RTT sampled");
 }
 
+/// A bundle's `u16` length prefix cannot frame a maximum-payload S2, so
+/// a batch of them goes out one packet per datagram instead of
+/// mis-framed (or not at all).
+#[test]
+fn packets_too_long_for_a_bundle_go_out_unbundled() {
+    let client = EngineCore::new(cfg());
+    let server = EngineCore::new(cfg());
+    let (ca, sa) = (addr(1000), addr(2000));
+    let mut rng = StdRng::seed_from_u64(8);
+    let now = Timestamp::from_millis(1);
+    let (key, out) = client.connect(sa, 42, now, &mut rng);
+    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+
+    let big = vec![0x5A; alpha_wire::limits::MAX_PAYLOAD];
+    let out = client
+        .sign_batch(key, &[&big, &big], Mode::Cumulative, now)
+        .expect("sign");
+    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let delivered: Vec<&[u8]> = from_server
+        .delivered
+        .iter()
+        .map(|d| d.2.as_slice())
+        .collect();
+    assert_eq!(delivered, [&big[..], &big[..]]);
+}
+
 #[test]
 fn owned_steady_state_s2_path_zero_contended_locks() {
     // The share-nothing claim, pinned: when the receiving worker

@@ -6,10 +6,11 @@
 //! the node layer only moves frames and timestamps around.
 
 use alpha_core::{
-    bootstrap, Association, Config, Mode, Relay, RelayConfig, RelayDecision, RelayEvent, Timestamp,
+    bootstrap, Association, Config, Mode, Relay, RelayConfig, RelayDecision, Timestamp,
 };
 use alpha_crypto::Digest;
-use alpha_wire::Packet;
+use alpha_wire::limits::MAX_BUNDLE;
+use alpha_wire::{bundle, Packet, PacketType, PacketView};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -51,12 +52,14 @@ impl NodeOutput {
             [] => {}
             [one] => self.send(src, dst, one),
             many => {
-                for chunk in many.chunks(alpha_wire::limits::MAX_BUNDLE) {
-                    // Allowlist: `chunks` yields 1..=MAX_BUNDLE packets,
-                    // so the count limits cannot trip.
-                    let bytes =
-                        alpha_wire::bundle::emit(chunk).expect("chunked within bundle limits");
-                    self.frames.push(Frame { src, dst, bytes });
+                for chunk in many.chunks(MAX_BUNDLE) {
+                    // `chunks` yields 1..=MAX_BUNDLE packets, so only a
+                    // packet longer than the bundle's u16 length prefix
+                    // can be refused: that chunk goes out unbundled.
+                    match bundle::emit(chunk) {
+                        Ok(bytes) => self.frames.push(Frame { src, dst, bytes }),
+                        Err(_) => chunk.iter().for_each(|p| self.send(src, dst, p)),
+                    }
                 }
             }
         }
@@ -511,24 +514,31 @@ impl RelayNode {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: Frame, out: &mut NodeOutput) {
-        // Bundles are verified packet by packet; only the packets that pass
-        // are re-bundled and forwarded (a bundle is not an all-or-nothing
-        // unit — each inner packet stands on its own authentication).
-        let Ok(pkts) = alpha_wire::bundle::parse(&frame.bytes) else {
+        // The engine's relay steps (`engine/relay.rs`): split, decode
+        // each slice as a view, judge it, splice what passed into the
+        // outgoing frame. Bundles are verified packet by packet — a bundle
+        // is not an all-or-nothing unit, each inner packet stands on its
+        // own authentication — but one undecodable slice drops the frame.
+        let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
+        let views = bundle::split(&frame.bytes, &mut slices).and_then(|n| {
+            slices[..n]
+                .iter()
+                .map(|s| PacketView::parse(s))
+                .collect::<Result<Vec<_>, _>>()
+        });
+        let Ok(views) = views else {
             ctx.metrics.parse_errors += 1;
             ctx.metrics.drop_reason("parse-error");
             return;
         };
-        let mut pass = Vec::with_capacity(pkts.len());
-        for pkt in pkts {
-            let (decision, events) = self.relay.observe(&pkt, ctx.now);
-            for ev in events {
-                if matches!(ev, RelayEvent::VerifiedPayload { .. }) {
-                    ctx.metrics.extracted_payloads += 1;
-                }
+        let mut pass = Vec::with_capacity(views.len());
+        for (view, slice) in views.iter().zip(slices) {
+            let (decision, outcome) = self.relay.observe_view(view, slice.len(), ctx.now);
+            if outcome.verified_s2.is_some() {
+                ctx.metrics.extracted_payloads += 1;
             }
             match decision {
-                RelayDecision::Forward => pass.push(pkt),
+                RelayDecision::Forward => pass.push(slice),
                 RelayDecision::Drop(reason) => {
                     ctx.metrics.drop_reason(drop_reason_str(reason));
                 }
@@ -536,13 +546,11 @@ impl RelayNode {
         }
         if !pass.is_empty() {
             ctx.metrics.forwarded += 1;
-            let bytes = if pass.len() == 1 {
-                pass[0].emit()
-            } else {
-                // Allowlist: `pass` holds 1..=MAX_BUNDLE packets out of
-                // one parsed bundle, so re-emitting cannot trip limits.
-                alpha_wire::bundle::emit(&pass).expect("re-bundle within limits")
-            };
+            let mut bytes = Vec::new();
+            // Allowlist: `pass` holds 1..=MAX_BUNDLE slices, and several
+            // of them came out of one bundle frame, so each length
+            // already fit the u16 prefix.
+            bundle::emit_slices_into(&pass, &mut bytes).expect("valid re-bundle");
             out.frames.push(Frame {
                 src: frame.src,
                 dst: frame.dst,
@@ -932,8 +940,8 @@ impl Attacker {
                 tampered,
             } => {
                 let mut frame = frame;
-                if let Ok(pkt) = Packet::parse(&frame.bytes) {
-                    if matches!(pkt.body, alpha_wire::Body::S2 { .. })
+                if let Ok(view) = PacketView::parse(&frame.bytes) {
+                    if view.packet_type() == PacketType::S2
                         && rand::Rng::gen_bool(ctx.rng, probability.clamp(0.0, 1.0))
                     {
                         // Flip a byte near the end (payload region).

@@ -7,7 +7,7 @@
 //! experiment post-processing).
 
 use alpha_core::Timestamp;
-use alpha_wire::{Body, Packet};
+use alpha_wire::{PacketType, PacketView};
 use serde::{Deserialize, Serialize};
 
 use crate::sim::NodeId;
@@ -251,14 +251,12 @@ impl Trace {
                 PacketKind::Unparseable
             };
         }
-        match Packet::parse(bytes) {
-            Ok(pkt) => match pkt.body {
-                Body::S1 { .. } => PacketKind::S1,
-                Body::A1 { .. } => PacketKind::A1,
-                Body::S2 { .. } => PacketKind::S2,
-                Body::A2 { .. } => PacketKind::A2,
-                Body::Handshake(_) => PacketKind::Handshake,
-            },
+        match PacketView::parse(bytes).map(|v| v.packet_type()) {
+            Ok(PacketType::S1) => PacketKind::S1,
+            Ok(PacketType::A1) => PacketKind::A1,
+            Ok(PacketType::S2) => PacketKind::S2,
+            Ok(PacketType::A2) => PacketKind::A2,
+            Ok(PacketType::Hs1 | PacketType::Hs2) => PacketKind::Handshake,
             Err(_) => PacketKind::Unparseable,
         }
     }

@@ -12,10 +12,13 @@
 //! | **A2** | verifier → signer | disclosed ack-chain element + verdict disclosure(s) |
 //! | **HS1/HS2** | both | bootstrap handshake: hash-chain anchors, optionally signed with a public key (§3.4) |
 //!
-//! Every packet is parsed by *relays that trust nothing*: parsing is
-//! allocation-bounded ([`limits`]), rejects trailing bytes, and returns
-//! typed [`Error`]s instead of panicking on any input. Round-tripping
-//! (`emit` → `parse`) is exercised by unit and property tests.
+//! Every packet is parsed by *relays that trust nothing*: the crate's
+//! one decoder, [`PacketView::parse`], never allocates, bounds every
+//! claimed count ([`limits`]), rejects trailing bytes, and returns typed
+//! [`Error`]s instead of panicking on any input; [`Packet::parse`] is
+//! that view copied out. Round-tripping (`emit` → `parse`) and its
+//! converse (accepted bytes re-encode to themselves) are exercised by
+//! unit and property tests.
 
 mod cursor;
 mod packet;

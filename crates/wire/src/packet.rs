@@ -16,8 +16,9 @@
 //! verifiers and relays catch up over lost packets by hashing forward,
 //! instead of discarding everything after a gap.
 
-use crate::cursor::{Reader, Writer};
-use crate::{limits, Error};
+use crate::cursor::Writer;
+use crate::view::PacketView;
+use crate::Error;
 use alpha_crypto::amt::{AmtDisclosure, SECRET_LEN};
 use alpha_crypto::{Algorithm, Digest};
 
@@ -63,15 +64,23 @@ pub mod bundle {
     }
 
     /// [`emit`] into a caller-supplied buffer (appended; callers clear
-    /// between frames to reuse the allocation).
+    /// between frames to reuse the allocation). Like
+    /// [`emit_slices_into`], a packet too long for the `u16` length
+    /// prefix is [`Error::LimitExceeded`]; `out` is as it was found on
+    /// error.
     pub fn emit_into(packets: &[Packet], out: &mut Vec<u8>) -> Result<(), Error> {
         if !(1..=limits::MAX_BUNDLE).contains(&packets.len()) {
             return Err(Error::LimitExceeded);
         }
+        let start = out.len();
         out.push(BUNDLE_TAG);
         out.push(packets.len() as u8);
         for p in packets {
-            out.extend_from_slice(&(p.wire_len() as u16).to_be_bytes());
+            let Ok(len) = u16::try_from(p.wire_len()) else {
+                out.truncate(start);
+                return Err(Error::LimitExceeded);
+            };
+            out.extend_from_slice(&len.to_be_bytes());
             p.encode_into(out);
         }
         Ok(())
@@ -143,32 +152,13 @@ pub mod bundle {
     }
 
     /// Parse a frame that may be either a bundle or a single packet;
-    /// returns the contained packets in order.
+    /// returns the contained packets in order. [`split`], then
+    /// [`Packet::parse`] per slice — the engine's order, so a framing
+    /// error is reported ahead of an inner packet's.
     pub fn parse(frame: &[u8]) -> Result<Vec<Packet>, Error> {
-        if frame.first() != Some(&BUNDLE_TAG) {
-            return Packet::parse(frame).map(|p| vec![p]);
-        }
-        let count = *frame.get(1).ok_or(Error::Truncated)? as usize;
-        if count == 0 || count > limits::MAX_BUNDLE {
-            return Err(Error::LimitExceeded);
-        }
-        let mut rest = &frame[2..];
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            if rest.len() < 2 {
-                return Err(Error::Truncated);
-            }
-            let len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-            if rest.len() < 2 + len {
-                return Err(Error::Truncated);
-            }
-            out.push(Packet::parse(&rest[2..2 + len])?);
-            rest = &rest[2 + len..];
-        }
-        if !rest.is_empty() {
-            return Err(Error::TrailingBytes);
-        }
-        Ok(out)
+        let mut slices: [&[u8]; limits::MAX_BUNDLE] = [&[]; limits::MAX_BUNDLE];
+        let n = split(frame, &mut slices)?;
+        slices[..n].iter().map(|s| Packet::parse(s)).collect()
     }
 }
 
@@ -551,200 +541,11 @@ impl Packet {
             }
     }
 
-    /// Parse a packet; rejects any malformed, oversized, or trailing input.
+    /// Parse a packet; rejects any malformed, oversized, or trailing
+    /// input. The decoding is [`PacketView::parse`]'s — this only copies
+    /// the borrowed regions out.
     pub fn parse(buf: &[u8]) -> Result<Packet, Error> {
-        let mut r = Reader::new(buf);
-        if r.u16()? != MAGIC {
-            return Err(Error::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(Error::BadVersion(version));
-        }
-        let ptype = r.u8()?;
-        let alg = parse_alg(r.u8()?)?;
-        let assoc_id = r.u64()?;
-        let chain_index = r.u64()?;
-        let body = match ptype {
-            1 => {
-                let element = r.digest(alg)?;
-                let presig = match r.u8()? {
-                    1 => {
-                        let count = r.u16()? as usize;
-                        if count == 0 || count > limits::MAX_PRESIGS {
-                            return Err(Error::LimitExceeded);
-                        }
-                        PreSignature::Cumulative(r.digests(alg, count)?)
-                    }
-                    2 => {
-                        let leaves = r.u32()?;
-                        if leaves == 0 || leaves > limits::MAX_LEAVES {
-                            return Err(Error::LimitExceeded);
-                        }
-                        PreSignature::MerkleRoot {
-                            root: r.digest(alg)?,
-                            leaves,
-                        }
-                    }
-                    3 => {
-                        let count = r.u16()? as usize;
-                        if count == 0 || count > limits::MAX_PRESIGS {
-                            return Err(Error::LimitExceeded);
-                        }
-                        let mut trees = Vec::with_capacity(count.min(64));
-                        let mut total: u64 = 0;
-                        for _ in 0..count {
-                            let leaves = r.u32()?;
-                            if leaves == 0 {
-                                return Err(Error::Malformed);
-                            }
-                            total += u64::from(leaves);
-                            if total > u64::from(limits::MAX_LEAVES) {
-                                return Err(Error::LimitExceeded);
-                            }
-                            trees.push(TreeDescriptor {
-                                root: r.digest(alg)?,
-                                leaves,
-                            });
-                        }
-                        PreSignature::MerkleForest(trees)
-                    }
-                    d => return Err(Error::BadDiscriminant(d)),
-                };
-                Body::S1 { element, presig }
-            }
-            2 => {
-                let element = r.digest(alg)?;
-                let commit = match r.u8()? {
-                    0 => AckCommit::None,
-                    1 => AckCommit::Flat {
-                        pre_ack: r.digest(alg)?,
-                        pre_nack: r.digest(alg)?,
-                    },
-                    2 => {
-                        let leaves = r.u32()?;
-                        if leaves == 0 || leaves > limits::MAX_LEAVES {
-                            return Err(Error::LimitExceeded);
-                        }
-                        AckCommit::Amt {
-                            root: r.digest(alg)?,
-                            leaves,
-                        }
-                    }
-                    d => return Err(Error::BadDiscriminant(d)),
-                };
-                Body::A1 { element, commit }
-            }
-            3 => {
-                let key = r.digest(alg)?;
-                let seq = r.u32()?;
-                let path_len = r.u8()? as usize;
-                if path_len > limits::MAX_PATH {
-                    return Err(Error::LimitExceeded);
-                }
-                let path = r.digests(alg, path_len)?;
-                let payload_len = r.u16()? as usize;
-                if payload_len > limits::MAX_PAYLOAD {
-                    return Err(Error::LimitExceeded);
-                }
-                let payload = r.take(payload_len)?.to_vec();
-                Body::S2 {
-                    key,
-                    seq,
-                    path,
-                    payload,
-                }
-            }
-            4 => {
-                let element = r.digest(alg)?;
-                let disclosure = match r.u8()? {
-                    1 => {
-                        let ack = parse_bool(r.u8()?)?;
-                        let mut secret = [0u8; SECRET_LEN];
-                        secret.copy_from_slice(r.take(SECRET_LEN)?);
-                        A2Disclosure::Flat { ack, secret }
-                    }
-                    2 => {
-                        let count = r.u16()? as usize;
-                        if count == 0 || count > limits::MAX_DISCLOSURES {
-                            return Err(Error::LimitExceeded);
-                        }
-                        let mut items = Vec::with_capacity(count.min(64));
-                        for _ in 0..count {
-                            let packet_index = r.u32()?;
-                            let ack = parse_bool(r.u8()?)?;
-                            let mut secret = [0u8; SECRET_LEN];
-                            secret.copy_from_slice(r.take(SECRET_LEN)?);
-                            let path_len = r.u8()? as usize;
-                            if path_len > limits::MAX_PATH {
-                                return Err(Error::LimitExceeded);
-                            }
-                            let path = r.digests(alg, path_len)?;
-                            items.push(AmtDisclosure {
-                                packet_index,
-                                ack,
-                                secret,
-                                path,
-                            });
-                        }
-                        A2Disclosure::Amt(items)
-                    }
-                    d => return Err(Error::BadDiscriminant(d)),
-                };
-                Body::A2 {
-                    element,
-                    disclosure,
-                }
-            }
-            t @ (5 | 6) => {
-                let sig_anchor_index = r.u64()?;
-                let sig_anchor = r.digest(alg)?;
-                let ack_anchor_index = r.u64()?;
-                let ack_anchor = r.digest(alg)?;
-                let auth = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let scheme = r.u8()?;
-                        let klen = r.u16()? as usize;
-                        if klen > limits::MAX_AUTH_BLOB {
-                            return Err(Error::LimitExceeded);
-                        }
-                        let public_key = r.take(klen)?.to_vec();
-                        let slen = r.u16()? as usize;
-                        if slen > limits::MAX_AUTH_BLOB {
-                            return Err(Error::LimitExceeded);
-                        }
-                        let signature = r.take(slen)?.to_vec();
-                        Some(HandshakeAuth {
-                            scheme,
-                            public_key,
-                            signature,
-                        })
-                    }
-                    d => return Err(Error::BadDiscriminant(d)),
-                };
-                Body::Handshake(Handshake {
-                    role: if t == 5 {
-                        HandshakeRole::Init
-                    } else {
-                        HandshakeRole::Reply
-                    },
-                    sig_anchor,
-                    sig_anchor_index,
-                    ack_anchor,
-                    ack_anchor_index,
-                    auth,
-                })
-            }
-            t => return Err(Error::UnknownType(t)),
-        };
-        r.finish()?;
-        Ok(Packet {
-            assoc_id,
-            alg,
-            chain_index,
-            body,
-        })
+        PacketView::parse(buf).map(|v| v.to_packet())
     }
 }
 
@@ -753,23 +554,6 @@ pub(crate) fn alg_tag(alg: Algorithm) -> u8 {
         Algorithm::Sha1 => 1,
         Algorithm::Sha256 => 2,
         Algorithm::MmoAes => 3,
-    }
-}
-
-pub(crate) fn parse_alg(tag: u8) -> Result<Algorithm, Error> {
-    match tag {
-        1 => Ok(Algorithm::Sha1),
-        2 => Ok(Algorithm::Sha256),
-        3 => Ok(Algorithm::MmoAes),
-        t => Err(Error::UnknownAlgorithm(t)),
-    }
-}
-
-pub(crate) fn parse_bool(b: u8) -> Result<bool, Error> {
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        d => Err(Error::BadDiscriminant(d)),
     }
 }
 
@@ -1133,6 +917,40 @@ mod bundle_tests {
             bundle::emit_slices_into(&[], &mut out),
             Err(Error::LimitExceeded)
         );
+        // A packet the u16 length prefix cannot frame: a 4096-MAC SHA-256
+        // S1 (131 KB), a maximum-payload S2. `out` stays as it was found.
+        let alg = Algorithm::Sha256;
+        let s1 = Packet {
+            assoc_id: 1,
+            alg,
+            chain_index: 1,
+            body: Body::S1 {
+                element: alg.hash(b"e"),
+                presig: PreSignature::Cumulative(vec![alg.hash(b"m"); crate::limits::MAX_PRESIGS]),
+            },
+        };
+        let s2 = Packet {
+            assoc_id: 1,
+            alg,
+            chain_index: 1,
+            body: Body::S2 {
+                key: alg.hash(b"k"),
+                seq: 0,
+                path: vec![],
+                payload: vec![0; crate::limits::MAX_PAYLOAD],
+            },
+        };
+        out.extend_from_slice(b"kept");
+        for big in [s1, s2] {
+            assert!(Packet::parse(&big.emit()).is_ok(), "legal on its own");
+            let pair = [sample(Algorithm::Sha1, 0), big];
+            assert_eq!(bundle::emit(&pair), Err(Error::LimitExceeded));
+            assert_eq!(
+                bundle::emit_into(&pair, &mut out),
+                Err(Error::LimitExceeded)
+            );
+            assert_eq!(out, b"kept");
+        }
     }
 
     #[test]

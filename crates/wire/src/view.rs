@@ -1,12 +1,15 @@
 //! Borrowed packet views: zero-copy decoding over an incoming datagram.
 //!
-//! [`PacketView::parse`] performs exactly the same validation as
-//! [`Packet::parse`] — byte for byte, error for error (the property tests
-//! assert this) — but borrows variable-length regions (pre-signature MACs,
-//! Merkle paths, payloads, handshake auth blobs) from the input buffer
-//! instead of copying them into fresh vectors. A relay forwarding an S2
+//! [`PacketView::parse`] is the crate's one decoder: every check on wire
+//! bytes happens there, and the owned [`Packet::parse`] is this view
+//! copied out ([`PacketView::to_packet`]). It borrows variable-length
+//! regions (pre-signature MACs, Merkle paths, payloads, AMT disclosures,
+//! handshake auth blobs) from the input buffer instead of copying them
+//! into fresh vectors and never allocates, so a relay forwarding an S2
 //! can verify it and splice the original bytes into the outgoing frame
-//! without a single heap allocation.
+//! without a single heap allocation. Accepted encodings are canonical —
+//! `parse(b)?.to_packet().emit() == b` — which is what lets a relay
+//! forward the slice it judged instead of a re-encoding.
 
 use crate::cursor::Reader;
 use crate::packet::{
@@ -60,7 +63,7 @@ impl<'a> DigestSlice<'a> {
             .map(Digest::from_slice)
     }
 
-    /// Copy into an owned vector (the owned-decode compatibility path).
+    /// Copy into an owned vector.
     #[must_use]
     pub fn to_vec(&self) -> Vec<Digest> {
         self.iter().collect()
@@ -393,9 +396,8 @@ impl<'a> PacketView<'a> {
         }
     }
 
-    /// Parse a packet without copying variable-length regions. Performs
-    /// the same checks as [`Packet::parse`] in the same order, so both
-    /// decoders accept the same inputs and fail with the same errors.
+    /// Parse a packet without copying variable-length regions or
+    /// allocating; rejects any malformed, oversized, or trailing input.
     pub fn parse(buf: &'a [u8]) -> Result<PacketView<'a>, Error> {
         let mut r = Reader::new(buf);
         if r.u16()? != crate::packet::MAGIC {
@@ -406,7 +408,7 @@ impl<'a> PacketView<'a> {
             return Err(Error::BadVersion(version));
         }
         let ptype = r.u8()?;
-        let alg = crate::packet::parse_alg(r.u8()?)?;
+        let alg = parse_alg(r.u8()?)?;
         let assoc_id = r.u64()?;
         let chain_index = r.u64()?;
         let dl = alg.digest_len();
@@ -437,8 +439,7 @@ impl<'a> PacketView<'a> {
                         if count == 0 || count > limits::MAX_PRESIGS {
                             return Err(Error::LimitExceeded);
                         }
-                        // Walk (and validate) the descriptors one by one
-                        // — same order of checks as the owned decoder —
+                        // Walk (and validate) the descriptors one by one,
                         // then keep the raw region.
                         let start = buf.len() - r.remaining();
                         let mut total: u64 = 0;
@@ -510,7 +511,7 @@ impl<'a> PacketView<'a> {
                 let element = r.digest(alg)?;
                 let disclosure = match r.u8()? {
                     1 => {
-                        let ack = crate::packet::parse_bool(r.u8()?)?;
+                        let ack = parse_bool(r.u8()?)?;
                         let mut secret = [0u8; SECRET_LEN];
                         secret.copy_from_slice(r.take(SECRET_LEN)?);
                         A2DisclosureView::Flat { ack, secret }
@@ -520,11 +521,14 @@ impl<'a> PacketView<'a> {
                         if count == 0 || count > limits::MAX_DISCLOSURES {
                             return Err(Error::LimitExceeded);
                         }
-                        // Validate every item once; iteration re-walks
+                        // Validate every item once, by length — a relay
+                        // may reject this packet on its chain element, so
+                        // nothing is materialised here; iteration re-walks
                         // the kept region.
                         let start = buf.len() - r.remaining();
                         for _ in 0..count {
-                            parse_amt_item(&mut r, alg)?;
+                            let (.., path_len) = amt_item_head(&mut r)?;
+                            r.take(path_len * dl)?;
                         }
                         let end = buf.len() - r.remaining();
                         A2DisclosureView::Amt(AmtSlice {
@@ -592,22 +596,46 @@ impl<'a> PacketView<'a> {
     }
 }
 
-/// Parse one AMT disclosure item (shared by validation and iteration).
-fn parse_amt_item(r: &mut Reader<'_>, alg: Algorithm) -> Result<AmtDisclosure, Error> {
+fn parse_alg(tag: u8) -> Result<Algorithm, Error> {
+    match tag {
+        1 => Ok(Algorithm::Sha1),
+        2 => Ok(Algorithm::Sha256),
+        3 => Ok(Algorithm::MmoAes),
+        t => Err(Error::UnknownAlgorithm(t)),
+    }
+}
+
+fn parse_bool(b: u8) -> Result<bool, Error> {
+    match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        d => Err(Error::BadDiscriminant(d)),
+    }
+}
+
+/// The fixed fields of one AMT disclosure item — packet index, verdict
+/// flag, secret — and the length of the path that follows them.
+fn amt_item_head(r: &mut Reader<'_>) -> Result<(u32, bool, [u8; SECRET_LEN], usize), Error> {
     let packet_index = r.u32()?;
-    let ack = crate::packet::parse_bool(r.u8()?)?;
+    let ack = parse_bool(r.u8()?)?;
     let mut secret = [0u8; SECRET_LEN];
     secret.copy_from_slice(r.take(SECRET_LEN)?);
     let path_len = r.u8()? as usize;
     if path_len > limits::MAX_PATH {
         return Err(Error::LimitExceeded);
     }
-    let path = r.digests(alg, path_len)?;
+    Ok((packet_index, ack, secret, path_len))
+}
+
+/// Copy one AMT disclosure item out of a region [`PacketView::parse`]
+/// already validated ([`AmtSlice::iter`]).
+fn parse_amt_item(r: &mut Reader<'_>, alg: Algorithm) -> Result<AmtDisclosure, Error> {
+    let (packet_index, ack, secret, path_len) = amt_item_head(r)?;
     Ok(AmtDisclosure {
         packet_index,
         ack,
         secret,
-        path,
+        path: r.digests(alg, path_len)?,
     })
 }
 
@@ -735,26 +763,55 @@ mod tests {
     }
 
     #[test]
-    fn truncation_errors_match_owned() {
+    fn amt_items_are_validated_by_length_with_the_decoder_errors() {
         let alg = Algorithm::Sha1;
-        let p = Packet {
+        let items: Vec<AmtDisclosure> = (0..3u32)
+            .map(|i| AmtDisclosure {
+                packet_index: i,
+                ack: i % 2 == 0,
+                secret: [i as u8; SECRET_LEN],
+                path: (0..i).map(|j| d(alg, &format!("p{i}{j}"))).collect(),
+            })
+            .collect();
+        let bytes = Packet {
             assoc_id: 1,
             alg,
             chain_index: 5,
-            body: Body::S2 {
-                key: d(alg, "k"),
-                seq: 1,
-                path: vec![d(alg, "p")],
-                payload: b"data".to_vec(),
+            body: Body::A2 {
+                element: d(alg, "e"),
+                disclosure: A2Disclosure::Amt(items.clone()),
             },
+        }
+        .emit();
+        let BodyView::A2 {
+            disclosure: A2DisclosureView::Amt(slice),
+            ..
+        } = PacketView::parse(&bytes).unwrap().body
+        else {
+            panic!("AMT view");
         };
-        let bytes = p.emit();
+        assert_eq!(slice.len(), 3);
+        assert_eq!(slice.to_vec(), items);
         for cut in 0..bytes.len() {
             assert_eq!(
                 PacketView::parse(&bytes[..cut]).unwrap_err(),
-                Packet::parse(&bytes[..cut]).unwrap_err(),
+                Error::Truncated,
                 "cut={cut}"
             );
         }
+        // First item: header 21 + element 20 + tag 1 + count 2, then
+        // index 4, verdict flag 1, secret 16, path length 1.
+        let flag = 21 + 20 + 1 + 2 + 4;
+        let mut bad = bytes.clone();
+        bad[flag] = 2;
+        assert_eq!(PacketView::parse(&bad), Err(Error::BadDiscriminant(2)));
+        let path_len = flag + 1 + SECRET_LEN;
+        let mut bad = bytes.clone();
+        bad[path_len] = (limits::MAX_PATH + 1) as u8;
+        assert_eq!(PacketView::parse(&bad), Err(Error::LimitExceeded));
+        // A longer (in-limit) path than the bytes hold is a truncation,
+        // not an allocation.
+        bad[path_len] = limits::MAX_PATH as u8;
+        assert_eq!(PacketView::parse(&bad), Err(Error::Truncated));
     }
 }
