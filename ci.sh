@@ -21,11 +21,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # On a SHA-NI host auto-detection never runs the lanes4 tier, and the
 # streaming hasher and chain walker follow the process-wide backend, so
-# each tier is forced in turn.
-echo "==> digest backend equivalence, padding and chain-walker suites (forced scalar, forced lanes4, then auto-detected)"
+# each tier is forced in turn. The chain-walker suite also holds the
+# frozen-checkpoint properties (a thaw hashes nothing, the walk from the
+# seed happens once and late, one walk per disclosed pair); its test
+# count is checked so that a renamed or filtered-out property fails the
+# step instead of passing with fewer tests.
+echo "==> digest backend equivalence, padding and chain-walker (incl. frozen-checkpoint) suites (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
-        --test backend_props --test padding --test chain_walker
+        --test backend_props --test padding
+    walker=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
+        --test chain_walker) || { echo "$walker"; exit 1; }
+    echo "$walker"
+    case "$walker" in
+        *"running 6 tests"*) ;;
+        *) echo "ci: the chain_walker suite did not run its 6 tests under $backend" >&2; exit 1 ;;
+    esac
 done
 
 echo "==> digest throughput bench smoke (release, --quick)"
@@ -73,10 +84,10 @@ cargo run --release --example mesh_smoke
 echo "==> mesh chain bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin mesh_chain -- --quick
 
-echo "==> hibernation: freeze/thaw decision-identity properties"
+echo "==> hibernation: freeze/thaw decision-identity properties (incl. a flow frozen after each of 500 exchanges)"
 cargo test -q -p alpha-core --test freeze_thaw
 
-echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms)"
+echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms; records carry one checkpoint per sqrt chain)"
 cargo run --release -p alpha-bench --bin flow_density -- --quick
 
 # The driver builds benchmark/ against crates/ as they are; an API break

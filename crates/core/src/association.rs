@@ -318,9 +318,9 @@ impl Association {
     #[must_use]
     pub fn thaw(cfg: Config, frozen: &crate::freeze::FrozenAssociation) -> Association {
         debug_assert_eq!(cfg.algorithm, frozen.alg);
-        // Both own chains rebuild in one two-lane walk, whatever their
-        // storage layout — chain re-derivation dominates the wake
-        // latency of a hibernated flow.
+        // √n-checkpointed chains resume from the checkpoint their record
+        // carries and hash nothing here; the other layouts rebuild, both
+        // chains in one two-lane walk.
         let (sig_chain, ack_chain) =
             FrozenChain::thaw_pair(&frozen.signer.chain, &frozen.verifier.ack_chain);
         Association {

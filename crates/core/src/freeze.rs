@@ -1,12 +1,15 @@
 //! Freezing an idle association into a compact record and thawing it back.
 //!
-//! A hibernated flow keeps only what cannot be re-derived: chain cursors
-//! and the seed hash (the [`alpha_crypto::chain::FrozenChain`] form — no
-//! element vectors, no pebbles), the peer-chain verifier positions, and —
-//! when the flow slept mid-bundle — the verifier's buffered exchange(s)
-//! including pre-signatures and undisclosed acknowledgment secrets. Thawing
-//! rebuilds the full channel state machines; every subsequent packet takes
-//! exactly the decisions a never-frozen association would have taken.
+//! A hibernated flow keeps what cannot be re-derived — chain cursors and
+//! the seed hash (the [`alpha_crypto::chain::FrozenChain`] form — no
+//! element vectors, no pebbles), the peer-chain verifier positions, and,
+//! when the flow slept mid-bundle, the verifier's buffered exchange(s)
+//! including pre-signatures and undisclosed acknowledgment secrets — plus
+//! one digest per √n-checkpointed chain that could be: the checkpoint
+//! under its cursor, so that waking hashes nothing before the datagram
+//! that caused it has been verified. Thawing rebuilds the full channel
+//! state machines; every subsequent packet takes exactly the decisions a
+//! never-frozen association would have taken.
 //!
 //! The signer side must be idle (no exchange outstanding) to freeze: an
 //! in-flight S1/S2 burst holds message payloads and Merkle trees whose
@@ -97,8 +100,9 @@ pub struct FrozenAssociation {
     pub(crate) verifier: FrozenVerifier,
 }
 
-/// Byte-layout version tag; bump on any layout change.
-const VERSION: u8 = 1;
+/// Byte-layout version tag; bump on any layout change. Version 2 added
+/// the optional checkpoint to each chain.
+const VERSION: u8 = 2;
 
 impl FrozenAssociation {
     /// Association identifier of the frozen flow.
@@ -116,7 +120,14 @@ impl FrozenAssociation {
     /// Serialize to the compact record held by the hibernation store.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the record [`FrozenAssociation::encode`] returns to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer { buf: out };
         w.u8(VERSION);
         w.u8(alg_code(self.alg));
         w.u64(self.assoc_id);
@@ -130,7 +141,6 @@ impl FrozenAssociation {
         w.u8(u8::from(self.verifier.accepting));
         encode_opt_exchange(&mut w, self.verifier.current.as_ref());
         encode_opt_exchange(&mut w, self.verifier.previous.as_ref());
-        w.buf
     }
 
     /// Parse a record produced by [`FrozenAssociation::encode`]. Returns
@@ -213,11 +223,18 @@ fn storage_from_code(code: u8) -> Option<StorageKind> {
     }
 }
 
-fn encode_chain(w: &mut Writer, c: &FrozenChain) {
+fn encode_chain(w: &mut Writer<'_>, c: &FrozenChain) {
     w.u8(storage_code(c.storage));
     w.u64(c.len);
     w.u64(c.next);
     w.digest(&c.seed_hash);
+    match &c.checkpoint {
+        None => w.u8(0),
+        Some(checkpoint) => {
+            w.u8(1);
+            w.digest(checkpoint);
+        }
+    }
 }
 
 fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<FrozenChain> {
@@ -230,6 +247,12 @@ fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<F
         return None;
     }
     let seed_hash = r.digest(alg)?;
+    let checkpoint = match r.u8()? {
+        0 => None,
+        // Only the √n layout has a checkpoint to thaw from.
+        1 if storage == StorageKind::Compact => Some(r.digest(alg)?),
+        _ => return None,
+    };
     Some(FrozenChain {
         alg,
         kind,
@@ -237,10 +260,11 @@ fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<F
         len,
         next,
         seed_hash,
+        checkpoint,
     })
 }
 
-fn encode_opt_exchange(w: &mut Writer, ex: Option<&FrozenExchange>) {
+fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
     let Some(ex) = ex else {
         w.u8(0);
         return;
@@ -430,12 +454,11 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
     }))
 }
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

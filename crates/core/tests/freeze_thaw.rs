@@ -46,43 +46,65 @@ enum FreezePoint {
     BeforeS2(usize),
 }
 
+/// One exchange round at `now`: every wire byte and every delivery, in
+/// order. `before_s2(i, bob)` runs just before the `i`-th S2 lands.
+fn round(
+    alice: &mut Association,
+    bob: &mut Association,
+    msgs: &[&[u8]],
+    mode: Mode,
+    now: Timestamp,
+    r: &mut StdRng,
+    mut before_s2: impl FnMut(usize, &mut Association),
+) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = Vec::new();
+    let s1 = alice.sign_batch(msgs, mode, now).expect("sign");
+    out.push(enc(&s1));
+    let a1 = bob.handle(&s1, now, r).expect("s1").packet().expect("a1");
+    out.push(enc(&a1));
+    let s2s = alice.handle(&a1, now, r).expect("a1").packets;
+    for (i, s2) in s2s.iter().enumerate() {
+        out.push(enc(s2));
+        before_s2(i, bob);
+        let resp = bob.handle(s2, now, r).expect("s2");
+        for (seq, payload) in &resp.deliveries {
+            let mut d = seq.to_be_bytes().to_vec();
+            d.extend_from_slice(payload);
+            out.push(d);
+        }
+        for a2 in &resp.packets {
+            out.push(enc(a2));
+            let sresp = alice.handle(a2, now, r).expect("a2");
+            for p in &sresp.packets {
+                out.push(enc(p));
+            }
+            out.push(vec![sresp.signer_events.len() as u8]);
+        }
+    }
+    out
+}
+
 /// Run two exchange rounds and record every wire byte and delivery.
 fn transcript(cfg: Config, mode: Mode, msgs: &[&[u8]], freeze: FreezePoint) -> Vec<Vec<u8>> {
     let mut r = StdRng::seed_from_u64(0xF10);
     let (mut alice, mut bob) = Association::pair(cfg, 9, &mut r);
     let mut out: Vec<Vec<u8>> = Vec::new();
-    for round in 0..2u64 {
-        let now = Timestamp::from_millis(round * 10);
-        let s1 = alice.sign_batch(msgs, mode, now).expect("sign");
-        out.push(enc(&s1));
-        let a1 = bob
-            .handle(&s1, now, &mut r)
-            .expect("s1")
-            .packet()
-            .expect("a1");
-        out.push(enc(&a1));
-        let s2s = alice.handle(&a1, now, &mut r).expect("a1").packets;
-        for (i, s2) in s2s.iter().enumerate() {
-            out.push(enc(s2));
-            if round == 0 && freeze == FreezePoint::BeforeS2(i) {
-                bob = roundtrip(cfg, &bob);
-            }
-            let resp = bob.handle(s2, now, &mut r).expect("s2");
-            for (seq, payload) in &resp.deliveries {
-                let mut d = seq.to_be_bytes().to_vec();
-                d.extend_from_slice(payload);
-                out.push(d);
-            }
-            for a2 in &resp.packets {
-                out.push(enc(a2));
-                let sresp = alice.handle(a2, now, &mut r).expect("a2");
-                for p in &sresp.packets {
-                    out.push(enc(p));
+    for n in 0..2u64 {
+        let now = Timestamp::from_millis(n * 10);
+        out.extend(round(
+            &mut alice,
+            &mut bob,
+            msgs,
+            mode,
+            now,
+            &mut r,
+            |i, bob| {
+                if n == 0 && freeze == FreezePoint::BeforeS2(i) {
+                    *bob = roundtrip(cfg, bob);
                 }
-                out.push(vec![sresp.signer_events.len() as u8]);
-            }
-        }
-        if round == 0 && freeze == FreezePoint::BetweenRounds {
+            },
+        ));
+        if n == 0 && freeze == FreezePoint::BetweenRounds {
             alice = roundtrip(cfg, &alice);
             bob = roundtrip(cfg, &bob);
         }
@@ -142,6 +164,38 @@ fn thaw_is_decision_identical_across_algorithms() {
         let baseline = transcript(cfg, Mode::Cumulative, &msgs, FreezePoint::Never);
         let frozen = transcript(cfg, Mode::Cumulative, &msgs, FreezePoint::BeforeS2(1));
         assert_eq!(baseline, frozen, "diverged on {alg:?}");
+    }
+}
+
+#[test]
+fn flow_frozen_after_every_exchange_matches_a_never_frozen_twin() {
+    // The duty-cycled sender: both ends sleep between any two exchanges,
+    // down most of a default-length chain, so every wake starts from the
+    // one checkpoint its record carries and the cursor crosses its
+    // checkpoint boundaries asleep.
+    for reliability in [Reliability::Unreliable, Reliability::Reliable] {
+        let cfg = Config::new(Algorithm::Sha1)
+            .with_chain_storage(ChainStorage::Sqrt)
+            .with_reliability(reliability);
+        let mut worlds = [false, true].map(|churn| {
+            let mut r = StdRng::seed_from_u64(0xC4);
+            let (alice, bob) = Association::pair(cfg, 9, &mut r);
+            (churn, alice, bob, r)
+        });
+        for n in 0..500u64 {
+            let now = Timestamp::from_millis(n * 10);
+            let payload = format!("reading {n}").into_bytes();
+            let mut outs = worlds.iter_mut().map(|(churn, alice, bob, r)| {
+                let out = round(alice, bob, &[&payload], Mode::Base, now, r, |_, _| {});
+                if *churn {
+                    *alice = roundtrip(cfg, alice);
+                    *bob = roundtrip(cfg, bob);
+                }
+                out
+            });
+            let (twin, churned) = (outs.next(), outs.next());
+            assert_eq!(twin, churned, "diverged at exchange {n} ({reliability:?})");
+        }
     }
 }
 

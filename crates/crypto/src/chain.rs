@@ -145,12 +145,19 @@ enum Storage {
     /// it. With `interval = ⌈√n⌉` this is the classic O(√n) space /
     /// O(√n) amortized time point on the hash-chain traversal curve.
     Compact {
-        /// Retained so the chain can be frozen to a [`FrozenChain`] and
-        /// later re-derived from `h_0`.
+        /// Retained so the chain can be frozen to a [`FrozenChain`], and
+        /// because it is what checkpoints below `floor` are derived from.
         seed_hash: Digest,
         interval: u64,
-        /// `checkpoints[k] = h_{k·interval}` (checkpoint 0 is the seed hash).
+        /// `checkpoints[k - floor] = h_{k·interval}`: a contiguous run of
+        /// checkpoints from number `floor` up (checkpoint 0 is the seed
+        /// hash).
         checkpoints: Vec<Digest>,
+        /// Number of the lowest checkpoint held. 0 for a chain built by
+        /// the full walk, which holds them all; a chain thawed from
+        /// [`FrozenChain::checkpoint`] holds that one alone until a
+        /// disclosure steps below it ([`HashChain::lower_floor`]).
+        floor: u64,
         len: u64,
     },
     /// Lazy dyadic checkpointing: one pebble per power-of-two level,
@@ -185,12 +192,21 @@ impl Storage {
             }
             StorageKind::Compact => {
                 let interval = (len as f64).sqrt().ceil() as u64;
-                let mut checkpoints = Vec::with_capacity((len / interval) as usize + 1);
-                checkpoints.push(seed_hash);
+                let (checkpoints, floor) = match f.checkpoint {
+                    // The checkpoint under the cursor is all the next
+                    // disclosures read: nothing to walk.
+                    Some(checkpoint) => (vec![checkpoint], f.next / interval),
+                    None => {
+                        let mut all = Vec::with_capacity((len / interval) as usize + 1);
+                        all.push(seed_hash);
+                        (all, 0)
+                    }
+                };
                 Storage::Compact {
                     seed_hash,
                     interval,
                     checkpoints,
+                    floor,
                     len,
                 }
             }
@@ -366,6 +382,44 @@ impl HashChain {
         }
     }
 
+    /// Compact storage only: if `index` lies under the lowest checkpoint
+    /// held, derive every checkpoint below it in one walk from the seed
+    /// hash and keep them — the walk a thaw from a checkpoint put off,
+    /// paid once by a chain that stays awake long enough to need it.
+    fn lower_floor(&mut self, index: u64) {
+        let (alg, kind) = (self.alg, self.kind);
+        let Storage::Compact {
+            seed_hash,
+            interval,
+            checkpoints,
+            floor,
+            ..
+        } = &mut self.storage
+        else {
+            unreachable!("caller checked");
+        };
+        let interval = *interval;
+        if index >= *floor * interval {
+            return;
+        }
+        let mut all = Vec::with_capacity(*floor as usize + checkpoints.len());
+        all.push(*seed_hash);
+        walk(
+            alg,
+            [kind],
+            [*seed_hash],
+            1..=(*floor - 1) * interval,
+            |i, [el]| {
+                if i.is_multiple_of(interval) {
+                    all.push(*el);
+                }
+            },
+        );
+        all.append(checkpoints);
+        *checkpoints = all;
+        *floor = 0;
+    }
+
     /// Dyadic storage only: restore the invariant `positions[j] ==
     /// base_j(index)` for a (non-increasing) access at `index`, refreshing
     /// stale pebbles top-down, then return the element at `index`.
@@ -441,7 +495,9 @@ impl HashChain {
     }
 
     /// Element at 1-based `index` (0 returns the seed hash `h_0`). Compact
-    /// chains recompute forward from the nearest checkpoint; dyadic chains
+    /// chains recompute forward from the nearest checkpoint they hold at
+    /// or below `index` — the seed hash when a thawed chain holds none
+    /// (nothing is kept: only disclosure lowers the floor); dyadic chains
     /// from the nearest pebble at or below `index` (without moving the
     /// pebbles — sequential disclosure through [`HashChain::disclose`] is
     /// what maintains the amortized O(log n) bound).
@@ -455,13 +511,20 @@ impl HashChain {
         Ok(match &self.storage {
             Storage::Full(e) => e[index as usize],
             Storage::Compact {
+                seed_hash,
                 interval,
                 checkpoints,
+                floor,
                 ..
             } => {
                 let k = index / interval;
-                let checkpoint = checkpoints[k as usize];
-                advance(self.alg, self.kind, checkpoint, k * interval, index)
+                if k < *floor {
+                    advance(self.alg, self.kind, *seed_hash, 0, index)
+                } else {
+                    let k = k.min(floor + checkpoints.len() as u64 - 1);
+                    let checkpoint = checkpoints[(k - floor) as usize];
+                    advance(self.alg, self.kind, checkpoint, k * interval, index)
+                }
             }
             Storage::Dyadic {
                 pebbles, positions, ..
@@ -490,12 +553,16 @@ impl HashChain {
     }
 
     /// Like [`HashChain::element`], but allowed to advance internal
-    /// pebbles (dyadic storage) to keep sequential access cheap.
+    /// pebbles (dyadic storage) or lower the checkpoint floor (compact
+    /// storage) to keep sequential access cheap.
     fn element_mut_path(&mut self, index: u64) -> Digest {
-        if matches!(self.storage, Storage::Dyadic { .. }) {
-            self.dyadic_element(index)
-        } else {
-            self.element(index)
+        match self.storage {
+            Storage::Full(_) => self.element(index),
+            Storage::Compact { .. } => {
+                self.lower_floor(index);
+                self.element(index)
+            }
+            Storage::Dyadic { .. } => self.dyadic_element(index),
         }
     }
 
@@ -547,7 +614,15 @@ impl HashChain {
             return Err(ChainError::Exhausted);
         }
         let key = (self.next - 1, self.element_mut_path(self.next - 1));
-        let announce = (self.next, self.element_mut_path(self.next));
+        let announce = (
+            self.next,
+            match self.storage {
+                // One walk per pair: the announce element is one step
+                // above the key, not a second walk from the checkpoint.
+                Storage::Compact { .. } => derive(self.alg, self.kind, self.next, &key.1),
+                _ => self.element_mut_path(self.next),
+            },
+        );
         self.next -= 2;
         debug_assert_eq!(role_of(announce.0), Role::Announce);
         debug_assert_eq!(role_of(key.0), Role::Disclose);
@@ -562,7 +637,7 @@ impl HashChain {
         match &self.storage {
             Storage::Full(e) => e.len() * self.alg.digest_len(),
             Storage::Compact { checkpoints, .. } => {
-                checkpoints.len() * self.alg.digest_len() + 3 * std::mem::size_of::<u64>()
+                checkpoints.len() * self.alg.digest_len() + 4 * std::mem::size_of::<u64>()
             }
             Storage::Dyadic {
                 pebbles, positions, ..
@@ -584,17 +659,29 @@ impl HashChain {
         }
     }
 
-    /// Freeze this chain to its minimal hibernation record: the seed hash
-    /// `h_0` plus the disclosure cursor. Everything else a chain holds is
-    /// a deterministic function of `h_0`, so [`FrozenChain::thaw`] rebuilds
-    /// a chain whose disclosures are byte-identical to this one's.
+    /// Freeze this chain to its hibernation record: the seed hash `h_0`
+    /// plus the disclosure cursor — everything else a chain holds is a
+    /// deterministic function of `h_0`, so [`FrozenChain::thaw`] rebuilds
+    /// a chain whose disclosures are byte-identical to this one's — and,
+    /// for compact storage, the one checkpoint at or below the cursor
+    /// (`h_{⌊next/interval⌋·interval}`), which lets the thaw derive
+    /// nothing.
     #[must_use]
     pub fn freeze(&self) -> FrozenChain {
-        let seed_hash = match &self.storage {
-            Storage::Full(e) => e[0],
-            Storage::Compact { seed_hash, .. } => *seed_hash,
+        let (seed_hash, checkpoint) = match &self.storage {
+            Storage::Full(e) => (e[0], None),
+            Storage::Compact {
+                seed_hash,
+                interval,
+                ..
+            } => {
+                // A copy, unless the last disclosure left the cursor one
+                // segment under the floor: then one walk from the seed.
+                let under_cursor = self.element(self.next / interval * interval);
+                (*seed_hash, Some(under_cursor))
+            }
             // The highest pebble is pinned at position 0 (the seed hash).
-            Storage::Dyadic { pebbles, .. } => *pebbles.last().expect("levels >= 1"),
+            Storage::Dyadic { pebbles, .. } => (*pebbles.last().expect("levels >= 1"), None),
         };
         FrozenChain {
             alg: self.alg,
@@ -603,6 +690,7 @@ impl HashChain {
             len: self.total_len(),
             next: self.next,
             seed_hash,
+            checkpoint,
         }
     }
 }
@@ -618,11 +706,14 @@ pub enum StorageKind {
     Dyadic,
 }
 
-/// A hibernated hash chain: one digest (`h_0`) plus the derivation
-/// parameters and the disclosure cursor — a few dozen bytes regardless of
-/// chain length, against up to `(len + 1) · s_h` live. Thawing re-derives
-/// the live storage in `len` forward hashes; the rebuilt chain discloses
-/// the exact same bytes the frozen one would have.
+/// A hibernated hash chain: the seed hash `h_0`, the derivation
+/// parameters and the disclosure cursor, plus — for compact storage —
+/// the checkpoint under the cursor: a few dozen bytes regardless of chain
+/// length, against up to `(len + 1) · s_h` live. Thawing a record with a
+/// checkpoint hashes nothing; without one (full and dyadic storage, or a
+/// chain not yet built) it re-derives the live storage in up to `len`
+/// forward hashes. Either way the thawed chain discloses the exact same
+/// bytes the frozen one would have.
 #[derive(Clone, Copy)]
 pub struct FrozenChain {
     /// Hash algorithm.
@@ -637,6 +728,10 @@ pub struct FrozenChain {
     pub next: u64,
     /// The seed hash `h_0` — never disclosed on the wire.
     pub seed_hash: Digest,
+    /// Compact storage only: `h_{⌊next/interval⌋·interval}` with
+    /// `interval = ⌈√len⌉`, the checkpoint the next disclosures are
+    /// derived from. `None` thaws by the full walk from `seed_hash`.
+    pub checkpoint: Option<Digest>,
 }
 
 impl FrozenChain {
@@ -661,21 +756,26 @@ impl FrozenChain {
             // traversal starts by disclosing `len - 1`.
             next: len - 1,
             seed_hash: alg.hash(seed),
+            // The anchor has to be derived anyway: build by the full walk.
+            checkpoint: None,
         }
     }
 
     /// Forward hashes a rebuild costs: the whole chain (the same work as
     /// generating it), except that dyadic pebbles only need the elements
-    /// up to the frozen cursor — an exhausted chain parks them at the seed.
+    /// up to the frozen cursor — an exhausted chain parks them at the seed
+    /// — and a compact chain frozen with its checkpoint needs none.
     fn rebuild_steps(&self) -> u64 {
         match self.storage {
+            StorageKind::Compact if self.checkpoint.is_some() => 0,
             StorageKind::Full | StorageKind::Compact => self.len,
             StorageKind::Dyadic => self.next.min(self.len - 1),
         }
     }
 
-    /// Rebuild the live chain: full elements, compact checkpoints, or
-    /// dyadic pebbles positioned at the frozen cursor, re-derived in
+    /// Rebuild the live chain: full elements, compact checkpoints (the
+    /// frozen one alone when the record carries it), or dyadic pebbles
+    /// positioned at the frozen cursor, re-derived in
     /// [`FrozenChain::rebuild_steps`] forward hashes.
     #[must_use]
     pub fn thaw(&self) -> HashChain {
@@ -686,7 +786,8 @@ impl FrozenChain {
     /// Bytes this record occupies (the hibernation footprint).
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
-        self.alg.digest_len() + 2 * std::mem::size_of::<u64>() + 3
+        let digests = 1 + usize::from(self.checkpoint.is_some());
+        digests * self.alg.digest_len() + 2 * std::mem::size_of::<u64>() + 4
     }
 
     /// Thaw two chains in one two-lane rebuild — the wake path of a

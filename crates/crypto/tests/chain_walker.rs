@@ -8,6 +8,11 @@
 //! the Table 1 harness and the benchmark's `hashes_per_msg` read those
 //! counters, so a walker that skipped or recounted a hash would move them.
 //!
+//! The second half holds a √n-checkpointed chain thawed from the one
+//! checkpoint its frozen record carries to the same standard: no hash on
+//! thaw, the never-frozen bytes from every cursor, and exactly one walk
+//! from the seed, the first time a disclosure needs a lower checkpoint.
+//!
 //! ci.sh runs the suite under every forced `ALPHA_DIGEST_BACKEND` tier.
 
 use alpha_crypto::chain::{ChainKind, FrozenChain, HashChain, StorageKind};
@@ -209,4 +214,153 @@ fn thaw_pair_of_different_algorithms_falls_back_to_two_thaws() {
     assert_eq!(tb.anchor(), b.anchor());
     assert_eq!(ta.algorithm(), Algorithm::Sha1);
     assert_eq!(tb.algorithm(), Algorithm::MmoAes);
+}
+
+/// `⌈√len⌉`: how far apart a compact chain's checkpoints sit.
+fn interval(len: u64) -> u64 {
+    (len as f64).sqrt().ceil() as u64
+}
+
+/// Cursors to freeze at: every one on a short chain; on a long one the
+/// fresh and the exhausted chain, segment 0 (where the checkpoint under
+/// the cursor *is* the seed hash) and both sides of a few checkpoints.
+fn cursors(len: u64) -> Vec<u64> {
+    if len <= 30 {
+        return (0..len).collect();
+    }
+    let step = interval(len);
+    let mut at = vec![0, 1, step - 1, len - 1];
+    for k in [1, 2, len / step / 2, len / step - 1] {
+        at.extend([k * step - 1, k * step, k * step + 1]);
+    }
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
+/// Chain lengths for the lazy-floor properties; 80 is there for its odd
+/// interval (9), where a pair's key lies under the checkpoint its
+/// announce element sits on.
+const LAZY_LENS: [u64; 4] = [2, 30, 80, 1024];
+
+#[test]
+fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
+    for alg in Algorithm::ALL {
+        for kind in KINDS {
+            for len in LAZY_LENS {
+                let step = interval(len);
+                // O(1) element access: the oracle for every disclosure.
+                let full = HashChain::from_seed(alg, kind, len, b"lazy");
+                // Never frozen; walks down the chain once, beside the oracle.
+                let mut live = HashChain::from_seed_compact(alg, kind, len, b"lazy");
+                for cursor in cursors(len).into_iter().rev() {
+                    while live.remaining() > cursor {
+                        let (i, el) = live.disclose().expect("above the cursor");
+                        assert_eq!(el, full.element(i), "{alg} {kind:?} len={len} live {i}");
+                    }
+                    let what = format!("{alg} {kind:?} len={len} frozen at {cursor}");
+                    let frozen = live.freeze();
+                    assert_eq!(frozen.next, cursor, "{what}");
+                    assert_eq!(
+                        frozen.checkpoint,
+                        Some(full.element(cursor / step * step)),
+                        "{what}"
+                    );
+                    let (mut thawed, counts) = counted(|| frozen.thaw());
+                    assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
+                    assert_eq!(thawed.storage_kind(), StorageKind::Compact, "{what}");
+                    assert_eq!(thawed.len(), len, "{what}");
+                    // Above the one checkpoint held: derived from it.
+                    let above = (cursor + step + 1).min(len);
+                    assert_eq!(thawed.element(above), full.element(above), "{what}");
+
+                    // Each disclosure is one walk up from its checkpoint,
+                    // plus — the first time one lies under the thawed
+                    // floor, and only then — the walk from the seed that
+                    // makes every lower checkpoint live. A short chain is
+                    // followed down to exhaustion, a long one to two
+                    // disclosures under its floor (the churn test below
+                    // takes thawed chains the whole way down; unoptimised
+                    // MMO hashing is what this suite's time goes to).
+                    let floor = cursor / step;
+                    let mut seed_walk = if floor == 0 { 0 } else { (floor - 1) * step };
+                    let stop = if len <= 30 {
+                        0
+                    } else {
+                        (floor * step).saturating_sub(3)
+                    };
+                    for i in (stop + 1..=cursor).rev() {
+                        let (got, counts) = counted(|| thawed.disclose());
+                        assert_eq!(got, Ok((i, full.element(i))), "{what} element {i}");
+                        let mut expect = i % step;
+                        if i / step < floor {
+                            expect += std::mem::take(&mut seed_walk);
+                        }
+                        assert_eq!(counts.invocations, expect, "{what} hashes at {i}");
+                    }
+                    if stop == 0 {
+                        assert!(thawed.disclose().is_err(), "{what} exhausted");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
+    for alg in Algorithm::ALL {
+        for kind in KINDS {
+            for len in LAZY_LENS {
+                let step = interval(len);
+                let full = HashChain::from_seed(alg, kind, len, b"churn");
+                let mut never = HashChain::from_seed_compact(alg, kind, len, b"churn");
+                let mut churned = never.clone();
+                let mut announce = len - 1;
+                while announce >= 2 {
+                    let what = format!("{alg} {kind:?} len={len} pair at {announce}");
+                    let expect = Ok((
+                        (announce, full.element(announce)),
+                        (announce - 1, full.element(announce - 1)),
+                    ));
+                    // The key from its checkpoint, the announce element
+                    // one step above it.
+                    let (pair, counts) = counted(|| never.disclose_pair());
+                    assert_eq!(pair, expect, "{what} never frozen");
+                    assert_eq!(counts.invocations, (announce - 1) % step + 1, "{what}");
+
+                    // The churn pattern: wake, one exchange, sleep.
+                    let frozen = churned.freeze();
+                    let (thawed, counts) = counted(|| frozen.thaw());
+                    assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
+                    churned = thawed;
+                    assert_eq!(churned.disclose_pair(), expect, "{what} churned");
+                    announce -= 2;
+                }
+                assert!(never.disclose_pair().is_err());
+                assert!(churned.freeze().thaw().disclose_pair().is_err());
+            }
+        }
+    }
+}
+
+#[test]
+fn thaw_pair_of_checkpointed_records_hashes_nothing() {
+    for alg in Algorithm::ALL {
+        let sig = ChainKind::RoleBoundSignature;
+        let ack = ChainKind::RoleBoundAck;
+        let a = spent(alg, sig, StorageKind::Compact, 1024, b"sig", 40);
+        let b = spent(alg, ack, StorageKind::Compact, 30, b"ack", 17);
+        let (fa, fb) = (a.freeze(), b.freeze());
+        let (solo, solo_counts) = counted(|| (fa.thaw(), fb.thaw()));
+        let (pair, pair_counts) = counted(|| FrozenChain::thaw_pair(&fa, &fb));
+        assert_eq!(solo_counts, Counts::default(), "{alg}");
+        assert_eq!(pair_counts, solo_counts, "{alg}");
+        for (mut pair, mut solo) in [(pair.0, solo.0), (pair.1, solo.1)] {
+            while let Ok(next) = solo.disclose() {
+                assert_eq!(pair.disclose(), Ok(next), "{alg}");
+            }
+            assert!(pair.disclose().is_err(), "{alg} exhausted together");
+        }
+    }
 }

@@ -11,14 +11,14 @@ pub(super) fn encode_frozen_record(
     frozen: &FrozenAssociation,
     adapt: Option<&FrozenAdapt>,
 ) -> Vec<u8> {
-    let body = frozen.encode();
-    let mut out = Vec::with_capacity(4 + body.len() + 1 + 84);
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("record fits u32")
-            .to_be_bytes(),
-    );
-    out.extend_from_slice(&body);
+    // Room for an idle flow's record (no buffered exchange) with
+    // adaptation state; the body is written once, behind a length
+    // prefix patched in after it.
+    let mut out = Vec::with_capacity(320);
+    out.extend_from_slice(&[0; 4]);
+    frozen.encode_into(&mut out);
+    let body_len = u32::try_from(out.len() - 4).expect("record fits u32");
+    out[..4].copy_from_slice(&body_len.to_be_bytes());
     match adapt {
         Some(a) => {
             out.push(1);
@@ -26,6 +26,9 @@ pub(super) fn encode_frozen_record(
         }
         None => out.push(0),
     }
+    // The store keeps this for as long as the flow sleeps: slack here
+    // is bytes per hibernated flow.
+    out.shrink_to_fit();
     out
 }
 
@@ -105,10 +108,12 @@ impl EngineCore {
     /// flow to the table. Only a packet that verifies against the
     /// thawed chains wakes the flow — a forged datagram aimed at a
     /// frozen flow gets the record re-frozen untouched, so hibernation
-    /// adds no spoofing surface. The thawed flow is installed, then the
-    /// response settles on it like any datagram's: it resumes
-    /// mid-stream with no handshake and decisions identical to a
-    /// never-slept one.
+    /// adds no spoofing surface, and at the default (√n) chain layout
+    /// the thaw hashes nothing, so that trial verification (at most
+    /// `max_skip` hashes) is all a stranger's datagram can buy. The
+    /// thawed flow is installed, then the response settles on it like
+    /// any datagram's: it resumes mid-stream with no handshake and
+    /// decisions identical to a never-slept one.
     pub(super) fn host_thaw(
         &self,
         mut guard: RwLockWriteGuard<'_, Shard>,

@@ -801,6 +801,78 @@ fn forged_datagram_cannot_force_a_thaw() {
 }
 
 #[test]
+fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
+    use alpha_crypto::chain::DEFAULT_MAX_SKIP;
+    use alpha_wire::{Body, Packet, PreSignature};
+    // Default chain length: the √n layout a deployed host runs.
+    let protocol = Config::new(Algorithm::Sha1);
+    assert_eq!(protocol.max_skip, DEFAULT_MAX_SKIP);
+    let client = EngineCore::new(EngineConfig::new(protocol));
+    let server = EngineCore::new(EngineConfig::new(protocol).with_hibernate_after(Some(50_000)));
+    let ca = addr(1715);
+    let sa = addr(2715);
+    let mut rng = StdRng::seed_from_u64(34);
+    let t0 = Timestamp::from_millis(1);
+    let (key, out) = client.connect(sa, 42, t0, &mut rng);
+    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let out = client
+        .sign_batch(key, &[b"before sleep".as_slice()], Mode::Base, t0)
+        .unwrap();
+    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let t1 = t0.plus_micros(60_000);
+    let _ = server.poll(t1, &mut rng);
+    assert_eq!(store_counts(&server), (1, 0, 0, 0), "flow frozen");
+    let server_key = FlowKey {
+        peer: ca,
+        assoc_id: 42,
+    };
+    let stored = || {
+        let mut store = server.store.lock();
+        let record = store.remove(&server_key).expect("record in the store");
+        let _ = store.insert(server_key, record.clone());
+        record
+    };
+    let before = stored();
+
+    // Right source and association id, an element that is on nobody's
+    // chain, and the lowest index the verifier will still hash up from:
+    // the dearest S1 a stranger can aim at a sleeping flow.
+    let verifier_at = protocol.chain_len - 2; // one exchange consumed
+    let junk = Algorithm::Sha1.hash(b"not on the chain");
+    let forged = Packet {
+        assoc_id: 42,
+        alg: Algorithm::Sha1,
+        chain_index: verifier_at - DEFAULT_MAX_SKIP + 1,
+        body: Body::S1 {
+            element: junk,
+            presig: PreSignature::Cumulative(vec![junk]),
+        },
+    }
+    .emit();
+    let t2 = t1.plus_micros(1_000);
+    let scope = alpha_crypto::counting::Scope::start();
+    let o = server.handle_datagram(ca, &forged, t2, &mut rng);
+    let hashes = scope.finish().invocations;
+    assert!(o.delivered.is_empty() && o.datagrams.is_empty());
+    assert!(
+        (DEFAULT_MAX_SKIP - 1..=DEFAULT_MAX_SKIP + 16).contains(&hashes),
+        "a forged wake cost {hashes} hashes"
+    );
+    assert_eq!(store_counts(&server), (1, 0, 0, 1), "forgery rejected");
+    assert_eq!(stored(), before, "record untouched");
+
+    // The genuine datagram after it still wakes the flow mid-stream.
+    let out = client
+        .sign_batch(key, &[b"genuine".as_slice()], Mode::Base, t2)
+        .unwrap();
+    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
+    assert_eq!(from_server.delivered[0].2, b"genuine");
+    assert_eq!(store_counts(&server), (1, 1, 0, 1));
+    let handshakes = server.metrics().handshakes.load(Ordering::Relaxed);
+    assert_eq!(handshakes, 1, "wake needed no re-handshake");
+}
+
+#[test]
 fn frozen_budget_evicts_coldest_and_reaps_tombstones() {
     let client = EngineCore::new(cfg());
     // A one-byte budget cannot hold two records: each freeze evicts
@@ -1068,44 +1140,75 @@ fn relay_single_and_run_paths_agree() {
 #[test]
 fn frozen_record_codec_is_total_and_round_trips() {
     use super::lifecycle::{decode_frozen_record, encode_frozen_record};
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let ca = addr(1910);
-    let sa = addr(2910);
-    let mut rng = StdRng::seed_from_u64(43);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 53, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-    let frozen = client
-        .with_association(key, |a| a.freeze())
-        .expect("host flow")
-        .expect("idle association freezes");
+    use alpha_core::ChainStorage;
     let adapt = FlowAdapt::new(alpha_adapt::AdaptConfig::default()).freeze();
+    for (n, storage) in [ChainStorage::Full, ChainStorage::Sqrt, ChainStorage::Dyadic]
+        .into_iter()
+        .enumerate()
+    {
+        let cfg = EngineConfig::new(cfg().protocol.with_chain_storage(storage));
+        let client = EngineCore::new(cfg);
+        let server = EngineCore::new(cfg);
+        let ca = addr(1910 + n as u16);
+        let sa = addr(2910 + n as u16);
+        let mut rng = StdRng::seed_from_u64(43);
+        let now = Timestamp::from_millis(1);
+        let (key, out) = client.connect(sa, 53, now, &mut rng);
+        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+        let frozen = client
+            .with_association(key, |a| a.freeze())
+            .expect("host flow")
+            .expect("idle association freezes");
 
-    for adapt in [None, Some(&adapt)] {
-        let record = encode_frozen_record(&frozen, adapt);
-        let (f, a) = decode_frozen_record(&record).expect("own record decodes");
-        assert_eq!(a.is_some(), adapt.is_some());
-        assert_eq!(
-            encode_frozen_record(&f, a.as_ref()),
-            record,
-            "encode → decode → encode is byte-identical"
-        );
-        for cut in 0..record.len() {
-            assert!(
-                decode_frozen_record(&record[..cut]).is_none(),
-                "truncation at {cut} of {} rejected",
-                record.len()
+        for adapt in [None, Some(&adapt)] {
+            let record = encode_frozen_record(&frozen, adapt);
+            let (f, a) = decode_frozen_record(&record).expect("own record decodes");
+            assert_eq!(a.is_some(), adapt.is_some());
+            assert_eq!(
+                encode_frozen_record(&f, a.as_ref()),
+                record,
+                "encode → decode → encode is byte-identical"
             );
-        }
-        let mut trailing = record.clone();
-        trailing.push(0);
-        assert!(decode_frozen_record(&trailing).is_none(), "trailing byte");
-        let tag_at = 4 + u32::from_be_bytes(record[..4].try_into().unwrap()) as usize;
-        for tag in 2..=u8::MAX {
-            let mut bad = record.clone();
-            bad[tag_at] = tag;
-            assert!(decode_frozen_record(&bad).is_none(), "adapt tag {tag}");
+            for cut in 0..record.len() {
+                assert!(
+                    decode_frozen_record(&record[..cut]).is_none(),
+                    "truncation at {cut} of {} rejected",
+                    record.len()
+                );
+            }
+            let mut trailing = record.clone();
+            trailing.push(0);
+            assert!(decode_frozen_record(&trailing).is_none(), "trailing byte");
+            let tag_at = 4 + u32::from_be_bytes(record[..4].try_into().unwrap()) as usize;
+            for tag in 2..=u8::MAX {
+                let mut bad = record.clone();
+                bad[tag_at] = tag;
+                assert!(decode_frozen_record(&bad).is_none(), "adapt tag {tag}");
+            }
+
+            // The signature chain's checkpoint tag: behind the length
+            // prefix, version, algorithm and association id, then the
+            // chain's layout, length, cursor and seed hash.
+            let checkpoint_at = 4 + 10 + 17 + 20;
+            let sqrt = storage == ChainStorage::Sqrt;
+            assert_eq!(record[checkpoint_at], u8::from(sqrt), "{storage:?}");
+            for tag in 2..=u8::MAX {
+                let mut bad = record.clone();
+                bad[checkpoint_at] = tag;
+                assert!(decode_frozen_record(&bad).is_none(), "checkpoint tag {tag}");
+            }
+            if !sqrt {
+                // A well-formed checkpoint where the layout has none.
+                let mut bad = record.clone();
+                bad[checkpoint_at] = 1;
+                bad.splice(checkpoint_at + 1..checkpoint_at + 1, [0xAB; 20]);
+                let body = u32::try_from(tag_at - 4 + 20).unwrap();
+                bad[..4].copy_from_slice(&body.to_be_bytes());
+                assert!(
+                    decode_frozen_record(&bad).is_none(),
+                    "{storage:?} checkpoint"
+                );
+            }
         }
     }
 }
