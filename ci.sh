@@ -23,10 +23,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # streaming hasher and chain walker follow the process-wide backend, so
 # each tier is forced in turn. The chain-walker suite also holds the
 # frozen-checkpoint properties (a thaw hashes nothing, the walk from the
-# seed happens once and late, one walk per disclosed pair); its test
-# count is checked so that a renamed or filtered-out property fails the
-# step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding and chain-walker (incl. frozen-checkpoint) suites (forced scalar, forced lanes4, then auto-detected)"
+# seed happens once and late, one walk per disclosed pair); the engine's
+# S2-run suite holds the bundled ≡ one-per-datagram properties (host and
+# relay) and the per-role hash counts of a bundle. Their test counts are
+# checked so that a renamed or filtered-out property fails the step
+# instead of passing with fewer tests.
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint) and S2-run suites (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -36,6 +38,13 @@ for backend in scalar lanes4 auto; do
     case "$walker" in
         *"running 6 tests"*) ;;
         *) echo "ci: the chain_walker suite did not run its 6 tests under $backend" >&2; exit 1 ;;
+    esac
+    runs=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test s2_runs) || { echo "$runs"; exit 1; }
+    echo "$runs"
+    case "$runs" in
+        *"running 4 tests"*) ;;
+        *) echo "ci: the s2_runs suite did not run its 4 tests under $backend" >&2; exit 1 ;;
     esac
 done
 

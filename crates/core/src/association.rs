@@ -10,8 +10,9 @@ use alpha_crypto::Digest;
 use alpha_wire::{Body, Packet};
 use rand::RngCore;
 
+use crate::batch::{self, S2BatchItem};
 use crate::signer::{SignerChannel, SignerEvent};
-use crate::verifier::{VerifierChannel, VerifierEvent};
+use crate::verifier::{S2Verdict, VerifierChannel};
 use crate::{bootstrap, renewal, signal::Signal, Config, Mode, ProtocolError, Timestamp};
 
 /// Application-visible outcome of feeding a packet (or timer tick) into an
@@ -56,18 +57,21 @@ impl Response {
         }
     }
 
-    fn from_verifier(out: crate::verifier::VerifierOutput) -> Response {
-        let mut r = Response {
-            packets: out.packets,
+    /// One accepted S2's verdict, with the delivered payload copied out
+    /// of the packet.
+    fn from_s2(v: S2Verdict<'_>) -> Response {
+        Response {
+            packets: v.reply.into_iter().collect(),
+            deliveries: v
+                .delivered
+                .map(|p| (v.seq, p.to_vec()))
+                .into_iter()
+                .collect(),
+            bundle_complete: v.bundle_complete,
+            peer_renewed: v.peer_renewed,
+            signals: v.signal.into_iter().collect(),
             ..Response::default()
-        };
-        for ev in out.events {
-            match ev {
-                VerifierEvent::Delivered(seq, payload) => r.deliveries.push((seq, payload)),
-                VerifierEvent::BundleComplete => r.bundle_complete = true,
-            }
         }
-        r
     }
 }
 
@@ -180,22 +184,42 @@ impl Association {
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) -> Result<Response, ProtocolError> {
-        let mut resp = match &pkt.body {
-            Body::S1 { .. } => Response::from_verifier(self.verifier.handle_s1(pkt, now, rng)?),
-            Body::S2 { .. } => Response::from_verifier(self.verifier.handle_s2(pkt, now)?),
-            Body::A1 { .. } => Response::from_signer(self.signer.handle_a1(pkt, now)?),
-            Body::A2 { .. } => Response::from_signer(self.signer.handle_a2(pkt, now)?),
-            Body::Handshake(_) => return Err(ProtocolError::UnexpectedPacket),
-        };
-        self.intercept(&mut resp);
-        Ok(resp)
+        match &pkt.body {
+            Body::S1 { .. } => Ok(Response {
+                packets: self
+                    .verifier
+                    .handle_s1(pkt, now, rng)?
+                    .into_iter()
+                    .collect(),
+                ..Response::default()
+            }),
+            Body::S2 {
+                key,
+                seq,
+                path,
+                payload,
+            } => {
+                let item = S2BatchItem {
+                    alg: pkt.alg,
+                    chain_index: pkt.chain_index,
+                    key: *key,
+                    seq: *seq,
+                    path: path.as_slice().into(),
+                    payload,
+                };
+                self.handle_s2(pkt.assoc_id, &item, now)
+            }
+            Body::A1 { .. } => Ok(Response::from_signer(self.signer.handle_a1(pkt, now)?)),
+            Body::A2 { .. } => Ok(Response::from_signer(self.signer.handle_a2(pkt, now)?)),
+            Body::Handshake(_) => Err(ProtocolError::UnexpectedPacket),
+        }
     }
 
     /// Feed the fields of a received S2 through the verifying channel
-    /// without materialising an owned [`Packet`]: the zero-copy ingest path
-    /// used by the engine, with the path and payload still borrowed from
-    /// the receive buffer.
-    #[allow(clippy::too_many_arguments)] // one call site per decode path
+    /// without materialising an owned [`Packet`], the path and payload
+    /// still borrowed from the receive buffer: [`Association::handle_s2`]
+    /// for callers holding fields rather than an [`S2BatchItem`].
+    #[allow(clippy::too_many_arguments)] // one S2's fields
     pub fn handle_s2_fields(
         &mut self,
         assoc_id: u64,
@@ -206,42 +230,68 @@ impl Association {
         payload: &[u8],
         now: Timestamp,
     ) -> Result<Response, ProtocolError> {
-        let mut resp = Response::from_verifier(self.verifier.handle_s2_fields(
-            assoc_id,
-            self.cfg.algorithm,
+        let item = S2BatchItem {
+            alg: self.cfg.algorithm,
             chain_index,
-            key,
+            key: *key,
             seq,
-            path,
+            path: path.into(),
             payload,
-            now,
-        )?);
-        self.intercept(&mut resp);
-        Ok(resp)
+        };
+        self.handle_s2(assoc_id, &item, now)
     }
 
-    /// Intercept renewal announcements and control signals among the
-    /// verified deliveries, applying renewals in place.
-    fn intercept(&mut self, resp: &mut Response) {
-        let alg = self.cfg.algorithm;
-        let mut renewed = None;
-        let mut signals = Vec::new();
-        resp.deliveries.retain(|(_, payload)| {
-            if let Some(anchors) = renewal::parse(alg, payload) {
-                renewed = Some(anchors);
-                return false;
-            }
-            if let Some(sig) = Signal::parse(payload) {
-                signals.push(sig);
-                return false;
-            }
-            true
+    /// One S2, verified as a run of one ([`Association::handle_s2_run`]),
+    /// its outcome as a [`Response`]: the delivered payload is copied
+    /// out, once.
+    pub fn handle_s2(
+        &mut self,
+        assoc_id: u64,
+        item: &S2BatchItem<'_>,
+        now: Timestamp,
+    ) -> Result<Response, ProtocolError> {
+        let mut out = Err(ProtocolError::NoExchange);
+        self.handle_s2_run(assoc_id, std::slice::from_ref(item), now, &mut |v| {
+            out = v.map(Response::from_s2);
         });
-        resp.signals = signals;
-        if let Some(anchors) = renewed {
-            self.verifier.replace_peer_sig(anchors.sig.0, anchors.sig.1);
-            self.signer.replace_peer_ack(anchors.ack.0, anchors.ack.1);
-            resp.peer_renewed = true;
+        out
+    }
+
+    /// Verify a run of S2s through the incoming channel
+    /// ([`VerifierChannel::handle_s2_run`]), each outcome to `sink` in
+    /// input order with its payload still borrowed. Verified renewals and
+    /// signals are consumed here: a renewal re-anchors both channels
+    /// before the next item is prepared (a control-carrying item is
+    /// verified on its own, [`crate::batch`]), a signal comes back in
+    /// [`S2Verdict::signal`], and neither is delivered.
+    pub fn handle_s2_run<'a>(
+        &mut self,
+        assoc_id: u64,
+        items: &[S2BatchItem<'a>],
+        now: Timestamp,
+        sink: &mut dyn FnMut(Result<S2Verdict<'a>, ProtocolError>),
+    ) {
+        let alg = self.cfg.algorithm;
+        for chunk in batch::chunks(items) {
+            let mut renewed = None;
+            self.verifier
+                .handle_s2_run(assoc_id, chunk, now, &mut |mut verdict| {
+                    if let Ok(v) = &mut verdict {
+                        if let Some(anchors) = v.delivered.and_then(|p| renewal::parse(alg, p)) {
+                            renewed = Some(anchors);
+                            v.delivered = None;
+                            v.peer_renewed = true;
+                        } else if let Some(sig) = v.delivered.and_then(Signal::parse) {
+                            v.delivered = None;
+                            v.signal = Some(sig);
+                        }
+                    }
+                    sink(verdict);
+                });
+            if let Some(anchors) = renewed {
+                self.verifier.replace_peer_sig(anchors.sig.0, anchors.sig.1);
+                self.signer.replace_peer_ack(anchors.ack.0, anchors.ack.1);
+            }
         }
     }
 

@@ -34,6 +34,7 @@
 //! count the *exact* hash operations each role performs.
 
 mod association;
+mod batch;
 pub mod bootstrap;
 mod error;
 pub mod freeze;
@@ -45,15 +46,14 @@ mod signer;
 mod verifier;
 
 pub use association::{Association, Response};
+pub use batch::S2BatchItem;
 pub use error::ProtocolError;
 pub use freeze::FrozenAssociation;
 pub use limiter::{S1Limiter, SharedS1Limiter};
-pub use relay::{
-    DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome, S2BatchItem,
-};
+pub use relay::{DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome};
 pub use signer::message_mac;
 pub use signer::{SignerChannel, SignerEvent};
-pub use verifier::{VerifierChannel, VerifierEvent};
+pub use verifier::{S2Verdict, VerifierChannel};
 
 use alpha_crypto::Algorithm;
 

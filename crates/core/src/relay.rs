@@ -29,8 +29,8 @@ use alpha_wire::{
     PreSignatureView,
 };
 
+use crate::batch::{self, S2BatchItem, S2Check, RUN};
 use crate::limiter::S1Limiter;
-use crate::signer::message_mac;
 use crate::{MacScheme, Timestamp};
 
 /// Relay policy knobs.
@@ -342,13 +342,24 @@ impl Relay {
     /// slice it was parsed from) and is what the S1 flood limiter
     /// charges. The outcome carries no payload bytes; a caller that
     /// extracts verified payloads copies the view's own payload slice
-    /// exactly once.
+    /// exactly once. An S2 is judged as a run of one
+    /// ([`Relay::observe_s2_batch`]).
     pub fn observe_view(
         &mut self,
         view: &PacketView<'_>,
         wire_len: usize,
         now: Timestamp,
     ) -> (RelayDecision, RelayViewOutcome) {
+        if let Some(item) = S2BatchItem::from_view(view) {
+            let mut verdict = (
+                RelayDecision::Drop(DropReason::Malformed),
+                RelayViewOutcome::default(),
+            );
+            self.s2_run(view.assoc_id, std::slice::from_ref(&item), now, &mut |v| {
+                verdict = v;
+            });
+            return verdict;
+        }
         match &view.body {
             BodyView::Handshake(h) => {
                 // Handshakes are rare (one pair per association): going
@@ -470,7 +481,6 @@ impl Relay {
         wire_len: usize,
         now: Timestamp,
     ) -> (RelayDecision, RelayViewOutcome) {
-        let cfg = self.cfg;
         let none = RelayViewOutcome::default();
         let a = match self.data_assoc(view.assoc_id, view.alg) {
             Ok(a) => a,
@@ -483,33 +493,6 @@ impl Relay {
             }
             BodyView::A1 { element, commit } => {
                 (a1_parts(a, view.chain_index, element, commit), none)
-            }
-            BodyView::S2 {
-                key,
-                seq,
-                path,
-                payload,
-            } => {
-                // The authentication path moves to the stack; the payload
-                // stays borrowed from the datagram. No heap allocation on
-                // this whole arm.
-                let path = path.to_path();
-                match s2_parts(&cfg, a, view.chain_index, key, *seq, &path, payload, now) {
-                    Err(reason) => (RelayDecision::Drop(reason), none),
-                    Ok(S2Outcome::Unverified) => (RelayDecision::Forward, none),
-                    Ok(S2Outcome::Verified { is_fwd, close }) => {
-                        if close {
-                            self.assocs.remove(&view.assoc_id);
-                        }
-                        (
-                            RelayDecision::Forward,
-                            RelayViewOutcome {
-                                verified_s2: Some((is_fwd, *seq)),
-                                ..RelayViewOutcome::default()
-                            },
-                        )
-                    }
-                }
             }
             BodyView::A2 {
                 element,
@@ -524,21 +507,20 @@ impl Relay {
                     },
                 ),
             },
-            // Allowlist: `observe_view` dispatches handshakes before
-            // reaching here, so no network input can hit this arm.
-            BodyView::Handshake(_) => unreachable!("handled by observe_view"),
+            // Allowlist: `observe_view` dispatches S2s and handshakes
+            // before reaching here, so no network input can hit this arm.
+            BodyView::S2 { .. } | BodyView::Handshake(_) => unreachable!("handled by observe_view"),
         }
     }
 
-    /// Observe a run of S2 packets of one association in one call,
-    /// verifying their MACs / Merkle paths through the batched digest
-    /// backend. Decisions come back in input order and are exactly what a
+    /// Observe a run of S2 packets of one association in one call.
+    /// Decisions come back in input order and are exactly what a
     /// packet-by-packet [`Relay::observe_view`] sequence would have
-    /// produced: phase 1 (chain acceptance, structural checks) still runs
-    /// strictly sequentially per packet, only the independent digest
-    /// computations are batched, and any payload that could carry a
-    /// relay-visible control message (signal or chain renewal — both
-    /// magic-prefixed) forms a barrier that is processed single-shot so
+    /// produced: the run is verified chunk by chunk
+    /// ([`crate::batch`]), chain acceptance and structural checks still
+    /// run strictly in order, only the independent MAC / Merkle digests
+    /// are batched, and a payload that could carry a relay-visible
+    /// control message (signal or chain renewal) is a chunk of its own so
     /// its state changes order correctly with its neighbours.
     pub fn observe_s2_batch(
         &mut self,
@@ -547,239 +529,87 @@ impl Relay {
         now: Timestamp,
     ) -> Vec<(RelayDecision, RelayViewOutcome)> {
         let mut out = Vec::with_capacity(items.len());
-        let mut i = 0;
-        while i < items.len() {
-            if carries_control(items[i].payload) {
-                let item = &items[i];
-                out.push(self.observe_s2_one(assoc_id, item, now));
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < items.len() && !carries_control(items[i].payload) {
-                i += 1;
-            }
-            self.s2_run(assoc_id, &items[start..i], now, &mut out);
+        for chunk in batch::chunks(items) {
+            self.s2_run(assoc_id, chunk, now, &mut |v| out.push(v));
         }
         out
     }
 
-    /// Single-shot S2 processing for one batch item (control barriers and
-    /// the degenerate one-packet run).
-    fn observe_s2_one(
-        &mut self,
-        assoc_id: u64,
-        item: &S2BatchItem<'_>,
-        now: Timestamp,
-    ) -> (RelayDecision, RelayViewOutcome) {
-        let cfg = self.cfg;
-        let none = RelayViewOutcome::default();
-        let a = match self.data_assoc(assoc_id, item.alg) {
-            Ok(a) => a,
-            Err(decision) => return (decision, none),
-        };
-        match s2_parts(
-            &cfg,
-            a,
-            item.chain_index,
-            &item.key,
-            item.seq,
-            item.path,
-            item.payload,
-            now,
-        ) {
-            Err(reason) => (RelayDecision::Drop(reason), none),
-            Ok(S2Outcome::Unverified) => (RelayDecision::Forward, none),
-            Ok(S2Outcome::Verified { is_fwd, close }) => {
-                if close {
-                    self.assocs.remove(&assoc_id);
-                }
-                (
-                    RelayDecision::Forward,
-                    RelayViewOutcome {
-                        verified_s2: Some((is_fwd, item.seq)),
-                        ..RelayViewOutcome::default()
-                    },
-                )
-            }
-        }
-    }
-
-    /// A control-free run: prepare every packet sequentially, compute all
-    /// deferred digests in batched sweeps, then finish sequentially.
+    /// One chunk ([`batch::chunks`]; a lone S2 is a chunk of one):
+    /// prepare every packet in order, compute the pending digests in
+    /// one batched sweep, then finish in order, handing each packet's
+    /// decision to `sink`.
     fn s2_run(
         &mut self,
         assoc_id: u64,
         run: &[S2BatchItem<'_>],
         now: Timestamp,
-        out: &mut Vec<(RelayDecision, RelayViewOutcome)>,
+        sink: &mut dyn FnMut((RelayDecision, RelayViewOutcome)),
     ) {
         let cfg = self.cfg;
-        let none = RelayViewOutcome::default;
-        // Phase 1: sequential prepare. `decided` holds packets resolved
-        // without crypto; `checks` the deferred comparisons.
-        let mut decided: Vec<Option<RelayDecision>> = Vec::with_capacity(run.len());
-        let mut checks: Vec<Option<(bool, S2Check)>> = Vec::with_capacity(run.len());
-        for item in run {
-            match self.data_assoc(assoc_id, item.alg) {
-                Err(decision) => {
-                    decided.push(Some(decision));
-                    checks.push(None);
-                }
-                Ok(a) => match s2_prepare(
+        let n = run.len();
+        // Phase 1: sequential prepare; `Err` holds packets decided
+        // without crypto.
+        let mut prepared = [Ok(S2Prepared::Unverified); RUN];
+        for (slot, item) in prepared.iter_mut().zip(run) {
+            *slot = self.data_assoc(assoc_id, item.alg).and_then(|a| {
+                s2_prepare(
                     &cfg,
                     a,
                     item.chain_index,
                     &item.key,
                     item.seq,
                     item.path.len(),
-                ) {
-                    Err(reason) => {
-                        decided.push(Some(RelayDecision::Drop(reason)));
-                        checks.push(None);
-                    }
-                    Ok(S2Prepared::Unverified) => {
-                        decided.push(Some(RelayDecision::Forward));
-                        checks.push(None);
-                    }
-                    Ok(S2Prepared::Check { is_fwd, check }) => {
-                        decided.push(None);
-                        checks.push(Some((is_fwd, check)));
-                    }
-                },
-            }
+                )
+                .map_err(RelayDecision::Drop)
+            });
         }
-        // Phase 2: batched crypto. All checked packets share the
-        // association's algorithm (data_assoc enforced it), so HMAC keys
-        // are same-length and `mac_parts_batch` applies; Merkle leaf
-        // hashes batch through `digest_batch` before the scalar path walk.
-        // No association ⇒ every packet was decided in phase 1 and no
-        // crypto job exists, so the fallback value is never used.
+        // Phase 2: batched crypto. Every checked packet carries the
+        // association's algorithm (`data_assoc` enforced it); with no
+        // association every packet was decided in phase 1 and the
+        // fallback algorithm hashes nothing.
         let alg = self
             .assocs
             .get(&assoc_id)
             .map_or(Algorithm::Sha1, |a| a.alg);
-        let mut passed = vec![false; run.len()];
-        let mut mac_idx: Vec<usize> = Vec::new();
-        let mut leaf_idx: Vec<usize> = Vec::new();
-        for (k, check) in checks.iter().enumerate() {
-            match check {
-                Some((_, S2Check::Mac { .. })) => mac_idx.push(k),
-                Some((_, S2Check::Keyed { .. })) => leaf_idx.push(k),
-                None => {}
-            }
-        }
-        if !mac_idx.is_empty() {
-            match cfg.mac_scheme {
-                MacScheme::Hmac => {
-                    let seq_be: Vec<[u8; 4]> =
-                        mac_idx.iter().map(|&k| run[k].seq.to_be_bytes()).collect();
-                    let parts: Vec<[&[u8]; 2]> = mac_idx
-                        .iter()
-                        .zip(&seq_be)
-                        .map(|(&k, s)| [s.as_slice(), run[k].payload])
-                        .collect();
-                    let msgs: Vec<&[&[u8]]> = parts.iter().map(|p| p.as_slice()).collect();
-                    let keys: Vec<&[u8]> = mac_idx.iter().map(|&k| run[k].key.as_bytes()).collect();
-                    let mut macs = vec![Digest::zero(alg); mac_idx.len()];
-                    alpha_crypto::backend::mac_parts_batch(alg, &keys, &msgs, &mut macs);
-                    for (&k, mac) in mac_idx.iter().zip(&macs) {
-                        let Some((_, S2Check::Mac { expected })) = &checks[k] else {
-                            unreachable!("index collected from a Mac check");
-                        };
-                        passed[k] = alpha_crypto::ct_eq(mac.as_bytes(), expected.as_bytes());
-                    }
-                }
-                MacScheme::Prefix => {
-                    for &k in &mac_idx {
-                        let Some((_, check)) = &checks[k] else {
-                            unreachable!("index collected from a check");
-                        };
-                        passed[k] = s2_check_passes(
-                            &cfg,
-                            alg,
-                            &run[k].key,
-                            run[k].seq,
-                            run[k].path,
-                            run[k].payload,
-                            check,
-                        );
-                    }
-                }
-            }
-        }
-        if !leaf_idx.is_empty() {
-            let payloads: Vec<&[u8]> = leaf_idx.iter().map(|&k| run[k].payload).collect();
-            let mut leaves = vec![Digest::zero(alg); leaf_idx.len()];
-            alpha_crypto::backend::digest_batch(alg, &payloads, &mut leaves);
-            for (&k, leaf) in leaf_idx.iter().zip(&leaves) {
-                let Some((_, S2Check::Keyed { root, leaf_index })) = &checks[k] else {
-                    unreachable!("index collected from a Keyed check");
-                };
-                let computed =
-                    merkle::keyed_root_from_path(alg, &run[k].key, leaf, *leaf_index, run[k].path);
-                passed[k] = alpha_crypto::ct_eq(computed.as_bytes(), root.as_bytes());
-            }
-        }
+        let check = |k: usize| match prepared[k] {
+            Ok(S2Prepared::Check { check, .. }) => Some(check),
+            _ => None,
+        };
+        let mut passed = [false; RUN];
+        batch::run_checks(alg, cfg.mac_scheme, run, check, &mut passed[..n]);
         // Phase 3: sequential finish, in input order.
         for (k, item) in run.iter().enumerate() {
-            if let Some(decision) = decided[k].take() {
-                out.push((decision, none()));
-                continue;
-            }
-            let Some(&(is_fwd, _)) = checks[k].as_ref() else {
-                unreachable!("undecided packets carry a check");
-            };
-            if !passed[k] {
-                out.push((RelayDecision::Drop(DropReason::BadMac), none()));
-                continue;
-            }
-            // Allowlist: a packet reaches here only if phase 1 found the
-            // association, and nothing in a control-free run removes it.
-            let a = self.assocs.get_mut(&assoc_id).expect("present in phase 1");
-            match s2_finish(&cfg, a, is_fwd, item.payload, now) {
-                Err(reason) => out.push((RelayDecision::Drop(reason), none())),
-                Ok(S2Outcome::Unverified) => out.push((RelayDecision::Forward, none())),
-                Ok(S2Outcome::Verified { is_fwd, close }) => {
-                    if close {
-                        self.assocs.remove(&assoc_id);
-                    }
-                    out.push((
-                        RelayDecision::Forward,
-                        RelayViewOutcome {
-                            verified_s2: Some((is_fwd, item.seq)),
-                            ..RelayViewOutcome::default()
-                        },
-                    ));
+            let none = RelayViewOutcome::default;
+            let verdict = match prepared[k] {
+                Err(decision) => (decision, none()),
+                Ok(S2Prepared::Unverified) => (RelayDecision::Forward, none()),
+                Ok(S2Prepared::Check { .. }) if !passed[k] => {
+                    (RelayDecision::Drop(DropReason::BadMac), none())
                 }
-            }
+                Ok(S2Prepared::Check { is_fwd, .. }) => {
+                    // Allowlist: phase 1 found the association, and only
+                    // a Close signal removes it — a control payload, so
+                    // always the last (only) packet of its chunk.
+                    let a = self.assocs.get_mut(&assoc_id).expect("present in phase 1");
+                    match s2_finish(&cfg, a, is_fwd, item.payload, now) {
+                        Err(reason) => (RelayDecision::Drop(reason), none()),
+                        Ok(close) => {
+                            if close {
+                                self.assocs.remove(&assoc_id);
+                            }
+                            let outcome = RelayViewOutcome {
+                                verified_s2: Some((is_fwd, item.seq)),
+                                ..none()
+                            };
+                            (RelayDecision::Forward, outcome)
+                        }
+                    }
+                }
+            };
+            sink(verdict);
         }
     }
-}
-
-/// Borrowed fields of one S2 packet queued for [`Relay::observe_s2_batch`].
-pub struct S2BatchItem<'a> {
-    /// Hash algorithm from the packet header.
-    pub alg: Algorithm,
-    /// Chain index from the packet header.
-    pub chain_index: u64,
-    /// Disclosed MAC-key chain element.
-    pub key: Digest,
-    /// Message sequence number within its bundle.
-    pub seq: u32,
-    /// Merkle authentication path (empty for Base/ALPHA-C).
-    pub path: &'a [Digest],
-    /// Borrowed payload bytes.
-    pub payload: &'a [u8],
-}
-
-/// True when a payload could carry a relay-visible control message (a
-/// signal or a chain renewal, both magic-prefixed). Such packets change
-/// relay state when verified, so the batch path orders them with a
-/// single-shot barrier; false positives (malformed control payloads) only
-/// cost the batching, never correctness.
-fn carries_control(payload: &[u8]) -> bool {
-    payload.starts_with(crate::signal::MAGIC) || payload.starts_with(crate::renewal::MAGIC)
 }
 
 /// Buffer an S1's pre-signature for later S2 verification. The buffered
@@ -952,40 +782,8 @@ fn a1_parts(
     RelayDecision::Forward
 }
 
-/// How a verified S2 should be handled by the caller.
-enum S2Outcome {
-    /// Forward without extraction (no matching exchange, policy allows).
-    Unverified,
-    /// Verified: extract the payload; `close` removes the association.
-    Verified {
-        /// Direction: true = initiator→responder.
-        is_fwd: bool,
-        /// A verified Close signal releases the association's state.
-        close: bool,
-    },
-}
-
-/// The one cryptographic comparison an S2 still owes after
-/// [`s2_prepare`] — everything needed to run it detached from the
-/// association borrow, so a caller can compute many checks in one
-/// batched sweep.
-enum S2Check {
-    /// Recompute the per-message MAC and compare with the buffered one.
-    Mac {
-        /// MAC buffered from the S1 pre-signature for this sequence number.
-        expected: Digest,
-    },
-    /// Recompute the keyed Merkle root from the payload leaf and its
-    /// authentication path.
-    Keyed {
-        /// Keyed root buffered from the S1 pre-signature.
-        root: Digest,
-        /// Leaf index within the (per-tree) leaf range.
-        leaf_index: usize,
-    },
-}
-
 /// Result of the pre-crypto phase of S2 processing.
+#[derive(Clone, Copy)]
 enum S2Prepared {
     /// No matching exchange and policy forwards unverified traffic.
     Unverified,
@@ -1115,38 +913,17 @@ fn s2_prepare(
     Ok(S2Prepared::Check { is_fwd, check })
 }
 
-/// Phase 2 of S2 processing, scalar form: run the deferred comparison
-/// for one packet. The batch path computes the same digests through the
-/// lane-parallel backend instead.
-fn s2_check_passes(
-    cfg: &RelayConfig,
-    alg: Algorithm,
-    key: &Digest,
-    seq: u32,
-    path: &[Digest],
-    payload: &[u8],
-    check: &S2Check,
-) -> bool {
-    match check {
-        S2Check::Mac { expected } => {
-            let mac = message_mac(alg, cfg.mac_scheme, key, seq, payload);
-            alpha_crypto::ct_eq(mac.as_bytes(), expected.as_bytes())
-        }
-        S2Check::Keyed { root, leaf_index } => {
-            merkle::verify_keyed(alg, key, &alg.hash(payload), *leaf_index, path, root)
-        }
-    }
-}
-
 /// Phase 3 of S2 processing: rate caps, control signals, and chain
-/// renewal for a packet whose crypto check passed.
+/// renewal for a packet whose crypto check passed. `Ok(true)`: a
+/// verified Close signal, the association's state is to be released
+/// once this packet is forwarded.
 fn s2_finish(
     cfg: &RelayConfig,
     a: &mut RelayAssociation,
     is_fwd: bool,
     payload: &[u8],
     now: Timestamp,
-) -> Result<S2Outcome, DropReason> {
+) -> Result<bool, DropReason> {
     let alg = a.alg;
     // Enforce a signalled payload-rate cap on this direction.
     let cap = if is_fwd {
@@ -1173,12 +950,7 @@ fn s2_finish(
                 };
                 *toward_sender = Some(S1Limiter::new(Some(bytes_per_sec)));
             }
-            crate::signal::Signal::Close => {
-                return Ok(S2Outcome::Verified {
-                    is_fwd,
-                    close: true,
-                });
-            }
+            crate::signal::Signal::Close => return Ok(true),
             crate::signal::Signal::LocatorUpdate { .. } => {}
         }
     }
@@ -1199,36 +971,7 @@ fn s2_finish(
         ack_dir.ack =
             ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1).with_max_skip(skip);
     }
-    Ok(S2Outcome::Verified {
-        is_fwd,
-        close: false,
-    })
-}
-
-/// The single-shot S2 judgment, recomposed from the three phases. Takes
-/// fields rather than a view because `observe_s2_one` reaches it with a
-/// batch item; slices end-to-end, so no allocation happens here.
-#[allow(clippy::too_many_arguments)] // one S2's fields, from a view or a batch item
-fn s2_parts(
-    cfg: &RelayConfig,
-    a: &mut RelayAssociation,
-    chain_index: u64,
-    key: &Digest,
-    seq: u32,
-    path: &[Digest],
-    payload: &[u8],
-    now: Timestamp,
-) -> Result<S2Outcome, DropReason> {
-    let alg = a.alg;
-    match s2_prepare(cfg, a, chain_index, key, seq, path.len())? {
-        S2Prepared::Unverified => Ok(S2Outcome::Unverified),
-        S2Prepared::Check { is_fwd, check } => {
-            if !s2_check_passes(cfg, alg, key, seq, path, payload, &check) {
-                return Err(DropReason::BadMac);
-            }
-            s2_finish(cfg, a, is_fwd, payload, now)
-        }
-    }
+    Ok(false)
 }
 
 /// The A2 judgment. Returns the verified `(seq, ack)` verdicts. AMT

@@ -17,25 +17,31 @@ use alpha_crypto::{merkle, Digest};
 use alpha_wire::{limits, A2Disclosure, AckCommit, Body, Packet, PreSignature};
 use rand::RngCore;
 
-use crate::signer::message_mac;
+use crate::batch::{self, S2BatchItem, S2Check, RUN};
+use crate::signal::Signal;
 use crate::{Config, ProtocolError, Reliability, Timestamp};
 
-/// Events surfaced to the application by the verifying side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifierEvent {
-    /// Message `seq` verified; payload attached.
-    Delivered(u32, Vec<u8>),
-    /// All messages of the current exchange have been verified.
-    BundleComplete,
-}
-
-/// What a verifier-side handler produced.
-#[derive(Debug, Default)]
-pub struct VerifierOutput {
-    /// Packets to put on the wire.
-    pub packets: Vec<Packet>,
-    /// Application events.
-    pub events: Vec<VerifierEvent>,
+/// What the verifying side made of one S2 it accepted
+/// ([`VerifierChannel::handle_s2_run`]).
+#[derive(Debug)]
+pub struct S2Verdict<'a> {
+    /// The S2's message index within its bundle.
+    pub seq: u32,
+    /// The verified payload, borrowed from the packet, on its first
+    /// delivery only — a duplicate delivers nothing, and neither does a
+    /// signal or renewal an [`crate::Association`] consumed.
+    pub delivered: Option<&'a [u8]>,
+    /// The verdict A2 to send back (reliable mode): an ack, or a nack
+    /// for an S2 that failed its MAC or Merkle check.
+    pub reply: Option<Packet>,
+    /// This S2 completed its bundle.
+    pub bundle_complete: bool,
+    /// A control signal the [`crate::Association`] consumed from the
+    /// payload.
+    pub signal: Option<Signal>,
+    /// The payload was a chain renewal the [`crate::Association`] has
+    /// applied.
+    pub peer_renewed: bool,
 }
 
 enum BufferedPresig {
@@ -110,6 +116,15 @@ impl BufferedExchange {
         }
     }
 
+    /// Mark `seq` (in range) received; true on its first arrival.
+    fn receive(&mut self, seq: u32) -> bool {
+        let slot = &mut self.received[seq as usize];
+        let first = !*slot;
+        *slot = true;
+        self.missing -= usize::from(first);
+        first
+    }
+
     fn thaw(alg: alpha_crypto::Algorithm, fx: &crate::freeze::FrozenExchange) -> BufferedExchange {
         use crate::freeze::{FrozenAck, FrozenPresig};
         let presig = match &fx.presig {
@@ -150,6 +165,7 @@ impl BufferedExchange {
             ack_key: fx.ack_key,
             ack,
             received: fx.received.clone(),
+            missing: fx.received.iter().filter(|&&r| !r).count(),
             created_at: fx.created_at,
             first_s2_at: fx.first_s2_at,
             last_nack_at: fx.last_nack_at,
@@ -172,6 +188,9 @@ struct BufferedExchange {
     ack_key: Digest,
     ack: AckState,
     received: Vec<bool>,
+    /// `received` entries still false, so completion is one comparison
+    /// on every verified S2 rather than a scan of up to `MAX_LEAVES`.
+    missing: usize,
     created_at: Timestamp,
     /// Set once at least one S2 arrived (the signer is in its burst phase,
     /// so missing sequence numbers indicate loss rather than not-yet-sent).
@@ -273,21 +292,18 @@ impl VerifierChannel {
         pkt: &Packet,
         now: Timestamp,
         rng: &mut dyn RngCore,
-    ) -> Result<VerifierOutput, ProtocolError> {
+    ) -> Result<Option<Packet>, ProtocolError> {
         self.check_packet(pkt)?;
         let Body::S1 { element, presig } = &pkt.body else {
             return Err(ProtocolError::UnexpectedPacket);
         };
         if !self.accepting {
-            return Ok(VerifierOutput::default());
+            return Ok(None);
         }
         // Duplicate of the current exchange's S1 (lost A1): replay the A1.
         if let Some(ex) = &self.current {
             if ex.s1_index == pkt.chain_index {
-                return Ok(VerifierOutput {
-                    packets: vec![ex.a1.clone()],
-                    events: Vec::new(),
-                });
+                return Ok(Some(ex.a1.clone()));
             }
         }
         let covered = presig.covered();
@@ -377,64 +393,62 @@ impl VerifierChannel {
             ack_key,
             ack,
             received: vec![false; covered as usize],
+            missing: covered as usize,
             created_at: now,
             first_s2_at: None,
             last_nack_at: Timestamp::ZERO,
         });
-        Ok(VerifierOutput {
-            packets: vec![a1],
-            events: Vec::new(),
-        })
+        Ok(Some(a1))
     }
 
-    /// Process an S2 packet: authenticate the disclosed key, check the
-    /// message against the buffered pre-signature, deliver the payload and
-    /// (in reliable mode) disclose a verdict.
-    pub fn handle_s2(
-        &mut self,
-        pkt: &Packet,
-        now: Timestamp,
-    ) -> Result<VerifierOutput, ProtocolError> {
-        let Body::S2 {
-            key,
-            seq,
-            path,
-            payload,
-        } = &pkt.body
-        else {
-            return Err(ProtocolError::UnexpectedPacket);
-        };
-        self.handle_s2_fields(
-            pkt.assoc_id,
-            pkt.alg,
-            pkt.chain_index,
-            key,
-            *seq,
-            path,
-            payload,
-            now,
-        )
-    }
-
-    /// Field-level S2 processing shared by the owned-packet path and the
-    /// zero-copy [`alpha_wire::PacketView`] path: the key, authentication
-    /// path and payload arrive as borrowed slices and the payload is
-    /// copied exactly once, on first-time delivery.
-    #[allow(clippy::too_many_arguments)] // one call site per decode path
-    pub fn handle_s2_fields(
+    /// Verify a run of S2s of association `assoc_id`: authenticate each
+    /// disclosed key, check each message against the buffered
+    /// pre-signature, mark deliveries and (in reliable mode) disclose
+    /// verdicts, handing every item's outcome to `sink` in input order.
+    ///
+    /// The run is verified in chunks of up to a bundle: every item of a
+    /// chunk is prepared in order (exchange match, key authentication,
+    /// shape checks), the chunk's MACs and keyed Merkle roots are
+    /// computed in one batched sweep ([`crate::batch`]), then every item
+    /// is finished in order. Finishing an item changes nothing a later
+    /// item's prepare reads, so outcomes are exactly those of feeding the
+    /// items one at a time — which is what a run of one does. Payloads
+    /// stay borrowed: the verifier copies nothing.
+    pub fn handle_s2_run<'a>(
         &mut self,
         assoc_id: u64,
-        alg: alpha_crypto::Algorithm,
-        chain_index: u64,
-        key: &Digest,
-        seq: u32,
-        path: &[Digest],
-        payload: &[u8],
+        items: &[S2BatchItem<'a>],
         now: Timestamp,
-    ) -> Result<VerifierOutput, ProtocolError> {
-        if assoc_id != self.assoc_id {
-            return Err(ProtocolError::WrongAssociation);
+        sink: &mut dyn FnMut(Result<S2Verdict<'a>, ProtocolError>),
+    ) {
+        for chunk in items.chunks(RUN) {
+            let mut prepared = [Err(ProtocolError::WrongAssociation); RUN];
+            if assoc_id == self.assoc_id {
+                for (slot, item) in prepared.iter_mut().zip(chunk) {
+                    *slot = self.s2_prepare(item);
+                }
+            }
+            let check = |k: usize| prepared[k].ok().and_then(|(_, check)| check);
+            let mut passed = [false; RUN];
+            let (alg, scheme) = (self.cfg.algorithm, self.cfg.mac_scheme);
+            batch::run_checks(alg, scheme, chunk, check, &mut passed[..chunk.len()]);
+            for (k, item) in chunk.iter().enumerate() {
+                sink(prepared[k].and_then(|(in_current, _)| {
+                    self.s2_finish(in_current, item.seq, passed[k], item.payload, now)
+                }));
+            }
         }
+    }
+
+    /// Prepare one S2: find its exchange and authenticate its key.
+    /// Returns whether the exchange is the current one and the check the
+    /// message still owes (`None`: its path has the wrong shape, so it
+    /// fails without hashing).
+    fn s2_prepare(
+        &mut self,
+        item: &S2BatchItem<'_>,
+    ) -> Result<(bool, Option<S2Check>), ProtocolError> {
+        let (alg, chain_index, key, seq) = (item.alg, item.chain_index, &item.key, item.seq);
         if alg != self.cfg.algorithm {
             return Err(ProtocolError::WrongAlgorithm);
         }
@@ -490,44 +504,64 @@ impl VerifierChannel {
             }
         }
 
-        // Verify the message against the buffered pre-signature.
-        let valid = match &ex.presig {
-            BufferedPresig::Macs(macs) => {
-                let mac = message_mac(alg, self.cfg.mac_scheme, key, seq, payload);
-                alpha_crypto::ct_eq(mac.as_bytes(), macs[seq as usize].as_bytes())
-            }
+        // What the message owes the buffered pre-signature.
+        let depth = |leaves: u32| merkle::log2_ceil(u64::from(leaves).max(1)) as usize;
+        let check = match &ex.presig {
+            BufferedPresig::Macs(macs) => Some(S2Check::Mac {
+                expected: macs[seq as usize],
+            }),
             BufferedPresig::Root { root, leaves } => {
-                let expected_depth = merkle::log2_ceil(u64::from(*leaves).max(1)) as usize;
-                path.len() == expected_depth
-                    && merkle::verify_keyed(alg, key, &alg.hash(payload), seq as usize, path, root)
+                (item.path.len() == depth(*leaves)).then_some(S2Check::Keyed {
+                    root: *root,
+                    leaf_index: seq as usize,
+                })
             }
             BufferedPresig::Forest {
                 trees,
                 leaves_per_tree,
             } => {
-                let t = seq as usize / leaves_per_tree;
+                let tree = &trees[seq as usize / leaves_per_tree];
                 let j = seq as usize % leaves_per_tree;
-                let tree = &trees[t];
-                let expected_depth = merkle::log2_ceil(u64::from(tree.leaves).max(1)) as usize;
-                j < tree.leaves as usize
-                    && path.len() == expected_depth
-                    && merkle::verify_keyed(alg, key, &alg.hash(payload), j, path, &tree.root)
+                (j < tree.leaves as usize && item.path.len() == depth(tree.leaves)).then_some(
+                    S2Check::Keyed {
+                        root: tree.root,
+                        leaf_index: j,
+                    },
+                )
             }
         };
+        Ok((in_current, check))
+    }
 
-        let mut out = VerifierOutput::default();
+    /// Finish one prepared S2 whose check came out `valid`: mark its
+    /// delivery and build the verdict.
+    fn s2_finish<'a>(
+        &mut self,
+        in_current: bool,
+        seq: u32,
+        valid: bool,
+        payload: &'a [u8],
+        now: Timestamp,
+    ) -> Result<S2Verdict<'a>, ProtocolError> {
+        let mut verdict = S2Verdict {
+            seq,
+            delivered: None,
+            reply: None,
+            bundle_complete: false,
+            signal: None,
+            peer_renewed: false,
+        };
         if !valid {
             // Reliable mode: disclose a nack so the signer retransmits
             // without waiting for its timer; unreliable mode: drop.
-            if let Some(a2) = self.make_verdict(in_current, seq, false) {
-                out.packets.push(a2);
-                return Ok(out);
-            }
-            return Err(ProtocolError::BadMac);
+            verdict.reply = self.make_verdict(in_current, seq, false);
+            return match verdict.reply {
+                Some(_) => Ok(verdict),
+                None => Err(ProtocolError::BadMac),
+            };
         }
-
-        // Allowlist: the exchange matched above cannot have been released
-        // by the verdict construction.
+        // Allowlist: prepare matched this exchange, and no S2 releases
+        // an exchange.
         let ex = if in_current {
             self.current.as_mut().expect("still current")
         } else {
@@ -536,21 +570,11 @@ impl VerifierChannel {
         if ex.first_s2_at.is_none() {
             ex.first_s2_at = Some(now);
         }
-        let first_time = !ex.received[seq as usize];
-        ex.received[seq as usize] = true;
-        if first_time {
-            // The only payload copy on the delivery path.
-            out.events
-                .push(VerifierEvent::Delivered(seq, payload.to_vec()));
-        }
-        let complete = ex.received.iter().all(|&r| r);
-        if complete && first_time {
-            out.events.push(VerifierEvent::BundleComplete);
-        }
-        if let Some(a2) = self.make_verdict(in_current, seq, true) {
-            out.packets.push(a2);
-        }
-        Ok(out)
+        let first_time = ex.receive(seq);
+        verdict.delivered = first_time.then_some(payload);
+        verdict.bundle_complete = first_time && ex.missing == 0;
+        verdict.reply = self.make_verdict(in_current, seq, true);
+        Ok(verdict)
     }
 
     /// Replace this channel's acknowledgment chain (chain renewal).
@@ -638,7 +662,7 @@ impl VerifierChannel {
                 if matches!(ex.ack, AckState::Amt(_))
                     && ex.first_s2_at.is_some_and(|t| now.since(t) >= rto)
                     && now.since(ex.last_nack_at) >= rto
-                    && ex.received.iter().any(|r| !r) =>
+                    && ex.missing > 0 =>
             {
                 ex.received
                     .iter()
@@ -691,8 +715,7 @@ impl VerifierChannel {
                 verdict_sent,
             } => {
                 if ok {
-                    let all = ex.received.iter().all(|&r| r);
-                    if !all {
+                    if ex.missing > 0 {
                         return None;
                     }
                     *verdict_sent = true;
@@ -733,5 +756,57 @@ impl VerifierChannel {
             return Err(ProtocolError::WrongAlgorithm);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Association, Mode};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The missing count moves only on a seq's first arrival, completion
+    /// is reported once, and a superseded exchange keeps its own count.
+    #[test]
+    fn missing_count_moves_on_first_arrivals_only() {
+        let cfg = Config::new(alpha_crypto::Algorithm::Sha1).with_chain_len(64);
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        let t = Timestamp::ZERO;
+        let mut exchange = |alice: &mut Association, bob: &mut Association, n: u8| {
+            let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i; 40]).collect();
+            let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+            let s1 = alice.sign_batch(&refs, Mode::Merkle, t).unwrap();
+            let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
+            alice.handle(&a1, t, &mut rng).unwrap().packets
+        };
+        let feed = |bob: &mut Association, s2: &Packet| {
+            let r = bob.handle(s2, t, &mut StdRng::seed_from_u64(0)).unwrap();
+            (r.deliveries.len(), r.bundle_complete)
+        };
+        let missing = |bob: &mut Association| {
+            let v = bob.verifier();
+            let count = |ex: &Option<BufferedExchange>| ex.as_ref().map(|ex| ex.missing);
+            (count(&v.current), count(&v.previous))
+        };
+
+        let first = exchange(&mut alice, &mut bob, 4);
+        assert_eq!(missing(&mut bob), (Some(4), None));
+        assert_eq!(feed(&mut bob, &first[0]), (1, false));
+        assert_eq!(feed(&mut bob, &first[0]), (0, false), "a duplicate");
+        assert_eq!(missing(&mut bob), (Some(3), None));
+        assert_eq!(feed(&mut bob, &first[1]), (1, false));
+        assert_eq!(feed(&mut bob, &first[2]), (1, false));
+        assert_eq!(missing(&mut bob), (Some(1), None));
+
+        let second = exchange(&mut alice, &mut bob, 2);
+        assert_eq!(missing(&mut bob), (Some(2), Some(1)));
+        assert_eq!(feed(&mut bob, &second[0]), (1, false));
+        assert_eq!(feed(&mut bob, &first[3]), (1, true), "late S2 completes");
+        assert_eq!(feed(&mut bob, &first[3]), (0, false), "completion once");
+        assert_eq!(missing(&mut bob), (Some(1), Some(0)));
+        assert_eq!(feed(&mut bob, &second[1]), (1, true));
+        assert_eq!(missing(&mut bob), (Some(0), Some(0)));
     }
 }

@@ -482,7 +482,7 @@ fn relay_s2_batch_matches_sequential() {
                     chain_index: p.chain_index,
                     key: *key,
                     seq: *seq,
-                    path,
+                    path: path.as_slice().into(),
                     payload,
                 }
             })

@@ -283,6 +283,205 @@ pub fn keyed_root_from_path(
     alg.hash_parts(&[key.as_bytes(), left.as_bytes(), right.as_bytes()])
 }
 
+/// A borrowed authentication path: either [`Digest`]s, or the packed
+/// bytes a received S2 carries its siblings in (`digest_len` bytes
+/// each), read in place so verification copies no path.
+#[derive(Debug, Clone, Copy)]
+pub struct Siblings<'a>(SiblingsRepr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum SiblingsRepr<'a> {
+    Digests(&'a [Digest]),
+    Packed { bytes: &'a [u8], digest_len: usize },
+}
+
+impl<'a> Siblings<'a> {
+    /// Siblings packed back to back, `alg.digest_len()` bytes each.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not a whole number of digests.
+    #[must_use]
+    pub fn packed(alg: Algorithm, bytes: &'a [u8]) -> Siblings<'a> {
+        let digest_len = alg.digest_len();
+        assert_eq!(bytes.len() % digest_len, 0, "partial sibling digest");
+        Siblings(SiblingsRepr::Packed { bytes, digest_len })
+    }
+
+    /// Number of siblings (the path's depth).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self.0 {
+            SiblingsRepr::Digests(d) => d.len(),
+            SiblingsRepr::Packed { bytes, digest_len } => bytes.len() / digest_len,
+        }
+    }
+
+    /// True for the empty path of a single-leaf tree.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sibling at `level` (0 = the leaf's), as bytes.
+    ///
+    /// # Panics
+    /// Panics if `level >= self.len()`.
+    #[must_use]
+    pub fn get(&self, level: usize) -> &'a [u8] {
+        match self.0 {
+            SiblingsRepr::Digests(d) => d[level].as_bytes(),
+            SiblingsRepr::Packed { bytes, digest_len } => {
+                &bytes[level * digest_len..(level + 1) * digest_len]
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a [Digest]> for Siblings<'a> {
+    fn from(path: &'a [Digest]) -> Siblings<'a> {
+        Siblings(SiblingsRepr::Digests(path))
+    }
+}
+
+/// One S2's share of [`keyed_roots`]: its message, where the message
+/// sits in its tree, the path up and the disclosed key.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyedLeaf<'a> {
+    /// The disclosed chain element keying the root.
+    pub key: &'a Digest,
+    /// The message; its hash is the leaf.
+    pub message: &'a [u8],
+    /// Leaf index within its tree.
+    pub index: usize,
+    /// Authentication path, leaf level first.
+    pub path: Siblings<'a>,
+}
+
+/// Items per sweep of [`keyed_roots`]: one bundle's worth, so every
+/// working array lives on the stack.
+const KEYED_BATCH: usize = 16;
+
+/// The keyed root of every item, `out[k]` byte-identical to
+/// [`keyed_root_from_path`]`(alg, items[k].key, &alg.hash(items[k].message),
+/// items[k].index, path)` — the verifier and relay computation for a run
+/// of S2s, batched.
+///
+/// Leaves are hashed through [`backend::digest_batch`], then the paths
+/// are walked level by level through the lane-parallel backend. An S2 of
+/// a bundle shares most of its path with its neighbours, so a node is
+/// hashed once per run: an item reuses the previous item's output at a
+/// level only when the two hash *byte-equal inputs* (`left | right`, or
+/// `key | left | right` at the top). Reuse therefore never changes a
+/// result — equal inputs have equal digests — and a forged item, whose
+/// bytes differ somewhere, is computed on its own bytes from that level
+/// up. Hash counts ([`crate::counting`]) record only what is computed:
+/// 16 consecutive leaves of a 32-leaf tree cost 16 leaf, 15 node and 1
+/// keyed-root hashes instead of 16 × 6.
+///
+/// # Panics
+/// Panics if `items.len() != out.len()`.
+pub fn keyed_roots(alg: Algorithm, items: &[KeyedLeaf<'_>], out: &mut [Digest]) {
+    assert_eq!(items.len(), out.len(), "keyed_roots length mismatch");
+    for (items, out) in items.chunks(KEYED_BATCH).zip(out.chunks_mut(KEYED_BATCH)) {
+        keyed_roots_chunk(alg, items, out);
+    }
+}
+
+/// [`keyed_roots`] for at most [`KEYED_BATCH`] items; `cur` carries each
+/// item's node from the leaf up to its keyed root.
+fn keyed_roots_chunk(alg: Algorithm, items: &[KeyedLeaf<'_>], cur: &mut [Digest]) {
+    let n = items.len();
+    let mut messages: [&[u8]; KEYED_BATCH] = [&[]; KEYED_BATCH];
+    let mut index = [0usize; KEYED_BATCH];
+    for (k, item) in items.iter().enumerate() {
+        messages[k] = item.message;
+        index[k] = item.index;
+    }
+    backend::digest_batch(alg, &messages[..n], cur);
+    // A single-leaf tree (empty path) still takes one keyed step.
+    let levels = items
+        .iter()
+        .map(|it| it.path.len().max(1))
+        .max()
+        .unwrap_or(0);
+    // Item k's job at the current level is `job[k]` (`None`: its walk
+    // is done); job j hashes `parts[j][..arity[j]]` into `next[j]`.
+    let mut job = [None::<usize>; KEYED_BATCH];
+    let mut next = [Digest::zero(alg); KEYED_BATCH];
+    for level in 0..levels {
+        {
+            let mut parts: [[&[u8]; 3]; KEYED_BATCH] = [[&[]; 3]; KEYED_BATCH];
+            let mut arity = [0usize; KEYED_BATCH];
+            let mut jobs = 0;
+            for (k, slot) in job.iter_mut().enumerate().take(n) {
+                let Some((these, m)) = node_input(&items[k], cur[k].as_bytes(), index[k], level)
+                else {
+                    *slot = None;
+                    continue;
+                };
+                let shared = jobs > 0 && arity[jobs - 1] == m && parts[jobs - 1][..m] == these[..m];
+                if !shared {
+                    parts[jobs] = these;
+                    arity[jobs] = m;
+                    jobs += 1;
+                }
+                *slot = Some(jobs - 1);
+            }
+            // One backend sweep per lane group, as `hash_parts_lanes`
+            // would cut the whole level.
+            for ((p, a), out) in parts[..jobs]
+                .chunks(backend::LANES)
+                .zip(arity.chunks(backend::LANES))
+                .zip(next.chunks_mut(backend::LANES))
+            {
+                let mut refs = [PartsRef::new(&[]); backend::LANES];
+                for ((r, p), &m) in refs.iter_mut().zip(p).zip(a) {
+                    *r = PartsRef::new(&p[..m]);
+                }
+                backend::hash_parts_lanes(alg, &refs[..p.len()], &mut out[..p.len()]);
+            }
+        }
+        for ((node, idx), j) in cur.iter_mut().zip(&mut index).zip(job) {
+            if let Some(j) = j {
+                *node = next[j];
+                *idx >>= 1;
+            }
+        }
+    }
+}
+
+/// What `item`, whose node at `level` is `node` at position `index`,
+/// hashes at that level: `left | right` by the index bit, `key | left |
+/// right` at the top, `key | leaf` for a single-leaf tree — as parts and
+/// their count; `None` once its walk is done. All parts but the key are
+/// one digest long, so equal parts are equal bytes.
+fn node_input<'a>(
+    item: &KeyedLeaf<'a>,
+    node: &'a [u8],
+    index: usize,
+    level: usize,
+) -> Option<([&'a [u8]; 3], usize)> {
+    let depth = item.path.len();
+    let key = item.key.as_bytes();
+    if depth == 0 {
+        return (level == 0).then_some(([key, node, &[]], 2));
+    }
+    if level >= depth {
+        return None;
+    }
+    let sib = item.path.get(level);
+    let (l, r) = if index.is_multiple_of(2) {
+        (node, sib)
+    } else {
+        (sib, node)
+    };
+    Some(if level + 1 == depth {
+        ([key, l, r], 3)
+    } else {
+        ([l, r, &[]], 2)
+    })
+}
+
 /// Verify an ALPHA-M S2: message-leaf `j` against the pre-signature root.
 #[must_use]
 pub fn verify_keyed(
@@ -481,6 +680,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn keyed_roots_hash_each_shared_node_once() {
+        let alg = Algorithm::Sha1;
+        let msgs: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 1024]).collect();
+        let t = MerkleTree::from_messages(alg, &msgs);
+        let key = alg.hash(b"disclosed");
+        let root = t.keyed_root(&key);
+        let paths: Vec<Vec<Digest>> = (0..32).map(|j| t.auth_path(j)).collect();
+        let items: Vec<KeyedLeaf<'_>> = (0..32)
+            .map(|j| KeyedLeaf {
+                key: &key,
+                message: &msgs[j],
+                index: j,
+                path: Siblings::from(paths[j].as_slice()),
+            })
+            .collect();
+        // One bundle: half the tree, 16 leaf + 15 node + 1 keyed-root
+        // hashes, not 16 × (1 + log2 32).
+        for bundle in items.chunks(16) {
+            let mut out = vec![Digest::zero(alg); 16];
+            let scope = crate::counting::Scope::start();
+            keyed_roots(alg, bundle, &mut out);
+            assert_eq!(scope.finish().invocations, 16 + 15 + 1);
+            assert!(out.iter().all(|r| *r == root));
+        }
+        // One S2 alone: Table 1's 1 + log2 n.
+        let mut one = [Digest::zero(alg)];
+        let scope = crate::counting::Scope::start();
+        keyed_roots(alg, &items[7..8], &mut one);
+        assert_eq!(scope.finish().invocations, 1 + 5);
+        assert_eq!(one[0], root);
     }
 
     #[test]

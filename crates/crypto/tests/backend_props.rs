@@ -151,6 +151,109 @@ fn active_backend_wrappers_match_scalar() {
     }
 }
 
+/// `merkle::keyed_roots` (shared nodes hashed once, on the active
+/// backend) vs the per-item reference walk `keyed_root_from_path`, on
+/// seeded runs the verifiers see: a bundle's leaves in order, shuffled,
+/// duplicated, spanning two trees or two keys, longer than one sweep,
+/// with one item forged by a flipped message, sibling or key byte or a
+/// wrong index — and paths given as digests or as packed wire bytes.
+#[test]
+fn keyed_roots_match_the_per_item_walk() {
+    use alpha_crypto::merkle::{self, KeyedLeaf, MerkleTree, Siblings};
+    let mut rng = StdRng::seed_from_u64(0x7ee5);
+    for alg in ALGS {
+        for round in 0..48 {
+            let trees: Vec<(Digest, Vec<Vec<u8>>, MerkleTree)> = (0..2)
+                .map(|_| {
+                    let leaves = rng.gen_range(1..=40usize);
+                    let msgs: Vec<Vec<u8>> = (0..leaves)
+                        .map(|_| {
+                            let len = rng.gen_range(0..300usize);
+                            rand_msg(&mut rng, len)
+                        })
+                        .collect();
+                    let tree = MerkleTree::from_messages(alg, &msgs);
+                    (alg.hash(&rand_msg(&mut rng, 8)), msgs, tree)
+                })
+                .collect();
+            // (tree, leaf) pairs: an in-order stretch of tree 0, then
+            // per round shuffled, duplicated or mixed in tree 1.
+            let (_, msgs0, _) = &trees[0];
+            let start = rng.gen_range(0..msgs0.len());
+            let len = rng.gen_range(1..=(msgs0.len() - start).min(20));
+            let mut picks: Vec<(usize, usize)> = (start..start + len).map(|j| (0, j)).collect();
+            match round % 4 {
+                1 => {
+                    for i in (1..picks.len()).rev() {
+                        picks.swap(i, rng.gen_range(0..=i));
+                    }
+                }
+                2 => {
+                    let dup = picks[rng.gen_range(0..picks.len())];
+                    picks.insert(rng.gen_range(0..=picks.len()), dup);
+                }
+                3 => picks.extend((0..trees[1].1.len().min(24)).map(|j| (1, j))),
+                _ => {}
+            }
+            let mut packed: Vec<Vec<u8>> = picks
+                .iter()
+                .map(|&(t, j)| {
+                    let path = trees[t].2.auth_path(j);
+                    path.iter().flat_map(|d| d.as_bytes().to_vec()).collect()
+                })
+                .collect();
+            let mut msgs: Vec<Vec<u8>> =
+                picks.iter().map(|&(t, j)| trees[t].1[j].clone()).collect();
+            let mut keys: Vec<Digest> = picks.iter().map(|&(t, _)| trees[t].0).collect();
+            let mut index: Vec<usize> = picks.iter().map(|&(_, j)| j).collect();
+            // Forge one item (some rounds leave the run clean).
+            let victim = rng.gen_range(0..picks.len());
+            match rng.gen_range(0..5) {
+                0 if !msgs[victim].is_empty() => msgs[victim][0] ^= 1,
+                1 if !packed[victim].is_empty() => {
+                    let at = rng.gen_range(0..packed[victim].len());
+                    packed[victim][at] ^= 0x80;
+                }
+                2 => keys[victim] = alg.hash(b"guessed"),
+                3 => index[victim] ^= 1,
+                _ => {}
+            }
+            let paths: Vec<Vec<Digest>> = packed
+                .iter()
+                .map(|p| {
+                    p.chunks_exact(alg.digest_len())
+                        .map(Digest::from_slice)
+                        .collect()
+                })
+                .collect();
+            let items: Vec<KeyedLeaf<'_>> = (0..picks.len())
+                .map(|k| KeyedLeaf {
+                    key: &keys[k],
+                    message: &msgs[k],
+                    index: index[k],
+                    path: if k % 2 == 0 {
+                        Siblings::packed(alg, &packed[k])
+                    } else {
+                        Siblings::from(paths[k].as_slice())
+                    },
+                })
+                .collect();
+            let mut got = vec![Digest::zero(alg); items.len()];
+            merkle::keyed_roots(alg, &items, &mut got);
+            for (k, item) in items.iter().enumerate() {
+                let want = merkle::keyed_root_from_path(
+                    alg,
+                    item.key,
+                    &alg.hash(item.message),
+                    item.index,
+                    &paths[k],
+                );
+                assert_eq!(got[k], want, "{alg} round {round} item {k}");
+            }
+        }
+    }
+}
+
 /// Long keys (beyond one block) take the scalar pre-hash fallback; they
 /// must still agree with scalar HMAC on every backend.
 #[test]

@@ -36,33 +36,17 @@ pub(super) struct HostFlow {
 }
 
 /// Ingest: feed one parsed packet to an association. S2 packets — the
-/// data path — go through the field-level borrowed interface; the rare
-/// control packets materialise an owned [`Packet`].
+/// data path — are verified as a run of one, borrowed from the datagram;
+/// the rare control packets materialise an owned [`Packet`].
 pub(super) fn ingest(
     assoc: &mut Association,
     view: &PacketView<'_>,
     now: Timestamp,
     rng: &mut dyn RngCore,
 ) -> Result<Response, ProtocolError> {
-    match &view.body {
-        BodyView::S2 {
-            key,
-            seq,
-            path,
-            payload,
-        } => {
-            let path = path.to_path();
-            assoc.handle_s2_fields(
-                view.assoc_id,
-                view.chain_index,
-                key,
-                *seq,
-                &path,
-                payload,
-                now,
-            )
-        }
-        _ => assoc.handle(&view.to_packet(), now, rng),
+    match S2BatchItem::from_view(view) {
+        Some(item) => assoc.handle_s2(view.assoc_id, &item, now),
+        None => assoc.handle(&view.to_packet(), now, rng),
     }
 }
 
@@ -413,11 +397,79 @@ impl EngineCore {
         }
     }
 
+    /// A run of consecutive S2s of one association from one datagram
+    /// (`ingress` groups them, as `relay_datagram` does). A resident
+    /// host flow verifies the whole run under one shard lock, with one
+    /// flow lookup and one settle: deliveries go straight into
+    /// `out.delivered`, each A2 verdict out as its own datagram as a
+    /// packet-by-packet pass would send it. Any other flow state
+    /// (connecting, hibernated, unknown) takes the per-packet path.
+    pub(super) fn host_s2_run(
+        &self,
+        key: FlowKey,
+        slices: &[&[u8]],
+        views: &[Option<PacketView<'_>>],
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut EngineOutput,
+    ) {
+        let idx = self.shard_index(&key);
+        let mut guard = self.shards.write(idx);
+        let shard = &mut *guard;
+        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state) else {
+            drop(guard);
+            for (slice, view) in slices.iter().zip(views) {
+                if let Some(view) = view {
+                    self.host_packet(key.peer, slice, view, now, rng, out);
+                }
+            }
+            return;
+        };
+        // S2s verify or drop, they are never refused at admission
+        // (`admit` vets S1 / HS1 only), so the whole run goes in.
+        let items = s2_run_items(views);
+        let mut replies = Vec::new();
+        let mut delivered = 0;
+        let mut verified = false;
+        out.delivered.reserve(views.len());
+        flow.assoc
+            .handle_s2_run(key.assoc_id, &items[..views.len()], now, &mut |verdict| {
+                match verdict {
+                    Ok(v) => {
+                        verified = true;
+                        if let Some(payload) = v.delivered {
+                            // The one payload copy on the delivery path.
+                            out.delivered.push((key.assoc_id, v.seq, payload.to_vec()));
+                            delivered += 1;
+                        }
+                        replies.extend(v.reply);
+                    }
+                    Err(e) => self.metrics.record_drop(protocol_drop_reason(e)),
+                }
+            });
+        if !verified {
+            return;
+        }
+        let resp = Response {
+            packets: replies,
+            ..Response::default()
+        };
+        self.settle(&mut shard.wheel, key, flow, &resp, now, true);
+        self.cache_deadline(shard);
+        drop(guard);
+        self.metrics
+            .s2_verified
+            .fetch_add(delivered, Ordering::Relaxed);
+        for reply in &resp.packets {
+            self.push_packets(out, key.peer, std::slice::from_ref(reply));
+        }
+    }
+
     /// Settle: fold one [`Response`] into the flow's engine state —
-    /// RTT sample, adaptation, renewal lifecycle, counters, next poll
-    /// deadline — under the shard write lock, on the datagram, thaw and
-    /// timer paths alike. The caller then refreshes `cache_deadline`,
-    /// drops the lock and hands the response to [`EngineCore::stage`].
+    /// RTT sample, adaptation, renewal lifecycle, next poll deadline —
+    /// under the shard write lock, on the datagram, thaw and timer paths
+    /// alike. The caller then refreshes `cache_deadline`, drops the lock
+    /// and hands the response to [`EngineCore::stage`].
     ///
     /// `from_peer`: the response answers a datagram that verified, not
     /// a timer fire. Only that proves a live peer, so only that
@@ -476,17 +528,18 @@ impl EngineCore {
                 wheel.schedule(due, key);
             }
         }
-        self.metrics
-            .s2_verified
-            .fetch_add(resp.deliveries.len() as u64, Ordering::Relaxed);
         if let Some(t) = flow.assoc.poll_at() {
             wheel.schedule(t, key);
         }
     }
 
-    /// Hand a settled response to the caller: deliveries, then its
-    /// packets as one datagram toward the flow's peer. Needs no lock.
+    /// Hand a settled response to the caller: deliveries (counted as
+    /// verified S2s), then its packets as one datagram toward the flow's
+    /// peer. Needs no lock.
     pub(super) fn stage(&self, out: &mut EngineOutput, key: FlowKey, resp: Response) {
+        self.metrics
+            .s2_verified
+            .fetch_add(resp.deliveries.len() as u64, Ordering::Relaxed);
         out.delivered.extend(
             resp.deliveries
                 .into_iter()

@@ -60,9 +60,33 @@ impl EngineCore {
         match self.route_of(from) {
             Some(dst) => self.relay_datagram(from, dst, &slices[..n], &views[..n], now, out),
             None => {
-                for (slice, view) in slices[..n].iter().zip(&views[..n]) {
-                    let Some(view) = view else { continue };
-                    self.host_packet(from, slice, view, now, rng, out);
+                // Consecutive S2s of one association are verified as one
+                // run; everything else packet by packet.
+                let s2_of = |v: &Option<PacketView<'_>>| {
+                    v.as_ref()
+                        .filter(|v| matches!(v.body, BodyView::S2 { .. }))
+                        .map(|v| v.assoc_id)
+                };
+                let mut i = 0;
+                while i < n {
+                    let Some(assoc_id) = s2_of(&views[i]) else {
+                        if let Some(view) = &views[i] {
+                            self.host_packet(from, slices[i], view, now, rng, out);
+                        }
+                        i += 1;
+                        continue;
+                    };
+                    let run = views[i..n]
+                        .iter()
+                        .take_while(|v| s2_of(v) == Some(assoc_id))
+                        .count();
+                    let key = FlowKey {
+                        peer: from,
+                        assoc_id,
+                    };
+                    let (slices, views) = (&slices[i..i + run], &views[i..i + run]);
+                    self.host_s2_run(key, slices, views, now, rng, out);
+                    i += run;
                 }
             }
         }
@@ -151,7 +175,7 @@ impl EngineCore {
         true
     }
 
-    fn host_packet(
+    pub(super) fn host_packet(
         &self,
         from: SocketAddr,
         slice: &[u8],

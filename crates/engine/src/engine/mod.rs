@@ -45,7 +45,7 @@ use alpha_core::{
 use alpha_store::{FrozenStore, RenewalPacer};
 use alpha_wire::limits::MAX_BUNDLE;
 use alpha_wire::{
-    bundle, BodyView, DigestPath, Frame, FramePool, HandshakeRole, Packet, PacketType, PacketView,
+    bundle, BodyView, Frame, FramePool, HandshakeRole, Packet, PacketType, PacketView,
 };
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::RngCore;
@@ -197,6 +197,25 @@ fn canonical(a: SocketAddr, b: SocketAddr) -> SocketAddr {
     } else {
         b
     }
+}
+
+/// The fields of a run of S2 views, as the batched verifiers take them;
+/// entries past `views.len()` repeat the first. Only for runs the intake
+/// grouped (`ingress` for hosts, `relay_datagram` for relays): at most a
+/// bundle of views, each decoded as an S2.
+fn s2_run_items<'a>(views: &[Option<PacketView<'a>>]) -> [S2BatchItem<'a>; MAX_BUNDLE] {
+    // Allowlist: both callers group only views that decoded as S2s.
+    let item = |k: usize| {
+        views[k]
+            .as_ref()
+            .and_then(S2BatchItem::from_view)
+            .expect("a grouped S2 run")
+    };
+    let mut items = [item(0); MAX_BUNDLE];
+    for (k, slot) in items.iter_mut().enumerate().take(views.len()).skip(1) {
+        *slot = item(k);
+    }
+    items
 }
 
 /// A cached deadline word as a timestamp (`u64::MAX` = none armed).

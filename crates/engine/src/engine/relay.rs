@@ -96,12 +96,14 @@ impl EngineCore {
         self.relay_step(idx, key, now, packets, observe, tx);
     }
 
-    /// A run of two or more consecutive S2 packets of one association:
-    /// admitted packets are verified in a single [`Relay::observe_s2_batch`]
-    /// call under one shard write lock, so the MAC / Merkle digests run
-    /// through the batched backend and the buffered-byte accounting is
-    /// reconciled once per run instead of once per packet. Decisions come
-    /// back in input order, so forwarded slices keep their bundle order.
+    /// A run of two or more consecutive S2 packets of one association,
+    /// verified in a single [`Relay::observe_s2_batch`] call under one
+    /// shard write lock: the MAC / Merkle digests run through the batched
+    /// backend, each Merkle node the bundle shares hashed once, the
+    /// fields read in place from the datagram, and the buffered-byte
+    /// accounting is reconciled once per run instead of once per packet.
+    /// Decisions come back in input order, so forwarded slices keep their
+    /// bundle order.
     fn relay_s2_run<'a>(
         &self,
         key: FlowKey,
@@ -111,47 +113,17 @@ impl EngineCore {
         tx: &mut Relayed<'a, '_>,
     ) {
         let idx = self.shard_index(&key);
-        // Admission parity with the single-packet path. S2 is not a flood
-        // vector today, so this is a cheap constant check per packet, but
-        // the run stays correct if that ever changes.
-        let run: Vec<(&'a [u8], &PacketView<'a>)> = slices
+        // S2s verify or drop, they are never refused at admission
+        // (`admit` vets S1 / HS1 only), so the whole run goes in.
+        let items = s2_run_items(views);
+        let items = &items[..views.len()];
+        let packets = slices
             .iter()
             .zip(views)
-            .filter_map(|(&slice, view)| Some((slice, view.as_ref()?)))
-            .filter(|(slice, view)| self.admit(idx, &key, view.packet_type(), slice.len(), now))
-            .collect();
-        if run.is_empty() {
-            return;
-        }
-        // (MAC key, seq, Merkle path, payload) of a view the run
-        // construction already proved to be an S2.
-        let s2 = |view: &PacketView<'a>| match view.body {
-            BodyView::S2 {
-                key: mac_key,
-                seq,
-                path,
-                payload,
-            } => (mac_key, seq, path, payload),
-            _ => unreachable!("run contains only S2 views"),
-        };
-        let paths: Vec<DigestPath> = run.iter().map(|(_, v)| s2(v).2.to_path()).collect();
-        let items: Vec<S2BatchItem<'_>> = run
-            .iter()
-            .zip(&paths)
-            .map(|((_, view), path)| {
-                let (mac_key, seq, _, payload) = s2(view);
-                S2BatchItem {
-                    alg: view.alg,
-                    chain_index: view.chain_index,
-                    key: mac_key,
-                    seq,
-                    path: path.as_slice(),
-                    payload,
-                }
-            })
-            .collect();
-        let observe = |relay: &mut Relay| relay.observe_s2_batch(key.assoc_id, &items, now);
-        self.relay_step(idx, key, now, run.iter().copied(), observe, tx);
+            .filter_map(|(&slice, view)| Some((slice, view.as_ref()?)));
+        tx.out.extracted.reserve(items.len());
+        let observe = |relay: &mut Relay| relay.observe_s2_batch(key.assoc_id, items, now);
+        self.relay_step(idx, key, now, packets, observe, tx);
     }
 
     /// The relay step both paths share. Under one shard write lock:

@@ -18,6 +18,7 @@ use crate::packet::{
 };
 use crate::{limits, Error};
 use alpha_crypto::amt::{AmtDisclosure, SECRET_LEN};
+use alpha_crypto::merkle::Siblings;
 use alpha_crypto::{Algorithm, Digest};
 
 /// A borrowed run of fixed-width digests inside a datagram.
@@ -67,6 +68,13 @@ impl<'a> DigestSlice<'a> {
     #[must_use]
     pub fn to_vec(&self) -> Vec<Digest> {
         self.iter().collect()
+    }
+
+    /// The run as a Merkle authentication path read in place: what the
+    /// verifiers hash siblings from, without copying the path out.
+    #[must_use]
+    pub fn siblings(&self) -> Siblings<'a> {
+        Siblings::packed(self.alg, self.bytes)
     }
 
     /// Copy into a fixed-capacity stack path. Only valid for runs that
@@ -755,6 +763,10 @@ mod tests {
         assert_eq!(path.len(), 3);
         assert_eq!(path.get(2).unwrap(), d(alg, "p2"));
         assert!(path.get(3).is_none());
+        let siblings = path.siblings();
+        assert_eq!(siblings.len(), 3);
+        assert_eq!(siblings.get(1), d(alg, "p1").as_bytes());
+        assert!(buf_range.contains(&(siblings.get(0).as_ptr() as usize)));
         let stack = path.to_path();
         assert_eq!(
             stack.as_slice(),
