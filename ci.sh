@@ -25,10 +25,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # frozen-checkpoint properties (a thaw hashes nothing, the walk from the
 # seed happens once and late, one walk per disclosed pair); the engine's
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
-# relay) and the per-role hash counts of a bundle. Their test counts are
-# checked so that a renamed or filtered-out property fails the step
-# instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint) and S2-run suites (forced scalar, forced lanes4, then auto-detected)"
+# relay) and the per-role hash counts of a bundle; the receiver ≡ relay
+# suite holds that a relay verifies exactly the S2s the receiving host
+# accepts and forwards exactly the A2s the sending host accepts. Their
+# test counts are checked so that a renamed or filtered-out property
+# fails the step instead of passing with fewer tests.
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run and receiver ≡ relay suites (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -45,6 +47,13 @@ for backend in scalar lanes4 auto; do
     case "$runs" in
         *"running 4 tests"*) ;;
         *) echo "ci: the s2_runs suite did not run its 4 tests under $backend" >&2; exit 1 ;;
+    esac
+    judges=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
+        --test receiver_relay) || { echo "$judges"; exit 1; }
+    echo "$judges"
+    case "$judges" in
+        *"running 4 tests"*) ;;
+        *) echo "ci: the receiver_relay suite did not run its 4 tests under $backend" >&2; exit 1 ;;
     esac
 done
 
@@ -80,7 +89,7 @@ for key in gso_sends gso_segments gro_recvs gro_segments gso_refused; do
 done
 
 # The live ratio is printed, not asserted: loadgen is a closed loop, so
-# the multi-worker gate waits for ROADMAP item 1's open-loop workloads.
+# the multi-worker gate waits for ROADMAP item 5's open-loop workloads.
 echo "==> engine scaling bench smoke (release, --quick; live multi-worker ratio reported, not gated)"
 cargo run --release -p alpha-bench --bin engine_scaling -- --quick
 

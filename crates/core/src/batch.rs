@@ -12,7 +12,8 @@
 //! ([`crate::VerifierChannel::handle_s2_run`]) and the relay
 //! ([`crate::Relay::observe_s2_batch`]) both run these steps over the
 //! chunks [`chunks`] cuts, and a lone S2 is a chunk of one: there is one
-//! verification path per role.
+//! verification path per role, and prepare's key and shape check is the
+//! same code in both ([`crate::exchange`]).
 
 use alpha_crypto::merkle::{self, KeyedLeaf, Siblings};
 use alpha_crypto::{backend, Algorithm, Digest};

@@ -25,8 +25,9 @@
 use alpha_crypto::chain::{ChainKind, FrozenChain, StorageKind};
 use alpha_crypto::preack::{PreAckPair, SECRET_LEN};
 use alpha_crypto::{Algorithm, Digest};
-use alpha_wire::{Packet, TreeDescriptor};
+use alpha_wire::{Packet, PreSignature, TreeDescriptor};
 
+use crate::exchange::{Announced, Presig};
 use crate::Timestamp;
 
 /// Frozen form of a [`crate::SignerChannel`] (idle channels only).
@@ -37,19 +38,6 @@ pub struct FrozenSigner {
     /// The adaptively tuned RTO survives hibernation: the path estimate is
     /// better than the configured constant even after a long sleep.
     pub(crate) rto_micros: u64,
-}
-
-/// Frozen form of a buffered pre-signature.
-pub(crate) enum FrozenPresig {
-    Macs(Vec<Digest>),
-    Root {
-        root: Digest,
-        leaves: u32,
-    },
-    Forest {
-        trees: Vec<TreeDescriptor>,
-        leaves_per_tree: u32,
-    },
 }
 
 /// Frozen acknowledgment state: the verifier's undisclosed verdict
@@ -68,9 +56,7 @@ pub(crate) enum FrozenAck {
 /// Frozen form of one buffered verifier exchange (a flow asleep
 /// mid-bundle).
 pub(crate) struct FrozenExchange {
-    pub(crate) s1_index: u64,
-    pub(crate) announce: Digest,
-    pub(crate) presig: FrozenPresig,
+    pub(crate) s1: Announced,
     pub(crate) a1: Packet,
     pub(crate) ack_key_index: u64,
     pub(crate) ack_key: Digest,
@@ -270,32 +256,30 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
         return;
     };
     w.u8(1);
-    w.u64(ex.s1_index);
-    w.digest(&ex.announce);
-    match &ex.presig {
-        FrozenPresig::Macs(macs) => {
+    w.u64(ex.s1.index);
+    w.digest(&ex.s1.announce);
+    match ex.s1.presig.wire() {
+        PreSignature::Cumulative(macs) => {
             w.u8(0);
             w.u32(macs.len() as u32);
             for m in macs {
                 w.digest(m);
             }
         }
-        FrozenPresig::Root { root, leaves } => {
+        PreSignature::MerkleRoot { root, leaves } => {
             w.u8(1);
             w.digest(root);
             w.u32(*leaves);
         }
-        FrozenPresig::Forest {
-            trees,
-            leaves_per_tree,
-        } => {
+        PreSignature::MerkleForest(trees) => {
             w.u8(2);
             w.u32(trees.len() as u32);
             for t in trees {
                 w.digest(&t.root);
                 w.u32(t.leaves);
             }
-            w.u32(*leaves_per_tree);
+            // The leaves per tree, which is the first tree's count.
+            w.u32(trees.first().map_or(0, |t| t.leaves));
         }
     }
     let mut a1 = Vec::new();
@@ -350,7 +334,7 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
         1 => {}
         _ => return None,
     }
-    let s1_index = r.u64()?;
+    let index = r.u64()?;
     let announce = r.digest(alg)?;
     let presig = match r.u8()? {
         0 => {
@@ -362,12 +346,12 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
             for _ in 0..n {
                 macs.push(r.digest(alg)?);
             }
-            FrozenPresig::Macs(macs)
+            PreSignature::Cumulative(macs)
         }
         1 => {
             let root = r.digest(alg)?;
             let leaves = r.u32()?;
-            FrozenPresig::Root { root, leaves }
+            PreSignature::MerkleRoot { root, leaves }
         }
         2 => {
             let n = r.u32()? as usize;
@@ -380,17 +364,16 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
                 let leaves = r.u32()?;
                 trees.push(TreeDescriptor { root, leaves });
             }
-            let leaves_per_tree = r.u32()?;
-            if leaves_per_tree == 0 {
+            if trees.first().map(|t| t.leaves) != Some(r.u32()?) {
                 return None;
             }
-            FrozenPresig::Forest {
-                trees,
-                leaves_per_tree,
-            }
+            PreSignature::MerkleForest(trees)
         }
         _ => return None,
     };
+    // The constructor an S1 goes through: thaw serves only what wire
+    // intake would have buffered.
+    let presig = Presig::new(presig)?;
     let a1_len = r.u32()? as usize;
     let a1 = Packet::parse(r.take(a1_len)?).ok()?;
     let ack_key_index = r.u64()?;
@@ -424,8 +407,13 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
         }
         _ => return None,
     };
+    // One received flag per covered message, and — for an AMT — an ack
+    // and a nack secret per message: what a thawed S2 or nack indexes.
     let covered = r.u32()? as usize;
-    if covered == 0 || covered > alpha_wire::limits::MAX_LEAVES as usize {
+    if covered != presig.covered()
+        || covered > alpha_wire::limits::MAX_LEAVES as usize
+        || matches!(&ack, FrozenAck::Amt(secrets) if secrets.len() != 2 * covered)
+    {
         return None;
     }
     let bits = r.take(covered.div_ceil(8))?;
@@ -440,9 +428,11 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
     };
     let last_nack_at = Timestamp::from_micros(r.u64()?);
     Some(Some(FrozenExchange {
-        s1_index,
-        announce,
-        presig,
+        s1: Announced {
+            index,
+            announce,
+            presig,
+        },
         a1,
         ack_key_index,
         ack_key,
@@ -508,5 +498,73 @@ impl<'a> Reader<'a> {
     }
     fn done(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Association, Config, Mode, Reliability};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A verifier asleep mid-bundle: four ALPHA-M messages announced
+    /// under a reliable (AMT) A1, the first one delivered.
+    fn mid_bundle() -> FrozenAssociation {
+        let cfg = Config::new(Algorithm::Sha1)
+            .with_chain_len(64)
+            .with_reliability(Reliability::Reliable);
+        let (t, mut rng) = (Timestamp::ZERO, StdRng::seed_from_u64(7));
+        let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        let msgs: [&[u8]; 4] = [b"m0", b"m1", b"m2", b"m3"];
+        let s1 = alice.sign_batch(&msgs, Mode::Merkle, t).unwrap();
+        let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
+        let s2s = alice.handle(&a1, t, &mut rng).unwrap().packets;
+        bob.handle(&s2s[0], t, &mut rng).unwrap();
+        bob.freeze().unwrap()
+    }
+
+    fn forest(ex: &mut FrozenExchange, leaves: &[u32]) {
+        let root = ex.s1.announce;
+        let trees = leaves.iter().map(|&leaves| TreeDescriptor { root, leaves });
+        ex.s1.presig = Presig::unchecked(PreSignature::MerkleForest(trees.collect()));
+        ex.ack = FrozenAck::None;
+    }
+
+    /// Each record covers fewer messages than it has received flags —
+    /// or maps them ambiguously — so the thawed flow's next authentic S2
+    /// would index past its pre-signature or AMT. Decode refuses them.
+    #[test]
+    fn decode_refuses_records_thaw_could_not_serve() {
+        let good = mid_bundle();
+        let ex = good.verifier.current.as_ref().unwrap();
+        assert_eq!(ex.received, [true, false, false, false]);
+        assert!(matches!(&ex.ack, FrozenAck::Amt(s) if s.len() == 8));
+        assert!(FrozenAssociation::decode(&good.encode()).is_some());
+
+        type Corrupt = fn(&mut FrozenExchange);
+        let cases: [(&str, Corrupt); 5] = [
+            ("MACs short", |ex| {
+                let macs = vec![ex.s1.announce; 3];
+                ex.s1.presig = Presig::unchecked(PreSignature::Cumulative(macs));
+                ex.ack = FrozenAck::None;
+            }),
+            ("forest short", |ex| forest(ex, &[2])),
+            ("forest empty", |ex| forest(ex, &[])),
+            ("forest not uniform", |ex| forest(ex, &[2, 1, 1])),
+            ("AMT short", |ex| {
+                if let FrozenAck::Amt(secrets) = &mut ex.ack {
+                    secrets.truncate(6);
+                }
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut record = mid_bundle();
+            corrupt(record.verifier.current.as_mut().unwrap());
+            assert!(
+                FrozenAssociation::decode(&record.encode()).is_none(),
+                "{what}"
+            );
+        }
     }
 }

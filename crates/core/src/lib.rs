@@ -37,6 +37,7 @@ mod association;
 mod batch;
 pub mod bootstrap;
 mod error;
+mod exchange;
 pub mod freeze;
 mod limiter;
 mod relay;

@@ -11,25 +11,30 @@
 //! - the buffered pre-(n)ack commitments (Table 3) so it can verify
 //!   verdicts, which signalling protocols on relays need (§3.2.2).
 //!
-//! [`Relay::observe`] returns a forwarding decision plus extraction
-//! events. Forged S2s, replayed chain elements, and unsolicited traffic
-//! (S2 with no matching buffered pre-signature — i.e. data the receiver
-//! never agreed to with an A1) are dropped, which is ALPHA's flooding
-//! mitigation (§3.5). Packets of unknown associations are forwarded or
-//! dropped by [`RelayConfig::forward_unknown`] — forwarding supports the
-//! paper's incremental-deployment story.
+//! [`Relay::observe_view`] is the relay's one judgment: it returns a
+//! forwarding decision plus what it extracted ([`Relay::observe`] is an
+//! adapter onto it for owned packets). The S2 and A2 checks are the
+//! receiver's and the sender's own ([`crate::exchange`]); the relay adds
+//! its search over both directions and its policy. Forged S2s, replayed
+//! chain elements, and unsolicited traffic (S2 with no matching buffered
+//! pre-signature — i.e. data the receiver never agreed to with an A1) are
+//! dropped, which is ALPHA's flooding mitigation (§3.5). Packets of
+//! unknown associations are forwarded or dropped by
+//! [`RelayConfig::forward_unknown`] — forwarding supports the paper's
+//! incremental-deployment story.
 
 use std::collections::HashMap;
 
 use alpha_crypto::chain::{ChainVerifier, Role};
-use alpha_crypto::preack::PreAckPair;
-use alpha_crypto::{merkle, Algorithm, Digest};
+use alpha_crypto::preack::AckDisclosure;
+use alpha_crypto::{Algorithm, Digest};
 use alpha_wire::{
     A2DisclosureView, AckCommit, Body, BodyView, HandshakeRole, Packet, PacketView,
     PreSignatureView,
 };
 
 use crate::batch::{self, S2BatchItem, S2Check, RUN};
+use crate::exchange::{self, chain_step, Announced, Commit, Disclosure, Presig};
 use crate::limiter::S1Limiter;
 use crate::{MacScheme, Timestamp};
 
@@ -147,36 +152,27 @@ struct DirectionState {
     prev_exchange: Option<RelayExchange>,
 }
 
+impl DirectionState {
+    /// A direction tracking the sender's signature chain and the
+    /// receiver's acknowledgment chain from their `(anchor, index)`, with
+    /// nothing buffered yet.
+    fn new(alg: Algorithm, max_skip: u64, sig: (Digest, u64), ack: (Digest, u64)) -> Self {
+        use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
+        let track = |kind, (anchor, index)| {
+            ChainVerifier::new(alg, kind, anchor, index).with_max_skip(max_skip)
+        };
+        DirectionState {
+            sig: track(RoleBoundSignature, sig),
+            ack: track(RoleBoundAck, ack),
+            exchange: None,
+            prev_exchange: None,
+        }
+    }
+}
+
 struct RelayExchange {
-    s1_index: u64,
-    /// Authenticated announce element, for verifying a superseded
-    /// exchange's late S2 keys (see the verifier's equivalent).
-    announce: Digest,
-    presig: RelayPresig,
-    commit: Option<RelayCommit>,
-}
-
-enum RelayPresig {
-    Macs(Vec<Digest>),
-    Root {
-        root: Digest,
-        leaves: u32,
-    },
-    Forest {
-        trees: Vec<PreSignatureTree>,
-        leaves_per_tree: usize,
-    },
-}
-
-/// A buffered forest tree: keyed root plus leaf count.
-struct PreSignatureTree {
-    root: Digest,
-    leaves: u32,
-}
-
-enum RelayCommit {
-    Flat(PreAckPair),
-    Amt { root: Digest, leaves: u32 },
+    s1: Announced,
+    commit: Option<Commit>,
 }
 
 struct RelayAssociation {
@@ -243,17 +239,7 @@ impl Relay {
         let dir = |d: &DirectionState| -> usize {
             let chains = d.sig.stored_bytes() + d.ack.stored_bytes();
             let ex = d.exchange.as_ref().map_or(0, |ex| {
-                let presig = match &ex.presig {
-                    RelayPresig::Macs(m) => m.len() * h,
-                    RelayPresig::Root { .. } => h,
-                    RelayPresig::Forest { trees, .. } => trees.len() * h,
-                };
-                let commit = match &ex.commit {
-                    Some(RelayCommit::Flat(p)) => p.stored_bytes(),
-                    Some(RelayCommit::Amt { .. }) => h,
-                    None => 0,
-                };
-                presig + commit
+                ex.s1.presig.stored_bytes(h) + ex.commit.as_ref().map_or(0, Commit::stored_bytes)
             });
             chains + ex
         };
@@ -271,26 +257,13 @@ impl Relay {
         resp_sig: (Digest, u64),
         resp_ack: (Digest, u64),
     ) {
-        let mk = |anchor: Digest, idx: u64, kind| {
-            ChainVerifier::new(alg, kind, anchor, idx).with_max_skip(self.cfg.max_skip)
-        };
-        use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
+        let dir = |sig, ack| DirectionState::new(alg, self.cfg.max_skip, sig, ack);
         self.assocs.insert(
             assoc_id,
             RelayAssociation {
                 alg,
-                fwd: DirectionState {
-                    sig: mk(init_sig.0, init_sig.1, RoleBoundSignature),
-                    ack: mk(resp_ack.0, resp_ack.1, RoleBoundAck),
-                    exchange: None,
-                    prev_exchange: None,
-                },
-                rev: DirectionState {
-                    sig: mk(resp_sig.0, resp_sig.1, RoleBoundSignature),
-                    ack: mk(init_ack.0, init_ack.1, RoleBoundAck),
-                    exchange: None,
-                    prev_exchange: None,
-                },
+                fwd: dir(init_sig, resp_ack),
+                rev: dir(resp_sig, init_ack),
                 limiter: S1Limiter::new(self.cfg.s1_bytes_per_sec),
                 data_cap_fwd: None,
                 data_cap_rev: None,
@@ -417,29 +390,10 @@ impl Relay {
                 let Some((isig, isig_i, iack, iack_i)) = a.pending_init.take() else {
                     return (RelayDecision::Forward, None);
                 };
-                let skip = self.cfg.max_skip;
-                use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
+                let dir = |sig, ack| DirectionState::new(alg, self.cfg.max_skip, sig, ack);
                 a.alg = alg;
-                a.fwd = DirectionState {
-                    sig: ChainVerifier::new(alg, RoleBoundSignature, isig, isig_i)
-                        .with_max_skip(skip),
-                    ack: ChainVerifier::new(alg, RoleBoundAck, hs.ack_anchor, hs.ack_anchor_index)
-                        .with_max_skip(skip),
-                    exchange: None,
-                    prev_exchange: None,
-                };
-                a.rev = DirectionState {
-                    sig: ChainVerifier::new(
-                        alg,
-                        RoleBoundSignature,
-                        hs.sig_anchor,
-                        hs.sig_anchor_index,
-                    )
-                    .with_max_skip(skip),
-                    ack: ChainVerifier::new(alg, RoleBoundAck, iack, iack_i).with_max_skip(skip),
-                    exchange: None,
-                    prev_exchange: None,
-                };
+                a.fwd = dir((isig, isig_i), (hs.ack_anchor, hs.ack_anchor_index));
+                a.rev = dir((hs.sig_anchor, hs.sig_anchor_index), (iack, iack_i));
                 a.learned_init = Some((isig, isig_i, iack, iack_i));
                 (RelayDecision::Forward, Some(assoc_id))
             }
@@ -552,17 +506,9 @@ impl Relay {
         // without crypto.
         let mut prepared = [Ok(S2Prepared::Unverified); RUN];
         for (slot, item) in prepared.iter_mut().zip(run) {
-            *slot = self.data_assoc(assoc_id, item.alg).and_then(|a| {
-                s2_prepare(
-                    &cfg,
-                    a,
-                    item.chain_index,
-                    &item.key,
-                    item.seq,
-                    item.path.len(),
-                )
-                .map_err(RelayDecision::Drop)
-            });
+            *slot = self
+                .data_assoc(assoc_id, item.alg)
+                .and_then(|a| s2_prepare(&cfg, a, item).map_err(RelayDecision::Drop));
         }
         // Phase 2: batched crypto. Every checked packet carries the
         // association's algorithm (`data_assoc` enforced it); with no
@@ -612,50 +558,21 @@ impl Relay {
     }
 }
 
-/// Buffer an S1's pre-signature for later S2 verification. The buffered
-/// state must outlive the datagram, so this is where the relay's one
-/// deliberate S1 copy happens.
-fn presig_from_view(presig: &PreSignatureView<'_>) -> Result<RelayPresig, DropReason> {
-    match presig {
-        PreSignatureView::Cumulative(macs) => Ok(RelayPresig::Macs(macs.to_vec())),
-        PreSignatureView::MerkleRoot { root, leaves } => {
-            if *leaves == 0 {
-                return Err(DropReason::Malformed);
-            }
-            Ok(RelayPresig::Root {
-                root: *root,
-                leaves: *leaves,
-            })
-        }
-        PreSignatureView::MerkleForest(trees) => forest_presig(
-            trees
-                .iter()
-                .map(|t| PreSignatureTree {
-                    root: t.root,
-                    leaves: t.leaves,
-                })
-                .collect(),
-        ),
-    }
-}
-
-/// Validate forest uniformity: all trees but the last carry the same
-/// leaf count, the last at most that many.
-fn forest_presig(trees: Vec<PreSignatureTree>) -> Result<RelayPresig, DropReason> {
-    let Some(first) = trees.first() else {
-        return Err(DropReason::Malformed);
-    };
-    let lpt = first.leaves as usize;
-    let full = &trees[..trees.len() - 1];
-    if lpt == 0
-        || full.iter().any(|t| t.leaves as usize != lpt)
-        || trees[trees.len() - 1].leaves as usize > lpt
-    {
-        return Err(DropReason::Malformed);
-    }
-    Ok(RelayPresig::Forest {
-        trees,
-        leaves_per_tree: lpt,
+/// The relay's search over both directions (`fwd`, `rev`): the first
+/// whose chain (`sig` or `ack`, picked by `chain`) takes `element` at
+/// `index` in `role` ([`chain_step`]), and whether the element was a
+/// repeat. A direction that refuses it is left unchanged, so a failed
+/// first attempt costs one wasted check and nothing else.
+fn find_direction<'a>(
+    dirs: [&'a mut DirectionState; 2],
+    chain: impl Fn(&mut DirectionState) -> &mut ChainVerifier,
+    index: u64,
+    element: &Digest,
+    role: Role,
+) -> Option<(&'a mut DirectionState, bool)> {
+    dirs.into_iter().find_map(|d| {
+        let repeat = chain_step(chain(d), index, element, role).ok()?;
+        Some((d, repeat))
     })
 }
 
@@ -673,31 +590,17 @@ fn s1_parts(
     // chain check without consuming the association's S1 budget,
     // so they cannot starve the legitimate sender. The limiter
     // then bounds floods of *authentic* S1s (§3.5).
-    // Try both directions: whichever signature chain the
-    // element authenticates against is the sender.
-    // (`accept_role` only advances on success, so a failed
-    // first attempt costs one wasted hash and nothing else.)
-    // A retransmitted S1 (lost A1 — the paper stresses that S1
-    // and A1 need robust retransmission) carries the already
+    // Whichever signature chain the element authenticates against is
+    // the sender. A retransmitted S1 (lost A1 — the paper stresses
+    // that S1 and A1 need robust retransmission) carries the already
     // accepted element: recognize and forward it.
-    let mut dir = None;
-    let mut duplicate = false;
-    for d in [&mut a.fwd, &mut a.rev] {
-        let (last_index, last) = d.sig.last();
-        if chain_index == last_index && alpha_crypto::ct_eq(element.as_bytes(), last.as_bytes()) {
-            dir = Some(d);
-            duplicate = true;
-            break;
-        }
-        if d.sig
-            .accept_role(chain_index, element, Role::Announce)
-            .is_ok()
-        {
-            dir = Some(d);
-            break;
-        }
-    }
-    let Some(dir) = dir else {
+    let Some((dir, duplicate)) = find_direction(
+        [&mut a.fwd, &mut a.rev],
+        |d| &mut d.sig,
+        chain_index,
+        element,
+        Role::Announce,
+    ) else {
         return RelayDecision::Drop(DropReason::BadChainElement);
     };
     // Duplicates also pay (an attacker replaying a captured S1
@@ -708,9 +611,10 @@ fn s1_parts(
     if !a.limiter.allow(wire_len as u64, now) {
         return RelayDecision::Drop(DropReason::RateLimited);
     }
-    let fresh = match presig_from_view(presig) {
-        Ok(p) => p,
-        Err(reason) => return RelayDecision::Drop(reason),
+    // The buffered state must outlive the datagram: the relay's one
+    // deliberate S1 copy.
+    let Some(presig) = Presig::new(presig.to_presignature()) else {
+        return RelayDecision::Drop(DropReason::Malformed);
     };
     // First-seen pre-signature wins for a given chain element;
     // the S1's content only becomes checkable at S2 time, so a
@@ -719,13 +623,15 @@ fn s1_parts(
         && dir
             .exchange
             .as_ref()
-            .is_some_and(|ex| ex.s1_index == chain_index);
+            .is_some_and(|ex| ex.s1.index == chain_index);
     if !keep {
         dir.prev_exchange = dir.exchange.take();
         dir.exchange = Some(RelayExchange {
-            s1_index: chain_index,
-            announce: *element,
-            presig: fresh,
+            s1: Announced {
+                index: chain_index,
+                announce: *element,
+                presig,
+            },
             commit: None,
         });
     }
@@ -743,43 +649,22 @@ fn a1_parts(
     // belongs to the direction whose exchange it answers. A1
     // replays (answering a retransmitted S1) carry the already
     // accepted element and are forwarded as-is.
-    let mut dir = None;
-    let mut duplicate = false;
-    for d in [&mut a.fwd, &mut a.rev] {
-        let (last_index, last) = d.ack.last();
-        if chain_index == last_index && alpha_crypto::ct_eq(element.as_bytes(), last.as_bytes()) {
-            dir = Some(d);
-            duplicate = true;
-            break;
+    match find_direction(
+        [&mut a.fwd, &mut a.rev],
+        |d| &mut d.ack,
+        chain_index,
+        element,
+        Role::Announce,
+    ) {
+        None => RelayDecision::Drop(DropReason::BadChainElement),
+        Some((dir, false)) => {
+            if let Some(ex) = dir.exchange.as_mut() {
+                ex.commit = Commit::new(commit);
+            }
+            RelayDecision::Forward
         }
-        if d.ack
-            .accept_role(chain_index, element, Role::Announce)
-            .is_ok()
-        {
-            dir = Some(d);
-            break;
-        }
+        Some((_, true)) => RelayDecision::Forward,
     }
-    let Some(dir) = dir else {
-        return RelayDecision::Drop(DropReason::BadChainElement);
-    };
-    if duplicate {
-        return RelayDecision::Forward;
-    }
-    if let Some(ex) = dir.exchange.as_mut() {
-        ex.commit = match commit {
-            AckCommit::None => None,
-            AckCommit::Flat { pre_ack, pre_nack } => Some(RelayCommit::Flat(PreAckPair {
-                pre_ack: *pre_ack,
-                pre_nack: *pre_nack,
-            })),
-            AckCommit::Amt { root, leaves } => Some(RelayCommit::Amt {
-                root: *root,
-                leaves: *leaves,
-            }),
-        };
-    }
-    RelayDecision::Forward
 }
 
 /// Result of the pre-crypto phase of S2 processing.
@@ -796,121 +681,35 @@ enum S2Prepared {
     },
 }
 
-/// Phase 1 of S2 processing: direction match, chain-element
-/// authentication, and structural checks against the buffered
-/// pre-signature. Mirrors the original single-shot flow exactly — in
-/// particular the chain verifier advances *before* the MAC/Merkle check
-/// runs, so deferring the crypto to a batch changes nothing observable.
+/// Phase 1 of S2 processing: the direction and exchange the S2 claims,
+/// then the receiver's own key and shape check
+/// ([`Announced::s2_check`]). The chain verifier advances *before* the
+/// MAC/Merkle check runs, as one packet at a time would, so deferring
+/// the crypto to a batch changes nothing observable.
 fn s2_prepare(
     cfg: &RelayConfig,
     a: &mut RelayAssociation,
-    chain_index: u64,
-    key: &Digest,
-    seq: u32,
-    path_len: usize,
+    item: &S2BatchItem<'_>,
 ) -> Result<S2Prepared, DropReason> {
     let alg = a.alg;
-    let matches_dir = |d: &DirectionState| {
-        if d.exchange
-            .as_ref()
-            .is_some_and(|ex| ex.s1_index == chain_index + 1)
-        {
-            Some(true)
-        } else if d
-            .prev_exchange
-            .as_ref()
-            .is_some_and(|ex| ex.s1_index == chain_index + 1)
-        {
-            Some(false)
-        } else {
-            None
-        }
-    };
-    let (dir, is_fwd, in_current) = if let Some(cur) = matches_dir(&a.fwd) {
-        (&mut a.fwd, true, cur)
-    } else if let Some(cur) = matches_dir(&a.rev) {
-        (&mut a.rev, false, cur)
-    } else if cfg.drop_unsolicited {
-        return Err(DropReason::Unsolicited);
-    } else {
-        return Ok(S2Prepared::Unverified);
-    };
-    // Authenticate the disclosed key: through the tracker for
-    // the current exchange, or via one forward derivation to
-    // the stored announce element for a superseded one.
-    if in_current {
-        let (last_index, last) = dir.sig.last();
-        if chain_index == last_index {
-            if !alpha_crypto::ct_eq(key.as_bytes(), last.as_bytes()) {
-                return Err(DropReason::BadChainElement);
-            }
-        } else if dir
-            .sig
-            .accept_role(chain_index, key, Role::Disclose)
-            .is_err()
-        {
-            return Err(DropReason::BadChainElement);
-        }
-    } else {
-        // Allowlist: `in_current == false` implies `matches_dir` found
-        // `prev_exchange` populated, and nothing in between releases it.
-        let announce = dir.prev_exchange.as_ref().expect("matched above").announce;
-        let derived = alpha_crypto::chain::derive(
-            alg,
-            alpha_crypto::chain::ChainKind::RoleBoundSignature,
-            chain_index + 1,
-            key,
-        );
-        if !alpha_crypto::ct_eq(derived.as_bytes(), announce.as_bytes()) {
-            return Err(DropReason::BadChainElement);
-        }
+    let judged = [(&mut a.fwd, true), (&mut a.rev, false)]
+        .into_iter()
+        .find_map(|(d, is_fwd)| {
+            let (current, ex) = exchange::claimed(
+                d.exchange.as_ref(),
+                d.prev_exchange.as_ref(),
+                |ex| &ex.s1,
+                item.chain_index,
+            )?;
+            Some((is_fwd, ex.s1.s2_check(alg, &mut d.sig, current, item)))
+        });
+    match judged {
+        None if cfg.drop_unsolicited => Err(DropReason::Unsolicited),
+        None => Ok(S2Prepared::Unverified),
+        Some((_, Err(_))) => Err(DropReason::BadChainElement),
+        Some((_, Ok(None))) => Err(DropReason::BadMac),
+        Some((is_fwd, Ok(Some(check)))) => Ok(S2Prepared::Check { is_fwd, check }),
     }
-    // Allowlist: same invariant — the matched exchange is still in place.
-    let ex = if in_current {
-        dir.exchange.as_ref().expect("matched above")
-    } else {
-        dir.prev_exchange.as_ref().expect("matched above")
-    };
-    let check = match &ex.presig {
-        RelayPresig::Macs(macs) => {
-            if (seq as usize) >= macs.len() {
-                return Err(DropReason::BadMac);
-            }
-            S2Check::Mac {
-                expected: macs[seq as usize],
-            }
-        }
-        RelayPresig::Root { root, leaves } => {
-            let expected_depth = merkle::log2_ceil(u64::from(*leaves).max(1)) as usize;
-            if (seq as usize) >= *leaves as usize || path_len != expected_depth {
-                return Err(DropReason::BadMac);
-            }
-            S2Check::Keyed {
-                root: *root,
-                leaf_index: seq as usize,
-            }
-        }
-        RelayPresig::Forest {
-            trees,
-            leaves_per_tree,
-        } => {
-            let t = seq as usize / leaves_per_tree;
-            let j = seq as usize % leaves_per_tree;
-            if t >= trees.len() {
-                return Err(DropReason::BadMac);
-            }
-            let tree = &trees[t];
-            let expected_depth = merkle::log2_ceil(u64::from(tree.leaves).max(1)) as usize;
-            if j >= tree.leaves as usize || path_len != expected_depth {
-                return Err(DropReason::BadMac);
-            }
-            S2Check::Keyed {
-                root: tree.root,
-                leaf_index: j,
-            }
-        }
-    };
-    Ok(S2Prepared::Check { is_fwd, check })
 }
 
 /// Phase 3 of S2 processing: rate caps, control signals, and chain
@@ -985,79 +784,39 @@ fn a2_parts(
     disclosure: &A2DisclosureView<'_>,
 ) -> Result<Vec<(u32, bool)>, DropReason> {
     let alg = a.alg;
-    let mut dir = None;
-    for d in [&mut a.fwd, &mut a.rev] {
-        let (last_index, last) = d.ack.last();
-        let already =
-            chain_index == last_index && alpha_crypto::ct_eq(element.as_bytes(), last.as_bytes());
-        if already
-            || d.ack
-                .accept_role(chain_index, element, Role::Disclose)
-                .is_ok()
-        {
-            dir = Some(d);
-            break;
-        }
-    }
-    let Some(dir) = dir else {
+    let Some((dir, _)) = find_direction(
+        [&mut a.fwd, &mut a.rev],
+        |d| &mut d.ack,
+        chain_index,
+        element,
+        Role::Disclose,
+    ) else {
         return Err(DropReason::BadChainElement);
     };
-    let Some(ex) = dir.exchange.as_ref() else {
-        // No buffered commitment: cannot verify, forward as-is.
+    // No buffered commitment: cannot verify, forward as-is.
+    let Some(commit) = dir.exchange.as_ref().and_then(|ex| ex.commit) else {
         return Ok(Vec::new());
     };
-    let mut verdicts = Vec::new();
-    match (&ex.commit, disclosure) {
-        (Some(RelayCommit::Flat(pair)), A2DisclosureView::Flat { ack, secret }) => {
-            let d = alpha_crypto::preack::AckDisclosure {
-                ack: *ack,
-                secret: *secret,
-            };
-            if !alpha_crypto::preack::verify(alg, element, &d, pair) {
-                return Err(DropReason::BadVerdict);
-            }
-            verdicts.push((0, *ack));
-        }
-        (Some(RelayCommit::Amt { root, leaves }), A2DisclosureView::Amt(items)) => {
-            for item in items.iter() {
-                match alpha_crypto::amt::verify_disclosure(
-                    alg,
-                    element,
-                    *leaves as usize,
-                    &item,
-                    root,
-                ) {
-                    None => return Err(DropReason::BadVerdict),
-                    Some(ack) => verdicts.push((item.packet_index, ack)),
-                }
-            }
-        }
-        (None, _) => {}
-        _ => return Err(DropReason::BadVerdict),
-    }
-    Ok(verdicts)
+    let disclosure = match disclosure {
+        A2DisclosureView::Flat { ack, secret } => Disclosure::Flat(AckDisclosure {
+            ack: *ack,
+            secret: *secret,
+        }),
+        A2DisclosureView::Amt(items) => Disclosure::Amt(items.iter()),
+    };
+    commit
+        .verdicts(alg, element, disclosure)
+        .map_err(|_| DropReason::BadVerdict)
 }
 
 impl RelayAssociation {
     /// State for an association whose handshake is still in flight.
     fn placeholder(alg: Algorithm, s1_rate: Option<u64>, max_skip: u64) -> RelayAssociation {
-        use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
-        let dummy = Digest::zero(alg);
-        let mk = |kind| ChainVerifier::new(alg, kind, dummy, 0).with_max_skip(max_skip);
+        let blank = (Digest::zero(alg), 0);
         RelayAssociation {
             alg,
-            fwd: DirectionState {
-                sig: mk(RoleBoundSignature),
-                ack: mk(RoleBoundAck),
-                exchange: None,
-                prev_exchange: None,
-            },
-            rev: DirectionState {
-                sig: mk(RoleBoundSignature),
-                ack: mk(RoleBoundAck),
-                exchange: None,
-                prev_exchange: None,
-            },
+            fwd: DirectionState::new(alg, max_skip, blank, blank),
+            rev: DirectionState::new(alg, max_skip, blank, blank),
             limiter: S1Limiter::new(s1_rate),
             data_cap_fwd: None,
             data_cap_rev: None,

@@ -8,10 +8,11 @@
 
 use alpha_crypto::chain::{ChainVerifier, HashChain, Role};
 use alpha_crypto::merkle::MerkleTree;
-use alpha_crypto::preack::PreAckPair;
+use alpha_crypto::preack::AckDisclosure;
 use alpha_crypto::{hmac, Digest};
-use alpha_wire::{limits, A2Disclosure, AckCommit, Body, Packet, PreSignature, TreeDescriptor};
+use alpha_wire::{limits, A2Disclosure, Body, Packet, PreSignature, TreeDescriptor};
 
+use crate::exchange::{chain_step, Commit, Disclosure};
 use crate::{Config, MacScheme, Mode, ProtocolError, Reliability, Timestamp};
 
 /// Events surfaced to the application by the signing side.
@@ -45,11 +46,6 @@ enum ExchangeState {
     AwaitA2,
 }
 
-enum BufferedCommit {
-    Flat(PreAckPair),
-    Amt { root: Digest, leaves: u32 },
-}
-
 struct Exchange {
     mode: Mode,
     reliability: Reliability,
@@ -63,7 +59,7 @@ struct Exchange {
     trees: Vec<MerkleTree>,
     leaves_per_tree: usize,
     state: ExchangeState,
-    commit: Option<BufferedCommit>,
+    commit: Option<Commit>,
     acked: Vec<bool>,
     last_tx: Timestamp,
     retries: u32,
@@ -165,11 +161,7 @@ impl SignerChannel {
                     .iter()
                     .map(|t| (2 * t.leaf_count().next_power_of_two() - 1) * h)
                     .sum();
-                let commit = match &ex.commit {
-                    Some(BufferedCommit::Flat(p)) => p.stored_bytes(),
-                    Some(BufferedCommit::Amt { .. }) => h,
-                    None => 0,
-                };
+                let commit = ex.commit.as_ref().map_or(0, Commit::stored_bytes);
                 msgs + h + tree + commit
             }
         }
@@ -330,24 +322,16 @@ impl SignerChannel {
             .accept_role(pkt.chain_index, element, Role::Announce)?;
 
         if ex.reliability == Reliability::Reliable {
-            match (ex.mode, commit) {
-                (Mode::Base | Mode::Cumulative, AckCommit::Flat { pre_ack, pre_nack }) => {
-                    ex.commit = Some(BufferedCommit::Flat(PreAckPair {
-                        pre_ack: *pre_ack,
-                        pre_nack: *pre_nack,
-                    }));
+            // The commitment must be the kind this mode's verdicts need,
+            // an AMT one leaf per message.
+            let commit = Commit::new(commit).filter(|c| match (ex.mode, c) {
+                (Mode::Base | Mode::Cumulative, Commit::Flat(_)) => true,
+                (Mode::Merkle | Mode::CumulativeMerkle { .. }, Commit::Amt { leaves, .. }) => {
+                    *leaves as usize == ex.messages.len()
                 }
-                (Mode::Merkle | Mode::CumulativeMerkle { .. }, AckCommit::Amt { root, leaves }) => {
-                    if *leaves as usize != ex.messages.len() {
-                        return Err(ProtocolError::UnexpectedPacket);
-                    }
-                    ex.commit = Some(BufferedCommit::Amt {
-                        root: *root,
-                        leaves: *leaves,
-                    });
-                }
-                _ => return Err(ProtocolError::UnexpectedPacket),
-            }
+                _ => false,
+            });
+            ex.commit = Some(commit.ok_or(ProtocolError::UnexpectedPacket)?);
         }
 
         let packets = Self::build_s2s(self.assoc_id, &self.cfg, ex, None);
@@ -387,72 +371,39 @@ impl SignerChannel {
         if ex.state != ExchangeState::AwaitA2 {
             return Err(ProtocolError::UnexpectedPacket);
         }
-        // Authenticate the disclosed ack-chain element. Repeated A2 packets
-        // disclose the same element; compare directly once accepted.
-        let (last_index, last) = self.peer_ack.last();
-        if pkt.chain_index == last_index {
-            if !alpha_crypto::ct_eq(element.as_bytes(), last.as_bytes()) {
-                return Err(ProtocolError::Chain(
-                    alpha_crypto::chain::ChainError::Mismatch,
-                ));
-            }
-        } else {
-            self.peer_ack
-                .accept_role(pkt.chain_index, element, Role::Disclose)?;
-        }
+        // Authenticate the disclosed ack-chain element (repeated A2s
+        // disclose the same one), then every verdict, before any is
+        // applied: a rejected A2 changes nothing.
+        chain_step(&mut self.peer_ack, pkt.chain_index, element, Role::Disclose)?;
+        let Some(commit) = ex.commit else {
+            return Err(ProtocolError::UnexpectedPacket);
+        };
+        let disclosure = match disclosure {
+            A2Disclosure::Flat { ack, secret } => Disclosure::Flat(AckDisclosure {
+                ack: *ack,
+                secret: *secret,
+            }),
+            A2Disclosure::Amt(items) => Disclosure::Amt(items),
+        };
+        let verdicts = commit.verdicts(self.cfg.algorithm, element, disclosure)?;
 
-        let alg = self.cfg.algorithm;
+        // A flat verdict covers the whole bundle.
+        let n = ex.acked.len() as u32;
+        let seqs = |seq: u32| match commit {
+            Commit::Flat(_) => 0..n,
+            Commit::Amt { .. } => seq..seq + 1,
+        };
         let mut events = Vec::new();
         let mut retransmit: Vec<u32> = Vec::new();
-        match (&ex.commit, disclosure) {
-            (Some(BufferedCommit::Flat(pair)), A2Disclosure::Flat { ack, secret }) => {
-                let disclosure = alpha_crypto::preack::AckDisclosure {
-                    ack: *ack,
-                    secret: *secret,
-                };
-                if !alpha_crypto::preack::verify(alg, element, &disclosure, pair) {
-                    return Err(ProtocolError::BadMac);
-                }
-                if *ack {
-                    for (seq, a) in ex.acked.iter_mut().enumerate() {
-                        if !*a {
-                            *a = true;
-                            events.push(SignerEvent::Acked(seq as u32));
-                        }
-                    }
-                } else {
-                    for seq in 0..ex.acked.len() as u32 {
-                        events.push(SignerEvent::Nacked(seq));
-                        retransmit.push(seq);
-                    }
+        for (seq, ack) in verdicts {
+            for seq in seqs(seq) {
+                if !ack {
+                    events.push(SignerEvent::Nacked(seq));
+                    retransmit.push(seq);
+                } else if !std::mem::replace(&mut ex.acked[seq as usize], true) {
+                    events.push(SignerEvent::Acked(seq));
                 }
             }
-            (Some(BufferedCommit::Amt { root, leaves }), A2Disclosure::Amt(items)) => {
-                for item in items {
-                    let verdict = alpha_crypto::amt::verify_disclosure(
-                        alg,
-                        element,
-                        *leaves as usize,
-                        item,
-                        root,
-                    );
-                    match verdict {
-                        None => return Err(ProtocolError::BadMac),
-                        Some(true) => {
-                            let seq = item.packet_index as usize;
-                            if !ex.acked[seq] {
-                                ex.acked[seq] = true;
-                                events.push(SignerEvent::Acked(item.packet_index));
-                            }
-                        }
-                        Some(false) => {
-                            events.push(SignerEvent::Nacked(item.packet_index));
-                            retransmit.push(item.packet_index);
-                        }
-                    }
-                }
-            }
-            _ => return Err(ProtocolError::UnexpectedPacket),
         }
 
         // Forward progress (fresh acks) resets the abandonment counter, so
@@ -638,5 +589,48 @@ pub fn message_mac(
     match scheme {
         MacScheme::Hmac => hmac::mac_parts(alg, key.as_bytes(), &[&seq.to_be_bytes(), message]),
         MacScheme::Prefix => hmac::prefix_mac(alg, key.as_bytes(), &[&seq.to_be_bytes(), message]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Association;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// An A2 with one bad item is refused whole: the genuine A2 that
+    /// follows still reports its ack.
+    #[test]
+    fn rejected_a2_changes_nothing() {
+        let cfg = Config::new(alpha_crypto::Algorithm::Sha1)
+            .with_chain_len(64)
+            .with_reliability(Reliability::Reliable);
+        let (t, mut rng) = (Timestamp::ZERO, StdRng::seed_from_u64(3));
+        let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        let msgs: [&[u8]; 4] = [b"m0", b"m1", b"m2", b"m3"];
+        let s1 = alice.sign_batch(&msgs, Mode::Merkle, t).unwrap();
+        let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
+        let s2s = alice.handle(&a1, t, &mut rng).unwrap().packets;
+        let genuine = bob.handle(&s2s[0], t, &mut rng).unwrap().packets.remove(0);
+
+        let mut doctored = genuine.clone();
+        let Body::A2 {
+            disclosure: A2Disclosure::Amt(items),
+            ..
+        } = &mut doctored.body
+        else {
+            panic!("an ALPHA-M verdict discloses AMT items");
+        };
+        let mut junk = items[0].clone();
+        junk.secret[0] ^= 1;
+        items.push(junk);
+
+        assert_eq!(
+            alice.handle(&doctored, t, &mut rng).unwrap_err(),
+            ProtocolError::BadMac
+        );
+        let events = alice.handle(&genuine, t, &mut rng).unwrap().signer_events;
+        assert_eq!(events, [SignerEvent::Acked(0)]);
     }
 }

@@ -13,11 +13,12 @@
 use alpha_crypto::amt::AckMerkleTree;
 use alpha_crypto::chain::{ChainVerifier, HashChain, Role};
 use alpha_crypto::preack::{PreAckPair, PreAckSecrets};
-use alpha_crypto::{merkle, Digest};
+use alpha_crypto::Digest;
 use alpha_wire::{limits, A2Disclosure, AckCommit, Body, Packet, PreSignature};
 use rand::RngCore;
 
 use crate::batch::{self, S2BatchItem, S2Check, RUN};
+use crate::exchange::{self, Announced, Presig};
 use crate::signal::Signal;
 use crate::{Config, ProtocolError, Reliability, Timestamp};
 
@@ -44,18 +45,6 @@ pub struct S2Verdict<'a> {
     pub peer_renewed: bool,
 }
 
-enum BufferedPresig {
-    Macs(Vec<Digest>),
-    Root {
-        root: Digest,
-        leaves: u32,
-    },
-    Forest {
-        trees: Vec<alpha_wire::TreeDescriptor>,
-        leaves_per_tree: usize,
-    },
-}
-
 enum AckState {
     /// Unreliable: nothing to disclose.
     None,
@@ -71,21 +60,7 @@ enum AckState {
 
 impl BufferedExchange {
     fn freeze(&self) -> crate::freeze::FrozenExchange {
-        use crate::freeze::{FrozenAck, FrozenExchange, FrozenPresig};
-        let presig = match &self.presig {
-            BufferedPresig::Macs(macs) => FrozenPresig::Macs(macs.clone()),
-            BufferedPresig::Root { root, leaves } => FrozenPresig::Root {
-                root: *root,
-                leaves: *leaves,
-            },
-            BufferedPresig::Forest {
-                trees,
-                leaves_per_tree,
-            } => FrozenPresig::Forest {
-                trees: trees.clone(),
-                leaves_per_tree: *leaves_per_tree as u32,
-            },
-        };
+        use crate::freeze::{FrozenAck, FrozenExchange};
         let ack = match &self.ack {
             AckState::None => FrozenAck::None,
             AckState::Flat {
@@ -102,9 +77,7 @@ impl BufferedExchange {
             AckState::Amt(amt) => FrozenAck::Amt(amt.secrets().to_vec()),
         };
         FrozenExchange {
-            s1_index: self.s1_index,
-            announce: self.announce,
-            presig,
+            s1: self.s1.clone(),
             a1: self.a1.clone(),
             ack_key_index: self.ack_key_index,
             ack_key: self.ack_key,
@@ -126,21 +99,7 @@ impl BufferedExchange {
     }
 
     fn thaw(alg: alpha_crypto::Algorithm, fx: &crate::freeze::FrozenExchange) -> BufferedExchange {
-        use crate::freeze::{FrozenAck, FrozenPresig};
-        let presig = match &fx.presig {
-            FrozenPresig::Macs(macs) => BufferedPresig::Macs(macs.clone()),
-            FrozenPresig::Root { root, leaves } => BufferedPresig::Root {
-                root: *root,
-                leaves: *leaves,
-            },
-            FrozenPresig::Forest {
-                trees,
-                leaves_per_tree,
-            } => BufferedPresig::Forest {
-                trees: trees.clone(),
-                leaves_per_tree: *leaves_per_tree as usize,
-            },
-        };
+        use crate::freeze::FrozenAck;
         let ack = match &fx.ack {
             FrozenAck::None => AckState::None,
             FrozenAck::Flat {
@@ -157,9 +116,7 @@ impl BufferedExchange {
             }
         };
         BufferedExchange {
-            s1_index: fx.s1_index,
-            announce: fx.announce,
-            presig,
+            s1: fx.s1.clone(),
             a1: fx.a1.clone(),
             ack_key_index: fx.ack_key_index,
             ack_key: fx.ack_key,
@@ -174,14 +131,7 @@ impl BufferedExchange {
 }
 
 struct BufferedExchange {
-    /// Chain index of the S1's announce element; the MAC key must disclose
-    /// at `s1_index − 1`.
-    s1_index: u64,
-    /// The authenticated announce element: a late S2's key verifies in one
-    /// hash via `derive(s1_index, key) == announce`, even after the chain
-    /// tracker has moved on to a newer exchange (packet reordering).
-    announce: Digest,
-    presig: BufferedPresig,
+    s1: Announced,
     /// Stored A1 for idempotent replies to duplicate S1s.
     a1: Packet,
     ack_key_index: u64,
@@ -268,11 +218,6 @@ impl VerifierChannel {
         match &self.current {
             None => 0,
             Some(ex) => {
-                let presig = match &ex.presig {
-                    BufferedPresig::Macs(m) => m.len() * h,
-                    BufferedPresig::Root { .. } => h,
-                    BufferedPresig::Forest { trees, .. } => trees.len() * h,
-                };
                 let ack = match &ex.ack {
                     AckState::None => 0,
                     AckState::Flat { pair, secrets, .. } => {
@@ -280,7 +225,7 @@ impl VerifierChannel {
                     }
                     AckState::Amt(amt) => amt.stored_bytes(),
                 };
-                presig + ack
+                ex.s1.presig.stored_bytes(h) + ack
             }
         }
     }
@@ -302,7 +247,7 @@ impl VerifierChannel {
         }
         // Duplicate of the current exchange's S1 (lost A1): replay the A1.
         if let Some(ex) = &self.current {
-            if ex.s1_index == pkt.chain_index {
+            if ex.s1.index == pkt.chain_index {
                 return Ok(Some(ex.a1.clone()));
             }
         }
@@ -314,64 +259,38 @@ impl VerifierChannel {
             .accept_role(pkt.chain_index, element, Role::Announce)?;
 
         let alg = self.cfg.algorithm;
-        let presig = match presig {
-            PreSignature::Cumulative(macs) => BufferedPresig::Macs(macs.clone()),
-            PreSignature::MerkleRoot { root, leaves } => BufferedPresig::Root {
-                root: *root,
-                leaves: *leaves,
-            },
-            PreSignature::MerkleForest(trees) => {
-                // Every tree but the last must be the same size so global
-                // sequence numbers map unambiguously to (tree, leaf).
-                let lpt = trees[0].leaves as usize;
-                let full = &trees[..trees.len() - 1];
-                if lpt == 0 || full.iter().any(|t| t.leaves as usize != lpt) {
-                    return Err(ProtocolError::UnexpectedPacket);
-                }
-                if trees[trees.len() - 1].leaves as usize > lpt {
-                    return Err(ProtocolError::UnexpectedPacket);
-                }
-                BufferedPresig::Forest {
-                    trees: trees.clone(),
-                    leaves_per_tree: lpt,
-                }
-            }
-        };
+        // Reliable mode commits to verdicts: a flat pre-(n)ack pair for
+        // MACs, an AMT over the bundle for Merkle roots.
+        let reliable = self.cfg.reliability == Reliability::Reliable;
+        let flat = matches!(presig, PreSignature::Cumulative(_));
+        let presig = Presig::new(presig.clone()).ok_or(ProtocolError::UnexpectedPacket)?;
         let ((a_index, a_element), (ack_key_index, ack_key)) = self
             .ack_chain
             .disclose_pair()
             .map_err(|_| ProtocolError::ChainExhausted)?;
 
-        let (ack, commit) = if self.cfg.reliability == Reliability::Reliable {
-            match &presig {
-                BufferedPresig::Macs(_) => {
-                    let (pair, secrets) = alpha_crypto::preack::generate(alg, &ack_key, rng);
-                    (
-                        AckState::Flat {
-                            pair,
-                            secrets,
-                            verdict_sent: false,
-                        },
-                        AckCommit::Flat {
-                            pre_ack: pair.pre_ack,
-                            pre_nack: pair.pre_nack,
-                        },
-                    )
-                }
-                BufferedPresig::Root { .. } | BufferedPresig::Forest { .. } => {
-                    let amt = AckMerkleTree::generate(alg, covered as usize, rng);
-                    let root = amt.keyed_root(&ack_key);
-                    (
-                        AckState::Amt(amt),
-                        AckCommit::Amt {
-                            root,
-                            leaves: covered,
-                        },
-                    )
-                }
-            }
-        } else {
+        let (ack, commit) = if !reliable {
             (AckState::None, AckCommit::None)
+        } else if flat {
+            let (pair, secrets) = alpha_crypto::preack::generate(alg, &ack_key, rng);
+            let commit = AckCommit::Flat {
+                pre_ack: pair.pre_ack,
+                pre_nack: pair.pre_nack,
+            };
+            let ack = AckState::Flat {
+                pair,
+                secrets,
+                verdict_sent: false,
+            };
+            (ack, commit)
+        } else {
+            let amt = AckMerkleTree::generate(alg, covered as usize, rng);
+            let root = amt.keyed_root(&ack_key);
+            let commit = AckCommit::Amt {
+                root,
+                leaves: covered,
+            };
+            (AckState::Amt(amt), commit)
         };
 
         let a1 = Packet {
@@ -385,9 +304,11 @@ impl VerifierChannel {
         };
         self.previous = self.current.take();
         self.current = Some(BufferedExchange {
-            s1_index: pkt.chain_index,
-            announce: *element,
-            presig,
+            s1: Announced {
+                index: pkt.chain_index,
+                announce: *element,
+                presig,
+            },
             a1: a1.clone(),
             ack_key_index,
             ack_key,
@@ -448,88 +369,24 @@ impl VerifierChannel {
         &mut self,
         item: &S2BatchItem<'_>,
     ) -> Result<(bool, Option<S2Check>), ProtocolError> {
-        let (alg, chain_index, key, seq) = (item.alg, item.chain_index, &item.key, item.seq);
-        if alg != self.cfg.algorithm {
+        if item.alg != self.cfg.algorithm {
             return Err(ProtocolError::WrongAlgorithm);
         }
-        let in_current = self
-            .current
-            .as_ref()
-            .is_some_and(|ex| chain_index == ex.s1_index - 1);
-        let in_previous = !in_current
-            && self
-                .previous
-                .as_ref()
-                .is_some_and(|ex| chain_index == ex.s1_index - 1);
-        if !in_current && !in_previous {
-            return Err(ProtocolError::NoExchange);
-        }
-        // Allowlist: `in_current`/`in_previous` just verified the
-        // corresponding exchange is populated.
-        let ex = if in_current {
-            self.current.as_mut().expect("checked")
-        } else {
-            self.previous.as_mut().expect("checked")
-        };
-        if seq as usize >= ex.received.len() {
+        let (in_current, ex) = exchange::claimed(
+            self.current.as_ref(),
+            self.previous.as_ref(),
+            |ex| &ex.s1,
+            item.chain_index,
+        )
+        .ok_or(ProtocolError::NoExchange)?;
+        // A seq outside the bundle is refused before its key is looked
+        // at, so it moves no chain tracker.
+        if item.seq as usize >= ex.received.len() {
             return Err(ProtocolError::BadSeq);
         }
-        // Authenticate the disclosed MAC key. For the current exchange the
-        // first S2 advances the chain tracker; for a superseded exchange
-        // (its announce already authenticated, the tracker moved on) one
-        // forward derivation links the key to the stored announce element.
-        if in_current {
-            let (last_index, last) = self.peer_sig.last();
-            if chain_index == last_index {
-                if !alpha_crypto::ct_eq(key.as_bytes(), last.as_bytes()) {
-                    return Err(ProtocolError::Chain(
-                        alpha_crypto::chain::ChainError::Mismatch,
-                    ));
-                }
-            } else {
-                self.peer_sig
-                    .accept_role(chain_index, key, Role::Disclose)?;
-            }
-        } else {
-            let derived = alpha_crypto::chain::derive(
-                alg,
-                alpha_crypto::chain::ChainKind::RoleBoundSignature,
-                ex.s1_index,
-                key,
-            );
-            if !alpha_crypto::ct_eq(derived.as_bytes(), ex.announce.as_bytes()) {
-                return Err(ProtocolError::Chain(
-                    alpha_crypto::chain::ChainError::Mismatch,
-                ));
-            }
-        }
-
-        // What the message owes the buffered pre-signature.
-        let depth = |leaves: u32| merkle::log2_ceil(u64::from(leaves).max(1)) as usize;
-        let check = match &ex.presig {
-            BufferedPresig::Macs(macs) => Some(S2Check::Mac {
-                expected: macs[seq as usize],
-            }),
-            BufferedPresig::Root { root, leaves } => {
-                (item.path.len() == depth(*leaves)).then_some(S2Check::Keyed {
-                    root: *root,
-                    leaf_index: seq as usize,
-                })
-            }
-            BufferedPresig::Forest {
-                trees,
-                leaves_per_tree,
-            } => {
-                let tree = &trees[seq as usize / leaves_per_tree];
-                let j = seq as usize % leaves_per_tree;
-                (j < tree.leaves as usize && item.path.len() == depth(tree.leaves)).then_some(
-                    S2Check::Keyed {
-                        root: tree.root,
-                        leaf_index: j,
-                    },
-                )
-            }
-        };
+        let check = ex
+            .s1
+            .s2_check(self.cfg.algorithm, &mut self.peer_sig, in_current, item)?;
         Ok((in_current, check))
     }
 
