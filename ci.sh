@@ -132,7 +132,7 @@ esac
 
 # The --quick smokes above wrote to target/bench-quick/ (what this tree
 # emits now); the files at the root are the committed full runs.
-echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel, and no udp backend the tree cannot run"
+echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel, and no udp or digest backend the tree cannot run"
 for name in BENCH_digest.json BENCH_udp_io.json BENCH_engine_scaling.json \
             BENCH_mesh_chain.json BENCH_flow_density.json; do
     for f in "$name" "target/bench-quick/$name"; do
@@ -146,10 +146,22 @@ for name in BENCH_digest.json BENCH_udp_io.json BENCH_engine_scaling.json \
         }
     done
 done
-# `udp_backend` values are `UdpBackend::name`'s (crates/transport/src/io.rs).
+# `udp_backend` values are `UdpBackend::name`'s (crates/transport/src/io.rs),
+# `digest_backend` values and the digest bench's per-row `backend` are
+# `BackendKind::name`'s (crates/crypto/src/backend.rs).
 for f in BENCH_*.json target/bench-quick/BENCH_*.json; do
     if grep -o '"udp_backend": *"[^"]*"' "$f" | grep -v -e '"mmsg"$' -e '"fallback"$' | grep -q .; then
         echo "ci: $f records a udp_backend this tree cannot run" >&2
+        exit 1
+    fi
+    if grep -o '"digest_backend": *"[^"]*"' "$f" | grep -v -e '"scalar"$' -e '"lanes4"$' -e '"sha-ni"$' | grep -q .; then
+        echo "ci: $f records a digest_backend this tree cannot run" >&2
+        exit 1
+    fi
+done
+for f in BENCH_digest.json target/bench-quick/BENCH_digest.json; do
+    if grep -o '"backend": *"[^"]*"' "$f" | grep -v -e '"scalar"$' -e '"lanes4"$' -e '"sha-ni"$' | grep -q .; then
+        echo "ci: $f records a digest backend row this tree cannot run" >&2
         exit 1
     fi
 done

@@ -134,11 +134,10 @@ pub fn write_artefact(name: &str, json: &str) {
     println!("wrote {}", path.display());
 }
 
-/// Resolved chain-storage label for a bench run, honouring the
-/// `ALPHA_CHAIN_STORAGE` override exactly like the engine does. Every
-/// `BENCH_*.json` records this next to `digest_backend`/`udp_backend`
-/// so a result can be traced back to the storage strategy that
-/// produced it.
+/// Resolved chain-storage label for a bench run, by the same length
+/// ladder the engine applies. Every `BENCH_*.json` records this next to
+/// `digest_backend`/`udp_backend` so a result can be traced back to the
+/// storage strategy that produced it.
 #[must_use]
 pub fn chain_storage_label(chain_len: u64) -> &'static str {
     let cfg =

@@ -541,24 +541,19 @@ fn run_blocks64<const N: usize>(jobs: [&PartsRef<'_>; N], compress: &mut dyn FnM
     }
 }
 
-/// HMAC many messages in one call, each under its own same-length key.
+/// HMAC many multi-part messages in one call (each message a concatenation
+/// of up to 3 byte strings, e.g. `seq | payload`), each under its own
+/// same-length key.
 ///
-/// Byte-identical to [`crate::hmac::mac`] per `(key, msg)` pair, including
-/// [`crate::counting`] instrumentation. Keys must all have the same length
-/// (in ALPHA a key is always one chain element); keys no longer than the
-/// block length get the batch path, longer keys fall back to scalar HMAC.
+/// Byte-identical to [`crate::hmac::mac_parts`] per `(key, msg)` pair,
+/// including [`crate::counting`] instrumentation. Keys must all have the
+/// same length (in ALPHA a key is always one chain element); keys no longer
+/// than the block length get the batch path, longer keys fall back to
+/// scalar HMAC.
 ///
 /// # Panics
-/// Panics if `keys`, `msgs` and `out` lengths differ, or key lengths differ.
-pub fn mac_batch(alg: Algorithm, keys: &[&[u8]], msgs: &[&[u8]], out: &mut [Digest]) {
-    assert_eq!(keys.len(), msgs.len(), "mac_batch length mismatch");
-    let jobs: Vec<[&[u8]; 1]> = msgs.iter().map(|m| [*m]).collect();
-    let jobs: Vec<&[&[u8]]> = jobs.iter().map(|p| &p[..]).collect();
-    mac_parts_batch_using(active(), alg, keys, &jobs, out);
-}
-
-/// [`mac_batch`] over multi-part messages (each message is a concatenation
-/// of up to 3 byte strings, e.g. `seq | payload`).
+/// Panics if `keys`, `msgs` and `out` lengths differ, key lengths differ,
+/// or a message has more than 3 parts.
 pub fn mac_parts_batch(alg: Algorithm, keys: &[&[u8]], msgs: &[&[&[u8]]], out: &mut [Digest]) {
     mac_parts_batch_using(active(), alg, keys, msgs, out);
 }
@@ -566,7 +561,7 @@ pub fn mac_parts_batch(alg: Algorithm, keys: &[&[u8]], msgs: &[&[&[u8]]], out: &
 /// [`mac_parts_batch`] with an explicit backend; for benches and tests.
 ///
 /// # Panics
-/// Panics as [`mac_batch`], or if a message has more than 3 parts.
+/// Panics as [`mac_parts_batch`].
 pub fn mac_parts_batch_using(
     kind: BackendKind,
     alg: Algorithm,

@@ -4,8 +4,9 @@
 //! working variable and message-schedule word becomes a `[u32; 4]` holding
 //! one value per lane, and every operation is applied element-wise. The code
 //! is plain safe Rust — no intrinsics — written so the element-wise `X4` ops
-//! autovectorize into SSE2/NEON (and, via the AVX2-recompiled wrappers in the
-//! x86_64 `shani` module, into 128-bit AVX forms with better scheduling).
+//! can autovectorize off x86_64 (unmeasured there). On x86_64 the sweeps run
+//! the hand-written SSE2 kernels in the `shani` module instead, because LLVM
+//! does not vectorize the register-rotating round loops.
 //!
 //! Lanes that finish early (shorter messages) have their digest extracted at
 //! the block where they complete; subsequent sweeps keep updating their state

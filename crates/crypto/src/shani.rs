@@ -1,21 +1,24 @@
-//! x86_64 SHA-NI (and AVX2-recompile) backend. **The only module in the
-//! crate containing `unsafe`.**
+//! x86_64 SHA-NI kernels and the SSE2 4-lane sweeps behind the `Lanes4`
+//! tier. **The only module in the crate containing `unsafe`.**
 //!
 //! Safety argument, once for the whole module: every `unsafe` block here is
 //! one of exactly two shapes.
 //!
 //! 1. A call to a `#[target_feature]` function. Executing such a function on
-//!    a CPU without the feature is undefined behaviour, so each public safe
-//!    wrapper gates the call on a cached `is_x86_feature_detected!` result
-//!    (`SHA_NI` / `AVX2` below) and falls back to the portable code when the
-//!    feature is absent. Backend selection ([`crate::backend::active`] /
-//!    `force`) independently refuses `ShaNi` on CPUs without the feature, so
-//!    the detection check here is defence in depth, not the only line.
+//!    a CPU without the feature is undefined behaviour. The SHA-NI wrappers
+//!    gate the call on the cached `is_x86_feature_detected!` result
+//!    (`SHA_NI` below) and fall back to the scalar code when the feature is
+//!    absent; backend selection ([`crate::backend::active`] / `force`)
+//!    independently refuses `ShaNi` on such CPUs, so that check is defence
+//!    in depth, not the only line. The SSE2 wrappers need no check: SSE2 is
+//!    part of the x86_64 baseline and this module compiles only on x86_64.
 //! 2. `_mm_loadu_si128` / `_mm_storeu_si128` on pointers derived from Rust
-//!    references (`&[u32; N]`, `&[u8; 64]` blocks obtained via
-//!    `chunks_exact(64)`). The `u` forms have no alignment requirement, and
-//!    every pointer spans only bytes inside the borrowed slice/array, so the
-//!    accesses are in-bounds reads/writes of live memory.
+//!    references: the `[u32; 5]` / `[u32; 8]` state arrays, a local
+//!    `[u32; 4]`, the static `sha256::K` table, and 64-byte block slices
+//!    cut by a bounds-checked range index. The `u` forms have no alignment
+//!    requirement, and every pointer spans only bytes inside the borrowed
+//!    array or slice, so the accesses are in-bounds reads/writes of live
+//!    memory.
 //!
 //! The round sequences follow the canonical Intel SHA extension flows; the
 //! property tests in `tests/backend_props.rs` and the in-module tests assert
@@ -504,7 +507,8 @@ mod tests {
             return;
         }
         // Random states (mid-message chaining values, not just the IV) and
-        // random blocks; each stream must come out as if hashed alone.
+        // random blocks; each stream must come out as if hashed alone, and
+        // the one-stream kernel (N = 1) must agree with both.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x2571);
         for nblocks in [1usize, 2, 5] {
             for _ in 0..64 {
@@ -516,10 +520,20 @@ mod tests {
                 let mut ni1: [[u32; 5]; 2] =
                     core::array::from_fn(|_| core::array::from_fn(|_| rng.next_u32()));
                 let mut sc1 = ni1;
-                sha1_compress(&mut ni1, blocks);
                 let mut ni256: [[u32; 8]; 2] =
                     core::array::from_fn(|_| core::array::from_fn(|_| rng.next_u32()));
                 let mut sc256 = ni256;
+                let one1: [[u32; 5]; 2] = core::array::from_fn(|s| {
+                    let mut st = [ni1[s]];
+                    sha1_compress(&mut st, [blocks[s]]);
+                    st[0]
+                });
+                let one256: [[u32; 8]; 2] = core::array::from_fn(|s| {
+                    let mut st = [ni256[s]];
+                    sha256_compress(&mut st, [blocks[s]]);
+                    st[0]
+                });
+                sha1_compress(&mut ni1, blocks);
                 sha256_compress(&mut ni256, blocks);
                 for s in 0..2 {
                     for block in data[s].chunks_exact(64) {
@@ -531,6 +545,8 @@ mod tests {
                 }
                 assert_eq!(ni1, sc1, "sha1 nblocks={nblocks}");
                 assert_eq!(ni256, sc256, "sha256 nblocks={nblocks}");
+                assert_eq!(one1, sc1, "sha1 N=1 nblocks={nblocks}");
+                assert_eq!(one256, sc256, "sha256 N=1 nblocks={nblocks}");
             }
         }
     }

@@ -143,8 +143,10 @@ fn active_backend_wrappers_match_scalar() {
             .map(|_| rand_msg(&mut rng, alg.digest_len()))
             .collect();
         let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let msg_parts: Vec<[&[u8]; 1]> = refs.iter().map(|m| [*m]).collect();
+        let msg_refs: Vec<&[&[u8]]> = msg_parts.iter().map(|p| &p[..]).collect();
         let mut macs = vec![Digest::zero(alg); msgs.len()];
-        backend::mac_batch(alg, &key_refs, &refs, &mut macs);
+        backend::mac_parts_batch(alg, &key_refs, &msg_refs, &mut macs);
         for i in 0..msgs.len() {
             assert_eq!(macs[i], hmac::mac(alg, &keys[i], &msgs[i]), "{alg} mac {i}");
         }

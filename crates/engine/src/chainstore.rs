@@ -17,12 +17,8 @@
 //! DYADIC_THRESHOLD)` default to [`ChainStorage::Sqrt`]: the default
 //! engine config now pebbles instead of keeping every element resident.
 //!
-//! The `ALPHA_CHAIN_STORAGE` environment variable overrides the choice
-//! for operators and benchmarks (`full` | `sqrt` | `dyadic`), exactly
-//! like `ALPHA_DIGEST_BACKEND` / `ALPHA_UDP_BACKEND`. It is read once
-//! per process.
-
-use std::sync::OnceLock;
+//! A caller who wants another layout says so with
+//! `Config::with_chain_storage`; there is no process-wide override.
 
 use alpha_core::{ChainStorage, Config};
 
@@ -50,36 +46,13 @@ pub fn name(storage: ChainStorage) -> &'static str {
     }
 }
 
-fn parse(value: &str) -> Option<ChainStorage> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "full" => Some(ChainStorage::Full),
-        "sqrt" => Some(ChainStorage::Sqrt),
-        "dyadic" => Some(ChainStorage::Dyadic),
-        _ => None,
-    }
-}
-
-fn env_override() -> Option<ChainStorage> {
-    static OVERRIDE: OnceLock<Option<ChainStorage>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("ALPHA_CHAIN_STORAGE")
-            .ok()
-            .as_deref()
-            .and_then(parse)
-    })
-}
-
-/// Pure selection rule: an explicit override wins; otherwise a default
+/// The selection rule, applied by `EngineConfig::new`: a default
 /// [`ChainStorage::Full`] is upgraded by length — `[SQRT_THRESHOLD,
 /// DYADIC_THRESHOLD)` picks [`ChainStorage::Sqrt`], `DYADIC_THRESHOLD`
 /// and above picks [`ChainStorage::Dyadic`]. A non-default storage
 /// choice by the caller is always respected.
 #[must_use]
-pub fn resolve_with(mut protocol: Config, env: Option<ChainStorage>) -> Config {
-    if let Some(storage) = env {
-        protocol.chain_storage = storage;
-        return protocol;
-    }
+pub fn resolve(mut protocol: Config) -> Config {
     if protocol.chain_storage == ChainStorage::Full {
         if protocol.chain_len >= DYADIC_THRESHOLD {
             protocol.chain_storage = ChainStorage::Dyadic;
@@ -90,13 +63,6 @@ pub fn resolve_with(mut protocol: Config, env: Option<ChainStorage>) -> Config {
     protocol
 }
 
-/// [`resolve_with`] driven by the process's `ALPHA_CHAIN_STORAGE`
-/// setting. Applied by `EngineConfig::new`.
-#[must_use]
-pub fn resolve(protocol: Config) -> Config {
-    resolve_with(protocol, env_override())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +70,11 @@ mod tests {
 
     #[test]
     fn short_chains_keep_full_storage() {
-        let c = resolve_with(Config::new(Algorithm::Sha1).with_chain_len(64), None);
+        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(64));
         assert_eq!(c.chain_storage, ChainStorage::Full);
-        let c = resolve_with(
-            Config::new(Algorithm::Sha1).with_chain_len(SQRT_THRESHOLD - 2),
-            None,
-        );
+        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(SQRT_THRESHOLD - 2));
         assert_eq!(c.chain_storage, ChainStorage::Full);
+        assert_eq!(name(c.chain_storage), "full");
     }
 
     #[test]
@@ -120,12 +84,11 @@ mod tests {
         // resident for long-lived flows.
         let default_cfg = Config::new(Algorithm::Sha1);
         assert_eq!(default_cfg.chain_len, SQRT_THRESHOLD, "default moved?");
-        let c = resolve_with(default_cfg, None);
+        let c = resolve(default_cfg);
         assert_eq!(c.chain_storage, ChainStorage::Sqrt);
+        assert_eq!(name(c.chain_storage), "sqrt");
         // Boundary pins for the whole ladder.
-        let at = |len: u64| {
-            resolve_with(Config::new(Algorithm::Sha1).with_chain_len(len), None).chain_storage
-        };
+        let at = |len: u64| resolve(Config::new(Algorithm::Sha1).with_chain_len(len)).chain_storage;
         assert_eq!(at(SQRT_THRESHOLD), ChainStorage::Sqrt);
         assert_eq!(at(DYADIC_THRESHOLD - 2), ChainStorage::Sqrt);
         assert_eq!(at(DYADIC_THRESHOLD), ChainStorage::Dyadic);
@@ -133,13 +96,11 @@ mod tests {
 
     #[test]
     fn long_chains_default_to_dyadic() {
-        let c = resolve_with(
-            Config::new(Algorithm::Sha1).with_chain_len(DYADIC_THRESHOLD),
-            None,
-        );
+        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(DYADIC_THRESHOLD));
         assert_eq!(c.chain_storage, ChainStorage::Dyadic);
-        let c = resolve_with(Config::new(Algorithm::Sha1).with_chain_len(1 << 16), None);
+        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(1 << 16));
         assert_eq!(c.chain_storage, ChainStorage::Dyadic);
+        assert_eq!(name(c.chain_storage), "dyadic");
     }
 
     #[test]
@@ -176,35 +137,18 @@ mod tests {
 
     #[test]
     fn explicit_caller_choice_is_respected() {
-        let c = resolve_with(
-            Config::new(Algorithm::Sha1)
-                .with_chain_len(1 << 16)
-                .with_chain_storage(ChainStorage::Sqrt),
-            None,
-        );
-        assert_eq!(c.chain_storage, ChainStorage::Sqrt);
-    }
-
-    #[test]
-    fn env_override_beats_both_default_and_threshold() {
-        let c = resolve_with(
-            Config::new(Algorithm::Sha1).with_chain_len(1 << 16),
-            Some(ChainStorage::Full),
-        );
-        assert_eq!(c.chain_storage, ChainStorage::Full);
-        let c = resolve_with(
-            Config::new(Algorithm::Sha1).with_chain_len(64),
-            Some(ChainStorage::Dyadic),
-        );
-        assert_eq!(c.chain_storage, ChainStorage::Dyadic);
-    }
-
-    #[test]
-    fn parse_accepts_known_names_only() {
-        assert_eq!(parse("full"), Some(ChainStorage::Full));
-        assert_eq!(parse(" SQRT "), Some(ChainStorage::Sqrt));
-        assert_eq!(parse("dyadic"), Some(ChainStorage::Dyadic));
-        assert_eq!(parse("pebble"), None);
-        assert_eq!(name(ChainStorage::Dyadic), "dyadic");
+        // A non-default choice wins over the ladder in both directions:
+        // above the threshold it would have picked, and below any.
+        let explicit = |len: u64, storage: ChainStorage| {
+            resolve(
+                Config::new(Algorithm::Sha1)
+                    .with_chain_len(len)
+                    .with_chain_storage(storage),
+            )
+            .chain_storage
+        };
+        assert_eq!(explicit(1 << 16, ChainStorage::Sqrt), ChainStorage::Sqrt);
+        assert_eq!(explicit(64, ChainStorage::Dyadic), ChainStorage::Dyadic);
+        assert_eq!(explicit(64, ChainStorage::Sqrt), ChainStorage::Sqrt);
     }
 }

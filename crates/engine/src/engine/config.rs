@@ -65,9 +65,10 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Defaults around a protocol config: 8 shards, 1 MiB/s per-flow S1
     /// budget, 64 MiB global buffer valve, handshakes accepted,
-    /// hibernation off. Long chains left on the default `Full` storage
-    /// are switched to dyadic pebbling here (see [`chainstore`];
-    /// `ALPHA_CHAIN_STORAGE` overrides).
+    /// hibernation off. Chains left on the default `Full` storage are
+    /// switched to √n checkpointing or dyadic pebbling by length here
+    /// (see [`chainstore`]); an explicit `Config::with_chain_storage`
+    /// choice is kept.
     #[must_use]
     pub fn new(protocol: Config) -> EngineConfig {
         EngineConfig {
