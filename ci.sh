@@ -22,8 +22,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # On a SHA-NI host auto-detection never runs the lanes4 tier, and the
 # streaming hasher and chain walker follow the process-wide backend, so
 # each tier is forced in turn. The chain-walker suite also holds the
-# frozen-checkpoint properties (a thaw hashes nothing, the walk from the
-# seed happens once and late, one walk per disclosed pair); the engine's
+# frozen-checkpoint properties (a thaw hashes nothing, lower checkpoints
+# are walked from the super-checkpoint, from the seed at most once, one
+# walk per disclosed pair, and the exact hash budget of a chain frozen
+# after every pair, ≤ 24 a wake over a 1024-element life); the engine's
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
 # relay) and the per-role hash counts of a bundle; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
@@ -105,7 +107,7 @@ cargo run --release -p alpha-bench --bin mesh_chain -- --quick
 echo "==> hibernation: freeze/thaw decision-identity properties (incl. a flow frozen after each of 500 exchanges)"
 cargo test -q -p alpha-core --test freeze_thaw
 
-echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms; records carry one checkpoint per sqrt chain)"
+echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms; records carry a checkpoint and a super-checkpoint per sqrt chain)"
 cargo run --release -p alpha-bench --bin flow_density -- --quick
 
 # The driver builds benchmark/ against crates/ as they are; an API break

@@ -5,9 +5,11 @@
 //! element vectors, no pebbles), the peer-chain verifier positions, and,
 //! when the flow slept mid-bundle, the verifier's buffered exchange(s)
 //! including pre-signatures and undisclosed acknowledgment secrets — plus
-//! one digest per √n-checkpointed chain that could be: the checkpoint
+//! two digests per √n-checkpointed chain that could be: the checkpoint
 //! under its cursor, so that waking hashes nothing before the datagram
-//! that caused it has been verified. Thawing rebuilds the full channel
+//! that caused it has been verified, and the super-checkpoint below it,
+//! so that the next freeze past a checkpoint boundary does not walk from
+//! the seed. Thawing rebuilds the full channel
 //! state machines; every subsequent packet takes exactly the decisions a
 //! never-frozen association would have taken.
 //!
@@ -22,7 +24,7 @@
 //! (returns `None` on any malformed input) so a corrupt record can never
 //! panic the engine.
 
-use alpha_crypto::chain::{ChainKind, FrozenChain, StorageKind};
+use alpha_crypto::chain::{ChainKind, FrozenChain};
 use alpha_crypto::preack::{PreAckPair, SECRET_LEN};
 use alpha_crypto::{Algorithm, Digest};
 use alpha_wire::{Packet, PreSignature, TreeDescriptor};
@@ -86,9 +88,10 @@ pub struct FrozenAssociation {
     pub(crate) verifier: FrozenVerifier,
 }
 
-/// Byte-layout version tag; bump on any layout change. Version 2 added
-/// the optional checkpoint to each chain.
-const VERSION: u8 = 2;
+/// Byte-layout version tag; bump on any layout change (the chains'
+/// included: [`FrozenChain::encode_into`] owns theirs). Version 2 added
+/// the optional checkpoint to each chain, 3 the super-checkpoint.
+const VERSION: u8 = 3;
 
 impl FrozenAssociation {
     /// Association identifier of the frozen flow.
@@ -106,22 +109,41 @@ impl FrozenAssociation {
     /// Serialize to the compact record held by the hibernation store.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut buf);
         buf
     }
 
+    /// Length of the record [`FrozenAssociation::encode`] returns: a
+    /// buffer with this much spare capacity takes
+    /// [`FrozenAssociation::encode_into`] without growing.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        let dl = self.alg.digest_len();
+        // Version, algorithm, association id.
+        let header = 2 + 8;
+        // Own chain, peer chain's index and element, RTO.
+        let signer = self.signer.chain.stored_bytes() + 8 + dl + 8;
+        // Own chain, peer chain's index and element, accepting flag.
+        let verifier = self.verifier.ack_chain.stored_bytes() + 8 + dl + 1;
+        let buffered = opt_exchange_len(self.alg, self.verifier.current.as_ref())
+            + opt_exchange_len(self.alg, self.verifier.previous.as_ref());
+        header + signer + verifier + buffered
+    }
+
     /// Append the record [`FrozenAssociation::encode`] returns to `out`.
+    /// Allocates nothing when `out` has [`FrozenAssociation::encoded_len`]
+    /// bytes to spare.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer { buf: out };
         w.u8(VERSION);
         w.u8(alg_code(self.alg));
         w.u64(self.assoc_id);
-        encode_chain(&mut w, &self.signer.chain);
+        self.signer.chain.encode_into(w.buf);
         w.u64(self.signer.peer_ack_index);
         w.digest(&self.signer.peer_ack_last);
         w.u64(self.signer.rto_micros);
-        encode_chain(&mut w, &self.verifier.ack_chain);
+        self.verifier.ack_chain.encode_into(w.buf);
         w.u64(self.verifier.peer_sig_index);
         w.digest(&self.verifier.peer_sig_last);
         w.u8(u8::from(self.verifier.accepting));
@@ -140,7 +162,7 @@ impl FrozenAssociation {
         }
         let alg = alg_from_code(r.u8()?)?;
         let assoc_id = r.u64()?;
-        let chain = decode_chain(&mut r, alg, ChainKind::RoleBoundSignature)?;
+        let chain = FrozenChain::decode(&mut r.buf, alg, ChainKind::RoleBoundSignature)?;
         let peer_ack_index = r.u64()?;
         let peer_ack_last = r.digest(alg)?;
         let rto_micros = r.u64()?;
@@ -150,7 +172,7 @@ impl FrozenAssociation {
             peer_ack_last,
             rto_micros,
         };
-        let ack_chain = decode_chain(&mut r, alg, ChainKind::RoleBoundAck)?;
+        let ack_chain = FrozenChain::decode(&mut r.buf, alg, ChainKind::RoleBoundAck)?;
         let peer_sig_index = r.u64()?;
         let peer_sig_last = r.digest(alg)?;
         let accepting = r.u8()? != 0;
@@ -192,62 +214,31 @@ fn alg_from_code(code: u8) -> Option<Algorithm> {
     }
 }
 
-fn storage_code(kind: StorageKind) -> u8 {
-    match kind {
-        StorageKind::Full => 0,
-        StorageKind::Compact => 1,
-        StorageKind::Dyadic => 2,
-    }
-}
-
-fn storage_from_code(code: u8) -> Option<StorageKind> {
-    match code {
-        0 => Some(StorageKind::Full),
-        1 => Some(StorageKind::Compact),
-        2 => Some(StorageKind::Dyadic),
-        _ => None,
-    }
-}
-
-fn encode_chain(w: &mut Writer<'_>, c: &FrozenChain) {
-    w.u8(storage_code(c.storage));
-    w.u64(c.len);
-    w.u64(c.next);
-    w.digest(&c.seed_hash);
-    match &c.checkpoint {
-        None => w.u8(0),
-        Some(checkpoint) => {
-            w.u8(1);
-            w.digest(checkpoint);
-        }
-    }
-}
-
-fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<FrozenChain> {
-    let storage = storage_from_code(r.u8()?)?;
-    let len = r.u64()?;
-    let next = r.u64()?;
-    // A hostile record must not drive the O(len) thaw loop arbitrarily
-    // far: cap at the longest chain the engine ever builds.
-    if len < 2 || len % 2 != 0 || len > 1 << 24 || next >= len {
-        return None;
-    }
-    let seed_hash = r.digest(alg)?;
-    let checkpoint = match r.u8()? {
-        0 => None,
-        // Only the √n layout has a checkpoint to thaw from.
-        1 if storage == StorageKind::Compact => Some(r.digest(alg)?),
-        _ => return None,
+/// Bytes [`encode_opt_exchange`] writes for `ex`.
+fn opt_exchange_len(alg: Algorithm, ex: Option<&FrozenExchange>) -> usize {
+    let Some(ex) = ex else {
+        return 1;
     };
-    Some(FrozenChain {
-        alg,
-        kind,
-        storage,
-        len,
-        next,
-        seed_hash,
-        checkpoint,
-    })
+    let dl = alg.digest_len();
+    let presig = match ex.s1.presig.wire() {
+        PreSignature::Cumulative(macs) => 4 + macs.len() * dl,
+        PreSignature::MerkleRoot { .. } => dl + 4,
+        PreSignature::MerkleForest(trees) => 4 + trees.len() * (dl + 4) + 4,
+    };
+    let ack = match &ex.ack {
+        FrozenAck::None => 0,
+        FrozenAck::Flat { .. } => 2 * dl + 2 * SECRET_LEN + 1,
+        FrozenAck::Amt(secrets) => 4 + secrets.len() * SECRET_LEN,
+    };
+    // Presence tag, S1 index and element, pre-signature tag.
+    let s1 = 1 + 8 + dl + 1 + presig;
+    let a1 = 4 + ex.a1.wire_len();
+    // Ack key index and element, ack tag.
+    let ack = 8 + dl + 1 + ack;
+    let bitmap = 4 + ex.received.len().div_ceil(8);
+    // Creation and last-nack times, the first-S2 flag and time.
+    let times = 8 + 8 + 1 + if ex.first_s2_at.is_some() { 8 } else { 0 };
+    s1 + a1 + ack + bitmap + times
 }
 
 fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
@@ -282,10 +273,8 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
             w.u32(trees.first().map_or(0, |t| t.leaves));
         }
     }
-    let mut a1 = Vec::new();
-    ex.a1.encode_into(&mut a1);
-    w.u32(a1.len() as u32);
-    w.bytes(&a1);
+    w.u32(ex.a1.wire_len() as u32);
+    ex.a1.encode_into(w.buf);
     w.u64(ex.ack_key_index);
     w.digest(&ex.ack_key);
     match &ex.ack {
@@ -309,14 +298,15 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
             }
         }
     }
+    // The received bitmap: message i is bit i % 8 of byte i / 8.
     w.u32(ex.received.len() as u32);
-    let mut bits = vec![0u8; ex.received.len().div_ceil(8)];
-    for (i, &got) in ex.received.iter().enumerate() {
-        if got {
-            bits[i / 8] |= 1 << (i % 8);
-        }
+    for flags in ex.received.chunks(8) {
+        let byte = flags
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (bit, &got)| byte | u8::from(got) << bit);
+        w.u8(byte);
     }
-    w.bytes(&bits);
     w.u64(ex.created_at.micros());
     match ex.first_s2_at {
         None => w.u8(0),

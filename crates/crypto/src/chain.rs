@@ -146,7 +146,8 @@ enum Storage {
     /// O(√n) amortized time point on the hash-chain traversal curve.
     Compact {
         /// Retained so the chain can be frozen to a [`FrozenChain`], and
-        /// because it is what checkpoints below `floor` are derived from.
+        /// because it is what checkpoints below `floor` are derived from
+        /// when `super_checkpoint` cannot serve them.
         seed_hash: Digest,
         interval: u64,
         /// `checkpoints[k - floor] = h_{k·interval}`: a contiguous run of
@@ -158,6 +159,12 @@ enum Storage {
         /// [`FrozenChain::checkpoint`] holds that one alone until a
         /// disclosure steps below it ([`HashChain::lower_floor`]).
         floor: u64,
+        /// A thawed chain's one element under `floor`: checkpoint number
+        /// [`super_of`]`(len, interval, floor)`, from which checkpoints
+        /// down to it derive without the walk from the seed. `None` when
+        /// that number is 0 (the seed hash serves) and once the floor
+        /// has been lowered.
+        super_checkpoint: Option<Digest>,
         len: u64,
     },
     /// Lazy dyadic checkpointing: one pebble per power-of-two level,
@@ -191,7 +198,7 @@ impl Storage {
                 Storage::Full(elements)
             }
             StorageKind::Compact => {
-                let interval = (len as f64).sqrt().ceil() as u64;
+                let interval = ceil_sqrt(len);
                 let (checkpoints, floor) = match f.checkpoint {
                     // The checkpoint under the cursor is all the next
                     // disclosures read: nothing to walk.
@@ -207,6 +214,7 @@ impl Storage {
                     interval,
                     checkpoints,
                     floor,
+                    super_checkpoint: f.super_checkpoint,
                     len,
                 }
             }
@@ -383,41 +391,71 @@ impl HashChain {
     }
 
     /// Compact storage only: if `index` lies under the lowest checkpoint
-    /// held, derive every checkpoint below it in one walk from the seed
-    /// hash and keep them — the walk a thaw from a checkpoint put off,
-    /// paid once by a chain that stays awake long enough to need it.
+    /// held, derive every checkpoint from the nearest origin below it up
+    /// to the floor in one walk and keep them — the walk a thaw from a
+    /// checkpoint put off, paid by a chain that stays awake long enough
+    /// to need it. The origin is the super-checkpoint when `index` lies
+    /// in its super-segment, else the seed hash.
     fn lower_floor(&mut self, index: u64) {
-        let (alg, kind) = (self.alg, self.kind);
         let Storage::Compact {
-            seed_hash,
             interval,
             checkpoints,
             floor,
             ..
-        } = &mut self.storage
+        } = &self.storage
         else {
             unreachable!("caller checked");
         };
-        let interval = *interval;
-        if index >= *floor * interval {
+        let (interval, old_floor, held) = (*interval, *floor, checkpoints.len());
+        if index >= old_floor * interval {
             return;
         }
-        let mut all = Vec::with_capacity(*floor as usize + checkpoints.len());
-        all.push(*seed_hash);
-        walk(
-            alg,
-            [kind],
-            [*seed_hash],
-            1..=(*floor - 1) * interval,
-            |i, [el]| {
-                if i.is_multiple_of(interval) {
-                    all.push(*el);
-                }
-            },
-        );
-        all.append(checkpoints);
-        *checkpoints = all;
-        *floor = 0;
+        let (from, origin) = self.under_floor(index / interval);
+        let mut run = Vec::with_capacity((old_floor - from) as usize + held);
+        run.push(origin);
+        let steps = from * interval + 1..=(old_floor - 1) * interval;
+        walk(self.alg, [self.kind], [origin], steps, |i, [el]| {
+            if i.is_multiple_of(interval) {
+                run.push(*el);
+            }
+        });
+        let Storage::Compact {
+            checkpoints,
+            floor,
+            super_checkpoint,
+            ..
+        } = &mut self.storage
+        else {
+            unreachable!("matched above");
+        };
+        run.append(checkpoints);
+        *checkpoints = run;
+        *floor = from;
+        *super_checkpoint = None;
+    }
+
+    /// Compact storage only: where a lookup at checkpoint number `k`
+    /// under the floor walks from, as `(number, element)` — the
+    /// super-checkpoint when the chain holds it and it lies at or below
+    /// `k`, else the seed hash (checkpoint 0).
+    fn under_floor(&self, k: u64) -> (u64, Digest) {
+        let Storage::Compact {
+            seed_hash,
+            interval,
+            floor,
+            super_checkpoint,
+            len,
+            ..
+        } = &self.storage
+        else {
+            unreachable!("caller checked");
+        };
+        debug_assert!(k < *floor, "only under the floor");
+        let number = super_of(*len, *interval, *floor);
+        match super_checkpoint {
+            Some(h) if k >= number => (number, *h),
+            _ => (0, *seed_hash),
+        }
     }
 
     /// Dyadic storage only: restore the invariant `positions[j] ==
@@ -496,8 +534,9 @@ impl HashChain {
 
     /// Element at 1-based `index` (0 returns the seed hash `h_0`). Compact
     /// chains recompute forward from the nearest checkpoint they hold at
-    /// or below `index` — the seed hash when a thawed chain holds none
-    /// (nothing is kept: only disclosure lowers the floor); dyadic chains
+    /// or below `index` — under a thawed chain's floor its
+    /// super-checkpoint, or the seed hash below that (nothing is kept:
+    /// only disclosure lowers the floor); dyadic chains
     /// from the nearest pebble at or below `index` (without moving the
     /// pebbles — sequential disclosure through [`HashChain::disclose`] is
     /// what maintains the amortized O(log n) bound).
@@ -511,7 +550,6 @@ impl HashChain {
         Ok(match &self.storage {
             Storage::Full(e) => e[index as usize],
             Storage::Compact {
-                seed_hash,
                 interval,
                 checkpoints,
                 floor,
@@ -519,7 +557,8 @@ impl HashChain {
             } => {
                 let k = index / interval;
                 if k < *floor {
-                    advance(self.alg, self.kind, *seed_hash, 0, index)
+                    let (from, origin) = self.under_floor(k);
+                    advance(self.alg, self.kind, origin, from * interval, index)
                 } else {
                     let k = k.min(floor + checkpoints.len() as u64 - 1);
                     let checkpoint = checkpoints[(k - floor) as usize];
@@ -636,8 +675,14 @@ impl HashChain {
     pub fn stored_bytes(&self) -> usize {
         match &self.storage {
             Storage::Full(e) => e.len() * self.alg.digest_len(),
-            Storage::Compact { checkpoints, .. } => {
-                checkpoints.len() * self.alg.digest_len() + 4 * std::mem::size_of::<u64>()
+            Storage::Compact {
+                checkpoints,
+                super_checkpoint,
+                ..
+            } => {
+                (checkpoints.len() + usize::from(super_checkpoint.is_some()))
+                    * self.alg.digest_len()
+                    + 4 * std::mem::size_of::<u64>()
             }
             Storage::Dyadic {
                 pebbles, positions, ..
@@ -665,23 +710,33 @@ impl HashChain {
     /// a chain whose disclosures are byte-identical to this one's — and,
     /// for compact storage, the one checkpoint at or below the cursor
     /// (`h_{⌊next/interval⌋·interval}`), which lets the thaw derive
-    /// nothing.
+    /// nothing, and the super-checkpoint under that (a coarser tier,
+    /// `⌈√(len/interval)⌉` checkpoints apart), which the next freeze past
+    /// a checkpoint boundary derives from.
     #[must_use]
     pub fn freeze(&self) -> FrozenChain {
-        let (seed_hash, checkpoint) = match &self.storage {
-            Storage::Full(e) => (e[0], None),
+        let (seed_hash, checkpoint, super_checkpoint) = match &self.storage {
+            Storage::Full(e) => (e[0], None, None),
             Storage::Compact {
                 seed_hash,
                 interval,
+                len,
                 ..
             } => {
-                // A copy, unless the last disclosure left the cursor one
-                // segment under the floor: then one walk from the seed.
-                let under_cursor = self.element(self.next / interval * interval);
-                (*seed_hash, Some(under_cursor))
+                // Copies, unless the last disclosure left the cursor one
+                // segment under the floor: then a walk from the
+                // super-checkpoint, and on entering a new super-segment
+                // the new one's walk from the seed.
+                let c = self.next / interval;
+                let number = super_of(*len, *interval, c);
+                (
+                    *seed_hash,
+                    Some(self.element(c * interval)),
+                    (number > 0).then(|| self.element(number * interval)),
+                )
             }
             // The highest pebble is pinned at position 0 (the seed hash).
-            Storage::Dyadic { pebbles, .. } => (*pebbles.last().expect("levels >= 1"), None),
+            Storage::Dyadic { pebbles, .. } => (*pebbles.last().expect("levels >= 1"), None, None),
         };
         FrozenChain {
             alg: self.alg,
@@ -691,6 +746,7 @@ impl HashChain {
             next: self.next,
             seed_hash,
             checkpoint,
+            super_checkpoint,
         }
     }
 }
@@ -708,31 +764,48 @@ pub enum StorageKind {
 
 /// A hibernated hash chain: the seed hash `h_0`, the derivation
 /// parameters and the disclosure cursor, plus — for compact storage —
-/// the checkpoint under the cursor: a few dozen bytes regardless of chain
-/// length, against up to `(len + 1) · s_h` live. Thawing a record with a
-/// checkpoint hashes nothing; without one (full and dyadic storage, or a
-/// chain not yet built) it re-derives the live storage in up to `len`
-/// forward hashes. Either way the thawed chain discloses the exact same
-/// bytes the frozen one would have.
+/// the checkpoint under the cursor and the super-checkpoint under that:
+/// a few dozen bytes regardless of chain length, against up to
+/// `(len + 1) · s_h` live. Thawing a record with a checkpoint hashes
+/// nothing; without one (full and dyadic storage, or a chain not yet
+/// built) it re-derives the live storage in up to `len` forward hashes.
+/// Either way the thawed chain discloses the exact same bytes the frozen
+/// one would have.
+///
+/// Records come from [`HashChain::freeze`] and
+/// [`FrozenChain::decode`] alone, and [`FrozenChain::encode_into`] is
+/// the one writer of their bytes.
 #[derive(Clone, Copy)]
 pub struct FrozenChain {
-    /// Hash algorithm.
-    pub alg: Algorithm,
-    /// Derivation kind (role tags).
-    pub kind: ChainKind,
-    /// Storage layout to rehydrate into.
-    pub storage: StorageKind,
+    alg: Algorithm,
+    kind: ChainKind,
+    storage: StorageKind,
     /// Total elements above the seed.
-    pub len: u64,
+    len: u64,
     /// Disclosure cursor at freeze time ([`HashChain::remaining`]).
-    pub next: u64,
+    next: u64,
     /// The seed hash `h_0` — never disclosed on the wire.
-    pub seed_hash: Digest,
+    seed_hash: Digest,
     /// Compact storage only: `h_{⌊next/interval⌋·interval}` with
     /// `interval = ⌈√len⌉`, the checkpoint the next disclosures are
     /// derived from. `None` thaws by the full walk from `seed_hash`.
-    pub checkpoint: Option<Digest>,
+    checkpoint: Option<Digest>,
+    /// Compact storage only, beside `checkpoint`: checkpoint number
+    /// [`super_of`]`(len, interval, ⌊next/interval⌋)` when that is not
+    /// 0 — its position follows from `len` and `next`, so the record
+    /// carries the digest alone.
+    super_checkpoint: Option<Digest>,
 }
+
+/// Record tag after the seed hash: no checkpoint (thaw walks from the
+/// seed), the checkpoint, or the checkpoint and the super-checkpoint.
+const TAG_WALK: u8 = 0;
+const TAG_CHECKPOINT: u8 = 1;
+const TAG_SUPER: u8 = 2;
+
+/// Longest chain a record may claim: a hostile record must not drive the
+/// O(len) thaw walk arbitrarily far (the engine never builds longer).
+const MAX_RECORD_LEN: u64 = 1 << 24;
 
 impl FrozenChain {
     /// The record of an unused chain of `len` elements above `H(seed)`.
@@ -758,7 +831,97 @@ impl FrozenChain {
             seed_hash: alg.hash(seed),
             // The anchor has to be derived anyway: build by the full walk.
             checkpoint: None,
+            super_checkpoint: None,
         }
+    }
+
+    /// Compact storage: the checkpoint under the cursor the record
+    /// carries, if any.
+    #[must_use]
+    pub fn checkpoint(&self) -> Option<Digest> {
+        self.checkpoint
+    }
+
+    /// Compact storage: the super-checkpoint the record carries, if any:
+    /// with `top = ⌊len/interval⌋` and `s = ⌈√top⌉`, `h_{k·interval}` for
+    /// the highest `k` of `top − s`, `top − 2s`, … under the cursor's
+    /// checkpoint — `None` when that is the seed hash.
+    #[must_use]
+    pub fn super_checkpoint(&self) -> Option<Digest> {
+        self.super_checkpoint
+    }
+
+    /// Append this record's bytes — [`FrozenChain::stored_bytes`] of
+    /// them — to `out`: storage layout (1 byte), length and cursor (8
+    /// each, big-endian), seed hash, then a tag, 0 for nothing more, 1
+    /// for the checkpoint, 2 for the checkpoint and the super-checkpoint.
+    /// The algorithm and derivation kind are the caller's to record.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(match self.storage {
+            StorageKind::Full => 0,
+            StorageKind::Compact => 1,
+            StorageKind::Dyadic => 2,
+        });
+        out.extend_from_slice(&self.len.to_be_bytes());
+        out.extend_from_slice(&self.next.to_be_bytes());
+        out.extend_from_slice(self.seed_hash.as_bytes());
+        match (self.checkpoint, self.super_checkpoint) {
+            (Some(checkpoint), Some(super_checkpoint)) => {
+                out.push(TAG_SUPER);
+                out.extend_from_slice(checkpoint.as_bytes());
+                out.extend_from_slice(super_checkpoint.as_bytes());
+            }
+            (Some(checkpoint), None) => {
+                out.push(TAG_CHECKPOINT);
+                out.extend_from_slice(checkpoint.as_bytes());
+            }
+            (None, _) => out.push(TAG_WALK),
+        }
+    }
+
+    /// Read one record [`FrozenChain::encode_into`] wrote off the front
+    /// of `bytes`, advancing it past the record. Total: `None` on
+    /// truncation, an unknown layout or tag, a length or cursor no chain
+    /// has, a checkpoint on a layout other than compact, or a
+    /// super-checkpoint where the cursor leaves it no position.
+    #[must_use]
+    pub fn decode(bytes: &mut &[u8], alg: Algorithm, kind: ChainKind) -> Option<FrozenChain> {
+        let storage = match take(bytes, 1)?[0] {
+            0 => StorageKind::Full,
+            1 => StorageKind::Compact,
+            2 => StorageKind::Dyadic,
+            _ => return None,
+        };
+        let len = u64::from_be_bytes(take(bytes, 8)?.try_into().ok()?);
+        let next = u64::from_be_bytes(take(bytes, 8)?.try_into().ok()?);
+        if len < 2 || !len.is_multiple_of(2) || len > MAX_RECORD_LEN || next >= len {
+            return None;
+        }
+        let digest = |bytes: &mut &[u8]| take(bytes, alg.digest_len()).map(Digest::from_slice);
+        let seed_hash = digest(bytes)?;
+        let compact = storage == StorageKind::Compact;
+        let (checkpoint, super_checkpoint) = match take(bytes, 1)?[0] {
+            TAG_WALK => (None, None),
+            TAG_CHECKPOINT if compact => (Some(digest(bytes)?), None),
+            TAG_SUPER if compact => {
+                let interval = ceil_sqrt(len);
+                if super_of(len, interval, next / interval) == 0 {
+                    return None;
+                }
+                (Some(digest(bytes)?), Some(digest(bytes)?))
+            }
+            _ => return None,
+        };
+        Some(FrozenChain {
+            alg,
+            kind,
+            storage,
+            len,
+            next,
+            seed_hash,
+            checkpoint,
+            super_checkpoint,
+        })
     }
 
     /// Forward hashes a rebuild costs: the whole chain (the same work as
@@ -783,11 +946,15 @@ impl FrozenChain {
         chain
     }
 
-    /// Bytes this record occupies (the hibernation footprint).
+    /// Bytes this record occupies (the hibernation footprint): exactly
+    /// what [`FrozenChain::encode_into`] writes.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
-        let digests = 1 + usize::from(self.checkpoint.is_some());
-        digests * self.alg.digest_len() + 2 * std::mem::size_of::<u64>() + 4
+        let digests = 1
+            + usize::from(self.checkpoint.is_some())
+            + usize::from(self.super_checkpoint.is_some());
+        // Layout and tag bytes, length and cursor.
+        2 + 2 * std::mem::size_of::<u64>() + digests * self.alg.digest_len()
     }
 
     /// Thaw two chains in one two-lane rebuild — the wake path of a
@@ -897,6 +1064,35 @@ fn walk<const N: usize>(
         counting::record_n(alg, offset + digest_len, taken);
     }
     cur
+}
+
+/// `⌈√n⌉`: a compact chain's checkpoint interval for `n = len`, and its
+/// super-checkpoint spacing for `n` = the number of checkpoints.
+fn ceil_sqrt(n: u64) -> u64 {
+    (n as f64).sqrt().ceil() as u64
+}
+
+/// Number of the super-checkpoint that serves a compact chain whose
+/// cursor lies over checkpoint `c`: the coarser tier sits every
+/// `s = ⌈√top⌉` checkpoints counted down from the top one,
+/// `top = ⌊len/interval⌋`, and this is the highest of `top − s`,
+/// `top − 2s`, … strictly below `c` — 0, the seed hash, when none is.
+/// A cursor that crosses a checkpoint boundary then derives the new
+/// checkpoint from it in at most `s − 1` intervals of hashing; only
+/// stepping onto the super-checkpoint itself needs the next one down,
+/// walked from the seed.
+fn super_of(len: u64, interval: u64, c: u64) -> u64 {
+    let top = len / interval;
+    debug_assert!(c <= top, "the cursor lies in the chain");
+    let spacing = ceil_sqrt(top);
+    top.saturating_sub((top + 1 - c).div_ceil(spacing) * spacing)
+}
+
+/// Split `n` bytes off the front of `bytes`.
+fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = bytes.split_at_checked(n)?;
+    *bytes = rest;
+    Some(head)
 }
 
 /// One lane from `h_from` to `h_to`, the elements in between discarded.
@@ -1509,9 +1705,22 @@ mod freeze_tests {
     fn frozen_record_is_small_and_storage_preserved() {
         for live in chains(1024, b"small") {
             let frozen = live.freeze();
-            assert!(frozen.stored_bytes() <= 64);
+            // Layout, length, cursor, tag; the seed hash, and on the √n
+            // layout the checkpoint and the super-checkpoint.
+            let digests = if frozen.storage == StorageKind::Compact {
+                3
+            } else {
+                1
+            };
+            assert_eq!(frozen.stored_bytes(), 18 + digests * 20);
             assert!(frozen.stored_bytes() < live.stored_bytes());
-            assert_eq!(frozen.thaw().storage_kind(), live.storage_kind());
+            let mut bytes = Vec::new();
+            frozen.encode_into(&mut bytes);
+            assert_eq!(bytes.len(), frozen.stored_bytes());
+            let mut rest = bytes.as_slice();
+            let decoded = FrozenChain::decode(&mut rest, frozen.alg, frozen.kind).unwrap();
+            assert!(rest.is_empty());
+            assert_eq!(decoded.thaw().storage_kind(), live.storage_kind());
         }
     }
 

@@ -8,10 +8,13 @@
 //! the Table 1 harness and the benchmark's `hashes_per_msg` read those
 //! counters, so a walker that skipped or recounted a hash would move them.
 //!
-//! The second half holds a √n-checkpointed chain thawed from the one
-//! checkpoint its frozen record carries to the same standard: no hash on
-//! thaw, the never-frozen bytes from every cursor, and exactly one walk
-//! from the seed, the first time a disclosure needs a lower checkpoint.
+//! The second half holds a √n-checkpointed chain thawed from the
+//! checkpoint and super-checkpoint its frozen record carries to the same
+//! standard: no hash on thaw, the never-frozen bytes from every cursor,
+//! one walk from the super-checkpoint the first time a disclosure needs a
+//! lower checkpoint and at most one from the seed; and a flow frozen
+//! after every exchange pays the hash budget those walks imply, pinned
+//! exactly.
 //!
 //! ci.sh runs the suite under every forced `ALPHA_DIGEST_BACKEND` tier.
 
@@ -221,6 +224,19 @@ fn interval(len: u64) -> u64 {
     (len as f64).sqrt().ceil() as u64
 }
 
+/// Number of the super-checkpoint a record frozen with its cursor over
+/// checkpoint `c` carries, 0 for none (the seed hash serves): the tier
+/// sits every `⌈√top⌉` checkpoints down from the top checkpoint `top`,
+/// and the record holds the highest of them strictly below `c`.
+fn super_number(len: u64, c: u64) -> u64 {
+    let top = len / interval(len);
+    let spacing = interval(top);
+    (1..=top)
+        .map(|j| top as i64 - (j * spacing) as i64)
+        .find(|&k| k < c as i64)
+        .map_or(0, |k| k.max(0) as u64)
+}
+
 /// Cursors to freeze at: every one on a short chain; on a long one the
 /// fresh and the exhausted chain, segment 0 (where the checkpoint under
 /// the cursor *is* the seed hash) and both sides of a few checkpoints.
@@ -260,30 +276,49 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
                     }
                     let what = format!("{alg} {kind:?} len={len} frozen at {cursor}");
                     let frozen = live.freeze();
-                    assert_eq!(frozen.next, cursor, "{what}");
+                    let floor = cursor / step;
+                    let sup = super_number(len, floor);
                     assert_eq!(
-                        frozen.checkpoint,
-                        Some(full.element(cursor / step * step)),
+                        frozen.checkpoint(),
+                        Some(full.element(floor * step)),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        frozen.super_checkpoint(),
+                        (sup > 0).then(|| full.element(sup * step)),
                         "{what}"
                     );
                     let (mut thawed, counts) = counted(|| frozen.thaw());
                     assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
                     assert_eq!(thawed.storage_kind(), StorageKind::Compact, "{what}");
-                    assert_eq!(thawed.len(), len, "{what}");
+                    assert_eq!((thawed.len(), thawed.remaining()), (len, cursor), "{what}");
                     // Above the one checkpoint held: derived from it.
                     let above = (cursor + step + 1).min(len);
                     assert_eq!(thawed.element(above), full.element(above), "{what}");
+                    // Under the floor, without keeping anything: from the
+                    // super-checkpoint inside its super-segment, from the
+                    // seed below it.
+                    if floor > 0 {
+                        for at in [sup * step, floor * step - 1, sup * step / 2] {
+                            let origin = if at >= sup * step { sup * step } else { 0 };
+                            let (el, counts) = counted(|| thawed.element(at));
+                            assert_eq!(el, full.element(at), "{what} under the floor at {at}");
+                            assert_eq!(counts.invocations, at - origin, "{what} from {origin}");
+                        }
+                    }
 
                     // Each disclosure is one walk up from its checkpoint,
                     // plus — the first time one lies under the thawed
-                    // floor, and only then — the walk from the seed that
-                    // makes every lower checkpoint live. A short chain is
-                    // followed down to exhaustion, a long one to two
-                    // disclosures under its floor (the churn test below
-                    // takes thawed chains the whole way down; unoptimised
-                    // MMO hashing is what this suite's time goes to).
-                    let floor = cursor / step;
-                    let mut seed_walk = if floor == 0 { 0 } else { (floor - 1) * step };
+                    // floor — the walk that makes the checkpoints from its
+                    // origin up live: from the super-checkpoint when the
+                    // disclosure lies in its super-segment, else from the
+                    // seed; and the first time one lies under that origin,
+                    // the walk from the seed. A short chain is followed
+                    // down to exhaustion, a long one to two disclosures
+                    // under its floor (the churn test below takes thawed
+                    // chains the whole way down; unoptimised MMO hashing
+                    // is what this suite's time goes to).
+                    let (mut held_from, mut sup) = (floor, sup);
                     let stop = if len <= 30 {
                         0
                     } else {
@@ -293,8 +328,10 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
                         let (got, counts) = counted(|| thawed.disclose());
                         assert_eq!(got, Ok((i, full.element(i))), "{what} element {i}");
                         let mut expect = i % step;
-                        if i / step < floor {
-                            expect += std::mem::take(&mut seed_walk);
+                        if i / step < held_from {
+                            let origin = if i / step >= sup { sup } else { 0 };
+                            expect += (held_from - 1 - origin) * step;
+                            (held_from, sup) = (origin, 0);
                         }
                         assert_eq!(counts.invocations, expect, "{what} hashes at {i}");
                     }
@@ -307,6 +344,43 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
     }
 }
 
+/// Hashes one wake of a chain frozen after every pair costs: thawed at
+/// cursor `announce`, the pair `(announce, announce − 1)`, then the
+/// freeze at `announce − 2`. Every element the wake needs is derived
+/// from the nearest one the thawed chain holds — its checkpoint `c`, the
+/// super-checkpoint `sup` under it, or the seed hash — and a disclosure
+/// under `c` (an odd interval puts the key there when the announce
+/// element sits on `c`) makes the checkpoints from its origin up live.
+fn churn_wake_hashes(len: u64, announce: u64) -> u64 {
+    let step = interval(len);
+    let c = announce / step;
+    let (mut held_from, mut sup) = (c, super_number(len, c));
+    // Hashes to derive checkpoint `k` from the nearest origin held.
+    let from_origin = |k: u64, held_from: u64, sup: u64| {
+        if k >= held_from {
+            0
+        } else if k >= sup {
+            (k - sup) * step
+        } else {
+            k * step
+        }
+    };
+    let key = announce - 1;
+    let mut hashes = key % step + 1;
+    if key / step < held_from {
+        hashes += from_origin(held_from - 1, held_from, sup);
+        held_from = if key / step >= sup { sup } else { 0 };
+        sup = 0;
+    }
+    let after = (announce - 2) / step;
+    hashes += from_origin(after, held_from, sup);
+    let next_sup = super_number(len, after);
+    if next_sup > 0 {
+        hashes += from_origin(next_sup, held_from, sup);
+    }
+    hashes
+}
+
 #[test]
 fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
     for alg in Algorithm::ALL {
@@ -315,7 +389,8 @@ fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
                 let step = interval(len);
                 let full = HashChain::from_seed(alg, kind, len, b"churn");
                 let mut never = HashChain::from_seed_compact(alg, kind, len, b"churn");
-                let mut churned = never.clone();
+                let mut record = never.freeze();
+                let (mut wakes, mut churn_hashes) = (0, 0);
                 let mut announce = len - 1;
                 while announce >= 2 {
                     let what = format!("{alg} {kind:?} len={len} pair at {announce}");
@@ -330,15 +405,54 @@ fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
                     assert_eq!(counts.invocations, (announce - 1) % step + 1, "{what}");
 
                     // The churn pattern: wake, one exchange, sleep.
-                    let frozen = churned.freeze();
-                    let (thawed, counts) = counted(|| frozen.thaw());
+                    let (mut churned, counts) = counted(|| record.thaw());
                     assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
-                    churned = thawed;
-                    assert_eq!(churned.disclose_pair(), expect, "{what} churned");
+                    let (pair, pair_counts) = counted(|| churned.disclose_pair());
+                    assert_eq!(pair, expect, "{what} churned");
+                    let freeze_counts;
+                    (record, freeze_counts) = counted(|| churned.freeze());
+                    let after = (announce - 2) / step;
+                    let sup = super_number(len, after);
+                    assert_eq!(record.checkpoint(), Some(full.element(after * step)));
+                    assert_eq!(
+                        record.super_checkpoint(),
+                        (sup > 0).then(|| full.element(sup * step)),
+                        "{what}"
+                    );
+                    let costs = (pair_counts.invocations, freeze_counts.invocations);
+                    assert_eq!(
+                        costs.0 + costs.1,
+                        churn_wake_hashes(len, announce),
+                        "{what}"
+                    );
+                    if len == 1024 {
+                        // Checkpoints every 32 elements, numbered 0 (the
+                        // seed hash) to 32; super-checkpoints every
+                        // ⌈√32⌉ = 6 down from the top: 26, 20, 14, 8, 2.
+                        // A normal crossing, onto checkpoint 30 from a
+                        // record of 31 and 26: derived from 26, four
+                        // checkpoints up. A super crossing, onto 26
+                        // itself: a copy, and the next super-checkpoint
+                        // down, 20, walked from the seed.
+                        match announce {
+                            1013 => assert_eq!(costs, (21, 0), "{what} within a segment"),
+                            993 => assert_eq!(costs, (1, 4 * 32), "{what} normal crossing"),
+                            865 => assert_eq!(costs, (1, 20 * 32), "{what} super crossing"),
+                            _ => {}
+                        }
+                    }
+                    wakes += 1;
+                    churn_hashes += costs.0 + costs.1;
                     announce -= 2;
                 }
                 assert!(never.disclose_pair().is_err());
-                assert!(churned.freeze().thaw().disclose_pair().is_err());
+                assert!(record.thaw().disclose_pair().is_err());
+                if len == 1024 {
+                    // ≤ 24 hashes a wake over the chain's life, against
+                    // 16 for a chain that never sleeps.
+                    let what = format!("{alg} {kind:?} {churn_hashes} hashes / {wakes} wakes");
+                    assert!(churn_hashes <= 24 * wakes, "{what}");
+                }
             }
         }
     }

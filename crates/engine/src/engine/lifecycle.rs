@@ -11,24 +11,22 @@ pub(super) fn encode_frozen_record(
     frozen: &FrozenAssociation,
     adapt: Option<&FrozenAdapt>,
 ) -> Vec<u8> {
-    // Room for an idle flow's record (no buffered exchange) with
-    // adaptation state; the body is written once, behind a length
-    // prefix patched in after it.
-    let mut out = Vec::with_capacity(320);
-    out.extend_from_slice(&[0; 4]);
+    // The store keeps this for as long as the flow sleeps, so it is
+    // sized exactly: slack here is bytes per hibernated flow.
+    let body_len = frozen.encoded_len();
+    let prefix = u32::try_from(body_len).expect("record fits u32");
+    let adapt = adapt.map(FrozenAdapt::to_bytes);
+    let mut out = Vec::with_capacity(4 + body_len + 1 + adapt.as_ref().map_or(0, Vec::len));
+    out.extend_from_slice(&prefix.to_be_bytes());
     frozen.encode_into(&mut out);
-    let body_len = u32::try_from(out.len() - 4).expect("record fits u32");
-    out[..4].copy_from_slice(&body_len.to_be_bytes());
+    debug_assert_eq!(out.len(), 4 + body_len);
     match adapt {
         Some(a) => {
             out.push(1);
-            out.extend_from_slice(&a.to_bytes());
+            out.extend_from_slice(&a);
         }
         None => out.push(0),
     }
-    // The store keeps this for as long as the flow sleeps: slack here
-    // is bytes per hibernated flow.
-    out.shrink_to_fit();
     out
 }
 

@@ -1162,6 +1162,11 @@ fn frozen_record_codec_is_total_and_round_trips() {
 
         for adapt in [None, Some(&adapt)] {
             let record = encode_frozen_record(&frozen, adapt);
+            assert_eq!(
+                record.capacity(),
+                record.len(),
+                "sized from the body, no slack"
+            );
             let (f, a) = decode_frozen_record(&record).expect("own record decodes");
             assert_eq!(a.is_some(), adapt.is_some());
             assert_eq!(
@@ -1186,28 +1191,52 @@ fn frozen_record_codec_is_total_and_round_trips() {
                 assert!(decode_frozen_record(&bad).is_none(), "adapt tag {tag}");
             }
 
-            // The signature chain's checkpoint tag: behind the length
-            // prefix, version, algorithm and association id, then the
-            // chain's layout, length, cursor and seed hash.
-            let checkpoint_at = 4 + 10 + 17 + 20;
+            // The signature chain's record: behind the length prefix,
+            // version, algorithm and association id, its layout, length,
+            // cursor and seed hash, then the tag saying which digests
+            // follow — on the √n layout, the checkpoint under the cursor
+            // and (tag 2) the super-checkpoint under that.
+            let (cursor_at, chain_tag_at) = (4 + 10 + 9, 4 + 10 + 17 + 20);
             let sqrt = storage == ChainStorage::Sqrt;
-            assert_eq!(record[checkpoint_at], u8::from(sqrt), "{storage:?}");
-            for tag in 2..=u8::MAX {
-                let mut bad = record.clone();
-                bad[checkpoint_at] = tag;
-                assert!(decode_frozen_record(&bad).is_none(), "checkpoint tag {tag}");
+            let held = if sqrt { 2 } else { 0 };
+            assert_eq!(record[chain_tag_at], held as u8, "{storage:?}");
+            // The chain's tail rewritten as `tag` and `digests` digests,
+            // the length prefix kept in step.
+            let with_tail = |record: &[u8], tag: u8, digests: usize| {
+                let mut bytes = record.to_vec();
+                let tail = std::iter::once(tag).chain(std::iter::repeat_n(0xAB, 20 * digests));
+                bytes.splice(chain_tag_at..chain_tag_at + 1 + 20 * held, tail);
+                let body = tag_at - 4 + 20 * digests - 20 * held;
+                bytes[..4].copy_from_slice(&u32::try_from(body).unwrap().to_be_bytes());
+                bytes
+            };
+            assert!(decode_frozen_record(&with_tail(&record, held as u8, held)).is_some());
+            for tag in 3..=u8::MAX {
+                let bad = with_tail(&record, tag, held);
+                assert!(decode_frozen_record(&bad).is_none(), "chain tag {tag}");
             }
-            if !sqrt {
-                // A well-formed checkpoint where the layout has none.
-                let mut bad = record.clone();
-                bad[checkpoint_at] = 1;
-                bad.splice(checkpoint_at + 1..checkpoint_at + 1, [0xAB; 20]);
-                let body = u32::try_from(tag_at - 4 + 20).unwrap();
-                bad[..4].copy_from_slice(&body.to_be_bytes());
+            if sqrt {
+                // Without its super-checkpoint a record still thaws (the
+                // walk under the floor starts at the seed); with one
+                // where the cursor leaves it no position — over
+                // checkpoint 0 — it does not decode.
+                assert!(decode_frozen_record(&with_tail(&record, 1, 1)).is_some());
+                let mut low = record.clone();
+                low[cursor_at..cursor_at + 8].copy_from_slice(&1u64.to_be_bytes());
+                assert!(decode_frozen_record(&with_tail(&low, 1, 1)).is_some());
                 assert!(
-                    decode_frozen_record(&bad).is_none(),
-                    "{storage:?} checkpoint"
+                    decode_frozen_record(&low).is_none(),
+                    "super-checkpoint under checkpoint 0"
                 );
+            } else {
+                // Well-formed checkpoints where the layout has none.
+                for (tag, digests) in [(1, 1), (2, 2)] {
+                    let bad = with_tail(&record, tag, digests);
+                    assert!(
+                        decode_frozen_record(&bad).is_none(),
+                        "{storage:?} tag {tag}"
+                    );
+                }
             }
         }
     }
