@@ -29,10 +29,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
 # relay) and the per-role hash counts of a bundle; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
-# accepts and forwards exactly the A2s the sending host accepts. Their
+# accepts and forwards exactly the A2s the sending host accepts. The
+# hibernation suites run here too, since decoding a record rebuilds an
+# AMT by hashing: freeze/thaw decision identity (incl. a flow frozen
+# after each of 500 exchanges) and the four golden records. Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run and receiver ≡ relay suites (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, receiver ≡ relay and hibernation suites (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -56,6 +59,20 @@ for backend in scalar lanes4 auto; do
     case "$judges" in
         *"running 4 tests"*) ;;
         *) echo "ci: the receiver_relay suite did not run its 4 tests under $backend" >&2; exit 1 ;;
+    esac
+    thaws=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
+        --test freeze_thaw) || { echo "$thaws"; exit 1; }
+    echo "$thaws"
+    case "$thaws" in
+        *"running 8 tests"*) ;;
+        *) echo "ci: the freeze_thaw suite did not run its 8 tests under $backend" >&2; exit 1 ;;
+    esac
+    golden=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
+        --test freeze_golden) || { echo "$golden"; exit 1; }
+    echo "$golden"
+    case "$golden" in
+        *"running 1 test"*) ;;
+        *) echo "ci: the freeze_golden suite did not run its 1 test under $backend" >&2; exit 1 ;;
     esac
 done
 
@@ -103,9 +120,6 @@ cargo run --release --example mesh_smoke
 
 echo "==> mesh chain bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin mesh_chain -- --quick
-
-echo "==> hibernation: freeze/thaw decision-identity properties (incl. a flow frozen after each of 500 exchanges)"
-cargo test -q -p alpha-core --test freeze_thaw
 
 echo "==> flow density bench smoke (release, --quick; gates >=10x assoc/GB and wake p99 < 2 ms; records carry a checkpoint and a super-checkpoint per sqrt chain)"
 cargo run --release -p alpha-bench --bin flow_density -- --quick

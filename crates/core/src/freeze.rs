@@ -17,19 +17,27 @@
 //! in-flight S1/S2 burst holds message payloads and Merkle trees whose
 //! retransmission timers are about to fire anyway, so the engine simply
 //! does not hibernate such a flow. The verifier side freezes mid-bundle —
-//! a silent sender must not pin its receiver's full state in memory.
+//! a silent sender must not pin its receiver's full state in memory. A
+//! buffered exchange has one form, asleep or awake: the record holds the
+//! verifier's own `BufferedExchange`, and only the
+//! byte layout differs — an AMT is written as its leaf secrets, and
+//! decoding rebuilds the tree.
 //!
 //! Records serialize to a private, versioned byte layout via
-//! [`FrozenAssociation::encode`]; [`FrozenAssociation::decode`] is total
-//! (returns `None` on any malformed input) so a corrupt record can never
-//! panic the engine.
+//! [`FrozenAssociation::encode`], stated once: the same writer fills the
+//! record and, counting instead, sizes it
+//! ([`FrozenAssociation::encoded_len`]). [`FrozenAssociation::decode`] is
+//! total (returns `None` on any malformed input) so a corrupt record can
+//! never panic the engine.
 
+use alpha_crypto::amt::AckMerkleTree;
 use alpha_crypto::chain::{ChainKind, FrozenChain};
-use alpha_crypto::preack::{PreAckPair, SECRET_LEN};
+use alpha_crypto::preack::{PreAckPair, PreAckSecrets, SECRET_LEN};
 use alpha_crypto::{Algorithm, Digest};
 use alpha_wire::{Packet, PreSignature, TreeDescriptor};
 
 use crate::exchange::{Announced, Presig};
+use crate::verifier::{AckState, BufferedExchange};
 use crate::Timestamp;
 
 /// Frozen form of a [`crate::SignerChannel`] (idle channels only).
@@ -42,41 +50,15 @@ pub struct FrozenSigner {
     pub(crate) rto_micros: u64,
 }
 
-/// Frozen acknowledgment state: the verifier's undisclosed verdict
-/// commitments. AMTs freeze as their leaf secrets alone — the tree is
-/// rebuilt deterministically on thaw.
-pub(crate) enum FrozenAck {
-    None,
-    Flat {
-        pair: PreAckPair,
-        secrets: [u8; 2 * SECRET_LEN],
-        verdict_sent: bool,
-    },
-    Amt(Vec<[u8; SECRET_LEN]>),
-}
-
-/// Frozen form of one buffered verifier exchange (a flow asleep
-/// mid-bundle).
-pub(crate) struct FrozenExchange {
-    pub(crate) s1: Announced,
-    pub(crate) a1: Packet,
-    pub(crate) ack_key_index: u64,
-    pub(crate) ack_key: Digest,
-    pub(crate) ack: FrozenAck,
-    pub(crate) received: Vec<bool>,
-    pub(crate) created_at: Timestamp,
-    pub(crate) first_s2_at: Option<Timestamp>,
-    pub(crate) last_nack_at: Timestamp,
-}
-
-/// Frozen form of a [`crate::VerifierChannel`].
+/// Frozen form of a [`crate::VerifierChannel`]. Its buffered exchanges
+/// are the channel's own, as they were when it froze.
 pub struct FrozenVerifier {
     pub(crate) ack_chain: FrozenChain,
     pub(crate) peer_sig_index: u64,
     pub(crate) peer_sig_last: Digest,
     pub(crate) accepting: bool,
-    pub(crate) current: Option<FrozenExchange>,
-    pub(crate) previous: Option<FrozenExchange>,
+    pub(crate) current: Option<BufferedExchange>,
+    pub(crate) previous: Option<BufferedExchange>,
 }
 
 /// A whole association, frozen. Build with [`crate::Association::freeze`],
@@ -116,39 +98,37 @@ impl FrozenAssociation {
 
     /// Length of the record [`FrozenAssociation::encode`] returns: a
     /// buffer with this much spare capacity takes
-    /// [`FrozenAssociation::encode_into`] without growing.
+    /// [`FrozenAssociation::encode_into`] without growing. The encoder
+    /// itself, counting instead of writing.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let dl = self.alg.digest_len();
-        // Version, algorithm, association id.
-        let header = 2 + 8;
-        // Own chain, peer chain's index and element, RTO.
-        let signer = self.signer.chain.stored_bytes() + 8 + dl + 8;
-        // Own chain, peer chain's index and element, accepting flag.
-        let verifier = self.verifier.ack_chain.stored_bytes() + 8 + dl + 1;
-        let buffered = opt_exchange_len(self.alg, self.verifier.current.as_ref())
-            + opt_exchange_len(self.alg, self.verifier.previous.as_ref());
-        header + signer + verifier + buffered
+        let mut count = Count(0);
+        self.write(&mut count);
+        count.0
     }
 
     /// Append the record [`FrozenAssociation::encode`] returns to `out`.
     /// Allocates nothing when `out` has [`FrozenAssociation::encoded_len`]
     /// bytes to spare.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = Writer { buf: out };
+        self.write(out);
+    }
+
+    /// The record layout, the one place it is written down.
+    fn write(&self, w: &mut impl Sink) {
         w.u8(VERSION);
         w.u8(alg_code(self.alg));
         w.u64(self.assoc_id);
-        self.signer.chain.encode_into(w.buf);
+        w.chain(&self.signer.chain);
         w.u64(self.signer.peer_ack_index);
         w.digest(&self.signer.peer_ack_last);
         w.u64(self.signer.rto_micros);
-        self.verifier.ack_chain.encode_into(w.buf);
+        w.chain(&self.verifier.ack_chain);
         w.u64(self.verifier.peer_sig_index);
         w.digest(&self.verifier.peer_sig_last);
         w.u8(u8::from(self.verifier.accepting));
-        encode_opt_exchange(&mut w, self.verifier.current.as_ref());
-        encode_opt_exchange(&mut w, self.verifier.previous.as_ref());
+        write_opt_exchange(w, self.verifier.current.as_ref());
+        write_opt_exchange(w, self.verifier.previous.as_ref());
     }
 
     /// Parse a record produced by [`FrozenAssociation::encode`]. Returns
@@ -214,34 +194,7 @@ fn alg_from_code(code: u8) -> Option<Algorithm> {
     }
 }
 
-/// Bytes [`encode_opt_exchange`] writes for `ex`.
-fn opt_exchange_len(alg: Algorithm, ex: Option<&FrozenExchange>) -> usize {
-    let Some(ex) = ex else {
-        return 1;
-    };
-    let dl = alg.digest_len();
-    let presig = match ex.s1.presig.wire() {
-        PreSignature::Cumulative(macs) => 4 + macs.len() * dl,
-        PreSignature::MerkleRoot { .. } => dl + 4,
-        PreSignature::MerkleForest(trees) => 4 + trees.len() * (dl + 4) + 4,
-    };
-    let ack = match &ex.ack {
-        FrozenAck::None => 0,
-        FrozenAck::Flat { .. } => 2 * dl + 2 * SECRET_LEN + 1,
-        FrozenAck::Amt(secrets) => 4 + secrets.len() * SECRET_LEN,
-    };
-    // Presence tag, S1 index and element, pre-signature tag.
-    let s1 = 1 + 8 + dl + 1 + presig;
-    let a1 = 4 + ex.a1.wire_len();
-    // Ack key index and element, ack tag.
-    let ack = 8 + dl + 1 + ack;
-    let bitmap = 4 + ex.received.len().div_ceil(8);
-    // Creation and last-nack times, the first-S2 flag and time.
-    let times = 8 + 8 + 1 + if ex.first_s2_at.is_some() { 8 } else { 0 };
-    s1 + a1 + ack + bitmap + times
-}
-
-fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
+fn write_opt_exchange(w: &mut impl Sink, ex: Option<&BufferedExchange>) {
     let Some(ex) = ex else {
         w.u8(0);
         return;
@@ -274,12 +227,12 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
         }
     }
     w.u32(ex.a1.wire_len() as u32);
-    ex.a1.encode_into(w.buf);
+    w.packet(&ex.a1);
     w.u64(ex.ack_key_index);
     w.digest(&ex.ack_key);
     match &ex.ack {
-        FrozenAck::None => w.u8(0),
-        FrozenAck::Flat {
+        AckState::None => w.u8(0),
+        AckState::Flat {
             pair,
             secrets,
             verdict_sent,
@@ -287,20 +240,22 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
             w.u8(1);
             w.digest(&pair.pre_ack);
             w.digest(&pair.pre_nack);
-            w.bytes(secrets);
+            w.bytes(&secrets.to_bytes());
             w.u8(u8::from(*verdict_sent));
         }
-        FrozenAck::Amt(secrets) => {
+        // The tree is a function of its leaf secrets: only they are kept,
+        // and decoding rebuilds it.
+        AckState::Amt(amt) => {
             w.u8(2);
-            w.u32(secrets.len() as u32);
-            for s in secrets {
+            w.u32(amt.secrets().len() as u32);
+            for s in amt.secrets() {
                 w.bytes(s);
             }
         }
     }
     // The received bitmap: message i is bit i % 8 of byte i / 8.
-    w.u32(ex.received.len() as u32);
-    for flags in ex.received.chunks(8) {
+    w.u32(ex.received().len() as u32);
+    for flags in ex.received().chunks(8) {
         let byte = flags
             .iter()
             .enumerate()
@@ -318,7 +273,7 @@ fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
     w.u64(ex.last_nack_at.micros());
 }
 
-fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<FrozenExchange>> {
+fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<BufferedExchange>> {
     match r.u8()? {
         0 => return Some(None),
         1 => {}
@@ -369,14 +324,13 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
     let ack_key_index = r.u64()?;
     let ack_key = r.digest(alg)?;
     let ack = match r.u8()? {
-        0 => FrozenAck::None,
+        0 => AckState::None,
         1 => {
             let pre_ack = r.digest(alg)?;
             let pre_nack = r.digest(alg)?;
-            let mut secrets = [0u8; 2 * SECRET_LEN];
-            secrets.copy_from_slice(r.take(2 * SECRET_LEN)?);
+            let secrets = PreAckSecrets::from_bytes(r.take(2 * SECRET_LEN)?.try_into().ok()?);
             let verdict_sent = r.u8()? != 0;
-            FrozenAck::Flat {
+            AckState::Flat {
                 pair: PreAckPair { pre_ack, pre_nack },
                 secrets,
                 verdict_sent,
@@ -387,13 +341,10 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
             if n == 0 || !n.is_multiple_of(2) || n > 2 * alpha_wire::limits::MAX_LEAVES as usize {
                 return None;
             }
-            let mut secrets = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut s = [0u8; SECRET_LEN];
-                s.copy_from_slice(r.take(SECRET_LEN)?);
-                secrets.push(s);
-            }
-            FrozenAck::Amt(secrets)
+            // Only the leaf secrets were kept: the tree is rebuilt.
+            let secrets = r.take(n * SECRET_LEN)?.chunks_exact(SECRET_LEN);
+            let secrets = secrets.map(|s| s.try_into().expect("SECRET_LEN bytes"));
+            AckState::Amt(AckMerkleTree::from_secrets(alg, secrets.collect()))
         }
         _ => return None,
     };
@@ -402,7 +353,7 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
     let covered = r.u32()? as usize;
     if covered != presig.covered()
         || covered > alpha_wire::limits::MAX_LEAVES as usize
-        || matches!(&ack, FrozenAck::Amt(secrets) if secrets.len() != 2 * covered)
+        || matches!(&ack, AckState::Amt(amt) if amt.capacity() != covered)
     {
         return None;
     }
@@ -417,42 +368,61 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
         _ => return None,
     };
     let last_nack_at = Timestamp::from_micros(r.u64()?);
-    Some(Some(FrozenExchange {
-        s1: Announced {
-            index,
-            announce,
-            presig,
-        },
-        a1,
-        ack_key_index,
-        ack_key,
-        ack,
-        received,
-        created_at,
-        first_s2_at,
-        last_nack_at,
-    }))
+    let s1 = Announced {
+        index,
+        announce,
+        presig,
+    };
+    let mut ex = BufferedExchange::new(s1, a1, ack_key_index, ack_key, ack, received, created_at);
+    ex.first_s2_at = first_s2_at;
+    ex.last_nack_at = last_nack_at;
+    Some(Some(ex))
 }
 
-struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl Writer<'_> {
+/// Where [`FrozenAssociation::write`] puts the record: into a buffer,
+/// or into a [`Count`] of its bytes.
+trait Sink {
+    fn bytes(&mut self, v: &[u8]);
+    fn chain(&mut self, chain: &FrozenChain);
+    fn packet(&mut self, pkt: &Packet);
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.bytes(&v.to_be_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        self.bytes(&v.to_be_bytes());
     }
     fn digest(&mut self, d: &Digest) {
-        self.buf.extend_from_slice(d.as_bytes());
+        self.bytes(d.as_bytes());
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn bytes(&mut self, v: &[u8]) {
+        self.extend_from_slice(v);
+    }
+    fn chain(&mut self, chain: &FrozenChain) {
+        chain.encode_into(self);
+    }
+    fn packet(&mut self, pkt: &Packet) {
+        pkt.encode_into(self);
+    }
+}
+
+/// A sink that only counts: [`FrozenAssociation::encoded_len`].
+struct Count(usize);
+
+impl Sink for Count {
+    fn bytes(&mut self, v: &[u8]) {
+        self.0 += v.len();
+    }
+    fn chain(&mut self, chain: &FrozenChain) {
+        self.0 += chain.stored_bytes();
+    }
+    fn packet(&mut self, pkt: &Packet) {
+        self.0 += pkt.wire_len();
     }
 }
 
@@ -514,11 +484,11 @@ mod tests {
         bob.freeze().unwrap()
     }
 
-    fn forest(ex: &mut FrozenExchange, leaves: &[u32]) {
+    fn forest(ex: &mut BufferedExchange, leaves: &[u32]) {
         let root = ex.s1.announce;
         let trees = leaves.iter().map(|&leaves| TreeDescriptor { root, leaves });
         ex.s1.presig = Presig::unchecked(PreSignature::MerkleForest(trees.collect()));
-        ex.ack = FrozenAck::None;
+        ex.ack = AckState::None;
     }
 
     /// Each record covers fewer messages than it has received flags —
@@ -528,23 +498,24 @@ mod tests {
     fn decode_refuses_records_thaw_could_not_serve() {
         let good = mid_bundle();
         let ex = good.verifier.current.as_ref().unwrap();
-        assert_eq!(ex.received, [true, false, false, false]);
-        assert!(matches!(&ex.ack, FrozenAck::Amt(s) if s.len() == 8));
+        assert_eq!(ex.received(), [true, false, false, false]);
+        assert!(matches!(&ex.ack, AckState::Amt(amt) if amt.secrets().len() == 8));
         assert!(FrozenAssociation::decode(&good.encode()).is_some());
 
-        type Corrupt = fn(&mut FrozenExchange);
+        type Corrupt = fn(&mut BufferedExchange);
         let cases: [(&str, Corrupt); 5] = [
             ("MACs short", |ex| {
                 let macs = vec![ex.s1.announce; 3];
                 ex.s1.presig = Presig::unchecked(PreSignature::Cumulative(macs));
-                ex.ack = FrozenAck::None;
+                ex.ack = AckState::None;
             }),
             ("forest short", |ex| forest(ex, &[2])),
             ("forest empty", |ex| forest(ex, &[])),
             ("forest not uniform", |ex| forest(ex, &[2, 1, 1])),
             ("AMT short", |ex| {
-                if let FrozenAck::Amt(secrets) = &mut ex.ack {
-                    secrets.truncate(6);
+                if let AckState::Amt(amt) = &ex.ack {
+                    let secrets = amt.secrets()[..6].to_vec();
+                    ex.ack = AckState::Amt(AckMerkleTree::from_secrets(Algorithm::Sha1, secrets));
                 }
             }),
         ];

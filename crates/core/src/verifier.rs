@@ -45,7 +45,9 @@ pub struct S2Verdict<'a> {
     pub peer_renewed: bool,
 }
 
-enum AckState {
+/// The verifier's undisclosed verdict commitments for one exchange.
+#[derive(Clone)]
+pub(crate) enum AckState {
     /// Unreliable: nothing to disclose.
     None,
     /// Flat pre-(n)ack (Base / ALPHA-C reliable).
@@ -58,35 +60,59 @@ enum AckState {
     Amt(AckMerkleTree),
 }
 
+/// One exchange the verifier answered with an A1: live in the channel,
+/// and as it is in a frozen record ([`crate::freeze`]) when the flow
+/// sleeps mid-bundle.
+#[derive(Clone)]
+pub(crate) struct BufferedExchange {
+    pub(crate) s1: Announced,
+    /// Stored A1 for idempotent replies to duplicate S1s.
+    pub(crate) a1: Packet,
+    pub(crate) ack_key_index: u64,
+    pub(crate) ack_key: Digest,
+    pub(crate) ack: AckState,
+    received: Vec<bool>,
+    /// `received` entries still false, so completion is one comparison
+    /// on every verified S2 rather than a scan of up to `MAX_LEAVES`.
+    missing: usize,
+    pub(crate) created_at: Timestamp,
+    /// Set once at least one S2 arrived (the signer is in its burst phase,
+    /// so missing sequence numbers indicate loss rather than not-yet-sent).
+    pub(crate) first_s2_at: Option<Timestamp>,
+    /// Last time timeout-nacks were emitted, to pace them at one RTO.
+    pub(crate) last_nack_at: Timestamp,
+}
+
 impl BufferedExchange {
-    fn freeze(&self) -> crate::freeze::FrozenExchange {
-        use crate::freeze::{FrozenAck, FrozenExchange};
-        let ack = match &self.ack {
-            AckState::None => FrozenAck::None,
-            AckState::Flat {
-                pair,
-                secrets,
-                verdict_sent,
-            } => FrozenAck::Flat {
-                pair: *pair,
-                secrets: secrets.to_bytes(),
-                verdict_sent: *verdict_sent,
-            },
-            // The tree rebuilds deterministically from its leaf secrets, so
-            // only the secrets hibernate.
-            AckState::Amt(amt) => FrozenAck::Amt(amt.secrets().to_vec()),
-        };
-        FrozenExchange {
-            s1: self.s1.clone(),
-            a1: self.a1.clone(),
-            ack_key_index: self.ack_key_index,
-            ack_key: self.ack_key,
+    /// The one way in, for an S1 just answered and a record just decoded
+    /// alike: the missing count is taken from `received`, and no S2 has
+    /// arrived or been nacked yet (a decoded record restores both times).
+    pub(crate) fn new(
+        s1: Announced,
+        a1: Packet,
+        ack_key_index: u64,
+        ack_key: Digest,
+        ack: AckState,
+        received: Vec<bool>,
+        created_at: Timestamp,
+    ) -> BufferedExchange {
+        BufferedExchange {
+            s1,
+            a1,
+            ack_key_index,
+            ack_key,
             ack,
-            received: self.received.clone(),
-            created_at: self.created_at,
-            first_s2_at: self.first_s2_at,
-            last_nack_at: self.last_nack_at,
+            missing: received.iter().filter(|&&r| !r).count(),
+            received,
+            created_at,
+            first_s2_at: None,
+            last_nack_at: Timestamp::ZERO,
         }
+    }
+
+    /// One flag per covered message: whether its S2 has verified.
+    pub(crate) fn received(&self) -> &[bool] {
+        &self.received
     }
 
     /// Mark `seq` (in range) received; true on its first arrival.
@@ -97,56 +123,6 @@ impl BufferedExchange {
         self.missing -= usize::from(first);
         first
     }
-
-    fn thaw(alg: alpha_crypto::Algorithm, fx: &crate::freeze::FrozenExchange) -> BufferedExchange {
-        use crate::freeze::FrozenAck;
-        let ack = match &fx.ack {
-            FrozenAck::None => AckState::None,
-            FrozenAck::Flat {
-                pair,
-                secrets,
-                verdict_sent,
-            } => AckState::Flat {
-                pair: *pair,
-                secrets: PreAckSecrets::from_bytes(secrets),
-                verdict_sent: *verdict_sent,
-            },
-            FrozenAck::Amt(secrets) => {
-                AckState::Amt(AckMerkleTree::from_secrets(alg, secrets.clone()))
-            }
-        };
-        BufferedExchange {
-            s1: fx.s1.clone(),
-            a1: fx.a1.clone(),
-            ack_key_index: fx.ack_key_index,
-            ack_key: fx.ack_key,
-            ack,
-            received: fx.received.clone(),
-            missing: fx.received.iter().filter(|&&r| !r).count(),
-            created_at: fx.created_at,
-            first_s2_at: fx.first_s2_at,
-            last_nack_at: fx.last_nack_at,
-        }
-    }
-}
-
-struct BufferedExchange {
-    s1: Announced,
-    /// Stored A1 for idempotent replies to duplicate S1s.
-    a1: Packet,
-    ack_key_index: u64,
-    ack_key: Digest,
-    ack: AckState,
-    received: Vec<bool>,
-    /// `received` entries still false, so completion is one comparison
-    /// on every verified S2 rather than a scan of up to `MAX_LEAVES`.
-    missing: usize,
-    created_at: Timestamp,
-    /// Set once at least one S2 arrived (the signer is in its burst phase,
-    /// so missing sequence numbers indicate loss rather than not-yet-sent).
-    first_s2_at: Option<Timestamp>,
-    /// Last time timeout-nacks were emitted, to pace them at one RTO.
-    last_nack_at: Timestamp,
 }
 
 /// The verifier half of a simplex channel.
@@ -302,23 +278,14 @@ impl VerifierChannel {
                 commit,
             },
         };
-        self.previous = self.current.take();
-        self.current = Some(BufferedExchange {
-            s1: Announced {
-                index: pkt.chain_index,
-                announce: *element,
-                presig,
-            },
-            a1: a1.clone(),
-            ack_key_index,
-            ack_key,
-            ack,
-            received: vec![false; covered as usize],
-            missing: covered as usize,
-            created_at: now,
-            first_s2_at: None,
-            last_nack_at: Timestamp::ZERO,
-        });
+        let s1 = Announced {
+            index: pkt.chain_index,
+            announce: *element,
+            presig,
+        };
+        let received = vec![false; covered as usize];
+        let ex = BufferedExchange::new(s1, a1.clone(), ack_key_index, ack_key, ack, received, now);
+        self.previous = self.current.replace(ex);
         Ok(Some(a1))
     }
 
@@ -455,7 +422,7 @@ impl VerifierChannel {
 
     /// Freeze this channel for hibernation. Unlike the signer side this
     /// always succeeds: buffered exchanges (a flow asleep mid-bundle)
-    /// serialize in full, so a late S2 after thaw verifies exactly as it
+    /// freeze as they are, so a late S2 after thaw verifies exactly as it
     /// would have against the live channel.
     pub(crate) fn freeze(&self) -> crate::freeze::FrozenVerifier {
         let (peer_sig_index, peer_sig_last) = self.peer_sig.last();
@@ -464,8 +431,8 @@ impl VerifierChannel {
             peer_sig_index,
             peer_sig_last,
             accepting: self.accepting,
-            current: self.current.as_ref().map(BufferedExchange::freeze),
-            previous: self.previous.as_ref().map(BufferedExchange::freeze),
+            current: self.current.clone(),
+            previous: self.previous.clone(),
         }
     }
 
@@ -487,14 +454,8 @@ impl VerifierChannel {
             frozen.peer_sig_index,
         );
         ch.accepting = frozen.accepting;
-        ch.current = frozen
-            .current
-            .as_ref()
-            .map(|fx| BufferedExchange::thaw(cfg.algorithm, fx));
-        ch.previous = frozen
-            .previous
-            .as_ref()
-            .map(|fx| BufferedExchange::thaw(cfg.algorithm, fx));
+        ch.current = frozen.current.clone();
+        ch.previous = frozen.previous.clone();
         ch
     }
 

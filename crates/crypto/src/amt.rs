@@ -69,6 +69,7 @@ impl AmtDisclosure {
 /// assert_eq!(amt::verify_disclosure(alg, &key, 8, &ok, &root), Some(true));
 /// assert_eq!(amt::verify_disclosure(alg, &key, 8, &bad, &root), Some(false));
 /// ```
+#[derive(Clone)]
 pub struct AckMerkleTree {
     alg: Algorithm,
     n: usize,

@@ -3,6 +3,8 @@
 //! same-association S2s differ only in how they ask the [`Relay`] for
 //! decisions; the rest is one shared [`EngineCore::relay_step`].
 
+use std::collections::hash_map::Entry;
+
 use super::*;
 
 /// What relaying one datagram has produced so far: the engine output,
@@ -127,11 +129,11 @@ impl EngineCore {
     }
 
     /// The relay step both paths share. Under one shard write lock:
-    /// find (or stand up) the relay flow at `key`, let `observe` judge
-    /// the admitted `packets`, and reconcile the flow's share of the
-    /// global pre-signature gauge. Then, lock released, act on one
-    /// verdict per packet in order: count learned associations, copy
-    /// out verified payloads, and forward or count the drop.
+    /// find the relay flow at `key` (only an HS1 stands one up), let
+    /// `observe` judge the admitted `packets`, and reconcile the flow's
+    /// share of the global pre-signature gauge. Then, lock released, act
+    /// on one verdict per packet in order: count learned associations,
+    /// copy out verified payloads, and forward or count the drop.
     fn relay_step<'a, 'v, D>(
         &self,
         idx: usize,
@@ -144,12 +146,20 @@ impl EngineCore {
         'a: 'v,
         D: IntoIterator<Item = (RelayDecision, RelayViewOutcome)>,
     {
-        let first_len = packets.clone().next().map_or(0, |(slice, _)| slice.len());
         let mut shard = self.shards.write(idx);
-        let entry = shard
-            .flows
-            .entry(key)
-            .or_insert_with(|| self.new_relay_flow(first_len, now));
+        let entry = match shard.flows.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(vacant) => match packets.clone().next() {
+                Some((slice, view)) if view.packet_type() == PacketType::Hs1 => {
+                    vacant.insert(self.new_relay_flow(slice.len(), now))
+                }
+                _ => {
+                    drop(shard);
+                    self.relay_unknown(packets, tx);
+                    return;
+                }
+            },
+        };
         let FlowState::Relay { relay, buffered } = &mut entry.state else {
             // A host flow keyed like a routed pair: treat as
             // mis-routed and drop.
@@ -184,6 +194,27 @@ impl EngineCore {
                     tx.npass += 1;
                 }
                 RelayDecision::Drop(reason) => self.metrics.record_drop(reason),
+            }
+        }
+    }
+
+    /// Packets of a flow no HS1 has taught this relay: nothing to verify
+    /// them against, and no state is kept for them. A handshake reply
+    /// passes, as [`Relay::observe_view`] passes one without its init;
+    /// the rest go by [`alpha_core::RelayConfig::forward_unknown`].
+    fn relay_unknown<'a, 'v>(
+        &self,
+        packets: impl Iterator<Item = (&'a [u8], &'v PacketView<'a>)>,
+        tx: &mut Relayed<'a, '_>,
+    ) where
+        'a: 'v,
+    {
+        for (slice, view) in packets {
+            if self.cfg.relay.forward_unknown || view.packet_type() == PacketType::Hs2 {
+                tx.pass[tx.npass] = slice;
+                tx.npass += 1;
+            } else {
+                self.metrics.record_drop(DropReason::UnknownAssociation);
             }
         }
     }

@@ -1137,6 +1137,58 @@ fn relay_single_and_run_paths_agree() {
     }
 }
 
+/// Only a handshake stands up relay state. Routed S1s, A1s, A2s and S2
+/// runs under association ids the relay saw no HS1 for are forwarded or
+/// dropped as unknown, by `forward_unknown`, and leave no flow behind.
+#[test]
+fn relay_keeps_no_state_for_packets_without_a_handshake() {
+    let (ca, sa) = (addr(1960), addr(2960));
+    let now = Timestamp::from_millis(1);
+    let mut rng = StdRng::seed_from_u64(96);
+    let c = Config::new(Algorithm::Sha1)
+        .with_chain_len(64)
+        .with_reliability(alpha_core::Reliability::Reliable);
+    let (mut alice, mut bob) = alpha_core::Association::pair(c, 1, &mut rng);
+    let s1 = alice
+        .sign_batch(&[b"x0".as_slice(), b"x1"], Mode::Cumulative, now)
+        .unwrap();
+    let a1 = bob.handle(&s1, now, &mut rng).unwrap().packet().unwrap();
+    let s2s = alice.handle(&a1, now, &mut rng).unwrap().packets;
+    bob.handle(&s2s[0], now, &mut rng).unwrap();
+    let a2 = bob
+        .handle(&s2s[1], now, &mut rng)
+        .unwrap()
+        .packet()
+        .unwrap();
+    let mut kinds = [vec![s1], vec![a1], vec![a2], s2s];
+
+    for forward_unknown in [true, false] {
+        let relay_cfg = alpha_core::RelayConfig {
+            forward_unknown,
+            ..alpha_core::RelayConfig::default()
+        };
+        let relay = EngineCore::new(cfg().with_relay(relay_cfg));
+        relay.add_route(ca, sa);
+        let mut packets = 0;
+        for i in 0..10_000 {
+            let kind = &mut kinds[i % 4];
+            let assoc_id = rand::Rng::gen(&mut rng);
+            kind.iter_mut().for_each(|p| p.assoc_id = assoc_id);
+            let datagram = match kind.as_slice() {
+                [one] => one.emit(),
+                run => bundle::emit(run).unwrap(),
+            };
+            let from = if i % 2 == 0 { ca } else { sa };
+            let o = relay.handle_datagram(from, &datagram, now, &mut rng);
+            assert_eq!(o.datagrams.len(), usize::from(forward_unknown), "{i}");
+            packets += kind.len() as u64;
+        }
+        assert_eq!(relay.flow_count(), 0, "forward_unknown {forward_unknown}");
+        let dropped = relay.metrics().drops(DropReason::UnknownAssociation);
+        assert_eq!(dropped, if forward_unknown { 0 } else { packets });
+    }
+}
+
 #[test]
 fn frozen_record_codec_is_total_and_round_trips() {
     use super::lifecycle::{decode_frozen_record, encode_frozen_record};

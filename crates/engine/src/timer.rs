@@ -244,4 +244,85 @@ mod tests {
         assert_eq!(fired.len(), 50);
         assert_eq!(w.pending(), 0);
     }
+
+    /// Seeded random schedule / advance sequences against a brute-force
+    /// model of the pending set. Deadlines land on every level, in the
+    /// past and beyond the top level's lap. After every step
+    /// `next_deadline` is the exact earliest pending deadline, and each
+    /// advance fires every entry due by then exactly once and nothing
+    /// that is not yet due.
+    #[test]
+    fn random_schedules_match_a_brute_force_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let slots = SLOTS as u64;
+        let top_lap = slots.pow(LEVELS as u32);
+        for (seed, tick_us) in [(1u64, 1_000u64), (2, 1), (3, 7)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut now = rng.gen_range(0..1_000_000u64);
+            let mut w = TimerWheel::new(Timestamp::from_micros(now), tick_us);
+            // Pending entries by id, at the tick they are due: a deadline
+            // rounds up to a tick, and one already past is due next tick.
+            let mut model: HashMap<u32, u64> = HashMap::new();
+            let mut fired = Vec::new();
+            for id in 0..400u32 {
+                let current = now / tick_us;
+                if rng.gen_bool(0.6) {
+                    let ahead = match rng.gen_range(0..7) {
+                        0 => None,
+                        1 => Some(rng.gen_range(0..slots)),
+                        2 => Some(rng.gen_range(slots..slots.pow(2))),
+                        3 => Some(rng.gen_range(slots.pow(2)..slots.pow(3))),
+                        4 => Some(rng.gen_range(slots.pow(3)..top_lap)),
+                        5 => Some(rng.gen_range(top_lap..top_lap + 2 * slots.pow(3))),
+                        _ => Some(rng.gen_range(0..4)),
+                    };
+                    let at = match ahead {
+                        Some(ticks) => {
+                            ((current + ticks) * tick_us).saturating_sub(rng.gen_range(0..tick_us))
+                        }
+                        None => now.saturating_sub(rng.gen_range(0..=now)),
+                    };
+                    w.schedule(Timestamp::from_micros(at), id);
+                    model.insert(id, at.div_ceil(tick_us).max(current + 1));
+                } else {
+                    now += match rng.gen_range(0..10) {
+                        0 => rng.gen_range(0..slots.pow(3)) * tick_us,
+                        1..=3 => rng.gen_range(0..slots.pow(2)) * tick_us,
+                        _ => rng.gen_range(0..4 * tick_us),
+                    };
+                    w.advance(Timestamp::from_micros(now), &mut fired);
+                    for item in fired.drain(..) {
+                        let due = model
+                            .remove(&item)
+                            .expect("fired once, and only if scheduled");
+                        assert!(due <= now / tick_us, "entry {item} fired early");
+                    }
+                    assert!(
+                        model.values().all(|&due| due > now / tick_us),
+                        "an entry due by {now} µs did not fire"
+                    );
+                }
+                assert_eq!(w.pending(), model.len(), "seed {seed}");
+                let earliest = model
+                    .values()
+                    .min()
+                    .map(|&t| Timestamp::from_micros(t * tick_us));
+                assert_eq!(w.next_deadline(), earliest, "seed {seed}, step {id}");
+            }
+            // Drain: everything left, the top lap's overflow included.
+            if let Some(&last) = model.values().max() {
+                w.advance(Timestamp::from_micros(last * tick_us), &mut fired);
+            }
+            for item in fired.drain(..) {
+                model
+                    .remove(&item)
+                    .expect("fired once, and only if scheduled");
+            }
+            assert!(model.is_empty(), "seed {seed}: {} never fired", model.len());
+            assert_eq!((w.pending(), w.next_deadline()), (0, None));
+        }
+    }
 }
