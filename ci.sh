@@ -25,17 +25,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 # frozen-checkpoint properties (a thaw hashes nothing, lower checkpoints
 # are walked from the super-checkpoint, from the seed at most once, one
 # walk per disclosed pair, and the exact hash budget of a chain frozen
-# after every pair, ≤ 24 a wake over a 1024-element life); the engine's
+# after every pair, ≤ 24 a wake over a 1024-element life, and every
+# layout's record — full storage's too — thawing without a hash); the engine's
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
 # relay) and the per-role hash counts of a bundle; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
 # accepts and forwards exactly the A2s the sending host accepts. The
 # hibernation suites run here too, since decoding a record rebuilds an
 # AMT by hashing: freeze/thaw decision identity (incl. a flow frozen
-# after each of 500 exchanges) and the four golden records. Their
+# after each of 500 exchanges), the four golden records, and the record
+# fuzzer (seeded mutations of those records: no panic, exact
+# re-encoding, bounded decode allocation, a thaw without a hash). Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, receiver ≡ relay and hibernation suites (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -43,8 +46,8 @@ for backend in scalar lanes4 auto; do
         --test chain_walker) || { echo "$walker"; exit 1; }
     echo "$walker"
     case "$walker" in
-        *"running 6 tests"*) ;;
-        *) echo "ci: the chain_walker suite did not run its 6 tests under $backend" >&2; exit 1 ;;
+        *"running 7 tests"*) ;;
+        *) echo "ci: the chain_walker suite did not run its 7 tests under $backend" >&2; exit 1 ;;
     esac
     runs=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
         --test s2_runs) || { echo "$runs"; exit 1; }
@@ -73,6 +76,13 @@ for backend in scalar lanes4 auto; do
     case "$golden" in
         *"running 1 test"*) ;;
         *) echo "ci: the freeze_golden suite did not run its 1 test under $backend" >&2; exit 1 ;;
+    esac
+    fuzz=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
+        --test record_fuzz) || { echo "$fuzz"; exit 1; }
+    echo "$fuzz"
+    case "$fuzz" in
+        *"running 1 test"*) ;;
+        *) echo "ci: the record_fuzz suite did not run its 1 test under $backend" >&2; exit 1 ;;
     esac
 done
 
@@ -148,7 +158,7 @@ esac
 
 # The --quick smokes above wrote to target/bench-quick/ (what this tree
 # emits now); the files at the root are the committed full runs.
-echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel, and no udp or digest backend the tree cannot run"
+echo "==> provenance gate: every BENCH_*.json, committed or just smoked, names its wait backend and kernel, and no udp or digest backend or chain storage the tree cannot run"
 for name in BENCH_digest.json BENCH_udp_io.json BENCH_engine_scaling.json \
             BENCH_mesh_chain.json BENCH_flow_density.json; do
     for f in "$name" "target/bench-quick/$name"; do
@@ -164,7 +174,8 @@ for name in BENCH_digest.json BENCH_udp_io.json BENCH_engine_scaling.json \
 done
 # `udp_backend` values are `UdpBackend::name`'s (crates/transport/src/io.rs),
 # `digest_backend` values and the digest bench's per-row `backend` are
-# `BackendKind::name`'s (crates/crypto/src/backend.rs).
+# `BackendKind::name`'s (crates/crypto/src/backend.rs), `chain_storage`
+# values `chainstore::name`'s (crates/engine/src/chainstore.rs).
 for f in BENCH_*.json target/bench-quick/BENCH_*.json; do
     if grep -o '"udp_backend": *"[^"]*"' "$f" | grep -v -e '"mmsg"$' -e '"fallback"$' | grep -q .; then
         echo "ci: $f records a udp_backend this tree cannot run" >&2
@@ -172,6 +183,10 @@ for f in BENCH_*.json target/bench-quick/BENCH_*.json; do
     fi
     if grep -o '"digest_backend": *"[^"]*"' "$f" | grep -v -e '"scalar"$' -e '"lanes4"$' -e '"sha-ni"$' | grep -q .; then
         echo "ci: $f records a digest_backend this tree cannot run" >&2
+        exit 1
+    fi
+    if grep -o '"chain_storage": *"[^"]*"' "$f" | grep -v -e '"full"$' -e '"sqrt"$' | grep -q .; then
+        echo "ci: $f records a chain_storage this tree cannot build" >&2
         exit 1
     fi
 done

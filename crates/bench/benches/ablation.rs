@@ -111,24 +111,6 @@ fn bench_chain_storage(c: &mut Criterion) {
                 );
             },
         );
-        g.bench_with_input(
-            BenchmarkId::new("dyadic-disclose-all", len),
-            &len,
-            |b, &len| {
-                b.iter_batched(
-                    || {
-                        HashChain::from_seed_dyadic(
-                            Algorithm::Sha1,
-                            ChainKind::RoleBoundSignature,
-                            len,
-                            b"s",
-                        )
-                    },
-                    |mut chain| while chain.disclose_pair().is_ok() {},
-                    criterion::BatchSize::SmallInput,
-                );
-            },
-        );
     }
     g.finish();
 }

@@ -141,13 +141,18 @@ fn auth_bytes_of(pkt: &Packet) -> u64 {
     }
 }
 
-fn run(strategy: &Strategy, regime: Regime, seed: u64) -> RunStats {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = Config::new(Algorithm::Sha1)
+/// The association every run bootstraps: long chains, every element
+/// kept, reliable delivery.
+fn config() -> Config {
+    Config::new(Algorithm::Sha1)
         .with_chain_len(1 << 15)
         .with_reliability(Reliability::Reliable)
-        .with_rto_micros(50_000);
-    let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        .with_rto_micros(50_000)
+}
+
+fn run(strategy: &Strategy, regime: Regime, seed: u64) -> RunStats {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut alice, mut bob) = Association::pair(config(), 1, &mut rng);
     let mut adapt = match strategy {
         Strategy::Adaptive(acfg) => Some(FlowAdapt::new(*acfg)),
         Strategy::Static(..) => None,
@@ -406,7 +411,7 @@ fn main() {
         ),
         (
             "chain_storage".to_owned(),
-            Value::Str(alpha_bench::chain_storage_label(1 << 15).to_owned()),
+            Value::Str(alpha_engine::chainstore::name(config().chain_storage).to_owned()),
         ),
         ("payload_bytes".to_owned(), Value::U64(PAYLOAD as u64)),
         ("duration_s".to_owned(), Value::U64(DURATION_US / 1_000_000)),

@@ -31,7 +31,7 @@ use alpha_bench::table;
 use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::{Config, Mode, Timestamp};
 use alpha_crypto::backend::{self, BackendKind};
-use alpha_crypto::chain::{ChainKind, HashChain, StorageKind};
+use alpha_crypto::chain::{ChainKind, ChainStorage, HashChain};
 use alpha_crypto::{Algorithm, Digest};
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::bundle;
@@ -101,7 +101,7 @@ fn one_shot_rows(kind: BackendKind, alg: Algorithm, iters: usize) -> Vec<(String
         black_box(HashChain::from_seeds_batch(
             alg,
             CHAIN_LEN,
-            StorageKind::Full,
+            ChainStorage::Full,
             &[
                 (ChainKind::RoleBoundSignature, black_box(&msg[..20])),
                 (ChainKind::RoleBoundAck, black_box(&msg[20..40])),
@@ -352,7 +352,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"chain_storage\": \"{}\",",
-        alpha_bench::chain_storage_label(cfg.chain_len)
+        alpha_engine::chainstore::name(cfg.chain_storage)
     );
     let _ = writeln!(json, "  \"single_message_ns\": [");
     for (i, (kind, alg, len, ns)) in single.iter().enumerate() {

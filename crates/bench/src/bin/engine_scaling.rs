@@ -364,7 +364,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"chain_storage\": \"{}\",",
-        alpha_bench::chain_storage_label(cfg.chain_len)
+        alpha_engine::chainstore::name(cfg.chain_storage)
     );
     let _ = writeln!(json, "  \"exchanges_per_flow\": {EXCHANGES},");
     let _ = writeln!(json, "  \"shards\": {SHARDS},");

@@ -484,7 +484,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"chain_storage\": \"{}\",",
-        alpha_bench::chain_storage_label(cfg.chain_len)
+        alpha_engine::chainstore::name(cfg.chain_storage)
     );
     let _ = writeln!(json, "  \"chain_len\": {},", cfg.chain_len);
     let _ = writeln!(json, "  \"hibernate_after_us\": {HIBERNATE_US},");

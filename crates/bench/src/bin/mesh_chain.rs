@@ -42,10 +42,15 @@ struct HopResult {
     median_latency_ms: f64,
 }
 
+/// The endpoints' association: 1024-element chains, every element kept
+/// (they bootstrap directly, without the engine's storage ladder).
+fn endpoint_config() -> Config {
+    Config::new(Algorithm::Sha1).with_chain_len(1024)
+}
+
 /// Goodput through a chain of `relays` verifying hops.
 fn run_chain(relays: usize, messages: usize, seed: u64) -> HopResult {
     let mut sim = Simulator::new(seed);
-    let cfg = Config::new(Algorithm::Sha1).with_chain_len(1024);
     let chain = chained_mesh_path(
         &mut sim,
         relays,
@@ -53,7 +58,7 @@ fn run_chain(relays: usize, messages: usize, seed: u64) -> HopResult {
         DeviceModel::xeon(),
         DeviceModel::geode_lx(),
         LinkConfig::ideal(),
-        cfg,
+        endpoint_config(),
         mesh_cfg(),
         App::Sender(SenderApp::new(Mode::Cumulative, BATCH, PAYLOAD, messages)),
     );
@@ -95,7 +100,6 @@ struct FailoverResult {
 /// measure the outage window at the far endpoint.
 fn run_failover(messages: usize, seed: u64) -> FailoverResult {
     let mut sim = Simulator::new(seed);
-    let cfg = Config::new(Algorithm::Sha1).with_chain_len(1024);
     let mut app = SenderApp::new(Mode::Cumulative, 4, PAYLOAD, messages);
     app.interval_us = 50_000; // pace the stream so the kill lands mid-flight
     let chain = chained_mesh_path(
@@ -105,7 +109,7 @@ fn run_failover(messages: usize, seed: u64) -> FailoverResult {
         DeviceModel::xeon(),
         DeviceModel::geode_lx(),
         LinkConfig::ideal(),
-        cfg,
+        endpoint_config(),
         mesh_cfg(),
         App::Sender(app),
     );
@@ -215,7 +219,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"chain_storage\": \"{}\",",
-        alpha_bench::chain_storage_label(1024)
+        alpha_engine::chainstore::name(endpoint_config().chain_storage)
     );
     let _ = writeln!(json, "  \"mode\": \"cumulative\",");
     let _ = writeln!(json, "  \"batch\": {BATCH},");

@@ -133,14 +133,3 @@ pub fn write_artefact(name: &str, json: &str) {
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("wrote {}", path.display());
 }
-
-/// Resolved chain-storage label for a bench run, by the same length
-/// ladder the engine applies. Every `BENCH_*.json` records this next to
-/// `digest_backend`/`udp_backend` so a result can be traced back to the
-/// storage strategy that produced it.
-#[must_use]
-pub fn chain_storage_label(chain_len: u64) -> &'static str {
-    let cfg =
-        alpha_core::Config::new(alpha_crypto::Algorithm::Sha1).with_chain_len(chain_len.max(2));
-    alpha_engine::chainstore::name(alpha_engine::chainstore::resolve(cfg).chain_storage)
-}

@@ -368,9 +368,8 @@ impl Association {
     #[must_use]
     pub fn thaw(cfg: Config, frozen: &crate::freeze::FrozenAssociation) -> Association {
         debug_assert_eq!(cfg.algorithm, frozen.alg);
-        // √n-checkpointed chains resume from the checkpoint their record
-        // carries and hash nothing here; the other layouts rebuild, both
-        // chains in one two-lane walk.
+        // Both chains resume from the checkpoint their record carries and
+        // hash nothing here.
         let (sig_chain, ack_chain) =
             FrozenChain::thaw_pair(&frozen.signer.chain, &frozen.verifier.ack_chain);
         Association {

@@ -15,7 +15,7 @@
 //! ([`crate::Relay::observe`]); for pre-deployed networks (static WSNs)
 //! use [`crate::Relay::adopt`] and [`Association::from_chains`] directly.
 
-use alpha_crypto::chain::{ChainKind, HashChain, StorageKind};
+use alpha_crypto::chain::{ChainKind, HashChain};
 use alpha_pk::{PublicKey, Signer, VerifyingKey};
 use alpha_wire::{Body, Handshake, HandshakeAuth, HandshakeRole, Packet};
 use rand::RngCore;
@@ -150,15 +150,10 @@ pub(crate) fn make_chains(cfg: &Config, rng: &mut dyn RngCore) -> (HashChain, Ha
     let mut ack_seed = [0u8; 32];
     rng.fill_bytes(&mut sig_seed);
     rng.fill_bytes(&mut ack_seed);
-    let storage = match cfg.chain_storage {
-        crate::ChainStorage::Full => StorageKind::Full,
-        crate::ChainStorage::Sqrt => StorageKind::Compact,
-        crate::ChainStorage::Dyadic => StorageKind::Dyadic,
-    };
     let mut chains = HashChain::from_seeds_batch(
         cfg.algorithm,
         cfg.chain_len,
-        storage,
+        cfg.chain_storage,
         &[
             (ChainKind::RoleBoundSignature, &sig_seed),
             (ChainKind::RoleBoundAck, &ack_seed),

@@ -2,16 +2,16 @@
 //!
 //! A hibernated flow keeps what cannot be re-derived — chain cursors and
 //! the seed hash (the [`alpha_crypto::chain::FrozenChain`] form — no
-//! element vectors, no pebbles), the peer-chain verifier positions, and,
-//! when the flow slept mid-bundle, the verifier's buffered exchange(s)
-//! including pre-signatures and undisclosed acknowledgment secrets — plus
-//! two digests per √n-checkpointed chain that could be: the checkpoint
-//! under its cursor, so that waking hashes nothing before the datagram
-//! that caused it has been verified, and the super-checkpoint below it,
-//! so that the next freeze past a checkpoint boundary does not walk from
-//! the seed. Thawing rebuilds the full channel
-//! state machines; every subsequent packet takes exactly the decisions a
-//! never-frozen association would have taken.
+//! element vectors), the peer-chain verifier positions, and, when the
+//! flow slept mid-bundle, the verifier's buffered exchange(s) including
+//! pre-signatures and undisclosed acknowledgment secrets — plus two
+//! digests per chain that could be: the checkpoint under its cursor, so
+//! that waking hashes nothing before the datagram that caused it has been
+//! verified, and the super-checkpoint below it, so that the next freeze
+//! past a checkpoint boundary does not walk from the seed. Thawing
+//! rebuilds the full channel state machines; every subsequent packet
+//! takes exactly the decisions a never-frozen association would have
+//! taken.
 //!
 //! The signer side must be idle (no exchange outstanding) to freeze: an
 //! in-flight S1/S2 burst holds message payloads and Merkle trees whose
@@ -72,7 +72,10 @@ pub struct FrozenAssociation {
 
 /// Byte-layout version tag; bump on any layout change (the chains'
 /// included: [`FrozenChain::encode_into`] owns theirs). Version 2 added
-/// the optional checkpoint to each chain, 3 the super-checkpoint.
+/// the optional checkpoint to each chain, 3 the super-checkpoint. Every
+/// chain now carries its checkpoint, and a version-3 chain record
+/// without one is refused rather than re-versioned: nothing writes it,
+/// and records live only in memory, never across a restart.
 const VERSION: u8 = 3;
 
 impl FrozenAssociation {
@@ -155,7 +158,7 @@ impl FrozenAssociation {
         let ack_chain = FrozenChain::decode(&mut r.buf, alg, ChainKind::RoleBoundAck)?;
         let peer_sig_index = r.u64()?;
         let peer_sig_last = r.digest(alg)?;
-        let accepting = r.u8()? != 0;
+        let accepting = r.bool()?;
         let current = decode_opt_exchange(&mut r, alg)?;
         let previous = decode_opt_exchange(&mut r, alg)?;
         if !r.done() {
@@ -287,11 +290,9 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
             if n > alpha_wire::limits::MAX_LEAVES as usize {
                 return None;
             }
-            let mut macs = Vec::with_capacity(n);
-            for _ in 0..n {
-                macs.push(r.digest(alg)?);
-            }
-            PreSignature::Cumulative(macs)
+            let h = alg.digest_len();
+            let macs = r.take(n * h)?.chunks_exact(h).map(Digest::from_slice);
+            PreSignature::Cumulative(macs.collect())
         }
         1 => {
             let root = r.digest(alg)?;
@@ -303,12 +304,15 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
             if n > alpha_wire::limits::MAX_PRESIGS {
                 return None;
             }
-            let mut trees = Vec::with_capacity(n);
-            for _ in 0..n {
-                let root = r.digest(alg)?;
-                let leaves = r.u32()?;
-                trees.push(TreeDescriptor { root, leaves });
-            }
+            let h = alg.digest_len();
+            let trees: Vec<_> = r
+                .take(n * (h + 4))?
+                .chunks_exact(h + 4)
+                .map(|t| TreeDescriptor {
+                    root: Digest::from_slice(&t[..h]),
+                    leaves: u32::from_be_bytes(t[h..].try_into().expect("4 bytes")),
+                })
+                .collect();
             if trees.first().map(|t| t.leaves) != Some(r.u32()?) {
                 return None;
             }
@@ -329,7 +333,7 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
             let pre_ack = r.digest(alg)?;
             let pre_nack = r.digest(alg)?;
             let secrets = PreAckSecrets::from_bytes(r.take(2 * SECRET_LEN)?.try_into().ok()?);
-            let verdict_sent = r.u8()? != 0;
+            let verdict_sent = r.bool()?;
             AckState::Flat {
                 pair: PreAckPair { pre_ack, pre_nack },
                 secrets,
@@ -358,6 +362,14 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
         return None;
     }
     let bits = r.take(covered.div_ceil(8))?;
+    // The last byte's bits past `covered` are padding, written as zeros.
+    let used = covered % 8;
+    if bits
+        .last()
+        .is_some_and(|&last| used != 0 && last >> used != 0)
+    {
+        return None;
+    }
     let received = (0..covered)
         .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
         .collect();
@@ -445,6 +457,14 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
     }
+    /// A flag, written as 0 or 1: any other byte is refused.
+    fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
@@ -468,20 +488,86 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// A verifier asleep mid-bundle: four ALPHA-M messages announced
-    /// under a reliable (AMT) A1, the first one delivered.
-    fn mid_bundle() -> FrozenAssociation {
+    /// A verifier asleep mid-bundle: four messages of `mode` announced
+    /// under a reliable A1 (an AMT for ALPHA-M, a flat pre-(n)ack for
+    /// ALPHA-C), the first one delivered.
+    fn asleep(mode: Mode) -> FrozenAssociation {
         let cfg = Config::new(Algorithm::Sha1)
             .with_chain_len(64)
             .with_reliability(Reliability::Reliable);
         let (t, mut rng) = (Timestamp::ZERO, StdRng::seed_from_u64(7));
         let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
         let msgs: [&[u8]; 4] = [b"m0", b"m1", b"m2", b"m3"];
-        let s1 = alice.sign_batch(&msgs, Mode::Merkle, t).unwrap();
+        let s1 = alice.sign_batch(&msgs, mode, t).unwrap();
         let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
         let s2s = alice.handle(&a1, t, &mut rng).unwrap().packets;
         bob.handle(&s2s[0], t, &mut rng).unwrap();
         bob.freeze().unwrap()
+    }
+
+    fn mid_bundle() -> FrozenAssociation {
+        asleep(Mode::Merkle)
+    }
+
+    /// The one byte at which the records of `a` and of `a` after `edit`
+    /// differ.
+    fn byte_of(a: FrozenAssociation, edit: impl FnOnce(&mut FrozenAssociation)) -> usize {
+        let before = a.encode();
+        let mut b = a;
+        edit(&mut b);
+        let after = b.encode();
+        assert_eq!(before.len(), after.len());
+        let diff: Vec<usize> = (0..before.len())
+            .filter(|&i| before[i] != after[i])
+            .collect();
+        assert_eq!(diff.len(), 1, "{diff:?}");
+        diff[0]
+    }
+
+    /// Bytes `record_fuzz.rs` found decode accepting although no record
+    /// is written with them, so that two byte strings thawed alike: a
+    /// flag byte other than 0 or 1, and a set padding bit past the
+    /// received bitmap's last flag.
+    #[test]
+    fn decode_refuses_non_canonical_flags_and_bitmap_padding() {
+        let accepting = byte_of(mid_bundle(), |f| {
+            f.verifier.accepting = !f.verifier.accepting;
+        });
+        let verdict_sent = byte_of(asleep(Mode::Cumulative), |f| {
+            let ex = f.verifier.current.as_mut().unwrap();
+            let AckState::Flat { verdict_sent, .. } = &mut ex.ack else {
+                panic!("a flat pre-(n)ack");
+            };
+            *verdict_sent = !*verdict_sent;
+        });
+        // Flags [true, false, false, false] → [true, false, false, true].
+        let bitmap = byte_of(mid_bundle(), |f| {
+            let ex = f.verifier.current.as_mut().unwrap();
+            let (s1, a1, ack) = (ex.s1.clone(), ex.a1.clone(), ex.ack.clone());
+            let flags = vec![true, false, false, true];
+            let (key_index, key) = (ex.ack_key_index, ex.ack_key);
+            let mut other =
+                BufferedExchange::new(s1, a1, key_index, key, ack, flags, ex.created_at);
+            other.first_s2_at = ex.first_s2_at;
+            other.last_nack_at = ex.last_nack_at;
+            *ex = other;
+        });
+        for (record, at, bad) in [
+            (mid_bundle(), accepting, [2, 0x80]),
+            (asleep(Mode::Cumulative), verdict_sent, [2, 0xff]),
+            // Four flags use bits 0-3; bits 4-7 are padding.
+            (mid_bundle(), bitmap, [0x11, 0x81]),
+        ] {
+            let mut bytes = record.encode();
+            assert!(FrozenAssociation::decode(&bytes).is_some());
+            for value in bad {
+                bytes[at] = value;
+                assert!(
+                    FrozenAssociation::decode(&bytes).is_none(),
+                    "{value:#x} at {at}"
+                );
+            }
+        }
     }
 
     fn forest(ex: &mut BufferedExchange, leaves: &[u32]) {

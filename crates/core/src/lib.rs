@@ -46,6 +46,7 @@ pub mod signal;
 mod signer;
 mod verifier;
 
+pub use alpha_crypto::chain::ChainStorage;
 pub use association::{Association, Response};
 pub use batch::S2BatchItem;
 pub use error::ProtocolError;
@@ -204,18 +205,6 @@ pub struct Config {
     pub chain_storage: ChainStorage,
     /// Retransmission strategy in reliable mode.
     pub retransmit: Retransmit,
-}
-
-/// Chain storage strategy for a host's own chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainStorage {
-    /// Every element in memory: O(n) space, zero recompute.
-    Full,
-    /// √n checkpoints: O(√n) space, ≤ √n hashes per access.
-    Sqrt,
-    /// log n dyadic pebbles: O(log n) space, O(log n) amortized hashes per
-    /// sequential disclosure — for the most memory-starved nodes.
-    Dyadic,
 }
 
 /// Retransmission strategy for nacked/missing messages (§3.3.3: AMTs

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const STORAGES: [ChainStorage; 3] = [ChainStorage::Full, ChainStorage::Sqrt, ChainStorage::Dyadic];
+const STORAGES: [ChainStorage; 2] = [ChainStorage::Full, ChainStorage::Sqrt];
 
 fn enc(p: &Packet) -> Vec<u8> {
     let mut v = Vec::new();
@@ -272,7 +272,7 @@ proptest! {
     fn freeze_thaw_transcripts_match(
         n in 1usize..6,
         payload_len in 0usize..48,
-        storage_ix in 0usize..3,
+        storage_ix in 0usize..2,
         reliable in any::<bool>(),
         merkle in any::<bool>(),
         freeze_ix in 0usize..6,

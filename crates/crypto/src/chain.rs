@@ -133,131 +133,97 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// How a chain owner stores its elements.
+/// How a chain's owner stores it: one layout, a checkpoint every
+/// `interval` elements with everything between them recomputed forward
+/// from the checkpoint below, and two points on its memory / recompute
+/// curve (Jakobsson, "Fractal hash sequence representation and
+/// traversal", ISIT 2002).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainStorage {
+    /// Every element in memory (interval 1): O(n) space, no recompute —
+    /// Table 2's signer column.
+    Full,
+    /// A checkpoint every `⌈√n⌉` elements: O(√n) space, at most `⌈√n⌉`
+    /// hashes per access — for memory-constrained owners (the paper's
+    /// sensor nodes hold 8 KB of RAM in all, §4.1.3).
+    Sqrt,
+}
+
+impl ChainStorage {
+    /// Elements between checkpoints of a chain of `len` elements.
+    fn interval(self, len: u64) -> u64 {
+        match self {
+            ChainStorage::Full => 1,
+            ChainStorage::Sqrt => ceil_sqrt(len),
+        }
+    }
+}
+
+/// The elements a chain owner holds.
 #[derive(Clone)]
-enum Storage {
-    /// Every element kept in memory: O(n) space, O(1) element access.
-    /// `elements[0]` is the seed hash `h_0`; the anchor is `elements[len]`.
-    Full(Vec<Digest>),
-    /// Checkpointed storage for memory-constrained owners (the paper's
-    /// sensor nodes hold 8 KB of RAM total): every `interval`-th element is
-    /// kept, anything else is recomputed forward from the checkpoint below
-    /// it. With `interval = ⌈√n⌉` this is the classic O(√n) space /
-    /// O(√n) amortized time point on the hash-chain traversal curve.
-    Compact {
-        /// Retained so the chain can be frozen to a [`FrozenChain`], and
-        /// because it is what checkpoints below `floor` are derived from
-        /// when `super_checkpoint` cannot serve them.
-        seed_hash: Digest,
-        interval: u64,
-        /// `checkpoints[k - floor] = h_{k·interval}`: a contiguous run of
-        /// checkpoints from number `floor` up (checkpoint 0 is the seed
-        /// hash).
-        checkpoints: Vec<Digest>,
-        /// Number of the lowest checkpoint held. 0 for a chain built by
-        /// the full walk, which holds them all; a chain thawed from
-        /// [`FrozenChain::checkpoint`] holds that one alone until a
-        /// disclosure steps below it ([`HashChain::lower_floor`]).
-        floor: u64,
-        /// A thawed chain's one element under `floor`: checkpoint number
-        /// [`super_of`]`(len, interval, floor)`, from which checkpoints
-        /// down to it derive without the walk from the seed. `None` when
-        /// that number is 0 (the seed hash serves) and once the floor
-        /// has been lowered.
-        super_checkpoint: Option<Digest>,
-        len: u64,
-    },
-    /// Lazy dyadic checkpointing: one pebble per power-of-two level,
-    /// `⌈log2 n⌉ + 1` digests total. Pebble `j` holds the element at the
-    /// base of the `2^j`-aligned segment containing the traversal cursor
-    /// and is refreshed from pebble `j+1` when the cursor crosses a `2^j`
-    /// boundary — O(log n) memory, O(log n) *amortized* hashes per
-    /// disclosure (worst-case single-step spikes of up to n/2 at the few
-    /// large boundaries, unlike Jakobsson's fully smoothed traversal).
-    Dyadic {
-        /// `pebbles[j]` = element at position `base_j(cursor)`, where
-        /// `base_j(p) = (p >> j) << j`; `pebbles[0]` tracks the cursor
-        /// itself. Pebble `k` stays at position 0 (the seed hash).
-        pebbles: Vec<Digest>,
-        /// Position each pebble currently holds.
-        positions: Vec<u64>,
-        len: u64,
-    },
+struct Storage {
+    /// Retained so the chain can be frozen to a [`FrozenChain`], and
+    /// because it is what checkpoints below `floor` are derived from when
+    /// `super_checkpoint` cannot serve them.
+    seed_hash: Digest,
+    /// Elements between checkpoints: 1 or `⌈√len⌉` ([`ChainStorage`]).
+    interval: u64,
+    /// `checkpoints[k - floor] = h_{k·interval}`: a contiguous run of
+    /// checkpoints from number `floor` up (checkpoint 0 is the seed hash).
+    checkpoints: Vec<Digest>,
+    /// Number of the lowest checkpoint held. 0 for a chain built by the
+    /// full walk, which holds them all; a thawed chain holds its record's
+    /// checkpoint alone until a disclosure steps below it
+    /// ([`Storage::lower_floor`]).
+    floor: u64,
+    /// A thawed chain's one element under `floor`: checkpoint number
+    /// [`super_of`]`(len, interval, floor)`, from which checkpoints down
+    /// to it derive without the walk from the seed. `None` when that
+    /// number is 0 (the seed hash serves) and once the floor has been
+    /// lowered.
+    super_checkpoint: Option<Digest>,
+    len: u64,
 }
 
 impl Storage {
-    /// `f`'s layout holding only `h_0`, ready to [`Storage::absorb`] the
-    /// rebuild walk.
-    fn seeded(f: &FrozenChain) -> Storage {
-        debug_assert!(f.len >= 2 && f.len.is_multiple_of(2));
-        let (len, seed_hash) = (f.len, f.seed_hash);
-        match f.storage {
-            StorageKind::Full => {
-                let mut elements = Vec::with_capacity(len as usize + 1);
-                elements.push(seed_hash); // h_0: never disclosed
-                Storage::Full(elements)
-            }
-            StorageKind::Compact => {
-                let interval = ceil_sqrt(len);
-                let (checkpoints, floor) = match f.checkpoint {
-                    // The checkpoint under the cursor is all the next
-                    // disclosures read: nothing to walk.
-                    Some(checkpoint) => (vec![checkpoint], f.next / interval),
-                    None => {
-                        let mut all = Vec::with_capacity((len / interval) as usize + 1);
-                        all.push(seed_hash);
-                        (all, 0)
-                    }
-                };
-                Storage::Compact {
-                    seed_hash,
-                    interval,
-                    checkpoints,
-                    floor,
-                    super_checkpoint: f.super_checkpoint,
-                    len,
-                }
-            }
-            StorageKind::Dyadic => {
-                let cursor = f.rebuild_steps();
-                // ⌈log2 len⌉ + 1 pebbles; pebble j sits at
-                // base_j(cursor) = (cursor >> j) << j.
-                let levels = 64 - (len - 1).leading_zeros() as u64 + 1;
-                let mut positions: Vec<u64> = (0..levels).map(|j| (cursor >> j) << j).collect();
-                // Highest pebble anchors the recursion at the seed.
-                *positions.last_mut().expect("levels >= 1") = 0;
-                Storage::Dyadic {
-                    pebbles: vec![seed_hash; levels as usize],
-                    positions,
-                    len,
-                }
-            }
+    /// The nearest element held at or below checkpoint number `k`, as
+    /// `(number, element)`: a held checkpoint (the highest one when `k`
+    /// lies above them all), else — under the floor — the
+    /// super-checkpoint when it lies at or below `k`, else the seed hash.
+    fn origin(&self, k: u64) -> (u64, Digest) {
+        if k >= self.floor {
+            let k = k.min(self.floor + self.checkpoints.len() as u64 - 1);
+            return (k, self.checkpoints[(k - self.floor) as usize]);
+        }
+        let number = super_of(self.len, self.interval, self.floor);
+        match self.super_checkpoint {
+            Some(h) if k >= number => (number, h),
+            _ => (0, self.seed_hash),
         }
     }
 
-    /// Rebuild-walk sink: keep `h_i` wherever this layout stores it.
-    fn absorb(&mut self, i: u64, element: &Digest) {
-        match self {
-            Storage::Full(elements) => elements.push(*element),
-            Storage::Compact {
-                interval,
-                checkpoints,
-                ..
-            } => {
-                if i.is_multiple_of(*interval) {
-                    checkpoints.push(*element);
-                }
-            }
-            Storage::Dyadic {
-                pebbles, positions, ..
-            } => {
-                for (pebble, &pos) in pebbles.iter_mut().zip(positions.iter()) {
-                    if pos == i {
-                        *pebble = *element;
-                    }
-                }
-            }
+    /// If `index` lies under the lowest checkpoint held, derive every
+    /// checkpoint from its origin up to the floor in one walk and keep
+    /// them — the walk a thaw put off, paid by a chain that stays awake
+    /// long enough to need it.
+    fn lower_floor(&mut self, alg: Algorithm, kind: ChainKind, index: u64) {
+        let interval = self.interval;
+        if index >= self.floor * interval {
+            return;
         }
+        let (from, origin) = self.origin(index / interval);
+        let mut run = Vec::with_capacity((self.floor - from) as usize + self.checkpoints.len());
+        run.push(origin);
+        let steps = from * interval + 1..=(self.floor - 1) * interval;
+        walk(alg, [kind], [origin], steps, |i, [el]| {
+            if i.is_multiple_of(interval) {
+                run.push(*el);
+            }
+        });
+        run.append(&mut self.checkpoints);
+        self.checkpoints = run;
+        self.floor = from;
+        self.super_checkpoint = None;
     }
 }
 
@@ -295,9 +261,9 @@ pub struct HashChain {
 }
 
 impl HashChain {
-    /// Generate a chain of `len` elements above the seed. `len` is rounded
-    /// up to the next even number so exchanges always consume aligned
-    /// (announce, disclose) pairs.
+    /// Generate a chain of `len` elements above the seed, every one kept.
+    /// `len` is rounded up to the next even number so exchanges always
+    /// consume aligned (announce, disclose) pairs.
     #[must_use]
     pub fn generate(alg: Algorithm, kind: ChainKind, len: u64, rng: &mut dyn RngCore) -> HashChain {
         let mut seed = [0u8; 32];
@@ -308,16 +274,16 @@ impl HashChain {
     /// Deterministic generation from an explicit seed (tests, regeneration).
     #[must_use]
     pub fn from_seed(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        FrozenChain::fresh(alg, kind, StorageKind::Full, len, seed).thaw()
+        let [chain] = build(alg, len, ChainStorage::Full, [(kind, seed)]);
+        chain
     }
 
     /// Deterministic generation of several chains, two at a time in
-    /// lockstep (see [`FrozenChain::thaw_pair`]). Every chain shares `alg`,
-    /// `len` (rounded up to even as in [`HashChain::from_seed`]) and the
-    /// `storage` layout; each `specs` entry supplies a chain's derivation
-    /// kind and seed, and the output order matches `specs`. Byte-identical
-    /// to generating each entry on its own — lanes change the schedule,
-    /// never the derivation.
+    /// lockstep. Every chain shares `alg`, `len` (rounded up to even as in
+    /// [`HashChain::from_seed`]) and the `storage` layout; each `specs`
+    /// entry supplies a chain's derivation kind and seed, and the output
+    /// order matches `specs`. Byte-identical to generating each entry on
+    /// its own — lanes change the schedule, never the derivation.
     ///
     /// Bootstrap and renewal are the callers: an association's signature
     /// and acknowledgment chains have the same algorithm and length, so
@@ -326,16 +292,14 @@ impl HashChain {
     pub fn from_seeds_batch(
         alg: Algorithm,
         len: u64,
-        storage: StorageKind,
+        storage: ChainStorage,
         specs: &[(ChainKind, &[u8])],
     ) -> Vec<HashChain> {
-        let fresh =
-            |&(kind, seed): &(ChainKind, &[u8])| FrozenChain::fresh(alg, kind, storage, len, seed);
         let mut chains = Vec::with_capacity(specs.len());
         for lanes in specs.chunks(2) {
-            match lanes {
-                [a, b] => chains.extend(rebuild([&fresh(a), &fresh(b)])),
-                _ => chains.extend(rebuild([&fresh(&lanes[0])])),
+            match *lanes {
+                [a, b] => chains.extend(build(alg, len, storage, [a, b])),
+                _ => chains.extend(build(alg, len, storage, [lanes[0]])),
             }
         }
         chains
@@ -359,141 +323,8 @@ impl HashChain {
     /// Deterministic compact generation (see [`HashChain::generate_compact`]).
     #[must_use]
     pub fn from_seed_compact(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        FrozenChain::fresh(alg, kind, StorageKind::Compact, len, seed).thaw()
-    }
-
-    /// Generate a chain with O(log n) dyadic-pebble storage — the lowest-
-    /// memory option; element access costs O(log n) hashes amortized.
-    #[must_use]
-    pub fn generate_dyadic(
-        alg: Algorithm,
-        kind: ChainKind,
-        len: u64,
-        rng: &mut dyn RngCore,
-    ) -> HashChain {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        Self::from_seed_dyadic(alg, kind, len, &seed)
-    }
-
-    /// Deterministic dyadic generation (see [`HashChain::generate_dyadic`]).
-    #[must_use]
-    pub fn from_seed_dyadic(alg: Algorithm, kind: ChainKind, len: u64, seed: &[u8]) -> HashChain {
-        FrozenChain::fresh(alg, kind, StorageKind::Dyadic, len, seed).thaw()
-    }
-
-    fn total_len(&self) -> u64 {
-        match &self.storage {
-            Storage::Full(e) => e.len() as u64 - 1,
-            Storage::Compact { len, .. } => *len,
-            Storage::Dyadic { len, .. } => *len,
-        }
-    }
-
-    /// Compact storage only: if `index` lies under the lowest checkpoint
-    /// held, derive every checkpoint from the nearest origin below it up
-    /// to the floor in one walk and keep them — the walk a thaw from a
-    /// checkpoint put off, paid by a chain that stays awake long enough
-    /// to need it. The origin is the super-checkpoint when `index` lies
-    /// in its super-segment, else the seed hash.
-    fn lower_floor(&mut self, index: u64) {
-        let Storage::Compact {
-            interval,
-            checkpoints,
-            floor,
-            ..
-        } = &self.storage
-        else {
-            unreachable!("caller checked");
-        };
-        let (interval, old_floor, held) = (*interval, *floor, checkpoints.len());
-        if index >= old_floor * interval {
-            return;
-        }
-        let (from, origin) = self.under_floor(index / interval);
-        let mut run = Vec::with_capacity((old_floor - from) as usize + held);
-        run.push(origin);
-        let steps = from * interval + 1..=(old_floor - 1) * interval;
-        walk(self.alg, [self.kind], [origin], steps, |i, [el]| {
-            if i.is_multiple_of(interval) {
-                run.push(*el);
-            }
-        });
-        let Storage::Compact {
-            checkpoints,
-            floor,
-            super_checkpoint,
-            ..
-        } = &mut self.storage
-        else {
-            unreachable!("matched above");
-        };
-        run.append(checkpoints);
-        *checkpoints = run;
-        *floor = from;
-        *super_checkpoint = None;
-    }
-
-    /// Compact storage only: where a lookup at checkpoint number `k`
-    /// under the floor walks from, as `(number, element)` — the
-    /// super-checkpoint when the chain holds it and it lies at or below
-    /// `k`, else the seed hash (checkpoint 0).
-    fn under_floor(&self, k: u64) -> (u64, Digest) {
-        let Storage::Compact {
-            seed_hash,
-            interval,
-            floor,
-            super_checkpoint,
-            len,
-            ..
-        } = &self.storage
-        else {
-            unreachable!("caller checked");
-        };
-        debug_assert!(k < *floor, "only under the floor");
-        let number = super_of(*len, *interval, *floor);
-        match super_checkpoint {
-            Some(h) if k >= number => (number, *h),
-            _ => (0, *seed_hash),
-        }
-    }
-
-    /// Dyadic storage only: restore the invariant `positions[j] ==
-    /// base_j(index)` for a (non-increasing) access at `index`, refreshing
-    /// stale pebbles top-down, then return the element at `index`.
-    fn dyadic_element(&mut self, index: u64) -> Digest {
-        let alg = self.alg;
-        let kind = self.kind;
-        let Storage::Dyadic {
-            pebbles,
-            positions,
-            len,
-        } = &mut self.storage
-        else {
-            unreachable!("caller checked");
-        };
-        // Internal invariant, not a release-mode bounds check: the only
-        // caller (`element_mut_path`) is reached through `disclose`, which
-        // maintains `next <= len`.
-        debug_assert!(index <= *len, "element index out of range");
-        let levels = pebbles.len();
-        // The anchor (index == len) is one step above the top segment;
-        // handle it via the cursor path as well.
-        // Refresh top-down: each level's base must hold base_j(index).
-        for j in (0..levels - 1).rev() {
-            let want = (index >> j) << j;
-            if positions[j] == want {
-                continue;
-            }
-            // Walk forward from the next-higher pebble that is already
-            // correct (level j+1 was fixed in the previous iteration).
-            debug_assert!(positions[j + 1] <= want, "upper pebble must not be ahead");
-            pebbles[j] = advance(alg, kind, pebbles[j + 1], positions[j + 1], want);
-            positions[j] = want;
-        }
-        // Level 0 now holds base_0(index) = index… unless index == want
-        // chain above already; walk the residue (index - positions[0]).
-        advance(alg, kind, pebbles[0], positions[0], index)
+        let [chain] = build(alg, len, ChainStorage::Sqrt, [(kind, seed)]);
+        chain
     }
 
     /// Hash algorithm of this chain.
@@ -511,19 +342,19 @@ impl HashChain {
     /// Total number of elements above the seed.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.total_len()
+        self.storage.len
     }
 
     /// True if the chain holds no elements (never: generation enforces ≥ 2).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.total_len() == 0
+        self.storage.len == 0
     }
 
     /// The anchor `h_n`, exchanged during bootstrapping.
     #[must_use]
     pub fn anchor(&self) -> Digest {
-        self.element(self.total_len())
+        self.element(self.storage.len)
     }
 
     /// Index of the anchor.
@@ -532,52 +363,20 @@ impl HashChain {
         self.len()
     }
 
-    /// Element at 1-based `index` (0 returns the seed hash `h_0`). Compact
-    /// chains recompute forward from the nearest checkpoint they hold at
-    /// or below `index` — under a thawed chain's floor its
-    /// super-checkpoint, or the seed hash below that (nothing is kept:
-    /// only disclosure lowers the floor); dyadic chains
-    /// from the nearest pebble at or below `index` (without moving the
-    /// pebbles — sequential disclosure through [`HashChain::disclose`] is
-    /// what maintains the amortized O(log n) bound).
+    /// Element at 1-based `index` (0 returns the seed hash `h_0`),
+    /// recomputed forward from the nearest element held at or below it
+    /// ([`Storage::origin`]) — nothing is kept: only disclosure lowers a
+    /// thawed chain's floor.
     ///
     /// Returns [`ChainError::IndexOutOfRange`] when `index` exceeds
     /// [`HashChain::len`] — the checked twin of [`HashChain::element`].
     pub fn try_element(&self, index: u64) -> Result<Digest, ChainError> {
-        if index > self.total_len() {
+        if index > self.storage.len {
             return Err(ChainError::IndexOutOfRange);
         }
-        Ok(match &self.storage {
-            Storage::Full(e) => e[index as usize],
-            Storage::Compact {
-                interval,
-                checkpoints,
-                floor,
-                ..
-            } => {
-                let k = index / interval;
-                if k < *floor {
-                    let (from, origin) = self.under_floor(k);
-                    advance(self.alg, self.kind, origin, from * interval, index)
-                } else {
-                    let k = k.min(floor + checkpoints.len() as u64 - 1);
-                    let checkpoint = checkpoints[(k - floor) as usize];
-                    advance(self.alg, self.kind, checkpoint, k * interval, index)
-                }
-            }
-            Storage::Dyadic {
-                pebbles, positions, ..
-            } => {
-                let (pos, pebble) = pebbles
-                    .iter()
-                    .zip(positions.iter())
-                    .filter(|(_, &p)| p <= index)
-                    .map(|(e, &p)| (p, *e))
-                    .max_by_key(|&(p, _)| p)
-                    .expect("the seed pebble is always at 0");
-                advance(self.alg, self.kind, pebble, pos, index)
-            }
-        })
+        let (k, origin) = self.storage.origin(index / self.storage.interval);
+        let from = k * self.storage.interval;
+        Ok(advance(self.alg, self.kind, origin, from, index))
     }
 
     /// Unchecked convenience form of [`HashChain::try_element`].
@@ -591,18 +390,11 @@ impl HashChain {
             .expect("chain element index out of range")
     }
 
-    /// Like [`HashChain::element`], but allowed to advance internal
-    /// pebbles (dyadic storage) or lower the checkpoint floor (compact
-    /// storage) to keep sequential access cheap.
+    /// Like [`HashChain::element`], but first lowers the floor to keep
+    /// the descending disclosures after it cheap.
     fn element_mut_path(&mut self, index: u64) -> Digest {
-        match self.storage {
-            Storage::Full(_) => self.element(index),
-            Storage::Compact { .. } => {
-                self.lower_floor(index);
-                self.element(index)
-            }
-            Storage::Dyadic { .. } => self.dyadic_element(index),
-        }
+        self.storage.lower_floor(self.alg, self.kind, index);
+        self.element(index)
     }
 
     /// How many undisclosed elements remain (excluding the seed).
@@ -653,124 +445,80 @@ impl HashChain {
             return Err(ChainError::Exhausted);
         }
         let key = (self.next - 1, self.element_mut_path(self.next - 1));
-        let announce = (
-            self.next,
-            match self.storage {
-                // One walk per pair: the announce element is one step
-                // above the key, not a second walk from the checkpoint.
-                Storage::Compact { .. } => derive(self.alg, self.kind, self.next, &key.1),
-                _ => self.element_mut_path(self.next),
-            },
-        );
+        // Read where every element is held; elsewhere one step above the
+        // key, not a second walk from the checkpoint.
+        let announce = if self.storage.interval == 1 {
+            self.element(self.next)
+        } else {
+            derive(self.alg, self.kind, self.next, &key.1)
+        };
+        let announce = (self.next, announce);
         self.next -= 2;
         debug_assert_eq!(role_of(announce.0), Role::Announce);
         debug_assert_eq!(role_of(key.0), Role::Disclose);
         Ok((announce, key))
     }
 
-    /// Bytes this chain's owner actually stores: all elements for full
-    /// storage (Table 2's signer strategy), or O(√n) checkpoints for
-    /// compact storage.
+    /// Bytes this chain's owner actually stores: the checkpoints held —
+    /// every element for full storage (Table 2's signer strategy), O(√n)
+    /// for compact storage — and the bookkeeping beside them.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
-        match &self.storage {
-            Storage::Full(e) => e.len() * self.alg.digest_len(),
-            Storage::Compact {
-                checkpoints,
-                super_checkpoint,
-                ..
-            } => {
-                (checkpoints.len() + usize::from(super_checkpoint.is_some()))
-                    * self.alg.digest_len()
-                    + 4 * std::mem::size_of::<u64>()
-            }
-            Storage::Dyadic {
-                pebbles, positions, ..
-            } => {
-                pebbles.len() * self.alg.digest_len()
-                    + (positions.len() + 1) * std::mem::size_of::<u64>()
-            }
-        }
+        let s = &self.storage;
+        (s.checkpoints.len() + usize::from(s.super_checkpoint.is_some())) * self.alg.digest_len()
+            + 4 * std::mem::size_of::<u64>()
     }
 
     /// Which storage layout this chain uses (preserved across
     /// freeze/thaw so a thawed chain keeps its owner's memory profile).
     #[must_use]
-    pub fn storage_kind(&self) -> StorageKind {
-        match &self.storage {
-            Storage::Full(_) => StorageKind::Full,
-            Storage::Compact { .. } => StorageKind::Compact,
-            Storage::Dyadic { .. } => StorageKind::Dyadic,
+    pub fn storage_kind(&self) -> ChainStorage {
+        if self.storage.interval == 1 {
+            ChainStorage::Full
+        } else {
+            ChainStorage::Sqrt
         }
     }
 
-    /// Freeze this chain to its hibernation record: the seed hash `h_0`
-    /// plus the disclosure cursor — everything else a chain holds is a
-    /// deterministic function of `h_0`, so [`FrozenChain::thaw`] rebuilds
-    /// a chain whose disclosures are byte-identical to this one's — and,
-    /// for compact storage, the one checkpoint at or below the cursor
+    /// Freeze this chain to its hibernation record: the seed hash `h_0`,
+    /// the disclosure cursor, the one checkpoint at or below the cursor
     /// (`h_{⌊next/interval⌋·interval}`), which lets the thaw derive
     /// nothing, and the super-checkpoint under that (a coarser tier,
     /// `⌈√(len/interval)⌉` checkpoints apart), which the next freeze past
-    /// a checkpoint boundary derives from.
+    /// a checkpoint boundary derives from. [`FrozenChain::thaw`] gives
+    /// back a chain whose disclosures are byte-identical to this one's.
     #[must_use]
     pub fn freeze(&self) -> FrozenChain {
-        let (seed_hash, checkpoint, super_checkpoint) = match &self.storage {
-            Storage::Full(e) => (e[0], None, None),
-            Storage::Compact {
-                seed_hash,
-                interval,
-                len,
-                ..
-            } => {
-                // Copies, unless the last disclosure left the cursor one
-                // segment under the floor: then a walk from the
-                // super-checkpoint, and on entering a new super-segment
-                // the new one's walk from the seed.
-                let c = self.next / interval;
-                let number = super_of(*len, *interval, c);
-                (
-                    *seed_hash,
-                    Some(self.element(c * interval)),
-                    (number > 0).then(|| self.element(number * interval)),
-                )
-            }
-            // The highest pebble is pinned at position 0 (the seed hash).
-            Storage::Dyadic { pebbles, .. } => (*pebbles.last().expect("levels >= 1"), None, None),
-        };
+        let Storage {
+            seed_hash,
+            interval,
+            len,
+            ..
+        } = self.storage;
+        // Copies, unless the last disclosure left the cursor one segment
+        // under the floor: then a walk from the super-checkpoint, and on
+        // entering a new super-segment the new one's walk from the seed.
+        let c = self.next / interval;
+        let number = super_of(len, interval, c);
         FrozenChain {
             alg: self.alg,
             kind: self.kind,
             storage: self.storage_kind(),
-            len: self.total_len(),
+            len,
             next: self.next,
             seed_hash,
-            checkpoint,
-            super_checkpoint,
+            checkpoint: self.element(c * interval),
+            super_checkpoint: (number > 0).then(|| self.element(number * interval)),
         }
     }
 }
 
-/// Storage layout tag carried by a [`FrozenChain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageKind {
-    /// Every element in memory ([`HashChain::from_seed`]).
-    Full,
-    /// O(√n) checkpoints ([`HashChain::from_seed_compact`]).
-    Compact,
-    /// O(log n) dyadic pebbles ([`HashChain::from_seed_dyadic`]).
-    Dyadic,
-}
-
 /// A hibernated hash chain: the seed hash `h_0`, the derivation
-/// parameters and the disclosure cursor, plus — for compact storage —
-/// the checkpoint under the cursor and the super-checkpoint under that:
-/// a few dozen bytes regardless of chain length, against up to
-/// `(len + 1) · s_h` live. Thawing a record with a checkpoint hashes
-/// nothing; without one (full and dyadic storage, or a chain not yet
-/// built) it re-derives the live storage in up to `len` forward hashes.
-/// Either way the thawed chain discloses the exact same bytes the frozen
-/// one would have.
+/// parameters, the disclosure cursor, the checkpoint under the cursor
+/// and the super-checkpoint under that — a few dozen bytes regardless of
+/// chain length, against up to `(len + 1) · s_h` live. Thawing hashes
+/// nothing, and the thawed chain discloses the exact same bytes the
+/// frozen one would have.
 ///
 /// Records come from [`HashChain::freeze`] and
 /// [`FrozenChain::decode`] alone, and [`FrozenChain::encode_into`] is
@@ -779,72 +527,41 @@ pub enum StorageKind {
 pub struct FrozenChain {
     alg: Algorithm,
     kind: ChainKind,
-    storage: StorageKind,
+    storage: ChainStorage,
     /// Total elements above the seed.
     len: u64,
     /// Disclosure cursor at freeze time ([`HashChain::remaining`]).
     next: u64,
     /// The seed hash `h_0` — never disclosed on the wire.
     seed_hash: Digest,
-    /// Compact storage only: `h_{⌊next/interval⌋·interval}` with
-    /// `interval = ⌈√len⌉`, the checkpoint the next disclosures are
-    /// derived from. `None` thaws by the full walk from `seed_hash`.
-    checkpoint: Option<Digest>,
-    /// Compact storage only, beside `checkpoint`: checkpoint number
-    /// [`super_of`]`(len, interval, ⌊next/interval⌋)` when that is not
-    /// 0 — its position follows from `len` and `next`, so the record
-    /// carries the digest alone.
+    /// `h_{⌊next/interval⌋·interval}`, the checkpoint the next
+    /// disclosures are derived from.
+    checkpoint: Digest,
+    /// Checkpoint number [`super_of`]`(len, interval, ⌊next/interval⌋)`
+    /// when that is not 0 — its position follows from `len` and `next`,
+    /// so the record carries the digest alone.
     super_checkpoint: Option<Digest>,
 }
 
-/// Record tag after the seed hash: no checkpoint (thaw walks from the
-/// seed), the checkpoint, or the checkpoint and the super-checkpoint.
-const TAG_WALK: u8 = 0;
+/// Record tag after the seed hash: the checkpoint, or the checkpoint and
+/// the super-checkpoint.
 const TAG_CHECKPOINT: u8 = 1;
 const TAG_SUPER: u8 = 2;
 
 /// Longest chain a record may claim: a hostile record must not drive the
-/// O(len) thaw walk arbitrarily far (the engine never builds longer).
+/// walk from the seed arbitrarily far (the engine never builds longer).
 const MAX_RECORD_LEN: u64 = 1 << 24;
 
 impl FrozenChain {
-    /// The record of an unused chain of `len` elements above `H(seed)`.
-    /// `len` is rounded up to the next even number so exchanges always
-    /// consume aligned (announce, disclose) pairs.
-    fn fresh(
-        alg: Algorithm,
-        kind: ChainKind,
-        storage: StorageKind,
-        len: u64,
-        seed: &[u8],
-    ) -> FrozenChain {
-        let len = if len.is_multiple_of(2) { len } else { len + 1 };
-        assert!(len >= 2, "chain must hold at least one exchange pair");
-        FrozenChain {
-            alg,
-            kind,
-            storage,
-            len,
-            // The anchor `h_len` is published at bootstrap, so the
-            // traversal starts by disclosing `len - 1`.
-            next: len - 1,
-            seed_hash: alg.hash(seed),
-            // The anchor has to be derived anyway: build by the full walk.
-            checkpoint: None,
-            super_checkpoint: None,
-        }
-    }
-
-    /// Compact storage: the checkpoint under the cursor the record
-    /// carries, if any.
+    /// The checkpoint under the cursor the record carries.
     #[must_use]
-    pub fn checkpoint(&self) -> Option<Digest> {
+    pub fn checkpoint(&self) -> Digest {
         self.checkpoint
     }
 
-    /// Compact storage: the super-checkpoint the record carries, if any:
-    /// with `top = ⌊len/interval⌋` and `s = ⌈√top⌉`, `h_{k·interval}` for
-    /// the highest `k` of `top − s`, `top − 2s`, … under the cursor's
+    /// The super-checkpoint the record carries, if any: with
+    /// `top = ⌊len/interval⌋` and `s = ⌈√top⌉`, `h_{k·interval}` for the
+    /// highest `k` of `top − s`, `top − 2s`, … under the cursor's
     /// checkpoint — `None` when that is the seed hash.
     #[must_use]
     pub fn super_checkpoint(&self) -> Option<Digest> {
@@ -852,44 +569,37 @@ impl FrozenChain {
     }
 
     /// Append this record's bytes — [`FrozenChain::stored_bytes`] of
-    /// them — to `out`: storage layout (1 byte), length and cursor (8
-    /// each, big-endian), seed hash, then a tag, 0 for nothing more, 1
+    /// them — to `out`: storage layout (1 byte, 0 full, 1 compact),
+    /// length and cursor (8 each, big-endian), seed hash, then a tag, 1
     /// for the checkpoint, 2 for the checkpoint and the super-checkpoint.
     /// The algorithm and derivation kind are the caller's to record.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(match self.storage {
-            StorageKind::Full => 0,
-            StorageKind::Compact => 1,
-            StorageKind::Dyadic => 2,
+            ChainStorage::Full => 0,
+            ChainStorage::Sqrt => 1,
         });
         out.extend_from_slice(&self.len.to_be_bytes());
         out.extend_from_slice(&self.next.to_be_bytes());
         out.extend_from_slice(self.seed_hash.as_bytes());
-        match (self.checkpoint, self.super_checkpoint) {
-            (Some(checkpoint), Some(super_checkpoint)) => {
-                out.push(TAG_SUPER);
-                out.extend_from_slice(checkpoint.as_bytes());
-                out.extend_from_slice(super_checkpoint.as_bytes());
-            }
-            (Some(checkpoint), None) => {
-                out.push(TAG_CHECKPOINT);
-                out.extend_from_slice(checkpoint.as_bytes());
-            }
-            (None, _) => out.push(TAG_WALK),
+        out.push(match self.super_checkpoint {
+            Some(_) => TAG_SUPER,
+            None => TAG_CHECKPOINT,
+        });
+        out.extend_from_slice(self.checkpoint.as_bytes());
+        if let Some(super_checkpoint) = self.super_checkpoint {
+            out.extend_from_slice(super_checkpoint.as_bytes());
         }
     }
 
     /// Read one record [`FrozenChain::encode_into`] wrote off the front
     /// of `bytes`, advancing it past the record. Total: `None` on
     /// truncation, an unknown layout or tag, a length or cursor no chain
-    /// has, a checkpoint on a layout other than compact, or a
-    /// super-checkpoint where the cursor leaves it no position.
+    /// has, or a super-checkpoint where the cursor leaves it no position.
     #[must_use]
     pub fn decode(bytes: &mut &[u8], alg: Algorithm, kind: ChainKind) -> Option<FrozenChain> {
         let storage = match take(bytes, 1)?[0] {
-            0 => StorageKind::Full,
-            1 => StorageKind::Compact,
-            2 => StorageKind::Dyadic,
+            0 => ChainStorage::Full,
+            1 => ChainStorage::Sqrt,
             _ => return None,
         };
         let len = u64::from_be_bytes(take(bytes, 8)?.try_into().ok()?);
@@ -899,19 +609,15 @@ impl FrozenChain {
         }
         let digest = |bytes: &mut &[u8]| take(bytes, alg.digest_len()).map(Digest::from_slice);
         let seed_hash = digest(bytes)?;
-        let compact = storage == StorageKind::Compact;
-        let (checkpoint, super_checkpoint) = match take(bytes, 1)?[0] {
-            TAG_WALK => (None, None),
-            TAG_CHECKPOINT if compact => (Some(digest(bytes)?), None),
-            TAG_SUPER if compact => {
-                let interval = ceil_sqrt(len);
-                if super_of(len, interval, next / interval) == 0 {
-                    return None;
-                }
-                (Some(digest(bytes)?), Some(digest(bytes)?))
-            }
+        let tag = take(bytes, 1)?[0];
+        let interval = storage.interval(len);
+        let held = match tag {
+            TAG_CHECKPOINT => false,
+            TAG_SUPER if super_of(len, interval, next / interval) > 0 => true,
             _ => return None,
         };
+        let checkpoint = digest(bytes)?;
+        let super_checkpoint = if held { Some(digest(bytes)?) } else { None };
         Some(FrozenChain {
             alg,
             kind,
@@ -924,83 +630,86 @@ impl FrozenChain {
         })
     }
 
-    /// Forward hashes a rebuild costs: the whole chain (the same work as
-    /// generating it), except that dyadic pebbles only need the elements
-    /// up to the frozen cursor — an exhausted chain parks them at the seed
-    /// — and a compact chain frozen with its checkpoint needs none.
-    fn rebuild_steps(&self) -> u64 {
-        match self.storage {
-            StorageKind::Compact if self.checkpoint.is_some() => 0,
-            StorageKind::Full | StorageKind::Compact => self.len,
-            StorageKind::Dyadic => self.next.min(self.len - 1),
-        }
-    }
-
-    /// Rebuild the live chain: full elements, compact checkpoints (the
-    /// frozen one alone when the record carries it), or dyadic pebbles
-    /// positioned at the frozen cursor, re-derived in
-    /// [`FrozenChain::rebuild_steps`] forward hashes.
+    /// The live chain, holding the record's checkpoint alone (and its
+    /// super-checkpoint beside it): nothing is hashed.
     #[must_use]
     pub fn thaw(&self) -> HashChain {
-        let [chain] = rebuild([self]);
-        chain
+        let interval = self.storage.interval(self.len);
+        HashChain {
+            alg: self.alg,
+            kind: self.kind,
+            storage: Storage {
+                seed_hash: self.seed_hash,
+                interval,
+                checkpoints: vec![self.checkpoint],
+                floor: self.next / interval,
+                super_checkpoint: self.super_checkpoint,
+                len: self.len,
+            },
+            next: self.next,
+        }
     }
 
     /// Bytes this record occupies (the hibernation footprint): exactly
     /// what [`FrozenChain::encode_into`] writes.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
-        let digests = 1
-            + usize::from(self.checkpoint.is_some())
-            + usize::from(self.super_checkpoint.is_some());
+        let digests = 2 + usize::from(self.super_checkpoint.is_some());
         // Layout and tag bytes, length and cursor.
         2 + 2 * std::mem::size_of::<u64>() + digests * self.alg.digest_len()
     }
 
-    /// Thaw two chains in one two-lane rebuild — the wake path of a
-    /// hibernated association rehydrates its signature and
-    /// acknowledgment chains together, and the second lane hides the
-    /// per-step latency a sequential rebuild pays twice. Byte-identical to
-    /// two [`FrozenChain::thaw`] calls (and the same hash count) for every
-    /// storage layout, length and cursor; only chains of different
-    /// algorithms fall back to exactly that.
+    /// Thaw the two chains of a hibernated association — its signature
+    /// and acknowledgment chains wake together. The same as two
+    /// [`FrozenChain::thaw`] calls, for every layout, length, cursor and
+    /// algorithm.
     #[must_use]
     pub fn thaw_pair(a: &FrozenChain, b: &FrozenChain) -> (HashChain, HashChain) {
-        if a.alg != b.alg {
-            return (a.thaw(), b.thaw());
-        }
-        let [chain_a, chain_b] = rebuild([a, b]);
-        (chain_a, chain_b)
+        (a.thaw(), b.thaw())
     }
 }
 
-/// Rebuild `N` chains of one algorithm in lockstep: the lanes walk together
-/// as far as all of them go, then the longer ones finish alone, so each
-/// lane costs exactly its own [`FrozenChain::rebuild_steps`].
-fn rebuild<const N: usize>(lanes: [&FrozenChain; N]) -> [HashChain; N] {
-    let alg = lanes[0].alg;
-    debug_assert!(lanes.iter().all(|f| f.alg == alg));
-    let kinds = lanes.map(|f| f.kind);
-    let mut storages = lanes.map(Storage::seeded);
-    let shared = lanes.iter().map(|f| f.rebuild_steps()).min().unwrap_or(0);
-    let seeds = lanes.map(|f| f.seed_hash);
-    let at_shared = walk(alg, kinds, seeds, 1..=shared, |i, els| {
-        for (storage, el) in storages.iter_mut().zip(els) {
-            storage.absorb(i, el);
+/// Build `N` chains of one algorithm, length and layout in lockstep from
+/// their seeds: one walk from each `H(seed)` to the anchor, every
+/// `interval`-th element kept.
+fn build<const N: usize>(
+    alg: Algorithm,
+    len: u64,
+    storage: ChainStorage,
+    lanes: [(ChainKind, &[u8]); N],
+) -> [HashChain; N] {
+    let len = len.next_multiple_of(2);
+    assert!(len >= 2, "chain must hold at least one exchange pair");
+    let interval = storage.interval(len);
+    let kinds = lanes.map(|(kind, _)| kind);
+    let seeds = lanes.map(|(_, seed)| alg.hash(seed));
+    let mut checkpoints = seeds.map(|seed_hash| {
+        let mut held = Vec::with_capacity((len / interval) as usize + 1);
+        held.push(seed_hash); // h_0: never disclosed
+        held
+    });
+    walk(alg, kinds, seeds, 1..=len, |i, els| {
+        if i.is_multiple_of(interval) {
+            for (held, el) in checkpoints.iter_mut().zip(els) {
+                held.push(*el);
+            }
         }
     });
-    for l in 0..N {
-        let rest = shared + 1..=lanes[l].rebuild_steps();
-        walk(alg, [kinds[l]], [at_shared[l]], rest, |i, [el]| {
-            storages[l].absorb(i, el);
-        });
-    }
-    let mut storages = storages.into_iter();
-    lanes.map(|f| HashChain {
+    let mut checkpoints = checkpoints.into_iter();
+    std::array::from_fn(|l| HashChain {
         alg,
-        kind: f.kind,
-        storage: storages.next().expect("one storage per lane"),
-        next: f.next,
+        kind: kinds[l],
+        storage: Storage {
+            seed_hash: seeds[l],
+            interval,
+            checkpoints: checkpoints.next().expect("one run per lane"),
+            floor: 0,
+            super_checkpoint: None,
+            len,
+        },
+        // The anchor `h_len` is published at bootstrap, so the traversal
+        // starts by disclosing `len - 1`.
+        next: len - 1,
     })
 }
 
@@ -1066,14 +775,14 @@ fn walk<const N: usize>(
     cur
 }
 
-/// `⌈√n⌉`: a compact chain's checkpoint interval for `n = len`, and its
-/// super-checkpoint spacing for `n` = the number of checkpoints.
+/// `⌈√n⌉`: a compact chain's checkpoint interval for `n = len`, and any
+/// chain's super-checkpoint spacing for `n` = the number of checkpoints.
 fn ceil_sqrt(n: u64) -> u64 {
     (n as f64).sqrt().ceil() as u64
 }
 
-/// Number of the super-checkpoint that serves a compact chain whose
-/// cursor lies over checkpoint `c`: the coarser tier sits every
+/// Number of the super-checkpoint that serves a chain whose cursor lies
+/// over checkpoint `c`: the coarser tier sits every
 /// `s = ⌈√top⌉` checkpoints counted down from the top one,
 /// `top = ⌊len/interval⌋`, and this is the highest of `top − s`,
 /// `top − 2s`, … strictly below `c` — 0, the seed hash, when none is.
@@ -1258,11 +967,16 @@ mod tests {
         assert_eq!(tb.remaining(), b.remaining(), "cursor survives the pair");
 
         // Mixed layouts pair up too, each lane keeping its own.
-        let c =
-            HashChain::from_seed_dyadic(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"c");
+        let c = HashChain::from_seed_compact(
+            Algorithm::Sha256,
+            ChainKind::RoleBoundSignature,
+            64,
+            b"c",
+        );
         let (tc, td) = FrozenChain::thaw_pair(&c.freeze(), &b.freeze());
         assert_eq!(tc.anchor(), c.anchor());
-        assert_eq!(tc.storage_kind(), StorageKind::Dyadic);
+        assert_eq!(tc.storage_kind(), ChainStorage::Sqrt);
+        assert_eq!(td.storage_kind(), ChainStorage::Full);
         assert_eq!(td.element(5), b.element(5));
     }
 
@@ -1277,7 +991,6 @@ mod tests {
         for c in [
             HashChain::from_seed(Algorithm::Sha1, ChainKind::Plain, 8, b"x"),
             HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::Plain, 8, b"x"),
-            HashChain::from_seed_dyadic(Algorithm::Sha1, ChainKind::Plain, 8, b"x"),
         ] {
             assert_eq!(c.try_element(8).unwrap(), c.anchor());
             assert_eq!(c.try_element(9), Err(ChainError::IndexOutOfRange));
@@ -1295,7 +1008,7 @@ mod tests {
                 (ChainKind::Plain, b""),
                 (ChainKind::RoleBoundAck, b"sixth lane spills a sweep"),
             ];
-            let batch = HashChain::from_seeds_batch(alg, 12, StorageKind::Full, &specs);
+            let batch = HashChain::from_seeds_batch(alg, 12, ChainStorage::Full, &specs);
             assert_eq!(batch.len(), specs.len());
             for ((kind, seed), chain) in specs.iter().zip(&batch) {
                 let solo = HashChain::from_seed(alg, *kind, 12, seed);
@@ -1576,97 +1289,21 @@ mod compact_tests {
             c.invocations
         );
     }
-}
-
-#[cfg(test)]
-mod dyadic_tests {
-    use super::*;
-    use rand::SeedableRng;
 
     #[test]
-    fn dyadic_equals_full_for_every_element() {
-        for len in [4u64, 16, 30, 128, 100] {
-            let full =
-                HashChain::from_seed(Algorithm::Sha1, ChainKind::RoleBoundSignature, len, b"d");
-            let dy = HashChain::from_seed_dyadic(
-                Algorithm::Sha1,
-                ChainKind::RoleBoundSignature,
-                len,
-                b"d",
-            );
-            assert_eq!(full.anchor(), dy.anchor(), "len={len}");
-            for i in 0..=full.len() {
-                assert_eq!(full.element(i), dy.element(i), "len={len} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn dyadic_full_traversal_matches_and_interoperates() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let mut dy = HashChain::generate_dyadic(
-            Algorithm::Sha1,
-            ChainKind::RoleBoundSignature,
-            256,
-            &mut rng,
-        );
-        let mut verifier = ChainVerifier::new(
-            Algorithm::Sha1,
-            ChainKind::RoleBoundSignature,
-            dy.anchor(),
-            dy.anchor_index(),
-        );
-        while let Ok(((ai, ae), (ki, ke))) = dy.disclose_pair() {
-            verifier.accept_role(ai, &ae, Role::Announce).unwrap();
-            verifier.accept_role(ki, &ke, Role::Disclose).unwrap();
-        }
-        assert_eq!(dy.remaining_pairs(), 0);
-    }
-
-    #[test]
-    fn dyadic_memory_is_logarithmic() {
-        let len = 4096u64;
-        let full = HashChain::from_seed(Algorithm::Sha1, ChainKind::Plain, len, b"m");
-        let sqrt = HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::Plain, len, b"m");
-        let dy = HashChain::from_seed_dyadic(Algorithm::Sha1, ChainKind::Plain, len, b"m");
-        // log2(4096)+1 = 13 pebbles vs 65 sqrt checkpoints vs 4097 elements.
-        assert!(
-            dy.stored_bytes() < sqrt.stored_bytes() / 3,
-            "{} vs {}",
-            dy.stored_bytes(),
-            sqrt.stored_bytes()
-        );
-        assert!(sqrt.stored_bytes() < full.stored_bytes() / 10);
-        assert!(dy.stored_bytes() <= 14 * 20 + 15 * 8);
-    }
-
-    #[test]
-    fn freeze_thaw_dyadic_mid_traversal_is_identical() {
-        let mut live =
-            HashChain::from_seed_dyadic(Algorithm::Sha1, ChainKind::RoleBoundSignature, 64, b"z");
-        for _ in 0..7 {
-            live.disclose_pair().unwrap();
-        }
-        let mut thawed = live.freeze().thaw();
-        assert_eq!(thawed.remaining(), live.remaining());
-        while let Ok((a, k)) = live.disclose_pair() {
-            assert_eq!(thawed.disclose_pair().unwrap(), (a, k));
-        }
-        assert!(thawed.disclose_pair().is_err());
-    }
-
-    #[test]
-    fn dyadic_traversal_cost_is_n_log_n_total() {
+    fn sqrt_traversal_cost_is_n_sqrt_n_total() {
         let len = 1024u64;
-        let mut dy = HashChain::from_seed_dyadic(Algorithm::Sha1, ChainKind::Plain, len, b"c");
+        let mut compact =
+            HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::Plain, len, b"c");
         let scope = crate::counting::Scope::start();
-        while dy.disclose().is_ok() {}
+        while compact.disclose().is_ok() {}
         let c = scope.finish();
-        // Amortized ≤ ~2·log2(n) hashes per disclosure.
-        let bound = 2 * len * 11; // 2 n log2(n) with slack
+        // Each disclosure walks up from the checkpoint below it: at most
+        // n·√n / 2 hashes over the chain…
+        let bound = len * 32 / 2;
         assert!(c.invocations <= bound, "{} > {bound}", c.invocations);
-        // …and materially cheaper than naive recompute-from-seed (O(n²)/2).
-        assert!(c.invocations < len * len / 8);
+        // …against O(n²) recomputing every element from the seed.
+        assert!(c.invocations < len * len / 32);
     }
 }
 
@@ -1674,11 +1311,10 @@ mod dyadic_tests {
 mod freeze_tests {
     use super::*;
 
-    fn chains(len: u64, seed: &[u8]) -> [HashChain; 3] {
+    fn chains(len: u64, seed: &[u8]) -> [HashChain; 2] {
         [
             HashChain::from_seed(Algorithm::Sha1, ChainKind::RoleBoundSignature, len, seed),
             HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::RoleBoundSignature, len, seed),
-            HashChain::from_seed_dyadic(Algorithm::Sha1, ChainKind::RoleBoundSignature, len, seed),
         ]
     }
 
@@ -1705,14 +1341,9 @@ mod freeze_tests {
     fn frozen_record_is_small_and_storage_preserved() {
         for live in chains(1024, b"small") {
             let frozen = live.freeze();
-            // Layout, length, cursor, tag; the seed hash, and on the √n
-            // layout the checkpoint and the super-checkpoint.
-            let digests = if frozen.storage == StorageKind::Compact {
-                3
-            } else {
-                1
-            };
-            assert_eq!(frozen.stored_bytes(), 18 + digests * 20);
+            // Layout, length, cursor, tag; the seed hash, the checkpoint
+            // and the super-checkpoint, whatever the layout.
+            assert_eq!(frozen.stored_bytes(), 18 + 3 * 20);
             assert!(frozen.stored_bytes() < live.stored_bytes());
             let mut bytes = Vec::new();
             frozen.encode_into(&mut bytes);
@@ -1722,6 +1353,25 @@ mod freeze_tests {
             assert!(rest.is_empty());
             assert_eq!(decoded.thaw().storage_kind(), live.storage_kind());
         }
+    }
+
+    #[test]
+    fn full_record_thaws_mid_traversal_without_hashing() {
+        let mut live =
+            HashChain::from_seed(Algorithm::Sha1, ChainKind::RoleBoundSignature, 64, b"z");
+        for _ in 0..7 {
+            live.disclose_pair().unwrap();
+        }
+        let frozen = live.freeze();
+        let scope = crate::counting::Scope::start();
+        let mut thawed = frozen.thaw();
+        assert_eq!(scope.finish(), crate::counting::Counts::default());
+        assert_eq!(thawed.storage_kind(), ChainStorage::Full);
+        assert_eq!(thawed.remaining(), live.remaining());
+        while let Ok((a, k)) = live.disclose_pair() {
+            assert_eq!(thawed.disclose_pair().unwrap(), (a, k));
+        }
+        assert!(thawed.disclose_pair().is_err());
     }
 
     #[test]
@@ -1737,8 +1387,7 @@ mod freeze_tests {
     #[test]
     fn thawed_chain_interoperates_with_mid_stream_verifier() {
         for alg in Algorithm::ALL {
-            let mut live =
-                HashChain::from_seed_dyadic(alg, ChainKind::RoleBoundAck, 64, b"interop");
+            let mut live = HashChain::from_seed(alg, ChainKind::RoleBoundAck, 64, b"interop");
             let mut verifier = ChainVerifier::new(
                 alg,
                 ChainKind::RoleBoundAck,

@@ -8,17 +8,18 @@
 //! the Table 1 harness and the benchmark's `hashes_per_msg` read those
 //! counters, so a walker that skipped or recounted a hash would move them.
 //!
-//! The second half holds a √n-checkpointed chain thawed from the
-//! checkpoint and super-checkpoint its frozen record carries to the same
-//! standard: no hash on thaw, the never-frozen bytes from every cursor,
-//! one walk from the super-checkpoint the first time a disclosure needs a
-//! lower checkpoint and at most one from the seed; and a flow frozen
-//! after every exchange pays the hash budget those walks imply, pinned
-//! exactly.
+//! The second half holds a chain thawed from the checkpoint and
+//! super-checkpoint its frozen record carries to the same standard. Every
+//! layout thaws without a hash and discloses the never-frozen bytes from
+//! every cursor, and a chain that keeps every element discloses without
+//! one. A √n-checkpointed chain walks from the super-checkpoint the first
+//! time a disclosure needs a lower checkpoint and at most once from the
+//! seed; and a flow frozen after every exchange pays the hash budget
+//! those walks imply, pinned exactly.
 //!
 //! ci.sh runs the suite under every forced `ALPHA_DIGEST_BACKEND` tier.
 
-use alpha_crypto::chain::{ChainKind, FrozenChain, HashChain, StorageKind};
+use alpha_crypto::chain::{ChainKind, ChainStorage, FrozenChain, HashChain};
 use alpha_crypto::counting::{self, Counts};
 use alpha_crypto::{Algorithm, Digest};
 
@@ -27,7 +28,7 @@ const KINDS: [ChainKind; 3] = [
     ChainKind::RoleBoundSignature,
     ChainKind::RoleBoundAck,
 ];
-const STORAGES: [StorageKind; 3] = [StorageKind::Full, StorageKind::Compact, StorageKind::Dyadic];
+const STORAGES: [ChainStorage; 2] = [ChainStorage::Full, ChainStorage::Sqrt];
 
 /// `h_0 ..= h_steps` derived one ordinary hash call at a time.
 fn reference(alg: Algorithm, kind: ChainKind, seed: &[u8], steps: u64) -> Vec<Digest> {
@@ -40,15 +41,6 @@ fn reference(alg: Algorithm, kind: ChainKind, seed: &[u8], steps: u64) -> Vec<Di
         });
     }
     elements
-}
-
-/// Forward hashes a fresh build performs: the whole chain, except that
-/// dyadic pebbles stop at the first disclosure cursor `len - 1`.
-fn build_steps(storage: StorageKind, len: u64) -> u64 {
-    match storage {
-        StorageKind::Full | StorageKind::Compact => len,
-        StorageKind::Dyadic => len - 1,
-    }
 }
 
 fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
@@ -80,13 +72,11 @@ fn walker_matches_reference_bytes_and_counts() {
     for alg in Algorithm::ALL {
         for storage in STORAGES {
             for len in [2u64, 3, 30, 1024] {
+                // A build walks the whole chain, whatever the layout.
                 let even = len.next_multiple_of(2);
-                let steps = build_steps(storage, even);
                 for (k, &kind) in KINDS.iter().enumerate() {
                     let what = format!("{alg} {storage:?} {kind:?} len={len}");
-                    // Counts from the steps a build takes, bytes up to the anchor.
-                    let (_, ref_counts) = counted(|| reference(alg, kind, b"lane a", steps));
-                    let expect = reference(alg, kind, b"lane a", even);
+                    let (expect, ref_counts) = counted(|| reference(alg, kind, b"lane a", even));
 
                     // One lane.
                     let (chain, counts) = counted(|| {
@@ -100,8 +90,8 @@ fn walker_matches_reference_bytes_and_counts() {
 
                     // Two lanes, the partner of another kind.
                     let partner = KINDS[(k + 1) % KINDS.len()];
-                    let (_, ref_counts_b) = counted(|| reference(alg, partner, b"lane b", steps));
-                    let expect_b = reference(alg, partner, b"lane b", even);
+                    let (expect_b, ref_counts_b) =
+                        counted(|| reference(alg, partner, b"lane b", even));
                     let (mut pair, counts) = counted(|| {
                         HashChain::from_seeds_batch(
                             alg,
@@ -139,7 +129,7 @@ fn walker_matches_reference_bytes_and_counts() {
 fn spent(
     alg: Algorithm,
     kind: ChainKind,
-    storage: StorageKind,
+    storage: ChainStorage,
     len: u64,
     seed: &[u8],
     disclosed: u64,
@@ -158,17 +148,17 @@ fn thaw_pair_equals_two_thaws_for_every_layout_and_cursor() {
     // (storage a, len a, storage b, len b): same layout, mixed layouts,
     // and mismatched lengths, where the lanes part ways mid-walk.
     let shapes = [
-        (StorageKind::Compact, 64, StorageKind::Compact, 64),
-        (StorageKind::Dyadic, 64, StorageKind::Dyadic, 64),
-        (StorageKind::Full, 64, StorageKind::Dyadic, 64),
-        (StorageKind::Compact, 64, StorageKind::Full, 64),
-        (StorageKind::Dyadic, 64, StorageKind::Compact, 30),
-        (StorageKind::Full, 30, StorageKind::Full, 64),
+        (ChainStorage::Sqrt, 64, ChainStorage::Sqrt, 64),
+        (ChainStorage::Full, 64, ChainStorage::Full, 64),
+        (ChainStorage::Full, 64, ChainStorage::Sqrt, 64),
+        (ChainStorage::Sqrt, 64, ChainStorage::Full, 64),
+        (ChainStorage::Full, 64, ChainStorage::Sqrt, 30),
+        (ChainStorage::Full, 30, ChainStorage::Full, 64),
     ];
     for alg in Algorithm::ALL {
         for (storage_a, len_a, storage_b, len_b) in shapes {
             // Cursors: fresh, mid-chain, exhausted — and unequal between
-            // the lanes, so dyadic lanes rebuild to different depths.
+            // the lanes.
             for (spent_a, spent_b) in [(0, 0), (len_a / 2, 3), (len_a - 1, len_b - 1), (0, 7)] {
                 let what = format!(
                     "{alg} {storage_a:?}/{len_a}-{spent_a} {storage_b:?}/{len_b}-{spent_b}"
@@ -211,12 +201,91 @@ fn thaw_pair_equals_two_thaws_for_every_layout_and_cursor() {
 #[test]
 fn thaw_pair_of_different_algorithms_falls_back_to_two_thaws() {
     let a = HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::RoleBoundSignature, 16, b"a");
-    let b = HashChain::from_seed_dyadic(Algorithm::MmoAes, ChainKind::RoleBoundAck, 16, b"b");
+    let b = HashChain::from_seed(Algorithm::MmoAes, ChainKind::RoleBoundAck, 16, b"b");
     let (ta, tb) = FrozenChain::thaw_pair(&a.freeze(), &b.freeze());
     assert_eq!(ta.anchor(), a.anchor());
     assert_eq!(tb.anchor(), b.anchor());
     assert_eq!(ta.algorithm(), Algorithm::Sha1);
     assert_eq!(tb.algorithm(), Algorithm::MmoAes);
+}
+
+/// The record a chain of `storage` frozen with `cursor` undisclosed
+/// elements carries, written down from the reference `elements`: layout,
+/// length, cursor, seed hash, then the checkpoint under the cursor and —
+/// tag 2 — the super-checkpoint under that, or tag 1 without one.
+fn record(storage: ChainStorage, cursor: u64, elements: &[Digest]) -> Vec<u8> {
+    let len = elements.len() as u64 - 1;
+    let step = match storage {
+        ChainStorage::Full => 1,
+        ChainStorage::Sqrt => interval(len),
+    };
+    let c = cursor / step;
+    let sup = super_number(len, step, c);
+    let mut bytes = vec![u8::from(storage == ChainStorage::Sqrt)];
+    bytes.extend(len.to_be_bytes());
+    bytes.extend(cursor.to_be_bytes());
+    bytes.extend(elements[0].as_bytes());
+    bytes.push(if sup > 0 { 2 } else { 1 });
+    bytes.extend(elements[(c * step) as usize].as_bytes());
+    if sup > 0 {
+        bytes.extend(elements[(sup * step) as usize].as_bytes());
+    }
+    bytes
+}
+
+#[test]
+fn every_layout_thaws_without_hashing_and_discloses_the_reference() {
+    for alg in Algorithm::ALL {
+        for storage in STORAGES {
+            for len in [2u64, 30, 64, 4096] {
+                for kind in KINDS {
+                    let expect = reference(alg, kind, b"thaw", len);
+                    let mut live = spent(alg, kind, storage, len, b"thaw", 0);
+                    // Cursors: fresh, mid-chain and exhausted.
+                    for cursor in [len - 1, len / 2, 0] {
+                        let what = format!("{alg} {storage:?} {kind:?} len={len} at {cursor}");
+                        let bytes = record(storage, cursor, &expect);
+                        // Walking a long √n chain down costs n·√n / 2
+                        // hashes (MMO is slow unoptimised): its record is
+                        // checked against `freeze` where the walk is free.
+                        if storage == ChainStorage::Full || len <= 64 || cursor == len - 1 {
+                            while live.remaining() > cursor {
+                                let (got, counts) = counted(|| live.disclose());
+                                assert!(got.is_ok(), "{what}");
+                                if storage == ChainStorage::Full {
+                                    assert_eq!(counts, Counts::default(), "{what}: held");
+                                }
+                            }
+                            let mut frozen = Vec::new();
+                            live.freeze().encode_into(&mut frozen);
+                            assert_eq!(frozen, bytes, "{what}: freeze writes the record");
+                        }
+                        let mut rest = bytes.as_slice();
+                        let frozen = FrozenChain::decode(&mut rest, alg, kind).expect("decodes");
+                        assert!(rest.is_empty(), "{what}");
+                        let (mut thawed, counts) = counted(|| frozen.thaw());
+                        assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
+                        assert_eq!(thawed.storage_kind(), storage, "{what}");
+                        assert_eq!(thawed.remaining(), cursor, "{what}");
+                        // A long chain is followed past a checkpoint of
+                        // its own, a short one to exhaustion.
+                        let stop = if len > 64 {
+                            cursor.saturating_sub(interval(len) + 3)
+                        } else {
+                            0
+                        };
+                        for i in (stop + 1..=cursor).rev() {
+                            let got = thawed.disclose();
+                            assert_eq!(got, Ok((i, expect[i as usize])), "{what} element {i}");
+                        }
+                        if stop == 0 {
+                            assert!(thawed.disclose().is_err(), "{what} exhausted");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `⌈√len⌉`: how far apart a compact chain's checkpoints sit.
@@ -225,11 +294,12 @@ fn interval(len: u64) -> u64 {
 }
 
 /// Number of the super-checkpoint a record frozen with its cursor over
-/// checkpoint `c` carries, 0 for none (the seed hash serves): the tier
-/// sits every `⌈√top⌉` checkpoints down from the top checkpoint `top`,
-/// and the record holds the highest of them strictly below `c`.
-fn super_number(len: u64, c: u64) -> u64 {
-    let top = len / interval(len);
+/// checkpoint `c` carries, 0 for none (the seed hash serves), when
+/// checkpoints sit every `step` elements: the tier sits every `⌈√top⌉`
+/// checkpoints down from the top checkpoint `top`, and the record holds
+/// the highest of them strictly below `c`.
+fn super_number(len: u64, step: u64, c: u64) -> u64 {
+    let top = len / step;
     let spacing = interval(top);
     (1..=top)
         .map(|j| top as i64 - (j * spacing) as i64)
@@ -277,12 +347,8 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
                     let what = format!("{alg} {kind:?} len={len} frozen at {cursor}");
                     let frozen = live.freeze();
                     let floor = cursor / step;
-                    let sup = super_number(len, floor);
-                    assert_eq!(
-                        frozen.checkpoint(),
-                        Some(full.element(floor * step)),
-                        "{what}"
-                    );
+                    let sup = super_number(len, step, floor);
+                    assert_eq!(frozen.checkpoint(), full.element(floor * step), "{what}");
                     assert_eq!(
                         frozen.super_checkpoint(),
                         (sup > 0).then(|| full.element(sup * step)),
@@ -290,7 +356,7 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
                     );
                     let (mut thawed, counts) = counted(|| frozen.thaw());
                     assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
-                    assert_eq!(thawed.storage_kind(), StorageKind::Compact, "{what}");
+                    assert_eq!(thawed.storage_kind(), ChainStorage::Sqrt, "{what}");
                     assert_eq!((thawed.len(), thawed.remaining()), (len, cursor), "{what}");
                     // Above the one checkpoint held: derived from it.
                     let above = (cursor + step + 1).min(len);
@@ -354,7 +420,7 @@ fn compact_thaw_hashes_nothing_and_walks_from_the_seed_once() {
 fn churn_wake_hashes(len: u64, announce: u64) -> u64 {
     let step = interval(len);
     let c = announce / step;
-    let (mut held_from, mut sup) = (c, super_number(len, c));
+    let (mut held_from, mut sup) = (c, super_number(len, step, c));
     // Hashes to derive checkpoint `k` from the nearest origin held.
     let from_origin = |k: u64, held_from: u64, sup: u64| {
         if k >= held_from {
@@ -374,7 +440,7 @@ fn churn_wake_hashes(len: u64, announce: u64) -> u64 {
     }
     let after = (announce - 2) / step;
     hashes += from_origin(after, held_from, sup);
-    let next_sup = super_number(len, after);
+    let next_sup = super_number(len, step, after);
     if next_sup > 0 {
         hashes += from_origin(next_sup, held_from, sup);
     }
@@ -412,8 +478,8 @@ fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
                     let freeze_counts;
                     (record, freeze_counts) = counted(|| churned.freeze());
                     let after = (announce - 2) / step;
-                    let sup = super_number(len, after);
-                    assert_eq!(record.checkpoint(), Some(full.element(after * step)));
+                    let sup = super_number(len, step, after);
+                    assert_eq!(record.checkpoint(), full.element(after * step));
                     assert_eq!(
                         record.super_checkpoint(),
                         (sup > 0).then(|| full.element(sup * step)),
@@ -463,8 +529,8 @@ fn thaw_pair_of_checkpointed_records_hashes_nothing() {
     for alg in Algorithm::ALL {
         let sig = ChainKind::RoleBoundSignature;
         let ack = ChainKind::RoleBoundAck;
-        let a = spent(alg, sig, StorageKind::Compact, 1024, b"sig", 40);
-        let b = spent(alg, ack, StorageKind::Compact, 30, b"ack", 17);
+        let a = spent(alg, sig, ChainStorage::Sqrt, 1024, b"sig", 40);
+        let b = spent(alg, ack, ChainStorage::Full, 30, b"ack", 17);
         let (fa, fb) = (a.freeze(), b.freeze());
         let (solo, solo_counts) = counted(|| (fa.thaw(), fb.thaw()));
         let (pair, pair_counts) = counted(|| FrozenChain::thaw_pair(&fa, &fb));

@@ -2,37 +2,28 @@
 //!
 //! A host with a short chain should keep every element resident
 //! ([`ChainStorage::Full`]): recompute costs more than the few KiB it
-//! saves. Long chains invert that trade — a 65k-element SHA-256 chain
-//! is 2 MiB per flow — so the engine defaults them to
-//! [`ChainStorage::Dyadic`] pebbling (O(log n) space) above a length
-//! threshold, mirroring how the digest and UDP backends self-select.
-//!
-//! Between those extremes sits the warm-flow regime the engine actually
-//! lives in: long-lived flows at the default chain length (1024). Full
-//! storage there costs ~40 KiB per flow (two chains × 1025 SHA-1
-//! digests) — at the measured ~14k hot flows/GB that is over half the
-//! hot-flow footprint — while √n checkpointing stores ~33 digests per
-//! chain (~1.3 KiB/flow) and amortizes to at most ⌈√n⌉ = 32 extra
-//! hashes per disclosure. So chains in `[SQRT_THRESHOLD,
-//! DYADIC_THRESHOLD)` default to [`ChainStorage::Sqrt`]: the default
-//! engine config now pebbles instead of keeping every element resident.
+//! saves. From the engine's default chain length (1024) on, that trade
+//! inverts: the warm-flow regime the engine lives in is long-lived flows,
+//! and full storage there costs ~40 KiB per flow (two chains × 1025 SHA-1
+//! digests) — at the measured ~14k hot flows/GB over half the hot-flow
+//! footprint — while √n checkpointing stores ~33 digests per chain
+//! (~1.3 KiB/flow) and costs at most ⌈√n⌉ = 32 extra hashes per
+//! disclosure. So chains from [`SQRT_THRESHOLD`] up default to
+//! [`ChainStorage::Sqrt`], however long: a 4096-element chain then
+//! stores 65 digests per chain, thaws in 0 hashes and costs at most 64 a
+//! disclosure.
 //!
 //! A caller who wants another layout says so with
 //! `Config::with_chain_storage`; there is no process-wide override.
 
 use alpha_core::{ChainStorage, Config};
 
-/// Chains at or above this length default to dyadic pebbling when the
-/// caller left storage at [`ChainStorage::Full`].
-pub const DYADIC_THRESHOLD: u64 = 4096;
-
-/// Chains at or above this length (and below [`DYADIC_THRESHOLD`])
-/// default to √n checkpointing when the caller left storage at
-/// [`ChainStorage::Full`]. Set at the engine's default chain length on
-/// purpose: warm long-lived flows are exactly the population whose
-/// resident chain bytes dominate memory (~40 KiB/flow Full vs
-/// ~1.3 KiB/flow Sqrt at 1024 elements) while the recompute cost stays
-/// bounded at ⌈√n⌉ hashes per disclosure.
+/// Chains at or above this length default to √n checkpointing when the
+/// caller left storage at [`ChainStorage::Full`]. Set at the engine's
+/// default chain length on purpose: warm long-lived flows are exactly the
+/// population whose resident chain bytes dominate memory (~40 KiB/flow
+/// Full vs ~1.3 KiB/flow Sqrt at 1024 elements) while the recompute cost
+/// stays bounded at ⌈√n⌉ hashes per disclosure.
 pub const SQRT_THRESHOLD: u64 = 1024;
 
 /// Stable label for a [`ChainStorage`] variant, used by `engine stats`
@@ -42,23 +33,17 @@ pub fn name(storage: ChainStorage) -> &'static str {
     match storage {
         ChainStorage::Full => "full",
         ChainStorage::Sqrt => "sqrt",
-        ChainStorage::Dyadic => "dyadic",
     }
 }
 
 /// The selection rule, applied by `EngineConfig::new`: a default
-/// [`ChainStorage::Full`] is upgraded by length — `[SQRT_THRESHOLD,
-/// DYADIC_THRESHOLD)` picks [`ChainStorage::Sqrt`], `DYADIC_THRESHOLD`
-/// and above picks [`ChainStorage::Dyadic`]. A non-default storage
-/// choice by the caller is always respected.
+/// [`ChainStorage::Full`] at [`SQRT_THRESHOLD`] elements or more is
+/// upgraded to [`ChainStorage::Sqrt`]. A non-default storage choice by
+/// the caller is always respected.
 #[must_use]
 pub fn resolve(mut protocol: Config) -> Config {
-    if protocol.chain_storage == ChainStorage::Full {
-        if protocol.chain_len >= DYADIC_THRESHOLD {
-            protocol.chain_storage = ChainStorage::Dyadic;
-        } else if protocol.chain_len >= SQRT_THRESHOLD {
-            protocol.chain_storage = ChainStorage::Sqrt;
-        }
+    if protocol.chain_storage == ChainStorage::Full && protocol.chain_len >= SQRT_THRESHOLD {
+        protocol.chain_storage = ChainStorage::Sqrt;
     }
     protocol
 }
@@ -87,20 +72,19 @@ mod tests {
         let c = resolve(default_cfg);
         assert_eq!(c.chain_storage, ChainStorage::Sqrt);
         assert_eq!(name(c.chain_storage), "sqrt");
-        // Boundary pins for the whole ladder.
+        // Boundary pins for the ladder.
         let at = |len: u64| resolve(Config::new(Algorithm::Sha1).with_chain_len(len)).chain_storage;
+        assert_eq!(at(SQRT_THRESHOLD - 2), ChainStorage::Full);
         assert_eq!(at(SQRT_THRESHOLD), ChainStorage::Sqrt);
-        assert_eq!(at(DYADIC_THRESHOLD - 2), ChainStorage::Sqrt);
-        assert_eq!(at(DYADIC_THRESHOLD), ChainStorage::Dyadic);
     }
 
     #[test]
-    fn long_chains_default_to_dyadic() {
-        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(DYADIC_THRESHOLD));
-        assert_eq!(c.chain_storage, ChainStorage::Dyadic);
-        let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(1 << 16));
-        assert_eq!(c.chain_storage, ChainStorage::Dyadic);
-        assert_eq!(name(c.chain_storage), "dyadic");
+    fn long_chains_stay_sqrt() {
+        for len in [4096, 1 << 16] {
+            let c = resolve(Config::new(Algorithm::Sha1).with_chain_len(len));
+            assert_eq!(c.chain_storage, ChainStorage::Sqrt, "{len}");
+            assert_eq!(name(c.chain_storage), "sqrt");
+        }
     }
 
     #[test]
@@ -137,8 +121,8 @@ mod tests {
 
     #[test]
     fn explicit_caller_choice_is_respected() {
-        // A non-default choice wins over the ladder in both directions:
-        // above the threshold it would have picked, and below any.
+        // A non-default choice wins over the ladder, below the threshold
+        // as above it.
         let explicit = |len: u64, storage: ChainStorage| {
             resolve(
                 Config::new(Algorithm::Sha1)
@@ -148,7 +132,6 @@ mod tests {
             .chain_storage
         };
         assert_eq!(explicit(1 << 16, ChainStorage::Sqrt), ChainStorage::Sqrt);
-        assert_eq!(explicit(64, ChainStorage::Dyadic), ChainStorage::Dyadic);
         assert_eq!(explicit(64, ChainStorage::Sqrt), ChainStorage::Sqrt);
     }
 }

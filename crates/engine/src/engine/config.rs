@@ -66,9 +66,9 @@ impl EngineConfig {
     /// Defaults around a protocol config: 8 shards, 1 MiB/s per-flow S1
     /// budget, 64 MiB global buffer valve, handshakes accepted,
     /// hibernation off. Chains left on the default `Full` storage are
-    /// switched to √n checkpointing or dyadic pebbling by length here
-    /// (see [`chainstore`]); an explicit `Config::with_chain_storage`
-    /// choice is kept.
+    /// switched to √n checkpointing from [`chainstore::SQRT_THRESHOLD`]
+    /// elements up here; an explicit `Config::with_chain_storage` choice
+    /// is kept.
     #[must_use]
     pub fn new(protocol: Config) -> EngineConfig {
         EngineConfig {

@@ -1194,7 +1194,7 @@ fn frozen_record_codec_is_total_and_round_trips() {
     use super::lifecycle::{decode_frozen_record, encode_frozen_record};
     use alpha_core::ChainStorage;
     let adapt = FlowAdapt::new(alpha_adapt::AdaptConfig::default()).freeze();
-    for (n, storage) in [ChainStorage::Full, ChainStorage::Sqrt, ChainStorage::Dyadic]
+    for (n, storage) in [ChainStorage::Full, ChainStorage::Sqrt]
         .into_iter()
         .enumerate()
     {
@@ -1246,11 +1246,10 @@ fn frozen_record_codec_is_total_and_round_trips() {
             // The signature chain's record: behind the length prefix,
             // version, algorithm and association id, its layout, length,
             // cursor and seed hash, then the tag saying which digests
-            // follow — on the √n layout, the checkpoint under the cursor
-            // and (tag 2) the super-checkpoint under that.
-            let (cursor_at, chain_tag_at) = (4 + 10 + 9, 4 + 10 + 17 + 20);
-            let sqrt = storage == ChainStorage::Sqrt;
-            let held = if sqrt { 2 } else { 0 };
+            // follow — whatever the layout, the checkpoint under the
+            // cursor and (tag 2) the super-checkpoint under that.
+            let (layout_at, cursor_at, chain_tag_at) = (4 + 10, 4 + 10 + 9, 4 + 10 + 17 + 20);
+            let held = 2;
             assert_eq!(record[chain_tag_at], held as u8, "{storage:?}");
             // The chain's tail rewritten as `tag` and `digests` digests,
             // the length prefix kept in step.
@@ -1267,28 +1266,26 @@ fn frozen_record_codec_is_total_and_round_trips() {
                 let bad = with_tail(&record, tag, held);
                 assert!(decode_frozen_record(&bad).is_none(), "chain tag {tag}");
             }
-            if sqrt {
-                // Without its super-checkpoint a record still thaws (the
-                // walk under the floor starts at the seed); with one
-                // where the cursor leaves it no position — over
-                // checkpoint 0 — it does not decode.
-                assert!(decode_frozen_record(&with_tail(&record, 1, 1)).is_some());
-                let mut low = record.clone();
-                low[cursor_at..cursor_at + 8].copy_from_slice(&1u64.to_be_bytes());
-                assert!(decode_frozen_record(&with_tail(&low, 1, 1)).is_some());
-                assert!(
-                    decode_frozen_record(&low).is_none(),
-                    "super-checkpoint under checkpoint 0"
-                );
-            } else {
-                // Well-formed checkpoints where the layout has none.
-                for (tag, digests) in [(1, 1), (2, 2)] {
-                    let bad = with_tail(&record, tag, digests);
-                    assert!(
-                        decode_frozen_record(&bad).is_none(),
-                        "{storage:?} tag {tag}"
-                    );
-                }
+            // Without its super-checkpoint a record still thaws (the walk
+            // under the floor starts at the seed); with one where the
+            // cursor leaves it no position — over checkpoint 0 — it does
+            // not decode.
+            assert!(decode_frozen_record(&with_tail(&record, 1, 1)).is_some());
+            let mut low = record.clone();
+            low[cursor_at..cursor_at + 8].copy_from_slice(&1u64.to_be_bytes());
+            assert!(decode_frozen_record(&with_tail(&low, 1, 1)).is_some());
+            assert!(
+                decode_frozen_record(&low).is_none(),
+                "{storage:?}: super-checkpoint under checkpoint 0"
+            );
+            // Nor without a checkpoint (a walk from the seed, which
+            // nothing writes), nor in a layout no chain has.
+            let bare = with_tail(&record, 0, 0);
+            assert!(decode_frozen_record(&bare).is_none(), "{storage:?} tag 0");
+            for layout in 2..=u8::MAX {
+                let mut bad = record.clone();
+                bad[layout_at] = layout;
+                assert!(decode_frozen_record(&bad).is_none(), "layout {layout}");
             }
         }
     }
