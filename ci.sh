@@ -28,7 +28,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # after every pair, ≤ 24 a wake over a 1024-element life, and every
 # layout's record — full storage's too — thawing without a hash); the engine's
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
-# relay) and the per-role hash counts of a bundle; the receiver ≡ relay
+# relay) and the per-role hash counts of a bundle; the renewal suite
+# holds that chains do not end mid-flow (both ends renew on the datagram
+# path, polled or not, hibernating or not, one end or both at once, 1,024
+# flows in lockstep), and renewal builds chains; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
 # accepts and forwards exactly the A2s the sending host accepts. The
 # hibernation suites run here too, since decoding a record rebuilds an
@@ -38,7 +41,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # re-encoding, bounded decode allocation, a thaw without a hash). Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -55,6 +58,13 @@ for backend in scalar lanes4 auto; do
     case "$runs" in
         *"running 4 tests"*) ;;
         *) echo "ci: the s2_runs suite did not run its 4 tests under $backend" >&2; exit 1 ;;
+    esac
+    renewals=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test renewal) || { echo "$renewals"; exit 1; }
+    echo "$renewals"
+    case "$renewals" in
+        *"running 5 tests"*) ;;
+        *) echo "ci: the renewal suite did not run its 5 tests under $backend" >&2; exit 1 ;;
     esac
     judges=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
         --test receiver_relay) || { echo "$judges"; exit 1; }

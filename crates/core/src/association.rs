@@ -158,6 +158,19 @@ impl Association {
         &mut self.verifier
     }
 
+    /// Exchanges left before one of this host's chains runs out: the
+    /// minimum over its signature chain (a pair per exchange it signs)
+    /// and its acknowledgment chain (a pair per S1 it answers). A one-way
+    /// flow runs the sender's signature chain and the receiver's
+    /// acknowledgment chain down together, so both ends must renew
+    /// ([`Association::begin_renewal`]) before this reaches zero.
+    #[must_use]
+    pub fn remaining_exchanges(&self) -> u64 {
+        self.signer
+            .remaining_exchanges()
+            .min(self.verifier.remaining_exchanges())
+    }
+
     /// Sign a single message in the association's default mode
     /// (`Mode::Base` signs it alone; the batch modes wrap it in a
     /// one-element bundle). Returns the S1 packet.

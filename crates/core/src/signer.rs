@@ -6,7 +6,7 @@
 //! from packing many messages into one exchange (ALPHA-C / ALPHA-M), not
 //! from pipelining exchanges.
 
-use alpha_crypto::chain::{ChainVerifier, HashChain, Role};
+use alpha_crypto::chain::{ChainError, ChainVerifier, HashChain, Role};
 use alpha_crypto::merkle::MerkleTree;
 use alpha_crypto::preack::AckDisclosure;
 use alpha_crypto::{hmac, Digest};
@@ -83,7 +83,27 @@ pub struct SignerChannel {
     cfg: Config,
     chain: HashChain,
     peer_ack: ChainVerifier,
+    /// The peer's acknowledgment chain before its latest renewal, kept
+    /// while the exchange outstanding at that renewal lasts: the peer
+    /// answers it from whichever chain it held when the S1 arrived.
+    /// Boxed: it is there only across a renewal, and every resident
+    /// flow carries the field.
+    peer_ack_prev: Option<Box<ChainVerifier>>,
     pending: Option<Exchange>,
+}
+
+/// Authenticate an element of the peer's acknowledgment chain by `step`:
+/// on the current anchor, else on the one a renewal replaced (if still
+/// kept). Each tracker only moves when `step` accepts on it.
+fn peer_ack_step<R>(
+    current: &mut ChainVerifier,
+    prev: Option<&mut ChainVerifier>,
+    step: impl Fn(&mut ChainVerifier) -> Result<R, ChainError>,
+) -> Result<R, ChainError> {
+    step(current).or_else(|e| match prev {
+        Some(prev) => step(prev).map_err(|_| e),
+        None => Err(e),
+    })
 }
 
 impl SignerChannel {
@@ -109,6 +129,7 @@ impl SignerChannel {
             cfg,
             chain,
             peer_ack,
+            peer_ack_prev: None,
             pending: None,
         }
     }
@@ -209,6 +230,9 @@ impl SignerChannel {
             .chain
             .disclose_pair()
             .map_err(|_| ProtocolError::ChainExhausted)?;
+        // Signed after every renewal the peer announced so far: answered
+        // from its current chain only.
+        self.peer_ack_prev = None;
         debug_assert_eq!(alpha_crypto::chain::role_of(announce_index), Role::Announce);
 
         let alg = self.cfg.algorithm;
@@ -318,8 +342,9 @@ impl SignerChannel {
             // so temporal separation holds.
             return Ok(SignerOutput::default());
         }
-        self.peer_ack
-            .accept_role(pkt.chain_index, element, Role::Announce)?;
+        peer_ack_step(&mut self.peer_ack, self.peer_ack_prev.as_deref_mut(), |v| {
+            v.accept_role(pkt.chain_index, element, Role::Announce)
+        })?;
 
         if ex.reliability == Reliability::Reliable {
             // The commitment must be the kind this mode's verdicts need,
@@ -374,7 +399,9 @@ impl SignerChannel {
         // Authenticate the disclosed ack-chain element (repeated A2s
         // disclose the same one), then every verdict, before any is
         // applied: a rejected A2 changes nothing.
-        chain_step(&mut self.peer_ack, pkt.chain_index, element, Role::Disclose)?;
+        peer_ack_step(&mut self.peer_ack, self.peer_ack_prev.as_deref_mut(), |v| {
+            chain_step(v, pkt.chain_index, element, Role::Disclose)
+        })?;
         let Some(commit) = ex.commit else {
             return Err(ProtocolError::UnexpectedPacket);
         };
@@ -451,14 +478,19 @@ impl SignerChannel {
     }
 
     /// Re-anchor the peer's acknowledgment chain (the peer renewed).
+    /// An exchange outstanding now may still be answered from the old
+    /// chain — both ends renewing at once cross on the wire — so the old
+    /// anchor is kept for it until the next exchange is signed.
     pub fn replace_peer_ack(&mut self, anchor: Digest, anchor_index: u64) {
-        self.peer_ack = ChainVerifier::new(
+        let renewed = ChainVerifier::new(
             self.cfg.algorithm,
             alpha_crypto::chain::ChainKind::RoleBoundAck,
             anchor,
             anchor_index,
         )
         .with_max_skip(self.cfg.max_skip);
+        let old = std::mem::replace(&mut self.peer_ack, renewed);
+        self.peer_ack_prev = self.pending.is_some().then(|| Box::new(old));
     }
 
     /// Freeze this channel for hibernation. Only an idle channel freezes:

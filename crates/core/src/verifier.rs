@@ -185,6 +185,13 @@ impl VerifierChannel {
         self.accepting
     }
 
+    /// Exchanges this channel can still answer: pairs left on its
+    /// acknowledgment chain, one disclosed per accepted S1.
+    #[must_use]
+    pub fn remaining_exchanges(&self) -> u64 {
+        self.ack_chain.remaining_pairs()
+    }
+
     /// Bytes buffered for the current exchange: the verifier's `n·h` of
     /// Table 2 (one MAC per message in Base/ALPHA-C, a single root in
     /// ALPHA-M), plus acknowledgment state (Table 3).
@@ -230,6 +237,12 @@ impl VerifierChannel {
         let covered = presig.covered();
         if covered == 0 || covered > limits::MAX_LEAVES {
             return Err(ProtocolError::TooManyMessages);
+        }
+        // A spent acknowledgment chain refuses the S1 before the peer's
+        // chain tracker moves, so the S1 can be retried once this end
+        // has renewed.
+        if self.ack_chain.remaining_pairs() == 0 {
+            return Err(ProtocolError::ChainExhausted);
         }
         self.peer_sig
             .accept_role(pkt.chain_index, element, Role::Announce)?;
@@ -626,5 +639,34 @@ mod tests {
         assert_eq!(missing(&mut bob), (Some(1), Some(0)));
         assert_eq!(feed(&mut bob, &second[1]), (1, true));
         assert_eq!(missing(&mut bob), (Some(0), Some(0)));
+    }
+
+    /// An S1 the verifier cannot answer, because its acknowledgment chain
+    /// is spent, is refused before the peer's signature tracker moves:
+    /// once the chain is replaced, the very same S1 is accepted.
+    #[test]
+    fn s1_on_an_exhausted_ack_chain_changes_nothing() {
+        use alpha_crypto::chain::ChainKind;
+        let alg = alpha_crypto::Algorithm::Sha1;
+        let cfg = Config::new(alg).with_chain_len(64);
+        let mut rng = StdRng::seed_from_u64(2);
+        let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        let mut spent = HashChain::generate(alg, ChainKind::RoleBoundAck, 4, &mut rng);
+        while spent.disclose_pair().is_ok() {}
+        bob.verifier().install_chain(spent);
+        assert_eq!(bob.remaining_exchanges(), 0);
+
+        let t = Timestamp::ZERO;
+        let s1 = alice.sign(b"no ack left", t).unwrap();
+        let before = bob.verifier().peer_sig.last();
+        let refused = bob.handle(&s1, t, &mut rng);
+        assert!(matches!(refused, Err(ProtocolError::ChainExhausted)));
+        assert_eq!(bob.verifier().peer_sig.last(), before, "tracker unmoved");
+        assert!(bob.verifier().current.is_none(), "nothing buffered");
+
+        let fresh = HashChain::generate(alg, ChainKind::RoleBoundAck, 64, &mut rng);
+        bob.verifier().install_chain(fresh);
+        let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet();
+        assert!(a1.is_some(), "the same S1 is answered once a chain is back");
     }
 }

@@ -52,8 +52,9 @@ pub struct EngineConfig {
     /// Renewal-storm pacing: deterministic per-flow deadline jitter
     /// plus the global renewal token bucket.
     pub pacer: PacerConfig,
-    /// Schedule a paced chain renewal when a host flow's signer chain
-    /// has at most this many exchanges left.
+    /// Begin a paced chain renewal when a host flow has at most this
+    /// many exchanges left on the shorter of its signature and
+    /// acknowledgment chains.
     pub renew_below: u64,
     /// Capacity (datagrams) of each cross-worker handoff ring in the
     /// live runtime. When a ring is full the receiving worker processes

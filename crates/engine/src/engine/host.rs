@@ -33,6 +33,29 @@ pub(super) struct HostFlow {
     pub(super) idle_deadline: Timestamp,
     /// Paced chain-renewal state.
     pub(super) renewal: RenewalSlot,
+    /// Deadline of the flow's one armed protocol-poll wheel entry, if
+    /// any. A new `poll_at` is scheduled only when it is earlier: a
+    /// later one is picked up when the armed entry fires and
+    /// [`EngineCore::poll_host`] re-arms whatever is still due. So an
+    /// engine that is never polled keeps one poll entry per flow, not
+    /// one per exchange.
+    pub(super) poll_armed: Option<Timestamp>,
+}
+
+impl HostFlow {
+    /// Arm the association's next protocol poll unless an entry at or
+    /// before it is already on the wheel. Returns whether the wheel
+    /// changed.
+    pub(super) fn arm_poll(&mut self, wheel: &mut TimerWheel<FlowKey>, key: FlowKey) -> bool {
+        match self.assoc.poll_at() {
+            Some(t) if self.poll_armed.is_none_or(|armed| t < armed) => {
+                wheel.schedule(t, key);
+                self.poll_armed = Some(t);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Ingest: feed one parsed packet to an association. S2 packets — the
@@ -80,6 +103,7 @@ impl EngineCore {
                 .hibernate_after
                 .map_or(Timestamp::ZERO, |us| now.plus_micros(us)),
             renewal: RenewalSlot::Idle,
+            poll_armed: None,
         })
     }
 
@@ -96,29 +120,34 @@ impl EngineCore {
     /// Install-and-arm: `state` becomes `key`'s flow state and every
     /// deadline it owns goes on the wheel — a connecting flow's resend;
     /// a host flow's protocol poll, idle check (when hibernation is on)
-    /// and `Scheduled` renewal. With `limiter` the flow is new to this
-    /// table and any entry displaced at `key` is returned; `None`
-    /// promotes the resident entry (handshake completion, thaw), which
-    /// keeps the admission limiter it has been charged on, and does
-    /// nothing if `key` is not resident.
+    /// and `Scheduled` renewal. The state brings no wheel entry under
+    /// `key` with it (it is new, thawed, or moved from another key), so
+    /// a host flow's poll is armed afresh. With `limiter` the flow is
+    /// new to this table and any entry displaced at `key` is returned;
+    /// `None` promotes the resident entry (handshake completion, thaw),
+    /// which keeps the admission limiter it has been charged on, and
+    /// does nothing if `key` is not resident.
     pub(super) fn install(
         &self,
         shard: &mut Shard,
         key: FlowKey,
         limiter: Option<SharedS1Limiter>,
-        state: FlowState,
+        mut state: FlowState,
     ) -> Option<FlowEntry> {
         let hibernation = self.cfg.hibernate_after.is_some();
-        let due = match &state {
+        let due = match &mut state {
             FlowState::Connecting { next_resend, .. } => [Some(*next_resend), None, None],
-            FlowState::Host(flow) => [
-                flow.assoc.poll_at(),
-                hibernation.then_some(flow.idle_deadline),
-                match flow.renewal {
-                    RenewalSlot::Scheduled(due) => Some(due),
-                    _ => None,
-                },
-            ],
+            FlowState::Host(flow) => {
+                flow.poll_armed = flow.assoc.poll_at();
+                [
+                    flow.poll_armed,
+                    hibernation.then_some(flow.idle_deadline),
+                    match flow.renewal {
+                        RenewalSlot::Scheduled(due) => Some(due),
+                        _ => None,
+                    },
+                ]
+            }
             FlowState::Hibernated | FlowState::Relay { .. } => [None; 3],
         };
         let prev = match limiter {
@@ -343,8 +372,7 @@ impl EngineCore {
             a.begin_exchange(mode, take, payload, now);
             a.observe_packets(std::slice::from_ref(&pkt));
         }
-        if let Some(t) = flow.assoc.poll_at() {
-            shard.wheel.schedule(t, key);
+        if flow.arm_poll(&mut shard.wheel, key) {
             self.cache_deadline(shard);
         }
         drop(guard);
@@ -384,8 +412,8 @@ impl EngineCore {
             }
         }
         match ingest(&mut flow.assoc, view, now, rng) {
-            Ok(resp) => {
-                self.settle(&mut shard.wheel, key, flow, &resp, now, true);
+            Ok(mut resp) => {
+                self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
                 self.cache_deadline(shard);
                 drop(guard);
                 self.stage(out, key, resp);
@@ -450,11 +478,11 @@ impl EngineCore {
         if !verified {
             return;
         }
-        let resp = Response {
+        let mut resp = Response {
             packets: replies,
             ..Response::default()
         };
-        self.settle(&mut shard.wheel, key, flow, &resp, now, true);
+        self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
         self.cache_deadline(shard);
         drop(guard);
         self.metrics
@@ -471,18 +499,20 @@ impl EngineCore {
     /// alike. The caller then refreshes `cache_deadline`, drops the lock
     /// and hands the response to [`EngineCore::stage`].
     ///
-    /// `from_peer`: the response answers a datagram that verified, not
-    /// a timer fire. Only that proves a live peer, so only that
-    /// refreshes the idle clock and may arm a chain renewal (a timer
-    /// re-arming abandoned renewals would burn a dead peer's chain).
+    /// `from_peer` (with the rng a renewal draws its chains from): the
+    /// response answers a datagram that verified, not a timer fire. Only
+    /// that proves a live peer, so only that refreshes the idle clock
+    /// and may begin a chain renewal ([`EngineCore::renew_when_low`]; a
+    /// timer re-offering abandoned renewals would burn a dead peer's
+    /// chain).
     pub(super) fn settle(
         &self,
         wheel: &mut TimerWheel<FlowKey>,
         key: FlowKey,
         flow: &mut HostFlow,
-        resp: &Response,
+        resp: &mut Response,
         now: Timestamp,
-        from_peer: bool,
+        from_peer: Option<&mut dyn RngCore>,
     ) {
         if flow.assoc.signer().is_idle() {
             if let Some(started) = flow.inflight_since.take() {
@@ -502,35 +532,91 @@ impl EngineCore {
         // Renewal lifecycle: the signer admits one exchange at a time,
         // so while an offer is outstanding the next completion or
         // abandonment verdict is the renewal's. An abandoned offer
-        // frees the slot for a future (re-jittered) attempt.
+        // frees the slot for a future attempt.
+        let mut committed = false;
         if matches!(flow.renewal, RenewalSlot::Offered(_)) {
             if resp.signer_events.contains(&SignerEvent::ExchangeComplete) {
                 if let RenewalSlot::Offered(offer) =
                     std::mem::replace(&mut flow.renewal, RenewalSlot::Idle)
                 {
-                    let _ = flow.assoc.commit_renewal(*offer);
+                    committed = flow.assoc.commit_renewal(*offer).is_ok();
                 }
             } else if resp.signer_events.contains(&SignerEvent::ExchangeAbandoned) {
                 flow.renewal = RenewalSlot::Idle;
             }
         }
-        if from_peer {
+        if let Some(rng) = from_peer {
             flow.last_seen = now;
-            // Arm a jittered renewal deadline when the chain runs low
-            // (deterministic per-flow spread, see alpha-store).
-            let signer = flow.assoc.signer();
-            if matches!(flow.renewal, RenewalSlot::Idle)
-                && signer.is_idle()
-                && signer.remaining_exchanges() <= self.cfg.renew_below
-            {
-                let due = now.plus_micros(self.pacer.lock().jitter_us(key.stable_hash()));
-                flow.renewal = RenewalSlot::Scheduled(due);
-                wheel.schedule(due, key);
+            // The settle that committed fresh chains begins no renewal
+            // (even a `renew_below` above a whole chain's budget must not
+            // renew in a loop).
+            if !committed {
+                self.renew_when_low(wheel, key, flow, resp, now, rng);
             }
         }
-        if let Some(t) = flow.assoc.poll_at() {
-            wheel.schedule(t, key);
+        flow.arm_poll(wheel, key);
+    }
+
+    /// Renewal on the datagram path: a verified datagram left the flow's
+    /// signer idle with at most `renew_below` exchanges on its shorter
+    /// chain ([`Association::remaining_exchanges`]), so the renewal
+    /// begins right here, its S1 riding out in `resp` — if the global
+    /// pacer admits it, or unconditionally on the flow's last spare
+    /// exchange, so a flow whose peer answers never reaches
+    /// `ChainExhausted`. A deferred flow arms a jittered renewal timer
+    /// (once), which the timer path offers if the flow goes quiet; while
+    /// traffic flows, each verified datagram asks the pacer again.
+    fn renew_when_low(
+        &self,
+        wheel: &mut TimerWheel<FlowKey>,
+        key: FlowKey,
+        flow: &mut HostFlow,
+        resp: &mut Response,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+    ) {
+        if matches!(flow.renewal, RenewalSlot::Offered(_)) || !flow.assoc.signer().is_idle() {
+            return;
         }
+        let left = flow.assoc.remaining_exchanges();
+        if left > self.cfg.renew_below {
+            return;
+        }
+        if left <= 1 || self.pacer.lock().admit(now.micros()) {
+            flow.renewal = self.offer_renewal(flow, now, rng, &mut resp.packets);
+            return;
+        }
+        self.metrics
+            .store
+            .renewals_deferred
+            .fetch_add(1, Ordering::Relaxed);
+        if matches!(flow.renewal, RenewalSlot::Idle) {
+            let due = now.plus_micros(self.pacer.lock().jitter_us(key.stable_hash()));
+            flow.renewal = RenewalSlot::Scheduled(due);
+            wheel.schedule(due, key);
+        }
+    }
+
+    /// Offer a chain renewal on a flow whose signer is idle, its S1
+    /// appended to `packets`: the flow's new renewal slot is `Offered`,
+    /// or `Idle` when the signature chain cannot carry the offer.
+    pub(super) fn offer_renewal(
+        &self,
+        flow: &mut HostFlow,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        packets: &mut Vec<Packet>,
+    ) -> RenewalSlot {
+        let Ok((offer, s1)) = flow.assoc.begin_renewal(now, rng) else {
+            return RenewalSlot::Idle;
+        };
+        flow.inflight_since = Some(now);
+        self.metrics
+            .store
+            .renewals_started
+            .fetch_add(1, Ordering::Relaxed);
+        packets.push(s1);
+        RenewalSlot::Offered(Box::new(offer))
     }
 
     /// Hand a settled response to the caller: deliveries (counted as

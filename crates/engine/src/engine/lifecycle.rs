@@ -141,7 +141,7 @@ impl EngineCore {
         };
         let mut assoc = Association::thaw(self.cfg.protocol, &frozen);
         match ingest(&mut assoc, view, now, rng) {
-            Ok(resp) => {
+            Ok(mut resp) => {
                 let adapt = match (self.cfg.adapt, &frozen_adapt) {
                     (Some(cfg), Some(fa)) => Some(Box::new(FlowAdapt::restore(cfg, fa))),
                     _ => self.new_adapt(),
@@ -150,7 +150,7 @@ impl EngineCore {
                 self.install(shard, key, None, flow);
                 if let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state)
                 {
-                    self.settle(&mut shard.wheel, key, flow, &resp, now, true);
+                    self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
                 }
                 self.cache_deadline(shard);
                 self.metrics.store.thawed.fetch_add(1, Ordering::Relaxed);

@@ -908,6 +908,11 @@ fn frozen_budget_evicts_coldest_and_reaps_tombstones() {
     );
 }
 
+/// Renewal is armed on the datagram path: the A1 that leaves the
+/// signer idle under `renew_below` begins it at once (a jitter-free
+/// pacer with tokens to spare admits it), its S1 rides out with that
+/// datagram's answer, and the exchange commits fresh chains within the
+/// same round trip. No renewal timer is left behind.
 #[test]
 fn chain_renewal_is_armed_jitter_free_and_commits() {
     let pacer = PacerConfig {
@@ -925,29 +930,40 @@ fn chain_renewal_is_armed_jitter_free_and_commits() {
     let t0 = Timestamp::from_millis(1);
     let (key, out) = client.connect(sa, 7, t0, &mut rng);
     pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let fresh = client
+        .with_association(key, |a| a.remaining_exchanges())
+        .unwrap();
     let out = client
         .sign_batch(key, &[b"spend the chain".as_slice()], Mode::Base, t0)
         .unwrap();
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let before = client
-        .with_association(key, |a| a.signer().remaining_exchanges())
-        .unwrap();
-
-    // The jitter-free renewal deadline is already due; the poll
-    // starts it and the exchange commits the fresh chains.
-    let t1 = t0.plus_micros(2_000);
-    let out = client.poll(t1, &mut rng);
-    assert!(!out.datagrams.is_empty(), "renewal S1 went out");
-    pump(&client, ca, &server, sa, out.datagrams, t1, &mut rng);
+    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    assert_eq!(
+        from_server.delivered.len(),
+        1,
+        "the message, not the renewal"
+    );
     let m = client.metrics();
     assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 1);
+    assert_eq!(m.store.renewals_deferred.load(Ordering::Relaxed), 0);
     let after = client
-        .with_association(key, |a| a.signer().remaining_exchanges())
+        .with_association(key, |a| a.remaining_exchanges())
         .unwrap();
-    assert!(
-        after > before,
-        "renewal replenished the chain ({before} -> {after})"
+    assert_eq!(
+        after, fresh,
+        "renewal replenished the chain the exchange spent"
     );
+
+    // Nothing was left for the timer path.
+    let out = client.poll(t0.plus_micros(2_000), &mut rng);
+    assert!(out.datagrams.is_empty(), "no renewal timer fires");
+    assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 1);
+
+    // The renewed flow goes on exchanging.
+    let out = client
+        .sign_batch(key, &[b"on fresh chains".as_slice()], Mode::Base, t0)
+        .unwrap();
+    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    assert_eq!(from_server.delivered[0].2, b"on fresh chains");
 }
 
 #[test]
@@ -975,6 +991,69 @@ fn renewal_pacer_defers_when_bucket_is_empty() {
     let m = client.metrics();
     assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 0);
     assert!(m.store.renewals_deferred.load(Ordering::Relaxed) >= 1);
+}
+
+/// Wheel entries across all shards.
+fn wheel_pending(e: &EngineCore) -> usize {
+    e.shards.iter().map(|s| s.read().wheel.pending()).sum()
+}
+
+/// An engine driven only by `sign_batch` and `handle_datagram`, never
+/// polled, keeps one protocol-poll entry per flow however many
+/// exchanges it runs — and, renewing both ends on the datagram path,
+/// runs ten chains' worth of exchanges without a `ChainExhausted`.
+#[test]
+fn never_polled_flows_keep_one_poll_entry_each() {
+    const FLOWS: u16 = 4;
+    let client = EngineCore::new(cfg());
+    let server = EngineCore::new(cfg());
+    let sa = addr(2750);
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut now = Timestamp::from_millis(1);
+    let keys: Vec<(SocketAddr, FlowKey)> = (0..FLOWS)
+        .map(|f| {
+            let ca = addr(1750 + f);
+            let (key, out) = client.connect(sa, 60 + u64::from(f), now, &mut rng);
+            pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+            (ca, key)
+        })
+        .collect();
+    let chain_len = cfg().protocol.chain_len as usize;
+    for round in 0..10 * chain_len {
+        now = now.plus_micros(1_000);
+        for (f, &(ca, key)) in keys.iter().enumerate() {
+            let msg = format!("flow {f} exchange {round}");
+            let out = client
+                .sign_batch(key, &[msg.as_bytes()], Mode::Base, now)
+                .unwrap_or_else(|e| panic!("flow {f}, exchange {round}: {e}"));
+            let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+            assert_eq!(from_server.delivered.len(), 1, "flow {f}, exchange {round}");
+            assert_eq!(from_server.delivered[0].2, msg.as_bytes());
+        }
+    }
+    assert!(
+        client
+            .metrics()
+            .store
+            .renewals_started
+            .load(Ordering::Relaxed)
+            > 0
+    );
+    assert!(
+        server
+            .metrics()
+            .store
+            .renewals_started
+            .load(Ordering::Relaxed)
+            > 0
+    );
+    for (side, e) in [("client", &client), ("server", &server)] {
+        let pending = wheel_pending(e);
+        assert!(
+            pending <= 3 * FLOWS as usize,
+            "{side}: {pending} wheel entries for {FLOWS} flows"
+        );
+    }
 }
 
 #[test]
@@ -1017,8 +1096,8 @@ fn reroute_keeps_scheduled_renewal_armed() {
     // armed — never renewed its chain.
     let pacer = PacerConfig {
         max_jitter_us: 0,
-        rate_per_sec: 256,
-        burst: 64,
+        rate_per_sec: 1,
+        burst: 1,
     };
     let client = EngineCore::new(cfg().with_renew_below(64).with_pacer(pacer));
     let server = EngineCore::new(cfg());
@@ -1029,19 +1108,24 @@ fn reroute_keeps_scheduled_renewal_armed() {
     let t0 = Timestamp::from_millis(1);
     let (key, out) = client.connect(sa, 52, t0, &mut rng);
     pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let out = client
-        .sign_batch(key, &[b"arm the renewal".as_slice()], Mode::Base, t0)
-        .unwrap();
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    // The first exchange spends the pacer's one token on a renewal; the
+    // second finds the bucket dry, so its renewal is deferred to a
+    // (jitter-free) timer.
+    for msg in [b"renew now".as_slice(), b"arm the renewal"] {
+        let out = client.sign_batch(key, &[msg], Mode::Base, t0).unwrap();
+        pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    }
+    let store = &client.metrics().store;
+    assert_eq!(store.renewals_started.load(Ordering::Relaxed), 1);
+    assert_eq!(store.renewals_deferred.load(Ordering::Relaxed), 1);
 
     assert_eq!(client.reroute(sa, sa2), 1);
-    let out = client.poll(t0.plus_micros(2_000), &mut rng);
+    let out = client.poll(t0.plus_micros(1_500_000), &mut rng);
     assert!(
         !out.datagrams.is_empty() && out.datagrams.iter().all(|(d, _)| *d == sa2),
         "renewal S1 goes out, toward the new peer"
     );
-    let started = &client.metrics().store.renewals_started;
-    assert_eq!(started.load(Ordering::Relaxed), 1);
+    assert_eq!(store.renewals_started.load(Ordering::Relaxed), 2);
 }
 
 #[test]

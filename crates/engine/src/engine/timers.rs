@@ -114,7 +114,7 @@ impl EngineCore {
     }
 
     /// A wheel fire is just a wake-up; the host flow decides which of
-    /// its deadlines — renewal, idle check, protocol poll — is actually
+    /// its deadlines — idle check, renewal, protocol poll — is actually
     /// due. Responses are queued on `staged` for the caller to stage
     /// once the shard lock is released. Returns `true` when the flow
     /// has been quiet for the whole hibernation period and should be
@@ -128,41 +128,16 @@ impl EngineCore {
         rng: &mut dyn RngCore,
         staged: &mut Vec<(FlowKey, Response)>,
     ) -> bool {
-        let signer_idle = flow.assoc.signer().is_idle();
-        if matches!(flow.renewal, RenewalSlot::Scheduled(due) if due <= now) {
-            // Offer the renewal if the signer is free and the global
-            // pacer admits it; otherwise push it back.
-            flow.renewal = if !signer_idle {
-                RenewalSlot::Scheduled(now.plus_micros(RENEWAL_RETRY_US))
-            } else if !self.pacer.lock().admit(now.micros()) {
-                self.metrics
-                    .store
-                    .renewals_deferred
-                    .fetch_add(1, Ordering::Relaxed);
-                let jitter = self.pacer.lock().jitter_us(key.stable_hash());
-                RenewalSlot::Scheduled(now.plus_micros(RENEWAL_RETRY_US + jitter))
-            } else if let Ok((offer, s1)) = flow.assoc.begin_renewal(now, rng) {
-                flow.inflight_since = Some(now);
-                self.metrics
-                    .store
-                    .renewals_started
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut resp = Response::default();
-                resp.packets.push(s1);
-                staged.push((key, resp));
-                RenewalSlot::Offered(Box::new(offer))
-            } else {
-                RenewalSlot::Idle
-            };
-            if let RenewalSlot::Scheduled(retry) = flow.renewal {
-                wheel.schedule(retry, key);
-            }
+        if flow.poll_armed.is_some_and(|t| t <= now) {
+            flow.poll_armed = None;
         }
         if let Some(idle_us) = self.cfg.hibernate_after {
             if flow.idle_deadline <= now {
                 // The armed idle entry has fired; freeze if the flow
                 // really has been quiet, otherwise re-arm at the honest
-                // next idle deadline.
+                // next idle deadline. A renewal due now does not keep a
+                // quiet flow awake: it sleeps, and renews on the
+                // datagram that wakes it.
                 let idle_due = flow.last_seen.plus_micros(idle_us);
                 if idle_due <= now
                     && flow.assoc.signer().is_idle()
@@ -176,14 +151,41 @@ impl EngineCore {
                 wheel.schedule(flow.idle_deadline, key);
             }
         }
+        let signer_idle = flow.assoc.signer().is_idle();
+        if matches!(flow.renewal, RenewalSlot::Scheduled(due) if due <= now) {
+            // Offer the renewal if the signer is free and the global
+            // pacer admits it; otherwise push it back.
+            flow.renewal = if !signer_idle {
+                RenewalSlot::Scheduled(now.plus_micros(RENEWAL_RETRY_US))
+            } else if !self.pacer.lock().admit(now.micros()) {
+                self.metrics
+                    .store
+                    .renewals_deferred
+                    .fetch_add(1, Ordering::Relaxed);
+                let jitter = self.pacer.lock().jitter_us(key.stable_hash());
+                RenewalSlot::Scheduled(now.plus_micros(RENEWAL_RETRY_US + jitter))
+            } else {
+                let mut resp = Response::default();
+                let slot = self.offer_renewal(flow, now, rng, &mut resp.packets);
+                if !resp.packets.is_empty() {
+                    staged.push((key, resp));
+                }
+                slot
+            };
+            if let RenewalSlot::Scheduled(retry) = flow.renewal {
+                wheel.schedule(retry, key);
+            }
+        }
         match flow.assoc.poll_at() {
             None => {}
-            Some(due) if due > now => wheel.schedule(due, key),
+            Some(due) if due > now => {
+                flow.arm_poll(wheel, key);
+            }
             Some(_) => {
                 // Timer-driven: no datagram arrived, so the idle clock
-                // is not refreshed (`from_peer = false`).
-                let resp = flow.assoc.poll(now);
-                self.settle(wheel, key, flow, &resp, now, false);
+                // is not refreshed and no renewal begins here.
+                let mut resp = flow.assoc.poll(now);
+                self.settle(wheel, key, flow, &mut resp, now, None);
                 staged.push((key, resp));
             }
         }

@@ -11,6 +11,14 @@
 //! (≈ 4.6 hours at 1 ms) before overflowing into the top level's last
 //! ring, where entries simply re-cascade — renewal deadlines hours out
 //! are still honored, just with coarser initial placement.
+//!
+//! The wheel also keeps its exact earliest deadline as a field (the
+//! cached minimum of Varghese & Lauck's hierarchical wheels): a
+//! schedule folds its deadline in with a `min`, and only an advance
+//! that fires the entry holding it rescans the pending set. So
+//! [`TimerWheel::next_deadline`] — read after every datagram, sign and
+//! settle to size worker sleeps — is a field load, however many
+//! entries are pending.
 
 use alpha_core::Timestamp;
 
@@ -29,6 +37,8 @@ pub struct TimerWheel<T> {
     current_tick: u64,
     slots: Vec<Vec<Entry<T>>>, // LEVELS * SLOTS
     pending: usize,
+    /// The earliest pending deadline tick (`u64::MAX` when none).
+    earliest: u64,
 }
 
 impl<T> TimerWheel<T> {
@@ -45,6 +55,7 @@ impl<T> TimerWheel<T> {
             current_tick: start.micros() / tick_us,
             slots,
             pending: 0,
+            earliest: u64::MAX,
         }
     }
 
@@ -92,6 +103,7 @@ impl<T> TimerWheel<T> {
             item,
         });
         self.pending += 1;
+        self.earliest = self.earliest.min(deadline_tick);
     }
 
     /// Advance the wheel to `now`, appending every expired item to
@@ -101,6 +113,22 @@ impl<T> TimerWheel<T> {
         if target <= self.current_tick {
             return;
         }
+        self.step_to(target, out);
+        // Every entry due by the current tick has fired: if the earliest
+        // was among them, find the new one.
+        if self.earliest <= self.current_tick {
+            self.earliest = self
+                .slots
+                .iter()
+                .flatten()
+                .map(|e| e.deadline_tick)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+    }
+
+    /// Step the clock tick by tick to `target`, firing and cascading.
+    fn step_to(&mut self, target: u64, out: &mut Vec<T>) {
         if self.pending == 0 {
             self.current_tick = target;
             return;
@@ -153,18 +181,11 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Earliest scheduled deadline, if any (exact, O(pending)).
+    /// Earliest scheduled deadline, if any: exact, and O(1) — the
+    /// cached minimum, not a walk of the slots.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Timestamp> {
-        if self.pending == 0 {
-            return None;
-        }
-        self.slots
-            .iter()
-            .flatten()
-            .map(|e| e.deadline_tick)
-            .min()
-            .map(|t| Timestamp::from_micros(t * self.tick_us))
+        (self.earliest != u64::MAX).then(|| Timestamp::from_micros(self.earliest * self.tick_us))
     }
 }
 
