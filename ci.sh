@@ -30,8 +30,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # S2-run suite holds the bundled ≡ one-per-datagram properties (host and
 # relay) and the per-role hash counts of a bundle; the renewal suite
 # holds that chains do not end mid-flow (both ends renew on the datagram
-# path, polled or not, hibernating or not, one end or both at once, 1,024
-# flows in lockstep), and renewal builds chains; the receiver ≡ relay
+# path, polled or not, hibernating or not, one end or both at once, also
+# across a relay engine, 1,024 flows in lockstep), and renewal builds
+# chains; the relay fuzzer mutates a learned relay's valid traces (no
+# panic, every packet judged once, a rejected datagram changes nothing,
+# only valid S2s forwarded) and the relay budget suite holds a relayed
+# burst to a constant allocation count, one shard lock per datagram and
+# per-call counters equal to per-datagram sums; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
 # accepts and forwards exactly the A2s the sending host accepts. The
 # hibernation suites run here too, since decoding a record rebuilds an
@@ -41,7 +46,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # re-encoding, bounded decode allocation, a thaw without a hash). Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay fuzz, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -63,8 +68,22 @@ for backend in scalar lanes4 auto; do
         --test renewal) || { echo "$renewals"; exit 1; }
     echo "$renewals"
     case "$renewals" in
-        *"running 5 tests"*) ;;
-        *) echo "ci: the renewal suite did not run its 5 tests under $backend" >&2; exit 1 ;;
+        *"running 6 tests"*) ;;
+        *) echo "ci: the renewal suite did not run its 6 tests under $backend" >&2; exit 1 ;;
+    esac
+    relay_fuzz=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test relay_fuzz) || { echo "$relay_fuzz"; exit 1; }
+    echo "$relay_fuzz"
+    case "$relay_fuzz" in
+        *"running 2 tests"*"1 passed"*"1 ignored"*) ;;
+        *) echo "ci: the relay_fuzz suite did not run its 1 test (1 ignored) under $backend" >&2; exit 1 ;;
+    esac
+    budget=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test relay_budget) || { echo "$budget"; exit 1; }
+    echo "$budget"
+    case "$budget" in
+        *"running 3 tests"*) ;;
+        *) echo "ci: the relay_budget suite did not run its 3 tests under $backend" >&2; exit 1 ;;
     esac
     judges=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-core \
         --test receiver_relay) || { echo "$judges"; exit 1; }
@@ -95,6 +114,18 @@ for backend in scalar lanes4 auto; do
         *) echo "ci: the record_fuzz suite did not run its 1 test under $backend" >&2; exit 1 ;;
     esac
 done
+
+# Ten times the tier-1 fuzz cases in a release build; the box bounds a
+# slow or hung run, not the cases (about 4 s on the 2-vCPU host).
+echo "==> relay fuzz smoke (release, 100,000 cases, time-boxed to 30 s)"
+cargo test --release -q -p alpha-engine --test relay_fuzz --no-run
+long_fuzz=$(timeout 30 cargo test --release -q -p alpha-engine --test relay_fuzz \
+    -- --ignored mutated_datagrams_long_run) || { echo "$long_fuzz"; exit 1; }
+echo "$long_fuzz"
+case "$long_fuzz" in
+    *"running 1 test"*) ;;
+    *) echo "ci: the relay fuzz smoke did not run its long run" >&2; exit 1 ;;
+esac
 
 echo "==> digest throughput bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin digest_throughput -- --quick

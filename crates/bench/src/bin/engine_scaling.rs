@@ -186,9 +186,9 @@ fn run_config(traffic: &[FlowTraffic], workers: usize, cfg: Config) -> RunResult
                 };
                 let now = Timestamp::from_millis(100 + idx as u64);
                 let out = cores[w].handle_datagram(*from, bytes, now, &mut rng);
-                for (assoc_id, payload) in &out.extracted {
+                for (assoc_id, payload) in out.extracted.iter() {
                     assert_eq!(payload, &t.payload, "cross-flow payload bleed");
-                    *verified.entry(*assoc_id).or_default() += 1;
+                    *verified.entry(assoc_id).or_default() += 1;
                 }
             }
         }

@@ -21,7 +21,7 @@ use alpha_crypto::amt::{self, AmtDisclosure};
 use alpha_crypto::chain::{self, ChainError, ChainKind, ChainVerifier, Role};
 use alpha_crypto::preack::{self, AckDisclosure, PreAckPair};
 use alpha_crypto::{merkle, Algorithm, Digest};
-use alpha_wire::{AckCommit, PreSignature};
+use alpha_wire::{AckCommit, PreSignature, PreSignatureView};
 
 use crate::batch::{S2BatchItem, S2Check};
 use crate::ProtocolError;
@@ -40,12 +40,40 @@ impl Presig {
         let valid = match &presig {
             PreSignature::Cumulative(macs) => !macs.is_empty(),
             PreSignature::MerkleRoot { leaves, .. } => *leaves > 0,
-            PreSignature::MerkleForest(trees) => trees.split_last().is_some_and(|(last, full)| {
-                let lpt = trees[0].leaves;
-                lpt > 0 && full.iter().all(|t| t.leaves == lpt) && last.leaves <= lpt
-            }),
+            PreSignature::MerkleForest(trees) => forest_maps(trees.iter().map(|t| t.leaves)),
         };
         valid.then_some(Presig(presig))
+    }
+
+    /// Whether [`Presig::new`] would take this datagram's pre-signature,
+    /// judged in place.
+    pub(crate) fn admits(view: &PreSignatureView<'_>) -> bool {
+        match view {
+            PreSignatureView::Cumulative(macs) => !macs.is_empty(),
+            PreSignatureView::MerkleRoot { leaves, .. } => *leaves > 0,
+            PreSignatureView::MerkleForest(trees) => forest_maps(trees.iter().map(|t| t.leaves)),
+        }
+    }
+
+    /// A pre-signature [`Presig::admits`] took, copied out of the
+    /// datagram into `spare`'s buffer when that holds one of the same
+    /// kind: a role that retires one buffered S1 per S1 it takes
+    /// allocates nothing in steady state.
+    pub(crate) fn copy_of(view: &PreSignatureView<'_>, spare: Option<Presig>) -> Presig {
+        let presig = match (view, spare.map(|p| p.0)) {
+            (PreSignatureView::Cumulative(macs), Some(PreSignature::Cumulative(mut buf))) => {
+                buf.clear();
+                buf.extend(macs.iter());
+                PreSignature::Cumulative(buf)
+            }
+            (PreSignatureView::MerkleForest(trees), Some(PreSignature::MerkleForest(mut buf))) => {
+                buf.clear();
+                buf.extend(trees.iter());
+                PreSignature::MerkleForest(buf)
+            }
+            (view, _) => view.to_presignature(),
+        };
+        Presig(presig)
     }
 
     /// A pre-signature that skipped [`Presig::new`], for tests that need
@@ -102,6 +130,23 @@ impl Presig {
             leaf_index,
         })
     }
+}
+
+/// Whether a forest's per-tree leaf counts, in order, map every sequence
+/// number to one `(tree, leaf)`: every tree but the last carries the
+/// first tree's non-zero count, and the last at most that many.
+fn forest_maps(mut leaves: impl Iterator<Item = u32>) -> bool {
+    let Some(per_tree) = leaves.next() else {
+        return false;
+    };
+    let mut last = per_tree;
+    for next in leaves {
+        if last != per_tree {
+            return false;
+        }
+        last = next;
+    }
+    per_tree > 0 && last <= per_tree
 }
 
 /// What both verifying roles keep of one S1: its chain index, its

@@ -37,7 +37,7 @@ use alpha_crypto::{Algorithm, Digest};
 use alpha_wire::{Packet, PreSignature, TreeDescriptor};
 
 use crate::exchange::{Announced, Presig};
-use crate::verifier::{AckState, BufferedExchange};
+use crate::verifier::{AckState, BufferedExchange, Received};
 use crate::Timestamp;
 
 /// Frozen form of a [`crate::SignerChannel`] (idle channels only).
@@ -258,13 +258,7 @@ fn write_opt_exchange(w: &mut impl Sink, ex: Option<&BufferedExchange>) {
     }
     // The received bitmap: message i is bit i % 8 of byte i / 8.
     w.u32(ex.received().len() as u32);
-    for flags in ex.received().chunks(8) {
-        let byte = flags
-            .iter()
-            .enumerate()
-            .fold(0u8, |byte, (bit, &got)| byte | u8::from(got) << bit);
-        w.u8(byte);
-    }
+    w.bytes(ex.received().bits());
     w.u64(ex.created_at.micros());
     match ex.first_s2_at {
         None => w.u8(0),
@@ -361,18 +355,8 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
     {
         return None;
     }
-    let bits = r.take(covered.div_ceil(8))?;
     // The last byte's bits past `covered` are padding, written as zeros.
-    let used = covered % 8;
-    if bits
-        .last()
-        .is_some_and(|&last| used != 0 && last >> used != 0)
-    {
-        return None;
-    }
-    let received = (0..covered)
-        .map(|i| bits[i / 8] & (1 << (i % 8)) != 0)
-        .collect();
+    let received = Received::from_bits(r.take(covered.div_ceil(8))?, covered)?;
     let created_at = Timestamp::from_micros(r.u64()?);
     let first_s2_at = match r.u8()? {
         0 => None,
@@ -544,7 +528,7 @@ mod tests {
         let bitmap = byte_of(mid_bundle(), |f| {
             let ex = f.verifier.current.as_mut().unwrap();
             let (s1, a1, ack) = (ex.s1.clone(), ex.a1.clone(), ex.ack.clone());
-            let flags = vec![true, false, false, true];
+            let flags = Received::from_flags(&[true, false, false, true]);
             let (key_index, key) = (ex.ack_key_index, ex.ack_key);
             let mut other =
                 BufferedExchange::new(s1, a1, key_index, key, ack, flags, ex.created_at);
@@ -584,7 +568,10 @@ mod tests {
     fn decode_refuses_records_thaw_could_not_serve() {
         let good = mid_bundle();
         let ex = good.verifier.current.as_ref().unwrap();
-        assert_eq!(ex.received(), [true, false, false, false]);
+        assert_eq!(
+            *ex.received(),
+            Received::from_flags(&[true, false, false, false])
+        );
         assert!(matches!(&ex.ack, AckState::Amt(amt) if amt.secrets().len() == 8));
         assert!(FrozenAssociation::decode(&good.encode()).is_some());
 

@@ -52,7 +52,9 @@ pub use batch::S2BatchItem;
 pub use error::ProtocolError;
 pub use freeze::FrozenAssociation;
 pub use limiter::{S1Limiter, SharedS1Limiter};
-pub use relay::{DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome};
+pub use relay::{
+    AssociationRelay, DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome,
+};
 pub use signer::message_mac;
 pub use signer::{SignerChannel, SignerEvent};
 pub use verifier::{S2Verdict, VerifierChannel};

@@ -11,21 +11,24 @@
 //! - the buffered pre-(n)ack commitments (Table 3) so it can verify
 //!   verdicts, which signalling protocols on relays need (§3.2.2).
 //!
-//! [`Relay::observe_view`] is the relay's one judgment: it returns a
-//! forwarding decision plus what it extracted ([`Relay::observe`] is an
-//! adapter onto it for owned packets). The S2 and A2 checks are the
-//! receiver's and the sender's own ([`crate::exchange`]); the relay adds
-//! its search over both directions and its policy. Forged S2s, replayed
-//! chain elements, and unsolicited traffic (S2 with no matching buffered
-//! pre-signature — i.e. data the receiver never agreed to with an A1) are
-//! dropped, which is ALPHA's flooding mitigation (§3.5). Packets of
-//! unknown associations are forwarded or dropped by
-//! [`RelayConfig::forward_unknown`] — forwarding supports the paper's
-//! incremental-deployment story.
+//! [`AssociationRelay::observe_view`] is the relay's one judgment of one
+//! association's packet: a forwarding decision plus what it extracted.
+//! [`Relay`] keeps one [`AssociationRelay`] per association id and
+//! dispatches on the packet's id ([`Relay::observe`] is an adapter for
+//! owned packets); the engine, whose relay flows are keyed by address
+//! pair and id already, holds one [`AssociationRelay`] per flow. The S2
+//! and A2 checks are the receiver's and the sender's own
+//! ([`crate::exchange`]); the relay adds its search over both directions
+//! and its policy. Forged S2s, replayed chain elements, and unsolicited
+//! traffic (S2 with no matching buffered pre-signature — i.e. data the
+//! receiver never agreed to with an A1) are dropped, which is ALPHA's
+//! flooding mitigation (§3.5). Packets of unknown associations are
+//! forwarded or dropped by [`RelayConfig::forward_unknown`] — forwarding
+//! supports the paper's incremental-deployment story.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
-use alpha_crypto::chain::{ChainVerifier, Role};
+use alpha_crypto::chain::{ChainError, ChainVerifier, Role};
 use alpha_crypto::preack::AckDisclosure;
 use alpha_crypto::{Algorithm, Digest};
 use alpha_wire::{
@@ -145,6 +148,13 @@ pub struct RelayViewOutcome {
 struct DirectionState {
     sig: ChainVerifier,
     ack: ChainVerifier,
+    /// The acknowledgment tracker the receiver's last renewal replaced.
+    /// A receiver answers an S1 from whichever chain it held when the S1
+    /// arrived (as [`crate::SignerChannel`] keeps its peer's replaced
+    /// tracker), so the exchange in flight across a renewal is still
+    /// answered from the old chain. Retired by the first A1 announced
+    /// on the new one.
+    ack_prev: Option<ChainVerifier>,
     /// Outstanding exchange announced by the last S1 in this direction.
     exchange: Option<RelayExchange>,
     /// The superseded exchange, kept so reordered trailing S2s still
@@ -164,9 +174,42 @@ impl DirectionState {
         DirectionState {
             sig: track(RoleBoundSignature, sig),
             ack: track(RoleBoundAck, ack),
+            ack_prev: None,
             exchange: None,
             prev_exchange: None,
         }
+    }
+
+    /// Authenticate an element of the receiver's acknowledgment chain
+    /// ([`chain_step`]): on the current anchor, else on the one a renewal
+    /// replaced. Each tracker only moves when it accepts.
+    fn ack_step(&mut self, index: u64, element: &Digest, role: Role) -> Result<bool, ChainError> {
+        match chain_step(&mut self.ack, index, element, role) {
+            Ok(repeat) => {
+                if !repeat && role == Role::Announce {
+                    self.ack_prev = None;
+                }
+                Ok(repeat)
+            }
+            Err(e) => match &mut self.ack_prev {
+                Some(prev) => chain_step(prev, index, element, role).map_err(|_| e),
+                None => Err(e),
+            },
+        }
+    }
+
+    /// Bytes buffered in this direction for digests of length `h`.
+    fn stored_bytes(&self, h: usize) -> usize {
+        let chains = self.sig.stored_bytes()
+            + self.ack.stored_bytes()
+            + self
+                .ack_prev
+                .as_ref()
+                .map_or(0, ChainVerifier::stored_bytes);
+        let ex = self.exchange.as_ref().map_or(0, |ex| {
+            ex.s1.presig.stored_bytes(h) + ex.commit.as_ref().map_or(0, Commit::stored_bytes)
+        });
+        chains + ex
     }
 }
 
@@ -198,10 +241,289 @@ struct RelayAssociation {
     learned_init: Option<(Digest, u64, Digest, u64)>,
 }
 
-/// A forwarding node that authenticates ALPHA traffic in transit.
+/// What a relay keeps of one association, and its judgment of that
+/// association's packets. A [`Relay`] holds one per association id it
+/// has seen a handshake for; a caller that has already sorted traffic by
+/// association (the engine keys a relay flow by address pair and id)
+/// holds one directly, so no packet hashes its association id twice.
+pub struct AssociationRelay {
+    cfg: RelayConfig,
+    assoc_id: u64,
+    /// `None` until an HS1 is seen, and again once a verified Close
+    /// released the state: the association is then unknown, exactly as
+    /// one never seen.
+    state: Option<RelayAssociation>,
+}
+
+impl AssociationRelay {
+    /// Relay state for association `assoc_id`, with nothing learned.
+    #[must_use]
+    pub fn new(cfg: RelayConfig, assoc_id: u64) -> AssociationRelay {
+        AssociationRelay {
+            cfg,
+            assoc_id,
+            state: None,
+        }
+    }
+
+    /// Whether the association is tracked: an HS1 was seen and no Close
+    /// has released it since.
+    #[must_use]
+    pub fn is_tracked(&self) -> bool {
+        self.state.is_some()
+    }
+
+    /// Bytes of protocol state buffered for the association — the relay
+    /// columns of Tables 2 and 3.
+    #[must_use]
+    pub fn buffered_bytes(&self) -> usize {
+        self.state.as_ref().map_or(0, |a| {
+            let h = a.alg.digest_len();
+            a.fwd.stored_bytes(h) + a.rev.stored_bytes(h)
+        })
+    }
+
+    /// Observe one borrowed packet view of this association in transit:
+    /// the relay's one judgment. `wire_len` is the encoded length of the
+    /// packet (the slice it was parsed from) and is what the S1 flood
+    /// limiter charges. The outcome carries no payload bytes; a caller
+    /// that extracts verified payloads copies the view's own payload
+    /// slice exactly once. An S2 is judged as a run of one
+    /// ([`AssociationRelay::observe_s2_run`]).
+    pub fn observe_view(
+        &mut self,
+        view: &PacketView<'_>,
+        wire_len: usize,
+        now: Timestamp,
+    ) -> (RelayDecision, RelayViewOutcome) {
+        debug_assert_eq!(view.assoc_id, self.assoc_id, "a packet of this association");
+        if let Some(item) = S2BatchItem::from_view(view) {
+            let mut verdict = (
+                RelayDecision::Drop(DropReason::Malformed),
+                RelayViewOutcome::default(),
+            );
+            self.s2_run(std::slice::from_ref(&item), now, &mut |v| verdict = v);
+            return verdict;
+        }
+        match &view.body {
+            BodyView::Handshake(h) => {
+                // Handshakes are rare (one pair per association): going
+                // through the owned body here is off the hot path.
+                let hs = h.to_handshake();
+                let (decision, learned) = self.observe_handshake(view.alg, &hs);
+                (
+                    decision,
+                    RelayViewOutcome {
+                        learned,
+                        ..RelayViewOutcome::default()
+                    },
+                )
+            }
+            _ => self.observe_view_data(view, wire_len, now),
+        }
+    }
+
+    /// Observe a run of S2 packets of this association in one call,
+    /// handing each packet's decision to `sink` in input order. The
+    /// decisions are exactly what a packet-by-packet
+    /// [`AssociationRelay::observe_view`] sequence would have produced:
+    /// the run is verified chunk by chunk ([`crate::batch`]), chain
+    /// acceptance and structural checks still run strictly in order,
+    /// only the independent MAC / Merkle digests are batched, and a
+    /// payload that could carry a relay-visible control message (signal
+    /// or chain renewal) is a chunk of its own so its state changes order
+    /// correctly with its neighbours. Nothing is allocated.
+    pub fn observe_s2_run(
+        &mut self,
+        items: &[S2BatchItem<'_>],
+        now: Timestamp,
+        sink: &mut dyn FnMut((RelayDecision, RelayViewOutcome)),
+    ) {
+        for chunk in batch::chunks(items) {
+            self.s2_run(chunk, now, sink);
+        }
+    }
+
+    fn observe_handshake(
+        &mut self,
+        alg: Algorithm,
+        hs: &alpha_wire::Handshake,
+    ) -> (RelayDecision, Option<u64>) {
+        // Relays learn anchors by watching the handshake (§3.4). The relay
+        // cannot judge handshake authenticity (that is the endpoints' PK
+        // check); it only records anchors.
+        let cfg = self.cfg;
+        match hs.role {
+            HandshakeRole::Init => {
+                let init = (
+                    hs.sig_anchor,
+                    hs.sig_anchor_index,
+                    hs.ack_anchor,
+                    hs.ack_anchor_index,
+                );
+                let a = self.state.get_or_insert_with(|| {
+                    RelayAssociation::placeholder(alg, cfg.s1_bytes_per_sec, cfg.max_skip)
+                });
+                // A retransmitted HS1 (reply still in flight when the
+                // initiator's timer fired) carries the anchors already
+                // learned: forward it untouched. Re-arming `pending_init`
+                // here would flip a learned association back to
+                // handshake-incomplete and silently unverify everything
+                // that follows. Different anchors are a genuine new
+                // handshake and restart learning as before.
+                if a.learned_init != Some(init) {
+                    a.pending_init = Some(init);
+                }
+                (RelayDecision::Forward, None)
+            }
+            HandshakeRole::Reply => {
+                let Some(a) = self.state.as_mut() else {
+                    return (RelayDecision::Forward, None);
+                };
+                let Some((isig, isig_i, iack, iack_i)) = a.pending_init.take() else {
+                    return (RelayDecision::Forward, None);
+                };
+                let dir = |sig, ack| DirectionState::new(alg, cfg.max_skip, sig, ack);
+                a.alg = alg;
+                a.fwd = dir((isig, isig_i), (hs.ack_anchor, hs.ack_anchor_index));
+                a.rev = dir((hs.sig_anchor, hs.sig_anchor_index), (iack, iack_i));
+                a.learned_init = Some((isig, isig_i, iack, iack_i));
+                (RelayDecision::Forward, Some(self.assoc_id))
+            }
+        }
+    }
+
+    /// Common preamble for data packets: handshake completeness and
+    /// algorithm agreement. `Err` carries the decision to return
+    /// directly.
+    fn data_assoc(&mut self, alg: Algorithm) -> Result<&mut RelayAssociation, RelayDecision> {
+        let unknown = if self.cfg.forward_unknown {
+            RelayDecision::Forward
+        } else {
+            RelayDecision::Drop(DropReason::UnknownAssociation)
+        };
+        let Some(a) = self.state.as_mut() else {
+            return Err(unknown);
+        };
+        if a.pending_init.is_some() {
+            // Handshake incomplete: chains unknown; treat as unknown assoc.
+            return Err(unknown);
+        }
+        if alg != a.alg {
+            return Err(RelayDecision::Drop(DropReason::Malformed));
+        }
+        Ok(a)
+    }
+
+    fn observe_view_data(
+        &mut self,
+        view: &PacketView<'_>,
+        wire_len: usize,
+        now: Timestamp,
+    ) -> (RelayDecision, RelayViewOutcome) {
+        let none = RelayViewOutcome::default();
+        let a = match self.data_assoc(view.alg) {
+            Ok(a) => a,
+            Err(decision) => return (decision, none),
+        };
+        match &view.body {
+            BodyView::S1 { element, presig } => {
+                let decision = s1_parts(a, view.chain_index, element, wire_len, now, presig);
+                (decision, none)
+            }
+            BodyView::A1 { element, commit } => {
+                (a1_parts(a, view.chain_index, element, commit), none)
+            }
+            BodyView::A2 {
+                element,
+                disclosure,
+            } => match a2_parts(a, view.chain_index, element, disclosure) {
+                Err(reason) => (RelayDecision::Drop(reason), none),
+                Ok(verdicts) => (
+                    RelayDecision::Forward,
+                    RelayViewOutcome {
+                        verdicts,
+                        ..RelayViewOutcome::default()
+                    },
+                ),
+            },
+            // Allowlist: `observe_view` dispatches S2s and handshakes
+            // before reaching here, so no network input can hit this arm.
+            BodyView::S2 { .. } | BodyView::Handshake(_) => unreachable!("handled by observe_view"),
+        }
+    }
+
+    /// One chunk ([`batch::chunks`]; a lone S2 is a chunk of one):
+    /// prepare every packet in order, compute the pending digests in
+    /// one batched sweep, then finish in order, handing each packet's
+    /// decision to `sink`.
+    fn s2_run(
+        &mut self,
+        run: &[S2BatchItem<'_>],
+        now: Timestamp,
+        sink: &mut dyn FnMut((RelayDecision, RelayViewOutcome)),
+    ) {
+        let cfg = self.cfg;
+        let n = run.len();
+        // Phase 1: sequential prepare; `Err` holds packets decided
+        // without crypto.
+        let mut prepared = [Ok(S2Prepared::Unverified); RUN];
+        for (slot, item) in prepared.iter_mut().zip(run) {
+            *slot = self
+                .data_assoc(item.alg)
+                .and_then(|a| s2_prepare(&cfg, a, item).map_err(RelayDecision::Drop));
+        }
+        // Phase 2: batched crypto. Every checked packet carries the
+        // association's algorithm (`data_assoc` enforced it); with no
+        // association every packet was decided in phase 1 and the
+        // fallback algorithm hashes nothing.
+        let alg = self.state.as_ref().map_or(Algorithm::Sha1, |a| a.alg);
+        let check = |k: usize| match prepared[k] {
+            Ok(S2Prepared::Check { check, .. }) => Some(check),
+            _ => None,
+        };
+        let mut passed = [false; RUN];
+        batch::run_checks(alg, cfg.mac_scheme, run, check, &mut passed[..n]);
+        // Phase 3: sequential finish, in input order.
+        for (k, item) in run.iter().enumerate() {
+            let none = RelayViewOutcome::default;
+            let verdict = match prepared[k] {
+                Err(decision) => (decision, none()),
+                Ok(S2Prepared::Unverified) => (RelayDecision::Forward, none()),
+                Ok(S2Prepared::Check { .. }) if !passed[k] => {
+                    (RelayDecision::Drop(DropReason::BadMac), none())
+                }
+                Ok(S2Prepared::Check { is_fwd, .. }) => {
+                    // Allowlist: phase 1 found the association, and only
+                    // a Close signal releases it — a control payload, so
+                    // always the last (only) packet of its chunk.
+                    let a = self.state.as_mut().expect("present in phase 1");
+                    match s2_finish(&cfg, a, is_fwd, item.payload, now) {
+                        Err(reason) => (RelayDecision::Drop(reason), none()),
+                        Ok(close) => {
+                            if close {
+                                self.state = None;
+                            }
+                            let outcome = RelayViewOutcome {
+                                verified_s2: Some((is_fwd, item.seq)),
+                                ..none()
+                            };
+                            (RelayDecision::Forward, outcome)
+                        }
+                    }
+                }
+            };
+            sink(verdict);
+        }
+    }
+}
+
+/// A forwarding node that authenticates ALPHA traffic in transit: one
+/// [`AssociationRelay`] per association it tracks, found by the
+/// packet's association id.
 pub struct Relay {
     cfg: RelayConfig,
-    assocs: HashMap<u64, RelayAssociation>,
+    assocs: HashMap<u64, AssociationRelay>,
 }
 
 impl Relay {
@@ -225,25 +547,19 @@ impl Relay {
     /// (the scalability argument of §3.1.1).
     #[must_use]
     pub fn total_buffered_bytes(&self) -> usize {
-        self.assocs.keys().map(|id| self.buffered_bytes(*id)).sum()
+        self.assocs
+            .values()
+            .map(AssociationRelay::buffered_bytes)
+            .sum()
     }
 
     /// Bytes of protocol state buffered for `assoc_id` — the relay columns
     /// of Tables 2 and 3.
     #[must_use]
     pub fn buffered_bytes(&self, assoc_id: u64) -> usize {
-        let Some(a) = self.assocs.get(&assoc_id) else {
-            return 0;
-        };
-        let h = a.alg.digest_len();
-        let dir = |d: &DirectionState| -> usize {
-            let chains = d.sig.stored_bytes() + d.ack.stored_bytes();
-            let ex = d.exchange.as_ref().map_or(0, |ex| {
-                ex.s1.presig.stored_bytes(h) + ex.commit.as_ref().map_or(0, Commit::stored_bytes)
-            });
-            chains + ex
-        };
-        dir(&a.fwd) + dir(&a.rev)
+        self.assocs
+            .get(&assoc_id)
+            .map_or(0, AssociationRelay::buffered_bytes)
     }
 
     /// Pre-register an association (static bootstrapping, §3.4: base
@@ -258,19 +574,19 @@ impl Relay {
         resp_ack: (Digest, u64),
     ) {
         let dir = |sig, ack| DirectionState::new(alg, self.cfg.max_skip, sig, ack);
-        self.assocs.insert(
-            assoc_id,
-            RelayAssociation {
-                alg,
-                fwd: dir(init_sig, resp_ack),
-                rev: dir(resp_sig, init_ack),
-                limiter: S1Limiter::new(self.cfg.s1_bytes_per_sec),
-                data_cap_fwd: None,
-                data_cap_rev: None,
-                pending_init: None,
-                learned_init: Some((init_sig.0, init_sig.1, init_ack.0, init_ack.1)),
-            },
-        );
+        let state = RelayAssociation {
+            alg,
+            fwd: dir(init_sig, resp_ack),
+            rev: dir(resp_sig, init_ack),
+            limiter: S1Limiter::new(self.cfg.s1_bytes_per_sec),
+            data_cap_fwd: None,
+            data_cap_rev: None,
+            pending_init: None,
+            learned_init: Some((init_sig.0, init_sig.1, init_ack.0, init_ack.1)),
+        };
+        let mut relay = AssociationRelay::new(self.cfg, assoc_id);
+        relay.state = Some(state);
+        self.assocs.insert(assoc_id, relay);
     }
 
     /// Observe one owned packet in transit. Returns the forwarding
@@ -310,172 +626,23 @@ impl Relay {
         (decision, events)
     }
 
-    /// Observe one borrowed packet view in transit: the relay's one
-    /// judgment. `wire_len` is the encoded length of the packet (the
-    /// slice it was parsed from) and is what the S1 flood limiter
-    /// charges. The outcome carries no payload bytes; a caller that
-    /// extracts verified payloads copies the view's own payload slice
-    /// exactly once. An S2 is judged as a run of one
-    /// ([`Relay::observe_s2_batch`]).
+    /// Observe one borrowed packet view in transit:
+    /// [`AssociationRelay::observe_view`] on the packet's association.
     pub fn observe_view(
         &mut self,
         view: &PacketView<'_>,
         wire_len: usize,
         now: Timestamp,
     ) -> (RelayDecision, RelayViewOutcome) {
-        if let Some(item) = S2BatchItem::from_view(view) {
-            let mut verdict = (
-                RelayDecision::Drop(DropReason::Malformed),
-                RelayViewOutcome::default(),
-            );
-            self.s2_run(view.assoc_id, std::slice::from_ref(&item), now, &mut |v| {
-                verdict = v;
-            });
-            return verdict;
-        }
-        match &view.body {
-            BodyView::Handshake(h) => {
-                // Handshakes are rare (one pair per association): going
-                // through the owned body here is off the hot path.
-                let hs = h.to_handshake();
-                let (decision, learned) = self.observe_handshake(view.assoc_id, view.alg, &hs);
-                (
-                    decision,
-                    RelayViewOutcome {
-                        learned,
-                        ..RelayViewOutcome::default()
-                    },
-                )
-            }
-            _ => self.observe_view_data(view, wire_len, now),
-        }
+        let learns = matches!(&view.body, BodyView::Handshake(h) if h.role == HandshakeRole::Init);
+        self.judge(view.assoc_id, learns, |a| {
+            a.observe_view(view, wire_len, now)
+        })
     }
 
-    fn observe_handshake(
-        &mut self,
-        assoc_id: u64,
-        alg: Algorithm,
-        hs: &alpha_wire::Handshake,
-    ) -> (RelayDecision, Option<u64>) {
-        // Relays learn anchors by watching the handshake (§3.4). The relay
-        // cannot judge handshake authenticity (that is the endpoints' PK
-        // check); it only records anchors.
-        match hs.role {
-            HandshakeRole::Init => {
-                let init = (
-                    hs.sig_anchor,
-                    hs.sig_anchor_index,
-                    hs.ack_anchor,
-                    hs.ack_anchor_index,
-                );
-                let entry = self.assocs.entry(assoc_id).or_insert_with(|| {
-                    RelayAssociation::placeholder(alg, self.cfg.s1_bytes_per_sec, self.cfg.max_skip)
-                });
-                // A retransmitted HS1 (reply still in flight when the
-                // initiator's timer fired) carries the anchors already
-                // learned: forward it untouched. Re-arming `pending_init`
-                // here would flip a learned association back to
-                // handshake-incomplete and silently unverify everything
-                // that follows. Different anchors are a genuine new
-                // handshake and restart learning as before.
-                if entry.learned_init != Some(init) {
-                    entry.pending_init = Some(init);
-                }
-                (RelayDecision::Forward, None)
-            }
-            HandshakeRole::Reply => {
-                let Some(a) = self.assocs.get_mut(&assoc_id) else {
-                    return (RelayDecision::Forward, None);
-                };
-                let Some((isig, isig_i, iack, iack_i)) = a.pending_init.take() else {
-                    return (RelayDecision::Forward, None);
-                };
-                let dir = |sig, ack| DirectionState::new(alg, self.cfg.max_skip, sig, ack);
-                a.alg = alg;
-                a.fwd = dir((isig, isig_i), (hs.ack_anchor, hs.ack_anchor_index));
-                a.rev = dir((hs.sig_anchor, hs.sig_anchor_index), (iack, iack_i));
-                a.learned_init = Some((isig, isig_i, iack, iack_i));
-                (RelayDecision::Forward, Some(assoc_id))
-            }
-        }
-    }
-
-    /// Common preamble for data packets: association lookup, handshake
-    /// completeness, and algorithm agreement. `Err` carries the decision
-    /// to return directly.
-    fn data_assoc(
-        &mut self,
-        assoc_id: u64,
-        alg: Algorithm,
-    ) -> Result<&mut RelayAssociation, RelayDecision> {
-        let forward_unknown = self.cfg.forward_unknown;
-        let unknown = || {
-            if forward_unknown {
-                RelayDecision::Forward
-            } else {
-                RelayDecision::Drop(DropReason::UnknownAssociation)
-            }
-        };
-        let Some(a) = self.assocs.get_mut(&assoc_id) else {
-            return Err(unknown());
-        };
-        if a.pending_init.is_some() {
-            // Handshake incomplete: chains unknown; treat as unknown assoc.
-            return Err(unknown());
-        }
-        if alg != a.alg {
-            return Err(RelayDecision::Drop(DropReason::Malformed));
-        }
-        Ok(a)
-    }
-
-    fn observe_view_data(
-        &mut self,
-        view: &PacketView<'_>,
-        wire_len: usize,
-        now: Timestamp,
-    ) -> (RelayDecision, RelayViewOutcome) {
-        let none = RelayViewOutcome::default();
-        let a = match self.data_assoc(view.assoc_id, view.alg) {
-            Ok(a) => a,
-            Err(decision) => return (decision, none),
-        };
-        match &view.body {
-            BodyView::S1 { element, presig } => {
-                let decision = s1_parts(a, view.chain_index, element, wire_len, now, presig);
-                (decision, none)
-            }
-            BodyView::A1 { element, commit } => {
-                (a1_parts(a, view.chain_index, element, commit), none)
-            }
-            BodyView::A2 {
-                element,
-                disclosure,
-            } => match a2_parts(a, view.chain_index, element, disclosure) {
-                Err(reason) => (RelayDecision::Drop(reason), none),
-                Ok(verdicts) => (
-                    RelayDecision::Forward,
-                    RelayViewOutcome {
-                        verdicts,
-                        ..RelayViewOutcome::default()
-                    },
-                ),
-            },
-            // Allowlist: `observe_view` dispatches S2s and handshakes
-            // before reaching here, so no network input can hit this arm.
-            BodyView::S2 { .. } | BodyView::Handshake(_) => unreachable!("handled by observe_view"),
-        }
-    }
-
-    /// Observe a run of S2 packets of one association in one call.
-    /// Decisions come back in input order and are exactly what a
-    /// packet-by-packet [`Relay::observe_view`] sequence would have
-    /// produced: the run is verified chunk by chunk
-    /// ([`crate::batch`]), chain acceptance and structural checks still
-    /// run strictly in order, only the independent MAC / Merkle digests
-    /// are batched, and a payload that could carry a relay-visible
-    /// control message (signal or chain renewal) is a chunk of its own so
-    /// its state changes order correctly with its neighbours.
+    /// Observe a run of S2 packets of one association in one call
+    /// ([`AssociationRelay::observe_s2_run`]); decisions come back in
+    /// input order.
     pub fn observe_s2_batch(
         &mut self,
         assoc_id: u64,
@@ -483,95 +650,49 @@ impl Relay {
         now: Timestamp,
     ) -> Vec<(RelayDecision, RelayViewOutcome)> {
         let mut out = Vec::with_capacity(items.len());
-        for chunk in batch::chunks(items) {
-            self.s2_run(assoc_id, chunk, now, &mut |v| out.push(v));
-        }
+        self.judge(assoc_id, false, |a| {
+            a.observe_s2_run(items, now, &mut |v| out.push(v));
+        });
         out
     }
 
-    /// One chunk ([`batch::chunks`]; a lone S2 is a chunk of one):
-    /// prepare every packet in order, compute the pending digests in
-    /// one batched sweep, then finish in order, handing each packet's
-    /// decision to `sink`.
-    fn s2_run(
+    /// Let `assoc_id`'s relay state judge — stood up first when the
+    /// packet `learns` it (an HS1); an association with none judges as a
+    /// fresh one does — and release the state if the judgment left
+    /// nothing tracked (a verified Close).
+    fn judge<R>(
         &mut self,
         assoc_id: u64,
-        run: &[S2BatchItem<'_>],
-        now: Timestamp,
-        sink: &mut dyn FnMut((RelayDecision, RelayViewOutcome)),
-    ) {
+        learns: bool,
+        judge: impl FnOnce(&mut AssociationRelay) -> R,
+    ) -> R {
         let cfg = self.cfg;
-        let n = run.len();
-        // Phase 1: sequential prepare; `Err` holds packets decided
-        // without crypto.
-        let mut prepared = [Ok(S2Prepared::Unverified); RUN];
-        for (slot, item) in prepared.iter_mut().zip(run) {
-            *slot = self
-                .data_assoc(assoc_id, item.alg)
-                .and_then(|a| s2_prepare(&cfg, a, item).map_err(RelayDecision::Drop));
-        }
-        // Phase 2: batched crypto. Every checked packet carries the
-        // association's algorithm (`data_assoc` enforced it); with no
-        // association every packet was decided in phase 1 and the
-        // fallback algorithm hashes nothing.
-        let alg = self
-            .assocs
-            .get(&assoc_id)
-            .map_or(Algorithm::Sha1, |a| a.alg);
-        let check = |k: usize| match prepared[k] {
-            Ok(S2Prepared::Check { check, .. }) => Some(check),
-            _ => None,
+        let mut slot = match self.assocs.entry(assoc_id) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(vacant) if learns => {
+                vacant.insert_entry(AssociationRelay::new(cfg, assoc_id))
+            }
+            Entry::Vacant(_) => return judge(&mut AssociationRelay::new(cfg, assoc_id)),
         };
-        let mut passed = [false; RUN];
-        batch::run_checks(alg, cfg.mac_scheme, run, check, &mut passed[..n]);
-        // Phase 3: sequential finish, in input order.
-        for (k, item) in run.iter().enumerate() {
-            let none = RelayViewOutcome::default;
-            let verdict = match prepared[k] {
-                Err(decision) => (decision, none()),
-                Ok(S2Prepared::Unverified) => (RelayDecision::Forward, none()),
-                Ok(S2Prepared::Check { .. }) if !passed[k] => {
-                    (RelayDecision::Drop(DropReason::BadMac), none())
-                }
-                Ok(S2Prepared::Check { is_fwd, .. }) => {
-                    // Allowlist: phase 1 found the association, and only
-                    // a Close signal removes it — a control payload, so
-                    // always the last (only) packet of its chunk.
-                    let a = self.assocs.get_mut(&assoc_id).expect("present in phase 1");
-                    match s2_finish(&cfg, a, is_fwd, item.payload, now) {
-                        Err(reason) => (RelayDecision::Drop(reason), none()),
-                        Ok(close) => {
-                            if close {
-                                self.assocs.remove(&assoc_id);
-                            }
-                            let outcome = RelayViewOutcome {
-                                verified_s2: Some((is_fwd, item.seq)),
-                                ..none()
-                            };
-                            (RelayDecision::Forward, outcome)
-                        }
-                    }
-                }
-            };
-            sink(verdict);
+        let verdict = judge(slot.get_mut());
+        if !slot.get().is_tracked() {
+            slot.remove();
         }
+        verdict
     }
 }
 
 /// The relay's search over both directions (`fwd`, `rev`): the first
-/// whose chain (`sig` or `ack`, picked by `chain`) takes `element` at
-/// `index` in `role` ([`chain_step`]), and whether the element was a
-/// repeat. A direction that refuses it is left unchanged, so a failed
-/// first attempt costs one wasted check and nothing else.
-fn find_direction<'a>(
-    dirs: [&'a mut DirectionState; 2],
-    chain: impl Fn(&mut DirectionState) -> &mut ChainVerifier,
-    index: u64,
-    element: &Digest,
-    role: Role,
-) -> Option<(&'a mut DirectionState, bool)> {
+/// whose chain takes the element (`step` authenticates it on the `sig`
+/// or `ack` chain), and whether the element was a repeat. A direction
+/// that refuses it is left unchanged, so a failed first attempt costs
+/// one wasted check and nothing else.
+fn find_direction(
+    dirs: [&mut DirectionState; 2],
+    step: impl Fn(&mut DirectionState) -> Result<bool, ChainError>,
+) -> Option<(&mut DirectionState, bool)> {
     dirs.into_iter().find_map(|d| {
-        let repeat = chain_step(chain(d), index, element, role).ok()?;
+        let repeat = step(d).ok()?;
         Some((d, repeat))
     })
 }
@@ -594,13 +715,9 @@ fn s1_parts(
     // the sender. A retransmitted S1 (lost A1 — the paper stresses
     // that S1 and A1 need robust retransmission) carries the already
     // accepted element: recognize and forward it.
-    let Some((dir, duplicate)) = find_direction(
-        [&mut a.fwd, &mut a.rev],
-        |d| &mut d.sig,
-        chain_index,
-        element,
-        Role::Announce,
-    ) else {
+    let Some((dir, duplicate)) = find_direction([&mut a.fwd, &mut a.rev], |d| {
+        chain_step(&mut d.sig, chain_index, element, Role::Announce)
+    }) else {
         return RelayDecision::Drop(DropReason::BadChainElement);
     };
     // Duplicates also pay (an attacker replaying a captured S1
@@ -611,11 +728,9 @@ fn s1_parts(
     if !a.limiter.allow(wire_len as u64, now) {
         return RelayDecision::Drop(DropReason::RateLimited);
     }
-    // The buffered state must outlive the datagram: the relay's one
-    // deliberate S1 copy.
-    let Some(presig) = Presig::new(presig.to_presignature()) else {
+    if !Presig::admits(presig) {
         return RelayDecision::Drop(DropReason::Malformed);
-    };
+    }
     // First-seen pre-signature wins for a given chain element;
     // the S1's content only becomes checkable at S2 time, so a
     // duplicate is never allowed to overwrite buffered state.
@@ -625,12 +740,15 @@ fn s1_parts(
             .as_ref()
             .is_some_and(|ex| ex.s1.index == chain_index);
     if !keep {
+        // The buffered state must outlive the datagram: the relay's one
+        // deliberate S1 copy, into the buffer of the exchange it retires.
+        let spare = dir.prev_exchange.take().map(|ex| ex.s1.presig);
         dir.prev_exchange = dir.exchange.take();
         dir.exchange = Some(RelayExchange {
             s1: Announced {
                 index: chain_index,
                 announce: *element,
-                presig,
+                presig: Presig::copy_of(presig, spare),
             },
             commit: None,
         });
@@ -649,13 +767,9 @@ fn a1_parts(
     // belongs to the direction whose exchange it answers. A1
     // replays (answering a retransmitted S1) carry the already
     // accepted element and are forwarded as-is.
-    match find_direction(
-        [&mut a.fwd, &mut a.rev],
-        |d| &mut d.ack,
-        chain_index,
-        element,
-        Role::Announce,
-    ) {
+    match find_direction([&mut a.fwd, &mut a.rev], |d| {
+        d.ack_step(chain_index, element, Role::Announce)
+    }) {
         None => RelayDecision::Drop(DropReason::BadChainElement),
         Some((dir, false)) => {
             if let Some(ex) = dir.exchange.as_mut() {
@@ -683,32 +797,40 @@ enum S2Prepared {
 
 /// Phase 1 of S2 processing: the direction and exchange the S2 claims,
 /// then the receiver's own key and shape check
-/// ([`Announced::s2_check`]). The chain verifier advances *before* the
-/// MAC/Merkle check runs, as one packet at a time would, so deferring
-/// the crypto to a batch changes nothing observable.
+/// ([`Announced::s2_check`]). Both directions can hold an exchange at
+/// the same chain index (two ends signing at once, their chains in
+/// step), so the S2 belongs to the one whose signature chain takes its
+/// key; a direction that refuses it is left unchanged. The chain
+/// verifier advances *before* the MAC/Merkle check runs, as one packet
+/// at a time would, so deferring the crypto to a batch changes nothing
+/// observable.
 fn s2_prepare(
     cfg: &RelayConfig,
     a: &mut RelayAssociation,
     item: &S2BatchItem<'_>,
 ) -> Result<S2Prepared, DropReason> {
     let alg = a.alg;
-    let judged = [(&mut a.fwd, true), (&mut a.rev, false)]
-        .into_iter()
-        .find_map(|(d, is_fwd)| {
-            let (current, ex) = exchange::claimed(
-                d.exchange.as_ref(),
-                d.prev_exchange.as_ref(),
-                |ex| &ex.s1,
-                item.chain_index,
-            )?;
-            Some((is_fwd, ex.s1.s2_check(alg, &mut d.sig, current, item)))
-        });
-    match judged {
-        None if cfg.drop_unsolicited => Err(DropReason::Unsolicited),
-        None => Ok(S2Prepared::Unverified),
-        Some((_, Err(_))) => Err(DropReason::BadChainElement),
-        Some((_, Ok(None))) => Err(DropReason::BadMac),
-        Some((is_fwd, Ok(Some(check)))) => Ok(S2Prepared::Check { is_fwd, check }),
+    let mut claimed = false;
+    for (d, is_fwd) in [(&mut a.fwd, true), (&mut a.rev, false)] {
+        let Some((current, ex)) = exchange::claimed(
+            d.exchange.as_ref(),
+            d.prev_exchange.as_ref(),
+            |ex| &ex.s1,
+            item.chain_index,
+        ) else {
+            continue;
+        };
+        claimed = true;
+        match ex.s1.s2_check(alg, &mut d.sig, current, item) {
+            Err(_) => continue,
+            Ok(None) => return Err(DropReason::BadMac),
+            Ok(Some(check)) => return Ok(S2Prepared::Check { is_fwd, check }),
+        }
+    }
+    match claimed {
+        true => Err(DropReason::BadChainElement),
+        false if cfg.drop_unsolicited => Err(DropReason::Unsolicited),
+        false => Ok(S2Prepared::Unverified),
     }
 }
 
@@ -755,7 +877,9 @@ fn s2_finish(
     }
     // Chain renewals ride inside verified payloads; the relay
     // re-anchors the sender's chains (its signature chain in
-    // this direction, its acknowledgment chain in the other).
+    // this direction, its acknowledgment chain in the other). The
+    // replaced acknowledgment tracker stays: the other direction's
+    // exchange in flight is answered from the old chain.
     if let Some(anchors) = crate::renewal::parse(alg, payload) {
         let skip = cfg.max_skip;
         use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
@@ -767,8 +891,9 @@ fn s2_finish(
         sig_dir.sig = ChainVerifier::new(alg, RoleBoundSignature, anchors.sig.0, anchors.sig.1)
             .with_max_skip(skip);
         sig_dir.exchange = None;
-        ack_dir.ack =
+        let renewed =
             ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1).with_max_skip(skip);
+        ack_dir.ack_prev = Some(std::mem::replace(&mut ack_dir.ack, renewed));
     }
     Ok(false)
 }
@@ -784,13 +909,9 @@ fn a2_parts(
     disclosure: &A2DisclosureView<'_>,
 ) -> Result<Vec<(u32, bool)>, DropReason> {
     let alg = a.alg;
-    let Some((dir, _)) = find_direction(
-        [&mut a.fwd, &mut a.rev],
-        |d| &mut d.ack,
-        chain_index,
-        element,
-        Role::Disclose,
-    ) else {
+    let Some((dir, _)) = find_direction([&mut a.fwd, &mut a.rev], |d| {
+        d.ack_step(chain_index, element, Role::Disclose)
+    }) else {
         return Err(DropReason::BadChainElement);
     };
     // No buffered commitment: cannot verify, forward as-is.

@@ -60,6 +60,88 @@ pub(crate) enum AckState {
     Amt(AckMerkleTree),
 }
 
+/// One flag per covered message — whether its S2 has verified — packed
+/// eight to a byte as the frozen record writes them: message `i` is bit
+/// `i % 8` of byte `i / 8`, and the last byte's bits past the count stay
+/// zero. A bundle claiming `MAX_LEAVES` messages costs 2 MiB, not 16.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Received {
+    bits: Vec<u8>,
+    len: usize,
+}
+
+impl Received {
+    /// `len` flags, none set.
+    pub(crate) fn none(len: usize) -> Received {
+        Received {
+            bits: vec![0; len.div_ceil(8)],
+            len,
+        }
+    }
+
+    /// `len` flags from their packed bytes; `None` unless there are
+    /// exactly enough bytes and every padding bit is zero.
+    pub(crate) fn from_bits(bits: &[u8], len: usize) -> Option<Received> {
+        let used = len % 8;
+        let padded = bits
+            .last()
+            .is_some_and(|&last| used != 0 && last >> used != 0);
+        (bits.len() == len.div_ceil(8) && !padded).then(|| Received {
+            bits: bits.to_vec(),
+            len,
+        })
+    }
+
+    /// Flags from one `bool` per message.
+    #[cfg(test)]
+    pub(crate) fn from_flags(flags: &[bool]) -> Received {
+        let mut r = Received::none(flags.len());
+        for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+            r.set(i);
+        }
+        r
+    }
+
+    /// Number of flags.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The packed bytes.
+    pub(crate) fn bits(&self) -> &[u8] {
+        &self.bits
+    }
+
+    /// Whether message `i` has arrived.
+    fn get(&self, i: usize) -> bool {
+        self.bits[i / 8] & (1 << (i % 8)) != 0
+    }
+
+    /// Set flag `i` (in range); true when it was clear.
+    fn set(&mut self, i: usize) -> bool {
+        let byte = &mut self.bits[i / 8];
+        let mask = 1 << (i % 8);
+        let first = *byte & mask == 0;
+        *byte |= mask;
+        first
+    }
+
+    /// Flags still clear.
+    fn count_missing(&self) -> usize {
+        self.len
+            - self
+                .bits
+                .iter()
+                .map(|b| b.count_ones() as usize)
+                .sum::<usize>()
+    }
+
+    /// The messages not yet arrived, in order.
+    fn missing(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len).filter(|&i| !self.get(i)).map(|i| i as u32)
+    }
+}
+
 /// One exchange the verifier answered with an A1: live in the channel,
 /// and as it is in a frozen record ([`crate::freeze`]) when the flow
 /// sleeps mid-bundle.
@@ -71,8 +153,8 @@ pub(crate) struct BufferedExchange {
     pub(crate) ack_key_index: u64,
     pub(crate) ack_key: Digest,
     pub(crate) ack: AckState,
-    received: Vec<bool>,
-    /// `received` entries still false, so completion is one comparison
+    received: Received,
+    /// `received` flags still clear, so completion is one comparison
     /// on every verified S2 rather than a scan of up to `MAX_LEAVES`.
     missing: usize,
     pub(crate) created_at: Timestamp,
@@ -93,7 +175,7 @@ impl BufferedExchange {
         ack_key_index: u64,
         ack_key: Digest,
         ack: AckState,
-        received: Vec<bool>,
+        received: Received,
         created_at: Timestamp,
     ) -> BufferedExchange {
         BufferedExchange {
@@ -102,7 +184,7 @@ impl BufferedExchange {
             ack_key_index,
             ack_key,
             ack,
-            missing: received.iter().filter(|&&r| !r).count(),
+            missing: received.count_missing(),
             received,
             created_at,
             first_s2_at: None,
@@ -111,15 +193,13 @@ impl BufferedExchange {
     }
 
     /// One flag per covered message: whether its S2 has verified.
-    pub(crate) fn received(&self) -> &[bool] {
+    pub(crate) fn received(&self) -> &Received {
         &self.received
     }
 
     /// Mark `seq` (in range) received; true on its first arrival.
     fn receive(&mut self, seq: u32) -> bool {
-        let slot = &mut self.received[seq as usize];
-        let first = !*slot;
-        *slot = true;
+        let first = self.received.set(seq as usize);
         self.missing -= usize::from(first);
         first
     }
@@ -296,7 +376,7 @@ impl VerifierChannel {
             announce: *element,
             presig,
         };
-        let received = vec![false; covered as usize];
+        let received = Received::none(covered as usize);
         let ex = BufferedExchange::new(s1, a1.clone(), ack_key_index, ack_key, ack, received, now);
         self.previous = self.current.replace(ex);
         Ok(Some(a1))
@@ -495,12 +575,7 @@ impl VerifierChannel {
                     && now.since(ex.last_nack_at) >= rto
                     && ex.missing > 0 =>
             {
-                ex.received
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &r)| !r)
-                    .map(|(i, _)| i as u32)
-                    .collect()
+                ex.received.missing().collect()
             }
             _ => return Vec::new(),
         };

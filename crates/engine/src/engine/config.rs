@@ -24,8 +24,9 @@ pub struct EngineConfig {
     /// own disjoint shard sets.
     pub shards: usize,
     /// Per-flow engine admission budget for S1/HS1 bytes per second
-    /// (`None` disables). This runs *before* any protocol processing,
-    /// under a shard read lock.
+    /// (`None` disables). This runs *before* any protocol processing:
+    /// on a relay flow under the lock its judgment takes anyway, on a
+    /// host flow under a shard read lock.
     pub s1_bytes_per_sec: Option<u64>,
     /// Global cap on bytes buffered across every relay flow's
     /// pre-signature stores. When exceeded, new S1s are shed until
@@ -197,7 +198,10 @@ impl From<ProtocolError> for EngineError {
 }
 
 /// Everything one engine call produced. The caller owns transmission
-/// (`datagrams`) and consumption (`delivered` / `extracted`).
+/// (`datagrams`) and consumption (`delivered` / `extracted`). What the
+/// call counted on its datagram path — packets and bytes in and out,
+/// verified S2s, the relay buffer gauge — reaches the metrics registry
+/// once, when the call returns.
 #[derive(Default)]
 pub struct EngineOutput {
     /// Datagrams to transmit, already bundled/chunked at wire limits.
@@ -208,9 +212,11 @@ pub struct EngineOutput {
     /// `(assoc_id, message index, payload)`.
     pub delivered: Vec<(u64, u32, Vec<u8>)>,
     /// Payloads verified in transit by relay-role flows.
-    pub extracted: Vec<(u64, Vec<u8>)>,
+    pub extracted: Extracted,
     /// Handshakes that completed during this call.
     pub completed: Vec<FlowKey>,
+    /// What the call has counted but not yet published.
+    pub(super) pending: Pending,
 }
 
 impl EngineOutput {
@@ -218,7 +224,144 @@ impl EngineOutput {
     pub fn absorb(&mut self, other: EngineOutput) {
         self.datagrams.extend(other.datagrams);
         self.delivered.extend(other.delivered);
-        self.extracted.extend(other.extracted);
+        self.extracted.append(&other.extracted);
         self.completed.extend(other.completed);
     }
+
+    /// An output for a call handling `burst` datagrams of `bytes` in
+    /// all: the datagram and extraction lists are sized for it on first
+    /// use, so a burst grows neither.
+    pub(super) fn for_burst(burst: usize, bytes: usize) -> EngineOutput {
+        EngineOutput {
+            pending: Pending {
+                burst,
+                burst_bytes: bytes,
+                ..Pending::default()
+            },
+            ..EngineOutput::default()
+        }
+    }
+
+    /// Stage a datagram toward `dst`.
+    pub(super) fn push_datagram(&mut self, dst: SocketAddr, frame: Frame) {
+        if self.datagrams.capacity() == 0 {
+            self.datagrams.reserve(self.pending.burst);
+        }
+        self.pending.packets_out += 1;
+        self.pending.bytes_out += frame.len() as u64;
+        self.datagrams.push((dst, frame));
+    }
+
+    /// Record a payload verified in transit. The first one sizes the
+    /// arena for the whole burst: every S2's wire header is longer than
+    /// an arena entry's, so the burst's datagram bytes bound what it can
+    /// extract, whatever its bundling and payload lengths.
+    pub(super) fn extract(&mut self, assoc_id: u64, payload: &[u8]) {
+        if self.extracted.arena.capacity() == 0 {
+            self.extracted.arena.reserve(self.pending.burst_bytes);
+        }
+        self.extracted.push(assoc_id, payload);
+        self.pending.s2_verified += 1;
+    }
 }
+
+/// Counters one engine call accumulates on its datagram path and
+/// publishes once, when it returns: a burst costs each shared counter one
+/// atomic add, not one per datagram. Totals read between calls are
+/// exact; a snapshot taken during one lags it by at most that call.
+#[derive(Default, Debug, Clone, Copy)]
+pub(super) struct Pending {
+    /// Datagrams the call was handed (sizes the datagram list).
+    pub(super) burst: usize,
+    /// Their bytes in all (sizes the extraction arena).
+    pub(super) burst_bytes: usize,
+    pub(super) packets_in: u64,
+    pub(super) bytes_in: u64,
+    pub(super) packets_out: u64,
+    pub(super) bytes_out: u64,
+    pub(super) s2_verified: u64,
+    /// Change to the global relay buffer gauge. Admission adds it to
+    /// the published gauge, so the call's own S1s count against the
+    /// valve at once.
+    pub(super) buffered: i64,
+}
+
+/// The payloads relay-role flows verified in transit during one engine
+/// call, in the order they verified, copied back to back into one
+/// arena: a burst's extractions share one allocation.
+#[derive(Default, Debug, Clone, PartialEq, Eq)]
+pub struct Extracted {
+    /// Per payload: its association id (8 bytes), its length (4 bytes),
+    /// then its bytes.
+    arena: Vec<u8>,
+    count: usize,
+}
+
+impl Extracted {
+    /// Arena bytes ahead of each payload.
+    const HEADER: usize = 12;
+
+    fn push(&mut self, assoc_id: u64, payload: &[u8]) {
+        // Allowlist: a payload came out of one datagram.
+        let len = u32::try_from(payload.len()).expect("a datagram's payload");
+        self.arena.extend_from_slice(&assoc_id.to_le_bytes());
+        self.arena.extend_from_slice(&len.to_le_bytes());
+        self.arena.extend_from_slice(payload);
+        self.count += 1;
+    }
+
+    /// Number of payloads.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when nothing was extracted.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The payloads in order, as `(assoc_id, payload)`.
+    #[must_use]
+    pub fn iter(&self) -> ExtractedIter<'_> {
+        ExtractedIter {
+            rest: &self.arena,
+            left: self.count,
+        }
+    }
+
+    /// Append every payload of `other`.
+    fn append(&mut self, other: &Extracted) {
+        self.arena.extend_from_slice(&other.arena);
+        self.count += other.count;
+    }
+}
+
+/// Iterator over an [`Extracted`]'s payloads.
+pub struct ExtractedIter<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for ExtractedIter<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        let (header, rest) = self.rest.split_first_chunk::<{ Extracted::HEADER }>()?;
+        let (id, len) = header.split_at(8);
+        // Allowlist: `Extracted::push` wrote both fields at these widths.
+        let assoc_id = u64::from_le_bytes(id.try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        let (payload, rest) = rest.split_at(len);
+        self.rest = rest;
+        self.left -= 1;
+        Some((assoc_id, payload))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for ExtractedIter<'_> {}

@@ -208,6 +208,7 @@ impl EngineCore {
         self.install(&mut self.shards.write(idx), key, limiter, state);
         self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
         self.push_bytes(&mut out, peer, &wire);
+        self.publish(&mut out);
         (key, out)
     }
 
@@ -377,6 +378,7 @@ impl EngineCore {
         }
         drop(guard);
         self.push_packets(&mut out, key.peer, &[pkt]);
+        self.publish(&mut out);
         Ok((take, out))
     }
 
@@ -485,9 +487,7 @@ impl EngineCore {
         self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
         self.cache_deadline(shard);
         drop(guard);
-        self.metrics
-            .s2_verified
-            .fetch_add(delivered, Ordering::Relaxed);
+        out.pending.s2_verified += delivered;
         for reply in &resp.packets {
             self.push_packets(out, key.peer, std::slice::from_ref(reply));
         }
@@ -623,9 +623,7 @@ impl EngineCore {
     /// verified S2s), then its packets as one datagram toward the flow's
     /// peer. Needs no lock.
     pub(super) fn stage(&self, out: &mut EngineOutput, key: FlowKey, resp: Response) {
-        self.metrics
-            .s2_verified
-            .fetch_add(resp.deliveries.len() as u64, Ordering::Relaxed);
+        out.pending.s2_verified += resp.deliveries.len() as u64;
         out.delivered.extend(
             resp.deliveries
                 .into_iter()

@@ -4,8 +4,21 @@
 
 use super::*;
 
+/// Where a routed source's datagrams go, resolved once per run of
+/// consecutive datagrams from it (the receive path hands a coalesced
+/// burst's datagrams over back to back): the next hop, and the key
+/// address and shard of the pair's relay flows.
+#[derive(Clone, Copy)]
+pub(super) struct Route {
+    pub(super) dst: SocketAddr,
+    /// The pair's canonical endpoint, which keys its relay flows.
+    pub(super) left: SocketAddr,
+    pub(super) shard: usize,
+}
+
 impl EngineCore {
-    /// Feed one received datagram through the engine.
+    /// Feed one received datagram through the engine: a burst of one
+    /// ([`EngineCore::handle_datagrams`]).
     ///
     /// Zero-copy path: the datagram is split into per-packet slices
     /// ([`bundle::split`]) and decoded as borrowed [`PacketView`]s; no
@@ -19,26 +32,52 @@ impl EngineCore {
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        self.handle_datagram_into(from, bytes, now, rng, &mut out);
+        self.handle_datagrams(&[(from, bytes)], now, rng)
+    }
+
+    /// Feed a burst of received datagrams through the engine in one
+    /// call. Each datagram is judged exactly as it would be alone —
+    /// within one datagram the relay and host paths already batch
+    /// consecutive same-association S2s — but the burst shares one
+    /// output, one route lookup per run of datagrams from one source,
+    /// and one publication of the datagram-path counters (see
+    /// [`EngineOutput`]).
+    pub fn handle_datagrams(
+        &self,
+        batch: &[(SocketAddr, &[u8])],
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+    ) -> EngineOutput {
+        let bytes = batch.iter().map(|(_, b)| b.len()).sum();
+        let mut out = EngineOutput::for_burst(batch.len(), bytes);
+        let mut source: Option<(SocketAddr, Option<Route>)> = None;
+        for &(from, bytes) in batch {
+            let route = match source {
+                Some((src, route)) if src == from => route,
+                _ => {
+                    let route = self.route_from(from);
+                    source = Some((from, route));
+                    route
+                }
+            };
+            self.handle_datagram_into(from, route, bytes, now, rng, &mut out);
+        }
+        self.publish(&mut out);
         out
     }
 
-    /// [`EngineCore::handle_datagram`], appending to the caller's
-    /// output: a burst shares one `EngineOutput` instead of building
-    /// and merging one per datagram.
+    /// One datagram of a burst, appending to the burst's output.
     fn handle_datagram_into(
         &self,
         from: SocketAddr,
+        route: Option<Route>,
         bytes: &[u8],
         now: Timestamp,
         rng: &mut dyn RngCore,
         out: &mut EngineOutput,
     ) {
-        self.metrics.packets_in.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .bytes_in
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        out.pending.packets_in += 1;
+        out.pending.bytes_in += bytes.len() as u64;
         if !self.admits_source(from) {
             return;
         }
@@ -57,8 +96,8 @@ impl EngineCore {
                 }
             }
         }
-        match self.route_of(from) {
-            Some(dst) => self.relay_datagram(from, dst, &slices[..n], &views[..n], now, out),
+        match route {
+            Some(route) => self.relay_datagram(route, &slices[..n], &views[..n], now, out),
             None => {
                 // Consecutive S2s of one association are verified as one
                 // run; everything else packet by packet.
@@ -92,23 +131,15 @@ impl EngineCore {
         }
     }
 
-    /// Feed a burst of received datagrams through the engine in one
-    /// call, merging all outputs. Each datagram is processed exactly as
-    /// [`EngineCore::handle_datagram`] would — within one datagram the
-    /// relay path already batches consecutive same-association S2s — so
-    /// draining a receive queue through this keeps worker loops simple
-    /// without changing semantics.
-    pub fn handle_datagrams(
-        &self,
-        batch: &[(SocketAddr, &[u8])],
-        now: Timestamp,
-        rng: &mut dyn RngCore,
-    ) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        for &(from, bytes) in batch {
-            self.handle_datagram_into(from, bytes, now, rng, &mut out);
-        }
-        out
+    /// The route of a source's datagrams, if it is routed.
+    fn route_from(&self, from: SocketAddr) -> Option<Route> {
+        let dst = self.route_of(from)?;
+        let left = canonical(from, dst);
+        Some(Route {
+            dst,
+            left,
+            shard: self.shard_of_addr(&left),
+        })
     }
 
     /// Bypass defense: when this core is a mesh relay, traffic from a
@@ -139,40 +170,68 @@ impl EngineCore {
         true
     }
 
-    /// Admission veto for flood-vector packets (S1/HS1, which nothing
-    /// can verify yet), taken under the shard *read* lock: over-budget
-    /// traffic is shed without any write contention. Returns `false`
-    /// when the packet must drop. Flows not yet in the table are
-    /// admitted here and charged at insertion instead.
-    pub(super) fn admit(
+    /// The global byte-budget valve over every relay pre-signature
+    /// buffer: an S1 is refused while the gauge — as published, plus the
+    /// calling burst's own unpublished change — is over budget. Needs no
+    /// lock.
+    pub(super) fn valve_admits(&self, ptype: PacketType, out: &EngineOutput) -> bool {
+        let Some(max) = self.cfg.max_buffered_bytes else {
+            return true;
+        };
+        if ptype == PacketType::S1
+            && self.buffered.load(Ordering::Relaxed) + out.pending.buffered > max as i64
+        {
+            self.metrics
+                .backpressure_drops
+                .fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        true
+    }
+
+    /// The flow's admission veto for flood-vector packets (S1/HS1, which
+    /// nothing can verify yet): `false` when its budget refuses the
+    /// packet, which must then drop. Other packets always pass.
+    pub(super) fn limiter_admits(
+        &self,
+        entry: &FlowEntry,
+        ptype: PacketType,
+        wire_len: usize,
+        now: Timestamp,
+    ) -> bool {
+        if !matches!(ptype, PacketType::S1 | PacketType::Hs1)
+            || entry.limiter.allow(wire_len as u64, now)
+        {
+            return true;
+        }
+        self.metrics.admission_drops.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Host-path admission for flood-vector packets: the valve, then the
+    /// flow's budget under the shard *read* lock, so over-budget traffic
+    /// is shed without any write contention. Flows not yet in the table
+    /// are admitted here and charged at insertion instead.
+    fn admit(
         &self,
         shard_idx: usize,
         key: &FlowKey,
         ptype: PacketType,
         wire_len: usize,
         now: Timestamp,
+        out: &EngineOutput,
     ) -> bool {
         if !matches!(ptype, PacketType::S1 | PacketType::Hs1) {
             return true;
         }
-        if ptype == PacketType::S1 {
-            if let Some(max) = self.cfg.max_buffered_bytes {
-                if self.buffered.load(Ordering::Relaxed) > max as i64 {
-                    self.metrics
-                        .backpressure_drops
-                        .fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
+        if !self.valve_admits(ptype, out) {
+            return false;
         }
         let shard = self.shards.read(shard_idx);
-        if let Some(entry) = shard.flows.get(key) {
-            if !entry.limiter.allow(wire_len as u64, now) {
-                self.metrics.admission_drops.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
-        true
+        shard
+            .flows
+            .get(key)
+            .is_none_or(|entry| self.limiter_admits(entry, ptype, wire_len, now))
     }
 
     pub(super) fn host_packet(
@@ -189,7 +248,7 @@ impl EngineCore {
             assoc_id: view.assoc_id,
         };
         let idx = self.shard_index(&key);
-        if !self.admit(idx, &key, view.packet_type(), slice.len(), now) {
+        if !self.admit(idx, &key, view.packet_type(), slice.len(), now, out) {
             return;
         }
         // One write lock per packet: look the flow up and hand the

@@ -129,7 +129,7 @@ impl EngineCore {
                 let mut frame = self.pool.checkout();
                 frame.buf_mut().extend_from_slice(mesh::REPLICA_MAGIC);
                 frame.buf_mut().extend_from_slice(slice);
-                self.push_datagram(out, standby, frame);
+                out.push_datagram(standby, frame);
             }
         }
     }

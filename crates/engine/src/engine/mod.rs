@@ -14,17 +14,21 @@
 //! - Flows live in a [`Sharded`] table keyed by [`FlowKey`]. Shard
 //!   selection hashes only the flow's *address* ([`addr_hash`] +
 //!   [`jump_hash`]), so a receiver thread can route a datagram to the
-//!   worker owning its shard without parsing it first, and every packet
-//!   takes exactly one shard lock — never two.
+//!   worker owning its shard without parsing it first, and a packet
+//!   never takes locks on two shards.
 //! - Each shard embeds a [`TimerWheel`] holding every deadline its
 //!   flows own: handshake resends, protocol retransmission, the idle
 //!   check, paced chain renewal.
 //! - S1/HS1 packets (the unverifiable flood vectors) pass a per-flow
-//!   [`SharedS1Limiter`] under the shard *read* lock, so over-budget
-//!   traffic is shed without write contention, plus a global
-//!   byte-budget valve over all relay pre-signature buffers.
+//!   [`SharedS1Limiter`], plus a global byte-budget valve over all relay
+//!   pre-signature buffers. A relayed datagram is judged under one shard
+//!   write lock and one flow-table lookup, admission included; a host
+//!   packet is admitted under the shard *read* lock first, so
+//!   over-budget traffic is shed without write contention.
 //! - Every event lands in an [`EngineMetrics`] registry snapshotable as
-//!   JSON while traffic flows.
+//!   JSON while traffic flows. The datagram path's own counters (packets
+//!   and bytes in and out, verified S2s, the relay buffer gauge) are
+//!   summed per call and published once when it returns.
 //!
 //! The code is split one file per seam, each extending
 //! `impl EngineCore`; DESIGN.md §7 maps what each file owns and what
@@ -39,14 +43,13 @@ use alpha_adapt::{FlowAdapt, FrozenAdapt};
 use alpha_core::bootstrap::{self, AuthRequirement, Handshaker};
 use alpha_core::renewal::RenewalOffer;
 use alpha_core::{
-    Association, DropReason, FrozenAssociation, Mode, ProtocolError, Relay, RelayDecision,
-    RelayViewOutcome, Response, S2BatchItem, SharedS1Limiter, SignerEvent, Timestamp,
+    Association, AssociationRelay, DropReason, FrozenAssociation, Mode, ProtocolError,
+    RelayDecision, RelayViewOutcome, Response, S2BatchItem, SharedS1Limiter, SignerEvent,
+    Timestamp,
 };
 use alpha_store::{FrozenStore, RenewalPacer};
 use alpha_wire::limits::MAX_BUNDLE;
-use alpha_wire::{
-    bundle, BodyView, Frame, FramePool, HandshakeRole, Packet, PacketType, PacketView,
-};
+use alpha_wire::{bundle, BodyView, FramePool, HandshakeRole, Packet, PacketType, PacketView};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::RngCore;
 
@@ -68,7 +71,7 @@ mod relay;
 mod snapshot;
 mod timers;
 
-pub use config::{EngineConfig, EngineError, EngineOutput};
+pub use config::{EngineConfig, EngineError, EngineOutput, Extracted, ExtractedIter};
 use host::{ingest, protocol_drop_reason, HostFlow, RenewalSlot};
 use mesh_ctl::MeshControl;
 
@@ -90,9 +93,10 @@ enum FlowState {
     /// datagram that *verifies* against the thawed association wakes
     /// it; anything else re-freezes the record untouched.
     Hibernated,
-    /// On-path verifier between the canonical pair of endpoints.
+    /// On-path verifier of one association between the canonical pair
+    /// of endpoints.
     Relay {
-        relay: Box<Relay>,
+        relay: Box<AssociationRelay>,
         /// Last observed pre-signature buffer total, for the valve
         /// gauge delta.
         buffered: usize,
@@ -147,7 +151,8 @@ pub struct EngineCore {
     /// Global relay pre-signature buffer gauge (bytes). Signed: deltas
     /// from concurrent shards may transiently dip below zero.
     buffered: AtomicI64,
-    /// Reusable TX/RX frame buffers shared by every worker.
+    /// Reusable TX/RX frame buffers; each worker thread recycles
+    /// through its own cache of them.
     pool: FramePool,
     /// Per-shard cached earliest timer deadline, in micros since the
     /// epoch (`u64::MAX` = no timers armed). Every wheel mutation
@@ -395,7 +400,7 @@ impl EngineCore {
     #[must_use]
     pub fn shard_of_source(&self, from: SocketAddr) -> usize {
         let addr = self.route_of(from).map_or(from, |dst| canonical(from, dst));
-        jump_hash(addr_hash(&addr), self.shards.len() as u32) as usize
+        self.shard_of_addr(&addr)
     }
 
     /// Claim `shard` for `worker` (first receiver wins); returns the
@@ -453,7 +458,34 @@ impl EngineCore {
     }
 
     fn shard_index(&self, key: &FlowKey) -> usize {
-        jump_hash(addr_hash(&key.peer), self.shards.len() as u32) as usize
+        self.shard_of_addr(&key.peer)
+    }
+
+    fn shard_of_addr(&self, addr: &SocketAddr) -> usize {
+        jump_hash(addr_hash(addr), self.shards.len() as u32) as usize
+    }
+
+    /// Publish what `out`'s call counted on its datagram path (see
+    /// [`config::Pending`]): one atomic add per counter that moved.
+    /// Every public call that fills an output runs this before it
+    /// returns.
+    fn publish(&self, out: &mut EngineOutput) {
+        let p = std::mem::take(&mut out.pending);
+        let m = &self.metrics;
+        for (counter, n) in [
+            (&m.packets_in, p.packets_in),
+            (&m.bytes_in, p.bytes_in),
+            (&m.packets_out, p.packets_out),
+            (&m.bytes_out, p.bytes_out),
+            (&m.s2_verified, p.s2_verified),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if p.buffered != 0 {
+            self.buffered.fetch_add(p.buffered, Ordering::Relaxed);
+        }
     }
 
     /// Record and stage outbound packets for `dst` as one datagram
@@ -465,7 +497,7 @@ impl EngineCore {
             [one] => {
                 let mut frame = self.pool.checkout();
                 one.encode_into(frame.buf_mut());
-                self.push_datagram(out, dst, frame);
+                out.push_datagram(dst, frame);
             }
             many => {
                 for chunk in many.chunks(MAX_BUNDLE) {
@@ -475,7 +507,7 @@ impl EngineCore {
                     // (a 64 KiB S2) can be refused; the frame is then as
                     // checked out and the chunk goes out unbundled.
                     match bundle::emit_into(chunk, frame.buf_mut()) {
-                        Ok(()) => self.push_datagram(out, dst, frame),
+                        Ok(()) => out.push_datagram(dst, frame),
                         Err(_) => chunk
                             .iter()
                             .for_each(|p| self.push_packets(out, dst, std::slice::from_ref(p))),
@@ -489,15 +521,7 @@ impl EngineCore {
     fn push_bytes(&self, out: &mut EngineOutput, dst: SocketAddr, bytes: &[u8]) {
         let mut frame = self.pool.checkout();
         frame.buf_mut().extend_from_slice(bytes);
-        self.push_datagram(out, dst, frame);
-    }
-
-    fn push_datagram(&self, out: &mut EngineOutput, dst: SocketAddr, frame: Frame) {
-        self.metrics.packets_out.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        out.datagrams.push((dst, frame));
+        out.push_datagram(dst, frame);
     }
 }
 

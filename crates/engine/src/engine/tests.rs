@@ -1192,7 +1192,7 @@ fn relay_single_and_run_paths_agree() {
                     let n = bundle::split(frame, &mut slices).unwrap();
                     forwarded.extend(slices[..n].iter().map(|s| s.to_vec()));
                 }
-                extracted.extend(o.extracted);
+                extracted.extend(o.extracted.iter().map(|(id, p)| (id, p.to_vec())));
             }
             let m = relay.metrics();
             let drops = [

@@ -111,6 +111,7 @@ impl EngineCore {
         for (key, resp) in staged {
             self.stage(out, key, resp);
         }
+        self.publish(out);
     }
 
     /// A wheel fire is just a wake-up; the host flow decides which of

@@ -22,7 +22,7 @@ pub mod timer;
 
 pub use alpha_adapt::{AdaptConfig, FlowAdapt};
 pub use backoff::Backoff;
-pub use engine::{EngineConfig, EngineCore, EngineError, EngineOutput};
+pub use engine::{EngineConfig, EngineCore, EngineError, EngineOutput, Extracted, ExtractedIter};
 pub use metrics::{
     EngineMetrics, Histogram, IoMetrics, IoTotals, IoWorker, MeshMetrics, PeerCounters,
     StoreMetrics,

@@ -6,16 +6,18 @@
 //! `renew_below` begins the renewal — and never defers a flow on its
 //! last spare exchange. Each case runs 64-element chains (31 exchanges
 //! each) through many renewals, and every exchange must deliver exactly
-//! its one payload. ci.sh runs this suite under each digest backend:
-//! renewal builds chains, so it hashes.
+//! its one payload — also across an on-path relay engine, which must
+//! follow both ends' renewals without dropping a packet. ci.sh runs this
+//! suite under each digest backend: renewal builds chains, so it hashes.
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 
-use alpha_core::{Config, Mode, Reliability, Timestamp};
+use alpha_core::{Config, DropReason, Mode, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::{EngineConfig, EngineCore, EngineOutput, FlowKey};
 use alpha_store::PacerConfig;
+use alpha_wire::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,10 +47,11 @@ struct Delivered {
 }
 
 /// A client engine and a server engine, every flow's client half at its
-/// own address.
+/// own address, and optionally a relay engine on the path between them.
 struct Net {
     client: EngineCore,
     server: EngineCore,
+    relay: Option<EngineCore>,
     sa: SocketAddr,
     rng: StdRng,
 }
@@ -58,9 +61,39 @@ impl Net {
         Net {
             client: EngineCore::new(client),
             server: EngineCore::new(server),
+            relay: None,
             sa: addr(4000),
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// Route every datagram through a relay engine.
+    fn relayed(mut self, relay: EngineConfig) -> Net {
+        self.relay = Some(EngineCore::new(relay));
+        self
+    }
+
+    /// Datagrams an end at `ca` or the server sent, as they leave the
+    /// relay (all of them, when there is none).
+    fn cross(
+        &mut self,
+        ca: SocketAddr,
+        sent: Vec<(SocketAddr, Frame)>,
+        now: Timestamp,
+    ) -> Vec<(SocketAddr, Frame)> {
+        let Some(relay) = &self.relay else {
+            return sent;
+        };
+        let mut passed = Vec::new();
+        for (dst, frame) in sent {
+            let from = if dst == self.sa { ca } else { self.sa };
+            passed.extend(
+                relay
+                    .handle_datagram(from, &frame, now, &mut self.rng)
+                    .datagrams,
+            );
+        }
+        passed
     }
 
     /// Carry datagrams between the client at `ca` and the server until
@@ -73,8 +106,8 @@ impl Net {
         now: Timestamp,
     ) -> Delivered {
         let mut got = Delivered::default();
-        let mut pending: Vec<_> = from_client.datagrams;
-        pending.extend(from_server.datagrams);
+        let mut pending = self.cross(ca, from_client.datagrams, now);
+        pending.extend(self.cross(ca, from_server.datagrams, now));
         for _hop in 0..64 {
             if pending.is_empty() {
                 return got;
@@ -95,7 +128,7 @@ impl Net {
                         .extend(out.delivered.iter().map(|(_, _, p)| p.clone()));
                     out
                 };
-                next.extend(out.datagrams);
+                next.extend(self.cross(ca, out.datagrams, now));
             }
             pending = next;
         }
@@ -103,6 +136,9 @@ impl Net {
     }
 
     fn connect(&mut self, ca: SocketAddr, assoc_id: u64, now: Timestamp) -> FlowKey {
+        if let Some(relay) = &self.relay {
+            relay.add_route(ca, self.sa);
+        }
         let (key, out) = self.client.connect(self.sa, assoc_id, now, &mut self.rng);
         self.pump(ca, out, EngineOutput::default(), now);
         key
@@ -228,10 +264,18 @@ fn never_polled_clients_and_a_hibernating_server_outlive_ten_chains() {
 /// (3) Both ends send every round, so all four chains run down together
 /// and both ends renew in the same round: each renewal's S1 crosses the
 /// other's on the wire, answered from chains that are about to be
-/// replaced.
-fn both_ends_renewing_at_once(mode: Mode, reliability: Reliability, seed: u64) {
+/// replaced. Returns the network, for what a relay on it saw.
+fn both_ends_renewing_at_once(
+    mode: Mode,
+    reliability: Reliability,
+    seed: u64,
+    relayed: bool,
+) -> Net {
     let cfg = EngineConfig::new(proto().with_reliability(reliability)).with_pacer(jitter_free());
     let mut net = Net::new(cfg, cfg, seed);
+    if relayed {
+        net = net.relayed(cfg);
+    }
     let ca = addr(5002);
     let mut now = Timestamp::from_millis(1);
     let c_key = net.connect(ca, 3, now);
@@ -256,16 +300,40 @@ fn both_ends_renewing_at_once(mode: Mode, reliability: Reliability, seed: u64) {
     }
     let (client, server) = net.renewals();
     assert!(client >= 160 / budget() && server >= 160 / budget());
+    net
 }
 
 #[test]
 fn both_ends_renewing_at_once_base_unreliable() {
-    both_ends_renewing_at_once(Mode::Base, Reliability::Unreliable, 3);
+    both_ends_renewing_at_once(Mode::Base, Reliability::Unreliable, 3, false);
 }
 
 #[test]
 fn both_ends_renewing_at_once_merkle_reliable() {
-    both_ends_renewing_at_once(Mode::Merkle, Reliability::Reliable, 4);
+    both_ends_renewing_at_once(Mode::Merkle, Reliability::Reliable, 4, false);
+}
+
+/// (5) Case (3) across a relay engine, which re-anchors each end's
+/// chains as its renewal passes. A renewing end answers the other's
+/// exchange in flight from the acknowledgment chain it is replacing, so
+/// the relay must still take that chain's elements: nothing may drop as
+/// a bad chain element, and every payload is delivered exactly once.
+#[test]
+fn both_ends_renewing_at_once_through_a_relay() {
+    for (mode, reliability, seed) in [
+        (Mode::Base, Reliability::Unreliable, 6),
+        (Mode::Merkle, Reliability::Reliable, 7),
+    ] {
+        let net = both_ends_renewing_at_once(mode, reliability, seed, true);
+        let m = net.relay.as_ref().expect("relayed").metrics();
+        let what = format!("{mode:?} {reliability:?}");
+        assert_eq!(m.drops(DropReason::BadChainElement), 0, "{what}");
+        assert_eq!(m.total_drops(), 0, "{what}");
+        assert!(
+            m.s2_verified.load(Ordering::Relaxed) >= 2 * 160,
+            "{what}: the relay verified every payload"
+        );
+    }
 }
 
 /// (4) 1,024 flows reach the threshold in the same round under the

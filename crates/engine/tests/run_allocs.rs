@@ -2,12 +2,12 @@
 //! one 16-S2 ALPHA-M datagram through `EngineCore::handle_datagrams` costs,
 //! on a host, each delivered message its payload `Vec` (the type
 //! `EngineOutput::delivered` carries) plus one reservation of that list,
-//! and on a relay each extracted payload plus the run's decision list and
-//! the growth of the extracted and datagram lists. No response, event
-//! list or path copy per S2.
+//! and on a relay two lists whatever the bundle's size: the output's
+//! datagram list and its extraction arena. No response, event list, path
+//! copy or payload copy of its own per S2.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::net::SocketAddr;
 
 use alpha_core::bootstrap::{self, AuthRequirement};
@@ -15,31 +15,9 @@ use alpha_core::{Association, Config, Mode, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::{bundle, Packet};
+use common::CountingAlloc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// System allocator that counts the calling thread's `alloc`s (the
-/// default `realloc` goes through `alloc`). Per thread, so the test
-/// harness's own threads cannot disturb the count.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: both methods forward to `System` with the caller's own
-// arguments; the bookkeeping is a const-initialised thread-local `Cell`
-// with no destructor, which never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -94,9 +72,9 @@ fn allocs_per_bundle(relay: bool) -> Vec<u64> {
         let s2s = alice.handle(&a1, NOW, &mut rng).expect("S2s").packets;
         for chunk in s2s.chunks(RUN as usize) {
             let frame = bundle::emit(chunk).expect("bundle");
-            let before = ALLOCS.with(Cell::get);
-            let out = engine.handle_datagrams(&[(ca, &frame)], NOW, &mut rng);
-            counts.push(ALLOCS.with(Cell::get) - before);
+            let (out, allocs) =
+                common::allocations(|| engine.handle_datagrams(&[(ca, &frame)], NOW, &mut rng));
+            counts.push(allocs);
             assert_eq!(out.delivered.len() + out.extracted.len(), RUN as usize);
             drop(out);
         }
@@ -108,9 +86,11 @@ fn allocs_per_bundle(relay: bool) -> Vec<u64> {
 fn a_verified_bundle_allocates_its_payloads_and_a_constant() {
     // Before the batched step this bundle cost 51 allocations on a host
     // (a response, an event list and a delivery list per S2) and 34 on a
-    // relay (a path copy list and a dozen working lists per run).
+    // relay (a path copy list and a dozen working lists per run); before
+    // the extraction arena, a relay's was RUN + 3 (a payload copy each,
+    // a decision list and the growth of two lists).
     let host = allocs_per_bundle(false);
     assert!(host[2..].iter().all(|&n| n == RUN + 1), "host: {host:?}");
     let relay = allocs_per_bundle(true);
-    assert!(relay[2..].iter().all(|&n| n == RUN + 3), "relay: {relay:?}");
+    assert!(relay[2..].iter().all(|&n| n == 2), "relay: {relay:?}");
 }

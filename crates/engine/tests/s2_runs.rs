@@ -57,7 +57,11 @@ fn seen(engine: &EngineCore, out: EngineOutput) -> Seen {
     let m = engine.metrics();
     Seen {
         delivered: out.delivered,
-        extracted: out.extracted,
+        extracted: out
+            .extracted
+            .iter()
+            .map(|(id, p)| (id, p.to_vec()))
+            .collect(),
         sent,
         drops: DROPS.map(|r| m.drops(r)),
         s2_verified: m.s2_verified.load(Ordering::Relaxed),

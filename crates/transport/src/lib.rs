@@ -518,7 +518,7 @@ impl UdpRelay {
             self.io.send_batch(&out.datagrams)?;
             self.forwarded += out.datagrams.len() as u64;
             self.extracted
-                .extend(out.extracted.into_iter().map(|(_, p)| p));
+                .extend(out.extracted.iter().map(|(_, p)| p.to_vec()));
             let m = self.core.metrics();
             self.dropped = m.total_drops()
                 + m.admission_drops.load(Relaxed)

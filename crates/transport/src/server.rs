@@ -260,8 +260,10 @@ impl Engine {
         let sink = sink.map(Arc::new);
         // RX frames are full-datagram sized (a recv must never truncate)
         // and separate from the engine's TX pool, whose frames are MTU
-        // sized.
-        let rx_pool = FramePool::new(MAX_DATAGRAM, workers * MAX_BURST * 2);
+        // sized. Each worker caches two bursts' worth, and the pool's
+        // depot as many: frames a worker drops after a handoff go back
+        // through it to the worker that received them.
+        let rx_pool = FramePool::new(MAX_DATAGRAM, MAX_BURST * 2);
 
         let handle = sockets[0].try_clone()?;
         // One bounded lock-free ring per ordered worker pair:
