@@ -34,9 +34,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # across a relay engine, 1,024 flows in lockstep), and renewal builds
 # chains; the relay fuzzer mutates a learned relay's valid traces (no
 # panic, every packet judged once, a rejected datagram changes nothing,
-# only valid S2s forwarded) and the relay budget suite holds a relayed
-# burst to a constant allocation count, one shard lock per datagram and
-# per-call counters equal to per-datagram sums; the receiver ≡ relay
+# only valid S2s forwarded), the small-scope search runs every schedule
+# of a client, a relay and a server engine within its tier-1 bound and
+# the in-memory twin of the 32-association live test, and the relay
+# budget suite holds a relayed burst to a constant allocation count,
+# one shard lock per datagram and per-call counters equal to
+# per-datagram sums; the receiver ≡ relay
 # suite holds that a relay verifies exactly the S2s the receiving host
 # accepts and forwards exactly the A2s the sending host accepts. The
 # hibernation suites run here too, since decoding a record rebuilds an
@@ -46,7 +49,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # re-encoding, bounded decode allocation, a thaw without a hash). Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay fuzz, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay fuzz, small-scope search, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props --test padding
@@ -54,8 +57,8 @@ for backend in scalar lanes4 auto; do
         --test chain_walker) || { echo "$walker"; exit 1; }
     echo "$walker"
     case "$walker" in
-        *"running 7 tests"*) ;;
-        *) echo "ci: the chain_walker suite did not run its 7 tests under $backend" >&2; exit 1 ;;
+        *"running 4 tests"*) ;;
+        *) echo "ci: the chain_walker suite did not run its 4 tests under $backend" >&2; exit 1 ;;
     esac
     runs=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
         --test s2_runs) || { echo "$runs"; exit 1; }
@@ -77,6 +80,13 @@ for backend in scalar lanes4 auto; do
     case "$relay_fuzz" in
         *"running 2 tests"*"1 passed"*"1 ignored"*) ;;
         *) echo "ci: the relay_fuzz suite did not run its 1 test (1 ignored) under $backend" >&2; exit 1 ;;
+    esac
+    scope=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test small_scope) || { echo "$scope"; exit 1; }
+    echo "$scope"
+    case "$scope" in
+        *"running 5 tests"*"3 passed"*"2 ignored"*) ;;
+        *) echo "ci: the small_scope suite did not run its 3 tests (2 ignored) under $backend" >&2; exit 1 ;;
     esac
     budget=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
         --test relay_budget) || { echo "$budget"; exit 1; }
@@ -125,6 +135,19 @@ echo "$long_fuzz"
 case "$long_fuzz" in
     *"running 1 test"*) ;;
     *) echo "ci: the relay fuzz smoke did not run its long run" >&2; exit 1 ;;
+esac
+
+# The small-scope search's deeper bound (three exchanges an end in
+# order, one with two deviations) in a release build; the box bounds a
+# slow or hung run (about 22 s on the 2-vCPU host).
+echo "==> small-scope search, deep bound (release, time-boxed to 30 s)"
+cargo test --release -q -p alpha-engine --test small_scope --no-run
+deep_scope=$(timeout 30 cargo test --release -q -p alpha-engine --test small_scope \
+    -- --ignored every_schedule_of_the_deep_bound) || { echo "$deep_scope"; exit 1; }
+echo "$deep_scope"
+case "$deep_scope" in
+    *"running 1 test"*) ;;
+    *) echo "ci: the small-scope deep bound did not run" >&2; exit 1 ;;
 esac
 
 echo "==> digest throughput bench smoke (release, --quick)"

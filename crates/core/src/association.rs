@@ -5,7 +5,7 @@
 //! `{h^As_n, h^Aa_n, h^Bs_n, h^Ba_n}` of §3.1 are exactly the four chains
 //! these two pairs of machines hold between two hosts.
 
-use alpha_crypto::chain::{FrozenChain, HashChain};
+use alpha_crypto::chain::HashChain;
 use alpha_crypto::Digest;
 use alpha_wire::{Body, Packet};
 use rand::RngCore;
@@ -383,8 +383,7 @@ impl Association {
         debug_assert_eq!(cfg.algorithm, frozen.alg);
         // Both chains resume from the checkpoint their record carries and
         // hash nothing here.
-        let (sig_chain, ack_chain) =
-            FrozenChain::thaw_pair(&frozen.signer.chain, &frozen.verifier.ack_chain);
+        let (sig_chain, ack_chain) = (frozen.signer.chain.thaw(), frozen.verifier.ack_chain.thaw());
         Association {
             assoc_id: frozen.assoc_id,
             cfg,

@@ -658,15 +658,6 @@ impl FrozenChain {
         // Layout and tag bytes, length and cursor.
         2 + 2 * std::mem::size_of::<u64>() + digests * self.alg.digest_len()
     }
-
-    /// Thaw the two chains of a hibernated association — its signature
-    /// and acknowledgment chains wake together. The same as two
-    /// [`FrozenChain::thaw`] calls, for every layout, length, cursor and
-    /// algorithm.
-    #[must_use]
-    pub fn thaw_pair(a: &FrozenChain, b: &FrozenChain) -> (HashChain, HashChain) {
-        (a.thaw(), b.thaw())
-    }
 }
 
 /// Build `N` chains of one algorithm, length and layout in lockstep from
@@ -949,35 +940,6 @@ mod tests {
         let b = HashChain::from_seed(Algorithm::Sha1, ChainKind::RoleBoundSignature, 10, b"seed");
         assert_eq!(a.anchor(), b.anchor());
         assert_eq!(a.element(3), b.element(3));
-    }
-
-    #[test]
-    fn thaw_pair_matches_independent_thaws() {
-        // Same algorithm and length, full storage, distinct kinds and
-        // cursors.
-        let a = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"a");
-        let mut b = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundAck, 64, b"b");
-        b.disclose().unwrap();
-        let (ta, tb) = FrozenChain::thaw_pair(&a.freeze(), &b.freeze());
-        for i in 0..=64 {
-            assert_eq!(ta.element(i), a.element(i), "sig lane element {i}");
-            assert_eq!(tb.element(i), b.element(i), "ack lane element {i}");
-        }
-        assert_eq!(ta.remaining(), a.remaining());
-        assert_eq!(tb.remaining(), b.remaining(), "cursor survives the pair");
-
-        // Mixed layouts pair up too, each lane keeping its own.
-        let c = HashChain::from_seed_compact(
-            Algorithm::Sha256,
-            ChainKind::RoleBoundSignature,
-            64,
-            b"c",
-        );
-        let (tc, td) = FrozenChain::thaw_pair(&c.freeze(), &b.freeze());
-        assert_eq!(tc.anchor(), c.anchor());
-        assert_eq!(tc.storage_kind(), ChainStorage::Sqrt);
-        assert_eq!(td.storage_kind(), ChainStorage::Full);
-        assert_eq!(td.element(5), b.element(5));
     }
 
     #[test]

@@ -143,72 +143,6 @@ fn spent(
     chain
 }
 
-#[test]
-fn thaw_pair_equals_two_thaws_for_every_layout_and_cursor() {
-    // (storage a, len a, storage b, len b): same layout, mixed layouts,
-    // and mismatched lengths, where the lanes part ways mid-walk.
-    let shapes = [
-        (ChainStorage::Sqrt, 64, ChainStorage::Sqrt, 64),
-        (ChainStorage::Full, 64, ChainStorage::Full, 64),
-        (ChainStorage::Full, 64, ChainStorage::Sqrt, 64),
-        (ChainStorage::Sqrt, 64, ChainStorage::Full, 64),
-        (ChainStorage::Full, 64, ChainStorage::Sqrt, 30),
-        (ChainStorage::Full, 30, ChainStorage::Full, 64),
-    ];
-    for alg in Algorithm::ALL {
-        for (storage_a, len_a, storage_b, len_b) in shapes {
-            // Cursors: fresh, mid-chain, exhausted — and unequal between
-            // the lanes.
-            for (spent_a, spent_b) in [(0, 0), (len_a / 2, 3), (len_a - 1, len_b - 1), (0, 7)] {
-                let what = format!(
-                    "{alg} {storage_a:?}/{len_a}-{spent_a} {storage_b:?}/{len_b}-{spent_b}"
-                );
-                let a = spent(
-                    alg,
-                    ChainKind::RoleBoundSignature,
-                    storage_a,
-                    len_a,
-                    b"sig",
-                    spent_a,
-                );
-                let b = spent(
-                    alg,
-                    ChainKind::RoleBoundAck,
-                    storage_b,
-                    len_b,
-                    b"ack",
-                    spent_b,
-                );
-                let (fa, fb) = (a.freeze(), b.freeze());
-                let ((mut solo_a, mut solo_b), solo_counts) = counted(|| (fa.thaw(), fb.thaw()));
-                let ((mut pair_a, mut pair_b), pair_counts) =
-                    counted(|| FrozenChain::thaw_pair(&fa, &fb));
-                assert_eq!(pair_counts, solo_counts, "{what} counts");
-                for (pair, solo) in [(&mut pair_a, &mut solo_a), (&mut pair_b, &mut solo_b)] {
-                    assert_eq!(pair.storage_kind(), solo.storage_kind(), "{what}");
-                    assert_eq!(pair.remaining(), solo.remaining(), "{what}");
-                    assert_eq!(pair.anchor(), solo.anchor(), "{what}");
-                    while let Ok(next) = solo.disclose() {
-                        assert_eq!(pair.disclose(), Ok(next), "{what}");
-                    }
-                    assert!(pair.disclose().is_err(), "{what} exhausted together");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn thaw_pair_of_different_algorithms_falls_back_to_two_thaws() {
-    let a = HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::RoleBoundSignature, 16, b"a");
-    let b = HashChain::from_seed(Algorithm::MmoAes, ChainKind::RoleBoundAck, 16, b"b");
-    let (ta, tb) = FrozenChain::thaw_pair(&a.freeze(), &b.freeze());
-    assert_eq!(ta.anchor(), a.anchor());
-    assert_eq!(tb.anchor(), b.anchor());
-    assert_eq!(ta.algorithm(), Algorithm::Sha1);
-    assert_eq!(tb.algorithm(), Algorithm::MmoAes);
-}
-
 /// The record a chain of `storage` frozen with `cursor` undisclosed
 /// elements carries, written down from the reference `elements`: layout,
 /// length, cursor, seed hash, then the checkpoint under the cursor and —
@@ -265,6 +199,7 @@ fn every_layout_thaws_without_hashing_and_discloses_the_reference() {
                         assert!(rest.is_empty(), "{what}");
                         let (mut thawed, counts) = counted(|| frozen.thaw());
                         assert_eq!(counts, Counts::default(), "{what}: thaw hashes nothing");
+                        assert_eq!(thawed.algorithm(), alg, "{what}");
                         assert_eq!(thawed.storage_kind(), storage, "{what}");
                         assert_eq!(thawed.remaining(), cursor, "{what}");
                         // A long chain is followed past a checkpoint of
@@ -520,27 +455,6 @@ fn compact_pair_costs_one_walk_frozen_after_every_pair_or_never() {
                     assert!(churn_hashes <= 24 * wakes, "{what}");
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn thaw_pair_of_checkpointed_records_hashes_nothing() {
-    for alg in Algorithm::ALL {
-        let sig = ChainKind::RoleBoundSignature;
-        let ack = ChainKind::RoleBoundAck;
-        let a = spent(alg, sig, ChainStorage::Sqrt, 1024, b"sig", 40);
-        let b = spent(alg, ack, ChainStorage::Full, 30, b"ack", 17);
-        let (fa, fb) = (a.freeze(), b.freeze());
-        let (solo, solo_counts) = counted(|| (fa.thaw(), fb.thaw()));
-        let (pair, pair_counts) = counted(|| FrozenChain::thaw_pair(&fa, &fb));
-        assert_eq!(solo_counts, Counts::default(), "{alg}");
-        assert_eq!(pair_counts, solo_counts, "{alg}");
-        for (mut pair, mut solo) in [(pair.0, solo.0), (pair.1, solo.1)] {
-            while let Ok(next) = solo.disclose() {
-                assert_eq!(pair.disclose(), Ok(next), "{alg}");
-            }
-            assert!(pair.disclose().is_err(), "{alg} exhausted together");
         }
     }
 }

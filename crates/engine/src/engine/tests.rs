@@ -1,6 +1,6 @@
-//! The engine's deterministic in-memory unit tests: pairs (or chains)
-//! of `EngineCore`s pumped against each other with no sockets and a
-//! caller-supplied clock. Compiled only under `cfg(test)`.
+//! The engine's deterministic in-memory unit tests: engines on the
+//! shared virtual network (`tests/common/net.rs`), with no sockets and
+//! a virtual clock. Compiled only under `cfg(test)`.
 #[cfg(test)]
 use super::*;
 use std::sync::atomic::Ordering;
@@ -8,83 +8,57 @@ use std::sync::atomic::Ordering;
 use alpha_core::{Config, Mode};
 use alpha_crypto::Algorithm;
 use alpha_store::PacerConfig;
-use alpha_wire::Frame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::mesh;
 
+#[path = "../../tests/common/net.rs"]
+mod net;
+use net::{addr, client as ca, packets, server as sa, Datagram, Net};
+
 fn cfg() -> EngineConfig {
     EngineConfig::new(Config::new(Algorithm::Sha1).with_chain_len(64))
 }
 
-fn addr(port: u16) -> SocketAddr {
-    format!("127.0.0.1:{port}").parse().unwrap()
+/// A client engine with one flow to a server engine.
+fn connected(
+    client: EngineConfig,
+    server: EngineConfig,
+    seed: u64,
+    assoc_id: u64,
+) -> (Net, FlowKey) {
+    let (mut net, hop) = Net::path(seed, client, server, None);
+    let key = net.connect(ca(), hop, assoc_id);
+    (net, key)
 }
 
-/// Drive two engines against each other in memory: `a`'s datagrams
-/// to `a_addr`'s counterpart are handed to `b` and vice versa.
-fn pump(
-    a: &EngineCore,
-    a_addr: SocketAddr,
-    b: &EngineCore,
-    b_addr: SocketAddr,
-    mut pending: Vec<(SocketAddr, Frame)>,
-    now: Timestamp,
-    rng: &mut StdRng,
-) -> (EngineOutput, EngineOutput) {
-    let mut out_a = EngineOutput::default();
-    let mut out_b = EngineOutput::default();
-    let mut hops = 0;
-    while !pending.is_empty() {
-        hops += 1;
-        assert!(hops < 64, "in-memory exchange did not converge");
-        let mut next = Vec::new();
-        for (dst, bytes) in pending.drain(..) {
-            let o = if dst == a_addr {
-                let o = a.handle_datagram(b_addr, &bytes, now, rng);
-                next.extend(o.datagrams.iter().cloned());
-                out_a.absorb(o);
-                continue;
-            } else {
-                assert_eq!(dst, b_addr, "unexpected destination");
-                b.handle_datagram(a_addr, &bytes, now, rng)
-            };
-            next.extend(o.datagrams.iter().cloned());
-            out_b.absorb(o);
-        }
-        pending = next;
-    }
-    (out_a, out_b)
+/// Sign `msgs` on the client's flow and pump: what the server delivered.
+fn exchange(net: &mut Net, key: FlowKey, msgs: &[&[u8]], mode: Mode) -> EngineOutput {
+    net.sign(ca(), key, msgs, mode).expect("sign");
+    net.pump();
+    net.take(sa())
 }
 
 #[test]
 fn connect_accept_and_exchange_in_memory() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let ca = addr(1000);
-    let sa = addr(2000);
-    let mut rng = StdRng::seed_from_u64(7);
-    let now = Timestamp::from_millis(1);
-
-    let (key, out) = client.connect(sa, 42, now, &mut rng);
-    let (from_client, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let (mut net, key) = connected(cfg(), cfg(), 7, 42);
+    let (from_client, from_server) = (net.take(ca()), net.take(sa()));
     assert_eq!(
         from_client.completed,
         vec![key],
         "client handshake completed"
     );
     assert_eq!(from_server.completed.len(), 1, "server stood up the flow");
+    let (client, server) = (net.engine(ca()), net.engine(sa()));
     assert_eq!(client.flow_count(), 1);
     assert_eq!(server.flow_count(), 1);
     assert_eq!(server.metrics().handshakes.load(Ordering::Relaxed), 1);
 
-    let out = client
-        .sign_batch(key, &[b"engine hello".as_slice()], Mode::Base, now)
-        .expect("sign");
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let from_server = exchange(&mut net, key, &[b"engine hello"], Mode::Base);
     assert_eq!(from_server.delivered.len(), 1);
     assert_eq!(from_server.delivered[0].2, b"engine hello");
+    let client = net.engine(ca());
     assert!(client.flow_is_idle(key), "exchange finished");
     assert_eq!(client.metrics().rtt_us.count(), 1, "RTT sampled");
 }
@@ -94,19 +68,9 @@ fn connect_accept_and_exchange_in_memory() {
 /// mis-framed (or not at all).
 #[test]
 fn packets_too_long_for_a_bundle_go_out_unbundled() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let (ca, sa) = (addr(1000), addr(2000));
-    let mut rng = StdRng::seed_from_u64(8);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 42, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-
+    let (mut net, key) = connected(cfg(), cfg(), 8, 42);
     let big = vec![0x5A; alpha_wire::limits::MAX_PAYLOAD];
-    let out = client
-        .sign_batch(key, &[&big, &big], Mode::Cumulative, now)
-        .expect("sign");
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let from_server = exchange(&mut net, key, &[&big, &big], Mode::Cumulative);
     let delivered: Vec<&[u8]> = from_server
         .delivered
         .iter()
@@ -124,44 +88,28 @@ fn owned_steady_state_s2_path_zero_contended_locks() {
     // counter bounds the uncontended CAS acquisitions to the
     // documented budget of at most two per datagram (kind peek +
     // state update).
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let ca = addr(1310);
-    let sa = addr(2310);
-    let mut rng = StdRng::seed_from_u64(99);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 77, now, &mut rng);
-    let _ = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let (mut net, key) = connected(cfg(), cfg(), 99, 77);
 
     // The live runtime's first-receiver claim.
-    let shard = server.shard_of_source(ca);
+    let server = net.engine(sa());
+    let shard = server.shard_of_source(ca());
     assert_eq!(server.claim_shard(shard, 0), 0);
     assert_eq!(server.shard_owner(shard), Some(0));
 
     // Stage one steady-state exchange by hand: S1 -> A1 -> S2.
-    let batch_of = |from: SocketAddr, out: &EngineOutput| -> Vec<(SocketAddr, Vec<u8>)> {
-        out.datagrams
-            .iter()
-            .map(|(_, b)| (from, b.to_vec()))
-            .collect()
-    };
-    let s1 = client
-        .sign_batch(key, &[b"steady-state".as_slice()], Mode::Base, now)
+    net.sign(ca(), key, &[b"steady-state"], Mode::Base)
         .expect("sign");
-    let s1b = batch_of(ca, &s1);
-    let s1r: Vec<(SocketAddr, &[u8])> = s1b.iter().map(|(a, b)| (*a, &b[..])).collect();
-    let a1 = server.handle_datagrams(&s1r, now, &mut rng);
-    let a1b = batch_of(sa, &a1);
-    let a1r: Vec<(SocketAddr, &[u8])> = a1b.iter().map(|(a, b)| (*a, &b[..])).collect();
-    let s2 = client.handle_datagrams(&a1r, now, &mut rng);
-    assert!(!s2.datagrams.is_empty(), "client staged its S2");
+    net.deliver(0);
+    net.deliver(0);
+    let s2: Vec<Datagram> = net.flight.drain(..).collect();
+    assert!(!s2.is_empty(), "client staged its S2");
 
     // Measure the S2 verify path alone, as the owning worker.
+    let server = net.engine(sa());
     crate::shard::reset_thread_lock_count();
     let contended_before = server.lock_contended();
-    let s2b = batch_of(ca, &s2);
-    let s2r: Vec<(SocketAddr, &[u8])> = s2b.iter().map(|(a, b)| (*a, &b[..])).collect();
-    let out = server.handle_datagrams(&s2r, now, &mut rng);
+    let s2r: Vec<(SocketAddr, &[u8])> = s2.iter().map(|d| (d.src, &d.frame[..])).collect();
+    let out = server.handle_datagrams(&s2r, net.now, &mut StdRng::seed_from_u64(99));
     assert_eq!(out.delivered.len(), 1, "payload delivered");
     assert_eq!(
         server.lock_contended() - contended_before,
@@ -192,70 +140,28 @@ fn owned_steady_state_s2_path_zero_contended_locks() {
 
 #[test]
 fn relay_flow_verifies_and_forwards() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let relay = EngineCore::new(cfg());
-    let ca = addr(1100);
-    let sa = addr(2100);
-    relay.add_route(ca, sa);
-    let mut rng = StdRng::seed_from_u64(8);
-    let now = Timestamp::from_millis(1);
+    let (mut net, ra) = Net::path(8, cfg(), cfg(), Some(cfg()));
 
     // Every datagram passes through the relay engine.
-    let relay_hop =
-        |pending: Vec<(SocketAddr, Frame)>, rng: &mut StdRng| -> Vec<(SocketAddr, Frame)> {
-            let mut forwarded = Vec::new();
-            for (dst, bytes) in pending {
-                let from = if dst == sa { ca } else { sa };
-                let o = relay.handle_datagram(from, &bytes, now, rng);
-                forwarded.extend(o.datagrams);
-            }
-            forwarded
-        };
+    let key = net.connect(ca(), ra, 9);
+    assert!(
+        net.take(ca()).completed.contains(&key),
+        "handshake completed through the relay"
+    );
+    assert_eq!(
+        net.engine(ra).flow_count(),
+        1,
+        "one relay flow for the pair"
+    );
 
-    let (key, out) = client.connect(sa, 9, now, &mut rng);
-    let mut pending = relay_hop(out.datagrams, &mut rng);
-    let mut done = false;
-    for _ in 0..16 {
-        if pending.is_empty() {
-            break;
-        }
-        let mut next = Vec::new();
-        for (dst, bytes) in pending.drain(..) {
-            let o = if dst == sa {
-                server.handle_datagram(ca, &bytes, now, &mut rng)
-            } else {
-                client.handle_datagram(sa, &bytes, now, &mut rng)
-            };
-            done |= !o.completed.is_empty() && o.completed[0] == key;
-            next.extend(relay_hop(o.datagrams, &mut rng));
-        }
-        pending = next;
-    }
-    assert!(done, "handshake completed through the relay");
-    assert_eq!(relay.flow_count(), 1, "one relay flow for the pair");
-
-    let out = client
-        .sign_batch(key, &[b"via relay".as_slice()], Mode::Base, now)
-        .unwrap();
-    let mut pending = relay_hop(out.datagrams, &mut rng);
-    for _ in 0..16 {
-        if pending.is_empty() {
-            break;
-        }
-        let mut next = Vec::new();
-        for (dst, bytes) in pending.drain(..) {
-            let o = if dst == sa {
-                server.handle_datagram(ca, &bytes, now, &mut rng)
-            } else {
-                client.handle_datagram(sa, &bytes, now, &mut rng)
-            };
-            next.extend(relay_hop(o.datagrams, &mut rng));
-        }
-        pending = next;
-    }
-    assert_eq!(relay.metrics().s2_verified.load(Ordering::Relaxed), 1);
-    assert_eq!(server.metrics().s2_verified.load(Ordering::Relaxed), 1);
+    net.sign(ca(), key, &[b"via relay"], Mode::Base).unwrap();
+    net.pump();
+    let s2_verified = |at| {
+        let e: &EngineCore = net.engine(at);
+        e.metrics().s2_verified.load(Ordering::Relaxed)
+    };
+    assert_eq!(s2_verified(ra), 1);
+    assert_eq!(s2_verified(sa()), 1);
 }
 
 #[test]
@@ -362,25 +268,21 @@ fn reroute_moves_relay_pair_with_buffered_state() {
     // Addresses chosen so the canonical pair key IS the old next
     // hop: reroute must re-key the relay flow, preserving buffered
     // pre-signatures.
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let relay = EngineCore::new(cfg());
     let ca = addr(2170); // client ranks ABOVE both next hops
     let sa = addr(1170); // primary next hop = canonical left
     let sa2 = addr(1171); // standby next hop
-    relay.add_route(ca, sa);
-    let mut rng = StdRng::seed_from_u64(23);
-    let now = Timestamp::from_millis(1);
+    let ra = addr(3170);
+    let mut net = Net::new(23);
+    net.host(ca, cfg());
+    net.host(sa, cfg());
+    net.relay(ra, cfg(), &[(ca, sa)]);
 
     // Handshake + one buffered S1 through the relay.
-    let (key, _out) = relay_pair_handshake(&client, &server, &relay, ca, sa, now, &mut rng);
-    let s1 = client
-        .sign_batch(key, &[b"inflight".as_slice()], Mode::Base, now)
-        .unwrap()
-        .datagrams
-        .remove(0)
-        .1;
-    relay.handle_datagram(ca, &s1, now, &mut rng);
+    let key = net.connect(ca, ra, 13);
+    net.sign(ca, key, &[b"inflight"], Mode::Base).unwrap();
+    let s1 = net.flight[0].frame.clone();
+    net.deliver(0);
+    let relay = net.engine(ra);
     let buffered = relay.buffered_bytes();
     assert!(buffered > 0, "pre-signature buffered before failover");
 
@@ -390,15 +292,18 @@ fn reroute_moves_relay_pair_with_buffered_state() {
     assert_eq!(moved, 1, "one relay flow moved");
     assert_eq!(relay.buffered_bytes(), buffered, "buffer state moved");
     assert_eq!(relay.metrics().mesh.failovers.load(Ordering::Relaxed), 1);
-    let o = relay.handle_datagram(ca, &s1, now, &mut rng);
+    let mut rng = StdRng::seed_from_u64(23);
+    let o = relay.handle_datagram(ca, &s1, net.now, &mut rng);
     assert!(
         o.datagrams.iter().all(|(d, _)| *d == sa2),
         "traffic re-routed to the standby"
     );
     // Reverse direction follows the back-pointer.
-    let o2 = server.handle_datagram(ca, &s1, now, &mut rng);
-    for (_, frame) in o2.datagrams {
-        let o = relay.handle_datagram(sa2, &frame, now, &mut rng);
+    net.deliver(0);
+    for reply in std::mem::take(&mut net.flight) {
+        let o = net
+            .engine(ra)
+            .handle_datagram(sa2, &reply.frame, net.now, &mut rng);
         assert!(o.datagrams.iter().all(|(d, _)| *d == ca));
     }
 }
@@ -407,88 +312,48 @@ fn reroute_moves_relay_pair_with_buffered_state() {
 fn reroute_moves_host_flows_to_new_peer() {
     // Verifier-side failover: established host flows keyed to the
     // old upstream re-key to the new one and keep delivering.
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let ca = addr(1180);
-    let ca2 = addr(1181);
-    let sa = addr(2180);
-    let mut rng = StdRng::seed_from_u64(24);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 31, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-    assert_eq!(server.flow_count(), 1);
+    let ca2 = addr(1001);
+    let (mut net, key) = connected(cfg(), cfg(), 24, 31);
+    assert_eq!(net.engine(sa()).flow_count(), 1);
 
-    let moved = server.reroute(ca, ca2);
+    let moved = net.engine(sa()).reroute(ca(), ca2);
     assert_eq!(moved, 1, "host flow moved to the new peer key");
     // Traffic now arrives from ca2 (the standby path) and is
     // handled by the moved association; replies target ca2.
-    let out = client
-        .sign_batch(key, &[b"after failover".as_slice()], Mode::Base, now)
+    let key = standby_path(&mut net, ca2, key);
+    net.sign(ca(), key, &[b"after failover"], Mode::Base)
         .unwrap();
-    let mut pending = out.datagrams;
-    let mut delivered = 0;
-    for _ in 0..16 {
-        if pending.is_empty() {
-            break;
-        }
-        let mut next = Vec::new();
-        for (dst, frame) in pending.drain(..) {
-            if dst == sa {
-                let o = server.handle_datagram(ca2, &frame, now, &mut rng);
-                delivered += o.delivered.len();
-                assert!(o.datagrams.iter().all(|(d, _)| *d == ca2));
-                next.extend(o.datagrams);
-            } else {
-                assert_eq!(dst, ca2, "server replies to the new peer");
-                let o = client.handle_datagram(sa, &frame, now, &mut rng);
-                next.extend(o.datagrams);
-            }
-        }
-        pending = next;
-    }
+    let replies = net.pump_holding(|d| d.src == sa());
+    assert!(
+        replies.iter().all(|d| d.dst == ca2),
+        "server replies to the new peer"
+    );
+    net.flight.extend(replies);
+    net.pump();
+    let delivered = net.take(sa()).delivered.len();
     assert_eq!(delivered, 1, "flow completed after the move");
 }
 
-/// Complete a handshake for `client`→`server` through `relay`
-/// (routed `ca`↔`sa`), returning the client's flow key.
-fn relay_pair_handshake(
-    client: &EngineCore,
-    server: &EngineCore,
-    relay: &EngineCore,
-    ca: SocketAddr,
-    sa: SocketAddr,
-    now: Timestamp,
-    rng: &mut StdRng,
-) -> (FlowKey, EngineOutput) {
-    let (key, out) = client.connect(sa, 13, now, rng);
-    let o = relay.handle_datagram(ca, &out.datagrams[0].1, now, rng);
-    let o2 = server.handle_datagram(ca, &o.datagrams[0].1, now, rng);
-    let o3 = relay.handle_datagram(sa, &o2.datagrams[0].1, now, rng);
-    let out = client.handle_datagram(sa, &o3.datagrams[0].1, now, rng);
-    assert_eq!(out.completed, vec![key], "handshake completed via relay");
-    (key, out)
+/// Carry the client's flow `key` over a standby path at `via`: the
+/// client sends to it, and it passes datagrams on between the client
+/// and the server as if from itself. Returns the flow's new key.
+fn standby_path(net: &mut Net, via: SocketAddr, key: FlowKey) -> FlowKey {
+    net.relay(via, cfg(), &[(ca(), sa())]);
+    net.bypass(via);
+    assert_eq!(net.engine(ca()).reroute(key.peer, via), 1);
+    FlowKey { peer: via, ..key }
 }
 
 #[test]
 fn tx_frames_recycle_through_the_pool() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let ca = addr(1600);
-    let sa = addr(2600);
-    let mut rng = StdRng::seed_from_u64(13);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 4, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let (mut net, key) = connected(cfg(), cfg(), 13, 4);
     // Each exchange checks frames out of both engines' pools and the
-    // pump drops them again: steady state must reuse, not allocate.
+    // network drops them again: steady state must reuse, not allocate.
     for i in 0..8u8 {
-        let out = client
-            .sign_batch(key, &[[i; 16].as_slice()], Mode::Base, now)
-            .expect("sign");
-        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+        exchange(&mut net, key, &[[i; 16].as_slice()], Mode::Base);
     }
-    for (name, core) in [("client", &client), ("server", &server)] {
-        let s = core.frame_pool().stats();
+    for (name, at) in [("client", ca()), ("server", sa())] {
+        let s = net.engine(at).frame_pool().stats();
         assert!(s.returned > 0, "{name} frames returned, got {s:?}");
         assert!(s.reused > 0, "{name} frames reused, got {s:?}");
     }
@@ -528,24 +393,14 @@ fn handshake_resends_use_backoff_and_give_up() {
 fn admission_limiter_sheds_s1_floods() {
     let mut c = cfg();
     c.s1_bytes_per_sec = Some(512); // tiny budget
-    let server = EngineCore::new(c);
-    let client = EngineCore::new(cfg());
-    let ca = addr(1300);
-    let sa = addr(2300);
-    let mut rng = StdRng::seed_from_u64(10);
-    let now = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 77, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let (mut net, key) = connected(cfg(), c, 10, 77);
     // Replay one S1 far past the 512 B/s budget: the engine must
     // start shedding without write-locking the shard.
-    let s1 = client
-        .sign_batch(key, &[b"flood".as_slice()], Mode::Base, now)
-        .unwrap()
-        .datagrams
-        .remove(0)
-        .1;
+    net.sign(ca(), key, &[b"flood"], Mode::Base).unwrap();
+    let s1 = net.drop(0).frame;
+    let server = net.engine(sa());
     for _ in 0..64 {
-        server.handle_datagram(ca, &s1, now, &mut rng);
+        server.handle_datagram(ca(), &s1, net.now, &mut StdRng::seed_from_u64(10));
     }
     let shed = server.metrics().admission_drops.load(Ordering::Relaxed);
     assert!(shed > 32, "flood was shed by admission, got {shed}");
@@ -555,33 +410,18 @@ fn admission_limiter_sheds_s1_floods() {
 fn backpressure_valve_sheds_when_buffers_full() {
     let mut c = cfg();
     c.max_buffered_bytes = Some(0); // valve closed as soon as anything buffers
-    let relay = EngineCore::new(c);
-    let client = EngineCore::new(cfg());
-    let ca = addr(1400);
-    let sa = addr(2400);
-    relay.add_route(ca, sa);
-    let mut rng = StdRng::seed_from_u64(11);
-    let now = Timestamp::from_millis(1);
-    // Learn the association at the relay via the handshake pair.
-    let (key, out) = client.connect(sa, 3, now, &mut rng);
-    let hs1 = out.datagrams[0].1.clone();
-    let o = relay.handle_datagram(ca, &hs1, now, &mut rng);
-    // Fabricate the HS2 by letting a server engine answer.
-    let server = EngineCore::new(cfg());
-    let hs2 = server.handle_datagram(ca, &o.datagrams[0].1, now, &mut rng);
-    relay.handle_datagram(sa, &hs2.datagrams[0].1, now, &mut rng);
-    client.handle_datagram(sa, &hs2.datagrams[0].1, now, &mut rng);
+    let (mut net, ra) = Net::path(11, cfg(), cfg(), Some(c));
+    // The relay learns the association from the handshake it carries.
+    let key = net.connect(ca(), ra, 3);
     // First S1 buffers a pre-signature; gauge goes positive; the
     // next S1 must hit the valve.
-    let s1a = client
-        .sign_batch(key, &[b"one".as_slice()], Mode::Base, now)
-        .unwrap()
-        .datagrams
-        .remove(0)
-        .1;
-    relay.handle_datagram(ca, &s1a, now, &mut rng);
+    net.sign(ca(), key, &[b"one"], Mode::Base).unwrap();
+    let s1a = net.drop(0).frame;
+    let relay = net.engine(ra);
+    let mut rng = StdRng::seed_from_u64(11);
+    relay.handle_datagram(ca(), &s1a, net.now, &mut rng);
     assert!(relay.buffered_bytes() > 0, "pre-signature buffered");
-    relay.handle_datagram(ca, &s1a, now, &mut rng);
+    relay.handle_datagram(ca(), &s1a, net.now, &mut rng);
     assert!(
         relay.metrics().backpressure_drops.load(Ordering::Relaxed) >= 1,
         "valve shed the second S1"
@@ -603,15 +443,8 @@ fn adaptive_flow_escalates_under_loss_and_reports_in_snapshot() {
         dwell: 2,
         ..alpha_adapt::AdaptConfig::default()
     };
-    let client = EngineCore::new(EngineConfig::new(proto).with_adapt(acfg));
-    let server = EngineCore::new(EngineConfig::new(proto));
-    let ca = addr(1500);
-    let sa = addr(2500);
-    let mut rng = StdRng::seed_from_u64(12);
-    let mut now = Timestamp::from_millis(1);
-
-    let (key, out) = client.connect(sa, 21, now, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+    let adaptive = EngineConfig::new(proto).with_adapt(acfg);
+    let (mut net, key) = connected(adaptive, EngineConfig::new(proto), 12, 21);
 
     // Clean phase: offer a full buffer each exchange; AIMD must walk
     // the bundle size up to the cap on the Cumulative rung.
@@ -619,13 +452,21 @@ fn adaptive_flow_escalates_under_loss_and_reports_in_snapshot() {
     let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
     let mut last_take = 0;
     for _ in 0..12 {
-        now = now.plus_micros(10_000);
-        let (take, out) = client.sign_adaptive(key, &refs, now).expect("sign");
+        net.now = net.now.plus_micros(10_000);
+        let (take, out) = net
+            .engine(ca())
+            .sign_adaptive(key, &refs, net.now)
+            .expect("sign");
         last_take = take;
-        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-        assert!(client.flow_is_idle(key), "clean exchange must finish");
+        net.send(ca(), out);
+        net.pump();
+        assert!(
+            net.engine(ca()).flow_is_idle(key),
+            "clean exchange must finish"
+        );
     }
     assert_eq!(last_take, acfg.max_n, "AIMD grew the bundle to the cap");
+    let client = net.engine(ca());
     client
         .with_adapt(key, |a| {
             assert_eq!(a.decision().kind, alpha_adapt::ModeKind::Cumulative);
@@ -636,6 +477,7 @@ fn adaptive_flow_escalates_under_loss_and_reports_in_snapshot() {
     // Loss phase: sign and then drop every datagram on the floor; the
     // signer retries through the timer wheel until it abandons, and
     // each abandoned exchange drives the loss estimate up the ladder.
+    let (mut now, mut rng) = (net.now, StdRng::seed_from_u64(12));
     for _ in 0..10 {
         now = now.plus_micros(10_000);
         let (_take, _out) = client.sign_adaptive(key, &refs, now).expect("sign");
@@ -673,7 +515,7 @@ fn adaptive_flow_escalates_under_loss_and_reports_in_snapshot() {
     assert_eq!(adapt.get("mode").unwrap().as_str(), Some("merkle"));
     assert!(adapt.get("switches").unwrap().as_u64().unwrap() >= 2);
     // An engine without adaptation reports an empty array.
-    let snap: serde::Value = serde_json::from_str(&server.stats_json()).unwrap();
+    let snap: serde::Value = serde_json::from_str(&net.engine(sa()).stats_json()).unwrap();
     let serde::Value::Array(rows) = snap.get("adapt_flows").unwrap() else {
         panic!("adapt_flows should be an array")
     };
@@ -694,25 +536,16 @@ fn store_counts(e: &EngineCore) -> (u64, u64, u64, u64) {
 
 #[test]
 fn idle_flow_hibernates_and_wakes_on_next_datagram() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg().with_hibernate_after(Some(50_000)));
-    let ca = addr(1700);
-    let sa = addr(2700);
-    let mut rng = StdRng::seed_from_u64(31);
-    let t0 = Timestamp::from_millis(1);
-
-    let (key, out) = client.connect(sa, 42, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let out = client
-        .sign_batch(key, &[b"before sleep".as_slice()], Mode::Base, t0)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let sleepy = cfg().with_hibernate_after(Some(50_000));
+    let (mut net, key) = connected(cfg(), sleepy, 31, 42);
+    let from_server = exchange(&mut net, key, &[b"before sleep"], Mode::Base);
     assert_eq!(from_server.delivered.len(), 1);
 
     // 60 ms of silence: the idle check fires and freezes the flow.
-    let t1 = t0.plus_micros(60_000);
-    let _ = server.poll(t1, &mut rng);
-    assert_eq!(store_counts(&server), (1, 0, 0, 0), "flow froze");
+    net.now = net.now.plus_micros(60_000);
+    net.poll(sa());
+    let server = net.engine(sa());
+    assert_eq!(store_counts(server), (1, 0, 0, 0), "flow froze");
     assert_eq!(server.flow_count(), 1, "tombstone stays in the table");
     let m = server.metrics();
     assert_eq!(m.store.flows_hibernated.load(Ordering::Relaxed), 1);
@@ -720,14 +553,12 @@ fn idle_flow_hibernates_and_wakes_on_next_datagram() {
 
     // The next datagram wakes it mid-stream: no handshake, same
     // verifier decisions, payload delivered.
-    let t2 = t1.plus_micros(1_000);
-    let out = client
-        .sign_batch(key, &[b"after wake".as_slice()], Mode::Base, t2)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
+    net.now = net.now.plus_micros(1_000);
+    let from_server = exchange(&mut net, key, &[b"after wake"], Mode::Base);
     assert_eq!(from_server.delivered.len(), 1);
     assert_eq!(from_server.delivered[0].2, b"after wake");
-    assert_eq!(store_counts(&server), (1, 1, 0, 0), "woke exactly once");
+    let server = net.engine(sa());
+    assert_eq!(store_counts(server), (1, 1, 0, 0), "woke exactly once");
     let m = server.metrics();
     assert_eq!(m.store.flows_hibernated.load(Ordering::Relaxed), 0);
     assert_eq!(m.store.bytes_frozen.load(Ordering::Relaxed), 0);
@@ -739,43 +570,31 @@ fn idle_flow_hibernates_and_wakes_on_next_datagram() {
     );
 
     // The woken flow keeps working like it never slept.
-    let out = client
-        .sign_batch(key, &[b"steady state".as_slice()], Mode::Base, t2)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
+    let from_server = exchange(&mut net, key, &[b"steady state"], Mode::Base);
     assert_eq!(from_server.delivered[0].2, b"steady state");
 }
 
 #[test]
 fn forged_datagram_cannot_force_a_thaw() {
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg().with_hibernate_after(Some(50_000)));
-    let ca = addr(1710);
-    let sa = addr(2710);
-    let mut rng = StdRng::seed_from_u64(32);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 42, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let t1 = t0.plus_micros(60_000);
-    let _ = server.poll(t1, &mut rng);
-    assert_eq!(store_counts(&server), (1, 0, 0, 0), "flow frozen");
+    let sleepy = cfg().with_hibernate_after(Some(50_000));
+    let (mut net, key) = connected(cfg(), sleepy, 32, 42);
+    net.now = net.now.plus_micros(60_000);
+    net.poll(sa());
+    assert_eq!(store_counts(net.engine(sa())), (1, 0, 0, 0), "flow frozen");
 
     // An attacker who observed the flow key forges an S1 from a
     // different association claiming the same id and source.
-    let mallory = EngineCore::new(cfg());
-    let decoy = EngineCore::new(cfg());
-    let ma = addr(1711);
-    let da = addr(2711);
-    let (mkey, out) = mallory.connect(da, 42, t0, &mut rng);
-    pump(&mallory, ma, &decoy, da, out.datagrams, t0, &mut rng);
-    let forged = mallory
-        .sign_batch(mkey, &[b"let me in".as_slice()], Mode::Base, t1)
-        .unwrap()
-        .datagrams;
-    let t2 = t1.plus_micros(1_000);
-    let o = server.handle_datagram(ca, &forged[0].1, t2, &mut rng);
+    let (ma, da) = (addr(1011), addr(2011));
+    net.host(ma, cfg());
+    net.host(da, cfg());
+    let mkey = net.connect(ma, da, 42);
+    net.sign(ma, mkey, &[b"let me in"], Mode::Base).unwrap();
+    let forged = net.drop(0).frame;
+    net.now = net.now.plus_micros(1_000);
+    let server = net.engine(sa());
+    let o = server.handle_datagram(ca(), &forged, net.now, &mut StdRng::seed_from_u64(32));
     assert!(o.delivered.is_empty() && o.datagrams.is_empty());
-    let (frozen, thawed, evicted, rejected) = store_counts(&server);
+    let (frozen, thawed, evicted, rejected) = store_counts(server);
     assert_eq!(
         (frozen, thawed, evicted, rejected),
         (1, 0, 0, 1),
@@ -792,12 +611,9 @@ fn forged_datagram_cannot_force_a_thaw() {
     );
 
     // The record survived untouched: the real peer still wakes it.
-    let out = client
-        .sign_batch(key, &[b"genuine".as_slice()], Mode::Base, t2)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
+    let from_server = exchange(&mut net, key, &[b"genuine"], Mode::Base);
     assert_eq!(from_server.delivered[0].2, b"genuine");
-    assert_eq!(store_counts(&server), (1, 1, 0, 1));
+    assert_eq!(store_counts(net.engine(sa())), (1, 1, 0, 1));
 }
 
 #[test]
@@ -807,23 +623,15 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
     // Default chain length: the √n layout a deployed host runs.
     let protocol = Config::new(Algorithm::Sha1);
     assert_eq!(protocol.max_skip, DEFAULT_MAX_SKIP);
-    let client = EngineCore::new(EngineConfig::new(protocol));
-    let server = EngineCore::new(EngineConfig::new(protocol).with_hibernate_after(Some(50_000)));
-    let ca = addr(1715);
-    let sa = addr(2715);
-    let mut rng = StdRng::seed_from_u64(34);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 42, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let out = client
-        .sign_batch(key, &[b"before sleep".as_slice()], Mode::Base, t0)
-        .unwrap();
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let t1 = t0.plus_micros(60_000);
-    let _ = server.poll(t1, &mut rng);
-    assert_eq!(store_counts(&server), (1, 0, 0, 0), "flow frozen");
+    let sleepy = EngineConfig::new(protocol).with_hibernate_after(Some(50_000));
+    let (mut net, key) = connected(EngineConfig::new(protocol), sleepy, 34, 42);
+    exchange(&mut net, key, &[b"before sleep"], Mode::Base);
+    net.now = net.now.plus_micros(60_000);
+    net.poll(sa());
+    let server = net.engine(sa());
+    assert_eq!(store_counts(server), (1, 0, 0, 0), "flow frozen");
     let server_key = FlowKey {
-        peer: ca,
+        peer: ca(),
         assoc_id: 42,
     };
     let stored = || {
@@ -849,52 +657,45 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
         },
     }
     .emit();
-    let t2 = t1.plus_micros(1_000);
+    let t2 = net.now.plus_micros(1_000);
     let scope = alpha_crypto::counting::Scope::start();
-    let o = server.handle_datagram(ca, &forged, t2, &mut rng);
+    let o = server.handle_datagram(ca(), &forged, t2, &mut StdRng::seed_from_u64(34));
     let hashes = scope.finish().invocations;
     assert!(o.delivered.is_empty() && o.datagrams.is_empty());
     assert!(
         (DEFAULT_MAX_SKIP - 1..=DEFAULT_MAX_SKIP + 16).contains(&hashes),
         "a forged wake cost {hashes} hashes"
     );
-    assert_eq!(store_counts(&server), (1, 0, 0, 1), "forgery rejected");
+    assert_eq!(store_counts(server), (1, 0, 0, 1), "forgery rejected");
     assert_eq!(stored(), before, "record untouched");
 
     // The genuine datagram after it still wakes the flow mid-stream.
-    let out = client
-        .sign_batch(key, &[b"genuine".as_slice()], Mode::Base, t2)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
+    net.now = t2;
+    let from_server = exchange(&mut net, key, &[b"genuine"], Mode::Base);
     assert_eq!(from_server.delivered[0].2, b"genuine");
-    assert_eq!(store_counts(&server), (1, 1, 0, 1));
+    let server = net.engine(sa());
+    assert_eq!(store_counts(server), (1, 1, 0, 1));
     let handshakes = server.metrics().handshakes.load(Ordering::Relaxed);
     assert_eq!(handshakes, 1, "wake needed no re-handshake");
 }
 
 #[test]
 fn frozen_budget_evicts_coldest_and_reaps_tombstones() {
-    let client = EngineCore::new(cfg());
     // A one-byte budget cannot hold two records: each freeze evicts
     // the previous (soft budget keeps the newest resident).
-    let server = EngineCore::new(
-        cfg()
-            .with_hibernate_after(Some(50_000))
-            .with_frozen_budget(Some(1)),
-    );
-    let ca = addr(1720);
-    let sa = addr(2720);
-    let mut rng = StdRng::seed_from_u64(33);
-    let t0 = Timestamp::from_millis(1);
-    for id in 1..=3 {
-        let (_, out) = client.connect(sa, id, t0, &mut rng);
-        pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let tight = cfg()
+        .with_hibernate_after(Some(50_000))
+        .with_frozen_budget(Some(1));
+    let (mut net, _) = connected(cfg(), tight, 33, 1);
+    for id in 2..=3 {
+        net.connect(ca(), sa(), id);
     }
-    assert_eq!(server.flow_count(), 3);
+    assert_eq!(net.engine(sa()).flow_count(), 3);
 
-    let t1 = t0.plus_micros(60_000);
-    let _ = server.poll(t1, &mut rng);
-    let (frozen, _, evicted, _) = store_counts(&server);
+    net.now = net.now.plus_micros(60_000);
+    net.poll(sa());
+    let server = net.engine(sa());
+    let (frozen, _, evicted, _) = store_counts(server);
     assert_eq!(frozen, 3, "all three idle flows froze");
     assert_eq!(evicted, 2, "budget kept only the newest record");
     assert_eq!(server.flow_count(), 1, "evicted tombstones were reaped");
@@ -922,47 +723,38 @@ fn chain_renewal_is_armed_jitter_free_and_commits() {
     };
     // renew_below above the whole chain: every completed exchange
     // arms a renewal, so one exchange is enough to trigger it.
-    let client = EngineCore::new(cfg().with_renew_below(64).with_pacer(pacer));
-    let server = EngineCore::new(cfg());
-    let ca = addr(1730);
-    let sa = addr(2730);
-    let mut rng = StdRng::seed_from_u64(34);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 7, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let fresh = client
-        .with_association(key, |a| a.remaining_exchanges())
-        .unwrap();
-    let out = client
-        .sign_batch(key, &[b"spend the chain".as_slice()], Mode::Base, t0)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let eager = cfg().with_renew_below(64).with_pacer(pacer);
+    let (mut net, key) = connected(eager, cfg(), 34, 7);
+    let remaining = |net: &Net| {
+        let client = net.engine(ca());
+        client
+            .with_association(key, |a| a.remaining_exchanges())
+            .unwrap()
+    };
+    let fresh = remaining(&net);
+    let from_server = exchange(&mut net, key, &[b"spend the chain"], Mode::Base);
     assert_eq!(
         from_server.delivered.len(),
         1,
         "the message, not the renewal"
     );
-    let m = client.metrics();
+    let m = net.engine(ca()).metrics();
     assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 1);
     assert_eq!(m.store.renewals_deferred.load(Ordering::Relaxed), 0);
-    let after = client
-        .with_association(key, |a| a.remaining_exchanges())
-        .unwrap();
+    let after = remaining(&net);
     assert_eq!(
         after, fresh,
         "renewal replenished the chain the exchange spent"
     );
 
     // Nothing was left for the timer path.
-    let out = client.poll(t0.plus_micros(2_000), &mut rng);
-    assert!(out.datagrams.is_empty(), "no renewal timer fires");
+    net.now = net.now.plus_micros(2_000);
+    assert_eq!(net.poll(ca()), 0, "no renewal timer fires");
+    let m = net.engine(ca()).metrics();
     assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 1);
 
     // The renewed flow goes on exchanging.
-    let out = client
-        .sign_batch(key, &[b"on fresh chains".as_slice()], Mode::Base, t0)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let from_server = exchange(&mut net, key, &[b"on fresh chains"], Mode::Base);
     assert_eq!(from_server.delivered[0].2, b"on fresh chains");
 }
 
@@ -973,22 +765,13 @@ fn renewal_pacer_defers_when_bucket_is_empty() {
         rate_per_sec: 0,
         burst: 0,
     };
-    let client = EngineCore::new(cfg().with_renew_below(64).with_pacer(pacer));
-    let server = EngineCore::new(cfg());
-    let ca = addr(1740);
-    let sa = addr(2740);
-    let mut rng = StdRng::seed_from_u64(35);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 8, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
-    let out = client
-        .sign_batch(key, &[b"idle now".as_slice()], Mode::Base, t0)
-        .unwrap();
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let dry = cfg().with_renew_below(64).with_pacer(pacer);
+    let (mut net, key) = connected(dry, cfg(), 35, 8);
+    exchange(&mut net, key, &[b"idle now"], Mode::Base);
 
-    let out = client.poll(t0.plus_micros(2_000), &mut rng);
-    assert!(out.datagrams.is_empty(), "no renewal admitted");
-    let m = client.metrics();
+    net.now = net.now.plus_micros(2_000);
+    assert_eq!(net.poll(ca()), 0, "no renewal admitted");
+    let m = net.engine(ca()).metrics();
     assert_eq!(m.store.renewals_started.load(Ordering::Relaxed), 0);
     assert!(m.store.renewals_deferred.load(Ordering::Relaxed) >= 1);
 }
@@ -1005,32 +788,24 @@ fn wheel_pending(e: &EngineCore) -> usize {
 #[test]
 fn never_polled_flows_keep_one_poll_entry_each() {
     const FLOWS: u16 = 4;
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg());
-    let sa = addr(2750);
-    let mut rng = StdRng::seed_from_u64(43);
-    let mut now = Timestamp::from_millis(1);
-    let keys: Vec<(SocketAddr, FlowKey)> = (0..FLOWS)
-        .map(|f| {
-            let ca = addr(1750 + f);
-            let (key, out) = client.connect(sa, 60 + u64::from(f), now, &mut rng);
-            pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-            (ca, key)
-        })
+    let (mut net, first) = connected(cfg(), cfg(), 43, 60);
+    let keys: Vec<FlowKey> = std::iter::once(first)
+        .chain((1..FLOWS).map(|f| net.connect(ca(), sa(), 60 + u64::from(f))))
         .collect();
     let chain_len = cfg().protocol.chain_len as usize;
     for round in 0..10 * chain_len {
-        now = now.plus_micros(1_000);
-        for (f, &(ca, key)) in keys.iter().enumerate() {
+        net.now = net.now.plus_micros(1_000);
+        for (f, &key) in keys.iter().enumerate() {
             let msg = format!("flow {f} exchange {round}");
-            let out = client
-                .sign_batch(key, &[msg.as_bytes()], Mode::Base, now)
+            net.sign(ca(), key, &[msg.as_bytes()], Mode::Base)
                 .unwrap_or_else(|e| panic!("flow {f}, exchange {round}: {e}"));
-            let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+            net.pump();
+            let from_server = net.take(sa());
             assert_eq!(from_server.delivered.len(), 1, "flow {f}, exchange {round}");
             assert_eq!(from_server.delivered[0].2, msg.as_bytes());
         }
     }
+    let (client, server) = (net.engine(ca()), net.engine(sa()));
     assert!(
         client
             .metrics()
@@ -1047,7 +822,7 @@ fn never_polled_flows_keep_one_poll_entry_each() {
             .load(Ordering::Relaxed)
             > 0
     );
-    for (side, e) in [("client", &client), ("server", &server)] {
+    for (side, e) in [("client", client), ("server", server)] {
         let pending = wheel_pending(e);
         assert!(
             pending <= 3 * FLOWS as usize,
@@ -1061,32 +836,24 @@ fn reroute_keeps_host_idle_check_armed() {
     // Regression: reroute re-armed a moved host flow from
     // `assoc.poll_at()` alone, so its idle check stayed on the wheel
     // under the old key and the flow never hibernated again.
-    let client = EngineCore::new(cfg());
-    let server = EngineCore::new(cfg().with_hibernate_after(Some(50_000)));
-    let ca = addr(1190);
-    let ca2 = addr(1191);
-    let sa = addr(2190);
-    let mut rng = StdRng::seed_from_u64(41);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 51, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let ca2 = addr(1001);
+    let sleepy = cfg().with_hibernate_after(Some(50_000));
+    let (mut net, key) = connected(cfg(), sleepy, 41, 51);
 
-    assert_eq!(server.reroute(ca, ca2), 1);
-    let t1 = t0.plus_micros(60_000);
-    let _ = server.poll(t1, &mut rng);
+    assert_eq!(net.engine(sa()).reroute(ca(), ca2), 1);
+    net.now = net.now.plus_micros(60_000);
+    net.poll(sa());
     assert_eq!(
-        store_counts(&server),
+        store_counts(net.engine(sa())),
         (1, 0, 0, 0),
         "rerouted flow still freezes once idle"
     );
 
     // The record froze under the new key: the new peer wakes it.
-    let out = client
-        .sign_batch(key, &[b"via standby".as_slice()], Mode::Base, t1)
-        .unwrap();
-    let (_, from_server) = pump(&client, ca2, &server, sa, out.datagrams, t1, &mut rng);
+    let key = standby_path(&mut net, ca2, key);
+    let from_server = exchange(&mut net, key, &[b"via standby"], Mode::Base);
     assert_eq!(from_server.delivered[0].2, b"via standby");
-    assert_eq!(store_counts(&server), (1, 1, 0, 0));
+    assert_eq!(store_counts(net.engine(sa())), (1, 1, 0, 0));
 }
 
 #[test]
@@ -1099,32 +866,28 @@ fn reroute_keeps_scheduled_renewal_armed() {
         rate_per_sec: 1,
         burst: 1,
     };
-    let client = EngineCore::new(cfg().with_renew_below(64).with_pacer(pacer));
-    let server = EngineCore::new(cfg());
-    let ca = addr(1195);
-    let sa = addr(2195);
-    let sa2 = addr(2196);
-    let mut rng = StdRng::seed_from_u64(42);
-    let t0 = Timestamp::from_millis(1);
-    let (key, out) = client.connect(sa, 52, t0, &mut rng);
-    pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+    let stingy = cfg().with_renew_below(64).with_pacer(pacer);
+    let sa2 = addr(2001);
+    let (mut net, key) = connected(stingy, cfg(), 42, 52);
     // The first exchange spends the pacer's one token on a renewal; the
     // second finds the bucket dry, so its renewal is deferred to a
     // (jitter-free) timer.
     for msg in [b"renew now".as_slice(), b"arm the renewal"] {
-        let out = client.sign_batch(key, &[msg], Mode::Base, t0).unwrap();
-        pump(&client, ca, &server, sa, out.datagrams, t0, &mut rng);
+        exchange(&mut net, key, &[msg], Mode::Base);
     }
+    let client = net.engine(ca());
     let store = &client.metrics().store;
     assert_eq!(store.renewals_started.load(Ordering::Relaxed), 1);
     assert_eq!(store.renewals_deferred.load(Ordering::Relaxed), 1);
 
-    assert_eq!(client.reroute(sa, sa2), 1);
-    let out = client.poll(t0.plus_micros(1_500_000), &mut rng);
+    assert_eq!(client.reroute(sa(), sa2), 1);
+    net.now = net.now.plus_micros(1_500_000);
+    net.poll(ca());
     assert!(
-        !out.datagrams.is_empty() && out.datagrams.iter().all(|(d, _)| *d == sa2),
+        !net.flight.is_empty() && net.flight.iter().all(|d| d.dst == sa2),
         "renewal S1 goes out, toward the new peer"
     );
+    let store = &net.engine(ca()).metrics().store;
     assert_eq!(store.renewals_started.load(Ordering::Relaxed), 2);
 }
 
@@ -1135,26 +898,33 @@ fn relay_single_and_run_paths_agree() {
     // engines: one datagram each (single-packet path) versus one
     // bundle (S2-run path). Everything observable must match.
     use alpha_core::signal::Signal;
-    let ca = addr(1900);
-    let sa = addr(2900);
+    let (ca, sa) = (ca(), sa());
     let now = Timestamp::from_millis(1);
     for mode in [Mode::Cumulative, Mode::Merkle] {
-        let c = Config::new(Algorithm::Sha256).with_chain_len(64);
-        let mut rng = StdRng::seed_from_u64(77);
-        let (hs, hs1) = bootstrap::initiate(c, 9, None, &mut rng);
-        let (mut bob, hs2, _) =
-            bootstrap::respond(c, &hs1, None, AuthRequirement::None, &mut rng).unwrap();
-        let (mut alice, _) = hs.complete(&hs2, AuthRequirement::None).unwrap();
-
+        // The handshake and two exchanges' S1s and A1s, carried by a
+        // bypassed relay; the S2s held back.
+        let c = EngineConfig::new(Config::new(Algorithm::Sha256).with_chain_len(64));
+        let (mut net, ra) = Net::path(77, c, c, Some(cfg()));
+        net.bypass(ra);
+        let key = net.connect(ca, ra, 9);
         let msgs: Vec<Vec<u8>> = (0..4).map(|i| format!("run {i}").into_bytes()).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let s1a = alice.sign_batch(&refs, mode, now).unwrap();
-        let a1a = bob.handle(&s1a, now, &mut rng).unwrap().packet().unwrap();
-        let mut s2s = alice.handle(&a1a, now, &mut rng).unwrap().packets;
+        net.sign(ca, key, &refs, mode).unwrap();
+        let mut held = net.pump_holding(|d| d.carries_s2());
         let signal = Signal::RateLimit { bytes_per_sec: 512 };
-        let s1b = alice.send_signal(&signal, now).unwrap();
-        let a1b = bob.handle(&s1b, now, &mut rng).unwrap().packet().unwrap();
-        s2s.extend(alice.handle(&a1b, now, &mut rng).unwrap().packets);
+        let s1b = net
+            .engine(ca)
+            .with_association(key, |a| a.send_signal(&signal, now));
+        net.flight.push(Datagram {
+            src: ca,
+            dst: ra,
+            frame: s1b.unwrap().unwrap().emit(),
+        });
+        held.extend(net.pump_holding(|d| d.carries_s2()));
+        let mut s2s: Vec<Packet> = held
+            .iter()
+            .flat_map(|d| bundle::parse(&d.frame).unwrap())
+            .collect();
         assert_eq!(s2s.len(), 5);
         if let alpha_wire::Body::S2 { payload, .. } = &mut s2s[2].body {
             payload[0] ^= 1;
@@ -1162,18 +932,12 @@ fn relay_single_and_run_paths_agree() {
 
         let single = EngineCore::new(cfg());
         let run = EngineCore::new(cfg());
+        let mut rng = StdRng::seed_from_u64(77);
         let mut seen = Vec::new();
         for (relay, bundled) in [(&single, false), (&run, true)] {
             relay.add_route(ca, sa);
-            for (from, pkt) in [
-                (ca, &hs1),
-                (sa, &hs2),
-                (ca, &s1a),
-                (sa, &a1a),
-                (ca, &s1b),
-                (sa, &a1b),
-            ] {
-                let o = relay.handle_datagram(from, &pkt.emit(), now, &mut rng);
+            for setup in &net.bypassed {
+                let o = relay.handle_datagram(setup.src, &setup.frame, now, &mut rng);
                 assert_eq!(o.datagrams.len(), 1, "setup packet forwarded");
             }
             let datagrams: Vec<Vec<u8>> = if bundled {
@@ -1188,9 +952,7 @@ fn relay_single_and_run_paths_agree() {
                 let o = relay.handle_datagram(ca, datagram, now, &mut rng);
                 for (dst, frame) in &o.datagrams {
                     assert_eq!(*dst, sa);
-                    let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
-                    let n = bundle::split(frame, &mut slices).unwrap();
-                    forwarded.extend(slices[..n].iter().map(|s| s.to_vec()));
+                    forwarded.extend(packets(frame).iter().map(|p| p.to_vec()));
                 }
                 extracted.extend(o.extracted.iter().map(|(id, p)| (id, p.to_vec())));
             }
@@ -1283,15 +1045,9 @@ fn frozen_record_codec_is_total_and_round_trips() {
         .enumerate()
     {
         let cfg = EngineConfig::new(cfg().protocol.with_chain_storage(storage));
-        let client = EngineCore::new(cfg);
-        let server = EngineCore::new(cfg);
-        let ca = addr(1910 + n as u16);
-        let sa = addr(2910 + n as u16);
-        let mut rng = StdRng::seed_from_u64(43);
-        let now = Timestamp::from_millis(1);
-        let (key, out) = client.connect(sa, 53, now, &mut rng);
-        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
-        let frozen = client
+        let (net, key) = connected(cfg, cfg, 43 + n as u64, 53);
+        let frozen = net
+            .engine(ca())
             .with_association(key, |a| a.freeze())
             .expect("host flow")
             .expect("idle association freezes");

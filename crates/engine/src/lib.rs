@@ -11,6 +11,11 @@
 //! of `DESIGN.md` for the full picture.
 #![warn(missing_docs)]
 
+// The unit tests share the integration suites' virtual network, which
+// names this crate by its external name.
+#[cfg(test)]
+extern crate self as alpha_engine;
+
 pub mod backoff;
 pub mod chainstore;
 pub mod engine;

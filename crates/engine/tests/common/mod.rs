@@ -1,5 +1,9 @@
-//! The counting allocator the engine's allocation suites install
+//! What the engine's integration suites share: the virtual network
+//! ([`net`]) and the counting allocator the allocation suites install
 //! (`run_allocs.rs`, `relay_budget.rs`).
+#![allow(dead_code)]
+
+pub mod net;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -12,12 +12,11 @@ mod common;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering::Relaxed;
 
-use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::{Config, DropReason, Mode, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::shard::{locks_taken_on_thread, reset_thread_lock_count};
 use alpha_engine::{EngineConfig, EngineCore};
-use alpha_wire::bundle;
+use common::net::{client, relay, Net};
 use common::CountingAlloc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,10 +25,6 @@ use rand::SeedableRng;
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const NOW: Timestamp = Timestamp(1_000);
-
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
-}
 
 /// How the client sends each exchange.
 #[derive(Clone, Copy)]
@@ -48,13 +43,19 @@ enum Shape {
 const RUN: usize = 8;
 
 /// A relay engine that has learned one association between a client
-/// and a server, and the client's side of `exchanges` exchanges as the
-/// relay sees them: S1, S2(s), S1, S2(s), … (the server's A1s go the
-/// other way and are not needed to verify).
+/// and a server engine, and the client's side of `exchanges` exchanges
+/// as the relay sees them: S1, S2(s), S1, S2(s), … (the server's A1s go
+/// the other way and are not needed to verify). The relay carries the
+/// handshake, then is bypassed while the exchanges are made.
 struct Setup {
-    relay: EngineCore,
-    client: SocketAddr,
+    net: Net,
     datagrams: Vec<Vec<u8>>,
+}
+
+impl Setup {
+    fn relay(&self) -> &EngineCore {
+        self.net.engine(relay())
+    }
 }
 
 fn setup(exchanges: usize) -> Setup {
@@ -62,51 +63,38 @@ fn setup(exchanges: usize) -> Setup {
 }
 
 fn setup_shaped(exchanges: usize, shape: Shape) -> Setup {
-    let cfg = Config::new(Algorithm::Sha1).with_chain_len(2 * exchanges as u64 + 8);
-    let mut rng = StdRng::seed_from_u64(29);
-    let (hs, hs1) = bootstrap::initiate(cfg, 7, None, &mut rng);
-    let (mut server, hs2, _) =
-        bootstrap::respond(cfg, &hs1, None, AuthRequirement::None, &mut rng).expect("HS2");
-    let (mut client, _) = hs.complete(&hs2, AuthRequirement::None).expect("handshake");
-    let relay = EngineCore::new(EngineConfig::new(cfg));
-    let (ca, sa) = (addr(1), addr(2));
-    relay.add_route(ca, sa);
-    relay.handle_datagram(ca, &hs1.emit(), NOW, &mut rng);
-    relay.handle_datagram(sa, &hs2.emit(), NOW, &mut rng);
-    assert_eq!(relay.metrics().handshakes.load(Relaxed), 1);
-    let mut datagrams = Vec::with_capacity(2 * exchanges);
+    let proto = Config::new(Algorithm::Sha1).with_chain_len(2 * exchanges as u64 + 8);
+    // No renewal: the trace holds the exchanges and nothing else.
+    let host = EngineConfig::new(proto).with_renew_below(0);
+    let (mut net, ra) = Net::path(29, host, host, Some(EngineConfig::new(proto)));
+    let ca = client();
+    let key = net.connect(ca, ra, 7);
+    assert_eq!(net.engine(ra).metrics().handshakes.load(Relaxed), 1);
+    net.bypass(ra);
     for x in 0..exchanges {
         let message = format!("message {x:04}");
-        let s1 = match shape {
-            Shape::Base => client.sign(message.as_bytes(), NOW),
+        match shape {
+            Shape::Base => net.sign(ca, key, &[message.as_bytes()], Mode::Base),
             Shape::MixedLengths => {
                 let repeat = if x % 8 == 0 { 1 } else { 12 };
-                client.sign(message.repeat(repeat).as_bytes(), NOW)
+                net.sign(ca, key, &[message.repeat(repeat).as_bytes()], Mode::Base)
             }
             Shape::MerkleRuns => {
                 let messages: Vec<String> =
                     (0..RUN).map(|i| message.repeat(1 + (x + i) % 4)).collect();
                 let refs: Vec<&[u8]> = messages.iter().map(String::as_bytes).collect();
-                client.sign_batch(&refs, Mode::Merkle, NOW)
+                net.sign(ca, key, &refs, Mode::Merkle)
             }
         }
         .expect("sign");
-        let a1 = server.handle(&s1, NOW, &mut rng).expect("S1").packets;
-        let s2 = client.handle(&a1[0], NOW, &mut rng).expect("A1").packets;
-        for p in &s2 {
-            server.handle(p, NOW, &mut rng).expect("S2");
-        }
-        datagrams.push(s1.emit());
-        datagrams.push(match shape {
-            Shape::MerkleRuns => bundle::emit(&s2).expect("one bundle"),
-            _ => s2[0].emit(),
-        });
+        net.pump();
     }
-    Setup {
-        relay,
-        client: ca,
-        datagrams,
-    }
+    let datagrams = std::mem::take(&mut net.bypassed)
+        .into_iter()
+        .filter(|d| d.src == ca)
+        .map(|d| d.frame)
+        .collect();
+    Setup { net, datagrams }
 }
 
 /// `frames`, all from `from`, as one burst.
@@ -135,15 +123,12 @@ fn a_relayed_burst_allocates_a_constant_and_takes_one_lock_per_datagram() {
     // Warm-up: a burst as long as the longest fills the flow's spare
     // buffers and leaves this thread's frame cache holding a frame for
     // every datagram. Then a 32- and a 64-datagram burst.
-    let Setup {
-        relay,
-        client,
-        datagrams,
-    } = setup(32 + 16 + 32);
+    let setup = setup(32 + 16 + 32);
+    let (relay, datagrams) = (setup.relay(), &setup.datagrams);
     let mut rng = StdRng::seed_from_u64(3);
     let (warm, rest) = datagrams.split_at(64);
     let (short, long) = rest.split_at(32);
-    let burst = |frames| batch_of(client, frames);
+    let burst = |frames| batch_of(client(), frames);
     drop(relay.handle_datagrams(&burst(warm), NOW, &mut rng));
 
     let mut allocs = Vec::new();
@@ -177,11 +162,8 @@ fn a_relayed_burst_allocates_a_constant_and_takes_one_lock_per_datagram() {
 /// only the output's two lists, however their S2s are bundled and
 /// however their payload lengths vary.
 fn burst_allocations(shape: Shape) -> [u64; 2] {
-    let Setup {
-        relay,
-        client,
-        datagrams,
-    } = setup_shaped(24 + 8 + 24, shape);
+    let setup = setup_shaped(24 + 8 + 24, shape);
+    let (relay, datagrams) = (setup.relay(), &setup.datagrams);
     let mut rng = StdRng::seed_from_u64(3);
     let (warm, rest) = datagrams.split_at(48);
     let (short, long) = rest.split_at(16);
@@ -189,9 +171,9 @@ fn burst_allocations(shape: Shape) -> [u64; 2] {
         Shape::MerkleRuns => frames.len() / 2 * RUN,
         _ => frames.len() / 2,
     };
-    drop(relay.handle_datagrams(&batch_of(client, warm), NOW, &mut rng));
+    drop(relay.handle_datagrams(&batch_of(client(), warm), NOW, &mut rng));
     [short, long].map(|frames| {
-        let batch = batch_of(client, frames);
+        let batch = batch_of(client(), frames);
         let (out, n) = common::allocations(|| relay.handle_datagrams(&batch, NOW, &mut rng));
         assert_eq!(
             out.datagrams.len(),
@@ -216,29 +198,25 @@ fn bundled_runs_and_mixed_lengths_size_the_arena_once() {
 fn burst_totals_equal_the_per_datagram_sums() {
     let burst = setup(40);
     let single = setup(40);
+    let (burst_relay, single_relay) = (burst.relay(), single.relay());
     let mut rng = StdRng::seed_from_u64(5);
     // Two bursts, so the second starts from published totals.
     for half in burst.datagrams.chunks(40) {
-        let out = burst
-            .relay
-            .handle_datagrams(&batch_of(burst.client, half), NOW, &mut rng);
+        let out = burst_relay.handle_datagrams(&batch_of(client(), half), NOW, &mut rng);
         assert_eq!(out.extracted.len(), 20);
     }
     let mut sums = [0i64; 9];
     for frame in &single.datagrams {
-        let before = totals(&single.relay);
-        drop(
-            single
-                .relay
-                .handle_datagram(single.client, frame, NOW, &mut rng),
-        );
-        let after = totals(&single.relay);
+        let before = totals(single_relay);
+        drop(single_relay.handle_datagram(client(), frame, NOW, &mut rng));
+        let after = totals(single_relay);
         for (sum, (a, b)) in sums.iter_mut().zip(after.iter().zip(before)) {
             *sum += a - b;
         }
     }
-    let start = totals(&setup(40).relay);
-    let burst_delta: Vec<i64> = totals(&burst.relay)
+    let fresh = setup(40);
+    let start = totals(fresh.relay());
+    let burst_delta: Vec<i64> = totals(burst_relay)
         .iter()
         .zip(start)
         .map(|(a, b)| a - b)

@@ -26,17 +26,19 @@
 //! runs the suite under every forced digest backend, and the ignored
 //! long run (ten times the cases, release build) as a time-boxed smoke.
 
+mod common;
+
 use std::collections::{BTreeMap, HashSet};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 
-use alpha_core::bootstrap::{self, AuthRequirement};
-use alpha_core::{Association, Config, Mode, RelayConfig, Reliability, Timestamp};
+use alpha_core::{Config, Mode, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::{EngineConfig, EngineCore};
+use alpha_wire::bundle;
 use alpha_wire::limits::MAX_BUNDLE;
-use alpha_wire::{bundle, Packet, PacketType};
+use common::net::{addr, is_s2, Net};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -46,10 +48,6 @@ use serde::Value;
 const CASES: usize = 10_000;
 
 const NOW: Timestamp = Timestamp(1_000);
-
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
-}
 
 /// The valid input: datagrams in arrival order with their sources, and
 /// the routes they travel.
@@ -64,7 +62,7 @@ impl Trace {
         let (mut all, mut s2s) = (HashSet::new(), HashSet::new());
         for (_, bytes) in &self.datagrams {
             for slice in split(bytes).expect("valid framing") {
-                if packet_type(slice) == Some(PacketType::S2 as u8) {
+                if is_s2(slice) {
                     s2s.insert(slice.to_vec());
                 }
                 all.insert(slice.to_vec());
@@ -92,75 +90,54 @@ fn split(bytes: &[u8]) -> Option<Vec<&[u8]>> {
     Some(slices[..n].to_vec())
 }
 
-/// A packet's type byte (after the two magic bytes and the version).
-fn packet_type(packet: &[u8]) -> Option<u8> {
-    packet.get(3).copied()
-}
-
-/// One association's handshake and `exchanges` exchanges of `msgs`
-/// messages each, client at `ca` and server at `sa`, as the relay
-/// between them sees the datagrams.
-fn flow(
-    cfg: Config,
-    assoc_id: u64,
-    (ca, sa): (SocketAddr, SocketAddr),
-    exchanges: usize,
-    msgs: usize,
-    rng: &mut StdRng,
-) -> Vec<(SocketAddr, Vec<u8>)> {
-    let (hs, hs1) = bootstrap::initiate(cfg, assoc_id, None, rng);
-    let (mut server, hs2, _) =
-        bootstrap::respond(cfg, &hs1, None, AuthRequirement::None, rng).expect("HS2");
-    let (mut client, _) = hs.complete(&hs2, AuthRequirement::None).expect("handshake");
-    let mut out = vec![(ca, hs1.emit()), (sa, hs2.emit())];
-    let datagram = |packets: &[Packet]| match packets {
-        [one] => one.emit(),
-        many => bundle::emit(many).expect("a bundle"),
-    };
-    let answer = |end: &mut Association, packets: &[Packet], rng: &mut StdRng| -> Vec<Packet> {
-        packets
-            .iter()
-            .flat_map(|p| end.handle(p, NOW, rng).expect("valid").packets)
-            .collect()
-    };
-    for x in 0..exchanges {
-        let messages: Vec<Vec<u8>> = (0..msgs)
-            .map(|m| format!("flow {assoc_id} exchange {x} message {m}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
-        let s1 = client.sign_batch(&refs, cfg.mode, NOW).expect("sign");
-        let a1 = answer(&mut server, std::slice::from_ref(&s1), rng);
-        let s2s = answer(&mut client, &a1, rng);
-        let a2s = answer(&mut server, &s2s, rng);
-        answer(&mut client, &a2s, rng);
-        out.push((ca, s1.emit()));
-        out.push((sa, datagram(&a1)));
-        out.push((ca, datagram(&s2s)));
-        if !a2s.is_empty() {
-            out.push((sa, datagram(&a2s)));
-        }
-    }
-    out
-}
-
+/// Two client and server engine pairs, one Base unreliable flow and one
+/// ALPHA-M reliable flow, both routed over one relay, and what that
+/// relay is handed: both handshakes, then four Base exchanges of one
+/// message and two ALPHA-M exchanges of four, in step.
 fn trace() -> Trace {
-    let mut rng = StdRng::seed_from_u64(0x0FA2_2E1A);
     let base = Config::new(Algorithm::Sha1).with_chain_len(64);
     let merkle = base
         .with_mode(Mode::Merkle)
         .with_reliability(Reliability::Reliable);
     let routes = vec![(addr(1001), addr(2001)), (addr(1002), addr(2002))];
-    let a = flow(base, 1, routes[0], 4, 1, &mut rng);
-    let b = flow(merkle, 2, routes[1], 2, 4, &mut rng);
-    // Both handshakes first, then the exchanges interleaved.
-    let mut datagrams: Vec<_> = a[..2].iter().chain(&b[..2]).cloned().collect();
-    let (mut a, mut b) = (a[2..].iter(), b[2..].iter());
-    loop {
-        match (a.next(), b.next()) {
-            (None, None) => break,
-            (x, y) => datagrams.extend(x.into_iter().chain(y).cloned()),
-        }
+    let ra = addr(3000);
+    let mut net = Net::new(0x0FA2_2E1A);
+    for (&(ca, sa), cfg) in routes.iter().zip([base, merkle]) {
+        net.host(ca, EngineConfig::new(cfg));
+        net.host(sa, EngineConfig::new(cfg));
     }
+    net.relay(ra, EngineConfig::new(base), &routes);
+    net.bypass(ra);
+    let flows = [
+        (
+            routes[0].0,
+            net.connect(routes[0].0, ra, 1),
+            4,
+            1,
+            Mode::Base,
+        ),
+        (
+            routes[1].0,
+            net.connect(routes[1].0, ra, 2),
+            2,
+            4,
+            Mode::Merkle,
+        ),
+    ];
+    for x in 0..4 {
+        for &(ca, key, exchanges, msgs, mode) in &flows {
+            if x >= exchanges {
+                continue;
+            }
+            let messages: Vec<Vec<u8>> = (0..msgs)
+                .map(|m| format!("flow {} exchange {x} message {m}", key.assoc_id).into_bytes())
+                .collect();
+            let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+            net.sign(ca, key, &refs, mode).expect("sign");
+        }
+        net.pump();
+    }
+    let datagrams = net.bypassed.into_iter().map(|d| (d.src, d.frame)).collect();
     Trace { routes, datagrams }
 }
 
@@ -346,7 +323,7 @@ fn check(
         }
     }
     for packet in &forwarded {
-        if packet_type(packet) == Some(PacketType::S2 as u8) && !valid_s2s.contains(*packet) {
+        if is_s2(packet) && !valid_s2s.contains(*packet) {
             return Err("forwarded an S2 the valid trace does not hold".to_owned());
         }
     }

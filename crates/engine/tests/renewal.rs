@@ -10,14 +10,15 @@
 //! follow both ends' renewals without dropping a packet. ci.sh runs this
 //! suite under each digest backend: renewal builds chains, so it hashes.
 
-use std::net::SocketAddr;
+mod common;
+
 use std::sync::atomic::Ordering;
 
-use alpha_core::{Config, DropReason, Mode, Reliability, Timestamp};
+use alpha_core::{Config, DropReason, Mode, Reliability};
 use alpha_crypto::Algorithm;
-use alpha_engine::{EngineConfig, EngineCore, EngineOutput, FlowKey};
+use alpha_engine::{EngineConfig, EngineCore, FlowKey};
 use alpha_store::PacerConfig;
-use alpha_wire::Frame;
+use common::net::{client, relay, server, Net};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,144 +36,32 @@ fn jitter_free() -> PacerConfig {
     }
 }
 
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
+/// Poll both engines and carry what the timers sent: nothing may be
+/// delivered by a timer.
+fn poll(net: &mut Net) {
+    net.poll(client());
+    net.poll(server());
+    net.pump();
+    assert!(net.delivered(server()).is_empty() && net.delivered(client()).is_empty());
 }
 
-/// What each side delivered while a round was pumped.
-#[derive(Default)]
-struct Delivered {
-    at_server: Vec<Vec<u8>>,
-    at_client: Vec<Vec<u8>>,
+/// One exchange from the client: the server delivers exactly `msg`.
+fn exchange(net: &mut Net, key: FlowKey, msg: &[u8]) {
+    net.sign(client(), key, &[msg], Mode::Base)
+        .unwrap_or_else(|e| panic!("sign {:?}: {e}", String::from_utf8_lossy(msg)));
+    net.pump();
+    assert_eq!(
+        net.delivered(server()),
+        vec![msg.to_vec()],
+        "{:?} delivered exactly once",
+        String::from_utf8_lossy(msg)
+    );
+    assert!(net.delivered(client()).is_empty());
 }
 
-/// A client engine and a server engine, every flow's client half at its
-/// own address, and optionally a relay engine on the path between them.
-struct Net {
-    client: EngineCore,
-    server: EngineCore,
-    relay: Option<EngineCore>,
-    sa: SocketAddr,
-    rng: StdRng,
-}
-
-impl Net {
-    fn new(client: EngineConfig, server: EngineConfig, seed: u64) -> Net {
-        Net {
-            client: EngineCore::new(client),
-            server: EngineCore::new(server),
-            relay: None,
-            sa: addr(4000),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Route every datagram through a relay engine.
-    fn relayed(mut self, relay: EngineConfig) -> Net {
-        self.relay = Some(EngineCore::new(relay));
-        self
-    }
-
-    /// Datagrams an end at `ca` or the server sent, as they leave the
-    /// relay (all of them, when there is none).
-    fn cross(
-        &mut self,
-        ca: SocketAddr,
-        sent: Vec<(SocketAddr, Frame)>,
-        now: Timestamp,
-    ) -> Vec<(SocketAddr, Frame)> {
-        let Some(relay) = &self.relay else {
-            return sent;
-        };
-        let mut passed = Vec::new();
-        for (dst, frame) in sent {
-            let from = if dst == self.sa { ca } else { self.sa };
-            passed.extend(
-                relay
-                    .handle_datagram(from, &frame, now, &mut self.rng)
-                    .datagrams,
-            );
-        }
-        passed
-    }
-
-    /// Carry datagrams between the client at `ca` and the server until
-    /// both fall silent.
-    fn pump(
-        &mut self,
-        ca: SocketAddr,
-        from_client: EngineOutput,
-        from_server: EngineOutput,
-        now: Timestamp,
-    ) -> Delivered {
-        let mut got = Delivered::default();
-        let mut pending = self.cross(ca, from_client.datagrams, now);
-        pending.extend(self.cross(ca, from_server.datagrams, now));
-        for _hop in 0..64 {
-            if pending.is_empty() {
-                return got;
-            }
-            let mut next = Vec::new();
-            for (dst, frame) in pending.drain(..) {
-                let out = if dst == self.sa {
-                    let out = self.server.handle_datagram(ca, &frame, now, &mut self.rng);
-                    got.at_server
-                        .extend(out.delivered.iter().map(|(_, _, p)| p.clone()));
-                    out
-                } else {
-                    assert_eq!(dst, ca, "a datagram for another flow");
-                    let out = self
-                        .client
-                        .handle_datagram(self.sa, &frame, now, &mut self.rng);
-                    got.at_client
-                        .extend(out.delivered.iter().map(|(_, _, p)| p.clone()));
-                    out
-                };
-                next.extend(self.cross(ca, out.datagrams, now));
-            }
-            pending = next;
-        }
-        panic!("flow at {ca}: the exchange did not converge");
-    }
-
-    fn connect(&mut self, ca: SocketAddr, assoc_id: u64, now: Timestamp) -> FlowKey {
-        if let Some(relay) = &self.relay {
-            relay.add_route(ca, self.sa);
-        }
-        let (key, out) = self.client.connect(self.sa, assoc_id, now, &mut self.rng);
-        self.pump(ca, out, EngineOutput::default(), now);
-        key
-    }
-
-    /// Poll both engines and carry what the timers sent: nothing may be
-    /// delivered by a timer.
-    fn poll(&mut self, ca: SocketAddr, now: Timestamp) {
-        let from_client = self.client.poll(now, &mut self.rng);
-        let from_server = self.server.poll(now, &mut self.rng);
-        let got = self.pump(ca, from_client, from_server, now);
-        assert!(got.at_server.is_empty() && got.at_client.is_empty());
-    }
-
-    /// One exchange from the client: the server delivers exactly `msg`.
-    fn exchange(&mut self, ca: SocketAddr, key: FlowKey, mode: Mode, msg: &[u8], now: Timestamp) {
-        let out = self
-            .client
-            .sign_batch(key, &[msg], mode, now)
-            .unwrap_or_else(|e| panic!("sign {:?}: {e}", String::from_utf8_lossy(msg)));
-        let got = self.pump(ca, out, EngineOutput::default(), now);
-        assert_eq!(
-            got.at_server,
-            vec![msg.to_vec()],
-            "{:?} delivered exactly once",
-            String::from_utf8_lossy(msg)
-        );
-        assert!(got.at_client.is_empty());
-    }
-
-    fn renewals(&self) -> (u64, u64) {
-        let started = |e: &EngineCore| e.metrics().store.renewals_started.load(Ordering::Relaxed);
-        (started(&self.client), started(&self.server))
-    }
+fn renewals(net: &Net) -> (u64, u64) {
+    let started = |e: &EngineCore| e.metrics().store.renewals_started.load(Ordering::Relaxed);
+    (started(net.engine(client())), started(net.engine(server())))
 }
 
 /// Exchanges a 64-element chain affords.
@@ -188,16 +77,14 @@ fn budget() -> u64 {
 #[test]
 fn a_polled_one_way_flow_outlives_ten_chains() {
     let cfg = EngineConfig::new(proto()).with_pacer(jitter_free());
-    let mut net = Net::new(cfg, cfg, 1);
-    let ca = addr(5000);
-    let mut now = Timestamp::from_millis(1);
-    let key = net.connect(ca, 1, now);
+    let (mut net, hop) = Net::path(1, cfg, cfg, None);
+    let key = net.connect(client(), hop, 1);
     for n in 0..320u32 {
-        now = now.plus_micros(10_000);
-        net.poll(ca, now);
-        net.exchange(ca, key, Mode::Base, format!("exchange {n}").as_bytes(), now);
+        net.now = net.now.plus_micros(10_000);
+        poll(&mut net);
+        exchange(&mut net, key, format!("exchange {n}").as_bytes());
     }
-    let (client, server) = net.renewals();
+    let (client, server) = renewals(&net);
     assert!(
         client >= 320 / budget() && server >= 320 / budget(),
         "renewals: client {client}, server {server}"
@@ -219,46 +106,40 @@ fn never_polled_clients_and_a_hibernating_server_outlive_ten_chains() {
         rate_per_sec: 1,
         burst: 1,
     };
-    let client = EngineConfig::new(proto()).with_pacer(stingy);
-    let server = client.with_hibernate_after(Some(IDLE_US));
-    let mut net = Net::new(client, server, 2);
-    let mut now = Timestamp::from_millis(1);
-    let flows: Vec<(SocketAddr, FlowKey)> = (0..FLOWS)
-        .map(|f| {
-            let ca = addr(5100 + f);
-            (ca, net.connect(ca, u64::from(f) + 1, now))
-        })
+    let client_cfg = EngineConfig::new(proto()).with_pacer(stingy);
+    let server_cfg = client_cfg.with_hibernate_after(Some(IDLE_US));
+    let (mut net, hop) = Net::path(2, client_cfg, server_cfg, None);
+    let flows: Vec<FlowKey> = (0..FLOWS)
+        .map(|f| net.connect(client(), hop, u64::from(f) + 1))
         .collect();
     for round in 0..320u64 {
-        now = now.plus_micros(IDLE_US + 50_000);
-        let out = net.server.poll(now, &mut net.rng);
-        assert!(
-            out.datagrams.is_empty(),
+        net.now = net.now.plus_micros(IDLE_US + 50_000);
+        assert_eq!(
+            net.poll(server()),
+            0,
             "round {round}: the freezing poll sends nothing"
         );
-        let store = &net.server.metrics().store;
+        let store = &net.engine(server()).metrics().store;
         let asleep = store.flows_hibernated.load(Ordering::Relaxed);
         assert_eq!(asleep, u64::from(FLOWS), "round {round}");
-        for (f, &(ca, key)) in flows.iter().enumerate() {
-            net.exchange(
-                ca,
-                key,
-                Mode::Base,
-                format!("wake {f}/{round}").as_bytes(),
-                now,
-            );
+        for (f, &key) in flows.iter().enumerate() {
+            exchange(&mut net, key, format!("wake {f}/{round}").as_bytes());
         }
-        let thawed = net.server.metrics().store.thawed.load(Ordering::Relaxed);
+        let store = &net.engine(server()).metrics().store;
+        let thawed = store.thawed.load(Ordering::Relaxed);
         assert_eq!(thawed, (round + 1) * u64::from(FLOWS), "round {round}");
     }
-    let (client, server) = net.renewals();
+    let (client, server) = renewals(&net);
     let chains = 320 / budget() * u64::from(FLOWS);
     assert!(
         client >= chains && server >= chains,
         "client {client}, server {server}"
     );
-    let deferred = |e: &EngineCore| e.metrics().store.renewals_deferred.load(Ordering::Relaxed);
-    assert!(deferred(&net.client) > 0 && deferred(&net.server) > 0);
+    let deferred = |at| {
+        let e: &EngineCore = net.engine(at);
+        e.metrics().store.renewals_deferred.load(Ordering::Relaxed)
+    };
+    assert!(deferred(self::client()) > 0 && deferred(self::server()) > 0);
 }
 
 /// (3) Both ends send every round, so all four chains run down together
@@ -272,33 +153,32 @@ fn both_ends_renewing_at_once(
     relayed: bool,
 ) -> Net {
     let cfg = EngineConfig::new(proto().with_reliability(reliability)).with_pacer(jitter_free());
-    let mut net = Net::new(cfg, cfg, seed);
-    if relayed {
-        net = net.relayed(cfg);
-    }
-    let ca = addr(5002);
-    let mut now = Timestamp::from_millis(1);
-    let c_key = net.connect(ca, 3, now);
+    let (mut net, hop) = Net::path(seed, cfg, cfg, relayed.then_some(cfg));
+    let c_key = net.connect(client(), hop, 3);
     let s_key = FlowKey {
-        peer: ca,
+        peer: if relayed { hop } else { client() },
         assoc_id: c_key.assoc_id,
     };
     for n in 0..160u32 {
-        now = now.plus_micros(10_000);
-        net.poll(ca, now);
+        net.now = net.now.plus_micros(10_000);
+        poll(&mut net);
         let up = format!("up {n}");
         let down = format!("down {n}");
-        let from_client = net.client.sign_batch(c_key, &[up.as_bytes()], mode, now);
-        let from_server = net.server.sign_batch(s_key, &[down.as_bytes()], mode, now);
-        let (from_client, from_server) = match (from_client, from_server) {
-            (Ok(c), Ok(s)) => (c, s),
-            (c, s) => panic!("round {n}: client {:?}, server {:?}", c.err(), s.err()),
-        };
-        let got = net.pump(ca, from_client, from_server, now);
-        assert_eq!(got.at_server, vec![up.into_bytes()], "round {n}");
-        assert_eq!(got.at_client, vec![down.into_bytes()], "round {n}");
+        let from_client = net.sign(client(), c_key, &[up.as_bytes()], mode);
+        let from_server = net.sign(server(), s_key, &[down.as_bytes()], mode);
+        if from_client.is_err() || from_server.is_err() {
+            let (c, s) = (from_client.err(), from_server.err());
+            panic!("round {n}: client {c:?}, server {s:?}");
+        }
+        net.pump();
+        assert_eq!(net.delivered(server()), vec![up.into_bytes()], "round {n}");
+        assert_eq!(
+            net.delivered(client()),
+            vec![down.into_bytes()],
+            "round {n}"
+        );
     }
-    let (client, server) = net.renewals();
+    let (client, server) = renewals(&net);
     assert!(client >= 160 / budget() && server >= 160 / budget());
     net
 }
@@ -325,7 +205,7 @@ fn both_ends_renewing_at_once_through_a_relay() {
         (Mode::Merkle, Reliability::Reliable, 7),
     ] {
         let net = both_ends_renewing_at_once(mode, reliability, seed, true);
-        let m = net.relay.as_ref().expect("relayed").metrics();
+        let m = net.engine(relay()).metrics();
         let what = format!("{mode:?} {reliability:?}");
         assert_eq!(m.drops(DropReason::BadChainElement), 0, "{what}");
         assert_eq!(m.total_drops(), 0, "{what}");
@@ -344,27 +224,26 @@ fn both_ends_renewing_at_once_through_a_relay() {
 fn a_thousand_flows_renewing_in_lockstep_all_survive() {
     const FLOWS: u16 = 1024;
     let cfg = EngineConfig::new(proto());
-    let mut net = Net::new(cfg, cfg, 5);
-    let mut now = Timestamp::from_millis(1);
-    let flows: Vec<(SocketAddr, FlowKey)> = (0..FLOWS)
-        .map(|f| {
-            let ca = addr(6000 + f);
-            (ca, net.connect(ca, u64::from(f) + 1, now))
-        })
+    let (mut net, hop) = Net::path(5, cfg, cfg, None);
+    let flows: Vec<FlowKey> = (0..FLOWS)
+        .map(|f| net.connect(client(), hop, u64::from(f) + 1))
         .collect();
     // Past the first renewal of every flow, both ends.
     let rounds = budget() + 4;
     for round in 0..rounds {
-        now = now.plus_micros(1_000);
-        for (f, &(ca, key)) in flows.iter().enumerate() {
-            net.exchange(ca, key, Mode::Base, format!("{f}/{round}").as_bytes(), now);
+        net.now = net.now.plus_micros(1_000);
+        for (f, &key) in flows.iter().enumerate() {
+            exchange(&mut net, key, format!("{f}/{round}").as_bytes());
         }
     }
-    let (client, server) = net.renewals();
+    let (client, server) = renewals(&net);
     assert!(
         client >= u64::from(FLOWS) && server >= u64::from(FLOWS),
         "every flow renewed both ends: client {client}, server {server}"
     );
-    let deferred = |e: &EngineCore| e.metrics().store.renewals_deferred.load(Ordering::Relaxed);
-    assert!(deferred(&net.client) > 0 && deferred(&net.server) > 0);
+    let deferred = |at| {
+        let e: &EngineCore = net.engine(at);
+        e.metrics().store.renewals_deferred.load(Ordering::Relaxed)
+    };
+    assert!(deferred(self::client()) > 0 && deferred(self::server()) > 0);
 }

@@ -8,13 +8,11 @@
 
 mod common;
 
-use std::net::SocketAddr;
-
-use alpha_core::bootstrap::{self, AuthRequirement};
-use alpha_core::{Association, Config, Mode, Timestamp};
+use alpha_core::{Config, Mode};
 use alpha_crypto::Algorithm;
-use alpha_engine::{EngineConfig, EngineCore};
-use alpha_wire::{bundle, Packet};
+use alpha_engine::EngineConfig;
+use alpha_wire::bundle;
+use common::net::{client, packets, Net};
 use common::CountingAlloc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,62 +20,37 @@ use rand::SeedableRng;
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const NOW: Timestamp = Timestamp(1_000);
 const RUN: u64 = 16;
 
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
-}
-
-/// Allocations made by handling each of `frames` from `from`, after the
-/// verifying engine has seen the exchange's S1 (and, relayed, its A1).
+/// Allocations made by handling each of an exchange's S2 bundles at
+/// the verifying engine — the server, or the relay before it — after
+/// it has seen the exchange's S1 (and, relayed, its A1).
 fn allocs_per_bundle(relay: bool) -> Vec<u64> {
-    let cfg = Config::new(Algorithm::Sha1).with_chain_len(64);
+    let cfg = EngineConfig::new(Config::new(Algorithm::Sha1).with_chain_len(64));
+    let (mut net, verifier) = Net::path(3, cfg, cfg, relay.then_some(cfg));
+    let ca = client();
+    let key = net.connect(ca, verifier, 5);
     let mut rng = StdRng::seed_from_u64(3);
-    let (hs, hs1) = bootstrap::initiate(cfg, 5, None, &mut rng);
-    let (bob, hs2, _) =
-        bootstrap::respond(cfg, &hs1, None, AuthRequirement::None, &mut rng).expect("HS2");
-    let (mut alice, _) = hs.complete(&hs2, AuthRequirement::None).expect("handshake");
-    let engine = EngineCore::new(EngineConfig::new(cfg));
-    let (ca, sa) = (addr(1), addr(2));
-    let to_engine = |from: SocketAddr, bytes: &[u8], rng: &mut StdRng| {
-        let out = engine.handle_datagrams(&[(from, bytes)], NOW, rng);
-        out.datagrams
-            .iter()
-            .map(|(_, frame)| Packet::parse(frame).expect("one packet"))
-            .collect::<Vec<_>>()
-    };
-    // The relay's far end, a bare host; a host engine holds it instead.
-    let mut far_end: Option<Association> = None;
-    if relay {
-        engine.add_route(ca, sa);
-        to_engine(ca, &hs1.emit(), &mut rng);
-        to_engine(sa, &hs2.emit(), &mut rng);
-        far_end = Some(bob);
-    } else {
-        engine.add_host(ca, bob, NOW);
-    }
     let payloads: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 1024]).collect();
     let mut counts = Vec::new();
     // Four 32-message exchanges, two bundles each; the first exchange
     // warms the frame pool and the flow's state.
     for msgs in payloads.chunks(32).chain(payloads.chunks(32)) {
         let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let s1 = alice.sign_batch(&refs, Mode::Merkle, NOW).expect("sign");
-        let mut a1 = to_engine(ca, &s1.emit(), &mut rng).remove(0);
-        if let Some(bob) = &mut far_end {
-            let reply = bob.handle(&a1, NOW, &mut rng).expect("A1").packets;
-            a1 = to_engine(sa, &reply[0].emit(), &mut rng).remove(0);
-        }
-        let s2s = alice.handle(&a1, NOW, &mut rng).expect("S2s").packets;
+        net.sign(ca, key, &refs, Mode::Merkle).expect("sign");
+        let held = net.pump_holding(|d| d.carries_s2());
+        let s2s: Vec<&[u8]> = held.iter().flat_map(|d| packets(&d.frame)).collect();
         for chunk in s2s.chunks(RUN as usize) {
-            let frame = bundle::emit(chunk).expect("bundle");
+            let mut frame = Vec::new();
+            bundle::emit_slices_into(chunk, &mut frame).expect("bundle");
+            let engine = net.engine(verifier);
             let (out, allocs) =
-                common::allocations(|| engine.handle_datagrams(&[(ca, &frame)], NOW, &mut rng));
+                common::allocations(|| engine.handle_datagrams(&[(ca, &frame)], net.now, &mut rng));
             counts.push(allocs);
             assert_eq!(out.delivered.len() + out.extracted.len(), RUN as usize);
-            drop(out);
+            net.send(verifier, out);
         }
+        net.pump();
     }
     counts
 }

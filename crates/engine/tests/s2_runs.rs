@@ -6,16 +6,18 @@
 //! at every step; ci.sh runs this suite under each digest backend. The
 //! last two pin what one bundle costs each verifying role, in hashes.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 
-use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::signal::Signal;
 use alpha_core::{Association, Config, DropReason, Mode, Reliability, Timestamp};
 use alpha_crypto::{counting, Algorithm, Digest};
-use alpha_engine::{EngineConfig, EngineCore, EngineOutput};
+use alpha_engine::{EngineConfig, EngineCore, EngineOutput, FlowKey};
 use alpha_wire::limits::MAX_BUNDLE;
 use alpha_wire::{bundle, Body, Packet};
+use common::net::{client, packets, server, Net};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,10 +32,6 @@ const DROPS: [DropReason; 7] = [
 ];
 
 const NOW: Timestamp = Timestamp(1_000);
-
-fn addr(port: u16) -> SocketAddr {
-    SocketAddr::from(([127, 0, 0, 1], port))
-}
 
 /// Everything one engine shows after a delivery step.
 #[derive(Debug, PartialEq, Eq)]
@@ -50,9 +48,7 @@ struct Seen {
 fn seen(engine: &EngineCore, out: EngineOutput) -> Seen {
     let mut sent = Vec::new();
     for (dst, frame) in &out.datagrams {
-        let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
-        let n = bundle::split(frame, &mut slices).expect("own framing");
-        sent.extend(slices[..n].iter().map(|s| (*dst, s.to_vec())));
+        sent.extend(packets(frame).iter().map(|p| (*dst, p.to_vec())));
     }
     let m = engine.metrics();
     Seen {
@@ -266,7 +262,7 @@ fn scenarios() -> Vec<(u64, Config, Mode, Barrier)> {
 
 #[test]
 fn host_bundles_decide_as_single_packets() {
-    let ca = addr(1000);
+    let ca = client();
     for (seed, cfg, mode, barrier) in scenarios() {
         let pair = || Association::pair(cfg, 7, &mut StdRng::seed_from_u64(seed));
         let (mut alice, bob) = pair();
@@ -291,21 +287,27 @@ fn host_bundles_decide_as_single_packets() {
     }
 }
 
+/// The relay twins learn the association from the handshake of a
+/// client and a server engine, carried by a bypassed relay they stand
+/// in for; then `drive` runs the client's association and the server's
+/// answers it.
 #[test]
 fn relay_bundles_decide_as_single_packets() {
-    let (ca, sa) = (addr(1100), addr(2100));
+    let (ca, sa) = (client(), server());
     for (seed, cfg, mode, barrier) in scenarios() {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (hs, hs1) = bootstrap::initiate(cfg, 9, None, &mut rng);
-        let (mut bob, hs2, _) =
-            bootstrap::respond(cfg, &hs1, None, AuthRequirement::None, &mut rng).expect("HS2");
-        let (mut alice, _) = hs.complete(&hs2, AuthRequirement::None).expect("handshake");
-        let mut twin = Twin::new(EngineConfig::new(cfg), seed);
+        let cfg = EngineConfig::new(cfg);
+        let (mut net, ra) = Net::path(seed, cfg, cfg, Some(cfg));
+        net.bypass(ra);
+        let key = net.connect(ca, ra, 9);
+        let mut twin = Twin::new(cfg, seed);
         for relay in [&twin.bundled.0, &twin.single.0] {
             relay.add_route(ca, sa);
         }
-        twin.deliver(ca, &[hs1.emit()]);
-        twin.deliver(sa, &[hs2.emit()]);
+        for handshake in std::mem::take(&mut net.bypassed) {
+            twin.deliver(handshake.src, &[handshake.frame]);
+        }
+        let bob = net.engine(sa);
+        let bob_key = FlowKey { peer: ra, ..key };
         let mut extracted = 0;
         let mut bob_rng = StdRng::seed_from_u64(seed);
         let mut hop = |packets: &[Vec<u8>]| {
@@ -315,7 +317,8 @@ fn relay_bundles_decide_as_single_packets() {
             for (dst, bytes) in seen.sent {
                 assert_eq!(dst, sa);
                 let pkt = Packet::parse(&bytes).expect("own encoding");
-                let Ok(resp) = bob.handle(&pkt, NOW, &mut bob_rng) else {
+                let resp = bob.with_association(bob_key, |bob| bob.handle(&pkt, NOW, &mut bob_rng));
+                let Some(Ok(resp)) = resp else {
                     continue;
                 };
                 for reply in resp.packets {
@@ -327,71 +330,62 @@ fn relay_bundles_decide_as_single_packets() {
             }
             back
         };
-        drive(&mut rng, &mut alice, mode, barrier, &mut hop);
+        let mut rng = StdRng::seed_from_u64(seed);
+        net.engine(ca)
+            .with_association(key, |alice| {
+                drive(&mut rng, alice, mode, barrier, &mut hop);
+            })
+            .expect("the client's flow");
         assert!(extracted > 0, "seed {seed}: nothing verified in transit");
     }
 }
 
-/// A sender and the verifying engine: a host engine holding its peer, or
-/// a relay engine routing to a bare peer (`bob`).
+/// A client engine and the verifying engine under measurement: the
+/// server, or the relay engine before it.
 struct Path {
-    alice: Association,
-    bob: Option<Association>,
-    engine: EngineCore,
+    net: Net,
+    key: FlowKey,
+    verifier: SocketAddr,
     rng: StdRng,
 }
 
 impl Path {
     fn new(cfg: Config, relay: bool) -> Path {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (hs, hs1) = bootstrap::initiate(cfg, 3, None, &mut rng);
-        let (bob, hs2, _) =
-            bootstrap::respond(cfg, &hs1, None, AuthRequirement::None, &mut rng).expect("HS2");
-        let (alice, _) = hs.complete(&hs2, AuthRequirement::None).expect("handshake");
-        let mut path = Path {
-            alice,
-            bob: None,
-            engine: EngineCore::new(EngineConfig::new(cfg)),
-            rng,
-        };
-        if relay {
-            path.engine.add_route(addr(1), addr(2));
-            path.feed(addr(1), &[hs1.emit()]);
-            path.feed(addr(2), &[hs2.emit()]);
-            path.bob = Some(bob);
-        } else {
-            path.engine.add_host(addr(1), bob, NOW);
+        let cfg = EngineConfig::new(cfg);
+        let (mut net, verifier) = Net::path(5, cfg, cfg, relay.then_some(cfg));
+        let key = net.connect(client(), verifier, 3);
+        Path {
+            net,
+            key,
+            verifier,
+            rng: StdRng::seed_from_u64(5),
         }
-        path
-    }
-
-    fn feed(&mut self, from: SocketAddr, frames: &[Vec<u8>]) -> EngineOutput {
-        let batch: Vec<(SocketAddr, &[u8])> = frames.iter().map(|f| (from, f.as_slice())).collect();
-        self.engine.handle_datagrams(&batch, NOW, &mut self.rng)
     }
 
     /// Sign `msgs` in `mode` and run the exchange up to the S2s, which
-    /// are returned undelivered.
+    /// are returned undelivered, one packet each.
     fn s2s(&mut self, msgs: &[&[u8]], mode: Mode) -> Vec<Vec<u8>> {
-        let s1 = self.alice.sign_batch(msgs, mode, NOW).expect("sign");
-        let out = self.feed(addr(1), &[s1.emit()]);
-        let mut a1 = Packet::parse(&out.datagrams[0].1).expect("A1 or forwarded S1");
-        if let Some(bob) = &mut self.bob {
-            let reply = bob.handle(&a1, NOW, &mut self.rng).expect("A1");
-            let back = self.feed(addr(2), &[reply.packet().expect("A1").emit()]);
-            a1 = Packet::parse(&back.datagrams[0].1).expect("forwarded A1");
-        }
-        let resp = self.alice.handle(&a1, NOW, &mut self.rng).expect("S2s");
-        resp.packets.iter().map(Packet::emit).collect()
+        self.net.sign(client(), self.key, msgs, mode).expect("sign");
+        let held = self.net.pump_holding(|d| d.carries_s2());
+        held.iter()
+            .flat_map(|d| packets(&d.frame))
+            .map(<[u8]>::to_vec)
+            .collect()
     }
 
-    /// Hashes the engine computes on `frames` from the sender, and the
-    /// payloads it verified.
+    /// Hashes the verifying engine computes on `frames` from the client,
+    /// and the payloads it verified.
     fn hashes(&mut self, frames: &[Vec<u8>]) -> (u64, usize) {
+        let batch: Vec<(SocketAddr, &[u8])> =
+            frames.iter().map(|f| (client(), f.as_slice())).collect();
+        let engine = self.net.engine(self.verifier);
         let scope = counting::Scope::start();
-        let out = self.feed(addr(1), frames);
+        let out = engine.handle_datagrams(&batch, NOW, &mut self.rng);
         let hashes = scope.finish().invocations;
-        (hashes, out.delivered.len() + out.extracted.len())
+        let verified = out.delivered.len() + out.extracted.len();
+        self.net.send(self.verifier, out);
+        self.net.pump();
+        (hashes, verified)
     }
 }
 

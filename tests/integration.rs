@@ -2,6 +2,9 @@
 //! attacks end to end, and interplay between the protocol core, wire
 //! format, simulator and baselines.
 
+#[path = "../crates/engine/tests/common/net.rs"]
+mod net;
+
 use alpha::core::{Config, MacScheme, Mode, Reliability, Timestamp};
 use alpha::crypto::Algorithm;
 use alpha::sim::{
@@ -809,123 +812,51 @@ fn engine_relays_32_concurrent_associations_without_bleed() {
 /// flow A, whose own S2 still verifies afterwards.
 #[test]
 fn engine_relay_rejects_cross_flow_forged_s2() {
-    use alpha::engine::{EngineConfig, EngineCore, EngineOutput};
-    use alpha::wire::{bundle, PacketType};
-    use std::net::SocketAddr;
+    use alpha::engine::EngineConfig;
+    use net::{addr, Net};
     use std::sync::atomic::Ordering::Relaxed;
 
     let cfg = Config::new(Algorithm::Sha1).with_chain_len(64);
     let mut rng = alpha::test_rng(4242);
-    let addr = |p: u16| -> SocketAddr { format!("10.9.0.1:{p}").parse().unwrap() };
     let (relay_addr, a_client, a_server, b_client, b_server) =
         (addr(1), addr(100), addr(101), addr(200), addr(201));
 
+    // Endpoints address the relay, the relay addresses endpoints; source
+    // addresses drive routing.
+    let mut net = Net::new(4242);
     let mut ecfg = EngineConfig::new(cfg);
     ecfg.accept_handshakes = false;
-    let relay = EngineCore::new(ecfg);
-    relay.add_route(a_client, a_server);
-    relay.add_route(b_client, b_server);
-
-    let host_cfg = EngineConfig::new(cfg);
+    net.relay(
+        relay_addr,
+        ecfg,
+        &[(a_client, a_server), (b_client, b_server)],
+    );
     // Endpoint engines, each standing in for one UDP socket. Both flows
     // deliberately share assoc id 7: only addressing separates them.
-    let a_cli = EngineCore::new(host_cfg);
-    let b_cli = EngineCore::new(host_cfg);
-    let a_srv = EngineCore::new(host_cfg);
-    let b_srv = EngineCore::new(host_cfg);
-
-    let now = Timestamp::from_millis(1);
-    let (a_key, a_out) = a_cli.connect(relay_addr, 7, now, &mut rng);
-    let (b_key, b_out) = b_cli.connect(relay_addr, 7, now, &mut rng);
-
-    // Deterministic in-memory "network": endpoints address the relay,
-    // the relay addresses endpoints; source addresses drive routing.
-    let mut held_s2: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
-    let mut inflight: Vec<(SocketAddr, SocketAddr, Vec<u8>)> = Vec::new(); // (src, dst, bytes)
-    let stage = |src: SocketAddr,
-                 out: EngineOutput,
-                 inflight: &mut Vec<(SocketAddr, SocketAddr, Vec<u8>)>,
-                 held: &mut Vec<(SocketAddr, Vec<u8>)>| {
-        for (dst, bytes) in out.datagrams {
-            let bytes = bytes.into_vec();
-            let is_s2 = bundle::parse(&bytes)
-                .map(|pkts| pkts.iter().any(|p| p.packet_type() == PacketType::S2))
-                .unwrap_or(false);
-            if is_s2 {
-                held.push((src, bytes)); // capture S2s instead of delivering
-            } else {
-                inflight.push((src, dst, bytes));
-            }
-        }
-    };
-    stage(a_client, a_out, &mut inflight, &mut held_s2);
-    stage(b_client, b_out, &mut inflight, &mut held_s2);
-
-    let mut relay_extracted = 0usize;
-    for hop in 0..64 {
-        if inflight.is_empty() {
-            break;
-        }
-        let now = Timestamp::from_millis(2 + hop);
-        for (src, dst, bytes) in std::mem::take(&mut inflight) {
-            if dst == relay_addr {
-                let out = relay.handle_datagram(src, &bytes, now, &mut rng);
-                relay_extracted += out.extracted.len();
-                for (fwd_dst, fwd_bytes) in out.datagrams {
-                    inflight.push((relay_addr, fwd_dst, fwd_bytes.into_vec()));
-                }
-            } else {
-                let endpoint = match dst {
-                    d if d == a_client => &a_cli,
-                    d if d == a_server => &a_srv,
-                    d if d == b_client => &b_cli,
-                    d if d == b_server => &b_srv,
-                    d => panic!("datagram to unrouted address {d}"),
-                };
-                let out = endpoint.handle_datagram(src, &bytes, now, &mut rng);
-                stage(dst, out, &mut inflight, &mut held_s2);
-            }
-        }
+    for endpoint in [a_client, a_server, b_client, b_server] {
+        net.host(endpoint, EngineConfig::new(cfg));
     }
-    // Handshakes completed; now put both flows mid-exchange.
+    let a_key = net.connect(a_client, relay_addr, 7);
+    let b_key = net.connect(b_client, relay_addr, 7);
+    // Handshakes completed; now put both flows mid-exchange, capturing
+    // the S2s instead of delivering them.
+    let (a_cli, b_cli) = (net.engine(a_client), net.engine(b_client));
     assert!(
         a_cli.flow_is_idle(a_key) && b_cli.flow_is_idle(b_key),
         "handshakes done"
     );
-    let now = Timestamp::from_millis(100);
-    let a_out = a_cli
-        .sign_batch(a_key, &[b"payload of flow A"], Mode::Base, now)
+    net.now = Timestamp::from_millis(100);
+    net.sign(a_client, a_key, &[b"payload of flow A"], Mode::Base)
         .unwrap();
-    let b_out = b_cli
-        .sign_batch(b_key, &[b"payload of flow B"], Mode::Base, now)
+    net.sign(b_client, b_key, &[b"payload of flow B"], Mode::Base)
         .unwrap();
-    stage(a_client, a_out, &mut inflight, &mut held_s2);
-    stage(b_client, b_out, &mut inflight, &mut held_s2);
-    for hop in 0..64 {
-        if inflight.is_empty() {
-            break;
-        }
-        let now = Timestamp::from_millis(101 + hop);
-        for (src, dst, bytes) in std::mem::take(&mut inflight) {
-            if dst == relay_addr {
-                let out = relay.handle_datagram(src, &bytes, now, &mut rng);
-                relay_extracted += out.extracted.len();
-                for (fwd_dst, fwd_bytes) in out.datagrams {
-                    inflight.push((relay_addr, fwd_dst, fwd_bytes.into_vec()));
-                }
-            } else {
-                let endpoint = match dst {
-                    d if d == a_client => &a_cli,
-                    d if d == a_server => &a_srv,
-                    d if d == b_client => &b_cli,
-                    d if d == b_server => &b_srv,
-                    d => panic!("datagram to unrouted address {d}"),
-                };
-                let out = endpoint.handle_datagram(src, &bytes, now, &mut rng);
-                stage(dst, out, &mut inflight, &mut held_s2);
-            }
-        }
-    }
+    let held_s2: Vec<_> = net
+        .pump_holding(|d| d.carries_s2())
+        .into_iter()
+        .map(|d| (d.src, d.frame))
+        .collect();
+    let relay_extracted = net.take(relay_addr).extracted.len();
+    let relay = net.engine(relay_addr);
     // Both S1s traversed the relay (pre-signatures buffered), both A1s
     // came back, and both S2s are captured in our hand.
     assert_eq!(held_s2.len(), 2, "both S2s intercepted");

@@ -1,19 +1,18 @@
 //! Multi-hop relay mesh: chained per-hop verification, the static
 //! relay-set bypass defense, and live path failover over loopback UDP.
 
+#[path = "../crates/engine/tests/common/net.rs"]
+mod net;
+
 use std::net::SocketAddr;
 
 use alpha::core::{Config, Mode, Timestamp};
 use alpha::crypto::Algorithm;
-use alpha::engine::{EngineConfig, EngineCore, EngineOutput};
-use alpha::wire::{bundle, PacketType};
+use alpha::engine::{EngineConfig, EngineCore};
+use net::{addr, Net};
 
 fn base_cfg() -> Config {
     Config::new(Algorithm::Sha1).with_chain_len(64)
-}
-
-fn addr(p: u16) -> SocketAddr {
-    format!("10.77.0.1:{p}").parse().unwrap()
 }
 
 /// A relay-role engine in mesh mode: accepts traffic only from `up` and
@@ -26,48 +25,6 @@ fn mesh_relay(cfg: Config, up: SocketAddr, down: SocketAddr) -> EngineCore {
     core.mesh_register_peer(up);
     core.mesh_register_peer(down);
     core
-}
-
-/// Deliver queued datagrams until the net is quiet, dispatching each to
-/// the core bound at its destination address. `hold` intercepts: the
-/// first datagram it matches is returned instead of delivered.
-fn pump(
-    net: &mut Vec<(SocketAddr, SocketAddr, Vec<u8>)>,
-    nodes: &[(SocketAddr, &EngineCore)],
-    rng: &mut impl rand::RngCore,
-    mut hold: impl FnMut(SocketAddr, SocketAddr, &[u8]) -> bool,
-) -> Option<(SocketAddr, SocketAddr, Vec<u8>)> {
-    for step in 0..256 {
-        if net.is_empty() {
-            return None;
-        }
-        let now = Timestamp::from_millis(10 + step);
-        for (src, dst, bytes) in std::mem::take(net) {
-            if hold(src, dst, &bytes) {
-                return Some((src, dst, bytes));
-            }
-            let core = nodes
-                .iter()
-                .find(|(a, _)| *a == dst)
-                .map(|(_, c)| *c)
-                .unwrap_or_else(|| panic!("datagram to unbound address {dst}"));
-            let out = core.handle_datagram(src, &bytes, now, rng);
-            queue(net, dst, out);
-        }
-    }
-    None
-}
-
-fn queue(net: &mut Vec<(SocketAddr, SocketAddr, Vec<u8>)>, src: SocketAddr, out: EngineOutput) {
-    for (dst, frame) in out.datagrams {
-        net.push((src, dst, frame.into_vec()));
-    }
-}
-
-fn contains_s2(bytes: &[u8]) -> bool {
-    bundle::parse(bytes)
-        .map(|pkts| pkts.iter().any(|p| p.packet_type() == PacketType::S2))
-        .unwrap_or(false)
 }
 
 /// A 3-hop chain of mesh relays (client → R1 → R2 → R3 → server), all
@@ -83,40 +40,31 @@ fn forged_s2_dies_at_hop_two_and_foreign_sources_are_rejected() {
     let mut rng = alpha::test_rng(77);
     let (c, r1, r2, r3, s) = (addr(100), addr(1), addr(2), addr(3), addr(200));
 
-    let client = EngineCore::new(EngineConfig::new(cfg));
-    let server = EngineCore::new(EngineConfig::new(cfg));
-    let rc1 = mesh_relay(cfg, c, r2);
-    let rc2 = mesh_relay(cfg, r1, r3);
-    let rc3 = mesh_relay(cfg, r2, s);
-    rc1.add_route(c, r2);
-    rc2.add_route(r1, r3);
-    rc3.add_route(r2, s);
-    let nodes: [(SocketAddr, &EngineCore); 5] = [
-        (c, &client),
-        (r1, &rc1),
-        (r2, &rc2),
-        (r3, &rc3),
-        (s, &server),
-    ];
+    let mut net = Net::new(77);
+    net.host(c, EngineConfig::new(cfg));
+    net.host(s, EngineConfig::new(cfg));
+    for (at, up, down) in [(r1, c, r2), (r2, r1, r3), (r3, r2, s)] {
+        let relay = mesh_relay(cfg, up, down);
+        relay.add_route(up, down);
+        net.add(at, relay);
+    }
 
     // Bootstrap through the chain, then stage one Base exchange and
     // intercept the S2 on the wire between hop 1 and hop 2.
-    let mut net = Vec::new();
-    let (key, out) = client.connect(r1, 7, Timestamp::from_millis(1), &mut rng);
-    queue(&mut net, c, out);
-    assert!(pump(&mut net, &nodes, &mut rng, |_, _, _| false).is_none());
-    assert!(client.flow_is_idle(key), "handshake completed");
+    let key = net.connect(c, r1, 7);
+    assert!(net.engine(c).flow_is_idle(key), "handshake completed");
 
     let payload = b"hop-by-hop authenticated payload";
-    let out = client
-        .sign_batch(key, &[payload], Mode::Base, Timestamp::from_millis(5))
-        .expect("sign");
-    queue(&mut net, c, out);
-    let (src, _dst, s2_bytes) = pump(&mut net, &nodes, &mut rng, |src, dst, bytes| {
-        src == r1 && dst == r2 && contains_s2(bytes)
-    })
-    .expect("S2 must appear on the r1 → r2 link");
+    net.now = Timestamp::from_millis(5);
+    net.sign(c, key, &[payload], Mode::Base).expect("sign");
+    let held = net.pump_holding(|d| d.src == r1 && d.dst == r2 && d.carries_s2());
+    let s2 = held
+        .into_iter()
+        .next()
+        .expect("S2 must appear on the r1 → r2 link");
+    let (src, s2_bytes) = (s2.src, s2.frame);
     assert_eq!(src, r1);
+    let (rc2, rc3) = (net.engine(r2), net.engine(r3));
 
     // Forge: flip one byte of the payload inside the otherwise-valid S2.
     let at = s2_bytes
@@ -153,9 +101,13 @@ fn forged_s2_dies_at_hop_two_and_foreign_sources_are_rejected() {
     // The original S2 still verifies at hop 2 and delivers end-to-end.
     let out = rc2.handle_datagram(r1, &s2_bytes, now, &mut rng);
     assert!(!out.datagrams.is_empty(), "legit S2 forwarded");
-    queue(&mut net, r2, out);
-    assert!(pump(&mut net, &nodes, &mut rng, |_, _, _| false).is_none());
-    for (rc, hop) in [(&rc1, 1), (&rc2, 2), (&rc3, 3)] {
+    net.send(r2, out);
+    net.pump();
+    for (rc, hop) in [
+        (net.engine(r1), 1),
+        (net.engine(r2), 2),
+        (net.engine(r3), 3),
+    ] {
         assert_eq!(
             rc.metrics().s2_verified.load(Relaxed),
             1,
@@ -163,7 +115,7 @@ fn forged_s2_dies_at_hop_two_and_foreign_sources_are_rejected() {
         );
     }
     assert_eq!(
-        server.metrics().s2_verified.load(Relaxed),
+        net.engine(s).metrics().s2_verified.load(Relaxed),
         1,
         "server delivered the payload"
     );
