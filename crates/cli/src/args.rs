@@ -83,7 +83,9 @@ pub enum Command {
         shards: usize,
         /// Run duration in seconds (0 = forever).
         seconds: u64,
-        /// Per-flow S1 admission budget in bytes/sec (0 = unlimited).
+        /// Per-flow S1 admission budget of host flows in bytes/sec (0 =
+        /// unlimited); relay flows use the relay's authenticated-S1
+        /// bucket.
         s1_budget: u64,
         /// Global buffered-bytes valve (0 = unlimited).
         max_buffered: u64,
@@ -112,7 +114,7 @@ pub enum Command {
     },
     /// `alpha mesh serve BIND [--workers N] [--alg A] [--mac hmac|prefix]
     ///  [--reliable] [--upstream A,B,…] [--next-hop A,B,…] [--source A,B,…]
-    ///  [--probe-ms N] [--peer-budget BYTES] [--seconds N] [--open]`
+    ///  [--probe-ms N] [--seconds N] [--open]`
     MeshServe {
         /// Bind address of the relay's shared socket.
         bind: String,
@@ -130,8 +132,6 @@ pub enum Command {
         sources: Vec<String>,
         /// Liveness probe interval in milliseconds.
         probe_ms: u64,
-        /// Per-peer S1 admission budget in bytes/sec (0 = unlimited).
-        peer_budget: u64,
         /// Accept traffic from unregistered upstreams (disables the
         /// static-relay-set bypass defense; monitor-only).
         open: bool,
@@ -506,7 +506,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                         next_hops,
                         sources: addr_list(&flags, "source"),
                         probe_ms: get_num(&flags, "probe-ms", 200)?,
-                        peer_budget: get_num(&flags, "peer-budget", 1 << 20)?,
                         open: flags.contains_key("open"),
                     })
                 }
@@ -607,8 +606,8 @@ USAGE:
   alpha engine stats ADDR [--timeout-ms N] [--json]
   alpha mesh serve BIND --next-hop A[,B...] [--upstream A[,B...]]
                [--source A[,B...]] [--workers N] [--probe-ms N]
-               [--peer-budget BYTES] [--seconds N] [--alg A]
-               [--mac hmac|prefix] [--reliable] [--open]
+               [--seconds N] [--alg A] [--mac hmac|prefix] [--reliable]
+               [--open]
   alpha mesh peers ADDR [--timeout-ms N] [--json]
   alpha loadgen [--workers N] [--senders N] [--flows N] [--payload BYTES]
                [--seconds N] [--shards N] [--quick] [--json]
@@ -634,6 +633,10 @@ EXAMPLES:
 N sender threads each drive concurrent flows through full S1/A1/S2
 exchanges, and the verified-S2 rate is measured only after every flow
 has finished its handshake.
+
+'engine serve --s1-budget' caps the S1 and HS1 bytes per second of each
+host flow (host flows; relay flows use the relay's authenticated-S1
+bucket).
 
 A mesh relay verifies every hop: it only accepts S2 traffic from its
 registered --upstream peers (the paper's static-relay-set defense),

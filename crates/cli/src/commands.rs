@@ -352,7 +352,6 @@ pub fn mesh_serve(
     next_hops: &[String],
     sources: &[String],
     probe_ms: u64,
-    peer_budget: u64,
     open: bool,
 ) -> Result<(), CliError> {
     let listen: std::net::SocketAddr = bind.parse()?;
@@ -364,7 +363,6 @@ pub fn mesh_serve(
     cfg.route_sources = parse_addrs(sources)?;
     cfg.enforce = !open;
     cfg.mesh.probe_interval_us = probe_ms.max(1) * 1000;
-    cfg.mesh.peer_bytes_per_sec = (peer_budget > 0).then_some(peer_budget);
     let node = alpha_mesh::MeshNode::spawn(cfg)?;
     println!(
         "mesh relay on {} ({} upstream(s), {} next hop(s), enforce={}); \

@@ -78,19 +78,9 @@ fn main() {
             next_hops,
             sources,
             probe_ms,
-            peer_budget,
             open,
         } => commands::mesh_serve(
-            bind,
-            opts,
-            *workers,
-            *seconds,
-            upstreams,
-            next_hops,
-            sources,
-            *probe_ms,
-            *peer_budget,
-            *open,
+            bind, opts, *workers, *seconds, upstreams, next_hops, sources, *probe_ms, *open,
         ),
         Command::MeshPeers {
             addr,

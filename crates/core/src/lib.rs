@@ -51,7 +51,7 @@ pub use association::{Association, Response};
 pub use batch::S2BatchItem;
 pub use error::ProtocolError;
 pub use freeze::FrozenAssociation;
-pub use limiter::{S1Limiter, SharedS1Limiter};
+pub use limiter::S1Limiter;
 pub use relay::{
     AssociationRelay, DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome,
 };

@@ -6,11 +6,10 @@
 //! This bucket implements exactly that: bytes of S1 per association per
 //! second, refilled continuously, with a burst of one second's budget.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::Timestamp;
 
 /// Byte-rate token bucket (None = unlimited).
+#[derive(Clone)]
 pub struct S1Limiter {
     rate_per_sec: Option<u64>,
     tokens: u64,
@@ -48,79 +47,6 @@ impl S1Limiter {
         } else {
             false
         }
-    }
-}
-
-/// Concurrent variant of [`S1Limiter`]: same policy (burst = one
-/// second's budget, continuous refill), callable through `&self` so the
-/// engine can admit packets under a shard *read* lock instead of taking
-/// a write lock per packet.
-///
-/// Implemented as a GCRA ("virtual scheduling") cell: a single atomic
-/// holds the theoretical arrival time (TAT, in µs). Admitting `bytes`
-/// advances TAT by `bytes / rate` seconds; a packet is over budget when
-/// the advanced TAT would run more than one second (the burst window)
-/// ahead of `now`. One CAS per admitted packet, no lock, and the
-/// outcome is identical to the token-bucket formulation: tokens
-/// remaining ≡ `(now + burst − TAT) · rate / 1e6`.
-pub struct SharedS1Limiter {
-    rate_per_sec: Option<u64>,
-    tat_us: AtomicU64,
-}
-
-/// The burst window: one second's budget, matching [`S1Limiter`].
-const BURST_US: u64 = 1_000_000;
-
-impl SharedS1Limiter {
-    /// A concurrent bucket allowing `rate_per_sec` bytes per second
-    /// (burst = one second's worth), or unlimited when `None`.
-    #[must_use]
-    pub fn new(rate_per_sec: Option<u64>) -> SharedS1Limiter {
-        SharedS1Limiter {
-            rate_per_sec,
-            tat_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Account `bytes` at time `now`; `true` = within budget. Safe to
-    /// call concurrently from many workers: admission is serialized by
-    /// the CAS, so the budget is never over-committed.
-    pub fn allow(&self, bytes: u64, now: Timestamp) -> bool {
-        let Some(rate) = self.rate_per_sec else {
-            return true;
-        };
-        if rate == 0 {
-            return false;
-        }
-        let now_us = now.micros();
-        let cost_us =
-            u64::try_from((u128::from(bytes) * u128::from(BURST_US)).div_ceil(u128::from(rate)))
-                .unwrap_or(u64::MAX);
-        let mut observed = self.tat_us.load(Ordering::Relaxed);
-        loop {
-            // A clock that jumped far ahead refills the bucket: TAT
-            // never lags more than the burst window behind `now`.
-            let tat = observed.max(now_us);
-            let new_tat = tat.saturating_add(cost_us);
-            if new_tat > now_us.saturating_add(BURST_US) {
-                return false;
-            }
-            match self.tat_us.compare_exchange_weak(
-                observed,
-                new_tat,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => observed = actual,
-            }
-        }
-    }
-
-    /// The configured rate (None = unlimited).
-    #[must_use]
-    pub fn rate_per_sec(&self) -> Option<u64> {
-        self.rate_per_sec
     }
 }
 
@@ -167,23 +93,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_matches_token_bucket() {
-        // Same pass/fail pattern as the &mut bucket on a mixed schedule.
-        let l = SharedS1Limiter::new(Some(1000));
-        let t = Timestamp::from_millis(1);
-        assert!(l.allow(600, t));
-        assert!(l.allow(400, t));
-        assert!(!l.allow(1, t)); // budget spent
-        let t1 = Timestamp::from_millis(101);
-        assert!(l.allow(100, t1)); // 100 ms later: 100 bytes back
-        assert!(!l.allow(1, t1));
-        assert!(SharedS1Limiter::new(None).allow(u64::MAX / 2, t));
-        assert!(!SharedS1Limiter::new(Some(0)).allow(1, t));
-    }
-
-    #[test]
-    fn shared_refills_across_timestamp_jumps() {
-        let l = SharedS1Limiter::new(Some(1000));
+    fn refills_across_timestamp_jumps() {
+        let mut l = S1Limiter::new(Some(1000));
         // Drain the full burst, then jump the clock far forward: the
         // bucket must refill to exactly one burst, no more.
         assert!(l.allow(1000, Timestamp::from_millis(5)));
@@ -199,23 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_is_fair_under_contention() {
-        use std::sync::Arc;
-        let l = Arc::new(SharedS1Limiter::new(Some(8_000)));
-        let now = Timestamp::from_millis(1);
-        // 8 threads race for 8000 bytes of budget in 1-byte packets:
-        // exactly 8000 grants total, regardless of interleaving.
-        let grants: u64 = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    let l = Arc::clone(&l);
-                    s.spawn(move || (0..2000).filter(|_| l.allow(1, now)).count() as u64)
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(grants, 8_000);
+    fn zero_rate_refuses_everything() {
+        let mut l = S1Limiter::new(Some(0));
+        for ms in [0, 1, 1_000, 3_600_000] {
+            assert!(!l.allow(1, Timestamp::from_millis(ms)));
+        }
     }
 }

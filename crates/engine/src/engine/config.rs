@@ -23,10 +23,12 @@ pub struct EngineConfig {
     /// Flow-table shards. More shards = less lock contention; workers
     /// own disjoint shard sets.
     pub shards: usize,
-    /// Per-flow engine admission budget for S1/HS1 bytes per second
-    /// (`None` disables). This runs *before* any protocol processing:
-    /// on a relay flow under the lock its judgment takes anyway, on a
-    /// host flow under a shard read lock.
+    /// Per-flow admission budget of host flows, in S1/HS1 bytes per
+    /// second (`None` disables). It is charged on arrival, under the
+    /// shard lock the packet's judgment takes anyway, before the
+    /// verifier sees the packet. Relay flows do not pass it: their one
+    /// bucket is the relay's, charged only with authentic S1s
+    /// ([`RelayConfig::s1_bytes_per_sec`]).
     pub s1_bytes_per_sec: Option<u64>,
     /// Global cap on bytes buffered across every relay flow's
     /// pre-signature stores. When exceeded, new S1s are shed until
@@ -104,7 +106,8 @@ impl EngineConfig {
         self
     }
 
-    /// Set the per-flow S1/HS1 admission budget.
+    /// Set the per-flow S1/HS1 admission budget of host flows
+    /// ([`EngineConfig::s1_bytes_per_sec`]).
     #[must_use]
     pub fn with_s1_budget(mut self, bytes_per_sec: Option<u64>) -> EngineConfig {
         self.s1_bytes_per_sec = bytes_per_sec;

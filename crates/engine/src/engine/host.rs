@@ -40,6 +40,8 @@ pub(super) struct HostFlow {
     /// engine that is never polled keeps one poll entry per flow, not
     /// one per exchange.
     pub(super) poll_armed: Option<Timestamp>,
+    /// The flow's S1 / HS1 bucket, charged on arrival.
+    pub(super) limiter: S1Limiter,
 }
 
 impl HostFlow {
@@ -86,11 +88,14 @@ pub(super) fn protocol_drop_reason(e: ProtocolError) -> DropReason {
 
 impl EngineCore {
     /// Host state at the start of its engine life: nothing in flight,
-    /// idle clock started at `now`, no renewal pending.
+    /// idle clock started at `now`, no renewal pending. `limiter` is a
+    /// new flow's fresh bucket, or the one the flow was charged on
+    /// while connecting or asleep.
     pub(super) fn fresh_host(
         &self,
         assoc: Association,
         adapt: Option<Box<FlowAdapt>>,
+        limiter: S1Limiter,
         now: Timestamp,
     ) -> FlowState {
         FlowState::Host(HostFlow {
@@ -104,6 +109,7 @@ impl EngineCore {
                 .map_or(Timestamp::ZERO, |us| now.plus_micros(us)),
             renewal: RenewalSlot::Idle,
             poll_armed: None,
+            limiter,
         })
     }
 
@@ -112,9 +118,9 @@ impl EngineCore {
         self.cfg.adapt.map(|c| Box::new(FlowAdapt::new(c)))
     }
 
-    /// A fresh per-flow S1/HS1 admission limiter.
-    pub(super) fn new_limiter(&self) -> SharedS1Limiter {
-        SharedS1Limiter::new(self.cfg.s1_bytes_per_sec)
+    /// A fresh host flow's S1 / HS1 bucket.
+    pub(super) fn new_limiter(&self) -> S1Limiter {
+        S1Limiter::new(self.cfg.s1_bytes_per_sec)
     }
 
     /// Install-and-arm: `state` becomes `key`'s flow state and every
@@ -122,18 +128,14 @@ impl EngineCore {
     /// a host flow's protocol poll, idle check (when hibernation is on)
     /// and `Scheduled` renewal. The state brings no wheel entry under
     /// `key` with it (it is new, thawed, or moved from another key), so
-    /// a host flow's poll is armed afresh. With `limiter` the flow is
-    /// new to this table and any entry displaced at `key` is returned;
-    /// `None` promotes the resident entry (handshake completion, thaw),
-    /// which keeps the admission limiter it has been charged on, and
-    /// does nothing if `key` is not resident.
+    /// a host flow's poll is armed afresh. Returns the state displaced
+    /// at `key`, if any.
     pub(super) fn install(
         &self,
         shard: &mut Shard,
         key: FlowKey,
-        limiter: Option<SharedS1Limiter>,
         mut state: FlowState,
-    ) -> Option<FlowEntry> {
+    ) -> Option<FlowState> {
         let hibernation = self.cfg.hibernate_after.is_some();
         let due = match &mut state {
             FlowState::Connecting { next_resend, .. } => [Some(*next_resend), None, None],
@@ -148,15 +150,9 @@ impl EngineCore {
                     },
                 ]
             }
-            FlowState::Hibernated | FlowState::Relay { .. } => [None; 3],
+            FlowState::Hibernated { .. } | FlowState::Relay { .. } => [None; 3],
         };
-        let prev = match limiter {
-            Some(limiter) => shard.flows.insert(key, FlowEntry { limiter, state }),
-            None => {
-                shard.flows.get_mut(&key)?.state = state;
-                None
-            }
-        };
+        let prev = shard.flows.insert(key, state);
         for t in due.into_iter().flatten() {
             shard.wheel.schedule(t, key);
         }
@@ -172,9 +168,8 @@ impl EngineCore {
             assoc_id: assoc.assoc_id(),
         };
         let idx = self.shard_index(&key);
-        let flow = self.fresh_host(assoc, self.new_adapt(), now);
-        let limiter = Some(self.new_limiter());
-        self.install(&mut self.shards.write(idx), key, limiter, flow);
+        let flow = self.fresh_host(assoc, self.new_adapt(), self.new_limiter(), now);
+        self.install(&mut self.shards.write(idx), key, flow);
         self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
         key
     }
@@ -203,9 +198,9 @@ impl EngineCore {
             backoff,
             started: now,
             next_resend,
+            limiter: self.new_limiter(),
         };
-        let limiter = Some(self.new_limiter());
-        self.install(&mut self.shards.write(idx), key, limiter, state);
+        self.install(&mut self.shards.write(idx), key, state);
         self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
         self.push_bytes(&mut out, peer, &wire);
         self.publish(&mut out);
@@ -233,10 +228,10 @@ impl EngineCore {
         match bootstrap::respond(self.cfg.protocol, &pkt, None, AuthRequirement::None, rng) {
             Ok((assoc, reply, _key)) => {
                 let idx = self.shard_index(&key);
-                let limiter = self.new_limiter();
+                let mut limiter = self.new_limiter();
                 limiter.allow(wire_len as u64, now); // charge the HS1
-                let flow = self.fresh_host(assoc, self.new_adapt(), now);
-                self.install(&mut self.shards.write(idx), key, Some(limiter), flow);
+                let flow = self.fresh_host(assoc, self.new_adapt(), limiter, now);
+                self.install(&mut self.shards.write(idx), key, flow);
                 self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
                 self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
                 out.completed.push(key);
@@ -263,19 +258,23 @@ impl EngineCore {
             self.metrics.record_drop(DropReason::Unsolicited);
             return;
         }
-        let Some(FlowState::Connecting { hs, started, .. }) =
-            shard.flows.get_mut(&key).map(|e| &mut e.state)
+        let Some(FlowState::Connecting {
+            hs,
+            started,
+            limiter,
+            ..
+        }) = shard.flows.get_mut(&key)
         else {
             return;
         };
-        let started = *started;
+        let (started, limiter) = (*started, limiter.clone());
         let Some(hs) = hs.take() else {
             return;
         };
         match hs.complete(&view.to_packet(), AuthRequirement::None) {
             Ok((assoc, _peer_key)) => {
-                let flow = self.fresh_host(assoc, self.new_adapt(), now);
-                self.install(&mut shard, key, None, flow);
+                let flow = self.fresh_host(assoc, self.new_adapt(), limiter, now);
+                self.install(&mut shard, key, flow);
                 self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
                 self.metrics.handshake_us.record(now.since(started));
                 out.completed.push(key);
@@ -300,7 +299,7 @@ impl EngineCore {
     ) -> Option<R> {
         let idx = self.shard_index(&key);
         let mut shard = self.shards.write(idx);
-        match shard.flows.get_mut(&key).map(|e| &mut e.state) {
+        match shard.flows.get_mut(&key) {
             Some(FlowState::Host(flow)) => Some(f(&mut flow.assoc)),
             _ => None,
         }
@@ -354,10 +353,10 @@ impl EngineCore {
         let idx = self.shard_index(&key);
         let mut guard = self.shards.write(idx);
         let shard = &mut *guard;
-        let Some(entry) = shard.flows.get_mut(&key) else {
+        let Some(state) = shard.flows.get_mut(&key) else {
             return Err(EngineError::UnknownFlow(key));
         };
-        let FlowState::Host(flow) = &mut entry.state else {
+        let FlowState::Host(flow) = state else {
             return Err(EngineError::NotAHostFlow(key));
         };
         let (mode, take) = match (fixed, flow.adapt.as_ref()) {
@@ -387,7 +386,7 @@ impl EngineCore {
     pub fn with_adapt<R>(&self, key: FlowKey, f: impl FnOnce(&FlowAdapt) -> R) -> Option<R> {
         let idx = self.shard_index(&key);
         let shard = self.shards.read(idx);
-        match shard.flows.get(&key).map(|e| &e.state) {
+        match shard.flows.get(&key) {
             Some(FlowState::Host(HostFlow { adapt: Some(a), .. })) => Some(f(a)),
             _ => None,
         }
@@ -405,7 +404,7 @@ impl EngineCore {
         out: &mut EngineOutput,
     ) {
         let shard = &mut *guard;
-        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state) else {
+        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key) else {
             return;
         };
         if let Some(a) = flow.adapt.as_mut() {
@@ -446,7 +445,7 @@ impl EngineCore {
         let idx = self.shard_index(&key);
         let mut guard = self.shards.write(idx);
         let shard = &mut *guard;
-        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state) else {
+        let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key) else {
             drop(guard);
             for (slice, view) in slices.iter().zip(views) {
                 if let Some(view) = view {

@@ -189,51 +189,6 @@ impl EngineCore {
         true
     }
 
-    /// The flow's admission veto for flood-vector packets (S1/HS1, which
-    /// nothing can verify yet): `false` when its budget refuses the
-    /// packet, which must then drop. Other packets always pass.
-    pub(super) fn limiter_admits(
-        &self,
-        entry: &FlowEntry,
-        ptype: PacketType,
-        wire_len: usize,
-        now: Timestamp,
-    ) -> bool {
-        if !matches!(ptype, PacketType::S1 | PacketType::Hs1)
-            || entry.limiter.allow(wire_len as u64, now)
-        {
-            return true;
-        }
-        self.metrics.admission_drops.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
-    /// Host-path admission for flood-vector packets: the valve, then the
-    /// flow's budget under the shard *read* lock, so over-budget traffic
-    /// is shed without any write contention. Flows not yet in the table
-    /// are admitted here and charged at insertion instead.
-    fn admit(
-        &self,
-        shard_idx: usize,
-        key: &FlowKey,
-        ptype: PacketType,
-        wire_len: usize,
-        now: Timestamp,
-        out: &EngineOutput,
-    ) -> bool {
-        if !matches!(ptype, PacketType::S1 | PacketType::Hs1) {
-            return true;
-        }
-        if !self.valve_admits(ptype, out) {
-            return false;
-        }
-        let shard = self.shards.read(shard_idx);
-        shard
-            .flows
-            .get(key)
-            .is_none_or(|entry| self.limiter_admits(entry, ptype, wire_len, now))
-    }
-
     pub(super) fn host_packet(
         &self,
         from: SocketAddr,
@@ -247,29 +202,48 @@ impl EngineCore {
             peer: from,
             assoc_id: view.assoc_id,
         };
-        let idx = self.shard_index(&key);
-        if !self.admit(idx, &key, view.packet_type(), slice.len(), now, out) {
+        if !self.valve_admits(view.packet_type(), out) {
             return;
         }
-        // One write lock per packet: look the flow up and hand the
-        // held lock to the handler for its state, so no transition can
-        // race in between. Only an unknown flow lets go first — standing
-        // up an association builds hash chains, too slow to do locked.
-        let guard = self.shards.write(idx);
-        match guard.flows.get(&key).map(|e| &e.state) {
-            None => {
-                drop(guard);
-                self.accept_handshake(key, view, slice.len(), now, rng, out);
-            }
-            Some(FlowState::Connecting { .. }) => {
-                self.complete_handshake(guard, key, view, now, out)
-            }
-            Some(FlowState::Host(_)) => self.host_handle(guard, key, view, now, rng, out),
-            Some(FlowState::Hibernated) => self.host_thaw(guard, key, view, now, rng, out),
-            Some(FlowState::Relay { .. }) => {
+        // One write lock per packet: look the flow up, charge its
+        // bucket, and hand the held lock to the handler for its state,
+        // so no transition can race in between. Only an unknown flow
+        // lets go first — standing up an association builds hash
+        // chains, too slow to do locked.
+        let mut guard = self.shards.write(self.shard_index(&key));
+        let Some(state) = guard.flows.get_mut(&key) else {
+            drop(guard);
+            self.accept_handshake(key, view, slice.len(), now, rng, out);
+            return;
+        };
+        if !state.admits(view.packet_type(), slice.len(), now) {
+            self.metrics.admission_drops.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        match state {
+            FlowState::Connecting { .. } => self.complete_handshake(guard, key, view, now, out),
+            FlowState::Host(_) => self.host_handle(guard, key, view, now, rng, out),
+            FlowState::Hibernated { .. } => self.host_thaw(guard, key, view, now, rng, out),
+            FlowState::Relay { .. } => {
                 // A relay pair keyed like this unrouted source.
                 self.metrics.record_drop(DropReason::UnknownAssociation);
             }
         }
+    }
+}
+
+impl FlowState {
+    /// Charge a flood-vector packet (S1 / HS1, which nothing can verify
+    /// yet) to a host flow's bucket: `false` when the bucket refuses
+    /// it, and the packet must drop. Other packets pass, and so does
+    /// everything on a relay flow, whose bucket sits behind the chain
+    /// check ([`alpha_core::RelayConfig::s1_bytes_per_sec`]).
+    fn admits(&mut self, ptype: PacketType, wire_len: usize, now: Timestamp) -> bool {
+        let limiter = match self {
+            FlowState::Connecting { limiter, .. } | FlowState::Hibernated { limiter } => limiter,
+            FlowState::Host(flow) => &mut flow.limiter,
+            FlowState::Relay { .. } => return true,
+        };
+        !matches!(ptype, PacketType::S1 | PacketType::Hs1) || limiter.allow(wire_len as u64, now)
     }
 }

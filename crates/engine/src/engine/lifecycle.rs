@@ -82,12 +82,12 @@ impl EngineCore {
     pub fn remove_flow(&self, key: FlowKey) -> bool {
         let idx = self.shard_index(&key);
         let removed = self.shards.write(idx).flows.remove(&key);
-        if let Some(entry) = &removed {
-            match entry.state {
+        if let Some(state) = &removed {
+            match state {
                 FlowState::Relay { buffered, .. } => {
-                    self.buffered.fetch_sub(buffered as i64, Ordering::Relaxed);
+                    self.buffered.fetch_sub(*buffered as i64, Ordering::Relaxed);
                 }
-                FlowState::Hibernated => {
+                FlowState::Hibernated { .. } => {
                     let _ = self.with_store(|store| store.remove(&key));
                     self.metrics
                         .store
@@ -125,6 +125,10 @@ impl EngineCore {
         // decisions still run on the caller-supplied Timestamp).
         let wake_timer = std::time::Instant::now();
         let shard = &mut *guard;
+        let Some(FlowState::Hibernated { limiter }) = shard.flows.get(&key) else {
+            return;
+        };
+        let limiter = limiter.clone();
         let Some(record) = self.with_store(|store| store.remove(&key)) else {
             // Tombstone without a record: the budget evicted this flow
             // (it is gone for good).
@@ -146,10 +150,9 @@ impl EngineCore {
                     (Some(cfg), Some(fa)) => Some(Box::new(FlowAdapt::restore(cfg, fa))),
                     _ => self.new_adapt(),
                 };
-                let flow = self.fresh_host(assoc, adapt, now);
-                self.install(shard, key, None, flow);
-                if let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key).map(|e| &mut e.state)
-                {
+                let flow = self.fresh_host(assoc, adapt, limiter, now);
+                self.install(shard, key, flow);
+                if let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key) {
                     self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
                 }
                 self.cache_deadline(shard);
@@ -193,10 +196,10 @@ impl EngineCore {
         key: FlowKey,
         now: Timestamp,
     ) -> Vec<(FlowKey, Vec<u8>)> {
-        let Some(entry) = shard.flows.get_mut(&key) else {
+        let Some(state) = shard.flows.get_mut(&key) else {
             return Vec::new();
         };
-        let FlowState::Host(flow) = &mut entry.state else {
+        let FlowState::Host(flow) = state else {
             return Vec::new();
         };
         // A flow mid-renewal holds fresh chains outside the record, and
@@ -214,7 +217,8 @@ impl EngineCore {
         };
         let adapt = flow.adapt.as_deref().map(FlowAdapt::freeze);
         let record = encode_frozen_record(&frozen, adapt.as_ref());
-        entry.state = FlowState::Hibernated;
+        let limiter = flow.limiter.clone();
+        *state = FlowState::Hibernated { limiter };
         let evicted = self.with_store(|store| store.insert(key, record));
         self.metrics.store.frozen.fetch_add(1, Ordering::Relaxed);
         self.metrics
@@ -229,10 +233,7 @@ impl EngineCore {
     pub(super) fn reap_evicted(&self, evicted: Vec<(FlowKey, Vec<u8>)>) {
         for (key, _record) in evicted {
             let mut shard = self.shards.write(self.shard_index(&key));
-            if matches!(
-                shard.flows.get(&key).map(|e| &e.state),
-                Some(FlowState::Hibernated)
-            ) {
+            if matches!(shard.flows.get(&key), Some(FlowState::Hibernated { .. })) {
                 self.reap_tombstone(&mut shard, &key);
             }
             self.metrics.store.evicted.fetch_add(1, Ordering::Relaxed);

@@ -172,20 +172,20 @@ impl EngineCore {
             }
         }
         // Phase 2: extract affected flows under each shard lock.
-        let mut moved: Vec<(FlowKey, FlowKey, FlowEntry)> = Vec::new();
+        let mut moved: Vec<(FlowKey, FlowKey, FlowState)> = Vec::new();
         for idx in 0..self.shards.len() {
             let mut shard = self.shards.write(idx);
-            let affected = shard.flows.extract_if(|k, e| match e.state {
+            let affected = shard.flows.extract_if(|k, state| match state {
                 FlowState::Relay { .. } => relay_renames.contains_key(&k.peer),
                 _ => k.peer == old,
             });
-            for (old_key, entry) in affected {
-                let peer = match &entry.state {
+            for (old_key, state) in affected {
+                let peer = match &state {
                     FlowState::Relay { .. } => relay_renames[&old_key.peer],
                     _ => new,
                 };
                 let assoc_id = old_key.assoc_id;
-                moved.push((FlowKey { peer, assoc_id }, old_key, entry));
+                moved.push((FlowKey { peer, assoc_id }, old_key, state));
             }
         }
         // Phase 3: install each flow at its destination shard, which
@@ -193,15 +193,15 @@ impl EngineCore {
         // flows bring their frozen record along (so the next datagram
         // from the new peer still thaws).
         let n = moved.len();
-        for (key, old_key, FlowEntry { limiter, state }) in moved {
-            if matches!(state, FlowState::Hibernated) {
+        for (key, old_key, state) in moved {
+            if matches!(state, FlowState::Hibernated { .. }) {
                 self.rekey_frozen(old_key, key);
             }
             let mut shard = self.shards.write(self.shard_index(&key));
-            if let Some(prev) = self.install(&mut shard, key, Some(limiter), state) {
+            if let Some(prev) = self.install(&mut shard, key, state) {
                 // Displaced a flow already keyed at the destination
                 // (e.g. stray traffic stood one up): keep gauges honest.
-                if let FlowState::Relay { buffered, .. } = prev.state {
+                if let FlowState::Relay { buffered, .. } = prev {
                     self.buffered.fetch_sub(buffered as i64, Ordering::Relaxed);
                 }
                 self.metrics.flows_active.fetch_sub(1, Ordering::Relaxed);

@@ -19,12 +19,13 @@
 //! - Each shard embeds a [`TimerWheel`] holding every deadline its
 //!   flows own: handshake resends, protocol retransmission, the idle
 //!   check, paced chain renewal.
-//! - S1/HS1 packets (the unverifiable flood vectors) pass a per-flow
-//!   [`SharedS1Limiter`], plus a global byte-budget valve over all relay
-//!   pre-signature buffers. A relayed datagram is judged under one shard
-//!   write lock and one flow-table lookup, admission included; a host
-//!   packet is admitted under the shard *read* lock first, so
-//!   over-budget traffic is shed without write contention.
+//! - S1/HS1 packets (the unverifiable flood vectors) pass a global
+//!   byte-budget valve over all relay pre-signature buffers, and each
+//!   flow has one S1 bucket: a host flow's [`S1Limiter`], charged on
+//!   arrival, or a relay flow's in its [`AssociationRelay`], charged
+//!   only once the chain element authenticates. A relayed datagram,
+//!   and a host packet on a resident flow, is judged under one shard
+//!   write lock and one flow-table lookup, admission included.
 //! - Every event lands in an [`EngineMetrics`] registry snapshotable as
 //!   JSON while traffic flows. The datagram path's own counters (packets
 //!   and bytes in and out, verified S2s, the relay buffer gauge) are
@@ -44,8 +45,7 @@ use alpha_core::bootstrap::{self, AuthRequirement, Handshaker};
 use alpha_core::renewal::RenewalOffer;
 use alpha_core::{
     Association, AssociationRelay, DropReason, FrozenAssociation, Mode, ProtocolError,
-    RelayDecision, RelayViewOutcome, Response, S2BatchItem, SharedS1Limiter, SignerEvent,
-    Timestamp,
+    RelayDecision, RelayViewOutcome, Response, S1Limiter, S2BatchItem, SignerEvent, Timestamp,
 };
 use alpha_store::{FrozenStore, RenewalPacer};
 use alpha_wire::limits::MAX_BUNDLE;
@@ -75,7 +75,9 @@ pub use config::{EngineConfig, EngineError, EngineOutput, Extracted, ExtractedIt
 use host::{ingest, protocol_drop_reason, HostFlow, RenewalSlot};
 use mesh_ctl::MeshControl;
 
-/// Per-flow state. Boxed so the table's entries stay small.
+/// Per-flow state: one flow-table entry. Boxed so the table's entries
+/// stay small. The three host states carry the flow's S1 / HS1 bucket
+/// ([`EngineConfig::s1_bytes_per_sec`]) from state to state.
 enum FlowState {
     /// Initiator waiting for HS2. `wire` is the HS1 for resends.
     Connecting {
@@ -84,17 +86,19 @@ enum FlowState {
         backoff: Backoff,
         started: Timestamp,
         next_resend: Timestamp,
+        limiter: S1Limiter,
     },
     /// Established end-host association.
     Host(HostFlow),
     /// Hibernated host flow: the association is frozen in the engine's
-    /// [`FrozenStore`]; this one-word tombstone (plus the entry's
-    /// admission limiter) is all that stays resident. The next
-    /// datagram that *verifies* against the thawed association wakes
-    /// it; anything else re-freezes the record untouched.
-    Hibernated,
+    /// [`FrozenStore`]; this tombstone, only the flow's S1 bucket, is
+    /// all that stays resident. The next datagram that *verifies*
+    /// against the thawed association wakes it; anything else
+    /// re-freezes the record untouched.
+    Hibernated { limiter: S1Limiter },
     /// On-path verifier of one association between the canonical pair
-    /// of endpoints.
+    /// of endpoints. Its one S1 bucket is the association's own, which
+    /// charges only S1s whose chain element authenticates.
     Relay {
         relay: Box<AssociationRelay>,
         /// Last observed pre-signature buffer total, for the valve
@@ -103,18 +107,13 @@ enum FlowState {
     },
 }
 
-struct FlowEntry {
-    limiter: SharedS1Limiter,
-    state: FlowState,
-}
-
 /// One shard: its slice of the flow table plus the timer wheel driving
 /// those flows. A worker write-locks a shard only while touching it.
 struct Shard {
     /// This shard's index, which is also its slot in
     /// [`EngineCore::deadlines`].
     idx: usize,
-    flows: HashMap<FlowKey, FlowEntry>,
+    flows: HashMap<FlowKey, FlowState>,
     wheel: TimerWheel<FlowKey>,
 }
 

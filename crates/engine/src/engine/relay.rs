@@ -107,7 +107,7 @@ impl EngineCore {
         let observe = |relay: &mut AssociationRelay, sink: &mut dyn FnMut(_)| {
             sink(relay.observe_view(view, slice.len(), now));
         };
-        self.relay_step(idx, key, now, packets, observe, tx);
+        self.relay_step(idx, key, packets, observe, tx);
     }
 
     /// A run of two or more consecutive S2 packets of one association,
@@ -136,14 +136,14 @@ impl EngineCore {
         let observe = |relay: &mut AssociationRelay, sink: &mut dyn FnMut(_)| {
             relay.observe_s2_run(items, now, sink);
         };
-        self.relay_step(idx, key, now, packets, observe, tx);
+        self.relay_step(idx, key, packets, observe, tx);
     }
 
     /// The relay step both paths share. Under one shard write lock and
     /// one flow-table lookup: find the relay flow at `key` (only an HS1
-    /// stands one up), charge an S1 / HS1 to the flow's admission budget
-    /// (S2 runs are never refused there), let `observe` judge the
-    /// `packets`, and reconcile the flow's share of the relay buffer
+    /// stands one up), let `observe` judge the `packets` (an S1 is
+    /// charged to the association's bucket once its chain element
+    /// authenticates), and reconcile the flow's share of the relay buffer
     /// gauge from its one association. Then, lock released, act on one
     /// verdict per packet in order: count learned associations, copy
     /// verified payloads into the output's arena, and forward or count
@@ -152,27 +152,20 @@ impl EngineCore {
         &self,
         idx: usize,
         key: FlowKey,
-        now: Timestamp,
         packets: impl Iterator<Item = (&'a [u8], &'v PacketView<'a>)> + Clone,
         observe: impl FnOnce(&mut AssociationRelay, &mut dyn FnMut((RelayDecision, RelayViewOutcome))),
         tx: &mut Relayed<'a, '_>,
     ) where
         'a: 'v,
     {
-        let Some((first, first_view)) = packets.clone().next() else {
+        let Some((_, first_view)) = packets.clone().next() else {
             return;
         };
         let mut shard = self.shards.write(idx);
-        let entry = match shard.flows.entry(key) {
-            Entry::Occupied(entry) => {
-                let entry = entry.into_mut();
-                if !self.limiter_admits(entry, first_view.packet_type(), first.len(), now) {
-                    return;
-                }
-                entry
-            }
+        let state = match shard.flows.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(vacant) if first_view.packet_type() == PacketType::Hs1 => {
-                vacant.insert(self.new_relay_flow(key.assoc_id, first.len(), now))
+                vacant.insert(self.new_relay_flow(key.assoc_id))
             }
             Entry::Vacant(_) => {
                 drop(shard);
@@ -180,7 +173,7 @@ impl EngineCore {
                 return;
             }
         };
-        let FlowState::Relay { relay, buffered } = &mut entry.state else {
+        let FlowState::Relay { relay, buffered } = state else {
             // A host flow keyed like a routed pair: treat as
             // mis-routed and drop.
             drop(shard);
@@ -248,19 +241,12 @@ impl EngineCore {
         }
     }
 
-    /// A fresh relay-role flow entry for association `assoc_id`, charged
-    /// for the packet that created it (established flows are charged in
-    /// the relay step).
-    fn new_relay_flow(&self, assoc_id: u64, wire_len: usize, now: Timestamp) -> FlowEntry {
+    /// A fresh relay-role flow for association `assoc_id`.
+    fn new_relay_flow(&self, assoc_id: u64) -> FlowState {
         self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
-        let limiter = self.new_limiter();
-        limiter.allow(wire_len as u64, now);
-        FlowEntry {
-            limiter,
-            state: FlowState::Relay {
-                relay: Box::new(AssociationRelay::new(self.cfg.relay, assoc_id)),
-                buffered: 0,
-            },
+        FlowState::Relay {
+            relay: Box::new(AssociationRelay::new(self.cfg.relay, assoc_id)),
+            buffered: 0,
         }
     }
 }

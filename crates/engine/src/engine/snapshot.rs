@@ -11,8 +11,8 @@ impl EngineCore {
         let mut rows: Vec<(String, u64, Value)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.read();
-            for (key, entry) in &shard.flows {
-                if let FlowState::Host(HostFlow { adapt: Some(a), .. }) = &entry.state {
+            for (key, state) in &shard.flows {
+                if let FlowState::Host(HostFlow { adapt: Some(a), .. }) = state {
                     rows.push((key.peer.to_string(), key.assoc_id, a.snapshot()));
                 }
             }

@@ -394,16 +394,69 @@ fn admission_limiter_sheds_s1_floods() {
     let mut c = cfg();
     c.s1_bytes_per_sec = Some(512); // tiny budget
     let (mut net, key) = connected(cfg(), c, 10, 77);
-    // Replay one S1 far past the 512 B/s budget: the engine must
-    // start shedding without write-locking the shard.
+    // Replay one S1 far past the 512 B/s budget: the engine must start
+    // shedding, charging the flow's bucket under the one shard lock
+    // that judging the S1 takes anyway, admitted or shed.
     net.sign(ca(), key, &[b"flood"], Mode::Base).unwrap();
     let s1 = net.drop(0).frame;
     let server = net.engine(sa());
     for _ in 0..64 {
+        crate::shard::reset_thread_lock_count();
         server.handle_datagram(ca(), &s1, net.now, &mut StdRng::seed_from_u64(10));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            crate::shard::locks_taken_on_thread(),
+            1,
+            "one S1 on a host flow takes one shard lock"
+        );
     }
     let shed = server.metrics().admission_drops.load(Ordering::Relaxed);
     assert!(shed > 32, "flood was shed by admission, got {shed}");
+}
+
+/// An S1 whose element (the hash of `seed`) is on nobody's chain, for
+/// the right association: what a stranger can aim at a flow from its
+/// peer's address.
+fn forged_s1(assoc_id: u64, chain_index: u64, seed: u64) -> Vec<u8> {
+    use alpha_wire::{Body, Packet, PreSignature};
+    let junk = Algorithm::Sha1.hash(&seed.to_le_bytes());
+    Packet {
+        assoc_id,
+        alg: Algorithm::Sha1,
+        chain_index,
+        body: Body::S1 {
+            element: junk,
+            presig: PreSignature::Cumulative(vec![junk]),
+        },
+    }
+    .emit()
+}
+
+/// A relay flow's one S1 bucket is the relay's own, charged only once
+/// the chain element authenticates: forged S1s from the sender's
+/// address, however many, die at the chain check and leave the
+/// sender's budget whole.
+#[test]
+fn forged_s1s_at_a_relay_do_not_starve_the_sender() {
+    let relay = cfg().with_s1_budget(Some(4096));
+    let (mut net, ra) = Net::path(36, cfg(), cfg(), Some(relay));
+    let key = net.connect(ca(), ra, 5);
+    let first_s1 = cfg().protocol.chain_len - 2; // the client's next S1
+    let forgeries = 64;
+    for seed in 0..forgeries {
+        net.flight.push(Datagram {
+            src: ca(),
+            dst: ra,
+            frame: forged_s1(5, first_s1, seed),
+        });
+    }
+    net.pump();
+    net.sign(ca(), key, &[b"authentic"], Mode::Base).unwrap();
+    net.pump();
+    assert_eq!(net.delivered(sa()), [b"authentic".to_vec()]);
+    let relay = net.engine(ra).metrics();
+    assert_eq!(relay.admission_drops.load(Ordering::Relaxed), 0);
+    assert_eq!(relay.drops(DropReason::BadChainElement), forgeries);
 }
 
 #[test]
@@ -619,7 +672,6 @@ fn forged_datagram_cannot_force_a_thaw() {
 #[test]
 fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
     use alpha_crypto::chain::DEFAULT_MAX_SKIP;
-    use alpha_wire::{Body, Packet, PreSignature};
     // Default chain length: the √n layout a deployed host runs.
     let protocol = Config::new(Algorithm::Sha1);
     assert_eq!(protocol.max_skip, DEFAULT_MAX_SKIP);
@@ -646,17 +698,7 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
     // chain, and the lowest index the verifier will still hash up from:
     // the dearest S1 a stranger can aim at a sleeping flow.
     let verifier_at = protocol.chain_len - 2; // one exchange consumed
-    let junk = Algorithm::Sha1.hash(b"not on the chain");
-    let forged = Packet {
-        assoc_id: 42,
-        alg: Algorithm::Sha1,
-        chain_index: verifier_at - DEFAULT_MAX_SKIP + 1,
-        body: Body::S1 {
-            element: junk,
-            presig: PreSignature::Cumulative(vec![junk]),
-        },
-    }
-    .emit();
+    let forged = forged_s1(42, verifier_at - DEFAULT_MAX_SKIP + 1, 0);
     let t2 = net.now.plus_micros(1_000);
     let scope = alpha_crypto::counting::Scope::start();
     let o = server.handle_datagram(ca(), &forged, t2, &mut StdRng::seed_from_u64(34));
@@ -677,6 +719,43 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
     assert_eq!(store_counts(server), (1, 1, 0, 1));
     let handshakes = server.metrics().handshakes.load(Ordering::Relaxed);
     assert_eq!(handshakes, 1, "wake needed no re-handshake");
+}
+
+/// The most hashing a forged S1 can buy, per role, with the claimed
+/// index swept over a whole default chain: a host walks its one
+/// verifier chain up to `max_skip`, a relay both signature chains
+/// while it searches for the sender's direction.
+#[test]
+fn a_forged_s1_costs_at_most_one_skip_window_per_chain() {
+    use alpha_crypto::chain::DEFAULT_MAX_SKIP;
+    let protocol = Config::new(Algorithm::Sha1);
+    assert_eq!(
+        (protocol.chain_len, protocol.max_skip),
+        (1024, DEFAULT_MAX_SKIP)
+    );
+    let engine = EngineConfig::new(protocol).with_s1_budget(None);
+    for (relay, bound) in [
+        (None, DEFAULT_MAX_SKIP),
+        (Some(engine), 2 * DEFAULT_MAX_SKIP),
+    ] {
+        let (mut net, hop) = Net::path(37, engine, engine, relay);
+        net.connect(ca(), hop, 9);
+        let target = net.engine(hop);
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut worst = 0;
+        for index in 0..protocol.chain_len {
+            let forged = forged_s1(9, index, index);
+            let scope = alpha_crypto::counting::Scope::start();
+            let o = target.handle_datagram(ca(), &forged, net.now, &mut rng);
+            worst = worst.max(scope.finish().invocations);
+            assert!(o.delivered.is_empty() && o.datagrams.is_empty());
+        }
+        let role = if relay.is_some() { "relay" } else { "host" };
+        assert!(
+            (DEFAULT_MAX_SKIP - 1..=bound).contains(&worst),
+            "a forged S1 cost a {role} flow {worst} hashes"
+        );
+    }
 }
 
 #[test]

@@ -67,10 +67,10 @@ impl EngineCore {
         let mut dead: Vec<FlowKey> = Vec::new();
         let mut to_freeze: Vec<FlowKey> = Vec::new();
         for key in fired {
-            let Some(entry) = shard.flows.get_mut(&key) else {
+            let Some(state) = shard.flows.get_mut(&key) else {
                 continue;
             };
-            match &mut entry.state {
+            match state {
                 FlowState::Connecting {
                     wire,
                     backoff,
@@ -94,7 +94,7 @@ impl EngineCore {
                         to_freeze.push(key);
                     }
                 }
-                FlowState::Hibernated | FlowState::Relay { .. } => {}
+                FlowState::Hibernated { .. } | FlowState::Relay { .. } => {}
             }
         }
         for key in dead {

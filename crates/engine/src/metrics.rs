@@ -624,7 +624,8 @@ pub struct EngineMetrics {
     pub handshakes: AtomicU64,
     /// Flows currently resident in the flow table.
     pub flows_active: AtomicU64,
-    /// Packets refused by per-flow S1 admission.
+    /// S1 / HS1 packets a host flow's admission bucket refused
+    /// ([`EngineConfig::s1_bytes_per_sec`](crate::EngineConfig::s1_bytes_per_sec)).
     pub admission_drops: AtomicU64,
     /// Packets refused by the global byte-budget valve.
     pub backpressure_drops: AtomicU64,

@@ -8,8 +8,7 @@
 //! - [`Registry`] — the peer table: a static seed set plus runtime
 //!   join/leave, per-peer liveness probes timed by the same RFC 6298
 //!   SRTT/RTTVAR estimator host flows use for retransmission
-//!   (`alpha_adapt::ChannelEstimator`), and per-peer token-bucket rate
-//!   limits (`alpha_core::SharedS1Limiter`).
+//!   (`alpha_adapt::ChannelEstimator`).
 //! - [`PathSelector`] — sticky priority failover over a candidate list:
 //!   traffic stays on the active peer until the registry declares it
 //!   down, then migrates to the best healthy candidate via

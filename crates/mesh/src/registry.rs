@@ -1,4 +1,4 @@
-//! The relay peer registry: membership, liveness, and per-peer budgets.
+//! The relay peer registry: membership and liveness.
 //!
 //! Each registered peer carries:
 //!
@@ -11,9 +11,7 @@
 //!   probe RTTs into the RTO that times the *next* probe out — exactly
 //!   the machinery host flows use for retransmission, reused for
 //!   liveness so detection adapts to the path instead of a fixed
-//!   timeout,
-//! - a token-bucket limiter (`alpha_core::SharedS1Limiter`) available
-//!   to admission layers for per-peer byte budgets.
+//!   timeout.
 //!
 //! The registry is sans-io: [`Registry::poll`] returns encoded probes
 //! to transmit and health events to act on; [`Registry::on_pong`]
@@ -22,7 +20,7 @@
 use std::net::SocketAddr;
 
 use alpha_adapt::{AdaptConfig, ChannelEstimator};
-use alpha_core::{SharedS1Limiter, Timestamp};
+use alpha_core::Timestamp;
 use alpha_engine::mesh::{encode_ping, parse_pong};
 use alpha_engine::metrics::{HEALTH_DOWN, HEALTH_SUSPECT, HEALTH_UNKNOWN, HEALTH_UP};
 use alpha_engine::PeerCounters;
@@ -43,8 +41,6 @@ pub struct MeshConfig {
     pub rto: AdaptConfig,
     /// Probe timeout before the first RTT sample exists (µs).
     pub initial_rto_us: u64,
-    /// Per-peer token-bucket budget in bytes/second (`None` = unlimited).
-    pub peer_bytes_per_sec: Option<u64>,
     /// Upper bound on the deterministic per-peer jitter added to each
     /// idle probe interval (µs). Peers that joined together would
     /// otherwise probe in lockstep forever, turning every interval tick
@@ -61,7 +57,6 @@ impl Default for MeshConfig {
             down_after: 3,
             rto: AdaptConfig::default(),
             initial_rto_us: 200_000,
-            peer_bytes_per_sec: None,
             probe_jitter_us: 10_000,
         }
     }
@@ -158,7 +153,6 @@ pub struct Peer {
     /// there are at least two of them (i.e. failover is possible).
     pub probe: bool,
     est: ChannelEstimator,
-    limiter: SharedS1Limiter,
     outstanding: Option<(u64, Timestamp)>,
     missed: u32,
     next_probe: Timestamp,
@@ -188,12 +182,6 @@ impl Peer {
     #[must_use]
     pub fn missed(&self) -> u32 {
         self.missed
-    }
-
-    /// Charge `bytes` against this peer's token bucket; `false` means
-    /// over budget.
-    pub fn admit(&self, bytes: u64, now: Timestamp) -> bool {
-        self.limiter.allow(bytes, now)
     }
 
     fn set_health(&mut self, health: PeerHealth, events: &mut Vec<MeshEvent>) {
@@ -261,7 +249,6 @@ impl Registry {
             health: PeerHealth::Unknown,
             probe,
             est: ChannelEstimator::new(self.cfg.rto),
-            limiter: SharedS1Limiter::new(self.cfg.peer_bytes_per_sec),
             outstanding: None,
             missed: 0,
             next_probe: Timestamp::ZERO,
@@ -297,13 +284,6 @@ impl Registry {
     /// Registered peers with `role`.
     pub fn peers_with_role(&self, role: PeerRole) -> impl Iterator<Item = &Peer> {
         self.peers.iter().filter(move |p| p.role == role)
-    }
-
-    /// Charge `bytes` from `addr` against its peer's token bucket.
-    /// Unregistered addresses are denied (`false`) — the registry is
-    /// the membership authority.
-    pub fn admit(&self, addr: SocketAddr, bytes: u64, now: Timestamp) -> bool {
-        self.peer(addr).is_some_and(|p| p.admit(bytes, now))
     }
 
     /// Advance probe state to `now`: time out overdue probes (walking
@@ -547,24 +527,6 @@ mod tests {
             ),
             vec![MeshEvent::PeerUp(addr(3))]
         );
-    }
-
-    #[test]
-    fn per_peer_token_bucket_limits_and_membership_denies() {
-        let cfg = MeshConfig {
-            peer_bytes_per_sec: Some(1_000),
-            ..MeshConfig::default()
-        };
-        let mut r = Registry::new(cfg);
-        r.join(addr(4), PeerRole::Upstream, false);
-        let now = Timestamp::from_millis(1);
-        assert!(r.admit(addr(4), 900, now), "within budget");
-        assert!(!r.admit(addr(4), 900, now), "bucket exhausted");
-        assert!(
-            r.admit(addr(4), 900, now.plus_micros(1_000_000)),
-            "bucket refills over time"
-        );
-        assert!(!r.admit(addr(5), 1, now), "unregistered peers denied");
     }
 
     #[test]
