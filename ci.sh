@@ -1,10 +1,10 @@
 #!/bin/sh
-# CI gate. Tier-1 first: the root package plus the socket-free crates
-# (the workspace's `default-members`: crypto, bignum, pk, wire, core,
-# adapt, store, engine, mesh, sim, baselines) must build and pass their
-# unit, integration and doc tests. Then style/lint gates on the whole
-# workspace, held to -D warnings; `transport` (live loopback) and the
-# benches get their own serialized steps below.
+# CI gate. Tier-1 first: the root package, the socket-free crates and
+# the CLI (the workspace's `default-members`: cli, crypto, bignum, pk,
+# wire, core, adapt, store, engine, mesh, sim, baselines) must build and
+# pass their unit, integration and doc tests. Then style/lint gates on
+# the whole workspace, held to -D warnings; `transport` (live loopback)
+# and the benches get their own serialized steps below.
 set -eu
 
 echo "==> tier 1: build (release)"

@@ -1,28 +1,28 @@
 //! Hand-rolled argument parsing (no CLI crates on the approved list).
 //!
-//! Grammar: `alpha <subcommand> [positional…] [--flag value…]`.
-//! Every flag takes exactly one value except boolean switches, which are
-//! listed per subcommand.
+//! Grammar: `alpha <verb> [positional…] [--flag [value]…]`. Each verb's
+//! usage line in [`VERBS`] is also its flag table: what it does not list
+//! is refused, as is a flag given twice or a value out of range.
 
-use std::collections::HashMap;
+use std::{fmt::Debug, ops::RangeBounds, str::FromStr};
 
 use alpha_core::{MacScheme, Mode, Reliability};
 use alpha_crypto::Algorithm;
+use alpha_transport::loadgen::LoadgenConfig;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `alpha keygen --scheme rsa|ecdsa --out FILE [--bits N]`
+    /// `alpha keygen`: write an RSA or ECDSA identity file.
     Keygen {
         /// "rsa" or "ecdsa".
         scheme: String,
         /// Output file for the identity.
         out: String,
-        /// RSA modulus bits (ignored for ecdsa).
+        /// RSA modulus bits (0 for ecdsa).
         bits: usize,
     },
-    /// `alpha listen BIND [--alg A] [--reliable] [--seconds N]
-    ///  [--identity FILE] [--require-peer-auth]`
+    /// `alpha listen`: accept one association and print what it delivers.
     Listen {
         /// Bind address, e.g. `0.0.0.0:7001`.
         bind: String,
@@ -31,8 +31,7 @@ pub enum Command {
         /// Serve duration in seconds.
         seconds: u64,
     },
-    /// `alpha send PEER MSG… [--alg A] [--reliable] [--mode base|c|m]
-    ///  [--bind ADDR]`
+    /// `alpha send`: send messages to a peer in one exchange.
     Send {
         /// Peer address.
         peer: String,
@@ -45,7 +44,7 @@ pub enum Command {
         /// Local bind address.
         bind: String,
     },
-    /// `alpha relay BIND LEFT RIGHT [--seconds N] [--strict]`
+    /// `alpha relay`: a verifying middlebox between two hosts.
     Relay {
         /// Bind address of the middlebox.
         bind: String,
@@ -58,20 +57,14 @@ pub enum Command {
         /// Drop traffic of unknown associations.
         strict: bool,
     },
-    /// `alpha sim [--relays N] [--messages N] [--batch N] [--mode base|c|m]
-    ///  [--loss P] [--alg A] [--reliable] [--device NAME] [--seconds N]
-    ///  [--trace]`
+    /// `alpha sim`: a simulated multi-hop scenario.
     Sim(SimOpts),
-    /// `alpha trace FILE` — summarize a JSON-lines packet trace produced
-    /// by `alpha sim --trace`.
+    /// `alpha trace`: summarize a packet trace from `alpha sim --trace`.
     Trace {
         /// Trace file path ("-" for stdin).
         file: String,
     },
-    /// `alpha engine serve BIND [--workers N] [--shards N] [--seconds N]
-    ///  [--alg A] [--mac hmac|prefix] [--reliable] [--s1-budget BYTES]
-    ///  [--max-buffered BYTES] [--route LEFT=RIGHT] [--adapt]
-    ///  [--hibernate-after MS] [--frozen-budget BYTES]`
+    /// `alpha engine serve`: the sharded multi-flow engine on one socket.
     EngineServe {
         /// Bind address of the shared socket.
         bind: String,
@@ -101,9 +94,7 @@ pub enum Command {
         /// (0 = unbounded).
         frozen_budget: u64,
     },
-    /// `alpha engine stats ADDR [--timeout-ms N] [--json]` — query a
-    /// running engine and print a human summary (or the raw JSON
-    /// snapshot with `--json`), including per-flow adaptation state.
+    /// `alpha engine stats`: query a running engine's metrics.
     EngineStats {
         /// Address of the engine's shared socket.
         addr: String,
@@ -112,9 +103,7 @@ pub enum Command {
         /// Print the raw JSON snapshot instead of the summary.
         json: bool,
     },
-    /// `alpha mesh serve BIND [--workers N] [--alg A] [--mac hmac|prefix]
-    ///  [--reliable] [--upstream A,B,…] [--next-hop A,B,…] [--source A,B,…]
-    ///  [--probe-ms N] [--seconds N] [--open]`
+    /// `alpha mesh serve`: a relay-mesh node.
     MeshServe {
         /// Bind address of the relay's shared socket.
         bind: String,
@@ -136,9 +125,7 @@ pub enum Command {
         /// static-relay-set bypass defense; monitor-only).
         open: bool,
     },
-    /// `alpha mesh peers ADDR [--timeout-ms N] [--json]` — query a
-    /// running mesh relay and print its peer table (health, RTT,
-    /// per-peer traffic) plus the hop counters.
+    /// `alpha mesh peers`: query a mesh relay's peer table and hop counters.
     MeshPeers {
         /// Address of the relay's shared socket.
         addr: String,
@@ -147,10 +134,7 @@ pub enum Command {
         /// Print the raw JSON snapshot instead of the table.
         json: bool,
     },
-    /// `alpha loadgen [--workers N] [--senders N] [--flows N]
-    ///  [--payload BYTES] [--seconds N] [--shards N] [--quick] [--json]`
-    /// — saturate a live loopback engine and print verified-S2
-    /// throughput.
+    /// `alpha loadgen`: saturate a live loopback engine, print its rate.
     Loadgen {
         /// Server worker threads.
         workers: usize,
@@ -169,10 +153,9 @@ pub enum Command {
         /// Print the report as one JSON object instead of a summary.
         json: bool,
     },
-    /// `alpha help` or `--help` anywhere.
+    /// `alpha help` as the first argument, or `-h` / `--help` anywhere.
     Help,
 }
-
 /// Options shared by the networking subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtoOpts {
@@ -261,43 +244,144 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
-/// Split args into positionals and `--flag [value]` pairs.
-/// `switches` lists the flags that take no value.
-fn split(
-    args: &[String],
-    switches: &[&str],
-) -> Result<(Vec<String>, HashMap<String, String>), ParseError> {
-    let mut pos = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if switches.contains(&name) {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            } else {
-                let Some(value) = args.get(i + 1) else {
-                    return err(format!("--{name} needs a value"));
-                };
-                flags.insert(name.to_string(), value.clone());
-                i += 2;
-            }
-        } else {
-            pos.push(a.clone());
-            i += 1;
-        }
-    }
-    Ok((pos, flags))
+/// Upper bound of `--workers`, `--shards` and `--senders`: each worker is a
+/// thread holding an eventfd per worker, each sender a thread and a socket.
+const MAX_PARALLEL: usize = 256;
+
+/// Upper bound of every `--seconds`: `sim` counts it in microseconds and
+/// the live verbs add it to an `Instant`; both overflow past it.
+const MAX_SECONDS: u64 = u64::MAX / 1_000_000;
+
+/// Upper bound of `--hibernate-after` and `--probe-ms`, which the engine
+/// and the mesh count in microseconds.
+const MAX_MILLIS: u64 = u64::MAX / 1_000;
+
+type Parser = fn(&[&str], &mut Flags) -> Result<Command, ParseError>;
+
+/// One row per verb: its name, its usage line and its parser. The usage
+/// line is the verb's flag table: `[--x]` is a switch, `--x M` and
+/// `[--x M]` take one value, and the words before the first flag are
+/// the positionals, a last `MSG...` standing for one or more. A parser
+/// gets the positionals, already counted, and takes each flag it reads.
+#[rustfmt::skip]
+const VERBS: &[(&str, &str, Parser)] = &[
+    ("keygen", "--out FILE [--scheme rsa|ecdsa] [--bits N]", keygen),
+    ("listen", "BIND [--seconds N] [--alg sha1|sha256|mmo] [--reliable] [--mac hmac|prefix] \
+        [--identity FILE] [--require-peer-auth]", listen),
+    ("send", "PEER MSG... [--mode base|c|m|cm] [--bind ADDR] [--alg sha1|sha256|mmo] [--reliable] \
+        [--mac hmac|prefix] [--identity FILE] [--require-peer-auth]", send),
+    ("relay", "BIND LEFT RIGHT [--seconds N] [--strict]", relay),
+    ("engine serve", "BIND [--workers N] [--shards N] [--seconds N] [--alg sha1|sha256|mmo] \
+        [--mac hmac|prefix] [--reliable] [--s1-budget BYTES] [--max-buffered BYTES] \
+        [--route LEFT=RIGHT] [--adapt] [--hibernate-after MS] [--frozen-budget BYTES]",
+        engine_serve),
+    ("engine stats", "ADDR [--timeout-ms N] [--json]", stats),
+    ("mesh serve", "BIND [--upstream A[,B...]] [--next-hop A[,B...]] [--source A[,B...]] \
+        [--workers N] [--probe-ms N] [--seconds N] [--alg sha1|sha256|mmo] [--mac hmac|prefix] \
+        [--reliable] [--open]", mesh_serve),
+    ("mesh peers", "ADDR [--timeout-ms N] [--json]", mesh_peers),
+    ("loadgen", "[--workers N] [--senders N] [--flows N] [--payload BYTES] [--seconds N] \
+        [--shards N] [--quick] [--json]", loadgen),
+    ("trace", "FILE|-", trace),
+    ("sim", "[--relays N] [--messages N] [--batch N] [--mode base|c|m|cm] [--loss P] \
+        [--alg sha1|sha256|mmo] [--reliable] [--mac hmac|prefix] [--payload BYTES] \
+        [--device xeon|n770|ar2315|bcm5365|geode|cc2430] [--seconds N] [--seed N] [--trace]", sim),
+];
+
+/// Whether `line` lists `flag` as taking a value (`Some(true)`), as a
+/// switch (`Some(false)`), or not at all.
+fn takes_value(line: &str, flag: &str) -> Option<bool> {
+    let mut words = line.split_whitespace().map(|w| w.trim_start_matches('['));
+    let word = words.find(|w| w.trim_end_matches(']') == flag)?;
+    Some(!word.ends_with(']'))
 }
 
-fn parse_alg(s: &str) -> Result<Algorithm, ParseError> {
-    match s {
-        "sha1" => Ok(Algorithm::Sha1),
-        "sha256" => Ok(Algorithm::Sha256),
-        "mmo" => Ok(Algorithm::MmoAes),
-        other => err(format!("unknown algorithm '{other}' (sha1|sha256|mmo)")),
+/// The flags of one invocation, each taken out as its verb's parser
+/// reads it: what is left afterwards applied to nothing.
+struct Flags<'a> {
+    line: &'static str,
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    fn value(&mut self, flag: &str) -> Option<&'a str> {
+        debug_assert!(
+            takes_value(self.line, flag).is_some(),
+            "{flag} is not in its table"
+        );
+        let i = self.given.iter().position(|&(f, _)| f == flag)?;
+        Some(self.given.remove(i).1)
     }
+
+    fn switch(&mut self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    fn num<T: FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        default: T,
+        range: impl RangeBounds<T> + Debug,
+    ) -> Result<T, ParseError> {
+        let Some(v) = self.value(flag) else {
+            return Ok(default);
+        };
+        match v.parse() {
+            Ok(n) if range.contains(&n) => Ok(n),
+            Ok(_) => err(format!("{flag}: '{v}' is out of range {range:?}")),
+            Err(_) => err(format!("{flag}: bad value '{v}'")),
+        }
+    }
+
+    fn addrs(&mut self, flag: &str) -> Vec<String> {
+        let list = self.value(flag).unwrap_or_default().split(',');
+        list.map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
+}
+
+/// Split `args` against `verb`'s usage `line` into its positionals and
+/// its flags, refusing an unknown, repeated or valueless flag and a
+/// wrong number of positionals.
+fn split<'a>(
+    verb: &str,
+    line: &'static str,
+    args: &'a [String],
+) -> Result<(Vec<&'a str>, Flags<'a>), ParseError> {
+    let mut pos = Vec::new();
+    let mut given: Vec<(&str, &str)> = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            pos.push(a);
+            continue;
+        }
+        let Some(wants_value) = takes_value(line, a) else {
+            return err(format!("'alpha {verb}' has no flag '{a}'"));
+        };
+        if given.iter().any(|&(f, _)| f == a) {
+            return err(format!("'{a}' given twice"));
+        }
+        let value = match wants_value.then(|| args.next()) {
+            None => "",
+            Some(Some(v)) if !v.starts_with("--") => v,
+            Some(_) => return err(format!("'{a}' needs a value")),
+        };
+        given.push((a, value));
+    }
+    let want: Vec<&str> = line
+        .split_whitespace()
+        .take_while(|w| !w.trim_start_matches('[').starts_with("--"))
+        .collect();
+    if pos.len() < want.len() {
+        return err(format!("'alpha {verb}' needs {}", want.join(" ")));
+    }
+    if pos.len() > want.len() && !want.last().is_some_and(|w| w.ends_with("...")) {
+        return err(format!("unexpected argument '{}'", pos[want.len()]));
+    }
+    Ok((pos, Flags { line, given }))
 }
 
 fn parse_mode(s: &str, batch: usize) -> Result<Mode, ParseError> {
@@ -312,311 +396,242 @@ fn parse_mode(s: &str, batch: usize) -> Result<Mode, ParseError> {
     }
 }
 
-fn proto_opts(flags: &HashMap<String, String>) -> Result<ProtoOpts, ParseError> {
+/// `--alg`, `--reliable` and `--mac`.
+fn proto_opts(f: &mut Flags<'_>) -> Result<ProtoOpts, ParseError> {
     let mut o = ProtoOpts::default();
-    if let Some(a) = flags.get("alg") {
-        o.alg = parse_alg(a)?;
+    if let Some(a) = f.value("--alg") {
+        o.alg = match a {
+            "sha1" => Algorithm::Sha1,
+            "sha256" => Algorithm::Sha256,
+            "mmo" => Algorithm::MmoAes,
+            other => return err(format!("unknown algorithm '{other}' (sha1|sha256|mmo)")),
+        };
     }
-    if flags.contains_key("reliable") {
+    if f.switch("--reliable") {
         o.reliability = Reliability::Reliable;
     }
-    if let Some(m) = flags.get("mac") {
-        o.mac = match m.as_str() {
+    if let Some(m) = f.value("--mac") {
+        o.mac = match m {
             "hmac" => MacScheme::Hmac,
             "prefix" => MacScheme::Prefix,
             other => return err(format!("unknown mac scheme '{other}' (hmac|prefix)")),
         };
     }
-    o.identity = flags.get("identity").cloned();
-    o.require_peer_auth = flags.contains_key("require-peer-auth");
     Ok(o)
 }
 
-fn get_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, ParseError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("--{name}: bad value '{v}'"))),
-    }
-}
-
-/// Split a comma-separated flag value into its (non-empty) entries.
-fn addr_list(flags: &HashMap<String, String>, name: &str) -> Vec<String> {
-    flags.get(name).map_or_else(Vec::new, |v| {
-        v.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect()
+/// [`proto_opts`] plus the flags of the signed bootstrap `listen` and `send` run.
+fn signed_proto_opts(f: &mut Flags<'_>) -> Result<ProtoOpts, ParseError> {
+    Ok(ProtoOpts {
+        identity: f.value("--identity").map(str::to_string),
+        require_peer_auth: f.switch("--require-peer-auth"),
+        ..proto_opts(f)?
     })
 }
 
 /// Parse a full argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
-    if args.is_empty()
-        || args
-            .iter()
-            .any(|a| a == "--help" || a == "-h" || a == "help")
-    {
+    if args.is_empty() || args[0] == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(Command::Help);
     }
-    let sub = args[0].as_str();
-    let rest = &args[1..];
-    match sub {
-        "keygen" => {
-            let (_pos, flags) = split(rest, &[])?;
-            let scheme = flags
-                .get("scheme")
-                .cloned()
-                .unwrap_or_else(|| "ecdsa".into());
-            if scheme != "rsa" && scheme != "ecdsa" {
-                return err(format!("unknown scheme '{scheme}' (rsa|ecdsa)"));
-            }
-            let Some(out) = flags.get("out").cloned() else {
-                return err("keygen needs --out FILE");
-            };
-            Ok(Command::Keygen {
-                scheme,
-                out,
-                bits: get_num(&flags, "bits", 1024)?,
-            })
-        }
-        "listen" => {
-            let (pos, flags) = split(rest, &["reliable", "require-peer-auth"])?;
-            let [bind] = pos.as_slice() else {
-                return err("listen needs exactly one bind address");
-            };
-            Ok(Command::Listen {
-                bind: bind.clone(),
-                opts: proto_opts(&flags)?,
-                seconds: get_num(&flags, "seconds", 60)?,
-            })
-        }
-        "send" => {
-            let (pos, flags) = split(rest, &["reliable", "require-peer-auth"])?;
-            let Some((peer, messages)) = pos.split_first() else {
-                return err("send needs a peer address and at least one message");
-            };
-            if messages.is_empty() {
-                return err("send needs at least one message");
-            }
-            let batch = messages.len();
-            let mode = match flags.get("mode") {
-                Some(m) => parse_mode(m, batch)?,
-                None if batch == 1 => Mode::Base,
-                None => Mode::Cumulative,
-            };
-            Ok(Command::Send {
-                peer: peer.clone(),
-                messages: messages.to_vec(),
-                opts: proto_opts(&flags)?,
-                mode,
-                bind: flags
-                    .get("bind")
-                    .cloned()
-                    .unwrap_or_else(|| "0.0.0.0:0".into()),
-            })
-        }
-        "relay" => {
-            let (pos, flags) = split(rest, &["strict"])?;
-            let [bind, left, right] = pos.as_slice() else {
-                return err("relay needs BIND LEFT RIGHT addresses");
-            };
-            Ok(Command::Relay {
-                bind: bind.clone(),
-                left: left.clone(),
-                right: right.clone(),
-                seconds: get_num(&flags, "seconds", 60)?,
-                strict: flags.contains_key("strict"),
-            })
-        }
-        "engine" => {
-            let Some((verb, rest)) = rest.split_first() else {
-                return err("engine needs a verb: serve|stats");
-            };
-            match verb.as_str() {
-                "serve" => {
-                    let (pos, flags) = split(rest, &["reliable", "require-peer-auth", "adapt"])?;
-                    let [bind] = pos.as_slice() else {
-                        return err("engine serve needs exactly one bind address");
-                    };
-                    let route = match flags.get("route") {
-                        None => None,
-                        Some(r) => {
-                            let Some((l, rt)) = r.split_once('=') else {
-                                return err("--route wants LEFT=RIGHT addresses");
-                            };
-                            Some((l.to_string(), rt.to_string()))
-                        }
-                    };
-                    Ok(Command::EngineServe {
-                        bind: bind.clone(),
-                        opts: proto_opts(&flags)?,
-                        workers: get_num(&flags, "workers", 4)?,
-                        shards: get_num(&flags, "shards", 8)?,
-                        seconds: get_num(&flags, "seconds", 0)?,
-                        s1_budget: get_num(&flags, "s1-budget", 1 << 20)?,
-                        max_buffered: get_num(&flags, "max-buffered", 64 << 20)?,
-                        route,
-                        adapt: flags.contains_key("adapt"),
-                        hibernate_after_ms: get_num(&flags, "hibernate-after", 0)?,
-                        frozen_budget: get_num(&flags, "frozen-budget", 256 << 20)?,
-                    })
-                }
-                "stats" => {
-                    let (pos, flags) = split(rest, &["json"])?;
-                    let [addr] = pos.as_slice() else {
-                        return err("engine stats needs exactly one engine address");
-                    };
-                    Ok(Command::EngineStats {
-                        addr: addr.clone(),
-                        timeout_ms: get_num(&flags, "timeout-ms", 2000)?,
-                        json: flags.contains_key("json"),
-                    })
-                }
-                other => err(format!("unknown engine verb '{other}' (serve|stats)")),
-            }
-        }
-        "mesh" => {
-            let Some((verb, rest)) = rest.split_first() else {
-                return err("mesh needs a verb: serve|peers");
-            };
-            match verb.as_str() {
-                "serve" => {
-                    let (pos, flags) = split(rest, &["reliable", "require-peer-auth", "open"])?;
-                    let [bind] = pos.as_slice() else {
-                        return err("mesh serve needs exactly one bind address");
-                    };
-                    let next_hops = addr_list(&flags, "next-hop");
-                    let upstreams = addr_list(&flags, "upstream");
-                    if next_hops.is_empty() && upstreams.is_empty() {
-                        return err("mesh serve needs at least one --upstream or --next-hop peer");
-                    }
-                    Ok(Command::MeshServe {
-                        bind: bind.clone(),
-                        opts: proto_opts(&flags)?,
-                        workers: get_num(&flags, "workers", 2)?,
-                        seconds: get_num(&flags, "seconds", 0)?,
-                        upstreams,
-                        next_hops,
-                        sources: addr_list(&flags, "source"),
-                        probe_ms: get_num(&flags, "probe-ms", 200)?,
-                        open: flags.contains_key("open"),
-                    })
-                }
-                "peers" => {
-                    let (pos, flags) = split(rest, &["json"])?;
-                    let [addr] = pos.as_slice() else {
-                        return err("mesh peers needs exactly one relay address");
-                    };
-                    Ok(Command::MeshPeers {
-                        addr: addr.clone(),
-                        timeout_ms: get_num(&flags, "timeout-ms", 2000)?,
-                        json: flags.contains_key("json"),
-                    })
-                }
-                other => err(format!("unknown mesh verb '{other}' (serve|peers)")),
-            }
-        }
-        "loadgen" => {
-            let (pos, flags) = split(rest, &["quick", "json"])?;
-            if !pos.is_empty() {
-                return err(format!(
-                    "loadgen takes no positional arguments, got '{}'",
-                    pos[0]
-                ));
-            }
-            let quick = flags.contains_key("quick");
-            let (d_workers, d_senders, d_flows, d_seconds) = if quick {
-                (2, 2, 8, 0.5)
-            } else {
-                (4, 4, 16, 2.0)
-            };
-            Ok(Command::Loadgen {
-                workers: get_num(&flags, "workers", d_workers)?,
-                senders: get_num(&flags, "senders", d_senders)?,
-                flows: get_num(&flags, "flows", d_flows)?,
-                payload: get_num(&flags, "payload", 256)?,
-                seconds: get_num(&flags, "seconds", d_seconds)?,
-                shards: get_num(&flags, "shards", 64)?,
-                quick,
-                json: flags.contains_key("json"),
-            })
-        }
-        "trace" => {
-            let (pos, _flags) = split(rest, &[])?;
-            let [file] = pos.as_slice() else {
-                return err("trace needs exactly one FILE ('-' for stdin)");
-            };
-            Ok(Command::Trace { file: file.clone() })
-        }
-        "sim" => {
-            let (pos, flags) = split(rest, &["reliable", "trace", "require-peer-auth"])?;
-            if !pos.is_empty() {
-                return err(format!(
-                    "sim takes no positional arguments, got '{}'",
-                    pos[0]
-                ));
-            }
-            let mut o = SimOpts {
-                proto: proto_opts(&flags)?,
-                ..SimOpts::default()
-            };
-            o.relays = get_num(&flags, "relays", o.relays)?;
-            o.messages = get_num(&flags, "messages", o.messages)?;
-            o.batch = get_num(&flags, "batch", o.batch)?;
-            o.loss = get_num(&flags, "loss", o.loss)?;
-            o.seconds = get_num(&flags, "seconds", o.seconds)?;
-            o.payload = get_num(&flags, "payload", o.payload)?;
-            o.seed = get_num(&flags, "seed", o.seed)?;
-            o.trace = flags.contains_key("trace");
-            if let Some(d) = flags.get("device") {
-                o.device = d.clone();
-            }
-            if let Some(m) = flags.get("mode") {
-                o.mode = parse_mode(m, o.batch)?;
-            }
-            Ok(Command::Sim(o))
-        }
-        other => err(format!("unknown subcommand '{other}'; try 'alpha help'")),
+    let group = format!("{} ", args[0]);
+    let two_words = VERBS.iter().any(|(v, ..)| v.starts_with(&group));
+    let (name, rest) = args.split_at(args.len().min(1 + usize::from(two_words)));
+    let name = name.join(" ");
+    let Some(&(verb, line, parse)) = VERBS.iter().find(|(v, ..)| *v == name) else {
+        return err(format!("unknown subcommand '{name}'; try 'alpha help'"));
+    };
+    let (pos, mut flags) = split(verb, line, rest)?;
+    let cmd = parse(&pos, &mut flags)?;
+    match flags.given.first() {
+        Some((flag, _)) => err(format!(
+            "'{flag}' does not apply to 'alpha {verb}' with these flags"
+        )),
+        None => Ok(cmd),
     }
 }
 
-/// The help text.
+fn keygen(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let scheme = f.value("--scheme").unwrap_or("ecdsa");
+    let bits = match scheme {
+        "rsa" => f.num("--bits", 1024, 128..=4096)?,
+        "ecdsa" => 0,
+        other => return err(format!("unknown scheme '{other}' (rsa|ecdsa)")),
+    };
+    if bits % 2 == 1 {
+        return err(format!("--bits: '{bits}' is odd"));
+    }
+    let out = f
+        .value("--out")
+        .ok_or(ParseError("'alpha keygen' needs --out FILE".into()))?;
+    Ok(Command::Keygen {
+        scheme: scheme.into(),
+        out: out.into(),
+        bits,
+    })
+}
+
+fn listen(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::Listen {
+        bind: pos[0].into(),
+        opts: signed_proto_opts(f)?,
+        seconds: f.num("--seconds", 60, ..=MAX_SECONDS)?,
+    })
+}
+
+fn send(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let messages = &pos[1..];
+    let mode = match f.value("--mode") {
+        Some(m) => parse_mode(m, messages.len())?,
+        None if messages.len() == 1 => Mode::Base,
+        None => Mode::Cumulative,
+    };
+    Ok(Command::Send {
+        peer: pos[0].into(),
+        messages: messages.iter().map(|m| m.to_string()).collect(),
+        opts: signed_proto_opts(f)?,
+        mode,
+        bind: f.value("--bind").unwrap_or("0.0.0.0:0").into(),
+    })
+}
+
+fn relay(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::Relay {
+        bind: pos[0].into(),
+        left: pos[1].into(),
+        right: pos[2].into(),
+        seconds: f.num("--seconds", 60, ..=MAX_SECONDS)?,
+        strict: f.switch("--strict"),
+    })
+}
+
+fn engine_serve(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let route = match f.value("--route").map(|r| r.split_once('=').ok_or(r)) {
+        None => None,
+        Some(Ok((l, r))) => Some((l.into(), r.into())),
+        Some(Err(r)) => return err(format!("--route: bad value '{r}' (want LEFT=RIGHT)")),
+    };
+    Ok(Command::EngineServe {
+        bind: pos[0].into(),
+        opts: proto_opts(f)?,
+        workers: f.num("--workers", 4, 1..=MAX_PARALLEL)?,
+        shards: f.num("--shards", 8, 1..=MAX_PARALLEL)?,
+        seconds: f.num("--seconds", 0, ..=MAX_SECONDS)?,
+        s1_budget: f.num("--s1-budget", 1 << 20, ..)?,
+        max_buffered: f.num("--max-buffered", 64 << 20, ..)?,
+        route,
+        adapt: f.switch("--adapt"),
+        hibernate_after_ms: f.num("--hibernate-after", 0, ..=MAX_MILLIS)?,
+        frozen_budget: f.num("--frozen-budget", 256 << 20, ..)?,
+    })
+}
+
+fn stats(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::EngineStats {
+        addr: pos[0].into(),
+        timeout_ms: f.num("--timeout-ms", 2000, ..)?,
+        json: f.switch("--json"),
+    })
+}
+
+fn mesh_serve(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let next_hops = f.addrs("--next-hop");
+    let upstreams = f.addrs("--upstream");
+    if next_hops.is_empty() && upstreams.is_empty() {
+        return err("'alpha mesh serve' needs at least one --upstream or --next-hop peer");
+    }
+    Ok(Command::MeshServe {
+        bind: pos[0].into(),
+        opts: proto_opts(f)?,
+        workers: f.num("--workers", 2, 1..=MAX_PARALLEL)?,
+        seconds: f.num("--seconds", 0, ..=MAX_SECONDS)?,
+        upstreams,
+        next_hops,
+        sources: f.addrs("--source"),
+        probe_ms: f.num("--probe-ms", 200, ..=MAX_MILLIS)?,
+        open: f.switch("--open"),
+    })
+}
+
+fn mesh_peers(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::MeshPeers {
+        addr: pos[0].into(),
+        timeout_ms: f.num("--timeout-ms", 2000, ..)?,
+        json: f.switch("--json"),
+    })
+}
+
+fn loadgen(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let quick = f.switch("--quick");
+    let d = if quick {
+        LoadgenConfig::quick()
+    } else {
+        LoadgenConfig::default()
+    };
+    Ok(Command::Loadgen {
+        workers: f.num("--workers", d.workers, 1..=MAX_PARALLEL)?,
+        senders: f.num("--senders", d.senders, 1..=MAX_PARALLEL)?,
+        flows: f.num("--flows", d.flows_per_sender, ..)?,
+        payload: f.num("--payload", d.payload, ..)?,
+        seconds: f.num(
+            "--seconds",
+            d.duration.as_secs_f64(),
+            0.0..=MAX_SECONDS as f64,
+        )?,
+        shards: f.num("--shards", d.shards, 1..=MAX_PARALLEL)?,
+        quick,
+        json: f.switch("--json"),
+    })
+}
+
+fn trace(pos: &[&str], _: &mut Flags<'_>) -> Result<Command, ParseError> {
+    Ok(Command::Trace {
+        file: pos[0].into(),
+    })
+}
+
+fn sim(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
+    let d = SimOpts::default();
+    let batch = f.num("--batch", d.batch, ..)?;
+    Ok(Command::Sim(SimOpts {
+        relays: f.num("--relays", d.relays, ..)?,
+        messages: f.num("--messages", d.messages, ..)?,
+        batch,
+        mode: f
+            .value("--mode")
+            .map_or(Ok(d.mode), |m| parse_mode(m, batch))?,
+        loss: f.num("--loss", d.loss, 0.0..=1.0)?,
+        proto: proto_opts(f)?,
+        device: f.value("--device").map_or(d.device, str::to_string),
+        seconds: f.num("--seconds", d.seconds, ..=MAX_SECONDS)?,
+        payload: f.num("--payload", d.payload, ..)?,
+        trace: f.switch("--trace"),
+        seed: f.num("--seed", d.seed, ..)?,
+    }))
+}
+
+/// The help text: one usage line per row of [`VERBS`], wrapped between
+/// flags, then the examples.
 #[must_use]
-pub fn usage() -> &'static str {
-    "alpha — ALPHA hop-by-hop authentication (CoNEXT 2008) tooling
+pub fn usage() -> String {
+    let mut out =
+        String::from("alpha — ALPHA hop-by-hop authentication (CoNEXT 2008) tooling\n\nUSAGE:\n");
+    for (verb, line, _) in VERBS {
+        let mut row = format!("  alpha {verb}");
+        for (i, word) in line.split(" [").enumerate() {
+            if row.len() + word.len() > 76 {
+                out += &row;
+                row = format!("\n{:14}", "");
+            }
+            row += if i == 0 { " " } else { " [" };
+            row += word;
+        }
+        out += &(row + "\n");
+    }
+    out + EXAMPLES
+}
 
-USAGE:
-  alpha keygen --out FILE [--scheme rsa|ecdsa] [--bits N]
-  alpha listen BIND [--seconds N] [--alg sha1|sha256|mmo] [--reliable]
-               [--mac hmac|prefix] [--identity FILE] [--require-peer-auth]
-  alpha send PEER MSG... [--mode base|c|m|cm] [--bind ADDR] [--alg A]
-               [--reliable] [--mac hmac|prefix] [--identity FILE]
-  alpha relay BIND LEFT RIGHT [--seconds N] [--strict]
-  alpha engine serve BIND [--workers N] [--shards N] [--seconds N] [--alg A]
-               [--mac hmac|prefix] [--reliable] [--s1-budget BYTES]
-               [--max-buffered BYTES] [--route LEFT=RIGHT] [--adapt]
-               [--hibernate-after MS] [--frozen-budget BYTES]
-  alpha engine stats ADDR [--timeout-ms N] [--json]
-  alpha mesh serve BIND --next-hop A[,B...] [--upstream A[,B...]]
-               [--source A[,B...]] [--workers N] [--probe-ms N]
-               [--seconds N] [--alg A] [--mac hmac|prefix] [--reliable]
-               [--open]
-  alpha mesh peers ADDR [--timeout-ms N] [--json]
-  alpha loadgen [--workers N] [--senders N] [--flows N] [--payload BYTES]
-               [--seconds N] [--shards N] [--quick] [--json]
-  alpha trace FILE|-   (summarize a JSON-lines trace from 'alpha sim --trace')
-  alpha sim [--relays N] [--messages N] [--batch N] [--mode base|c|m|cm]
-            [--loss P] [--alg A] [--reliable] [--mac hmac|prefix]
-            [--device xeon|n770|ar2315|bcm5365|geode|cc2430]
-            [--payload BYTES] [--seconds N] [--seed N] [--trace]
-
+const EXAMPLES: &str = "
 EXAMPLES:
   alpha listen 0.0.0.0:7001 --seconds 30
   alpha send 192.0.2.7:7001 'hello' 'world' --mode c
@@ -635,16 +650,14 @@ exchanges, and the verified-S2 rate is measured only after every flow
 has finished its handshake.
 
 'engine serve --s1-budget' caps the S1 and HS1 bytes per second of each
-host flow (host flows; relay flows use the relay's authenticated-S1
-bucket).
+host flow (relay flows use the relay's authenticated-S1 bucket).
 
-A mesh relay verifies every hop: it only accepts S2 traffic from its
-registered --upstream peers (the paper's static-relay-set defense),
-probes its peers for liveness, and fails live flows over from the
-primary --next-hop to a standby when the primary stops answering.
-"
-}
-
+A mesh relay needs at least one --upstream or --next-hop peer. It
+verifies every hop: it only accepts S2 traffic from its registered
+--upstream peers (the paper's static-relay-set defense), probes its
+peers for liveness, and fails live flows over from the primary
+--next-hop to a standby when the primary stops answering.
+";
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,6 +671,15 @@ mod tests {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
         assert_eq!(parse_args(&v(&["help"])).unwrap(), Command::Help);
         assert_eq!(parse_args(&v(&["send", "--help"])).unwrap(), Command::Help);
+        assert_eq!(
+            parse_args(&v(&["sim", "--seed", "-h"])).unwrap(),
+            Command::Help
+        );
+        // `help` is a verb only in first place; later it is a message.
+        match parse_args(&v(&["send", "h:1", "help"])).unwrap() {
+            Command::Send { messages, .. } => assert_eq!(messages, ["help"]),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -966,5 +988,413 @@ mod tests {
         assert!(parse_args(&v(&["sim", "--loss"])).is_err());
         assert!(parse_args(&v(&["sim", "--loss", "lots"])).is_err());
         assert!(parse_args(&v(&["send", "host:1", "m", "--mode", "q"])).is_err());
+    }
+
+    /// The message refusing `argv`, which must contain `token`.
+    fn refusal(argv: &[&str], token: &str) -> String {
+        let msg = parse_args(&v(argv)).expect_err("refused").0;
+        assert!(
+            msg.contains(token),
+            "{argv:?}: '{msg}' does not name {token}"
+        );
+        msg
+    }
+
+    #[test]
+    fn unknown_repeated_and_valueless_flags_are_refused() {
+        refusal(
+            &[
+                "mesh",
+                "serve",
+                "127.0.0.1:47691",
+                "--next-hop",
+                "127.0.0.1:47692",
+                "--peer-budget",
+                "5",
+                "--seconds",
+                "1",
+            ],
+            "'alpha mesh serve' has no flag '--peer-budget'",
+        );
+        refusal(
+            &["trace", "/dev/null", "--bogus", "1"],
+            "has no flag '--bogus'",
+        );
+        refusal(
+            &["sim", "--seed", "1", "--seed", "2"],
+            "'--seed' given twice",
+        );
+        refusal(
+            &["sim", "--reliable", "--reliable"],
+            "'--reliable' given twice",
+        );
+        refusal(
+            &["engine", "serve", "a:1", "--workers=8", "2"],
+            "has no flag '--workers=8'",
+        );
+        refusal(&["sim", "--seconds"], "'--seconds' needs a value");
+        refusal(
+            &["sim", "--seconds", "--trace"],
+            "'--seconds' needs a value",
+        );
+        refusal(&["loadgen", "--"], "has no flag '--'");
+        // Flags the parsers used to accept and ignore.
+        refusal(&["sim", "--identity", "id.key"], "has no flag '--identity'");
+        refusal(
+            &["sim", "--require-peer-auth"],
+            "has no flag '--require-peer-auth'",
+        );
+        refusal(
+            &["engine", "serve", "a:1", "--require-peer-auth"],
+            "has no flag '--require-peer-auth'",
+        );
+        // `--bits` is listed but applies only to RSA keys.
+        refusal(&["keygen", "--out", "x", "--bits", "512"], "--bits");
+        refusal(
+            &["keygen", "--out", "x", "--scheme", "ecdsa", "--bits", "512"],
+            "--bits",
+        );
+        // Positionals are counted against the usage line.
+        refusal(&["listen", "a:1", "b:2"], "'b:2'");
+        refusal(&["relay", "b:1", "l:2"], "BIND LEFT RIGHT");
+        refusal(&["engine", "restart"], "engine restart");
+        refusal(&["engine"], "engine");
+        // The comma form arms a standby; a second --next-hop is refused.
+        refusal(
+            &[
+                "mesh",
+                "serve",
+                "b:1",
+                "--next-hop",
+                "n:1",
+                "--next-hop",
+                "n:2",
+            ],
+            "'--next-hop' given twice",
+        );
+    }
+
+    #[test]
+    fn out_of_range_values_are_refused_at_the_parser() {
+        let max = MAX_PARALLEL.to_string();
+        let over = (MAX_PARALLEL + 1).to_string();
+        let huge = u64::MAX.to_string();
+        let ms = MAX_MILLIS.to_string();
+        let secs = MAX_SECONDS.to_string();
+        for bad in ["7", "129", "126", "4098"] {
+            refusal(
+                &["keygen", "--out", "x", "--scheme", "rsa", "--bits", bad],
+                bad,
+            );
+        }
+        for verb in [
+            &["engine", "serve", "a:1"][..],
+            &["mesh", "serve", "a:1", "--upstream", "u:1"],
+            &["loadgen"],
+        ] {
+            for bad in ["0", &over, &huge, "-1"] {
+                refusal(&[verb, &["--workers", bad]].concat(), "--workers");
+            }
+            let edge = parse_args(&v(&[verb, &["--workers", &max]].concat()));
+            assert!(edge.is_ok(), "{verb:?} --workers {max}: {edge:?}");
+        }
+        for verb in [&["engine", "serve", "a:1"][..], &["loadgen"]] {
+            refusal(&[verb, &["--shards", "0"]].concat(), "--shards");
+            refusal(&[verb, &["--shards", &over]].concat(), "--shards");
+        }
+        refusal(&["loadgen", "--senders", "0"], "--senders");
+        refusal(&["loadgen", "--senders", &over], "--senders");
+        for bad in ["inf", "NaN", "-1", "1e300"] {
+            refusal(&["loadgen", "--seconds", bad], bad);
+        }
+        let over_ms = (MAX_MILLIS + 1).to_string();
+        refusal(
+            &["engine", "serve", "a:1", "--hibernate-after", &over_ms],
+            "--hibernate-after",
+        );
+        refusal(
+            &[
+                "mesh",
+                "serve",
+                "a:1",
+                "--upstream",
+                "u:1",
+                "--probe-ms",
+                &huge,
+            ],
+            "--probe-ms",
+        );
+        assert!(parse_args(&v(&["engine", "serve", "a:1", "--hibernate-after", &ms])).is_ok());
+        assert!(parse_args(&v(&[
+            "mesh",
+            "serve",
+            "a:1",
+            "--upstream",
+            "u:1",
+            "--probe-ms",
+            &ms
+        ]))
+        .is_ok());
+        for verb in [
+            &["sim"][..],
+            &["listen", "a:1"],
+            &["relay", "a:1", "b:2", "c:3"],
+            &["engine", "serve", "a:1"],
+        ] {
+            refusal(&[verb, &["--seconds", &huge]].concat(), "--seconds");
+            assert!(parse_args(&v(&[verb, &["--seconds", &secs]].concat())).is_ok());
+        }
+        for bad in ["5", "NaN", "inf", "-0.1", "1.0000001"] {
+            refusal(&["sim", "--loss", bad], bad);
+        }
+        for good in ["0", "1", "0.5"] {
+            assert!(
+                parse_args(&v(&["sim", "--loss", good])).is_ok(),
+                "--loss {good}"
+            );
+        }
+    }
+
+    /// Each flag of `line` with its metavar, `None` for a switch.
+    fn rows(line: &'static str) -> Vec<(&'static str, Option<&'static str>)> {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let mut out = Vec::new();
+        for (i, w) in words.iter().enumerate() {
+            let w = w.trim_start_matches('[');
+            if let Some(switch) = w.strip_suffix(']').filter(|s| s.starts_with("--")) {
+                out.push((switch, None));
+            } else if w.starts_with("--") {
+                let meta = words[i + 1];
+                out.push((w, Some(meta.strip_suffix(']').unwrap_or(meta))));
+            }
+        }
+        out
+    }
+
+    fn positionals(line: &str) -> impl Iterator<Item = &str> {
+        line.split_whitespace()
+            .take_while(|w| !w.trim_start_matches('[').starts_with("--"))
+    }
+
+    /// A valid value for a metavar or positional of the tables.
+    fn sample(meta: &str) -> &str {
+        match meta {
+            "N" | "BYTES" | "MS" => "128",
+            "P" => "0.5",
+            "LEFT=RIGHT" => "127.0.0.1:1=127.0.0.1:2",
+            "FILE" | "FILE|-" => "id.key",
+            "MSG..." => "hello",
+            m if m.contains('|') => m.split('|').next().unwrap(),
+            _ => "127.0.0.1:1",
+        }
+    }
+
+    /// The shortest argv `verb` accepts, plus what its flags need.
+    fn base_argv(verb: &str, line: &'static str) -> Vec<String> {
+        let mut argv: Vec<String> = verb.split(' ').map(String::from).collect();
+        argv.extend(positionals(line).map(|p| sample(p).to_string()));
+        for (flag, meta) in rows(line) {
+            if !line.contains(&format!("[{flag}")) {
+                argv.extend([flag.to_string(), sample(meta.unwrap()).to_string()]);
+            }
+        }
+        match verb {
+            "keygen" => argv.extend(v(&["--scheme", "rsa"])),
+            "mesh serve" => argv.extend(v(&["--upstream", "127.0.0.1:2"])),
+            _ => {}
+        }
+        argv
+    }
+
+    #[test]
+    fn every_table_row_is_read_by_its_verb() {
+        let mut walked = 0;
+        for &(verb, line, _) in VERBS {
+            for (flag, meta) in rows(line) {
+                let mut argv = base_argv(verb, line);
+                if !argv.iter().any(|a| a == flag) {
+                    argv.push(flag.to_string());
+                    argv.extend(meta.map(|m| sample(m).to_string()));
+                }
+                // A row no parser reads is left over and refused; a read
+                // outside the table trips the debug assertion.
+                let got = parse_args(&argv);
+                assert!(got.is_ok(), "{argv:?}: {got:?}");
+                walked += 1;
+            }
+        }
+        assert_eq!(walked, 65);
+    }
+
+    /// Shell words of one command line: quotes honoured, `# …` dropped.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote, mut any) = (Vec::new(), String::new(), None, false);
+        for c in line.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '\'' | '"') => (quote, any) = (Some(c), true),
+                (None, '#') if !any => break,
+                (None, c) if c.is_whitespace() => {
+                    if any {
+                        words.push(std::mem::take(&mut word));
+                    }
+                    any = false;
+                }
+                (None, c) => (any, _) = (true, word.push(c)),
+            }
+        }
+        if any {
+            words.push(word);
+        }
+        words
+    }
+
+    #[test]
+    fn readme_and_usage_examples_parse() {
+        let readme = include_str!("../../../README.md");
+        let (mut lines, mut in_text) = (Vec::new(), false);
+        for line in readme.lines() {
+            if let Some(lang) = line.strip_prefix("```") {
+                in_text = !in_text && lang == "text";
+            } else if in_text {
+                lines.push(
+                    line.split_once("--bin alpha -- ")
+                        .map_or(line.to_string(), |(_, rest)| format!("alpha {rest}")),
+                );
+            }
+        }
+        let usage = usage();
+        let examples = usage
+            .split("EXAMPLES:\n")
+            .nth(1)
+            .unwrap()
+            .split("\n\n")
+            .next()
+            .unwrap();
+        lines.extend(examples.replace("\\\n", " ").lines().map(String::from));
+        let mut parsed = 0;
+        for line in &lines {
+            let argv = shell_words(line);
+            if argv.first().map(String::as_str) != Some("alpha") {
+                continue;
+            }
+            let got = parse_args(&argv[1..]);
+            assert!(got.is_ok(), "{line}: {got:?}");
+            parsed += 1;
+        }
+        assert!(parsed >= 25, "only {parsed} example lines found");
+    }
+
+    #[test]
+    fn argv_fuzz_never_panics_and_refuses_unknown_flags() {
+        use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
+        let flags: Vec<&str> = VERBS
+            .iter()
+            .flat_map(|r| rows(r.1))
+            .map(|(f, _)| f)
+            .collect();
+        let values = [
+            "0",
+            "1",
+            "-1",
+            "2",
+            "256",
+            "257",
+            "4096",
+            "18446744073709551615",
+            "18446744073709551616",
+            "NaN",
+            "inf",
+            "0.5",
+            "1e300",
+            "",
+            "=",
+            "a=b",
+            "x,y",
+            "127.0.0.1:1",
+            "sha1",
+            "prefix",
+            "rsa",
+            "cm",
+            "geode",
+        ];
+        let junk = [
+            "--",
+            "-",
+            "",
+            "--bogus",
+            "--workers=8",
+            "--peer-budget",
+            "-x",
+            "help",
+            "engine",
+            "serve",
+            "--SEED",
+            "--reliable]",
+            "[--seed",
+            "é",
+            "\0",
+            "--seed ",
+            " --seed",
+        ];
+        let mut rng = StdRng::seed_from_u64(0xa1fa);
+        for case in 0..20_000 {
+            let &(verb, line, _) = VERBS.choose(&mut rng).unwrap();
+            let mut argv = base_argv(verb, line);
+            for (flag, meta) in rows(line) {
+                if rng.gen_bool(0.3) {
+                    argv.push(flag.to_string());
+                    if let Some(meta) = meta {
+                        let value = if rng.gen_bool(0.7) {
+                            sample(meta)
+                        } else {
+                            values.choose(&mut rng).unwrap()
+                        };
+                        argv.push(value.to_string());
+                    }
+                }
+            }
+            for _ in 0..rng.gen_range(0..4usize) {
+                let token = match rng.gen_range(0..3) {
+                    0 => junk.choose(&mut rng).unwrap(),
+                    1 => flags.choose(&mut rng).unwrap(),
+                    _ => values.choose(&mut rng).unwrap(),
+                };
+                argv.insert(rng.gen_range(0..=argv.len()), token.to_string());
+            }
+            let got = std::panic::catch_unwind(|| parse_args(&argv))
+                .unwrap_or_else(|_| panic!("case {case}: {argv:?} panicked"));
+            let help = argv.first().is_some_and(|a| a == "help")
+                || argv.iter().any(|a| a == "--help" || a == "-h");
+            let listed = rows(line);
+            match got {
+                _ if help => assert_eq!(got, Ok(Command::Help), "case {case}: {argv:?}"),
+                Ok(_) => {
+                    let stray = argv
+                        .iter()
+                        .find(|a| a.starts_with("--") && !listed.iter().any(|(f, _)| f == a));
+                    assert!(stray.is_none(), "case {case}: {argv:?} accepted {stray:?}");
+                }
+                Err(e) => {
+                    // The verb's own words count only where the message
+                    // echoes the unknown subcommand they start.
+                    let skip = verb
+                        .split(' ')
+                        .zip(&argv)
+                        .take_while(|(w, a)| w == a)
+                        .count();
+                    let lead = argv[..argv.len().min(2)].join(" ");
+                    let named = argv[skip..].iter().any(|t| {
+                        e.0.contains(&format!("'{t}'")) || !t.is_empty() && e.0.contains(t.as_str())
+                    }) || e.0.contains(&format!("'{}'", argv[0]))
+                        || e.0.contains(&format!("'{lead}'"));
+                    assert!(
+                        named || e.0.contains(" needs "),
+                        "case {case}: {argv:?}: '{e}' names no token"
+                    );
+                }
+            }
+        }
     }
 }

@@ -96,3 +96,21 @@ fn sim_accepts_all_devices_and_modes() {
         }
     }
 }
+
+#[test]
+fn binary_refuses_an_unknown_flag_with_exit_2() {
+    // `trace` opens no socket, and the refusal must come before it
+    // reads its file: nothing reaches stdout.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alpha"))
+        .args(["trace", "/dev/null", "--bogus", "1"])
+        .output()
+        .expect("alpha runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus"), "stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -37,7 +37,7 @@ impl S1Limiter {
         if elapsed_us > 0 {
             let refill = rate.saturating_mul(elapsed_us) / 1_000_000;
             if refill > 0 {
-                self.tokens = (self.tokens + refill).min(rate);
+                self.tokens = self.tokens.saturating_add(refill).min(rate);
                 self.last_refill = now;
             }
         }
@@ -81,6 +81,14 @@ mod tests {
         let t1 = Timestamp::from_millis(100);
         assert!(l.allow(100, t1));
         assert!(!l.allow(1, t1));
+    }
+
+    #[test]
+    fn a_rate_near_u64_max_saturates() {
+        let mut l = S1Limiter::new(Some(u64::MAX));
+        assert!(l.allow(1, Timestamp::from_millis(1_000)));
+        assert!(l.allow(u64::MAX - 1, Timestamp::from_millis(2_000)));
+        assert!(!l.allow(2, Timestamp::from_millis(2_000)));
     }
 
     #[test]
