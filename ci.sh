@@ -182,7 +182,7 @@ for key in gso_sends gso_segments gro_recvs gro_segments gso_refused; do
 done
 
 # The live ratio is printed, not asserted: loadgen is a closed loop, so
-# the multi-worker gate waits for ROADMAP item 5's open-loop workloads.
+# the multi-worker gate waits for ROADMAP item 8's multi-worker numbers.
 echo "==> engine scaling bench smoke (release, --quick; live multi-worker ratio reported, not gated)"
 cargo run --release -p alpha-bench --bin engine_scaling -- --quick
 

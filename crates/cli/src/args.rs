@@ -593,6 +593,10 @@ fn trace(pos: &[&str], _: &mut Flags<'_>) -> Result<Command, ParseError> {
 fn sim(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
     let d = SimOpts::default();
     let batch = f.num("--batch", d.batch, ..)?;
+    let device = f.value("--device").map_or(d.device, str::to_string);
+    if crate::commands::device_by_name(&device).is_none() {
+        return err(format!("--device: unknown device '{device}'"));
+    }
     Ok(Command::Sim(SimOpts {
         relays: f.num("--relays", d.relays, ..)?,
         messages: f.num("--messages", d.messages, ..)?,
@@ -602,7 +606,7 @@ fn sim(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
             .map_or(Ok(d.mode), |m| parse_mode(m, batch))?,
         loss: f.num("--loss", d.loss, 0.0..=1.0)?,
         proto: proto_opts(f)?,
-        device: f.value("--device").map_or(d.device, str::to_string),
+        device,
         seconds: f.num("--seconds", d.seconds, ..=MAX_SECONDS)?,
         payload: f.num("--payload", d.payload, ..)?,
         trace: f.switch("--trace"),
@@ -1054,6 +1058,17 @@ mod tests {
             &["keygen", "--out", "x", "--scheme", "ecdsa", "--bits", "512"],
             "--bits",
         );
+        // `--device` is resolved here: the usage line lists exactly the
+        // names the lookup accepts, and no alias.
+        let (_, sim_line, _) = VERBS.iter().find(|(v, ..)| *v == "sim").unwrap();
+        let mut words = sim_line.split_whitespace();
+        words.find(|w| *w == "[--device");
+        for name in words.next().unwrap().trim_end_matches(']').split('|') {
+            parse_args(&v(&["sim", "--device", name])).expect(name);
+        }
+        for alias in ["nokia770", "ar", "bcm", "geode_lx", "sensor"] {
+            refusal(&["sim", "--device", alias], "--device");
+        }
         // Positionals are counted against the usage line.
         refusal(&["listen", "a:1", "b:2"], "'b:2'");
         refusal(&["relay", "b:1", "l:2"], "BIND LEFT RIGHT");

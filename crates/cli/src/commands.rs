@@ -1,5 +1,6 @@
 //! Subcommand implementations.
 
+use std::io::Write as _;
 use std::time::Duration;
 
 use alpha_core::{Config, RelayConfig};
@@ -205,21 +206,24 @@ pub fn trace_summary(file: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn device_by_name(name: &str) -> Result<DeviceModel, CliError> {
-    Ok(match name {
+/// The cost model `sim --device` names; its usage line lists exactly
+/// these names.
+pub(crate) fn device_by_name(name: &str) -> Option<DeviceModel> {
+    Some(match name {
         "xeon" => DeviceModel::xeon(),
-        "n770" | "nokia770" => DeviceModel::nokia770(),
-        "ar2315" | "ar" => DeviceModel::ar2315(),
-        "bcm5365" | "bcm" => DeviceModel::bcm5365(),
-        "geode" | "geode_lx" => DeviceModel::geode_lx(),
-        "cc2430" | "sensor" => DeviceModel::cc2430(),
-        other => return Err(format!("unknown device '{other}'").into()),
+        "n770" => DeviceModel::nokia770(),
+        "ar2315" => DeviceModel::ar2315(),
+        "bcm5365" => DeviceModel::bcm5365(),
+        "geode" => DeviceModel::geode_lx(),
+        "cc2430" => DeviceModel::cc2430(),
+        _ => return None,
     })
 }
 
 /// `alpha sim`.
 pub fn sim(o: &SimOpts) -> Result<(), CliError> {
-    let device = device_by_name(&o.device)?;
+    let device =
+        device_by_name(&o.device).ok_or_else(|| format!("unknown device '{}'", o.device))?;
     let mut sim = Simulator::new(o.seed);
     if o.trace {
         sim.enable_trace();
@@ -399,11 +403,9 @@ pub fn mesh_peers(addr: &str, timeout_ms: u64, raw_json: bool) -> Result<(), Cli
         .and_then(|m| m.get("mesh"))
         .ok_or("relay reports no mesh state (is it a plain engine?)")?;
     if raw_json {
-        println!("{}", serde_json::to_string(mesh)?);
-        return Ok(());
+        return emit(&format!("{}\n", serde_json::to_string(mesh)?));
     }
-    print!("{}", render_mesh_peers(mesh));
-    Ok(())
+    emit(&render_stats("mesh", mesh))
 }
 
 /// `alpha loadgen` — saturate a live loopback engine and report
@@ -514,213 +516,88 @@ pub fn engine_stats(addr: &str, timeout_ms: u64, raw_json: bool) -> Result<(), C
         .ok_or_else(|| format!("cannot resolve '{addr}'"))?;
     let json = alpha_transport::query_stats(addr, Duration::from_millis(timeout_ms))?;
     if raw_json {
-        println!("{json}");
-        return Ok(());
+        return emit(&format!("{json}\n"));
     }
     let snap: serde_json::Value =
         serde_json::from_str(&json).map_err(|e| format!("engine sent malformed stats: {e}"))?;
-    print!("{}", render_engine_stats(&snap));
+    emit(&render_stats("engine", &snap))
+}
+
+/// Writes `text` to stdout. A closed pipe is an error, not a panic.
+fn emit(text: &str) -> Result<(), CliError> {
+    std::io::stdout().write_all(text.as_bytes())?;
     Ok(())
 }
 
-/// Human-readable rendering of an engine stats snapshot, including the
-/// per-flow adaptation state carried in `adapt_flows`.
-fn render_engine_stats(snap: &serde_json::Value) -> String {
-    use std::fmt::Write as _;
-    let u = |v: Option<&serde_json::Value>| v.and_then(serde_json::Value::as_u64).unwrap_or(0);
-    let f = |v: Option<&serde_json::Value>| v.and_then(serde_json::Value::as_f64).unwrap_or(0.0);
-    let mut out = String::new();
-    let backend = snap
-        .get("digest_backend")
-        .and_then(serde_json::Value::as_str)
-        .unwrap_or("unknown");
-    let udp_backend = snap
-        .get("udp_backend")
-        .and_then(serde_json::Value::as_str)
-        .unwrap_or("none");
-    let wait_backend = snap
-        .get("wait_backend")
-        .and_then(serde_json::Value::as_str)
-        .unwrap_or("none");
-    let chain_storage = snap
-        .get("chain_storage")
-        .and_then(serde_json::Value::as_str)
-        .unwrap_or("unknown");
-    let _ = writeln!(
-        out,
-        "engine: {} flow(s) across {} shard(s), {} buffered byte(s), digest backend {}, \
-         udp backend {}, wait backend {}, chain storage {}",
-        u(snap.get("flows")),
-        u(snap.get("shards")),
-        u(snap.get("buffered_bytes")),
-        backend,
-        udp_backend,
-        wait_backend,
-        chain_storage,
-    );
-    if let Some(serde_json::Value::Object(metrics)) = snap.get("metrics") {
-        let nonzero: Vec<String> = metrics
-            .iter()
-            .filter(|(_, v)| v.as_u64().is_some_and(|n| n > 0))
-            .map(|(k, v)| format!("{k}={}", v.as_u64().unwrap_or(0)))
-            .collect();
-        if nonzero.is_empty() {
-            let _ = writeln!(out, "metrics: all counters zero");
-        } else {
-            let _ = writeln!(out, "metrics: {}", nonzero.join(" "));
+/// Renders a stats snapshot as text, one line per object section headed
+/// by its path: its strings and nonzero numbers as `key=value`, a list of
+/// scalars joined by commas. A histogram shows only its count, p50 and
+/// p99, and each row of an array of objects is a section of its own. A
+/// section with nothing to show prints no line.
+fn render_stats(path: &str, snap: &serde_json::Value) -> String {
+    use serde_json::Value;
+    let Value::Object(members) = snap else {
+        return String::new();
+    };
+    let histogram = members.contains_key("buckets");
+    let (mut line, mut below) = (String::new(), String::new());
+    for (key, v) in members {
+        if histogram && !["count", "p50_us", "p99_us"].contains(&key.as_str()) {
+            continue;
         }
-        if let Some(io) = metrics.get("io") {
-            let iu = |k: &str| u(io.get(k));
-            if iu("recv_calls") + iu("send_calls") > 0 {
-                let workers = io
-                    .get("per_worker")
-                    .and_then(serde_json::Value::as_array)
-                    .map_or(0, |rows| rows.len());
-                let _ = writeln!(
-                    out,
-                    "io: {} datagram(s) in / {} recv syscall(s) ({:.2} per call), \
-                     {} out / {} send syscall(s), eagain={} partial_sends={} worker(s)={} \
-                     wakeups={} read_timeout_errors={} gso_sends={} gso_segments={} \
-                     gro_recvs={} gro_segments={} gso_refused={}",
-                    iu("datagrams_in"),
-                    iu("recv_calls"),
-                    f(io.get("datagrams_per_recv_call")),
-                    iu("datagrams_out"),
-                    iu("send_calls"),
-                    iu("eagain"),
-                    iu("partial_sends"),
-                    workers,
-                    iu("wakeups"),
-                    iu("read_timeout_errors"),
-                    iu("gso_sends"),
-                    iu("gso_segments"),
-                    iu("gro_recvs"),
-                    iu("gro_segments"),
-                    iu("gso_refused"),
-                );
+        match v {
+            Value::Object(_) => below += &render_stats(&format!("{path}.{key}"), v),
+            Value::Array(rows) if rows.first().is_some_and(|r| r.as_object().is_some()) => {
+                for (i, row) in rows.iter().enumerate() {
+                    below += &render_stats(&format!("{path}.{key}[{i}]"), row);
+                }
             }
-        }
-        if let Some(store) = metrics.get("store") {
-            let su = |k: &str| u(store.get(k));
-            if su("frozen") + su("thawed") + su("evicted") + su("flows_hibernated") > 0 {
-                let _ = writeln!(
-                    out,
-                    "store: {} hibernated flow(s) in {} frozen byte(s); frozen={} thawed={} \
-                     evicted={} thaw_rejected={} renewals={}/{} deferred, thaw p50={}µs p99={}µs",
-                    su("flows_hibernated"),
-                    su("bytes_frozen"),
-                    su("frozen"),
-                    su("thawed"),
-                    su("evicted"),
-                    su("thaw_rejected"),
-                    su("renewals_started"),
-                    su("renewals_deferred"),
-                    u(store.get("thaw_latency_us").and_then(|h| h.get("p50_us"))),
-                    u(store.get("thaw_latency_us").and_then(|h| h.get("p99_us"))),
-                );
+            Value::Array(items) if !items.is_empty() => {
+                let items: Vec<String> = items.iter().map(scalar).collect();
+                line += &format!(" {key}={}", items.join(","));
             }
+            Value::Array(_) | Value::Null => {}
+            v if v.as_f64() == Some(0.0) => {}
+            v => line += &format!(" {key}={}", scalar(v)),
         }
     }
-    if let Some(mesh) = snap.get("metrics").and_then(|m| m.get("mesh")) {
-        let peers = mesh
-            .get("per_peer")
-            .and_then(serde_json::Value::as_array)
-            .map_or(0, <[serde_json::Value]>::len);
-        if peers > 0 || u(mesh.get("forwarded")) + u(mesh.get("upstream_rejects")) > 0 {
-            out.push_str(&render_mesh_peers(mesh));
-        }
+    if line.is_empty() {
+        below
+    } else {
+        format!("{path}:{line}\n{below}")
     }
-    match snap.get("adapt_flows") {
-        Some(serde_json::Value::Array(rows)) if !rows.is_empty() => {
-            let _ = writeln!(out, "adaptive flows ({}):", rows.len());
-            for row in rows {
-                let adapt = row.get("adapt");
-                let est = adapt.and_then(|a| a.get("estimator"));
-                let _ = writeln!(
-                    out,
-                    "  {} assoc={} mode={} n={} switches={} loss={:.3} srtt={:.1}ms \
-                     rto={:.0}ms exchanges={} abandoned={} goodput={:.2} B/authB",
-                    row.get("peer")
-                        .and_then(serde_json::Value::as_str)
-                        .unwrap_or("?"),
-                    u(row.get("assoc_id")),
-                    adapt
-                        .and_then(|a| a.get("mode"))
-                        .and_then(serde_json::Value::as_str)
-                        .unwrap_or("?"),
-                    u(adapt.and_then(|a| a.get("n"))),
-                    u(adapt.and_then(|a| a.get("switches"))),
-                    f(est.and_then(|e| e.get("loss"))),
-                    f(est.and_then(|e| e.get("srtt_us"))) / 1e3,
-                    f(est.and_then(|e| e.get("rto_us"))) / 1e3,
-                    u(est.and_then(|e| e.get("exchanges"))),
-                    u(est.and_then(|e| e.get("abandoned"))),
-                    f(est.and_then(|e| e.get("goodput_per_auth_byte"))),
-                );
-            }
-        }
-        _ => {
-            let _ = writeln!(
-                out,
-                "adaptive flows: none (engine runs without --adapt state)"
-            );
-        }
-    }
-    out
 }
 
-/// Human-readable rendering of the `metrics.mesh` section of a stats
-/// snapshot: aggregate hop counters plus one line per registered peer.
-fn render_mesh_peers(mesh: &serde_json::Value) -> String {
-    use std::fmt::Write as _;
-    let u = |v: Option<&serde_json::Value>| v.and_then(serde_json::Value::as_u64).unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "mesh: forwarded={} upstream_rejects={} failovers={} replicas_absorbed={}",
-        u(mesh.get("forwarded")),
-        u(mesh.get("upstream_rejects")),
-        u(mesh.get("failovers")),
-        u(mesh.get("replicas_absorbed")),
-    );
-    match mesh.get("per_peer") {
-        Some(serde_json::Value::Array(rows)) if !rows.is_empty() => {
-            let _ = writeln!(out, "mesh peers ({}):", rows.len());
-            for row in rows {
-                let s = |k: &str| {
-                    row.get(k)
-                        .and_then(serde_json::Value::as_str)
-                        .unwrap_or("?")
-                };
-                let srtt = u(row.get("srtt_us"));
-                let srtt = if srtt == 0 {
-                    "-".to_owned()
-                } else {
-                    format!("{:.1}ms", srtt as f64 / 1e3)
-                };
-                let _ = writeln!(
-                    out,
-                    "  {} health={} srtt={} in={} out={} probes={} pongs={}",
-                    s("peer"),
-                    s("health"),
-                    srtt,
-                    u(row.get("datagrams_in")),
-                    u(row.get("datagrams_out")),
-                    u(row.get("probes_sent")),
-                    u(row.get("pongs_received")),
-                );
-            }
-        }
-        _ => {
-            let _ = writeln!(out, "mesh peers: none registered");
-        }
+/// One scalar as [`render_stats`] prints it.
+fn scalar(v: &serde_json::Value) -> String {
+    match v {
+        serde_json::Value::F64(x) => format!("{x:.3}"),
+        serde_json::Value::Str(s) => s.clone(),
+        serde_json::Value::Null => "-".to_owned(),
+        other => serde_json::to_string(other).unwrap_or_default(),
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
+    /// The words after the head of the line for section `path`.
+    fn section<'a>(text: &'a str, path: &str) -> Vec<&'a str> {
+        let head = format!("{path}:");
+        let line = text.lines().find(|l| l.split(' ').next() == Some(&head));
+        let line = line.unwrap_or_else(|| panic!("no section {path} in:\n{text}"));
+        line.split(' ').skip(1).collect()
+    }
+
+    /// Asserts the line for `path` carries each of `words`.
+    fn has(text: &str, path: &str, words: &[&str]) {
+        let line = section(text, path);
+        for w in words {
+            assert!(line.contains(w), "{path} lacks {w}:\n{text}");
+        }
+    }
 
     #[test]
     fn engine_stats_render_summarizes_adapt_flows() {
@@ -752,7 +629,7 @@ mod tests {
                     "gro_segments": 32u64,
                     "gso_refused": 0u64,
                     "datagrams_per_recv_call": 8.0,
-                    "per_worker": [{}, {}]
+                    "per_worker": [{ "wakeups": 5u64 }, { "wakeups": 4u64 }]
                 }
             },
             "adapt_flows": [{
@@ -773,33 +650,63 @@ mod tests {
                 }
             }]
         });
-        let text = render_engine_stats(&snap);
-        assert!(text.contains("2 flow(s) across 8 shard(s)"), "{text}");
-        assert!(text.contains("digest backend lanes4"), "{text}");
-        assert!(text.contains("udp backend mmsg"), "{text}");
-        assert!(text.contains("wait backend epoll"), "{text}");
-        assert!(
-            text.contains("io: 32 datagram(s) in / 4 recv syscall(s) (8.00 per call)"),
-            "{text}"
+        let text = render_stats("engine", &snap);
+        has(
+            &text,
+            "engine",
+            &[
+                "flows=2",
+                "shards=8",
+                "digest_backend=lanes4",
+                "udp_backend=mmsg",
+                "wait_backend=epoll",
+            ],
         );
-        assert!(text.contains("worker(s)=2"), "{text}");
-        assert!(text.contains("wakeups=9"), "{text}");
-        assert!(
-            text.contains("gso_sends=1 gso_segments=16 gro_recvs=2 gro_segments=32 gso_refused=0"),
-            "{text}"
+        has(
+            &text,
+            "engine.metrics.io",
+            &[
+                "datagrams_in=32",
+                "recv_calls=4",
+                "datagrams_per_recv_call=8.000",
+                "wakeups=9",
+                "gso_sends=1",
+                "gso_segments=16",
+                "gro_recvs=2",
+                "gro_segments=32",
+            ],
         );
-        assert!(text.contains("verified=10"), "{text}");
-        assert!(text.contains("adapt_switches=3"), "{text}");
-        assert!(
-            !text.contains("dropped=0"),
-            "zero counters stay hidden: {text}"
+        has(&text, "engine.metrics.io.per_worker[0]", &["wakeups=5"]);
+        has(&text, "engine.metrics.io.per_worker[1]", &["wakeups=4"]);
+        assert!(!text.contains("per_worker[2]"), "two workers: {text}");
+        has(
+            &text,
+            "engine.metrics",
+            &["verified=10", "adapt_switches=3"],
         );
-        assert!(
-            text.contains("10.0.0.1:700 assoc=21 mode=merkle n=8 switches=12"),
-            "{text}"
+        for zero in [
+            "dropped=",
+            "buffered_bytes=",
+            "gso_refused=",
+            "partial_sends=",
+        ] {
+            assert!(!text.contains(zero), "zero counters stay hidden: {text}");
+        }
+        has(
+            &text,
+            "engine.adapt_flows[0]",
+            &["peer=10.0.0.1:700", "assoc_id=21"],
         );
-        assert!(text.contains("loss=0.250"), "{text}");
-        assert!(text.contains("srtt=4.2ms"), "{text}");
+        has(
+            &text,
+            "engine.adapt_flows[0].adapt",
+            &["mode=merkle", "n=8", "switches=12"],
+        );
+        has(
+            &text,
+            "engine.adapt_flows[0].adapt.estimator",
+            &["loss=0.250", "srtt_us=4200", "goodput_per_auth_byte=1.930"],
+        );
 
         let empty = serde_json::json!({
             "flows": 0u64,
@@ -808,11 +715,13 @@ mod tests {
             "metrics": {},
             "adapt_flows": []
         });
-        let text = render_engine_stats(&empty);
-        assert!(text.contains("adaptive flows: none"), "{text}");
-        assert!(text.contains("metrics: all counters zero"), "{text}");
+        let text = render_stats("engine", &empty);
+        assert_eq!(
+            text, "engine: shards=1\n",
+            "all-zero sections print nothing"
+        );
         assert!(
-            !text.contains("mesh:"),
+            !text.contains("mesh"),
             "non-mesh engines stay quiet about the mesh: {text}"
         );
     }
@@ -845,23 +754,38 @@ mod tests {
                 }
             ]
         });
-        let text = render_mesh_peers(&mesh);
-        assert!(
-            text.contains("forwarded=120 upstream_rejects=4 failovers=1 replicas_absorbed=2"),
-            "{text}"
+        let text = render_stats("mesh", &mesh);
+        has(
+            &text,
+            "mesh",
+            &[
+                "forwarded=120",
+                "upstream_rejects=4",
+                "failovers=1",
+                "replicas_absorbed=2",
+            ],
         );
-        assert!(text.contains("mesh peers (2):"), "{text}");
-        assert!(
-            text.contains("10.0.0.9:7200 health=up srtt=1.8ms in=0 out=120 probes=50 pongs=49"),
-            "{text}"
+        has(
+            &text,
+            "mesh.per_peer[0]",
+            &[
+                "peer=10.0.0.9:7200",
+                "health=up",
+                "srtt_us=1800",
+                "datagrams_out=120",
+                "probes_sent=50",
+                "pongs_received=49",
+            ],
         );
-        assert!(
-            text.contains("10.0.0.10:7200 health=down srtt=- "),
-            "unsampled srtt renders as '-': {text}"
+        let down = section(&text, "mesh.per_peer[1]");
+        assert_eq!(
+            down,
+            ["health=down", "peer=10.0.0.10:7200", "probes_sent=12"],
+            "zero counters and an unsampled srtt stay hidden"
         );
+        assert!(!text.contains("per_peer[2]"), "two peers: {text}");
 
-        // The same renderer rides the engine-stats summary when the
-        // snapshot carries a mesh section with registered peers.
+        // The same walk reaches the mesh section of an engine snapshot.
         let snap = serde_json::json!({
             "flows": 1u64,
             "shards": 1u64,
@@ -869,7 +793,90 @@ mod tests {
             "metrics": { "mesh": mesh },
             "adapt_flows": []
         });
-        let text = render_engine_stats(&snap);
-        assert!(text.contains("mesh peers (2):"), "{text}");
+        let text = render_stats("engine", &snap);
+        has(&text, "engine.metrics.mesh.per_peer[1]", &["health=down"]);
+    }
+
+    /// Sets every number in `v` to a distinct nonzero value, counting up
+    /// from `next`.
+    fn renumber(v: &mut Value, next: &mut u64) {
+        match v {
+            Value::U64(_) | Value::I64(_) => {
+                *next += 1;
+                *v = Value::U64(*next);
+            }
+            Value::F64(_) => {
+                *next += 1;
+                *v = Value::F64(*next as f64 + 0.5);
+            }
+            Value::Array(items) => items.iter_mut().for_each(|i| renumber(i, next)),
+            Value::Object(members) => members.values_mut().for_each(|m| renumber(m, next)),
+            Value::Null | Value::Bool(_) | Value::Str(_) => {}
+        }
+    }
+
+    /// The `key=value` word of every leaf the text must show: all but a
+    /// histogram's sum, mean and buckets.
+    fn leaves(v: &Value, out: &mut Vec<String>) {
+        let Value::Object(members) = v else {
+            v.as_array()
+                .into_iter()
+                .flatten()
+                .for_each(|r| leaves(r, out));
+            return;
+        };
+        let histogram = members.contains_key("buckets");
+        for (key, m) in members {
+            match m {
+                Value::Object(_) | Value::Array(_) => leaves(m, out),
+                Value::Null => {}
+                _ if histogram && !["count", "p50_us", "p99_us"].contains(&key.as_str()) => {}
+                _ => out.push(format!("{key}={}", scalar(m))),
+            }
+        }
+    }
+
+    #[test]
+    fn engine_stats_render_shows_every_counter() {
+        let core = alpha_engine::EngineCore::new(alpha_engine::EngineConfig::new(Config::new(
+            alpha_crypto::Algorithm::Sha1,
+        )));
+        let m = core.metrics();
+        let _workers = [m.io.register_worker(), m.io.register_worker()];
+        m.mesh.register_peer("127.0.0.1:9001".parse().unwrap());
+        m.mesh.register_peer("127.0.0.1:9002".parse().unwrap());
+        let mut snap = core.snapshot();
+        renumber(&mut snap, &mut 1000);
+        let text = render_stats("engine", &snap);
+        let words: std::collections::HashSet<&str> = text.split_whitespace().collect();
+        let mut want = Vec::new();
+        leaves(&snap, &mut want);
+        assert!(want.len() > 100, "{} leaves", want.len());
+        for w in &want {
+            assert!(words.contains(w.as_str()), "{w} missing from:\n{text}");
+        }
+        let drops = section(&text, "engine.metrics.drops");
+        assert_eq!(drops.len(), 7, "{text}");
+        for h in [
+            "engine.metrics.handshake_us",
+            "engine.metrics.rtt_us",
+            "engine.metrics.store.thaw_latency_us",
+        ] {
+            let line = section(&text, h);
+            assert!(line[0].starts_with("count="), "{h}: {line:?}");
+            assert!(line[1].starts_with("p50_us="), "{h}: {line:?}");
+            assert!(line[2].starts_with("p99_us="), "{h}: {line:?}");
+            assert_eq!(line.len(), 3, "{h}: {line:?}");
+        }
+        for key in [
+            "send_retries=",
+            "wait_calls=",
+            "handoff_in=",
+            "handoff_out=",
+            "handoff_overflow=",
+            "lock_contended=",
+        ] {
+            assert!(text.contains(key), "{key} missing from:\n{text}");
+        }
     }
 }

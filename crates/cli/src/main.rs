@@ -1,5 +1,7 @@
 //! `alpha` — command-line tooling for the ALPHA protocol.
 
+use std::io::Write as _;
+
 use alpha_cli::{args, commands, parse_args, Command};
 
 fn main() {
@@ -7,14 +9,14 @@ fn main() {
     let cmd = match parse_args(&argv) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", args::usage());
+            // A closed pipe must not turn the refusal into a panic.
+            let _ = writeln!(std::io::stderr(), "error: {e}\n{}", args::usage());
             std::process::exit(2);
         }
     };
     let result = match &cmd {
         Command::Help => {
-            print!("{}", args::usage());
+            let _ = std::io::stdout().write_all(args::usage().as_bytes());
             Ok(())
         }
         Command::Keygen { scheme, out, bits } => commands::keygen(scheme, out, *bits),
@@ -101,7 +103,7 @@ fn main() {
         ),
     };
     if let Err(e) = result {
-        eprintln!("error: {e}");
+        let _ = writeln!(std::io::stderr(), "error: {e}");
         std::process::exit(1);
     }
 }

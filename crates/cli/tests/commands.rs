@@ -114,3 +114,20 @@ fn binary_refuses_an_unknown_flag_with_exit_2() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn binary_writes_into_a_closed_pipe_without_panicking() {
+    // The reader is gone before the child writes: every write fails with
+    // a broken pipe, and the exit status must still be the verb's own.
+    for (argv, code) in [(&["sim", "--loss", "5"][..], 2), (&["help"][..], 0)] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_alpha"))
+            .args(argv)
+            .stdout(writer.try_clone().expect("dup"))
+            .stderr(writer)
+            .status()
+            .expect("alpha runs");
+        assert_eq!(status.code(), Some(code), "alpha {argv:?}");
+    }
+}

@@ -459,6 +459,40 @@ fn forged_s1s_at_a_relay_do_not_starve_the_sender() {
     assert_eq!(relay.drops(DropReason::BadChainElement), forgeries);
 }
 
+/// The host twin of the relay test above: the server's flow charges its
+/// S1 bucket before the verifier judges the chain element, so forged
+/// S1s from the client's address spend the client's budget and the
+/// authentic message that follows is shed. Passing needs the verifier
+/// to report whether the element authenticated before the charge.
+#[test]
+#[ignore = "known defect: a host flow's S1 bucket charges before authentication (ROADMAP item 10)"]
+fn forged_s1s_at_a_host_do_not_starve_the_sender() {
+    let server = cfg().with_s1_budget(Some(4096));
+    let (mut net, host) = Net::path(37, cfg(), server, None);
+    let key = net.connect(ca(), host, 5);
+    let first_s1 = cfg().protocol.chain_len - 2; // the client's next S1
+    for seed in 0..64 {
+        net.flight.push(Datagram {
+            src: ca(),
+            dst: host,
+            frame: forged_s1(5, first_s1, seed),
+        });
+    }
+    net.pump();
+    net.sign(ca(), key, &[b"authentic"], Mode::Base).unwrap();
+    net.pump();
+    let shed = net
+        .engine(host)
+        .metrics()
+        .admission_drops
+        .load(Ordering::Relaxed);
+    assert_eq!(
+        net.delivered(host),
+        [b"authentic".to_vec()],
+        "admission_drops {shed}"
+    );
+}
+
 #[test]
 fn backpressure_valve_sheds_when_buffers_full() {
     let mut c = cfg();

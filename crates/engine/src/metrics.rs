@@ -5,6 +5,10 @@
 //! (CLI `engine stats`, bench reporters) walks the same atomics without
 //! stopping traffic, so the numbers are a consistent-enough view for
 //! operations, not a linearizable one.
+//!
+//! Each block of metrics is declared once, in a `metrics!` table: a
+//! row is a field's docs, name and type, and the block's JSON carries
+//! every row under its field name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,32 +17,126 @@ use alpha_core::DropReason;
 use parking_lot::Mutex;
 use serde::Value;
 
-/// Labels for [`DropReason`] buckets, in index order.
-pub const DROP_LABELS: [&str; 7] = [
-    "bad-chain-element",
-    "bad-mac",
-    "unsolicited",
-    "bad-verdict",
-    "rate-limited",
-    "unknown-association",
-    "malformed",
+/// Every [`DropReason`] with its stable label, in declaration order, so
+/// `reason as usize` indexes it.
+const DROPS: [(DropReason, &str); 7] = [
+    (DropReason::BadChainElement, "bad-chain-element"),
+    (DropReason::BadMac, "bad-mac"),
+    (DropReason::Unsolicited, "unsolicited"),
+    (DropReason::BadVerdict, "bad-verdict"),
+    (DropReason::RateLimited, "rate-limited"),
+    (DropReason::UnknownAssociation, "unknown-association"),
+    (DropReason::Malformed, "malformed"),
 ];
 
-fn drop_index(reason: DropReason) -> usize {
-    match reason {
-        DropReason::BadChainElement => 0,
-        DropReason::BadMac => 1,
-        DropReason::Unsolicited => 2,
-        DropReason::BadVerdict => 3,
-        DropReason::RateLimited => 4,
-        DropReason::UnknownAssociation => 5,
-        DropReason::Malformed => 6,
+const _: () = {
+    let mut i = 0;
+    while i < DROPS.len() {
+        assert!(DROPS[i].0 as usize == i, "DROPS is out of order");
+        i += 1;
     }
+};
+
+/// Stable label for a [`DropReason`]: its key in the snapshot's `drops`
+/// object.
+#[must_use]
+pub fn drop_label(reason: DropReason) -> &'static str {
+    DROPS[reason as usize].1
+}
+
+/// How a metrics row reads in the JSON snapshot.
+trait Metric {
+    fn json(&self) -> Value;
+}
+
+impl Metric for AtomicU64 {
+    fn json(&self) -> Value {
+        Value::U64(self.load(Ordering::Relaxed))
+    }
+}
+
+/// Blocks whose JSON is their `snapshot`.
+macro_rules! snapshot_metric {
+    ($($block:ty),+) => {
+        $(impl Metric for $block {
+            fn json(&self) -> Value {
+                self.snapshot()
+            }
+        })+
+    };
+}
+
+snapshot_metric!(Histogram, IoMetrics, MeshMetrics, StoreMetrics);
+
+/// Declares a block of metrics once.
+///
+/// A row is a field's docs and name, then its type; the field is `pub`
+/// and `rows` returns it under its name, an `AtomicU64` as its value
+/// and anything else as its snapshot. Fields after `;` are the block's
+/// own and stay out of `rows`.
+///
+/// A block of bare names followed by `pub struct Totals;` declares
+/// per-worker `AtomicU64` counters and their plain-`u64` sum: `load`
+/// reads one block, `add` sums, and the totals' `rows` are the JSON.
+macro_rules! metrics {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[doc = $doc:literal])+ $field:ident,)+
+        }
+        $(#[$tmeta:meta])*
+        pub struct $totals:ident;
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[doc = $doc])+ pub $field: AtomicU64,)+
+        }
+
+        $(#[$tmeta])*
+        pub struct $totals {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl $name {
+            fn load(&self) -> $totals {
+                $totals { $($field: self.$field.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        impl $totals {
+            fn add(&mut self, other: &$totals) {
+                $(self.$field += other.$field;)+
+            }
+
+            fn rows(&self) -> Vec<(String, Value)> {
+                vec![$((stringify!($field).to_owned(), Value::U64(self.$field)),)+]
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[doc = $doc:literal])+ $field:ident: $ty:ty,)+
+            $(; $($(#[$xmeta:meta])* $xvis:vis $xfield:ident: $xty:ty,)+)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[doc = $doc])+ pub $field: $ty,)+
+            $($($(#[$xmeta])* $xvis $xfield: $xty,)+)?
+        }
+
+        impl $name {
+            fn rows(&self) -> Vec<(String, Value)> {
+                vec![$((stringify!($field).to_owned(), Metric::json(&self.$field)),)+]
+            }
+        }
+    };
 }
 
 /// A fixed-bucket latency histogram (microsecond samples).
 ///
-/// Bucket upper bounds follow a 1-2-5 decade ladder from 100 µs to
+/// Bucket upper bounds follow a 1-2-5 decade ladder from 1 µs to
 /// 10 s; the last bucket is unbounded. Fixed buckets keep `record` to
 /// one relaxed fetch-add with no allocation.
 pub struct Histogram {
@@ -113,17 +211,10 @@ impl Histogram {
     /// Snapshot as a JSON object.
     #[must_use]
     pub fn snapshot(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .buckets
-            .iter()
-            .map(|b| Value::U64(b.load(Ordering::Relaxed)))
-            .collect();
+        let buckets: Vec<Value> = self.buckets.iter().map(Metric::json).collect();
         Value::object([
-            ("count".to_owned(), Value::U64(self.count())),
-            (
-                "sum_us".to_owned(),
-                Value::U64(self.sum_us.load(Ordering::Relaxed)),
-            ),
+            ("count".to_owned(), self.count.json()),
+            ("sum_us".to_owned(), self.sum_us.json()),
             ("mean_us".to_owned(), Value::F64(self.mean_us())),
             ("p50_us".to_owned(), Value::U64(self.quantile_us(0.50))),
             ("p99_us".to_owned(), Value::U64(self.quantile_us(0.99))),
@@ -138,116 +229,80 @@ impl Default for Histogram {
     }
 }
 
-/// Socket-I/O counters for one worker (or one transport endpoint).
-///
-/// The I/O layer lives in `alpha-transport`, but the counters live here
-/// so they ride the same snapshot path as every other engine metric:
-/// each worker registers one `IoWorker` via
-/// [`IoMetrics::register_worker`] and bumps it from its recv/send loop.
-#[derive(Default)]
-pub struct IoWorker {
-    /// Receive syscalls issued (`recvmmsg` or `recv_from`), including
-    /// ones that returned no data.
-    pub recv_calls: AtomicU64,
-    /// Send syscalls issued (`sendmmsg` or `send_to`).
-    pub send_calls: AtomicU64,
-    /// Datagrams received.
-    pub datagrams_in: AtomicU64,
-    /// Datagrams sent.
-    pub datagrams_out: AtomicU64,
-    /// Receive syscalls that returned empty (timeout / EAGAIN).
-    pub eagain: AtomicU64,
-    /// `sendmmsg` calls that accepted fewer datagrams than offered and
-    /// forced a resubmission of the tail.
-    pub partial_sends: AtomicU64,
-    /// Send-side transient-failure resubmissions (EAGAIN / ENOBUFS /
-    /// EINTR): a datagram handed back by the kernel and retried. These
-    /// were silent spins before this counter existed.
-    pub send_retries: AtomicU64,
-    /// Coalesced messages sent: runs of two or more datagrams that left
-    /// as one `UDP_SEGMENT` message (one trip through the kernel's
-    /// UDP/IP path instead of one per datagram).
-    pub gso_sends: AtomicU64,
-    /// Datagrams that left inside coalesced messages (also counted in
-    /// `datagrams_out`).
-    pub gso_segments: AtomicU64,
-    /// Coalesced messages received: `UDP_GRO` frames carrying two or
-    /// more datagrams.
-    pub gro_recvs: AtomicU64,
-    /// Datagrams that arrived inside coalesced messages (also counted
-    /// in `datagrams_in`).
-    pub gro_segments: AtomicU64,
-    /// Coalesced sends the kernel refused (route MTU, no checksum
-    /// offload, old kernel): the run went out uncoalesced and the
-    /// socket stopped coalescing. At most one per socket.
-    pub gso_refused: AtomicU64,
-    /// Wait syscalls issued around the datagram path: `epoll_wait`
-    /// returns under the epoll wait. Zero under the blocking wait,
-    /// where the receive syscall *is* the wait (already in
-    /// `recv_calls`).
-    pub wait_calls: AtomicU64,
-    /// Datagrams this worker drained from its handoff rings (they
-    /// arrived on another worker's socket but this worker owns the
-    /// shard).
-    pub handoff_in: AtomicU64,
-    /// Datagrams this worker received but pushed to the owning worker's
-    /// handoff ring instead of processing (RSS/shard mismatch).
-    pub handoff_out: AtomicU64,
-    /// Handoff pushes rejected by a full ring; the datagram is dropped
-    /// and the sender retries end-to-end (backpressure is a counted
-    /// drop, never a cross-worker stall).
-    pub handoff_overflow: AtomicU64,
-    /// Times this worker's wait returned (one blocking receive on the
-    /// fallback wait backend, one `epoll_wait` return on the readiness
-    /// backend). An idle engine's wakeup *rate* is the wasted-CPU
-    /// measure the readiness backend exists to shrink.
-    pub wakeups: AtomicU64,
-    /// Failures arming the worker's wait (`set_read_timeout` on the
-    /// fallback backend, `timerfd_settime` on the readiness backend).
-    /// Nonzero means timers are running on the backstop timeout only.
-    pub read_timeout_errors: AtomicU64,
-}
+metrics! {
+    /// Socket-I/O counters for one worker (or one transport endpoint).
+    ///
+    /// The I/O layer lives in `alpha-transport`, but the counters live here
+    /// so they ride the same snapshot path as every other engine metric:
+    /// each worker registers one `IoWorker` via
+    /// [`IoMetrics::register_worker`] and bumps it from its recv/send loop.
+    #[derive(Default)]
+    pub struct IoWorker {
+        /// Receive syscalls issued (`recvmmsg` or `recv_from`), including
+        /// ones that returned no data.
+        recv_calls,
+        /// Send syscalls issued (`sendmmsg` or `send_to`).
+        send_calls,
+        /// Datagrams received.
+        datagrams_in,
+        /// Datagrams sent.
+        datagrams_out,
+        /// Receive syscalls that returned empty (timeout / EAGAIN).
+        eagain,
+        /// `sendmmsg` calls that accepted fewer datagrams than offered and
+        /// forced a resubmission of the tail.
+        partial_sends,
+        /// Send-side transient-failure resubmissions (EAGAIN / ENOBUFS /
+        /// EINTR): a datagram handed back by the kernel and retried. These
+        /// were silent spins before this counter existed.
+        send_retries,
+        /// Coalesced messages sent: runs of two or more datagrams that left
+        /// as one `UDP_SEGMENT` message (one trip through the kernel's
+        /// UDP/IP path instead of one per datagram).
+        gso_sends,
+        /// Datagrams that left inside coalesced messages (also counted in
+        /// `datagrams_out`).
+        gso_segments,
+        /// Coalesced messages received: `UDP_GRO` frames carrying two or
+        /// more datagrams.
+        gro_recvs,
+        /// Datagrams that arrived inside coalesced messages (also counted
+        /// in `datagrams_in`).
+        gro_segments,
+        /// Coalesced sends the kernel refused (route MTU, no checksum
+        /// offload, old kernel): the run went out uncoalesced and the
+        /// socket stopped coalescing. At most one per socket.
+        gso_refused,
+        /// Wait syscalls issued around the datagram path: `epoll_wait`
+        /// returns under the epoll wait. Zero under the blocking wait,
+        /// where the receive syscall *is* the wait (already in
+        /// `recv_calls`).
+        wait_calls,
+        /// Datagrams this worker drained from its handoff rings (they
+        /// arrived on another worker's socket but this worker owns the
+        /// shard).
+        handoff_in,
+        /// Datagrams this worker received but pushed to the owning worker's
+        /// handoff ring instead of processing (RSS/shard mismatch).
+        handoff_out,
+        /// Handoff pushes rejected by a full ring; the datagram is dropped
+        /// and the sender retries end-to-end (backpressure is a counted
+        /// drop, never a cross-worker stall).
+        handoff_overflow,
+        /// Times this worker's wait returned (one blocking receive on the
+        /// fallback wait backend, one `epoll_wait` return on the readiness
+        /// backend). An idle engine's wakeup *rate* is the wasted-CPU
+        /// measure the readiness backend exists to shrink.
+        wakeups,
+        /// Failures arming the worker's wait (`set_read_timeout` on the
+        /// fallback backend, `timerfd_settime` on the readiness backend).
+        /// Nonzero means timers are running on the backstop timeout only.
+        read_timeout_errors,
+    }
 
-/// Summed [`IoWorker`] counters across every registered worker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoTotals {
-    /// Receive syscalls issued.
-    pub recv_calls: u64,
-    /// Send syscalls issued.
-    pub send_calls: u64,
-    /// Datagrams received.
-    pub datagrams_in: u64,
-    /// Datagrams sent.
-    pub datagrams_out: u64,
-    /// Empty receive syscalls (timeout / EAGAIN).
-    pub eagain: u64,
-    /// Partial `sendmmsg` resubmissions.
-    pub partial_sends: u64,
-    /// Send-side transient-failure resubmissions.
-    pub send_retries: u64,
-    /// Coalesced (`UDP_SEGMENT`) messages sent.
-    pub gso_sends: u64,
-    /// Datagrams sent inside coalesced messages.
-    pub gso_segments: u64,
-    /// Coalesced (`UDP_GRO`) messages received.
-    pub gro_recvs: u64,
-    /// Datagrams received inside coalesced messages.
-    pub gro_segments: u64,
-    /// Coalesced sends the kernel refused (sockets that stopped
-    /// coalescing).
-    pub gso_refused: u64,
-    /// Wait syscalls around the datagram path.
-    pub wait_calls: u64,
-    /// Datagrams drained from handoff rings.
-    pub handoff_in: u64,
-    /// Datagrams pushed to other workers' handoff rings.
-    pub handoff_out: u64,
-    /// Handoff pushes dropped on full rings.
-    pub handoff_overflow: u64,
-    /// Worker wait returns (blocking receives or `epoll_wait` returns).
-    pub wakeups: u64,
-    /// Failures arming a worker wait (read timeout / timerfd).
-    pub read_timeout_errors: u64,
+    /// Summed [`IoWorker`] counters across every registered worker.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IoTotals;
 }
 
 impl IoTotals {
@@ -276,18 +331,21 @@ impl IoTotals {
     }
 }
 
-/// Registry of per-worker socket-I/O counters plus the UDP backend the
-/// transport selected (`mmsg` or `fallback`; `none` before any I/O
-/// layer attaches, e.g. in sans-io tests).
-#[derive(Default)]
-pub struct IoMetrics {
-    backend: Mutex<Option<&'static str>>,
-    wait_backend: Mutex<Option<&'static str>>,
-    workers: Mutex<Vec<Arc<IoWorker>>>,
-    /// Time a cross-worker handed-off datagram waited in its ring
-    /// before the owning worker drained it (push-to-drain, µs). The
-    /// eventfd doorbells exist to collapse this histogram's tail.
-    pub handoff_wait_us: Histogram,
+metrics! {
+    /// Registry of per-worker socket-I/O counters plus the UDP backend the
+    /// transport selected (`mmsg` or `fallback`; `none` before any I/O
+    /// layer attaches, e.g. in sans-io tests).
+    #[derive(Default)]
+    pub struct IoMetrics {
+        /// Time a cross-worker handed-off datagram waited in its ring
+        /// before the owning worker drained it (push-to-drain, µs). The
+        /// eventfd doorbells exist to collapse this histogram's tail.
+        handoff_wait_us: Histogram,
+        ;
+        backend: Mutex<Option<&'static str>>,
+        wait_backend: Mutex<Option<&'static str>>,
+        workers: Mutex<Vec<Arc<IoWorker>>>,
+    }
 }
 
 impl IoMetrics {
@@ -334,24 +392,7 @@ impl IoMetrics {
     pub fn totals(&self) -> IoTotals {
         let mut t = IoTotals::default();
         for w in self.workers.lock().iter() {
-            t.recv_calls += w.recv_calls.load(Ordering::Relaxed);
-            t.send_calls += w.send_calls.load(Ordering::Relaxed);
-            t.datagrams_in += w.datagrams_in.load(Ordering::Relaxed);
-            t.datagrams_out += w.datagrams_out.load(Ordering::Relaxed);
-            t.eagain += w.eagain.load(Ordering::Relaxed);
-            t.partial_sends += w.partial_sends.load(Ordering::Relaxed);
-            t.send_retries += w.send_retries.load(Ordering::Relaxed);
-            t.gso_sends += w.gso_sends.load(Ordering::Relaxed);
-            t.gso_segments += w.gso_segments.load(Ordering::Relaxed);
-            t.gro_recvs += w.gro_recvs.load(Ordering::Relaxed);
-            t.gro_segments += w.gro_segments.load(Ordering::Relaxed);
-            t.gso_refused += w.gso_refused.load(Ordering::Relaxed);
-            t.wait_calls += w.wait_calls.load(Ordering::Relaxed);
-            t.handoff_in += w.handoff_in.load(Ordering::Relaxed);
-            t.handoff_out += w.handoff_out.load(Ordering::Relaxed);
-            t.handoff_overflow += w.handoff_overflow.load(Ordering::Relaxed);
-            t.wakeups += w.wakeups.load(Ordering::Relaxed);
-            t.read_timeout_errors += w.read_timeout_errors.load(Ordering::Relaxed);
+            t.add(&w.load());
         }
         t
     }
@@ -361,67 +402,16 @@ impl IoMetrics {
     #[must_use]
     pub fn snapshot(&self) -> Value {
         let t = self.totals();
-        let per_worker: Vec<Value> = self
+        let per_worker = self
             .workers
             .lock()
             .iter()
-            .map(|w| {
-                let ld = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-                Value::object([
-                    ("recv_calls".to_owned(), ld(&w.recv_calls)),
-                    ("send_calls".to_owned(), ld(&w.send_calls)),
-                    ("datagrams_in".to_owned(), ld(&w.datagrams_in)),
-                    ("datagrams_out".to_owned(), ld(&w.datagrams_out)),
-                    ("eagain".to_owned(), ld(&w.eagain)),
-                    ("partial_sends".to_owned(), ld(&w.partial_sends)),
-                    ("send_retries".to_owned(), ld(&w.send_retries)),
-                    ("gso_sends".to_owned(), ld(&w.gso_sends)),
-                    ("gso_segments".to_owned(), ld(&w.gso_segments)),
-                    ("gro_recvs".to_owned(), ld(&w.gro_recvs)),
-                    ("gro_segments".to_owned(), ld(&w.gro_segments)),
-                    ("gso_refused".to_owned(), ld(&w.gso_refused)),
-                    ("wait_calls".to_owned(), ld(&w.wait_calls)),
-                    ("handoff_in".to_owned(), ld(&w.handoff_in)),
-                    ("handoff_out".to_owned(), ld(&w.handoff_out)),
-                    ("handoff_overflow".to_owned(), ld(&w.handoff_overflow)),
-                    ("wakeups".to_owned(), ld(&w.wakeups)),
-                    ("read_timeout_errors".to_owned(), ld(&w.read_timeout_errors)),
-                ])
-            })
+            .map(|w| Value::object(w.load().rows()))
             .collect();
-        Value::object([
-            (
-                "udp_backend".to_owned(),
-                Value::Str(self.backend_name().to_owned()),
-            ),
-            (
-                "wait_backend".to_owned(),
-                Value::Str(self.wait_backend_name().to_owned()),
-            ),
-            ("recv_calls".to_owned(), Value::U64(t.recv_calls)),
-            ("send_calls".to_owned(), Value::U64(t.send_calls)),
-            ("datagrams_in".to_owned(), Value::U64(t.datagrams_in)),
-            ("datagrams_out".to_owned(), Value::U64(t.datagrams_out)),
-            ("eagain".to_owned(), Value::U64(t.eagain)),
-            ("partial_sends".to_owned(), Value::U64(t.partial_sends)),
-            ("send_retries".to_owned(), Value::U64(t.send_retries)),
-            ("gso_sends".to_owned(), Value::U64(t.gso_sends)),
-            ("gso_segments".to_owned(), Value::U64(t.gso_segments)),
-            ("gro_recvs".to_owned(), Value::U64(t.gro_recvs)),
-            ("gro_segments".to_owned(), Value::U64(t.gro_segments)),
-            ("gso_refused".to_owned(), Value::U64(t.gso_refused)),
-            ("wait_calls".to_owned(), Value::U64(t.wait_calls)),
-            ("handoff_in".to_owned(), Value::U64(t.handoff_in)),
-            ("handoff_out".to_owned(), Value::U64(t.handoff_out)),
-            (
-                "handoff_overflow".to_owned(),
-                Value::U64(t.handoff_overflow),
-            ),
-            ("wakeups".to_owned(), Value::U64(t.wakeups)),
-            (
-                "read_timeout_errors".to_owned(),
-                Value::U64(t.read_timeout_errors),
-            ),
+        let name = |s: &str| Value::Str(s.to_owned());
+        Value::object(self.rows().into_iter().chain(t.rows()).chain([
+            ("udp_backend".to_owned(), name(self.backend_name())),
+            ("wait_backend".to_owned(), name(self.wait_backend_name())),
             (
                 "datagrams_per_recv_call".to_owned(),
                 Value::F64(t.datagrams_per_recv()),
@@ -430,12 +420,8 @@ impl IoMetrics {
                 "syscalls_per_datagram".to_owned(),
                 Value::F64(t.syscalls_per_datagram()),
             ),
-            (
-                "handoff_wait_us".to_owned(),
-                self.handoff_wait_us.snapshot(),
-            ),
             ("per_worker".to_owned(), Value::Array(per_worker)),
-        ])
+        ]))
     }
 }
 
@@ -460,44 +446,50 @@ pub fn health_label(code: u64) -> &'static str {
     }
 }
 
-/// Per-peer counters for one registered mesh peer.
-///
-/// The datapath (engine core) bumps the datagram counters; the mesh
-/// supervisor (in `alpha-mesh`) owns the probe counters and mirrors the
-/// registry's health verdict and smoothed RTT here so `engine stats`
-/// can report them without a second wire protocol.
-#[derive(Default)]
-pub struct PeerCounters {
-    /// Datagrams accepted from this peer.
-    pub datagrams_in: AtomicU64,
-    /// Verified datagrams forwarded to this peer.
-    pub datagrams_out: AtomicU64,
-    /// Liveness probes sent to this peer.
-    pub probes_sent: AtomicU64,
-    /// Probe echoes received from this peer.
-    pub pongs_received: AtomicU64,
-    /// Latest health verdict (`HEALTH_*` code).
-    pub health: AtomicU64,
-    /// Smoothed probe round-trip time (µs), 0 before the first sample.
-    pub srtt_us: AtomicU64,
+metrics! {
+    /// Per-peer counters for one registered mesh peer.
+    ///
+    /// The datapath (engine core) bumps the datagram counters; the mesh
+    /// supervisor (in `alpha-mesh`) owns the probe counters and mirrors the
+    /// registry's health verdict and smoothed RTT here so `engine stats`
+    /// can report them without a second wire protocol.
+    #[derive(Default)]
+    pub struct PeerCounters {
+        /// Datagrams accepted from this peer.
+        datagrams_in: AtomicU64,
+        /// Verified datagrams forwarded to this peer.
+        datagrams_out: AtomicU64,
+        /// Liveness probes sent to this peer.
+        probes_sent: AtomicU64,
+        /// Probe echoes received from this peer.
+        pongs_received: AtomicU64,
+        /// Smoothed probe round-trip time (µs), 0 before the first sample.
+        srtt_us: AtomicU64,
+        ;
+        /// Latest health verdict (`HEALTH_*` code).
+        pub health: AtomicU64,
+    }
 }
 
-/// Registry of mesh forwarding counters: aggregate hop counters plus
-/// one [`PeerCounters`] row per registered peer. Mirrors the
-/// [`IoMetrics`] shape so mesh state rides the ordinary stats snapshot.
-#[derive(Default)]
-pub struct MeshMetrics {
-    /// Verified datagrams re-emitted toward a downstream peer (hop
-    /// traversals through this node).
-    pub forwarded: AtomicU64,
-    /// Datagrams rejected because the source is not a registered
-    /// upstream peer (the static-relay-set bypass defense).
-    pub upstream_rejects: AtomicU64,
-    /// Path failovers applied (live flows re-routed to another peer).
-    pub failovers: AtomicU64,
-    /// Replicated handshakes absorbed learn-only from an upstream.
-    pub replicas_absorbed: AtomicU64,
-    peers: Mutex<Vec<(std::net::SocketAddr, Arc<PeerCounters>)>>,
+metrics! {
+    /// Registry of mesh forwarding counters: aggregate hop counters plus
+    /// one [`PeerCounters`] row per registered peer. Mirrors the
+    /// [`IoMetrics`] shape so mesh state rides the ordinary stats snapshot.
+    #[derive(Default)]
+    pub struct MeshMetrics {
+        /// Verified datagrams re-emitted toward a downstream peer (hop
+        /// traversals through this node).
+        forwarded: AtomicU64,
+        /// Datagrams rejected because the source is not a registered
+        /// upstream peer (the static-relay-set bypass defense).
+        upstream_rejects: AtomicU64,
+        /// Path failovers applied (live flows re-routed to another peer).
+        failovers: AtomicU64,
+        /// Replicated handshakes absorbed learn-only from an upstream.
+        replicas_absorbed: AtomicU64,
+        ;
+        peers: Mutex<Vec<(std::net::SocketAddr, Arc<PeerCounters>)>>,
+    }
 }
 
 impl MeshMetrics {
@@ -523,132 +515,114 @@ impl MeshMetrics {
     /// `per_peer` array.
     #[must_use]
     pub fn snapshot(&self) -> Value {
-        let ld = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-        let per_peer: Vec<Value> = self
+        let per_peer = self
             .peers
             .lock()
             .iter()
             .map(|(addr, c)| {
-                Value::object([
+                let health = health_label(c.health.load(Ordering::Relaxed));
+                Value::object(c.rows().into_iter().chain([
                     ("peer".to_owned(), Value::Str(addr.to_string())),
-                    ("datagrams_in".to_owned(), ld(&c.datagrams_in)),
-                    ("datagrams_out".to_owned(), ld(&c.datagrams_out)),
-                    ("probes_sent".to_owned(), ld(&c.probes_sent)),
-                    ("pongs_received".to_owned(), ld(&c.pongs_received)),
-                    (
-                        "health".to_owned(),
-                        Value::Str(health_label(c.health.load(Ordering::Relaxed)).to_owned()),
-                    ),
-                    ("srtt_us".to_owned(), ld(&c.srtt_us)),
-                ])
+                    ("health".to_owned(), Value::Str(health.to_owned())),
+                ]))
             })
             .collect();
-        Value::object([
-            ("forwarded".to_owned(), ld(&self.forwarded)),
-            ("upstream_rejects".to_owned(), ld(&self.upstream_rejects)),
-            ("failovers".to_owned(), ld(&self.failovers)),
-            ("replicas_absorbed".to_owned(), ld(&self.replicas_absorbed)),
-            ("per_peer".to_owned(), Value::Array(per_peer)),
-        ])
+        let per_peer = Value::Array(per_peer);
+        Value::object(
+            self.rows()
+                .into_iter()
+                .chain([("per_peer".to_owned(), per_peer)]),
+        )
     }
 }
 
-/// Flow lifecycle store counters: hibernation freezes, wakes and
-/// evictions, plus the frozen-byte gauge and the wake latency
-/// histogram. Mirrors the [`IoMetrics`] / [`MeshMetrics`] shape so the
-/// store section rides the ordinary stats snapshot.
-#[derive(Default)]
-pub struct StoreMetrics {
-    /// Idle host flows frozen into the store.
-    pub frozen: AtomicU64,
-    /// Hibernated flows rehydrated by an arriving datagram.
-    pub thawed: AtomicU64,
-    /// Frozen records evicted by the store's byte budget (those flows
-    /// are gone for good; the next datagram is a fresh handshake).
-    pub evicted: AtomicU64,
-    /// Datagrams that failed verification against a thawed association
-    /// and therefore did NOT wake the flow (the record was re-frozen).
-    pub thaw_rejected: AtomicU64,
-    /// Paced chain renewals started.
-    pub renewals_started: AtomicU64,
-    /// Renewal deadlines deferred by the global token bucket.
-    pub renewals_deferred: AtomicU64,
-    /// Gauge: bytes currently charged against the frozen-record budget.
-    pub bytes_frozen: AtomicU64,
-    /// Gauge: flows currently hibernated.
-    pub flows_hibernated: AtomicU64,
-    /// Wake-from-hibernate latency (decode + thaw + first dispatch).
-    pub thaw_latency_us: Histogram,
+metrics! {
+    /// Flow lifecycle store counters: hibernation freezes, wakes and
+    /// evictions, plus the frozen-byte gauge and the wake latency
+    /// histogram. Mirrors the [`IoMetrics`] / [`MeshMetrics`] shape so the
+    /// store section rides the ordinary stats snapshot.
+    #[derive(Default)]
+    pub struct StoreMetrics {
+        /// Idle host flows frozen into the store.
+        frozen: AtomicU64,
+        /// Hibernated flows rehydrated by an arriving datagram.
+        thawed: AtomicU64,
+        /// Frozen records evicted by the store's byte budget (those flows
+        /// are gone for good; the next datagram is a fresh handshake).
+        evicted: AtomicU64,
+        /// Datagrams that failed verification against a thawed association
+        /// and therefore did NOT wake the flow (the record was re-frozen).
+        thaw_rejected: AtomicU64,
+        /// Paced chain renewals started.
+        renewals_started: AtomicU64,
+        /// Renewal deadlines deferred by the global token bucket.
+        renewals_deferred: AtomicU64,
+        /// Gauge: bytes currently charged against the frozen-record budget.
+        bytes_frozen: AtomicU64,
+        /// Gauge: flows currently hibernated.
+        flows_hibernated: AtomicU64,
+        /// Wake-from-hibernate latency (decode + thaw + first dispatch).
+        thaw_latency_us: Histogram,
+    }
 }
 
 impl StoreMetrics {
     /// Snapshot as a JSON object.
     #[must_use]
     pub fn snapshot(&self) -> Value {
-        let ld = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-        Value::object([
-            ("frozen".to_owned(), ld(&self.frozen)),
-            ("thawed".to_owned(), ld(&self.thawed)),
-            ("evicted".to_owned(), ld(&self.evicted)),
-            ("thaw_rejected".to_owned(), ld(&self.thaw_rejected)),
-            ("renewals_started".to_owned(), ld(&self.renewals_started)),
-            ("renewals_deferred".to_owned(), ld(&self.renewals_deferred)),
-            ("bytes_frozen".to_owned(), ld(&self.bytes_frozen)),
-            ("flows_hibernated".to_owned(), ld(&self.flows_hibernated)),
-            (
-                "thaw_latency_us".to_owned(),
-                self.thaw_latency_us.snapshot(),
-            ),
-        ])
+        Value::object(self.rows())
     }
 }
 
-/// The engine's metrics registry. One instance per engine, shared by
-/// every worker through an `Arc`.
-#[derive(Default)]
-pub struct EngineMetrics {
-    /// Datagrams handed to the engine.
-    pub packets_in: AtomicU64,
-    /// Datagrams the engine emitted.
-    pub packets_out: AtomicU64,
-    /// Bytes handed to the engine.
-    pub bytes_in: AtomicU64,
-    /// Bytes the engine emitted.
-    pub bytes_out: AtomicU64,
-    /// S2 payloads verified (host deliveries + relay extractions).
-    pub s2_verified: AtomicU64,
-    /// Packets rejected by protocol verification (any drop reason that
-    /// implies a failed integrity check).
-    pub verify_failures: AtomicU64,
-    /// Completed bootstrap handshakes.
-    pub handshakes: AtomicU64,
-    /// Flows currently resident in the flow table.
-    pub flows_active: AtomicU64,
-    /// S1 / HS1 packets a host flow's admission bucket refused
-    /// ([`EngineConfig::s1_bytes_per_sec`](crate::EngineConfig::s1_bytes_per_sec)).
-    pub admission_drops: AtomicU64,
-    /// Packets refused by the global byte-budget valve.
-    pub backpressure_drops: AtomicU64,
-    /// Timer-wheel entries fired.
-    pub timer_fires: AtomicU64,
-    /// Datagrams that did not parse as ALPHA traffic.
-    pub parse_errors: AtomicU64,
-    /// Controller decision changes (mode or bundle size) across all
-    /// adaptive host flows.
-    pub adapt_switches: AtomicU64,
-    drops: [AtomicU64; DROP_LABELS.len()],
-    /// Handshake completion latency.
-    pub handshake_us: Histogram,
-    /// S1→A1 round-trip latency observed by host flows.
-    pub rtt_us: Histogram,
-    /// Per-worker socket-I/O counters (filled by the transport layer).
-    pub io: IoMetrics,
-    /// Mesh forwarding counters (filled when the core runs as a mesh
-    /// relay; all-zero otherwise).
-    pub mesh: MeshMetrics,
-    /// Flow lifecycle store counters (hibernation; all-zero when
-    /// hibernation is disabled).
-    pub store: StoreMetrics,
+metrics! {
+    /// The engine's metrics registry. One instance per engine, shared by
+    /// every worker through an `Arc`.
+    #[derive(Default)]
+    pub struct EngineMetrics {
+        /// Datagrams handed to the engine.
+        packets_in: AtomicU64,
+        /// Datagrams the engine emitted.
+        packets_out: AtomicU64,
+        /// Bytes handed to the engine.
+        bytes_in: AtomicU64,
+        /// Bytes the engine emitted.
+        bytes_out: AtomicU64,
+        /// S2 payloads verified (host deliveries + relay extractions).
+        s2_verified: AtomicU64,
+        /// Packets rejected by protocol verification (any drop reason that
+        /// implies a failed integrity check).
+        verify_failures: AtomicU64,
+        /// Completed bootstrap handshakes.
+        handshakes: AtomicU64,
+        /// Flows currently resident in the flow table.
+        flows_active: AtomicU64,
+        /// S1 / HS1 packets a host flow's admission bucket refused
+        /// ([`EngineConfig::s1_bytes_per_sec`](crate::EngineConfig::s1_bytes_per_sec)).
+        admission_drops: AtomicU64,
+        /// Packets refused by the global byte-budget valve.
+        backpressure_drops: AtomicU64,
+        /// Timer-wheel entries fired.
+        timer_fires: AtomicU64,
+        /// Datagrams that did not parse as ALPHA traffic.
+        parse_errors: AtomicU64,
+        /// Controller decision changes (mode or bundle size) across all
+        /// adaptive host flows.
+        adapt_switches: AtomicU64,
+        /// Handshake completion latency.
+        handshake_us: Histogram,
+        /// S1→A1 round-trip latency observed by host flows.
+        rtt_us: Histogram,
+        /// Per-worker socket-I/O counters (filled by the transport layer).
+        io: IoMetrics,
+        /// Mesh forwarding counters (filled when the core runs as a mesh
+        /// relay; all-zero otherwise).
+        mesh: MeshMetrics,
+        /// Flow lifecycle store counters (hibernation; all-zero when
+        /// hibernation is disabled).
+        store: StoreMetrics,
+        ;
+        drops: [AtomicU64; DROPS.len()],
+    }
 }
 
 impl EngineMetrics {
@@ -660,7 +634,7 @@ impl EngineMetrics {
 
     /// Record a relay/protocol drop by cause.
     pub fn record_drop(&self, reason: DropReason) {
-        self.drops[drop_index(reason)].fetch_add(1, Ordering::Relaxed);
+        self.drops[reason as usize].fetch_add(1, Ordering::Relaxed);
         if matches!(
             reason,
             DropReason::BadChainElement | DropReason::BadMac | DropReason::BadVerdict
@@ -672,7 +646,7 @@ impl EngineMetrics {
     /// Drops recorded for `reason`.
     #[must_use]
     pub fn drops(&self, reason: DropReason) -> u64 {
-        self.drops[drop_index(reason)].load(Ordering::Relaxed)
+        self.drops[reason as usize].load(Ordering::Relaxed)
     }
 
     /// Total drops across causes.
@@ -684,37 +658,10 @@ impl EngineMetrics {
     /// Snapshot every counter as a JSON object.
     #[must_use]
     pub fn snapshot(&self) -> Value {
-        let ld = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-        let drops = Value::object(
-            DROP_LABELS
-                .iter()
-                .zip(&self.drops)
-                .map(|(label, v)| ((*label).to_owned(), ld(v))),
-        );
-        Value::object([
-            ("packets_in".to_owned(), ld(&self.packets_in)),
-            ("packets_out".to_owned(), ld(&self.packets_out)),
-            ("bytes_in".to_owned(), ld(&self.bytes_in)),
-            ("bytes_out".to_owned(), ld(&self.bytes_out)),
-            ("s2_verified".to_owned(), ld(&self.s2_verified)),
-            ("verify_failures".to_owned(), ld(&self.verify_failures)),
-            ("handshakes".to_owned(), ld(&self.handshakes)),
-            ("flows_active".to_owned(), ld(&self.flows_active)),
-            ("admission_drops".to_owned(), ld(&self.admission_drops)),
-            (
-                "backpressure_drops".to_owned(),
-                ld(&self.backpressure_drops),
-            ),
-            ("timer_fires".to_owned(), ld(&self.timer_fires)),
-            ("parse_errors".to_owned(), ld(&self.parse_errors)),
-            ("adapt_switches".to_owned(), ld(&self.adapt_switches)),
-            ("drops".to_owned(), drops),
-            ("handshake_us".to_owned(), self.handshake_us.snapshot()),
-            ("rtt_us".to_owned(), self.rtt_us.snapshot()),
-            ("io".to_owned(), self.io.snapshot()),
-            ("mesh".to_owned(), self.mesh.snapshot()),
-            ("store".to_owned(), self.store.snapshot()),
-        ])
+        let drops = DROPS.iter().zip(&self.drops);
+        let drops = drops.map(|((_, label), n)| ((*label).to_owned(), n.json()));
+        let drops = ("drops".to_owned(), Value::object(drops));
+        Value::object(self.rows().into_iter().chain([drops]))
     }
 
     /// Snapshot rendered as a JSON string.
@@ -834,6 +781,153 @@ mod tests {
             rows[0].get("peer").unwrap().as_str(),
             Some("127.0.0.1:9001")
         );
+    }
+
+    /// Every leaf counter and histogram of a populated registry set to a
+    /// distinct value: the JSON it serialises to is pinned byte for byte.
+    #[test]
+    fn populated_snapshot_json_is_pinned() {
+        let m = EngineMetrics::new();
+        let mut next = 0;
+        let mut set = |a: &AtomicU64| {
+            next += 1;
+            a.store(next, Ordering::Relaxed);
+        };
+        for a in [
+            &m.packets_in,
+            &m.packets_out,
+            &m.bytes_in,
+            &m.bytes_out,
+            &m.s2_verified,
+            &m.handshakes,
+            &m.flows_active,
+            &m.admission_drops,
+            &m.backpressure_drops,
+            &m.timer_fires,
+            &m.parse_errors,
+            &m.adapt_switches,
+            &m.mesh.forwarded,
+            &m.mesh.upstream_rejects,
+            &m.mesh.failovers,
+            &m.mesh.replicas_absorbed,
+            &m.store.frozen,
+            &m.store.thawed,
+            &m.store.evicted,
+            &m.store.thaw_rejected,
+            &m.store.renewals_started,
+            &m.store.renewals_deferred,
+            &m.store.bytes_frozen,
+            &m.store.flows_hibernated,
+        ] {
+            set(a);
+        }
+        m.io.set_backend("mmsg");
+        m.io.set_wait_backend("epoll");
+        for _ in 0..2 {
+            let w = m.io.register_worker();
+            for a in [
+                &w.recv_calls,
+                &w.send_calls,
+                &w.datagrams_in,
+                &w.datagrams_out,
+                &w.eagain,
+                &w.partial_sends,
+                &w.send_retries,
+                &w.gso_sends,
+                &w.gso_segments,
+                &w.gro_recvs,
+                &w.gro_segments,
+                &w.gso_refused,
+                &w.wait_calls,
+                &w.handoff_in,
+                &w.handoff_out,
+                &w.handoff_overflow,
+                &w.wakeups,
+                &w.read_timeout_errors,
+            ] {
+                set(a);
+            }
+        }
+        for (port, health) in [(9001, HEALTH_UP), (9002, HEALTH_DOWN)] {
+            let p = m
+                .mesh
+                .register_peer(std::net::SocketAddr::from(([127, 0, 0, 1], port)));
+            for a in [
+                &p.datagrams_in,
+                &p.datagrams_out,
+                &p.probes_sent,
+                &p.pongs_received,
+                &p.srtt_us,
+            ] {
+                set(a);
+            }
+            p.health.store(health, Ordering::Relaxed);
+        }
+        for (i, reason) in [
+            DropReason::BadChainElement,
+            DropReason::BadMac,
+            DropReason::Unsolicited,
+            DropReason::BadVerdict,
+            DropReason::RateLimited,
+            DropReason::UnknownAssociation,
+            DropReason::Malformed,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for _ in 0..=i {
+                m.record_drop(reason);
+            }
+        }
+        for (h, samples) in [
+            (&m.handshake_us, [40, 90, 700]),
+            (&m.rtt_us, [3, 150, 2_500]),
+            (&m.store.thaw_latency_us, [8, 9, 60]),
+            (&m.io.handoff_wait_us, [1, 30_000, 20_000_000]),
+        ] {
+            for v in samples {
+                h.record(v);
+            }
+        }
+        let golden = concat!(
+            r#"{"adapt_switches":12,"admission_drops":8,"backpressure_drops":9,"bytes_in":3,"#,
+            r#""bytes_out":4,"drops":{"bad-chain-element":1,"bad-mac":2,"bad-verdict":4,"#,
+            r#""malformed":7,"rate-limited":5,"unknown-association":6,"unsolicited":3},"#,
+            r#""flows_active":7,"handshake_us":{"buckets":[0,0,0,0,0,1,1,0,0,1,0,0,0,0,0,0,0,0,"#,
+            r#"0,0,0,0,0],"count":3,"mean_us":276.6666666666667,"p50_us":100,"p99_us":1000,"#,
+            r#""sum_us":830},"handshakes":6,"io":{"datagrams_in":72,"datagrams_out":74,"#,
+            r#""datagrams_per_recv_call":1.0588235294117647,"eagain":76,"gro_recvs":86,"#,
+            r#""gro_segments":88,"gso_refused":90,"gso_segments":84,"gso_sends":82,"#,
+            r#""handoff_in":94,"handoff_out":96,"handoff_overflow":98,"#,
+            r#""handoff_wait_us":{"buckets":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,1],"#,
+            r#""count":3,"mean_us":6676667.0,"p50_us":50000,"p99_us":18446744073709551615,"#,
+            r#""sum_us":20030001},"partial_sends":78,"per_worker":[{"datagrams_in":27,"#,
+            r#""datagrams_out":28,"eagain":29,"gro_recvs":34,"gro_segments":35,"#,
+            r#""gso_refused":36,"gso_segments":33,"gso_sends":32,"handoff_in":38,"#,
+            r#""handoff_out":39,"handoff_overflow":40,"partial_sends":30,"#,
+            r#""read_timeout_errors":42,"recv_calls":25,"send_calls":26,"send_retries":31,"#,
+            r#""wait_calls":37,"wakeups":41},{"datagrams_in":45,"datagrams_out":46,"eagain":47,"#,
+            r#""gro_recvs":52,"gro_segments":53,"gso_refused":54,"gso_segments":51,"#,
+            r#""gso_sends":50,"handoff_in":56,"handoff_out":57,"handoff_overflow":58,"#,
+            r#""partial_sends":48,"read_timeout_errors":60,"recv_calls":43,"send_calls":44,"#,
+            r#""send_retries":49,"wait_calls":55,"wakeups":59}],"read_timeout_errors":102,"#,
+            r#""recv_calls":68,"send_calls":70,"send_retries":80,"#,
+            r#""syscalls_per_datagram":1.5753424657534247,"udp_backend":"mmsg","#,
+            r#""wait_backend":"epoll","wait_calls":92,"wakeups":100},"mesh":{"failovers":15,"#,
+            r#""forwarded":13,"per_peer":[{"datagrams_in":61,"datagrams_out":62,"health":"up","#,
+            r#""peer":"127.0.0.1:9001","pongs_received":64,"probes_sent":63,"srtt_us":65},"#,
+            r#"{"datagrams_in":66,"datagrams_out":67,"health":"down","peer":"127.0.0.1:9002","#,
+            r#""pongs_received":69,"probes_sent":68,"srtt_us":70}],"replicas_absorbed":16,"#,
+            r#""upstream_rejects":14},"packets_in":1,"packets_out":2,"parse_errors":11,"#,
+            r#""rtt_us":{"buckets":[0,0,1,0,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0],"count":3,"#,
+            r#""mean_us":884.3333333333334,"p50_us":200,"p99_us":5000,"sum_us":2653},"#,
+            r#""s2_verified":5,"store":{"bytes_frozen":23,"evicted":19,"flows_hibernated":24,"#,
+            r#""frozen":17,"renewals_deferred":22,"renewals_started":21,"#,
+            r#""thaw_latency_us":{"buckets":[0,0,0,2,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+            r#""count":3,"mean_us":25.666666666666668,"p50_us":10,"p99_us":100,"sum_us":77},"#,
+            r#""thaw_rejected":20,"thawed":18},"timer_fires":10,"verify_failures":7}"#,
+        );
+        assert_eq!(m.to_json(), golden);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::net::SocketAddr;
 use alpha_adapt::{AdaptConfig, ChannelEstimator};
 use alpha_core::Timestamp;
 use alpha_engine::mesh::{encode_ping, parse_pong};
-use alpha_engine::metrics::{HEALTH_DOWN, HEALTH_SUSPECT, HEALTH_UNKNOWN, HEALTH_UP};
+use alpha_engine::metrics::{health_label, HEALTH_DOWN, HEALTH_SUSPECT, HEALTH_UNKNOWN, HEALTH_UP};
 use alpha_engine::PeerCounters;
 use serde::Value;
 
@@ -111,12 +111,7 @@ impl PeerHealth {
     /// Stable lower-case label.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            PeerHealth::Unknown => "unknown",
-            PeerHealth::Up => "up",
-            PeerHealth::Suspect => "suspect",
-            PeerHealth::Down => "down",
-        }
+        health_label(self.code())
     }
 
     fn code(self) -> u64 {

@@ -540,7 +540,8 @@ impl RelayNode {
             match decision {
                 RelayDecision::Forward => pass.push(slice),
                 RelayDecision::Drop(reason) => {
-                    ctx.metrics.drop_reason(drop_reason_str(reason));
+                    ctx.metrics
+                        .drop_reason(alpha_engine::metrics::drop_label(reason));
                 }
             }
         }
@@ -822,19 +823,6 @@ impl MeshRelayNode {
                 bytes: bytes.into_vec(),
             });
         }
-    }
-}
-
-fn drop_reason_str(r: alpha_core::DropReason) -> &'static str {
-    use alpha_core::DropReason::*;
-    match r {
-        BadChainElement => "bad-chain-element",
-        BadMac => "bad-mac",
-        Unsolicited => "unsolicited",
-        BadVerdict => "bad-verdict",
-        RateLimited => "rate-limited",
-        UnknownAssociation => "unknown-association",
-        Malformed => "malformed",
     }
 }
 
