@@ -21,7 +21,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # On a SHA-NI host auto-detection never runs the lanes4 tier, and the
 # streaming hasher and chain walker follow the process-wide backend, so
-# each tier is forced in turn. The chain-walker suite also holds the
+# each tier is forced in turn. The backend suite also holds the Merkle
+# level walk to the per-item walk and to one hash per distinct node
+# input per level. The chain-walker suite also holds the
 # frozen-checkpoint properties (a thaw hashes nothing, lower checkpoints
 # are walked from the super-checkpoint, from the seed at most once, one
 # walk per disclosed pair, and the exact hash budget of a chain frozen
@@ -51,8 +53,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # fails the step instead of passing with fewer tests.
 echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay fuzz, small-scope search, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
-    ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
-        --test backend_props --test padding
+    props=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
+        --test backend_props) || { echo "$props"; exit 1; }
+    echo "$props"
+    case "$props" in
+        *"running 7 tests"*) ;;
+        *) echo "ci: the backend_props suite did not run its 7 tests under $backend" >&2; exit 1 ;;
+    esac
+    ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto --test padding
     walker=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test chain_walker) || { echo "$walker"; exit 1; }
     echo "$walker"

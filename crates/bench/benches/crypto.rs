@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::SeedableRng;
 
 use alpha_crypto::chain::{ChainKind, ChainVerifier, HashChain};
-use alpha_crypto::merkle::MerkleTree;
-use alpha_crypto::{amt, hmac, preack, Algorithm};
+use alpha_crypto::merkle::{self, KeyedLeaf, MerkleTree, Siblings};
+use alpha_crypto::{amt, backend, hmac, preack, Algorithm, Digest};
 
 fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash");
@@ -94,6 +94,42 @@ fn bench_merkle(c: &mut Criterion) {
                     &root,
                 )
             });
+        });
+    }
+    // One 16-S2 frame of a 32-leaf ALPHA-M tree, as a verifier walks it:
+    // the leaf hashes alone, then leaves plus the level walk; the tree
+    // build's 31 node compressions price the walk's 17.
+    let alg = Algorithm::Sha1;
+    let leaves: Vec<_> = (0..32u8).map(|i| alg.hash(&[i])).collect();
+    g.bench_function("build-32", |b| {
+        b.iter(|| MerkleTree::build(alg, std::hint::black_box(&leaves)));
+    });
+    for len in [16usize, 1024] {
+        let msgs: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; len]).collect();
+        let tree = MerkleTree::from_messages(alg, &msgs);
+        let key = alg.hash(b"disclosed key");
+        let paths: Vec<Vec<u8>> = (0..16)
+            .map(|j| {
+                let path = tree.auth_path(j);
+                path.iter().flat_map(|d| d.as_bytes().to_vec()).collect()
+            })
+            .collect();
+        let items: Vec<KeyedLeaf<'_>> = (0..16)
+            .map(|j| KeyedLeaf {
+                key: &key,
+                message: &msgs[j],
+                index: j,
+                path: Siblings::packed(alg, &paths[j]),
+            })
+            .collect();
+        let mut out = vec![Digest::zero(alg); 16];
+        g.throughput(Throughput::Elements(16));
+        g.bench_function(BenchmarkId::new("leaves-16", len), |b| {
+            let inputs: Vec<&[u8]> = msgs[..16].iter().map(Vec::as_slice).collect();
+            b.iter(|| backend::digest_batch(alg, std::hint::black_box(&inputs), &mut out));
+        });
+        g.bench_function(BenchmarkId::new("keyed-roots-16", len), |b| {
+            b.iter(|| merkle::keyed_roots(alg, std::hint::black_box(&items), &mut out));
         });
     }
     g.finish();

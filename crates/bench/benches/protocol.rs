@@ -1,11 +1,15 @@
-//! Criterion benchmarks for full protocol exchanges in every mode, and
-//! for the relay's per-packet verification path.
+//! Criterion benchmarks for full protocol exchanges in every mode, for
+//! the relay's per-packet verification path, and for a host engine's S2
+//! step.
+
+use std::net::SocketAddr;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
 
 use alpha_core::{Association, Config, Mode, Relay, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
+use alpha_engine::{EngineConfig, EngineCore, EngineOutput, FlowKey};
 use alpha_wire::{Packet, PacketView};
 
 const T: Timestamp = Timestamp::ZERO;
@@ -132,5 +136,76 @@ fn bench_relay(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_modes, bench_relay);
+/// Deliver `out`'s datagrams, sent from `from`, to whichever of the two
+/// engines they are addressed to, and their answers back, until quiet.
+fn pump(ends: [(SocketAddr, &EngineCore); 2], from: SocketAddr, out: EngineOutput) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let mut queue: Vec<(SocketAddr, SocketAddr, Vec<u8>)> = out
+        .datagrams
+        .iter()
+        .map(|(dst, frame)| (from, *dst, frame.to_vec()))
+        .collect();
+    while let Some((src, dst, bytes)) = queue.pop() {
+        let engine = ends.iter().find(|(at, _)| *at == dst).expect("an end").1;
+        let out = engine.handle_datagram(src, &bytes, T, &mut rng);
+        queue.extend(out.datagrams.iter().map(|(d, f)| (dst, *d, f.to_vec())));
+    }
+}
+
+/// A host engine verifying one 16-S2 ALPHA-M frame, the first of a
+/// 32-message bundle's two (as `host_merkle_1k` sends them), through
+/// the live worker's path: one output, cleared and reused per frame.
+/// Each frame is of its own flow's fresh exchange (signed, announced and
+/// acknowledged outside the timing), so every S2 verifies and delivers.
+fn bench_host(c: &mut Criterion) {
+    const FLOWS: u64 = 512;
+    let mut g = c.benchmark_group("host-verify");
+    let client: SocketAddr = "127.0.0.1:4000".parse().expect("address");
+    let server: SocketAddr = "127.0.0.1:5000".parse().expect("address");
+    for len in [16usize, 1024] {
+        let cfg = EngineConfig::new(Config::new(Algorithm::Sha1));
+        let (signer, verifier) = (EngineCore::new(cfg), EngineCore::new(cfg));
+        let ends = [(client, &signer), (server, &verifier)];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let keys: Vec<FlowKey> = (1..=FLOWS)
+            .map(|id| {
+                let (key, out) = signer.connect(server, id, T, &mut rng);
+                pump(ends, client, out);
+                key
+            })
+            .collect();
+        let msgs: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; len]).collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let mut next = 0;
+        let mut out = EngineOutput::default();
+        let mut verify_rng = rand::rngs::StdRng::seed_from_u64(14);
+        g.throughput(Throughput::Elements(16));
+        g.bench_function(BenchmarkId::new("merkle-16", len), |b| {
+            b.iter_batched(
+                || {
+                    let key = keys[next % keys.len()];
+                    next += 1;
+                    let s1 = signer
+                        .sign_batch(key, &refs, Mode::Merkle, T)
+                        .expect("sign");
+                    let (_, s1) = &s1.datagrams[0];
+                    let a1 = verifier.handle_datagram(client, s1, T, &mut rng);
+                    let (_, a1) = &a1.datagrams[0];
+                    let s2s = signer.handle_datagram(server, a1, T, &mut rng);
+                    s2s.datagrams[0].1.to_vec()
+                },
+                |frame| {
+                    out.clear();
+                    let frame = [(client, frame.as_slice())];
+                    verifier.handle_datagrams_into(&frame, T, &mut verify_rng, &mut out);
+                    assert_eq!(out.delivered.len(), 16);
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_modes, bench_relay, bench_host);
 criterion_main!(benches);

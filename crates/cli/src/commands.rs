@@ -18,6 +18,14 @@ use crate::args::{ProtoOpts, SimOpts};
 /// Top-level error type: every failure is a printable message.
 pub type CliError = Box<dyn std::error::Error>;
 
+/// `println!` through [`emit`], returning from the verb with the error
+/// when stdout's reader has gone.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 fn config_from(opts: &ProtoOpts) -> Config {
     Config::new(opts.alg)
         .with_reliability(opts.reliability)
@@ -42,7 +50,7 @@ pub fn keygen(scheme: &str, out: &str, bits: usize) -> Result<(), CliError> {
     let mut rng = StdRng::from_entropy();
     let key = match scheme {
         "rsa" => {
-            eprintln!("generating RSA-{bits} key…");
+            note(&format!("generating RSA-{bits} key…"));
             PrivateKey::Rsa(alpha_pk::rsa::RsaPrivateKey::generate(bits, &mut rng))
         }
         "ecdsa" => PrivateKey::Ecdsa(alpha_pk::ecdsa::EcdsaPrivateKey::generate(&mut rng)),
@@ -50,7 +58,7 @@ pub fn keygen(scheme: &str, out: &str, bits: usize) -> Result<(), CliError> {
     };
     std::fs::write(out, key.to_bytes())?;
     let pk = key.as_signer().verifying_key();
-    println!(
+    say!(
         "wrote {scheme} identity to {out} ({} key bytes, public key {} bytes)",
         key.to_bytes().len(),
         pk.to_bytes().len()
@@ -62,9 +70,10 @@ pub fn keygen(scheme: &str, out: &str, bits: usize) -> Result<(), CliError> {
 pub fn listen(bind: &str, opts: &ProtoOpts, seconds: u64) -> Result<(), CliError> {
     let cfg = config_from(opts);
     let identity = load_identity(&opts.identity)?;
-    println!(
+    say!(
         "listening on {bind} for {seconds}s ({}, {:?})",
-        opts.alg, opts.reliability
+        opts.alg,
+        opts.reliability
     );
     let auth = HandshakeAuth {
         identity: identity.as_ref().map(|k| k.as_signer()),
@@ -72,20 +81,20 @@ pub fn listen(bind: &str, opts: &ProtoOpts, seconds: u64) -> Result<(), CliError
     };
     let mut host = UdpHost::accept_with(cfg, bind, Duration::from_secs(seconds), auth)?;
     match host.peer_key() {
-        Some(k) => println!(
+        Some(k) => say!(
             "association established; peer identity verified ({} key bytes)",
             k.to_bytes().len()
         ),
-        None => println!("association established (anonymous peer)"),
+        None => say!("association established (anonymous peer)"),
     }
     let delivered = host.serve(Duration::from_secs(seconds))?;
     for (i, msg) in delivered.iter().enumerate() {
         match std::str::from_utf8(msg) {
-            Ok(text) => println!("[{i}] {text}"),
-            Err(_) => println!("[{i}] {} bytes (binary)", msg.len()),
+            Ok(text) => say!("[{i}] {text}"),
+            Err(_) => say!("[{i}] {} bytes (binary)", msg.len()),
         }
     }
-    println!("{} verified message(s) delivered", delivered.len());
+    say!("{} verified message(s) delivered", delivered.len());
     Ok(())
 }
 
@@ -99,7 +108,7 @@ pub fn send(
 ) -> Result<(), CliError> {
     let cfg = config_from(opts);
     let identity = load_identity(&opts.identity)?;
-    println!("connecting to {peer}…");
+    say!("connecting to {peer}…");
     let auth = HandshakeAuth {
         identity: identity.as_ref().map(|k| k.as_signer()),
         require_peer: opts.require_peer_auth,
@@ -113,11 +122,11 @@ pub fn send(
         auth,
     )?;
     if host.peer_key().is_some() {
-        println!("peer identity verified");
+        say!("peer identity verified");
     }
     let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_bytes()).collect();
     host.send_batch(&refs, mode, Duration::from_secs(15))?;
-    println!("{} message(s) dispatched in mode {mode:?}", messages.len());
+    say!("{} message(s) dispatched in mode {mode:?}", messages.len());
     Ok(())
 }
 
@@ -136,12 +145,12 @@ pub fn relay(
         ..RelayConfig::default()
     };
     let mut relay = UdpRelay::new(bind, left, right, cfg)?;
-    println!(
+    say!(
         "relaying {left} <-> {right} on {} for {seconds}s (strict={strict})",
         relay.local_addr()?
     );
     relay.run_for(Duration::from_secs(seconds))?;
-    println!(
+    say!(
         "forwarded {} datagrams, dropped {}, verified {} payload(s) in transit:",
         relay.forwarded,
         relay.dropped,
@@ -149,8 +158,8 @@ pub fn relay(
     );
     for p in &relay.extracted {
         match std::str::from_utf8(p) {
-            Ok(text) => println!("  {text}"),
-            Err(_) => println!("  {} bytes (binary)", p.len()),
+            Ok(text) => say!("  {text}"),
+            Err(_) => say!("  {} bytes (binary)", p.len()),
         }
     }
     Ok(())
@@ -183,12 +192,12 @@ pub fn trace_summary(file: &str) -> Result<(), CliError> {
             TraceEvent::Lost { .. } => losses += 1,
         }
     }
-    println!(
+    say!(
         "trace: {} entries over {:.3}s virtual time",
         trace.len(),
         last.saturating_sub(first.min(last)) as f64 / 1e6
     );
-    println!("transmissions: {transmits} ({bytes_total} bytes), link losses: {losses}");
+    say!("transmissions: {transmits} ({bytes_total} bytes), link losses: {losses}");
     for kind in [
         PacketKind::Handshake,
         PacketKind::S1,
@@ -200,7 +209,7 @@ pub fn trace_summary(file: &str) -> Result<(), CliError> {
     ] {
         let n = trace.count_kind(kind);
         if n > 0 {
-            println!("  {kind:?}: {n}");
+            say!("  {kind:?}: {n}");
         }
     }
     Ok(())
@@ -235,7 +244,7 @@ pub fn sim(o: &SimOpts) -> Result<(), CliError> {
     sim.run_until(alpha_core::Timestamp::from_millis(o.seconds * 1000));
 
     let m = &sim.metrics[v];
-    println!(
+    say!(
         "scenario: {} relays ({}), mode {:?}, {} x {} B, loss {:.1}%/link",
         o.relays,
         device.name,
@@ -244,7 +253,7 @@ pub fn sim(o: &SimOpts) -> Result<(), CliError> {
         o.payload,
         o.loss * 100.0
     );
-    println!(
+    say!(
         "delivered: {}/{} messages ({} bytes) in {:.1}s virtual time",
         m.delivered_msgs,
         o.messages,
@@ -254,20 +263,20 @@ pub fn sim(o: &SimOpts) -> Result<(), CliError> {
     if !m.latencies_us.is_empty() {
         let mut lat = m.latencies_us.clone();
         lat.sort_unstable();
-        println!(
+        say!(
             "latency: median {:.1} ms, p95 {:.1} ms",
             lat[lat.len() / 2] as f64 / 1e3,
             lat[lat.len() * 95 / 100] as f64 / 1e3
         );
     }
     let seconds = sim.now().micros() as f64 / 1e6;
-    println!(
+    say!(
         "goodput: {:.1} kbit/s end-to-end",
         m.delivered_bytes as f64 * 8.0 / seconds / 1e3
     );
     for (i, r) in relays.iter().enumerate() {
         let rm = &sim.metrics[*r];
-        println!(
+        say!(
             "relay {i}: forwarded {}, verified {}, drops {:?}, cpu {:.1} ms, energy {:.1} mJ",
             rm.forwarded,
             rm.extracted_payloads,
@@ -277,14 +286,14 @@ pub fn sim(o: &SimOpts) -> Result<(), CliError> {
         );
     }
     let sm = &sim.metrics[s];
-    println!(
+    say!(
         "sender: cpu {:.1} ms, energy {:.1} mJ; receiver drops {:?}",
         sm.cpu_ns / 1e6,
         sm.energy_uj / 1e3,
         m.drops
     );
     if let Some(trace) = sim.trace() {
-        print!("{}", trace.to_json_lines());
+        emit(&trace.to_json_lines())?;
     }
     Ok(())
 }
@@ -317,13 +326,13 @@ pub fn engine_serve(
         let l: std::net::SocketAddr = l.parse()?;
         let r: std::net::SocketAddr = r.parse()?;
         core.add_route(l, r);
-        println!("relaying {l} <-> {r}");
+        say!("relaying {l} <-> {r}");
     }
     if hibernate_after_ms > 0 {
-        println!("hibernating flows idle for {hibernate_after_ms} ms (budget {frozen_budget} B)");
+        say!("hibernating flows idle for {hibernate_after_ms} ms (budget {frozen_budget} B)");
     }
     let engine = alpha_transport::Engine::bind(bind, core, workers)?;
-    println!(
+    say!(
         "engine on {} ({workers} worker(s), {shards} shard(s)); query with 'alpha engine stats'",
         engine.local_addr()?
     );
@@ -334,7 +343,7 @@ pub fn engine_serve(
             break;
         }
     }
-    println!("{}", engine.stats_json());
+    say!("{}", engine.stats_json());
     engine.shutdown();
     Ok(())
 }
@@ -368,7 +377,7 @@ pub fn mesh_serve(
     cfg.enforce = !open;
     cfg.mesh.probe_interval_us = probe_ms.max(1) * 1000;
     let node = alpha_mesh::MeshNode::spawn(cfg)?;
-    println!(
+    say!(
         "mesh relay on {} ({} upstream(s), {} next hop(s), enforce={}); \
          query with 'alpha mesh peers'",
         node.local_addr()?,
@@ -383,7 +392,7 @@ pub fn mesh_serve(
             break;
         }
     }
-    println!("{}", node.peers_json());
+    say!("{}", node.peers_json());
     node.shutdown();
     Ok(())
 }
@@ -437,7 +446,7 @@ pub fn loadgen(
         ..base
     };
     if !raw_json {
-        eprintln!(
+        note(&format!(
             "loadgen: {} workers, {} senders x {} flows, {} B payload, {:.1}s window \
              (host has {} core(s))…",
             cfg.workers,
@@ -446,14 +455,14 @@ pub fn loadgen(
             cfg.payload,
             cfg.duration.as_secs_f64(),
             host_cores(),
-        );
+        ));
     }
     let report = run(&cfg)?;
     if raw_json {
-        println!("{}", report.json());
+        say!("{}", report.json());
         return Ok(());
     }
-    println!(
+    say!(
         "live verified-S2 throughput: {:.0}/s ({} exchanges in {:.2}s, {} flows, {} workers)",
         report.s2_per_sec,
         report.s2_verified,
@@ -461,7 +470,7 @@ pub fn loadgen(
         report.flows,
         report.workers,
     );
-    println!(
+    say!(
         "handoff: in={} out={} overflow={}  lock_contended={}  reuseport={}  backend={}",
         report.io.handoff_in,
         report.io.handoff_out,
@@ -470,7 +479,7 @@ pub fn loadgen(
         report.reuseport,
         report.udp_backend,
     );
-    println!(
+    say!(
         "wait: backend={}  idle_wakeups/s={:.1}  handoff_wait p50={}µs p99={}µs ({} sample(s))",
         report.wait_backend,
         report.idle_wakeups_per_sec,
@@ -478,7 +487,7 @@ pub fn loadgen(
         report.handoff_p99_us,
         report.handoff_samples,
     );
-    println!(
+    say!(
         "syscalls: {:.4}/datagram (recv={} send={} wait={})  send_retries={}",
         report.io.syscalls_per_datagram(),
         report.io.recv_calls,
@@ -486,7 +495,7 @@ pub fn loadgen(
         report.io.wait_calls,
         report.io.send_retries,
     );
-    println!(
+    say!(
         "segment offload: {} datagram(s) out in {} coalesced send(s), {} in via {} coalesced \
          receive(s), gso_refused={}",
         report.io.gso_segments,
@@ -496,7 +505,7 @@ pub fn loadgen(
         report.io.gso_refused,
     );
     if report.host_cores < 2 {
-        println!("note: host has 1 core; this number is concurrency, not parallel speedup");
+        say!("note: host has 1 core; this number is concurrency, not parallel speedup");
     }
     if report.sign_errors > 0 {
         return Err(format!("{} client-side signing errors", report.sign_errors).into());
@@ -527,6 +536,12 @@ pub fn engine_stats(addr: &str, timeout_ms: u64, raw_json: bool) -> Result<(), C
 fn emit(text: &str) -> Result<(), CliError> {
     std::io::stdout().write_all(text.as_bytes())?;
     Ok(())
+}
+
+/// Writes a progress note and a newline to stderr, best effort: a
+/// closed pipe loses the note, and the verb goes on.
+fn note(text: &str) {
+    let _ = writeln!(std::io::stderr(), "{text}");
 }
 
 /// Renders a stats snapshot as text, one line per object section headed

@@ -118,8 +118,26 @@ fn binary_refuses_an_unknown_flag_with_exit_2() {
 #[test]
 fn binary_writes_into_a_closed_pipe_without_panicking() {
     // The reader is gone before the child writes: every write fails with
-    // a broken pipe, and the exit status must still be the verb's own.
-    for (argv, code) in [(&["sim", "--loss", "5"][..], 2), (&["help"][..], 0)] {
+    // a broken pipe, and the exit status must still be the verb's own —
+    // a refusal 2, help 0, a report that could not be written 1 — never
+    // a panic's 101.
+    let sim = [
+        "sim",
+        "--relays",
+        "1",
+        "--messages",
+        "4",
+        "--batch",
+        "2",
+        "--seconds",
+        "5",
+    ];
+    for (argv, code) in [
+        (&["sim", "--loss", "5"][..], 2),
+        (&["help"][..], 0),
+        (&["trace", "/dev/null"][..], 1),
+        (&sim[..], 1),
+    ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let status = std::process::Command::new(env!("CARGO_BIN_EXE_alpha"))

@@ -57,11 +57,12 @@ impl Response {
         }
     }
 
-    /// One accepted S2's verdict, with the delivered payload copied out
-    /// of the packet.
-    fn from_s2(v: S2Verdict<'_>) -> Response {
+    /// One accepted S2's verdict (of an S2 carrying `payload`) and the
+    /// replies it sent, with the delivered payload copied out of the
+    /// packet.
+    fn from_s2(v: S2Verdict<'_>, payload: &[u8], replies: Vec<Packet>) -> Response {
         Response {
-            packets: v.reply.into_iter().collect(),
+            packets: replies,
             deliveries: v
                 .delivered
                 .map(|p| (v.seq, p.to_vec()))
@@ -69,7 +70,12 @@ impl Response {
                 .collect(),
             bundle_complete: v.bundle_complete,
             peer_renewed: v.peer_renewed,
-            signals: v.signal.into_iter().collect(),
+            signals: v
+                .signal
+                .then(|| Signal::parse(payload))
+                .flatten()
+                .into_iter()
+                .collect(),
             ..Response::default()
         }
     }
@@ -215,7 +221,7 @@ impl Association {
                 let item = S2BatchItem {
                     alg: pkt.alg,
                     chain_index: pkt.chain_index,
-                    key: *key,
+                    key,
                     seq: *seq,
                     path: path.as_slice().into(),
                     payload,
@@ -246,7 +252,7 @@ impl Association {
         let item = S2BatchItem {
             alg: self.cfg.algorithm,
             chain_index,
-            key: *key,
+            key,
             seq,
             path: path.into(),
             payload,
@@ -263,47 +269,51 @@ impl Association {
         item: &S2BatchItem<'_>,
         now: Timestamp,
     ) -> Result<Response, ProtocolError> {
-        let mut out = Err(ProtocolError::NoExchange);
-        self.handle_s2_run(assoc_id, std::slice::from_ref(item), now, &mut |v| {
-            out = v.map(Response::from_s2);
-        });
-        out
+        let mut replies = Vec::new();
+        let mut verdict = [Err(ProtocolError::NoExchange)];
+        let item = std::slice::from_ref(item);
+        self.handle_s2_run(assoc_id, item, now, &mut replies, &mut verdict);
+        verdict[0].map(|v| Response::from_s2(v, item[0].payload, replies))
     }
 
     /// Verify a run of S2s through the incoming channel
-    /// ([`VerifierChannel::handle_s2_run`]), each outcome to `sink` in
-    /// input order with its payload still borrowed. Verified renewals and
-    /// signals are consumed here: a renewal re-anchors both channels
-    /// before the next item is prepared (a control-carrying item is
-    /// verified on its own, [`crate::batch`]), a signal comes back in
-    /// [`S2Verdict::signal`], and neither is delivered.
+    /// ([`VerifierChannel::handle_s2_run`]): item `k`'s outcome to
+    /// `verdicts[k]` with its payload still borrowed, the A2 verdicts to
+    /// `replies`. Verified renewals and signals are consumed here: a
+    /// renewal re-anchors both channels before the next item is
+    /// prepared (a control-carrying item is verified on its own,
+    /// [`crate::batch`]), a signal is flagged in [`S2Verdict::signal`],
+    /// and neither is delivered.
+    ///
+    /// # Panics
+    /// Panics if `items` and `verdicts` differ in length.
     pub fn handle_s2_run<'a>(
         &mut self,
         assoc_id: u64,
         items: &[S2BatchItem<'a>],
         now: Timestamp,
-        sink: &mut dyn FnMut(Result<S2Verdict<'a>, ProtocolError>),
+        replies: &mut Vec<Packet>,
+        verdicts: &mut [Result<S2Verdict<'a>, ProtocolError>],
     ) {
+        assert_eq!(items.len(), verdicts.len(), "one verdict per S2");
         let alg = self.cfg.algorithm;
+        let mut rest = verdicts;
         for chunk in batch::chunks(items) {
-            let mut renewed = None;
+            let (verdicts, after) = rest.split_at_mut(chunk.len());
+            rest = after;
             self.verifier
-                .handle_s2_run(assoc_id, chunk, now, &mut |mut verdict| {
-                    if let Ok(v) = &mut verdict {
-                        if let Some(anchors) = v.delivered.and_then(|p| renewal::parse(alg, p)) {
-                            renewed = Some(anchors);
-                            v.delivered = None;
-                            v.peer_renewed = true;
-                        } else if let Some(sig) = v.delivered.and_then(Signal::parse) {
-                            v.delivered = None;
-                            v.signal = Some(sig);
-                        }
-                    }
-                    sink(verdict);
-                });
-            if let Some(anchors) = renewed {
+                .handle_s2_run(assoc_id, chunk, now, replies, verdicts);
+            // Only a chunk of one can carry a renewal or a signal.
+            let [Ok(v)] = verdicts else { continue };
+            let Some(payload) = v.delivered else { continue };
+            if let Some(anchors) = renewal::parse(alg, payload) {
+                v.delivered = None;
+                v.peer_renewed = true;
                 self.verifier.replace_peer_sig(anchors.sig.0, anchors.sig.1);
                 self.signer.replace_peer_ack(anchors.ack.0, anchors.ack.1);
+            } else if Signal::parse(payload).is_some() {
+                v.delivered = None;
+                v.signal = true;
             }
         }
     }

@@ -33,8 +33,8 @@ pub struct S2BatchItem<'a> {
     pub alg: Algorithm,
     /// Chain index from the packet header.
     pub chain_index: u64,
-    /// Disclosed MAC-key chain element.
-    pub key: Digest,
+    /// Disclosed MAC-key chain element, borrowed from the packet.
+    pub key: &'a Digest,
     /// Message sequence number within its bundle.
     pub seq: u32,
     /// Merkle authentication path (empty for Base/ALPHA-C).
@@ -44,11 +44,11 @@ pub struct S2BatchItem<'a> {
 }
 
 impl<'a> S2BatchItem<'a> {
-    /// The S2 fields of a parsed packet, still borrowing the datagram;
-    /// `None` for any other packet type.
+    /// The S2 fields of a parsed packet, borrowing the view and its
+    /// datagram; `None` for any other packet type.
     #[must_use]
-    pub fn from_view(view: &PacketView<'a>) -> Option<S2BatchItem<'a>> {
-        match view.body {
+    pub fn from_view(view: &'a PacketView<'_>) -> Option<S2BatchItem<'a>> {
+        match &view.body {
             BodyView::S2 {
                 key,
                 seq,
@@ -58,7 +58,7 @@ impl<'a> S2BatchItem<'a> {
                 alg: view.alg,
                 chain_index: view.chain_index,
                 key,
-                seq,
+                seq: *seq,
                 path: path.siblings(),
                 payload,
             }),
@@ -152,7 +152,7 @@ pub(crate) fn run_checks(
             // A prefix MAC is one hash of the message: nothing to batch.
             Some(S2Check::Mac { expected }) => {
                 let item = &items[k];
-                let mac = message_mac(alg, scheme, &item.key, item.seq, item.payload);
+                let mac = message_mac(alg, scheme, item.key, item.seq, item.payload);
                 passed[k] = alpha_crypto::ct_eq(mac.as_bytes(), expected.as_bytes());
             }
             Some(S2Check::Keyed { .. }) => {
@@ -174,7 +174,7 @@ pub(crate) fn run_checks(
             _ => 0,
         };
         KeyedLeaf {
-            key: &items[k].key,
+            key: items[k].key,
             message: items[k].payload,
             index,
             path: items[k].path,

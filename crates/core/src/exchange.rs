@@ -184,9 +184,9 @@ impl Announced {
         item: &S2BatchItem<'_>,
     ) -> Result<Option<S2Check>, ChainError> {
         if current {
-            chain_step(sig, item.chain_index, &item.key, Role::Disclose)?;
+            chain_step(sig, item.chain_index, item.key, Role::Disclose)?;
         } else {
-            let derived = chain::derive(alg, ChainKind::RoleBoundSignature, self.index, &item.key);
+            let derived = chain::derive(alg, ChainKind::RoleBoundSignature, self.index, item.key);
             if !alpha_crypto::ct_eq(derived.as_bytes(), self.announce.as_bytes()) {
                 return Err(ChainError::Mismatch);
             }

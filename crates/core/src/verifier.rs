@@ -19,12 +19,12 @@ use rand::RngCore;
 
 use crate::batch::{self, S2BatchItem, S2Check, RUN};
 use crate::exchange::{self, Announced, Presig};
-use crate::signal::Signal;
 use crate::{Config, ProtocolError, Reliability, Timestamp};
 
 /// What the verifying side made of one S2 it accepted
-/// ([`VerifierChannel::handle_s2_run`]).
-#[derive(Debug)]
+/// ([`VerifierChannel::handle_s2_run`]): a small `Copy` value. The A2
+/// verdict a reliable flow sends back goes on the run's reply list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct S2Verdict<'a> {
     /// The S2's message index within its bundle.
     pub seq: u32,
@@ -32,14 +32,12 @@ pub struct S2Verdict<'a> {
     /// delivery only — a duplicate delivers nothing, and neither does a
     /// signal or renewal an [`crate::Association`] consumed.
     pub delivered: Option<&'a [u8]>,
-    /// The verdict A2 to send back (reliable mode): an ack, or a nack
-    /// for an S2 that failed its MAC or Merkle check.
-    pub reply: Option<Packet>,
     /// This S2 completed its bundle.
     pub bundle_complete: bool,
-    /// A control signal the [`crate::Association`] consumed from the
-    /// payload.
-    pub signal: Option<Signal>,
+    /// The payload was a control signal the [`crate::Association`]
+    /// consumed; [`crate::signal::Signal::parse`] reads it from the
+    /// S2's payload.
+    pub signal: bool,
     /// The payload was a chain renewal the [`crate::Association`] has
     /// applied.
     pub peer_renewed: bool,
@@ -385,7 +383,8 @@ impl VerifierChannel {
     /// Verify a run of S2s of association `assoc_id`: authenticate each
     /// disclosed key, check each message against the buffered
     /// pre-signature, mark deliveries and (in reliable mode) disclose
-    /// verdicts, handing every item's outcome to `sink` in input order.
+    /// verdicts. Item `k`'s outcome goes to `verdicts[k]`; the A2
+    /// verdicts go to `replies`, in the order their S2s came.
     ///
     /// The run is verified in chunks of up to a bundle: every item of a
     /// chunk is prepared in order (exchange match, key authentication,
@@ -395,14 +394,19 @@ impl VerifierChannel {
     /// item's prepare reads, so outcomes are exactly those of feeding the
     /// items one at a time — which is what a run of one does. Payloads
     /// stay borrowed: the verifier copies nothing.
+    ///
+    /// # Panics
+    /// Panics if `items` and `verdicts` differ in length.
     pub fn handle_s2_run<'a>(
         &mut self,
         assoc_id: u64,
         items: &[S2BatchItem<'a>],
         now: Timestamp,
-        sink: &mut dyn FnMut(Result<S2Verdict<'a>, ProtocolError>),
+        replies: &mut Vec<Packet>,
+        verdicts: &mut [Result<S2Verdict<'a>, ProtocolError>],
     ) {
-        for chunk in items.chunks(RUN) {
+        assert_eq!(items.len(), verdicts.len(), "one verdict per S2");
+        for (chunk, verdicts) in items.chunks(RUN).zip(verdicts.chunks_mut(RUN)) {
             let mut prepared = [Err(ProtocolError::WrongAssociation); RUN];
             if assoc_id == self.assoc_id {
                 for (slot, item) in prepared.iter_mut().zip(chunk) {
@@ -413,10 +417,10 @@ impl VerifierChannel {
             let mut passed = [false; RUN];
             let (alg, scheme) = (self.cfg.algorithm, self.cfg.mac_scheme);
             batch::run_checks(alg, scheme, chunk, check, &mut passed[..chunk.len()]);
-            for (k, item) in chunk.iter().enumerate() {
-                sink(prepared[k].and_then(|(in_current, _)| {
-                    self.s2_finish(in_current, item.seq, passed[k], item.payload, now)
-                }));
+            for (k, (item, verdict)) in chunk.iter().zip(verdicts).enumerate() {
+                *verdict = prepared[k].and_then(|(in_current, _)| {
+                    self.s2_finish(in_current, item.seq, passed[k], item.payload, now, replies)
+                });
             }
         }
     }
@@ -451,7 +455,8 @@ impl VerifierChannel {
     }
 
     /// Finish one prepared S2 whose check came out `valid`: mark its
-    /// delivery and build the verdict.
+    /// delivery, build the verdict and put its A2, if the mode sends
+    /// one, on `replies`.
     fn s2_finish<'a>(
         &mut self,
         in_current: bool,
@@ -459,21 +464,24 @@ impl VerifierChannel {
         valid: bool,
         payload: &'a [u8],
         now: Timestamp,
+        replies: &mut Vec<Packet>,
     ) -> Result<S2Verdict<'a>, ProtocolError> {
         let mut verdict = S2Verdict {
             seq,
             delivered: None,
-            reply: None,
             bundle_complete: false,
-            signal: None,
+            signal: false,
             peer_renewed: false,
         };
         if !valid {
             // Reliable mode: disclose a nack so the signer retransmits
             // without waiting for its timer; unreliable mode: drop.
-            verdict.reply = self.make_verdict(in_current, seq, false);
-            return match verdict.reply {
-                Some(_) => Ok(verdict),
+            let nack = self.make_verdict(in_current, seq, false);
+            return match nack {
+                Some(reply) => {
+                    replies.push(reply);
+                    Ok(verdict)
+                }
                 None => Err(ProtocolError::BadMac),
             };
         }
@@ -490,7 +498,7 @@ impl VerifierChannel {
         let first_time = ex.receive(seq);
         verdict.delivered = first_time.then_some(payload);
         verdict.bundle_complete = first_time && ex.missing == 0;
-        verdict.reply = self.make_verdict(in_current, seq, true);
+        replies.extend(self.make_verdict(in_current, seq, true));
         Ok(verdict)
     }
 

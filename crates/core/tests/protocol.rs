@@ -480,7 +480,7 @@ fn relay_s2_batch_matches_sequential() {
                 S2BatchItem {
                     alg: p.alg,
                     chain_index: p.chain_index,
-                    key: *key,
+                    key,
                     seq: *seq,
                     path: path.as_slice().into(),
                     payload,

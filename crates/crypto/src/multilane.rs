@@ -13,7 +13,7 @@
 //! columns, but the garbage is never read. This keeps the hot loop free of
 //! per-lane branches.
 
-use crate::backend::{PartsRef, LANES};
+use crate::backend::{Blocks64, LANES};
 use crate::Digest;
 
 /// One u32 per lane, with element-wise wrapping/bitwise arithmetic.
@@ -233,7 +233,7 @@ fn sweep1(states: &mut [[u32; 5]; LANES], blocks: &[[u8; 64]; LANES]) {
 
 /// Hash up to four independent padded message streams in lockstep.
 /// `jobs.len() == out.len() <= LANES`.
-pub(crate) fn sha256_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
+pub(crate) fn sha256_lanes<J: Blocks64>(jobs: &[J], out: &mut [Digest]) {
     debug_assert!(jobs.len() <= LANES && jobs.len() == out.len());
     let mut states = [crate::sha256::INIT; LANES];
     let mut blocks = [[0u8; 64]; LANES];
@@ -258,7 +258,7 @@ pub(crate) fn sha256_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
 }
 
 /// SHA-1 variant of [`sha256_lanes`].
-pub(crate) fn sha1_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
+pub(crate) fn sha1_lanes<J: Blocks64>(jobs: &[J], out: &mut [Digest]) {
     debug_assert!(jobs.len() <= LANES && jobs.len() == out.len());
     let mut states = [crate::sha1::INIT; LANES];
     let mut blocks = [[0u8; 64]; LANES];
@@ -285,6 +285,7 @@ pub(crate) fn sha1_lanes(jobs: &[PartsRef<'_>], out: &mut [Digest]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PartsRef;
     use crate::Algorithm;
 
     #[test]

@@ -153,104 +153,239 @@ fn active_backend_wrappers_match_scalar() {
     }
 }
 
-/// `merkle::keyed_roots` (shared nodes hashed once, on the active
-/// backend) vs the per-item reference walk `keyed_root_from_path`, on
-/// seeded runs the verifiers see: a bundle's leaves in order, shuffled,
-/// duplicated, spanning two trees or two keys, longer than one sweep,
-/// with one item forged by a flipped message, sibling or key byte or a
-/// wrong index — and paths given as digests or as packed wire bytes.
+/// Items per chunk `merkle::keyed_roots` walks at once (a bundle).
+const KEYED_CHUNK: usize = 16;
+
+/// One S2 as `keyed_roots` takes it, owned: key, message, leaf index
+/// and path as packed wire bytes.
+#[derive(Clone)]
+struct Owned {
+    key: Digest,
+    message: Vec<u8>,
+    index: usize,
+    packed: Vec<u8>,
+}
+
+/// `merkle::keyed_roots` over `run` against two references: each root
+/// equals the per-item walk `keyed_root_from_path`, and the hashes
+/// `counting` records equal one per leaf plus, per chunk and level, the
+/// number of *distinct* node input byte strings (a set of the inputs
+/// the per-item walk hashes at that level). Even items give their path
+/// as packed wire bytes, odd ones as digests.
+fn check_keyed_roots(alg: Algorithm, run: &[Owned], what: &str) {
+    use alpha_crypto::counting;
+    use alpha_crypto::merkle::{self, KeyedLeaf, Siblings};
+    use std::collections::HashSet;
+    let paths: Vec<Vec<Digest>> = run
+        .iter()
+        .map(|o| {
+            o.packed
+                .chunks_exact(alg.digest_len())
+                .map(Digest::from_slice)
+                .collect()
+        })
+        .collect();
+    let items: Vec<KeyedLeaf<'_>> = run
+        .iter()
+        .zip(&paths)
+        .enumerate()
+        .map(|(k, (o, path))| KeyedLeaf {
+            key: &o.key,
+            message: &o.message,
+            index: o.index,
+            path: if k % 2 == 0 {
+                Siblings::packed(alg, &o.packed)
+            } else {
+                Siblings::from(path.as_slice())
+            },
+        })
+        .collect();
+    let mut want_hashes = 0;
+    for (chunk, paths) in run.chunks(KEYED_CHUNK).zip(paths.chunks(KEYED_CHUNK)) {
+        let mut node: Vec<Digest> = chunk.iter().map(|o| alg.hash(&o.message)).collect();
+        let mut index: Vec<usize> = chunk.iter().map(|o| o.index).collect();
+        want_hashes += chunk.len();
+        let levels = paths.iter().map(|p| p.len().max(1)).max().unwrap_or(0);
+        for level in 0..levels {
+            let mut distinct = HashSet::new();
+            for k in 0..chunk.len() {
+                let depth = paths[k].len();
+                if level >= depth.max(1) {
+                    continue;
+                }
+                let key = chunk[k].key.as_bytes();
+                let mut input = Vec::new();
+                if depth == 0 {
+                    input.extend_from_slice(key);
+                    input.extend_from_slice(node[k].as_bytes());
+                } else {
+                    if level + 1 == depth {
+                        input.extend_from_slice(key);
+                    }
+                    let (l, r) = if index[k].is_multiple_of(2) {
+                        (node[k], paths[k][level])
+                    } else {
+                        (paths[k][level], node[k])
+                    };
+                    input.extend_from_slice(l.as_bytes());
+                    input.extend_from_slice(r.as_bytes());
+                }
+                node[k] = alg.hash(&input);
+                index[k] >>= 1;
+                distinct.insert(input);
+            }
+            want_hashes += distinct.len();
+        }
+    }
+    let mut got = vec![Digest::zero(alg); items.len()];
+    let scope = counting::Scope::start();
+    merkle::keyed_roots(alg, &items, &mut got);
+    let hashes = scope.finish().invocations as usize;
+    for (k, (item, path)) in items.iter().zip(&paths).enumerate() {
+        let want =
+            merkle::keyed_root_from_path(alg, item.key, &alg.hash(item.message), item.index, path);
+        assert_eq!(got[k], want, "{alg} {what}: item {k}");
+    }
+    assert_eq!(hashes, want_hashes, "{alg} {what}: hashes");
+}
+
+/// A tree of `leaves` random messages under a random key, as S2s.
+fn keyed_tree(alg: Algorithm, rng: &mut StdRng, leaves: usize) -> Vec<Owned> {
+    use alpha_crypto::merkle::MerkleTree;
+    let msgs: Vec<Vec<u8>> = (0..leaves)
+        .map(|_| {
+            let len = rng.gen_range(0..300usize);
+            rand_msg(rng, len)
+        })
+        .collect();
+    let tree = MerkleTree::from_messages(alg, &msgs);
+    let key = alg.hash(&rand_msg(rng, 8));
+    msgs.into_iter()
+        .enumerate()
+        .map(|(j, message)| Owned {
+            key,
+            message,
+            index: j,
+            packed: tree
+                .auth_path(j)
+                .iter()
+                .flat_map(|d| d.as_bytes().to_vec())
+                .collect(),
+        })
+        .collect()
+}
+
+/// `merkle::keyed_roots` (each distinct node hashed once, on the active
+/// backend) against the per-item walk and the distinct-input hash count
+/// ([`check_keyed_roots`]), on seeded runs the verifiers see: a
+/// bundle's leaves in order, shuffled, descending, duplicated, spanning
+/// trees of up to 256 leaves under other keys (so mixed depths and
+/// single-leaf trees in one chunk), longer than one chunk, with one
+/// item forged by a flipped message, sibling or key byte or a wrong
+/// index. SHA-256's top node is two blocks, as is SHA-1's.
 #[test]
 fn keyed_roots_match_the_per_item_walk() {
-    use alpha_crypto::merkle::{self, KeyedLeaf, MerkleTree, Siblings};
     let mut rng = StdRng::seed_from_u64(0x7ee5);
     for alg in ALGS {
-        for round in 0..48 {
-            let trees: Vec<(Digest, Vec<Vec<u8>>, MerkleTree)> = (0..2)
-                .map(|_| {
-                    let leaves = rng.gen_range(1..=40usize);
-                    let msgs: Vec<Vec<u8>> = (0..leaves)
-                        .map(|_| {
-                            let len = rng.gen_range(0..300usize);
-                            rand_msg(&mut rng, len)
-                        })
-                        .collect();
-                    let tree = MerkleTree::from_messages(alg, &msgs);
-                    (alg.hash(&rand_msg(&mut rng, 8)), msgs, tree)
+        for round in 0..64 {
+            let trees: Vec<Vec<Owned>> = (0..3)
+                .map(|t| {
+                    let leaves = match t {
+                        0 => rng.gen_range(1..=40usize),
+                        1 => rng.gen_range(1..=256usize),
+                        _ => 1,
+                    };
+                    keyed_tree(alg, &mut rng, leaves)
                 })
                 .collect();
-            // (tree, leaf) pairs: an in-order stretch of tree 0, then
-            // per round shuffled, duplicated or mixed in tree 1.
-            let (_, msgs0, _) = &trees[0];
-            let start = rng.gen_range(0..msgs0.len());
-            let len = rng.gen_range(1..=(msgs0.len() - start).min(20));
-            let mut picks: Vec<(usize, usize)> = (start..start + len).map(|j| (0, j)).collect();
-            match round % 4 {
+            // An in-order stretch of tree 0, then per round shuffled,
+            // descending, duplicated or mixed with trees 1 and 2.
+            let start = rng.gen_range(0..trees[0].len());
+            let len = rng.gen_range(1..=(trees[0].len() - start).min(20));
+            let mut run: Vec<Owned> = trees[0][start..start + len].to_vec();
+            match round % 5 {
                 1 => {
-                    for i in (1..picks.len()).rev() {
-                        picks.swap(i, rng.gen_range(0..=i));
+                    for i in (1..run.len()).rev() {
+                        run.swap(i, rng.gen_range(0..=i));
                     }
                 }
-                2 => {
-                    let dup = picks[rng.gen_range(0..picks.len())];
-                    picks.insert(rng.gen_range(0..=picks.len()), dup);
+                2 => run.reverse(),
+                3 => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let dup = run[rng.gen_range(0..run.len())].clone();
+                        run.insert(rng.gen_range(0..=run.len()), dup);
+                    }
                 }
-                3 => picks.extend((0..trees[1].1.len().min(24)).map(|j| (1, j))),
+                4 => {
+                    let from = rng.gen_range(0..trees[1].len());
+                    let take = (trees[1].len() - from).min(24);
+                    run.extend_from_slice(&trees[1][from..from + take]);
+                    run.insert(rng.gen_range(0..=run.len()), trees[2][0].clone());
+                    for i in (1..run.len()).rev() {
+                        run.swap(i, rng.gen_range(0..=i));
+                    }
+                }
                 _ => {}
             }
-            let mut packed: Vec<Vec<u8>> = picks
-                .iter()
-                .map(|&(t, j)| {
-                    let path = trees[t].2.auth_path(j);
-                    path.iter().flat_map(|d| d.as_bytes().to_vec()).collect()
-                })
-                .collect();
-            let mut msgs: Vec<Vec<u8>> =
-                picks.iter().map(|&(t, j)| trees[t].1[j].clone()).collect();
-            let mut keys: Vec<Digest> = picks.iter().map(|&(t, _)| trees[t].0).collect();
-            let mut index: Vec<usize> = picks.iter().map(|&(_, j)| j).collect();
             // Forge one item (some rounds leave the run clean).
-            let victim = rng.gen_range(0..picks.len());
+            let victim = rng.gen_range(0..run.len());
+            let v = &mut run[victim];
             match rng.gen_range(0..5) {
-                0 if !msgs[victim].is_empty() => msgs[victim][0] ^= 1,
-                1 if !packed[victim].is_empty() => {
-                    let at = rng.gen_range(0..packed[victim].len());
-                    packed[victim][at] ^= 0x80;
+                0 if !v.message.is_empty() => v.message[0] ^= 1,
+                1 if !v.packed.is_empty() => {
+                    let at = rng.gen_range(0..v.packed.len());
+                    v.packed[at] ^= 0x80;
                 }
-                2 => keys[victim] = alg.hash(b"guessed"),
-                3 => index[victim] ^= 1,
+                2 => v.key = alg.hash(b"guessed"),
+                3 => v.index ^= 1,
                 _ => {}
             }
-            let paths: Vec<Vec<Digest>> = packed
-                .iter()
-                .map(|p| {
-                    p.chunks_exact(alg.digest_len())
-                        .map(Digest::from_slice)
-                        .collect()
-                })
-                .collect();
-            let items: Vec<KeyedLeaf<'_>> = (0..picks.len())
-                .map(|k| KeyedLeaf {
-                    key: &keys[k],
-                    message: &msgs[k],
-                    index: index[k],
-                    path: if k % 2 == 0 {
-                        Siblings::packed(alg, &packed[k])
-                    } else {
-                        Siblings::from(paths[k].as_slice())
-                    },
-                })
-                .collect();
-            let mut got = vec![Digest::zero(alg); items.len()];
-            merkle::keyed_roots(alg, &items, &mut got);
-            for (k, item) in items.iter().enumerate() {
-                let want = merkle::keyed_root_from_path(
-                    alg,
-                    item.key,
-                    &alg.hash(item.message),
-                    item.index,
-                    &paths[k],
-                );
-                assert_eq!(got[k], want, "{alg} round {round} item {k}");
+            check_keyed_roots(alg, &run, &format!("round {round}"));
+        }
+        // A single-leaf tree's S2 twice, once claiming index 1: both
+        // hash the same `key | leaf`, whatever the index says.
+        let lone = keyed_tree(alg, &mut rng, 1).remove(0);
+        let mut odd = lone.clone();
+        odd.index = 1;
+        check_keyed_roots(alg, &[lone, odd], "single leaf, both parities");
+    }
+}
+
+/// A sibling forged at every level and every position of an in-order
+/// bundle (16 leaves of a 32- and a 256-leaf tree), alone and with a
+/// second forgery of the same sibling bytes in the item beside it.
+#[test]
+fn keyed_roots_forged_at_every_level_and_position() {
+    let mut rng = StdRng::seed_from_u64(0xf0f0);
+    for alg in ALGS {
+        for leaves in [32usize, 256] {
+            let tree = keyed_tree(alg, &mut rng, leaves);
+            let start = rng.gen_range(0..=leaves - 16);
+            let run = &tree[start..start + 16];
+            check_keyed_roots(alg, run, "honest");
+            let depth = run[0].packed.len() / alg.digest_len();
+            let dl = alg.digest_len();
+            for victim in 0..run.len() {
+                for level in 0..depth {
+                    let mut forged = run.to_vec();
+                    forged[victim].packed[level * dl] ^= 1;
+                    check_keyed_roots(
+                        alg,
+                        &forged,
+                        &format!("{leaves} item {victim} level {level}"),
+                    );
+                    let twin = victim ^ 1;
+                    if forged[twin].packed[level * dl..(level + 1) * dl]
+                        == run[victim].packed[level * dl..(level + 1) * dl]
+                    {
+                        forged[twin].packed[level * dl] ^= 1;
+                        check_keyed_roots(
+                            alg,
+                            &forged,
+                            &format!("{leaves} twin {victim} level {level}"),
+                        );
+                    }
+                }
             }
         }
     }

@@ -205,6 +205,12 @@ impl From<ProtocolError> for EngineError {
 /// call counted on its datagram path — packets and bytes in and out,
 /// verified S2s, the relay buffer gauge — reaches the metrics registry
 /// once, when the call returns.
+///
+/// An output can be reused: [`EngineOutput::clear`] empties it but keeps
+/// its lists, its extraction arena and its delivered payload buffers, so
+/// a caller that feeds every burst into one output through
+/// [`EngineCore::handle_datagrams_into`] allocates nothing for them once
+/// they have grown to its bursts.
 #[derive(Default)]
 pub struct EngineOutput {
     /// Datagrams to transmit, already bundled/chunked at wire limits.
@@ -220,6 +226,9 @@ pub struct EngineOutput {
     pub completed: Vec<FlowKey>,
     /// What the call has counted but not yet published.
     pub(super) pending: Pending,
+    /// Payload buffers of deliveries [`EngineOutput::clear`] took back,
+    /// for the next deliveries to copy into.
+    spare: Vec<Vec<u8>>,
 }
 
 impl EngineOutput {
@@ -231,23 +240,32 @@ impl EngineOutput {
         self.completed.extend(other.completed);
     }
 
-    /// An output for a call handling `burst` datagrams of `bytes` in
-    /// all: the datagram and extraction lists are sized for it on first
-    /// use, so a burst grows neither.
-    pub(super) fn for_burst(burst: usize, bytes: usize) -> EngineOutput {
-        EngineOutput {
-            pending: Pending {
-                burst,
-                burst_bytes: bytes,
-                ..Pending::default()
-            },
-            ..EngineOutput::default()
-        }
+    /// Empty the output for reuse, keeping what it allocated: the lists'
+    /// capacity, the extraction arena and the delivered payloads'
+    /// buffers. Staged frames go back to the engine's pool.
+    pub fn clear(&mut self) {
+        self.datagrams.clear();
+        self.spare
+            .extend(self.delivered.drain(..).map(|(_, _, payload)| payload));
+        self.extracted.arena.clear();
+        self.extracted.count = 0;
+        self.completed.clear();
+    }
+
+    /// Start a call handling `burst` datagrams of `bytes` in all: the
+    /// datagram list and the extraction arena are sized for it when the
+    /// call first uses them, so a burst grows neither.
+    pub(super) fn begin_burst(&mut self, burst: usize, bytes: usize) {
+        self.pending = Pending {
+            burst,
+            burst_bytes: bytes,
+            ..Pending::default()
+        };
     }
 
     /// Stage a datagram toward `dst`.
     pub(super) fn push_datagram(&mut self, dst: SocketAddr, frame: Frame) {
-        if self.datagrams.capacity() == 0 {
+        if self.datagrams.is_empty() {
             self.datagrams.reserve(self.pending.burst);
         }
         self.pending.packets_out += 1;
@@ -255,12 +273,21 @@ impl EngineOutput {
         self.datagrams.push((dst, frame));
     }
 
+    /// Deliver a payload verified on a host flow, copied into a buffer a
+    /// [`EngineOutput::clear`] took back when there is one.
+    pub(super) fn deliver(&mut self, assoc_id: u64, seq: u32, payload: &[u8]) {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(payload);
+        self.delivered.push((assoc_id, seq, buf));
+    }
+
     /// Record a payload verified in transit. The first one sizes the
     /// arena for the whole burst: every S2's wire header is longer than
     /// an arena entry's, so the burst's datagram bytes bound what it can
     /// extract, whatever its bundling and payload lengths.
     pub(super) fn extract(&mut self, assoc_id: u64, payload: &[u8]) {
-        if self.extracted.arena.capacity() == 0 {
+        if self.extracted.is_empty() {
             self.extracted.arena.reserve(self.pending.burst_bytes);
         }
         self.extracted.push(assoc_id, payload);

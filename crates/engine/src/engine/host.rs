@@ -457,25 +457,28 @@ impl EngineCore {
         // S2s verify or drop, they are never refused at admission
         // (`admit` vets S1 / HS1 only), so the whole run goes in.
         let items = s2_run_items(views);
+        let run = &items[..views.len()];
+        let mut verdicts = [Err(ProtocolError::NoExchange); MAX_BUNDLE];
+        let verdicts = &mut verdicts[..run.len()];
         let mut replies = Vec::new();
+        flow.assoc
+            .handle_s2_run(key.assoc_id, run, now, &mut replies, verdicts);
         let mut delivered = 0;
         let mut verified = false;
-        out.delivered.reserve(views.len());
-        flow.assoc
-            .handle_s2_run(key.assoc_id, &items[..views.len()], now, &mut |verdict| {
-                match verdict {
-                    Ok(v) => {
-                        verified = true;
-                        if let Some(payload) = v.delivered {
-                            // The one payload copy on the delivery path.
-                            out.delivered.push((key.assoc_id, v.seq, payload.to_vec()));
-                            delivered += 1;
-                        }
-                        replies.extend(v.reply);
+        out.delivered.reserve(run.len());
+        for verdict in verdicts.iter() {
+            match verdict {
+                Ok(v) => {
+                    verified = true;
+                    if let Some(payload) = v.delivered {
+                        // The one payload copy on the delivery path.
+                        out.deliver(key.assoc_id, v.seq, payload);
+                        delivered += 1;
                     }
-                    Err(e) => self.metrics.record_drop(protocol_drop_reason(e)),
                 }
-            });
+                Err(e) => self.metrics.record_drop(protocol_drop_reason(*e)),
+            }
+        }
         if !verified {
             return;
         }

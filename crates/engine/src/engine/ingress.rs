@@ -48,8 +48,23 @@ impl EngineCore {
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) -> EngineOutput {
+        let mut out = EngineOutput::default();
+        self.handle_datagrams_into(batch, now, rng, &mut out);
+        out
+    }
+
+    /// [`EngineCore::handle_datagrams`], appending to `out`: a caller
+    /// that [`EngineOutput::clear`]s one output and feeds it every burst
+    /// reuses its lists, arena and delivered payload buffers.
+    pub fn handle_datagrams_into(
+        &self,
+        batch: &[(SocketAddr, &[u8])],
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut EngineOutput,
+    ) {
         let bytes = batch.iter().map(|(_, b)| b.len()).sum();
-        let mut out = EngineOutput::for_burst(batch.len(), bytes);
+        out.begin_burst(batch.len(), bytes);
         let mut source: Option<(SocketAddr, Option<Route>)> = None;
         for &(from, bytes) in batch {
             let route = match source {
@@ -60,10 +75,9 @@ impl EngineCore {
                     route
                 }
             };
-            self.handle_datagram_into(from, route, bytes, now, rng, &mut out);
+            self.handle_datagram_into(from, route, bytes, now, rng, out);
         }
-        self.publish(&mut out);
-        out
+        self.publish(out);
     }
 
     /// One datagram of a burst, appending to the burst's output.

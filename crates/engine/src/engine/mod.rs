@@ -203,11 +203,12 @@ fn canonical(a: SocketAddr, b: SocketAddr) -> SocketAddr {
     }
 }
 
-/// The fields of a run of S2 views, as the batched verifiers take them;
-/// entries past `views.len()` repeat the first. Only for runs the intake
-/// grouped (`ingress` for hosts, `relay_datagram` for relays): at most a
-/// bundle of views, each decoded as an S2.
-fn s2_run_items<'a>(views: &[Option<PacketView<'a>>]) -> [S2BatchItem<'a>; MAX_BUNDLE] {
+/// The fields of a run of S2 views, as the batched verifiers take them,
+/// borrowed from the views; entries past `views.len()` repeat the first.
+/// Only for runs the intake grouped (`ingress` for hosts,
+/// `relay_datagram` for relays): at most a bundle of views, each decoded
+/// as an S2.
+fn s2_run_items<'a>(views: &'a [Option<PacketView<'_>>]) -> [S2BatchItem<'a>; MAX_BUNDLE] {
     // Allowlist: both callers group only views that decoded as S2s.
     let item = |k: usize| {
         views[k]

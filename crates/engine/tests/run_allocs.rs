@@ -4,13 +4,15 @@
 //! `EngineOutput::delivered` carries) plus one reservation of that list,
 //! and on a relay two lists whatever the bundle's size: the output's
 //! datagram list and its extraction arena. No response, event list, path
-//! copy or payload copy of its own per S2.
+//! copy or payload copy of its own per S2. Through
+//! `EngineCore::handle_datagrams_into` on one reused output, as the live
+//! worker calls it, a warm host allocates nothing at all.
 
 mod common;
 
 use alpha_core::{Config, Mode};
 use alpha_crypto::Algorithm;
-use alpha_engine::EngineConfig;
+use alpha_engine::{EngineConfig, EngineOutput};
 use alpha_wire::bundle;
 use common::net::{client, packets, Net};
 use common::CountingAlloc;
@@ -66,4 +68,46 @@ fn a_verified_bundle_allocates_its_payloads_and_a_constant() {
     assert!(host[2..].iter().all(|&n| n == RUN + 1), "host: {host:?}");
     let relay = allocs_per_bundle(true);
     assert!(relay[2..].iter().all(|&n| n == 2), "relay: {relay:?}");
+}
+
+/// Allocations made by verifying each S2 datagram of `exchanges`
+/// unreliable exchanges of `msgs` messages in `mode` at a host, every
+/// one through `handle_datagrams_into` on one output cleared before
+/// each: ALPHA-M bundles go out as 16-S2 datagrams, Base as one S2 each.
+fn allocs_into_one_output(mode: Mode, msgs: usize, exchanges: usize) -> Vec<u64> {
+    let cfg = EngineConfig::new(Config::new(Algorithm::Sha1).with_chain_len(64));
+    let (mut net, verifier) = Net::path(4, cfg, cfg, None);
+    let ca = client();
+    let key = net.connect(ca, verifier, 6);
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut out = EngineOutput::default();
+    let mut counts = Vec::new();
+    for round in 0..exchanges {
+        let payloads: Vec<Vec<u8>> = (0..msgs).map(|i| vec![(round + i) as u8; 1024]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        net.sign(ca, key, &refs, mode).expect("sign");
+        let held = net.pump_holding(|d| d.carries_s2());
+        for frame in &held {
+            out.clear();
+            let engine = net.engine(verifier);
+            let batch = [(ca, frame.frame.as_slice())];
+            let ((), allocs) = common::allocations(|| {
+                engine.handle_datagrams_into(&batch, net.now, &mut rng, &mut out);
+            });
+            counts.push(allocs);
+            assert_eq!(out.delivered.len(), packets(&frame.frame).len());
+            assert!(out.datagrams.is_empty(), "an unreliable S2 is not answered");
+        }
+        net.pump();
+    }
+    counts
+}
+
+#[test]
+fn a_warm_host_verifies_into_a_reused_output_without_allocating() {
+    // The first exchange sizes the output's lists and buffers.
+    let merkle = allocs_into_one_output(Mode::Merkle, 32, 4);
+    assert!(merkle[2..].iter().all(|&n| n == 0), "merkle: {merkle:?}");
+    let base = allocs_into_one_output(Mode::Base, 1, 6);
+    assert!(base[1..].iter().all(|&n| n == 0), "base: {base:?}");
 }

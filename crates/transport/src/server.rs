@@ -305,6 +305,7 @@ impl Engine {
                 rx: Vec::with_capacity(MAX_BURST),
                 handed: Vec::with_capacity(MAX_BURST),
                 local: Vec::with_capacity(MAX_BURST),
+                out: EngineOutput::default(),
             };
             threads.push(std::thread::spawn(move || worker.run()));
         }
@@ -460,6 +461,10 @@ struct Worker {
     /// Locally-processed subset of a receive burst, reused across
     /// iterations.
     local: Vec<RxDatagram>,
+    /// The engine's output, reused by every call this worker makes:
+    /// its lists, extraction arena and delivered payload buffers stay
+    /// allocated across bursts. Empty between calls.
+    out: EngineOutput,
 }
 
 /// A datagram served below the engine, by whichever worker receives
@@ -609,8 +614,9 @@ impl Worker {
                 batch[n] = datagram;
                 n += 1;
             }
-            let out = self.core.handle_datagrams(&batch[..n], now, &mut self.rng);
-            dispatch(&self.io, &out, self.sink.as_deref());
+            self.core
+                .handle_datagrams_into(&batch[..n], now, &mut self.rng, &mut self.out);
+            dispatch(&self.io, &mut self.out, self.sink.as_deref());
             if datagrams.peek().is_some() {
                 now = self.now();
                 let hint = self.core.worker_next_deadline(self.me);
@@ -624,13 +630,12 @@ impl Worker {
 
     /// Advance the timers of every shard this worker polls.
     fn poll_timers(&mut self, now: Timestamp) {
-        let mut out = EngineOutput::default();
         for s in 0..self.shards {
             if self.core.polls_shard(s, self.me, self.workers as u32) {
-                self.core.poll_shard(s, now, &mut self.rng, &mut out);
+                self.core.poll_shard(s, now, &mut self.rng, &mut self.out);
             }
         }
-        dispatch(&self.io, &out, self.sink.as_deref());
+        dispatch(&self.io, &mut self.out, self.sink.as_deref());
     }
 
     /// Answer a control datagram inline.
@@ -918,14 +923,16 @@ impl Wait {
 
 /// Route an engine output burst to the wire in one gathered
 /// `send_batch`, so replies leave before the worker goes back to its
-/// wait, then hand deliveries to the sink.
-fn dispatch(io: &UdpIo, out: &EngineOutput, sink: Option<&DeliverySink>) {
+/// wait, hand deliveries to the sink, then empty the output for the
+/// worker's next call (its frames go back to the pool).
+fn dispatch(io: &UdpIo, out: &mut EngineOutput, sink: Option<&DeliverySink>) {
     let _ = io.send_batch(&out.datagrams);
     if let Some(sink) = sink {
         if !out.delivered.is_empty() || !out.extracted.is_empty() || !out.completed.is_empty() {
             sink(out);
         }
     }
+    out.clear();
 }
 
 /// Query a running engine's stats over UDP (the `engine stats` CLI).
@@ -1200,6 +1207,7 @@ mod tests {
             rx: backlog,
             handed: Vec::new(),
             local: Vec::new(),
+            out: EngineOutput::default(),
         };
         let now = worker.now();
         worker.ingest(now);
