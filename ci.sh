@@ -200,6 +200,18 @@ cargo test -q -p alpha-sim mesh_chain
 echo "==> mesh: live 2-relay loopback smoke (release)"
 cargo run --release --example mesh_smoke
 
+# Both scenarios are seeded and run on the engine relays the simulator
+# builds, so their committed outputs regenerate byte for byte (well
+# under a second each in release). A relay change that moves a figure
+# fails here; regenerate results/ and say why in EXPERIMENTS.md.
+echo "==> sim outputs: flows_scaling and wmn_estimate regenerate results/ byte-identical (release)"
+for bin in flows_scaling wmn_estimate; do
+    cargo run --release -q -p alpha-bench --bin "$bin" | diff "results/$bin.txt" - || {
+        echo "ci: $bin output differs from results/$bin.txt" >&2
+        exit 1
+    }
+done
+
 echo "==> mesh chain bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin mesh_chain -- --quick
 

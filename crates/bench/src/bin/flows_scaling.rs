@@ -12,7 +12,7 @@
 use alpha_bench::table;
 use alpha_core::{Config, Mode, Timestamp};
 use alpha_crypto::Algorithm;
-use alpha_sim::{star_through_relay, App, DeviceModel, LinkConfig, SenderApp, Simulator};
+use alpha_sim::{star_through_engine, App, DeviceModel, LinkConfig, SenderApp, Simulator};
 
 fn main() {
     let mut rows = Vec::new();
@@ -20,7 +20,7 @@ fn main() {
         let mut sim = Simulator::new(flows as u64);
         sim.set_tick_us(5_000);
         let cfg = Config::new(Algorithm::Sha1).with_chain_len(512);
-        let (relay, endpoints) = star_through_relay(
+        let (relay, endpoints) = star_through_engine(
             &mut sim,
             flows,
             DeviceModel::xeon(),
@@ -34,8 +34,8 @@ fn main() {
             .iter()
             .map(|(_, r)| sim.metrics[*r].delivered_msgs)
             .sum();
-        let relay_node = sim.node(relay).as_relay().expect("relay");
-        let total = relay_node.relay.total_buffered_bytes();
+        let core = &sim.node(relay).as_engine_relay().expect("relay").core;
+        let total = core.buffered_bytes() as usize;
         rows.push(vec![
             flows.to_string(),
             delivered.to_string(),

@@ -12,8 +12,9 @@
 //! - [`link`] — lossy, jittery, rate-limited links with byte-level
 //!   corruption and duplication (packets travel as real wire bytes, so
 //!   corruption exercises the parsers).
-//! - [`node`] — endpoint, relay, and attacker nodes wrapping the sans-io
-//!   state machines from `alpha-core`.
+//! - [`node`] — endpoint, relay, and attacker nodes: endpoints wrap the
+//!   sans-io state machines from `alpha-core`, relays are the
+//!   `alpha-engine` core the `alpha` binary runs.
 //! - [`sim`] — the event queue, virtual clock, per-node CPU serialization
 //!   (a busy CPU delays its own output — this is what makes verifiable
 //!   throughput CPU-bound, as in §4.1.2), and metrics.
@@ -31,10 +32,8 @@ pub use device::{AffineCost, DeviceModel};
 pub use link::{GeChannel, GilbertElliott, LinkConfig};
 pub use node::{
     sim_addr_node, sim_node_addr, App, Attacker, Endpoint, EngineRelayNode, MeshRelayNode, Node,
-    RelayNode, SenderApp,
+    SenderApp,
 };
 pub use sim::{Frame, NodeId, NodeMetrics, Simulator};
-pub use topology::{
-    chained_mesh_path, protected_path, star_through_engine, star_through_relay, MeshChain,
-};
+pub use topology::{chained_mesh_path, protected_path, star_through_engine, MeshChain};
 pub use trace::{PacketKind, Trace, TraceEntry, TraceEvent};

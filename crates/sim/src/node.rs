@@ -1,14 +1,22 @@
 //! Simulator nodes: endpoints, relays, and attackers.
 //!
 //! Endpoints wrap an [`alpha_core::Association`] plus a scripted
-//! application; relays wrap [`alpha_core::Relay`]; attackers inject or
-//! replay traffic. All protocol work happens in the real state machines —
-//! the node layer only moves frames and timestamps around.
+//! application. Every ALPHA-aware relay is the
+//! [`alpha_engine::EngineCore`] the `alpha` binary runs: an
+//! [`EngineRelayNode`] serves the endpoint pairs its topology builder
+//! routes through it, as `alpha engine serve --route` does, and a
+//! [`MeshRelayNode`] adds the mesh control plane. Both count what their
+//! engine judged on the node, each drop under its engine reason label.
+//! [`Node::DumbRelay`] forwards without looking; attackers inject or
+//! replay traffic. All protocol work happens in the real state machines
+//! — the node layer only moves frames and timestamps around.
 
-use alpha_core::{
-    bootstrap, Association, Config, Mode, Relay, RelayConfig, RelayDecision, Timestamp,
-};
+use std::sync::atomic::Ordering::Relaxed;
+
+use alpha_core::{bootstrap, Association, Config, DropReason, Mode, RelayConfig, Timestamp};
 use alpha_crypto::Digest;
+use alpha_engine::metrics::drop_label;
+use alpha_engine::EngineCore;
 use alpha_wire::limits::MAX_BUNDLE;
 use alpha_wire::{bundle, Packet, PacketType, PacketView};
 use rand::rngs::StdRng;
@@ -495,81 +503,17 @@ fn payload_timestamp(payload: &[u8]) -> Option<Timestamp> {
     Some(Timestamp::from_micros(u64::from_be_bytes(b)))
 }
 
-/// A forwarding node running the ALPHA relay.
-pub struct RelayNode {
-    /// Device pricing this relay's verification work.
-    pub device: DeviceModel,
-    /// The protocol relay.
-    pub relay: Relay,
-}
-
-impl RelayNode {
-    /// Relay with the given policy.
-    #[must_use]
-    pub fn new(device: DeviceModel, cfg: RelayConfig) -> RelayNode {
-        RelayNode {
-            device,
-            relay: Relay::new(cfg),
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: Frame, out: &mut NodeOutput) {
-        // The engine's relay steps (`engine/relay.rs`): split, decode
-        // each slice as a view, judge it, splice what passed into the
-        // outgoing frame. Bundles are verified packet by packet — a bundle
-        // is not an all-or-nothing unit, each inner packet stands on its
-        // own authentication — but one undecodable slice drops the frame.
-        let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
-        let views = bundle::split(&frame.bytes, &mut slices).and_then(|n| {
-            slices[..n]
-                .iter()
-                .map(|s| PacketView::parse(s))
-                .collect::<Result<Vec<_>, _>>()
-        });
-        let Ok(views) = views else {
-            ctx.metrics.parse_errors += 1;
-            ctx.metrics.drop_reason("parse-error");
-            return;
-        };
-        let mut pass = Vec::with_capacity(views.len());
-        for (view, slice) in views.iter().zip(slices) {
-            let (decision, outcome) = self.relay.observe_view(view, slice.len(), ctx.now);
-            if outcome.verified_s2.is_some() {
-                ctx.metrics.extracted_payloads += 1;
-            }
-            match decision {
-                RelayDecision::Forward => pass.push(slice),
-                RelayDecision::Drop(reason) => {
-                    ctx.metrics
-                        .drop_reason(alpha_engine::metrics::drop_label(reason));
-                }
-            }
-        }
-        if !pass.is_empty() {
-            ctx.metrics.forwarded += 1;
-            let mut bytes = Vec::new();
-            // Allowlist: `pass` holds 1..=MAX_BUNDLE slices, and several
-            // of them came out of one bundle frame, so each length
-            // already fit the u16 prefix.
-            bundle::emit_slices_into(&pass, &mut bytes).expect("valid re-bundle");
-            out.frames.push(Frame {
-                src: frame.src,
-                dst: frame.dst,
-                bytes,
-            });
-        }
-    }
-}
-
-/// A forwarding node running the sharded multi-flow engine instead of a
-/// bare [`alpha_core::Relay`]: every flow of the topology shares one
-/// [`alpha_engine::EngineCore`], exercising its flow table, admission
-/// control and metrics under simulated time.
+/// An ALPHA-aware forwarder: the multi-flow [`EngineCore`] that `alpha
+/// engine serve --route` runs, under simulated time. Every flow it
+/// relays shares one flow table, one admission policy and one metrics
+/// registry. It serves only the endpoint pairs it was built with: a
+/// datagram from any other source meets the engine's host path, which
+/// takes no handshakes here, and is dropped.
 pub struct EngineRelayNode {
     /// Device pricing this relay's verification work.
     pub device: DeviceModel,
     /// The multi-flow engine core.
-    pub core: alpha_engine::EngineCore,
+    pub core: EngineCore,
 }
 
 /// Synthetic address for a simulator node, so the address-keyed engine
@@ -592,50 +536,93 @@ pub fn sim_addr_node(addr: std::net::SocketAddr) -> Option<NodeId> {
     }
 }
 
-impl EngineRelayNode {
-    /// Engine relay with the given relay policy.
-    #[must_use]
-    pub fn new(device: DeviceModel, cfg: RelayConfig) -> EngineRelayNode {
-        let mut ecfg = alpha_engine::EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
-        ecfg.relay = cfg;
-        ecfg.accept_handshakes = false;
-        EngineRelayNode {
-            device,
-            core: alpha_engine::EngineCore::new(ecfg),
+/// A relay engine with `relay` as its policy; it stands up no host flows.
+fn relay_engine(relay: RelayConfig) -> EngineCore {
+    let mut ecfg = alpha_engine::EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
+    ecfg.relay = relay;
+    ecfg.accept_handshakes = false;
+    EngineCore::new(ecfg)
+}
+
+/// Every [`DropReason`], so an engine's drops can be read back by reason.
+const DROP_REASONS: [DropReason; 7] = [
+    DropReason::BadChainElement,
+    DropReason::BadMac,
+    DropReason::Unsolicited,
+    DropReason::BadVerdict,
+    DropReason::RateLimited,
+    DropReason::UnknownAssociation,
+    DropReason::Malformed,
+];
+
+/// Hand the datagram `bytes`, received from node `from`, to a relay's
+/// engine, and send what it forwards from node `src` toward the hop its
+/// routes name. What the engine judged is counted on the node: each drop
+/// under its engine reason label, a datagram that does not decode as a
+/// parse error, each payload verified in transit.
+fn engine_relay_step(
+    core: &EngineCore,
+    ctx: &mut NodeCtx<'_>,
+    from: NodeId,
+    src: NodeId,
+    bytes: &[u8],
+    out: &mut NodeOutput,
+) {
+    let m = core.metrics();
+    let drops = DROP_REASONS.map(|r| m.drops(r));
+    let parse_errors = m.parse_errors.load(Relaxed);
+    let engine_out = core.handle_datagram(sim_node_addr(from), bytes, ctx.now, ctx.rng);
+    for (reason, before) in DROP_REASONS.into_iter().zip(drops) {
+        for _ in before..m.drops(reason) {
+            ctx.metrics.drop_reason(drop_label(reason));
         }
+    }
+    for _ in parse_errors..m.parse_errors.load(Relaxed) {
+        ctx.metrics.parse_errors += 1;
+        ctx.metrics.drop_reason("parse-error");
+    }
+    ctx.metrics.extracted_payloads += engine_out.extracted.len() as u64;
+    for (dst_addr, bytes) in engine_out.datagrams {
+        let Some(dst) = sim_addr_node(dst_addr) else {
+            ctx.metrics.drop_reason("no-such-peer");
+            continue;
+        };
+        ctx.metrics.forwarded += 1;
+        out.frames.push(Frame {
+            src,
+            dst,
+            bytes: bytes.into_vec(),
+        });
+    }
+}
+
+impl EngineRelayNode {
+    /// Engine relay with the given relay policy, serving each `(a, b)`
+    /// endpoint pair of `routes` in both directions.
+    #[must_use]
+    pub fn new(
+        device: DeviceModel,
+        cfg: RelayConfig,
+        routes: &[(NodeId, NodeId)],
+    ) -> EngineRelayNode {
+        let core = relay_engine(cfg);
+        for &(a, b) in routes {
+            core.add_route(sim_node_addr(a), sim_node_addr(b));
+        }
+        EngineRelayNode { device, core }
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: Frame, out: &mut NodeOutput) {
-        let from = sim_node_addr(frame.src);
-        let to = sim_node_addr(frame.dst);
-        // Routes are learned from frame addressing (the underlay's
-        // forwarding table); re-registering a known pair is a no-op.
-        self.core.add_route(from, to);
-        let m = self.core.metrics();
-        use std::sync::atomic::Ordering::Relaxed;
-        let drops_before = m.total_drops() + m.parse_errors.load(Relaxed);
-        let engine_out = self
-            .core
-            .handle_datagram(from, &frame.bytes, ctx.now, ctx.rng);
-        let drops_after = m.total_drops() + m.parse_errors.load(Relaxed);
-        for _ in drops_before..drops_after {
-            ctx.metrics.drop_reason("engine-drop");
-        }
-        ctx.metrics.extracted_payloads += engine_out.extracted.len() as u64;
-        for (_dst, bytes) in engine_out.datagrams {
-            ctx.metrics.forwarded += 1;
-            out.frames.push(Frame {
-                src: frame.src,
-                dst: frame.dst,
-                bytes: bytes.into_vec(),
-            });
-        }
+        // End-to-end addressing: the engine sees the originating
+        // endpoint as the source, and what passes keeps it as the
+        // frame's.
+        engine_relay_step(&self.core, ctx, frame.src, frame.src, &frame.bytes, out);
     }
 }
 
 /// A mesh relay: the multi-flow engine in mesh mode plus the alpha-mesh
-/// control plane, under simulated time. Unlike [`EngineRelayNode`] it
-/// never learns routes from traffic (static relay set = the paper's
+/// control plane, under simulated time. Beyond [`EngineRelayNode`] it
+/// accepts traffic from its static upstream set only (the paper's
 /// bypass defense, §3.5), re-addresses frames hop-by-hop, answers
 /// liveness probes, probes its own peers, and fails live flows over to
 /// a standby when the registry declares a peer down.
@@ -643,7 +630,7 @@ pub struct MeshRelayNode {
     /// Device pricing this relay's verification work.
     pub device: DeviceModel,
     /// The multi-flow engine core (mesh role enabled).
-    pub core: alpha_engine::EngineCore,
+    pub core: EngineCore,
     /// The peer table driving liveness and admission.
     pub registry: alpha_mesh::Registry,
     forward: alpha_mesh::PathSelector,
@@ -667,10 +654,7 @@ impl MeshRelayNode {
         next_hops: &[NodeId],
         route_sources: &[NodeId],
     ) -> MeshRelayNode {
-        let mut ecfg = alpha_engine::EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
-        ecfg.relay = relay_cfg;
-        ecfg.accept_handshakes = false;
-        let core = alpha_engine::EngineCore::new(ecfg);
+        let core = relay_engine(relay_cfg);
         core.mesh_enable(true);
         let mut registry = alpha_mesh::Registry::new(mesh_cfg);
         // Probe peers only where failover between them is possible: a
@@ -730,7 +714,6 @@ impl MeshRelayNode {
     /// Reroutes this relay has applied (forward + reverse).
     #[must_use]
     pub fn failovers(&self) -> u64 {
-        use std::sync::atomic::Ordering::Relaxed;
         self.core.metrics().mesh.failovers.load(Relaxed)
     }
 
@@ -798,31 +781,9 @@ impl MeshRelayNode {
             self.core.absorb_replica(from, inner, ctx.now, ctx.rng);
             return;
         }
-        let m = self.core.metrics();
-        use std::sync::atomic::Ordering::Relaxed;
-        let drops_before = m.total_drops() + m.parse_errors.load(Relaxed);
-        let engine_out = self
-            .core
-            .handle_datagram(from, &frame.bytes, ctx.now, ctx.rng);
-        let drops_after = m.total_drops() + m.parse_errors.load(Relaxed);
-        for _ in drops_before..drops_after {
-            ctx.metrics.drop_reason("engine-drop");
-        }
-        ctx.metrics.extracted_payloads += engine_out.extracted.len() as u64;
-        for (dst_addr, bytes) in engine_out.datagrams {
-            // Re-address each emitted datagram to the hop the engine's
-            // static routes picked (the next relay, standby, or host).
-            let Some(dst) = sim_addr_node(dst_addr) else {
-                ctx.metrics.drop_reason("no-such-peer");
-                continue;
-            };
-            ctx.metrics.forwarded += 1;
-            out.frames.push(Frame {
-                src: ctx.id,
-                dst,
-                bytes: bytes.into_vec(),
-            });
-        }
+        // Each emitted datagram goes to the hop the engine's static
+        // routes picked (the next relay, standby, or host).
+        engine_relay_step(&self.core, ctx, hop_from, ctx.id, &frame.bytes, out);
     }
 }
 
@@ -949,9 +910,7 @@ impl Attacker {
 pub enum Node {
     /// An end host.
     Endpoint(Endpoint),
-    /// An ALPHA-aware forwarder.
-    Relay(RelayNode),
-    /// An ALPHA-aware forwarder backed by the multi-flow engine.
+    /// An ALPHA-aware forwarder: the multi-flow engine.
     EngineRelay(EngineRelayNode),
     /// An engine forwarder in mesh mode: static relay set, hop-by-hop
     /// re-addressing, liveness probing, path failover.
@@ -976,7 +935,6 @@ impl Node {
     pub fn device(&self) -> &DeviceModel {
         match self {
             Node::Endpoint(e) => &e.device,
-            Node::Relay(r) => &r.device,
             Node::EngineRelay(r) => &r.device,
             Node::MeshRelay(r) => &r.device,
             Node::DumbRelay { device } => device,
@@ -989,15 +947,6 @@ impl Node {
     pub fn as_endpoint(&self) -> Option<&Endpoint> {
         match self {
             Node::Endpoint(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Relay view, if this node is one.
-    #[must_use]
-    pub fn as_relay(&self) -> Option<&RelayNode> {
-        match self {
-            Node::Relay(r) => Some(r),
             _ => None,
         }
     }
@@ -1033,7 +982,7 @@ impl Node {
         match self {
             Node::Endpoint(e) => e.on_tick(ctx, out),
             Node::MeshRelay(r) => r.on_tick(ctx, out),
-            Node::Relay(_) | Node::EngineRelay(_) | Node::DumbRelay { .. } => {}
+            Node::EngineRelay(_) | Node::DumbRelay { .. } => {}
             Node::Attacker { attacker, .. } => attacker.on_tick(ctx, out),
         }
     }
@@ -1047,7 +996,6 @@ impl Node {
     ) {
         match self {
             Node::Endpoint(e) => e.on_frame(ctx, frame, out),
-            Node::Relay(r) => r.on_frame(ctx, frame, out),
             Node::EngineRelay(r) => r.on_frame(ctx, frame, out),
             Node::MeshRelay(r) => r.on_frame(ctx, hop_from, frame, out),
             Node::DumbRelay { .. } => {
@@ -1056,5 +1004,27 @@ impl Node {
             }
             Node::Attacker { attacker, .. } => attacker.on_frame(ctx, frame, out),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drop_reasons_cover_the_engine_snapshot() {
+        // A reason left out of `DROP_REASONS` would go uncounted on the
+        // node: the engine's snapshot labels every reason it counts.
+        let snapshot = relay_engine(RelayConfig::default()).metrics().snapshot();
+        let engine: Vec<&str> = snapshot
+            .get("drops")
+            .and_then(serde::Value::as_object)
+            .expect("a drops object")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        let mut ours: Vec<&str> = DROP_REASONS.iter().map(|&r| drop_label(r)).collect();
+        ours.sort_unstable();
+        assert_eq!(ours, engine);
     }
 }

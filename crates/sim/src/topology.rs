@@ -1,10 +1,16 @@
 //! Topology builders for the paper's scenarios.
+//!
+//! Every ALPHA-aware relay a builder places is an engine relay, and the
+//! builder hands it the endpoint pairs it serves, as `alpha engine
+//! serve --route` takes them: [`protected_path`] and
+//! [`star_through_engine`] build [`EngineRelayNode`]s,
+//! [`chained_mesh_path`] builds [`MeshRelayNode`]s with static peer sets.
 
 use alpha_core::{Config, RelayConfig};
 
 use crate::device::DeviceModel;
 use crate::link::LinkConfig;
-use crate::node::{App, Endpoint, EngineRelayNode, MeshRelayNode, Node, RelayNode};
+use crate::node::{sim_node_addr, App, Endpoint, EngineRelayNode, MeshRelayNode, Node};
 use crate::sim::{NodeId, Simulator};
 
 /// The protected path of Fig. 1: a signer, `n_relays` ALPHA-aware relays,
@@ -35,9 +41,11 @@ pub fn protected_path(
         mac_scheme: cfg.mac_scheme,
         ..RelayConfig::default()
     };
+    let served = [(signer_id, signer_id + 1 + n_relays)];
     let mut relays = Vec::with_capacity(n_relays);
     for _ in 0..n_relays {
-        relays.push(sim.add_node(Node::Relay(RelayNode::new(relay_device, relay_cfg))));
+        let relay = EngineRelayNode::new(relay_device, relay_cfg, &served);
+        relays.push(sim.add_node(Node::EngineRelay(relay)));
     }
     let verifier_id = sim.add_node(Node::Endpoint(Endpoint::responder(
         endpoint_device,
@@ -60,52 +68,9 @@ pub fn protected_path(
 /// A star of `pairs` independent sender→receiver flows all crossing one
 /// shared ALPHA-aware relay — the layout for relay-scalability
 /// experiments ("pre-signatures offer significantly better scalability
-/// with the number of flows", §3.1.1).
-///
-/// Returns `(relay, [(sender, receiver); pairs])`.
-pub fn star_through_relay(
-    sim: &mut Simulator,
-    pairs: usize,
-    endpoint_device: DeviceModel,
-    relay_device: DeviceModel,
-    link: LinkConfig,
-    cfg: Config,
-    mut app_for_pair: impl FnMut(usize) -> App,
-) -> (NodeId, Vec<(NodeId, NodeId)>) {
-    let relay_cfg = RelayConfig {
-        mac_scheme: cfg.mac_scheme,
-        s1_bytes_per_sec: None,
-        ..RelayConfig::default()
-    };
-    let relay = sim.add_node(Node::Relay(RelayNode::new(relay_device, relay_cfg)));
-    let mut endpoints = Vec::with_capacity(pairs);
-    for k in 0..pairs {
-        let assoc_id = 0xF10u64 + k as u64;
-        // Ids are sequential: relay is 0, then (sender, receiver) pairs.
-        let sender_id = sim.add_node(Node::Endpoint(Endpoint::initiator(
-            endpoint_device,
-            cfg,
-            assoc_id,
-            relay + 2 + 2 * k, // the receiver added right after this sender
-            app_for_pair(k),
-        )));
-        let receiver_id = sim.add_node(Node::Endpoint(Endpoint::responder(
-            endpoint_device,
-            cfg,
-            assoc_id,
-            sender_id,
-            App::Sink,
-        )));
-        sim.add_link(sender_id, relay, link);
-        sim.add_link(receiver_id, relay, link);
-        endpoints.push((sender_id, receiver_id));
-    }
-    (relay, endpoints)
-}
-
-/// Like [`star_through_relay`], but the hub is a single multi-flow
-/// [`alpha_engine::EngineCore`] ([`crate::EngineRelayNode`]) instead of a
-/// bare relay: all `pairs` associations share one flow table, one
+/// with the number of flows", §3.1.1). The hub is one multi-flow
+/// [`alpha_engine::EngineCore`] ([`crate::EngineRelayNode`]) serving
+/// every pair: all `pairs` associations share one flow table, one
 /// admission policy and one metrics registry — the deployment shape of
 /// `alpha engine serve` under simulated time.
 ///
@@ -124,13 +89,12 @@ pub fn star_through_engine(
         s1_bytes_per_sec: None,
         ..RelayConfig::default()
     };
-    let relay = sim.add_node(Node::EngineRelay(EngineRelayNode::new(
-        relay_device,
-        relay_cfg,
-    )));
+    let hub = EngineRelayNode::new(relay_device, relay_cfg, &[]);
+    let relay = sim.add_node(Node::EngineRelay(hub));
     let mut endpoints = Vec::with_capacity(pairs);
     for k in 0..pairs {
         let assoc_id = 0xE00u64 + k as u64;
+        // Ids are sequential: relay is 0, then (sender, receiver) pairs.
         let sender_id = sim.add_node(Node::Endpoint(Endpoint::initiator(
             endpoint_device,
             cfg,
@@ -145,6 +109,9 @@ pub fn star_through_engine(
             sender_id,
             App::Sink,
         )));
+        let hub = sim.node(relay).as_engine_relay().expect("the hub");
+        hub.core
+            .add_route(sim_node_addr(sender_id), sim_node_addr(receiver_id));
         sim.add_link(sender_id, relay, link);
         sim.add_link(receiver_id, relay, link);
         endpoints.push((sender_id, receiver_id));
@@ -307,7 +274,8 @@ mod tests {
         assert!(sim.node(s).as_endpoint().unwrap().is_ready());
         assert!(sim.node(v).as_endpoint().unwrap().is_ready());
         for r in relays {
-            assert_eq!(sim.node(r).as_relay().unwrap().relay.association_count(), 1);
+            let core = &sim.node(r).as_engine_relay().unwrap().core;
+            assert_eq!(core.flow_count(), 1);
         }
     }
 

@@ -1,10 +1,11 @@
 //! Flooding mitigation (§3.5): a forger floods a victim with fake S1
 //! packets through an ALPHA-aware relay while a legitimate stream runs.
 //!
-//! Two defences combine: the relay drops S1s whose chain elements do not
-//! authenticate (forged traffic dies one hop from the attacker), and the
-//! receiver-consent rule means unsolicited data never earns an A1, so
-//! nothing heavier than small S1 packets can even be attempted.
+//! Two defences combine: the relay serves only the endpoint pair it was
+//! configured with and judges every packet of that pair (forged traffic
+//! dies one hop from the attacker), and the receiver-consent rule means
+//! unsolicited data never earns an A1, so nothing heavier than small S1
+//! packets can even be attempted.
 //!
 //! Run with: `cargo run --example flood_defense`
 
@@ -28,9 +29,10 @@ fn main() {
         2, // victim's id
         app,
     )));
-    let relay = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
         alpha::core::RelayConfig::default(),
+        &[(sender, 2)], // the pair it serves: sender and victim
     )));
     let victim = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
         DeviceModel::nokia770(),
@@ -80,13 +82,21 @@ fn main() {
         legit >= 280,
         "legitimate stream must be essentially unaffected, got {legit}"
     );
-    // The victim sees only legitimate protocol traffic plus what the relay
-    // forwarded before learning better (nothing: forged elements never
-    // verify).
-    let forged_reaching_victim = r.drops.get("bad-chain-element").map_or(0, |_| 0);
+    // Link loss is counted on the sending node; every other drop is a
+    // frame the node refused. The victim refuses none of the legitimate
+    // exchange, so each of its refusals is a forged frame that got there.
+    let refused = |m: &alpha::sim::NodeMetrics| -> u64 {
+        m.drops
+            .iter()
+            .filter(|(reason, _)| **reason != "link-loss")
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let forged_reaching_victim = refused(v);
     println!(
         "  => {injected} forged packets, {} stopped at the relay, {forged_reaching_victim} reached the victim;",
-        r.drops.get("bad-chain-element").copied().unwrap_or(0)
+        refused(r)
     );
+    assert_eq!(forged_reaching_victim, 0, "victim drops: {:?}", v.drops);
     println!("     the victim's {reached} received frames are the legitimate exchange only.");
 }

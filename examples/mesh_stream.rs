@@ -29,9 +29,10 @@ fn main() {
         4, // verifier id, known by construction
         app,
     )));
-    let relay_a = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay_a = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
         alpha::core::RelayConfig::default(),
+        &[(signer, 4)], // the pair it serves: signer and verifier
     )));
     let tamperer = sim.add_node(Node::Attacker {
         device: DeviceModel::geode_lx(),
@@ -40,9 +41,10 @@ fn main() {
             tampered: 0,
         },
     });
-    let relay_b = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay_b = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
         alpha::core::RelayConfig::default(),
+        &[(signer, 4)], // the pair it serves: signer and verifier
     )));
     let verifier = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
         DeviceModel::nokia770(),

@@ -130,9 +130,10 @@ fn incremental_deployment_with_dumb_relay() {
     let dumb = sim.add_node(Node::DumbRelay {
         device: DeviceModel::geode_lx(),
     });
-    let aware = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let aware = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
         alpha::core::RelayConfig::default(),
+        &[(signer, 3)],
     )));
     let verifier = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
         DeviceModel::xeon(),
@@ -427,13 +428,15 @@ fn route_change_mid_stream_recovers_with_reliability() {
         3,
         app,
     )));
-    let relay_a = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay_a = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
         alpha::core::RelayConfig::default(),
+        &[(signer, 3)],
     )));
-    let relay_b = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay_b = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
         alpha::core::RelayConfig::default(),
+        &[(signer, 3)],
     )));
     let verifier = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
         DeviceModel::xeon(),
@@ -553,9 +556,10 @@ fn full_duplex_streams_in_both_directions() {
         2,
         app_a,
     )));
-    let relay = sim.add_node(Node::Relay(alpha::sim::RelayNode::new(
+    let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
         alpha::core::RelayConfig::default(),
+        &[(a, 2)],
     )));
     let b = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
         DeviceModel::xeon(),
@@ -618,11 +622,11 @@ fn relay_scales_across_many_flows() {
     // significantly better scalability with the number of flows". Run 8
     // independent flows through one relay and check (a) everything
     // delivers, (b) per-flow relay state stays at the Table 2 level.
-    use alpha::sim::star_through_relay;
+    use alpha::sim::star_through_engine;
     let mut sim = Simulator::new(30);
     let cfg = base_cfg();
     let pairs = 8;
-    let (relay, endpoints) = star_through_relay(
+    let (relay, endpoints) = star_through_engine(
         &mut sim,
         pairs,
         DeviceModel::xeon(),
@@ -639,10 +643,151 @@ fn relay_scales_across_many_flows() {
     assert!(sim.metrics[relay].extracted_payloads >= (pairs * 20) as u64);
     // Per-flow relay state: 4 chain trackers (~28 B each) + at most one
     // outstanding exchange's pre-signatures (5 × 20 B) + ack state.
-    let relay_node = sim.node(relay).as_relay().unwrap();
-    assert_eq!(relay_node.relay.association_count(), pairs);
-    let per_flow = relay_node.relay.total_buffered_bytes() / pairs;
+    let core = &sim.node(relay).as_engine_relay().unwrap().core;
+    assert_eq!(core.flow_count(), pairs);
+    let per_flow = core.buffered_bytes() as usize / pairs;
     assert!(per_flow < 400, "per-flow relay bytes: {per_flow}");
+}
+
+#[test]
+fn forged_s1_flood_dies_at_the_relay() {
+    // §3.5: forged traffic dies one hop from the attacker. A flooder
+    // wired to the relay claims the victim's association at 4,000
+    // packets/s while a genuine stream runs; the relay serves only the
+    // sender–victim pair it was built with, so no forged frame reaches
+    // the victim and the stream loses nothing.
+    let mut sim = Simulator::new(0xF100D);
+    sim.set_tick_us(5_000);
+    let cfg = base_cfg();
+    let msgs = 100;
+    let sender = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::initiator(
+        DeviceModel::xeon(),
+        cfg,
+        1,
+        2,
+        App::Sender(SenderApp::new(Mode::Cumulative, 10, 512, msgs)),
+    )));
+    let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
+        DeviceModel::ar2315(),
+        alpha::core::RelayConfig::default(),
+        &[(sender, 2)],
+    )));
+    let victim = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
+        DeviceModel::nokia770(),
+        cfg,
+        1,
+        sender,
+        App::Sink,
+    )));
+    let flooder = sim.add_node(Node::Attacker {
+        device: DeviceModel::xeon(),
+        attacker: Attacker::Flooder {
+            dst: victim,
+            assoc_id: 1,
+            alg: Algorithm::Sha1,
+            per_tick: 20,
+            injected: 0,
+        },
+    });
+    sim.add_link(sender, relay, LinkConfig::ideal());
+    sim.add_link(relay, victim, LinkConfig::ideal());
+    sim.add_link(flooder, relay, LinkConfig::ideal());
+    sim.run_until(Timestamp::from_millis(3_000));
+
+    let Node::Attacker {
+        attacker: Attacker::Flooder { injected, .. },
+        ..
+    } = *sim.node(flooder)
+    else {
+        unreachable!()
+    };
+    let v = &sim.metrics[victim];
+    // Lossless links: the victim refuses a frame only if it is forged.
+    assert!(
+        v.drops.is_empty(),
+        "forged frames reached the victim: {:?}",
+        v.drops
+    );
+    assert_eq!(v.delivered_msgs, msgs as u64, "every genuine message");
+    // Each forged S1 was dropped at the relay, under the engine's label;
+    // only the last tick's batch may still be on the wire.
+    let stopped = sim.metrics[relay].drops.get("unknown-association").copied();
+    assert!(
+        stopped.is_some_and(|n| n + 20 >= injected && n <= injected),
+        "relay drops {:?} of {injected} injected",
+        sim.metrics[relay].drops
+    );
+}
+
+#[test]
+fn tampered_s2_is_counted_under_bad_mac_at_the_next_relay() {
+    // An on-path tamperer between two engine relays flips a payload byte
+    // in S2s. The relay behind it drops each one, and the node counts
+    // the drop under the engine's own reason label.
+    use alpha::core::DropReason;
+    let mut sim = Simulator::new(0x7A3);
+    let cfg = base_cfg();
+    let msgs = 40;
+    let signer = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::initiator(
+        DeviceModel::xeon(),
+        cfg,
+        1,
+        4,
+        App::Sender(SenderApp::new(Mode::Base, 1, 64, msgs)),
+    )));
+    let relay = || {
+        Node::EngineRelay(alpha::sim::EngineRelayNode::new(
+            DeviceModel::geode_lx(),
+            alpha::core::RelayConfig::default(),
+            &[(signer, 4)],
+        ))
+    };
+    let relay_a = sim.add_node(relay());
+    let tamperer = sim.add_node(Node::Attacker {
+        device: DeviceModel::xeon(),
+        attacker: Attacker::Tamperer {
+            probability: 0.5,
+            tampered: 0,
+        },
+    });
+    let relay_b = sim.add_node(relay());
+    let verifier = sim.add_node(Node::Endpoint(alpha::sim::Endpoint::responder(
+        DeviceModel::xeon(),
+        cfg,
+        1,
+        signer,
+        App::Sink,
+    )));
+    for w in [signer, relay_a, tamperer, relay_b, verifier].windows(2) {
+        sim.add_link(w[0], w[1], LinkConfig::ideal());
+    }
+    sim.run_until(Timestamp::from_millis(20_000));
+
+    let Node::Attacker {
+        attacker: Attacker::Tamperer { tampered, .. },
+        ..
+    } = *sim.node(tamperer)
+    else {
+        unreachable!()
+    };
+    assert!(tampered > 0, "the tamperer struck");
+    let rb = &sim.metrics[relay_b];
+    let core = &sim.node(relay_b).as_engine_relay().unwrap().core;
+    assert_eq!(core.metrics().drops(DropReason::BadMac), tampered);
+    assert_eq!(
+        rb.drops,
+        [("bad-mac", tampered)].into_iter().collect(),
+        "relay B counts each tampered S2 under its reason, and nothing else"
+    );
+    for (id, m) in sim.metrics.iter().enumerate() {
+        assert!(
+            !m.drops.contains_key("engine-drop"),
+            "node {id}: {:?}",
+            m.drops
+        );
+    }
+    // Unreliable mode: a tampered message is lost, every other delivered.
+    assert_eq!(sim.metrics[verifier].delivered_msgs + tampered, msgs as u64);
 }
 
 #[test]
