@@ -200,12 +200,15 @@ cargo test -q -p alpha-sim mesh_chain
 echo "==> mesh: live 2-relay loopback smoke (release)"
 cargo run --release --example mesh_smoke
 
-# Both scenarios are seeded and run on the engine relays the simulator
-# builds, so their committed outputs regenerate byte for byte (well
-# under a second each in release). A relay change that moves a figure
-# fails here; regenerate results/ and say why in EXPERIMENTS.md.
-echo "==> sim outputs: flows_scaling and wmn_estimate regenerate results/ byte-identical (release)"
-for bin in flows_scaling wmn_estimate; do
+# Every output here is seeded or counted: the tables and figures count
+# what the protocol machines hash and send, flows_scaling runs the
+# simulator's engine relays, and wmn_estimate / wsn_estimate judge
+# prefix MACs at a relay built from the deployment's config. So each
+# regenerates results/ byte for byte (well under a second each in
+# release). A change that moves a figure fails here; regenerate
+# results/ and say why in EXPERIMENTS.md.
+echo "==> paper outputs: tables 1-3 and 6, figures 5-6, flows_scaling, wmn_estimate and wsn_estimate regenerate results/ byte-identical (release)"
+for bin in table1 table2 table3 table6 fig5 fig6 flows_scaling wmn_estimate wsn_estimate; do
     cargo run --release -q -p alpha-bench --bin "$bin" | diff "results/$bin.txt" - || {
         echo "ci: $bin output differs from results/$bin.txt" >&2
         exit 1

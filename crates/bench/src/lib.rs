@@ -27,22 +27,6 @@ pub mod table;
 
 use std::time::Instant;
 
-/// Median wall-clock nanoseconds of `f` over `iters` runs (after one
-/// warm-up). For the "native" columns printed next to the paper's device
-/// columns.
-pub fn time_median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    f();
-    let mut samples: Vec<u128> = (0..iters.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
-
 /// Mean wall-clock nanoseconds over `iters` runs (the paper's Table 4 uses
 /// the mean of 300 signatures).
 pub fn time_mean_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {

@@ -3,10 +3,10 @@
 //! performed it. Ground truth for Table 1 and the throughput estimates.
 
 use alpha_core::bootstrap::{self, AuthRequirement};
-use alpha_core::{Config, MacScheme, Mode, Relay, RelayConfig, Reliability, Timestamp};
+use alpha_core::{AssociationRelay, Config, MacScheme, Mode, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::counting::{self, Counts};
 use alpha_crypto::Algorithm;
-use alpha_wire::Packet;
+use alpha_wire::{Packet, PacketView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,14 +33,6 @@ fn add(into: &mut Counts, delta: Counts) {
     into.long_input_invocations += delta.long_input_invocations;
     into.mac_invocations += delta.mac_invocations;
     into.mac_raw_invocations += delta.mac_raw_invocations;
-}
-
-/// Raw hash invocations excluding MAC internals: each logical MAC counts
-/// once (as the paper's `1*` entries do), fixed-length hashes count
-/// individually.
-#[must_use]
-pub fn logical_hashes(c: Counts) -> f64 {
-    (c.invocations - c.mac_raw_invocations + c.mac_invocations) as f64
 }
 
 /// Fixed-length (non-MAC) hash invocations.
@@ -108,20 +100,18 @@ pub fn run_exchange_with(
         mac_raw_invocations: gen.mac_raw_invocations / 2,
     };
 
-    let mut relay = Relay::new(RelayConfig {
+    // The relay judges with the deployment's own config, so a prefix-MAC
+    // exchange is checked with prefix MACs.
+    let relay_cfg = RelayConfig {
         s1_bytes_per_sec: None,
-        mac_scheme,
         ..RelayConfig::default()
-    });
-    relay.observe(&init_pkt, t);
-    relay.observe(&reply_pkt, t);
-
-    let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; payload_len]).collect();
-    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-
-    let observe = |relay: &mut Relay, pkt: &Packet, counts: &mut Counts| {
+    };
+    let mut relay = AssociationRelay::new(relay_cfg, &cfg, 1);
+    let observe = |relay: &mut AssociationRelay, pkt: &Packet, counts: &mut Counts| {
+        let bytes = pkt.emit();
+        let view = PacketView::parse(&bytes).expect("an encoded packet");
         let scope = counting::Scope::start();
-        let (decision, _) = relay.observe(pkt, t);
+        let (decision, _) = relay.observe_view(&view, bytes.len(), t);
         assert_eq!(
             decision,
             alpha_core::RelayDecision::Forward,
@@ -129,6 +119,11 @@ pub fn run_exchange_with(
         );
         add(counts, scope.finish());
     };
+    observe(&mut relay, &init_pkt, &mut Counts::default());
+    observe(&mut relay, &reply_pkt, &mut Counts::default());
+
+    let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; payload_len]).collect();
+    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
 
     // S1.
     let scope = counting::Scope::start();

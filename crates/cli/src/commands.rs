@@ -9,7 +9,7 @@ use alpha_sim::{
     protected_path, App, DeviceModel, LinkConfig, PacketKind, SenderApp, Simulator, Trace,
     TraceEvent,
 };
-use alpha_transport::{HandshakeAuth, UdpHost, UdpRelay};
+use alpha_transport::{DeliverySink, HandshakeAuth, UdpHost};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -138,25 +138,47 @@ pub fn relay(
     seconds: u64,
     strict: bool,
 ) -> Result<(), CliError> {
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::{Arc, Mutex};
     let left: std::net::SocketAddr = left.parse()?;
     let right: std::net::SocketAddr = right.parse()?;
-    let cfg = RelayConfig {
+    // One worker serving one route and standing up no host flows: the
+    // engine `engine serve --route` runs, on the deployment defaults.
+    let mut ecfg = alpha_engine::EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
+    ecfg.relay = RelayConfig {
         forward_unknown: !strict,
         ..RelayConfig::default()
     };
-    let mut relay = UdpRelay::new(bind, left, right, cfg)?;
+    ecfg.accept_handshakes = false;
+    let core = alpha_engine::EngineCore::new(ecfg);
+    core.add_route(left, right);
+    let extracted = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
+    let into = Arc::clone(&extracted);
+    let sink: DeliverySink = Box::new(move |out| {
+        // Allowlist: the sink is the lock's only other holder, and it
+        // never panics while holding it.
+        let mut into = into.lock().expect("extraction list");
+        into.extend(out.extracted.iter().map(|(_, p)| p.to_vec()));
+    });
+    let relay = alpha_transport::Engine::bind_with_sink(bind, core, 1, Some(sink))?;
     say!(
         "relaying {left} <-> {right} on {} for {seconds}s (strict={strict})",
         relay.local_addr()?
     );
-    relay.run_for(Duration::from_secs(seconds))?;
+    std::thread::sleep(Duration::from_secs(seconds));
+    let m = relay.core().metrics();
+    let forwarded = m.packets_out.load(Relaxed);
+    let dropped = m.total_drops()
+        + m.admission_drops.load(Relaxed)
+        + m.backpressure_drops.load(Relaxed)
+        + m.parse_errors.load(Relaxed);
+    relay.shutdown();
+    let extracted = std::mem::take(&mut *extracted.lock().expect("extraction list"));
     say!(
-        "forwarded {} datagrams, dropped {}, verified {} payload(s) in transit:",
-        relay.forwarded,
-        relay.dropped,
-        relay.extracted.len()
+        "forwarded {forwarded} datagrams, dropped {dropped}, verified {} payload(s) in transit:",
+        extracted.len()
     );
-    for p in &relay.extracted {
+    for p in &extracted {
         match std::str::from_utf8(p) {
             Ok(text) => say!("  {text}"),
             Err(_) => say!("  {} bytes (binary)", p.len()),

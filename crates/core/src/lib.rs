@@ -205,19 +205,6 @@ pub struct Config {
     /// How this host stores its own chains: a memory/recompute trade-off
     /// for constrained devices.
     pub chain_storage: ChainStorage,
-    /// Retransmission strategy in reliable mode.
-    pub retransmit: Retransmit,
-}
-
-/// Retransmission strategy for nacked/missing messages (§3.3.3: AMTs
-/// "can enable retransmission schemes as selective repeat and go-back-n").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Retransmit {
-    /// Resend only unacknowledged messages.
-    SelectiveRepeat,
-    /// Resend everything from the first unacknowledged message onward
-    /// (simpler receivers, more bandwidth).
-    GoBackN,
 }
 
 impl Config {
@@ -235,7 +222,6 @@ impl Config {
             max_skip: 128,
             mac_scheme: MacScheme::Hmac,
             chain_storage: ChainStorage::Full,
-            retransmit: Retransmit::SelectiveRepeat,
         }
     }
 
@@ -285,13 +271,6 @@ impl Config {
     #[must_use]
     pub fn with_chain_storage(mut self, storage: ChainStorage) -> Config {
         self.chain_storage = storage;
-        self
-    }
-
-    /// Set the retransmission strategy.
-    #[must_use]
-    pub fn with_retransmit(mut self, retransmit: Retransmit) -> Config {
-        self.retransmit = retransmit;
         self
     }
 }

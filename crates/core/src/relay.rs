@@ -39,9 +39,12 @@ use alpha_wire::{
 use crate::batch::{self, S2BatchItem, S2Check, RUN};
 use crate::exchange::{self, chain_step, Announced, Commit, Disclosure, Presig};
 use crate::limiter::S1Limiter;
-use crate::{MacScheme, Timestamp};
+use crate::{Config, MacScheme, Timestamp};
 
-/// Relay policy knobs.
+/// Relay policy knobs. What a relay checks with — the MAC construction
+/// and the chain skip bound — is the deployment's protocol [`Config`],
+/// the hosts' own ([`AssociationRelay::new`]), so a relay cannot judge
+/// with a scheme the hosts do not sign with.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayConfig {
     /// Forward packets of associations this relay has not learned
@@ -50,14 +53,6 @@ pub struct RelayConfig {
     /// Maximum S1 bytes per association per second (the S1-flood limiter
     /// of §3.5). `None` disables rate limiting.
     pub s1_bytes_per_sec: Option<u64>,
-    /// Chain-verifier forward-hash bound.
-    pub max_skip: u64,
-    /// Drop S2 packets whose exchange the relay never saw an S1 for
-    /// (treat unsolicited data as forged). Disabling this still verifies
-    /// what can be verified but forwards the rest.
-    pub drop_unsolicited: bool,
-    /// MAC construction used by the deployment (must match the hosts').
-    pub mac_scheme: MacScheme,
 }
 
 impl Default for RelayConfig {
@@ -65,9 +60,6 @@ impl Default for RelayConfig {
         RelayConfig {
             forward_unknown: true,
             s1_bytes_per_sec: Some(64 * 1024),
-            max_skip: 128,
-            drop_unsolicited: true,
-            mac_scheme: MacScheme::Hmac,
         }
     }
 }
@@ -248,6 +240,10 @@ struct RelayAssociation {
 /// holds one directly, so no packet hashes its association id twice.
 pub struct AssociationRelay {
     cfg: RelayConfig,
+    /// The deployment's MAC construction ([`Config::mac_scheme`]).
+    mac_scheme: MacScheme,
+    /// The deployment's chain skip bound ([`Config::max_skip`]).
+    max_skip: u64,
     assoc_id: u64,
     /// `None` until an HS1 is seen, and again once a verified Close
     /// released the state: the association is then unknown, exactly as
@@ -256,11 +252,15 @@ pub struct AssociationRelay {
 }
 
 impl AssociationRelay {
-    /// Relay state for association `assoc_id`, with nothing learned.
+    /// Relay state for association `assoc_id`, with nothing learned,
+    /// judging with `protocol`'s MAC construction and chain skip bound:
+    /// those of the hosts it serves.
     #[must_use]
-    pub fn new(cfg: RelayConfig, assoc_id: u64) -> AssociationRelay {
+    pub fn new(cfg: RelayConfig, protocol: &Config, assoc_id: u64) -> AssociationRelay {
         AssociationRelay {
             cfg,
+            mac_scheme: protocol.mac_scheme,
+            max_skip: protocol.max_skip,
             assoc_id,
             state: None,
         }
@@ -352,7 +352,7 @@ impl AssociationRelay {
         // Relays learn anchors by watching the handshake (§3.4). The relay
         // cannot judge handshake authenticity (that is the endpoints' PK
         // check); it only records anchors.
-        let cfg = self.cfg;
+        let (s1_rate, max_skip) = (self.cfg.s1_bytes_per_sec, self.max_skip);
         match hs.role {
             HandshakeRole::Init => {
                 let init = (
@@ -361,9 +361,9 @@ impl AssociationRelay {
                     hs.ack_anchor,
                     hs.ack_anchor_index,
                 );
-                let a = self.state.get_or_insert_with(|| {
-                    RelayAssociation::placeholder(alg, cfg.s1_bytes_per_sec, cfg.max_skip)
-                });
+                let a = self
+                    .state
+                    .get_or_insert_with(|| RelayAssociation::placeholder(alg, s1_rate, max_skip));
                 // A retransmitted HS1 (reply still in flight when the
                 // initiator's timer fired) carries the anchors already
                 // learned: forward it untouched. Re-arming `pending_init`
@@ -383,7 +383,7 @@ impl AssociationRelay {
                 let Some((isig, isig_i, iack, iack_i)) = a.pending_init.take() else {
                     return (RelayDecision::Forward, None);
                 };
-                let dir = |sig, ack| DirectionState::new(alg, cfg.max_skip, sig, ack);
+                let dir = |sig, ack| DirectionState::new(alg, max_skip, sig, ack);
                 a.alg = alg;
                 a.fwd = dir((isig, isig_i), (hs.ack_anchor, hs.ack_anchor_index));
                 a.rev = dir((hs.sig_anchor, hs.sig_anchor_index), (iack, iack_i));
@@ -463,42 +463,35 @@ impl AssociationRelay {
         now: Timestamp,
         sink: &mut dyn FnMut((RelayDecision, RelayViewOutcome)),
     ) {
-        let cfg = self.cfg;
         let n = run.len();
         // Phase 1: sequential prepare; `Err` holds packets decided
         // without crypto.
-        let mut prepared = [Ok(S2Prepared::Unverified); RUN];
+        let mut prepared = [Err(RelayDecision::Forward); RUN];
         for (slot, item) in prepared.iter_mut().zip(run) {
             *slot = self
                 .data_assoc(item.alg)
-                .and_then(|a| s2_prepare(&cfg, a, item).map_err(RelayDecision::Drop));
+                .and_then(|a| s2_prepare(a, item).map_err(RelayDecision::Drop));
         }
         // Phase 2: batched crypto. Every checked packet carries the
         // association's algorithm (`data_assoc` enforced it); with no
         // association every packet was decided in phase 1 and the
         // fallback algorithm hashes nothing.
         let alg = self.state.as_ref().map_or(Algorithm::Sha1, |a| a.alg);
-        let check = |k: usize| match prepared[k] {
-            Ok(S2Prepared::Check { check, .. }) => Some(check),
-            _ => None,
-        };
+        let check = |k: usize| prepared[k].ok().map(|(_, check)| check);
         let mut passed = [false; RUN];
-        batch::run_checks(alg, cfg.mac_scheme, run, check, &mut passed[..n]);
+        batch::run_checks(alg, self.mac_scheme, run, check, &mut passed[..n]);
         // Phase 3: sequential finish, in input order.
         for (k, item) in run.iter().enumerate() {
             let none = RelayViewOutcome::default;
             let verdict = match prepared[k] {
                 Err(decision) => (decision, none()),
-                Ok(S2Prepared::Unverified) => (RelayDecision::Forward, none()),
-                Ok(S2Prepared::Check { .. }) if !passed[k] => {
-                    (RelayDecision::Drop(DropReason::BadMac), none())
-                }
-                Ok(S2Prepared::Check { is_fwd, .. }) => {
+                Ok(_) if !passed[k] => (RelayDecision::Drop(DropReason::BadMac), none()),
+                Ok((is_fwd, _)) => {
                     // Allowlist: phase 1 found the association, and only
                     // a Close signal releases it — a control payload, so
                     // always the last (only) packet of its chunk.
                     let a = self.state.as_mut().expect("present in phase 1");
-                    match s2_finish(&cfg, a, is_fwd, item.payload, now) {
+                    match s2_finish(self.max_skip, a, is_fwd, item.payload, now) {
                         Err(reason) => (RelayDecision::Drop(reason), none()),
                         Ok(close) => {
                             if close {
@@ -523,15 +516,22 @@ impl AssociationRelay {
 /// packet's association id.
 pub struct Relay {
     cfg: RelayConfig,
+    /// The deployment it judges for: [`Config::new`]'s defaults.
+    protocol: Config,
     assocs: HashMap<u64, AssociationRelay>,
 }
 
 impl Relay {
-    /// An empty relay with the given policy.
+    /// An empty relay with the given policy, serving a deployment on
+    /// [`Config::new`]'s defaults (HMAC, a skip bound of 128). A
+    /// deployment on other settings judges through
+    /// [`AssociationRelay::new`] with its own [`Config`], as the engine
+    /// does.
     #[must_use]
     pub fn new(cfg: RelayConfig) -> Relay {
         Relay {
             cfg,
+            protocol: Config::new(Algorithm::Sha1),
             assocs: HashMap::new(),
         }
     }
@@ -540,17 +540,6 @@ impl Relay {
     #[must_use]
     pub fn association_count(&self) -> usize {
         self.assocs.len()
-    }
-
-    /// Total protocol state buffered across all associations — what bounds
-    /// how many flows a constrained relay can authenticate concurrently
-    /// (the scalability argument of §3.1.1).
-    #[must_use]
-    pub fn total_buffered_bytes(&self) -> usize {
-        self.assocs
-            .values()
-            .map(AssociationRelay::buffered_bytes)
-            .sum()
     }
 
     /// Bytes of protocol state buffered for `assoc_id` — the relay columns
@@ -573,7 +562,7 @@ impl Relay {
         resp_sig: (Digest, u64),
         resp_ack: (Digest, u64),
     ) {
-        let dir = |sig, ack| DirectionState::new(alg, self.cfg.max_skip, sig, ack);
+        let dir = |sig, ack| DirectionState::new(alg, self.protocol.max_skip, sig, ack);
         let state = RelayAssociation {
             alg,
             fwd: dir(init_sig, resp_ack),
@@ -584,7 +573,7 @@ impl Relay {
             pending_init: None,
             learned_init: Some((init_sig.0, init_sig.1, init_ack.0, init_ack.1)),
         };
-        let mut relay = AssociationRelay::new(self.cfg, assoc_id);
+        let mut relay = AssociationRelay::new(self.cfg, &self.protocol, assoc_id);
         relay.state = Some(state);
         self.assocs.insert(assoc_id, relay);
     }
@@ -666,13 +655,11 @@ impl Relay {
         learns: bool,
         judge: impl FnOnce(&mut AssociationRelay) -> R,
     ) -> R {
-        let cfg = self.cfg;
+        let fresh = || AssociationRelay::new(self.cfg, &self.protocol, assoc_id);
         let mut slot = match self.assocs.entry(assoc_id) {
             Entry::Occupied(slot) => slot,
-            Entry::Vacant(vacant) if learns => {
-                vacant.insert_entry(AssociationRelay::new(cfg, assoc_id))
-            }
-            Entry::Vacant(_) => return judge(&mut AssociationRelay::new(cfg, assoc_id)),
+            Entry::Vacant(vacant) if learns => vacant.insert_entry(fresh()),
+            Entry::Vacant(_) => return judge(&mut fresh()),
         };
         let verdict = judge(slot.get_mut());
         if !slot.get().is_tracked() {
@@ -781,23 +768,12 @@ fn a1_parts(
     }
 }
 
-/// Result of the pre-crypto phase of S2 processing.
-#[derive(Clone, Copy)]
-enum S2Prepared {
-    /// No matching exchange and policy forwards unverified traffic.
-    Unverified,
-    /// Chain-accepted and structurally valid; the crypto check is pending.
-    Check {
-        /// Direction: true = initiator→responder.
-        is_fwd: bool,
-        /// The deferred comparison.
-        check: S2Check,
-    },
-}
-
 /// Phase 1 of S2 processing: the direction and exchange the S2 claims,
 /// then the receiver's own key and shape check
-/// ([`Announced::s2_check`]). Both directions can hold an exchange at
+/// ([`Announced::s2_check`]). `Ok` carries the direction (true =
+/// initiator→responder) of a chain-accepted, structurally valid S2 and
+/// its deferred MAC / Merkle comparison. An S2 no buffered exchange
+/// claims is unsolicited data, which a relay drops (§3.5). Both directions can hold an exchange at
 /// the same chain index (two ends signing at once, their chains in
 /// step), so the S2 belongs to the one whose signature chain takes its
 /// key; a direction that refuses it is left unchanged. The chain
@@ -805,10 +781,9 @@ enum S2Prepared {
 /// at a time would, so deferring the crypto to a batch changes nothing
 /// observable.
 fn s2_prepare(
-    cfg: &RelayConfig,
     a: &mut RelayAssociation,
     item: &S2BatchItem<'_>,
-) -> Result<S2Prepared, DropReason> {
+) -> Result<(bool, S2Check), DropReason> {
     let alg = a.alg;
     let mut claimed = false;
     for (d, is_fwd) in [(&mut a.fwd, true), (&mut a.rev, false)] {
@@ -824,13 +799,12 @@ fn s2_prepare(
         match ex.s1.s2_check(alg, &mut d.sig, current, item) {
             Err(_) => continue,
             Ok(None) => return Err(DropReason::BadMac),
-            Ok(Some(check)) => return Ok(S2Prepared::Check { is_fwd, check }),
+            Ok(Some(check)) => return Ok((is_fwd, check)),
         }
     }
     match claimed {
         true => Err(DropReason::BadChainElement),
-        false if cfg.drop_unsolicited => Err(DropReason::Unsolicited),
-        false => Ok(S2Prepared::Unverified),
+        false => Err(DropReason::Unsolicited),
     }
 }
 
@@ -839,7 +813,7 @@ fn s2_prepare(
 /// verified Close signal, the association's state is to be released
 /// once this packet is forwarded.
 fn s2_finish(
-    cfg: &RelayConfig,
+    max_skip: u64,
     a: &mut RelayAssociation,
     is_fwd: bool,
     payload: &[u8],
@@ -881,7 +855,6 @@ fn s2_finish(
     // replaced acknowledgment tracker stays: the other direction's
     // exchange in flight is answered from the old chain.
     if let Some(anchors) = crate::renewal::parse(alg, payload) {
-        let skip = cfg.max_skip;
         use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
         let (sig_dir, ack_dir) = if is_fwd {
             (&mut a.fwd, &mut a.rev)
@@ -889,10 +862,10 @@ fn s2_finish(
             (&mut a.rev, &mut a.fwd)
         };
         sig_dir.sig = ChainVerifier::new(alg, RoleBoundSignature, anchors.sig.0, anchors.sig.1)
-            .with_max_skip(skip);
+            .with_max_skip(max_skip);
         sig_dir.exchange = None;
-        let renewed =
-            ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1).with_max_skip(skip);
+        let renewed = ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1)
+            .with_max_skip(max_skip);
         ack_dir.ack_prev = Some(std::mem::replace(&mut ack_dir.ack, renewed));
     }
     Ok(false)

@@ -438,13 +438,6 @@ impl SignerChannel {
         if events.iter().any(|e| matches!(e, SignerEvent::Acked(_))) {
             ex.retries = 0;
         }
-        if self.cfg.retransmit == crate::Retransmit::GoBackN {
-            if let Some(&first) = retransmit.iter().min() {
-                retransmit = (first..ex.messages.len() as u32)
-                    .filter(|&s| !ex.acked[s as usize])
-                    .collect();
-            }
-        }
         let mut packets = Vec::new();
         if !retransmit.is_empty() {
             ex.retries += 1;

@@ -257,12 +257,6 @@ impl VerifierChannel {
         self.accepting = accepting;
     }
 
-    /// Whether this channel currently answers S1 packets.
-    #[must_use]
-    pub fn is_accepting(&self) -> bool {
-        self.accepting
-    }
-
     /// Exchanges this channel can still answer: pairs left on its
     /// acknowledgment chain, one disclosed per accepted S1.
     #[must_use]

@@ -1040,52 +1040,6 @@ fn compact_chains_interoperate_transparently() {
     }
 }
 
-#[test]
-fn go_back_n_retransmits_suffix() {
-    use alpha_core::Retransmit;
-    let c = cfg(Algorithm::Sha1)
-        .with_reliability(Reliability::Reliable)
-        .with_retransmit(Retransmit::GoBackN);
-    let (mut alice, mut bob, mut r) = pair(c, 61);
-    let msgs: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 32]).collect();
-    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-    let s1 = alice.sign_batch(&refs, Mode::Merkle, T0).unwrap();
-    let a1 = bob.handle(&s1, T0, &mut r).unwrap().packet().unwrap();
-    let s2s = alice.handle(&a1, T0, &mut r).unwrap().packets;
-    // Deliver seqs 0, 1, and a *tampered* seq 2; bob nacks seq 2.
-    for s2 in &s2s[..2] {
-        let resp = bob.handle(s2, T0, &mut r).unwrap();
-        for a2 in &resp.packets {
-            alice.handle(a2, T0, &mut r).unwrap();
-        }
-    }
-    let mut bad = s2s[2].clone();
-    if let Body::S2 { payload, .. } = &mut bad.body {
-        payload[0] ^= 1;
-    }
-    let nack = bob.handle(&bad, T0, &mut r).unwrap().packets.remove(0);
-    let out = alice.handle(&nack, T0, &mut r).unwrap();
-    // Go-back-N: the nack for seq 2 triggers retransmission of 2..6, not
-    // just 2.
-    let reseqs: Vec<u32> = out
-        .packets
-        .iter()
-        .map(|p| match &p.body {
-            Body::S2 { seq, .. } => *seq,
-            _ => panic!("expected S2"),
-        })
-        .collect();
-    assert_eq!(reseqs, vec![2, 3, 4, 5]);
-    // Complete the exchange.
-    for s2 in &out.packets {
-        let resp = bob.handle(s2, T0, &mut r).unwrap();
-        for a2 in &resp.packets {
-            alice.handle(a2, T0, &mut r).unwrap();
-        }
-    }
-    assert!(alice.signer().is_idle());
-}
-
 // ---------------------------------------------------------------------
 // Chain renewal
 // ---------------------------------------------------------------------

@@ -15,8 +15,9 @@ use crate::shard::FlowKey;
 /// flows at once.
 #[derive(Clone, Copy)]
 pub struct EngineConfig {
-    /// Protocol configuration for host-role flows (and the chains of
-    /// handshakes this engine answers).
+    /// Protocol configuration of the deployment: host-role flows run it
+    /// (and the chains of handshakes this engine answers carry it), and
+    /// relay-role flows verify with its MAC construction and skip bound.
     pub protocol: Config,
     /// Relay policy for relay-role flows.
     pub relay: RelayConfig,
@@ -37,8 +38,6 @@ pub struct EngineConfig {
     /// Answer unknown-flow HS1 packets by standing up a new host
     /// association (server behaviour). Disable for pure relays.
     pub accept_handshakes: bool,
-    /// Handshake resend attempts before a connecting flow is abandoned.
-    pub handshake_retries: u32,
     /// Per-flow adaptation (`alpha-adapt`): when set, every host flow
     /// carries a channel estimator + mode controller, and
     /// [`sign_adaptive`](super::EngineCore::sign_adaptive) picks mode
@@ -59,11 +58,6 @@ pub struct EngineConfig {
     /// many exchanges left on the shorter of its signature and
     /// acknowledgment chains.
     pub renew_below: u64,
-    /// Capacity (datagrams) of each cross-worker handoff ring in the
-    /// live runtime. When a ring is full the receiving worker processes
-    /// the datagram itself under the shard lock (counted in
-    /// `handoff_overflow`) rather than stall or drop.
-    pub handoff_ring: usize,
 }
 
 impl EngineConfig {
@@ -82,13 +76,11 @@ impl EngineConfig {
             s1_bytes_per_sec: Some(1 << 20),
             max_buffered_bytes: Some(64 << 20),
             accept_handshakes: true,
-            handshake_retries: 10,
             adapt: None,
             hibernate_after: None,
             frozen_budget: Some(256 << 20),
             pacer: PacerConfig::default(),
             renew_below: 8,
-            handoff_ring: 1024,
         }
     }
 
@@ -111,13 +103,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_s1_budget(mut self, bytes_per_sec: Option<u64>) -> EngineConfig {
         self.s1_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
-    /// Set the global relay-buffer byte valve.
-    #[must_use]
-    pub fn with_buffer_valve(mut self, max_bytes: Option<u64>) -> EngineConfig {
-        self.max_buffered_bytes = max_bytes;
         self
     }
 
@@ -153,13 +138,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_renew_below(mut self, exchanges: u64) -> EngineConfig {
         self.renew_below = exchanges;
-        self
-    }
-
-    /// Set the per-pair handoff ring capacity (datagrams).
-    #[must_use]
-    pub fn with_handoff_ring(mut self, capacity: usize) -> EngineConfig {
-        self.handoff_ring = capacity.max(2);
         self
     }
 }

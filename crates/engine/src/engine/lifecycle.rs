@@ -1,5 +1,5 @@
 //! Flow lifecycle against the frozen store: freeze (from `timers`),
-//! thaw (from `ingress`), reap, remove, and the frozen-record codec.
+//! thaw (from `ingress`), reap, and the frozen-record codec.
 //! The only code that touches `EngineCore::store`.
 
 use super::*;
@@ -75,30 +75,6 @@ impl EngineCore {
             .store
             .flows_hibernated
             .fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Drop a flow, returning whether it existed. A hibernated flow's
-    /// frozen record is discarded with it.
-    pub fn remove_flow(&self, key: FlowKey) -> bool {
-        let idx = self.shard_index(&key);
-        let removed = self.shards.write(idx).flows.remove(&key);
-        if let Some(state) = &removed {
-            match state {
-                FlowState::Relay { buffered, .. } => {
-                    self.buffered.fetch_sub(*buffered as i64, Ordering::Relaxed);
-                }
-                FlowState::Hibernated { .. } => {
-                    let _ = self.with_store(|store| store.remove(&key));
-                    self.metrics
-                        .store
-                        .flows_hibernated
-                        .fetch_sub(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            self.metrics.flows_active.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed.is_some()
     }
 
     /// Wake a hibernated flow: pull its frozen record, thaw the

@@ -421,16 +421,6 @@ impl EngineCore {
         self.owners.owner(shard)
     }
 
-    /// Release `shard` if `worker` owns it (worker drain, reroute).
-    pub fn release_shard(&self, shard: usize, worker: u32) -> bool {
-        let released = self.owners.release(shard, worker);
-        if released {
-            // The shard's timers fall back to the modulo worker.
-            self.note_deadline(shard, self.deadlines[shard].load(Ordering::Acquire));
-        }
-        released
-    }
-
     /// Contended shard-lock acquisitions since start (see
     /// [`Sharded::contended`]): the live runtime's "zero shared locks
     /// on the owned steady-state path" claim, as a counter.

@@ -245,7 +245,11 @@ impl EngineCore {
     fn new_relay_flow(&self, assoc_id: u64) -> FlowState {
         self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
         FlowState::Relay {
-            relay: Box::new(AssociationRelay::new(self.cfg.relay, assoc_id)),
+            relay: Box::new(AssociationRelay::new(
+                self.cfg.relay,
+                &self.cfg.protocol,
+                assoc_id,
+            )),
             buffered: 0,
         }
     }

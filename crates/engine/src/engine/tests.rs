@@ -164,6 +164,40 @@ fn relay_flow_verifies_and_forwards() {
     assert_eq!(s2_verified(sa()), 1);
 }
 
+/// A relay flow verifies with the deployment's MAC construction: under
+/// prefix MACs, every mode reaches the server through a relay engine on
+/// the hosts' own config, and the relay drops nothing as a bad MAC.
+#[test]
+fn relay_flows_verify_with_the_deployment_mac_scheme() {
+    use alpha_core::{MacScheme, Reliability};
+    for (reliability, mode, n) in [
+        (Reliability::Unreliable, Mode::Base, 1),
+        (Reliability::Unreliable, Mode::Cumulative, 2),
+        (Reliability::Unreliable, Mode::Merkle, 4),
+        (Reliability::Reliable, Mode::Base, 1),
+    ] {
+        let proto = Config::new(Algorithm::Sha1)
+            .with_chain_len(64)
+            .with_mac_scheme(MacScheme::Prefix)
+            .with_reliability(reliability);
+        let c = EngineConfig::new(proto);
+        let (mut net, ra) = Net::path(41, c, c, Some(c));
+        let key = net.connect(ca(), ra, 5);
+        let msgs: Vec<Vec<u8>> = (0..n).map(|i| format!("prefix {i}").into_bytes()).collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let from_server = exchange(&mut net, key, &refs, mode);
+        let delivered: Vec<Vec<u8>> = from_server
+            .delivered
+            .into_iter()
+            .map(|(_, _, p)| p)
+            .collect();
+        assert_eq!(delivered, msgs, "{mode:?}, {reliability:?}");
+        let relay = net.engine(ra).metrics();
+        assert_eq!(relay.drops(DropReason::BadMac), 0, "{mode:?}");
+        assert_eq!(relay.s2_verified.load(Ordering::Relaxed), n as u64);
+    }
+}
+
 #[test]
 fn mesh_filter_rejects_unregistered_sources() {
     let relay = EngineCore::new(cfg());
@@ -383,7 +417,7 @@ fn handshake_resends_use_backoff_and_give_up() {
         "multiple resends before giving up, got {resends}"
     );
     assert!(
-        resends <= client.config().handshake_retries as usize + 1,
+        resends <= timers::HANDSHAKE_RETRIES as usize + 1,
         "bounded by the retry budget, got {resends}"
     );
     assert_eq!(client.flow_count(), 0, "abandoned flow was reaped");

@@ -9,6 +9,9 @@ use super::*;
 /// own jitter on top, so the herd spreads instead of re-stampeding).
 const RENEWAL_RETRY_US: u64 = 100_000;
 
+/// Handshake resend attempts before a connecting flow is abandoned.
+pub(super) const HANDSHAKE_RETRIES: u32 = 10;
+
 impl EngineCore {
     /// Earliest timer deadline across all shards, if any. Lock-free:
     /// reads the per-shard deadline caches maintained under the shard
@@ -17,14 +20,6 @@ impl EngineCore {
     pub fn next_deadline(&self) -> Option<Timestamp> {
         let min = self.deadlines.iter().map(|d| d.load(Ordering::Acquire));
         deadline_of(min.min()?)
-    }
-
-    /// Earliest timer deadline of one shard (workers size their socket
-    /// read timeouts from the shards they own, not the whole engine).
-    /// Lock-free, same cache as [`EngineCore::next_deadline`].
-    #[must_use]
-    pub fn shard_next_deadline(&self, idx: usize) -> Option<Timestamp> {
-        deadline_of(self.deadlines[idx].load(Ordering::Acquire))
     }
 
     /// Advance every shard's timers to `now`.
@@ -81,7 +76,7 @@ impl EngineCore {
                         shard.wheel.schedule(*next_resend, key);
                         continue;
                     }
-                    if backoff.attempts() > self.cfg.handshake_retries {
+                    if backoff.attempts() > HANDSHAKE_RETRIES {
                         dead.push(key);
                         continue;
                     }

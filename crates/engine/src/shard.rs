@@ -351,11 +351,6 @@ impl<T> Sharded<T> {
         self.shards[idx].write()
     }
 
-    /// Counted exclusive acquisition of the shard owning `key`.
-    pub fn write_for(&self, key: &FlowKey) -> RwLockWriteGuard<'_, T> {
-        self.write(self.shard_of(key))
-    }
-
     /// Total contended acquisitions since construction: times a counted
     /// guard found the shard held by another thread and had to block.
     /// Zero on the owned steady-state path by construction.
@@ -369,12 +364,6 @@ impl<T> Sharded<T> {
     #[must_use]
     pub fn shard(&self, idx: usize) -> &RwLock<T> {
         &self.shards[idx]
-    }
-
-    /// The lock for the shard owning `key`.
-    #[must_use]
-    pub fn shard_for(&self, key: &FlowKey) -> &RwLock<T> {
-        &self.shards[self.shard_of(key)]
     }
 
     /// Iterate over all shard locks (stats walks, shutdown).
@@ -474,7 +463,7 @@ mod tests {
         let table: Sharded<Vec<u64>> = Sharded::new(4, |_| Vec::new());
         let k = key(5555, 42);
         let idx = table.shard_of(&k);
-        table.shard_for(&k).write().push(k.assoc_id);
+        table.shard(idx).write().push(k.assoc_id);
         assert_eq!(table.shard(idx).read().as_slice(), &[42]);
         assert_eq!(table.len(), 4);
     }

@@ -3,7 +3,10 @@
 //!
 //! The valid trace is two learned associations crossing one relay
 //! engine: a Base unreliable flow (S1, A1 and S2 datagrams) and an
-//! ALPHA-M reliable flow (S1, A1, a bundle of S2s, A2). Each case stands
+//! ALPHA-M reliable flow (S1, A1, a bundle of S2s, A2). Half the cases
+//! run on a deployment with HMACs and half on one with prefix MACs; the
+//! relay is built from the deployment's config, as a relay engine
+//! judging for those hosts is. Each case stands
 //! a fresh relay up on the trace up to one datagram, applies one to
 //! three mutations to that datagram — a bit flip, a truncation, a splice
 //! with another datagram of the trace, a bundle's count or length prefix
@@ -33,7 +36,7 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 
-use alpha_core::{Config, Mode, RelayConfig, Reliability, Timestamp};
+use alpha_core::{Config, MacScheme, Mode, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::bundle;
@@ -44,7 +47,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
-/// Mutated cases per tier-1 run.
+/// Mutated cases per tier-1 run, half under each MAC construction.
 const CASES: usize = 10_000;
 
 const NOW: Timestamp = Timestamp(1_000);
@@ -52,6 +55,8 @@ const NOW: Timestamp = Timestamp(1_000);
 /// The valid input: datagrams in arrival order with their sources, and
 /// the routes they travel.
 struct Trace {
+    /// The deployment's protocol config.
+    protocol: Config,
     routes: Vec<(SocketAddr, SocketAddr)>,
     datagrams: Vec<(SocketAddr, Vec<u8>)>,
 }
@@ -93,9 +98,12 @@ fn split(bytes: &[u8]) -> Option<Vec<&[u8]>> {
 /// Two client and server engine pairs, one Base unreliable flow and one
 /// ALPHA-M reliable flow, both routed over one relay, and what that
 /// relay is handed: both handshakes, then four Base exchanges of one
-/// message and two ALPHA-M exchanges of four, in step.
-fn trace() -> Trace {
-    let base = Config::new(Algorithm::Sha1).with_chain_len(64);
+/// message and two ALPHA-M exchanges of four, in step — all MACs of the
+/// `mac` construction.
+fn trace(mac: MacScheme) -> Trace {
+    let base = Config::new(Algorithm::Sha1)
+        .with_chain_len(64)
+        .with_mac_scheme(mac);
     let merkle = base
         .with_mode(Mode::Merkle)
         .with_reliability(Reliability::Reliable);
@@ -138,17 +146,21 @@ fn trace() -> Trace {
         net.pump();
     }
     let datagrams = net.bypassed.into_iter().map(|d| (d.src, d.frame)).collect();
-    Trace { routes, datagrams }
+    Trace {
+        protocol: base,
+        routes,
+        datagrams,
+    }
 }
 
-/// A relay on the trace's routes that drops what it cannot verify, so
-/// only authenticated data and handshakes pass.
+/// A relay on the trace's routes and its deployment's config that drops
+/// what it cannot verify, so only authenticated data and handshakes pass.
 fn relay(trace: &Trace) -> EngineCore {
     let strict = RelayConfig {
         forward_unknown: false,
         ..RelayConfig::default()
     };
-    let cfg = EngineConfig::new(Config::new(Algorithm::Sha1))
+    let cfg = EngineConfig::new(trace.protocol)
         .with_shards(1)
         .with_relay(strict);
     let relay = EngineCore::new(cfg);
@@ -333,8 +345,15 @@ fn check(
     Ok(())
 }
 
+/// `cases` cases, half on each MAC construction.
 fn fuzz(cases: usize) {
-    let trace = trace();
+    for mac in [MacScheme::Hmac, MacScheme::Prefix] {
+        fuzz_deployment(mac, cases / 2);
+    }
+}
+
+fn fuzz_deployment(mac: MacScheme, cases: usize) {
+    let trace = trace(mac);
     let (_, valid_s2s) = trace.packets();
     // The valid trace itself: everything passes, nothing drops.
     let relay_ = relay(&trace);
@@ -342,9 +361,17 @@ fn fuzz(cases: usize) {
         check(&relay_, *from, bytes, &trace, &valid_s2s).expect("the valid trace");
     }
     let m = relay_.metrics();
-    assert_eq!((m.total_drops(), m.parse_errors.load(Relaxed)), (0, 0));
+    assert_eq!(
+        (m.total_drops(), m.parse_errors.load(Relaxed)),
+        (0, 0),
+        "{mac:?}"
+    );
     assert_eq!(m.handshakes.load(Relaxed), 2, "both associations learned");
-    assert_eq!(m.s2_verified.load(Relaxed), 4 + 2 * 4, "every S2 verified");
+    assert_eq!(
+        m.s2_verified.load(Relaxed),
+        4 + 2 * 4,
+        "{mac:?}: every S2 verified"
+    );
 
     let mut rng = StdRng::seed_from_u64(0x0F0A_2E1A);
     let mut failures: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -376,11 +403,11 @@ fn fuzz(cases: usize) {
     // A1, a handshake.
     assert!(
         forwarded > 0 && forwarded < cases / 2,
-        "{forwarded} of {cases} mutated datagrams forwarded"
+        "{mac:?}: {forwarded} of {cases} mutated datagrams forwarded"
     );
     let report: Vec<String> = failures
         .iter()
-        .map(|(rule, cases)| format!("{} × {rule}; first: {}", cases.len(), cases[0]))
+        .map(|(rule, cases)| format!("{mac:?}: {} × {rule}; first: {}", cases.len(), cases[0]))
         .collect();
     assert!(report.is_empty(), "{report:#?}");
 }

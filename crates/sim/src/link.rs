@@ -177,13 +177,6 @@ impl LinkConfig {
         }
     }
 
-    /// Set (or clear) the Gilbert–Elliott burst model.
-    #[must_use]
-    pub fn with_ge(mut self, ge: Option<GilbertElliott>) -> LinkConfig {
-        self.ge = ge;
-        self
-    }
-
     /// Set the loss probability.
     #[must_use]
     pub fn with_loss(mut self, loss: f64) -> LinkConfig {

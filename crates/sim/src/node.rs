@@ -536,9 +536,10 @@ pub fn sim_addr_node(addr: std::net::SocketAddr) -> Option<NodeId> {
     }
 }
 
-/// A relay engine with `relay` as its policy; it stands up no host flows.
-fn relay_engine(relay: RelayConfig) -> EngineCore {
-    let mut ecfg = alpha_engine::EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
+/// A relay engine for a deployment on `protocol`, with `relay` as its
+/// policy; it stands up no host flows.
+fn relay_engine(protocol: Config, relay: RelayConfig) -> EngineCore {
+    let mut ecfg = alpha_engine::EngineConfig::new(protocol);
     ecfg.relay = relay;
     ecfg.accept_handshakes = false;
     EngineCore::new(ecfg)
@@ -597,15 +598,17 @@ fn engine_relay_step(
 }
 
 impl EngineRelayNode {
-    /// Engine relay with the given relay policy, serving each `(a, b)`
-    /// endpoint pair of `routes` in both directions.
+    /// Engine relay for a deployment on `protocol` with the given relay
+    /// policy, serving each `(a, b)` endpoint pair of `routes` in both
+    /// directions.
     #[must_use]
     pub fn new(
         device: DeviceModel,
+        protocol: Config,
         cfg: RelayConfig,
         routes: &[(NodeId, NodeId)],
     ) -> EngineRelayNode {
-        let core = relay_engine(cfg);
+        let core = relay_engine(protocol, cfg);
         for &(a, b) in routes {
             core.add_route(sim_node_addr(a), sim_node_addr(b));
         }
@@ -641,20 +644,22 @@ pub struct MeshRelayNode {
 }
 
 impl MeshRelayNode {
-    /// A mesh relay wired into a static topology: it accepts traffic
-    /// from `upstreams` only, forwards toward `next_hops[0]` (the rest
-    /// are standbys that receive handshake replicas), and statically
-    /// routes each of `route_sources` toward the primary next hop.
+    /// A mesh relay for a deployment on `protocol`, wired into a static
+    /// topology: it accepts traffic from `upstreams` only, forwards
+    /// toward `next_hops[0]` (the rest are standbys that receive
+    /// handshake replicas), and statically routes each of
+    /// `route_sources` toward the primary next hop.
     #[must_use]
     pub fn new(
         device: DeviceModel,
+        protocol: Config,
         relay_cfg: RelayConfig,
         mesh_cfg: alpha_mesh::MeshConfig,
         upstreams: &[NodeId],
         next_hops: &[NodeId],
         route_sources: &[NodeId],
     ) -> MeshRelayNode {
-        let core = relay_engine(relay_cfg);
+        let core = relay_engine(protocol, relay_cfg);
         core.mesh_enable(true);
         let mut registry = alpha_mesh::Registry::new(mesh_cfg);
         // Probe peers only where failover between them is possible: a
@@ -1015,7 +1020,10 @@ mod tests {
     fn drop_reasons_cover_the_engine_snapshot() {
         // A reason left out of `DROP_REASONS` would go uncounted on the
         // node: the engine's snapshot labels every reason it counts.
-        let snapshot = relay_engine(RelayConfig::default()).metrics().snapshot();
+        let protocol = Config::new(alpha_crypto::Algorithm::Sha1);
+        let snapshot = relay_engine(protocol, RelayConfig::default())
+            .metrics()
+            .snapshot();
         let engine: Vec<&str> = snapshot
             .get("drops")
             .and_then(serde::Value::as_object)

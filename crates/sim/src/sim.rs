@@ -2,7 +2,7 @@
 //! accounting and metrics.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use alpha_core::Timestamp;
 use alpha_crypto::counting;
@@ -76,8 +76,9 @@ pub struct NodeMetrics {
     pub recv_bytes: u64,
     /// Frames this node forwarded (relays).
     pub forwarded: u64,
-    /// Frames this node dropped, by reason string.
-    pub drops: HashMap<&'static str, u64>,
+    /// Frames this node dropped, by reason string (in label order, so
+    /// every print of it reads the same run after run).
+    pub drops: BTreeMap<&'static str, u64>,
     /// Application payload bytes verified and delivered on this node.
     pub delivered_bytes: u64,
     /// Application payload messages delivered.

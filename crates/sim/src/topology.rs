@@ -37,14 +37,10 @@ pub fn protected_path(
         1 + n_relays,
         app,
     )));
-    let relay_cfg = RelayConfig {
-        mac_scheme: cfg.mac_scheme,
-        ..RelayConfig::default()
-    };
     let served = [(signer_id, signer_id + 1 + n_relays)];
     let mut relays = Vec::with_capacity(n_relays);
     for _ in 0..n_relays {
-        let relay = EngineRelayNode::new(relay_device, relay_cfg, &served);
+        let relay = EngineRelayNode::new(relay_device, cfg, RelayConfig::default(), &served);
         relays.push(sim.add_node(Node::EngineRelay(relay)));
     }
     let verifier_id = sim.add_node(Node::Endpoint(Endpoint::responder(
@@ -85,11 +81,10 @@ pub fn star_through_engine(
     mut app_for_pair: impl FnMut(usize) -> App,
 ) -> (NodeId, Vec<(NodeId, NodeId)>) {
     let relay_cfg = RelayConfig {
-        mac_scheme: cfg.mac_scheme,
         s1_bytes_per_sec: None,
         ..RelayConfig::default()
     };
-    let hub = EngineRelayNode::new(relay_device, relay_cfg, &[]);
+    let hub = EngineRelayNode::new(relay_device, cfg, relay_cfg, &[]);
     let relay = sim.add_node(Node::EngineRelay(hub));
     let mut endpoints = Vec::with_capacity(pairs);
     for k in 0..pairs {
@@ -168,10 +163,7 @@ pub fn chained_mesh_path(
     let verifier = n_relays + 1;
     let standby = standby_for.map(|_| n_relays + 2);
 
-    let relay_cfg = RelayConfig {
-        mac_scheme: cfg.mac_scheme,
-        ..RelayConfig::default()
-    };
+    let relay_cfg = RelayConfig::default();
     let signer_id = sim.add_node(Node::Endpoint(Endpoint::initiator(
         endpoint_device,
         cfg,
@@ -202,6 +194,7 @@ pub fn chained_mesh_path(
         }
         let id = sim.add_node(Node::MeshRelay(MeshRelayNode::new(
             relay_device,
+            cfg,
             relay_cfg,
             mesh,
             &upstreams,
@@ -221,6 +214,7 @@ pub fn chained_mesh_path(
     if let (Some(j), Some(sb)) = (standby_for, standby) {
         let id = sim.add_node(Node::MeshRelay(MeshRelayNode::new(
             relay_device,
+            cfg,
             relay_cfg,
             mesh,
             &[relays[j - 1]],

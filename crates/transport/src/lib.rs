@@ -11,14 +11,15 @@
 //!   exponential-backoff resends, batch send with retransmission driven
 //!   by the engine's timer wheel, and a serve loop for the receiving
 //!   side.
-//! - [`UdpRelay`] — an on-path middlebox that forwards datagrams between
-//!   two hosts while running [`alpha_core::Relay`] verification, dropping
-//!   forged or unsolicited traffic before it wastes downstream bandwidth.
 //! - [`Engine`] — the threaded multi-flow front end (`alpha engine
-//!   serve`): worker threads over an [`alpha_engine::EngineCore`], with
-//!   per-worker `SO_REUSEPORT` sockets on the batched backend.
+//!   serve`, `alpha relay`): worker threads over an
+//!   [`alpha_engine::EngineCore`], with per-worker `SO_REUSEPORT`
+//!   sockets on the batched backend. Given routes, it is the on-path
+//!   middlebox: it forwards datagrams between two hosts while verifying
+//!   them, dropping forged or unsolicited traffic before it wastes
+//!   downstream bandwidth.
 //!
-//! All of them move datagrams through the runtime-selected backends in
+//! Both move datagrams through the runtime-selected backends in
 //! [`io`]: `recvmmsg`/`sendmmsg` batching on Linux ([`mmsg`]), a
 //! portable `recv_from` loop elsewhere, overridable per process with
 //! `ALPHA_UDP_BACKEND=mmsg|fallback|auto`. Receives land in pooled
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alpha_core::bootstrap::{self, AuthRequirement};
-use alpha_core::{Association, Config, Mode, RelayConfig, Timestamp};
+use alpha_core::{Association, Config, Mode, Timestamp};
 use alpha_engine::{
     Backoff, EngineConfig, EngineCore, EngineError, EngineOutput, FlowKey, IoWorker,
 };
@@ -440,95 +441,6 @@ impl UdpHost {
     }
 }
 
-/// An on-path UDP middlebox: forwards datagrams between two sides while
-/// verifying them with a relay-role engine flow per association.
-pub struct UdpRelay {
-    io: UdpIo,
-    pool: FramePool,
-    rx: Vec<RxDatagram>,
-    core: EngineCore,
-    start: Instant,
-    /// Verified payloads extracted in transit.
-    pub extracted: Vec<Vec<u8>>,
-    /// Packets dropped, by any cause (verification, admission,
-    /// backpressure, or unparseable frames).
-    pub dropped: u64,
-    /// Datagrams forwarded.
-    pub forwarded: u64,
-}
-
-impl UdpRelay {
-    /// Bind `bind`; traffic from `left` forwards to `right` and back.
-    /// More routes can be added through [`UdpRelay::engine`].
-    pub fn new<A: ToSocketAddrs>(
-        bind: A,
-        left: SocketAddr,
-        right: SocketAddr,
-        cfg: RelayConfig,
-    ) -> Result<UdpRelay, TransportError> {
-        let socket = UdpSocket::bind(bind)?;
-        socket.set_read_timeout(Some(MAX_READ_TIMEOUT))?;
-        // Relay-only engine: host config is irrelevant but required, and
-        // unknown-flow HS1s must never stand up host state here.
-        let mut ecfg = EngineConfig::new(Config::new(alpha_crypto::Algorithm::Sha1));
-        ecfg.relay = cfg;
-        ecfg.accept_handshakes = false;
-        let core = EngineCore::new(ecfg);
-        core.add_route(left, right);
-        let io = UdpIo::new(socket, core.metrics().io.register_worker());
-        core.metrics().io.set_backend(io.backend().name());
-        Ok(UdpRelay {
-            io,
-            pool: rx_pool(),
-            rx: Vec::with_capacity(MAX_BATCH),
-            core,
-            start: Instant::now(),
-            extracted: Vec::new(),
-            dropped: 0,
-            forwarded: 0,
-        })
-    }
-
-    /// Local address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.io.socket().local_addr()
-    }
-
-    /// The relay's engine core (metrics, flow counts, extra routes).
-    #[must_use]
-    pub fn engine(&self) -> &EngineCore {
-        &self.core
-    }
-
-    /// Forward and verify for `duration`, draining whole bursts so the
-    /// relay's batched signature verification gets full batches.
-    pub fn run_for(&mut self, duration: Duration) -> Result<(), TransportError> {
-        let deadline = Instant::now() + duration;
-        let mut rng = StdRng::from_entropy();
-        while Instant::now() < deadline {
-            self.rx.clear();
-            if self.io.recv_batch(&self.pool, &mut self.rx, MAX_BATCH)? == 0 {
-                continue;
-            }
-            let now = Timestamp::from_micros(self.start.elapsed().as_micros() as u64);
-            let batch: Vec<(SocketAddr, &[u8])> =
-                self.rx.iter().map(|d| (d.from, &d.frame[..])).collect();
-            let out = self.core.handle_datagrams(&batch, now, &mut rng);
-            drop(batch);
-            self.io.send_batch(&out.datagrams)?;
-            self.forwarded += out.datagrams.len() as u64;
-            self.extracted
-                .extend(out.extracted.iter().map(|(_, p)| p.to_vec()));
-            let m = self.core.metrics();
-            self.dropped = m.total_drops()
-                + m.admission_drops.load(Relaxed)
-                + m.backpressure_drops.load(Relaxed)
-                + m.parse_errors.load(Relaxed);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,23 +498,20 @@ mod tests {
         let client_addr = client_sock.local_addr().unwrap();
         drop(client_sock);
 
-        let (rtx, rrx) = std::sync::mpsc::channel();
-        let relay_thread = std::thread::spawn(move || {
-            let mut relay = UdpRelay::new(
-                "127.0.0.1:0",
-                client_addr,
-                server_addr,
-                RelayConfig::default(),
-            )
-            .expect("relay");
-            rtx.send(relay.local_addr().unwrap()).unwrap();
-            relay
-                .run_for(Duration::from_millis(2500))
-                .expect("relay run");
-            (relay.forwarded, relay.dropped, relay.extracted)
+        // The relay: a one-worker engine with one route, standing up no
+        // host flows, its verified payloads collected by a sink.
+        let mut ecfg = EngineConfig::new(c);
+        ecfg.accept_handshakes = false;
+        let core = EngineCore::new(ecfg);
+        core.add_route(client_addr, server_addr);
+        let extracted = Arc::new(std::sync::Mutex::new(Vec::<Vec<u8>>::new()));
+        let into = Arc::clone(&extracted);
+        let sink: DeliverySink = Box::new(move |out| {
+            let mut into = into.lock().unwrap();
+            into.extend(out.extracted.iter().map(|(_, p)| p.to_vec()));
         });
-        let relay_addr = rrx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        let relay = Engine::bind_with_sink("127.0.0.1:0", core, 1, Some(sink)).expect("relay");
+        let relay_addr = relay.local_addr().unwrap();
 
         let mut client = UdpHost::connect(c, 7, client_addr, relay_addr, Duration::from_secs(10))
             .expect("connect");
@@ -618,9 +527,11 @@ mod tests {
             )
             .expect("send");
         let delivered = server.join().expect("server");
-        let (forwarded, _dropped, extracted) = relay_thread.join().expect("relay");
+        let forwarded = relay.core().metrics().packets_out.load(Relaxed);
+        relay.shutdown();
         assert_eq!(delivered.len(), 3);
         assert!(forwarded >= 5, "handshake + exchange forwarded");
+        let extracted = extracted.lock().unwrap();
         assert_eq!(extracted.len(), 3, "relay verified every payload");
     }
 

@@ -49,8 +49,6 @@ pub struct LoadgenConfig {
     pub shards: usize,
     /// Hash-chain length for every association.
     pub chain_len: u64,
-    /// Cross-worker handoff ring capacity.
-    pub handoff_ring: usize,
 }
 
 impl Default for LoadgenConfig {
@@ -63,7 +61,6 @@ impl Default for LoadgenConfig {
             duration: Duration::from_secs(2),
             shards: 64,
             chain_len: 1024,
-            handoff_ring: 1024,
         }
     }
 }
@@ -200,9 +197,7 @@ fn proto(chain_len: u64) -> Config {
 /// waits for every flow to finish its handshake, then opens the
 /// measurement window.
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    let engine_cfg = EngineConfig::new(proto(cfg.chain_len))
-        .with_shards(cfg.shards)
-        .with_handoff_ring(cfg.handoff_ring);
+    let engine_cfg = EngineConfig::new(proto(cfg.chain_len)).with_shards(cfg.shards);
     let server = Engine::bind("127.0.0.1:0", EngineCore::new(engine_cfg), cfg.workers)?;
     let server_addr = server.local_addr()?;
 

@@ -23,9 +23,9 @@
 //!    derived from live Rust allocations (stack arrays, boxed arrays or
 //!    `Vec` buffers) that outlive the call, with lengths taken from the
 //!    same allocation. The kernel reads/writes only within those
-//!    bounds. The calls: `socket`, `bind`, `setsockopt`, `getsockopt`,
-//!    `recvmmsg`, `sendmmsg`; a control-message buffer is one more such
-//!    array beside the names and iovecs. Arrays only the kernel reads
+//!    bounds. The calls: `socket`, `bind`, `setsockopt`, `recvmmsg`,
+//!    `sendmmsg`; a control-message buffer is one more such array
+//!    beside the names and iovecs. Arrays only the kernel reads
 //!    (`sendmmsg`'s headers, names, iovecs, control messages) are
 //!    `MaybeUninit` with exactly the entries the call is told about
 //!    written, by safe code, first; nothing reads them back.
@@ -207,13 +207,6 @@ extern "C" {
         optval: *const c_void,
         optlen: u32,
     ) -> c_int;
-    fn getsockopt(
-        fd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *mut c_void,
-        optlen: *mut u32,
-    ) -> c_int;
     fn recvmmsg(
         fd: c_int,
         msgvec: *mut MMsgHdr,
@@ -372,28 +365,6 @@ pub fn set_gro(sock: &UdpSocket) -> io::Result<()> {
 /// this the portable way to drive [`send_batch`]'s refusal path.
 pub fn set_no_check(sock: &UdpSocket, on: bool) -> io::Result<()> {
     set_int_opt(sock.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, c_int::from(on))
-}
-
-/// The effective kernel receive-buffer size (the kernel doubles the
-/// requested value for bookkeeping overhead; this reports its number).
-pub fn recv_buffer(sock: &UdpSocket) -> io::Result<usize> {
-    let mut value: c_int = 0;
-    let mut len = std::mem::size_of::<c_int>() as u32;
-    // SAFETY: shape 1 — `value`/`len` are live stack slots sized for
-    // the option the kernel writes back.
-    let rc = unsafe {
-        getsockopt(
-            sock.as_raw_fd(),
-            SOL_SOCKET,
-            SO_RCVBUF,
-            (&mut value as *mut c_int).cast::<c_void>(),
-            &mut len,
-        )
-    };
-    if rc != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(value.max(0) as usize)
 }
 
 // ---------------------------------------------------------------------------

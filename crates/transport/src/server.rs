@@ -117,6 +117,10 @@ const EPOLL_BACKSTOP_MS: i32 = 250;
 /// to `net.core.rmem_max`.
 #[cfg(target_os = "linux")]
 const RECV_BUFFER_BYTES: usize = 4 << 20;
+/// Capacity (datagrams) of each cross-worker handoff ring. When a ring
+/// is full the receiving worker processes the datagram itself under the
+/// shard lock (counted in `handoff_overflow`) rather than stall or drop.
+const HANDOFF_RING: usize = 1024;
 
 /// One eventfd doorbell per ordered worker pair, mirroring the handoff
 /// rings: `cells[dst][src]` is rung by worker `src` after pushing onto
@@ -269,12 +273,11 @@ impl Engine {
         // One bounded lock-free ring per ordered worker pair:
         // `rings[dst][src]` carries datagrams worker `src` received for
         // shards worker `dst` owns. SPSC by construction.
-        let ring_cap = core.config().handoff_ring;
         let rings: Arc<Vec<Vec<HandoffRing<RxDatagram>>>> = Arc::new(
             (0..workers)
                 .map(|_| {
                     (0..workers)
-                        .map(|_| HandoffRing::with_capacity(ring_cap))
+                        .map(|_| HandoffRing::with_capacity(HANDOFF_RING))
                         .collect()
                 })
                 .collect(),

@@ -31,6 +31,7 @@ fn main() {
     )));
     let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(sender, 2)], // the pair it serves: sender and victim
     )));

@@ -31,6 +31,7 @@ fn main() {
     )));
     let relay_a = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(signer, 4)], // the pair it serves: signer and verifier
     )));
@@ -43,6 +44,7 @@ fn main() {
     });
     let relay_b = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(signer, 4)], // the pair it serves: signer and verifier
     )));

@@ -132,6 +132,7 @@ fn incremental_deployment_with_dumb_relay() {
     });
     let aware = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(signer, 3)],
     )));
@@ -430,11 +431,13 @@ fn route_change_mid_stream_recovers_with_reliability() {
     )));
     let relay_a = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(signer, 3)],
     )));
     let relay_b = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(signer, 3)],
     )));
@@ -558,6 +561,7 @@ fn full_duplex_streams_in_both_directions() {
     )));
     let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::geode_lx(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(a, 2)],
     )));
@@ -669,6 +673,7 @@ fn forged_s1_flood_dies_at_the_relay() {
     )));
     let relay = sim.add_node(Node::EngineRelay(alpha::sim::EngineRelayNode::new(
         DeviceModel::ar2315(),
+        cfg,
         alpha::core::RelayConfig::default(),
         &[(sender, 2)],
     )));
@@ -738,6 +743,7 @@ fn tampered_s2_is_counted_under_bad_mac_at_the_next_relay() {
     let relay = || {
         Node::EngineRelay(alpha::sim::EngineRelayNode::new(
             DeviceModel::geode_lx(),
+            cfg,
             alpha::core::RelayConfig::default(),
             &[(signer, 4)],
         ))
