@@ -182,7 +182,7 @@ echo "==> loadgen smoke (live engine saturation over loopback, --quick; forced f
 ALPHA_UDP_BACKEND=fallback cargo run --release -p alpha-cli --bin alpha -- loadgen --quick
 loadgen_json=$(cargo run --release -p alpha-cli --bin alpha -- loadgen --quick --json)
 echo "$loadgen_json"
-for key in gso_sends gso_segments gro_recvs gro_segments gso_refused; do
+for key in gso_sends gso_segments gro_recvs gro_segments gso_refused lock_contended; do
     case "$loadgen_json" in
         *"\"$key\":"*) ;;
         *) echo "loadgen --json lacks \"$key\""; exit 1 ;;
@@ -203,14 +203,25 @@ cargo run --release --example mesh_smoke
 # Every output here is seeded or counted: the tables and figures count
 # what the protocol machines hash and send, flows_scaling runs the
 # simulator's engine relays, and wmn_estimate / wsn_estimate judge
-# prefix MACs at a relay built from the deployment's config. So each
-# regenerates results/ byte for byte (well under a second each in
-# release). A change that moves a figure fails here; regenerate
-# results/ and say why in EXPERIMENTS.md.
-echo "==> paper outputs: tables 1-3 and 6, figures 5-6, flows_scaling, wmn_estimate and wsn_estimate regenerate results/ byte-identical (release)"
+# prefix MACs at a relay built from the deployment's config; `alpha
+# sim` and the six sans-io examples run seeded engines on virtual
+# time. So each regenerates results/ byte for byte (well under a
+# second each in release). A change that moves a figure fails here;
+# regenerate results/ and say why in EXPERIMENTS.md.
+echo "==> paper outputs: tables 1-3 and 6, figures 5-6, flows_scaling, wmn_estimate, wsn_estimate, alpha sim and six examples regenerate results/ byte-identical (release)"
 for bin in table1 table2 table3 table6 fig5 fig6 flows_scaling wmn_estimate wsn_estimate; do
     cargo run --release -q -p alpha-bench --bin "$bin" | diff "results/$bin.txt" - || {
         echo "ci: $bin output differs from results/$bin.txt" >&2
+        exit 1
+    }
+done
+cargo run --release -q -p alpha-cli --bin alpha -- sim | diff results/alpha_sim.txt - || {
+    echo "ci: alpha sim output differs from results/alpha_sim.txt" >&2
+    exit 1
+}
+for example in quickstart flood_defense mesh_stream sensor_net longlived_association middlebox_signaling; do
+    cargo run --release -q --example "$example" | diff "results/$example.txt" - || {
+        echo "ci: example $example output differs from results/$example.txt" >&2
         exit 1
     }
 done

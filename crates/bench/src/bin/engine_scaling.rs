@@ -320,15 +320,8 @@ fn main() {
     };
     for l in &live {
         println!(
-            "live: {} workers -> {:.0} verified S2/s ({} exchanges, handoff in/out/overflow \
-             {}/{}/{}, contended locks {})",
-            l.report.workers,
-            l.report.s2_per_sec,
-            l.report.s2_verified,
-            l.report.io.handoff_in,
-            l.report.io.handoff_out,
-            l.report.io.handoff_overflow,
-            l.report.lock_contended,
+            "live: {} workers -> {:.0} verified S2/s ({} exchanges, contended locks {})",
+            l.report.workers, l.report.s2_per_sec, l.report.s2_verified, l.report.lock_contended,
         );
     }
     let live_speedup = if live_tput(1) > 0.0 {

@@ -132,6 +132,8 @@ struct Measured {
     s2_verified: u64,
     injected: u64,
     per_worker_sockets: bool,
+    /// Times two workers met in one shard (`lock_contended`).
+    lock_contended: u64,
 }
 
 /// A scored configuration for the table/JSON.
@@ -150,6 +152,7 @@ struct RunResult {
     datagrams_per_recv: f64,
     syscalls_per_datagram: f64,
     s2_verified: u64,
+    lock_contended: u64,
     per_worker_secs: Vec<f64>,
 }
 
@@ -294,6 +297,7 @@ fn run_measured(
     let totals = metrics.io.totals();
     let s2_verified = metrics.s2_verified.load(Ordering::Relaxed);
     let drops = metrics.total_drops() - base_drops;
+    let lock_contended = core.lock_contended();
     relay.shutdown();
 
     assert_eq!(
@@ -311,6 +315,7 @@ fn run_measured(
         s2_verified,
         injected,
         per_worker_sockets,
+        lock_contended,
     }
 }
 
@@ -394,6 +399,7 @@ fn run_wall_clock(
             m.injected + m.relayed,
         ),
         s2_verified: m.s2_verified,
+        lock_contended: m.lock_contended,
         per_worker_secs: vec![m.elapsed_secs],
     }
 }
@@ -416,6 +422,7 @@ fn run_share_nothing(
     let mut total_wait = 0u64;
     let mut total_s2 = 0u64;
     let mut total_injected = 0u64;
+    let mut total_contended = 0u64;
     let mut per_worker_secs = Vec::with_capacity(workers);
     for w in 0..workers {
         let slice: Vec<&FlowTraffic> = traffic
@@ -443,6 +450,7 @@ fn run_share_nothing(
         total_wait += m.wait_calls;
         total_s2 += m.s2_verified;
         total_injected += m.injected;
+        total_contended += m.lock_contended;
         per_worker_secs.push(m.elapsed_secs);
     }
     let makespan = per_worker_secs.iter().copied().fold(0.0f64, f64::max);
@@ -466,6 +474,7 @@ fn run_share_nothing(
             total_injected + total_relayed,
         ),
         s2_verified: total_s2,
+        lock_contended: total_contended,
         per_worker_secs,
     }
 }
@@ -530,6 +539,7 @@ fn main() {
                     format!("{:.0}", r.relayed_per_sec),
                     format!("{:.1}", r.datagrams_per_recv),
                     format!("{:.4}", r.syscalls_per_datagram),
+                    r.lock_contended.to_string(),
                 ]);
                 results.push(r);
             }
@@ -549,6 +559,7 @@ fn main() {
             "dgrams/s",
             "dgrams/recv",
             "sys/dgram",
+            "contended",
         ],
         &rows,
     );
@@ -657,7 +668,7 @@ fn main() {
              \"relayed_per_sec\": {:.1}, \
              \"recv_calls\": {}, \"send_calls\": {}, \"wait_calls\": {}, \
              \"datagrams_per_recv\": {:.3}, \"syscalls_per_datagram\": {:.4}, \
-             \"s2_verified\": {}, \"per_worker_secs\": [{secs}]}}{}",
+             \"s2_verified\": {}, \"lock_contended\": {}, \"per_worker_secs\": [{secs}]}}{}",
             r.backend.name(),
             r.workers,
             r.per_worker_sockets,
@@ -677,6 +688,7 @@ fn main() {
             r.datagrams_per_recv,
             r.syscalls_per_datagram,
             r.s2_verified,
+            r.lock_contended,
             if i + 1 == results.len() { "" } else { "," }
         );
     }

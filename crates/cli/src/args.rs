@@ -148,8 +148,6 @@ pub enum Command {
         seconds: f64,
         /// Server flow-table shards.
         shards: usize,
-        /// Use the small sub-second CI preset as the baseline.
-        quick: bool,
         /// Print the report as one JSON object instead of a summary.
         json: bool,
     },
@@ -562,8 +560,7 @@ fn mesh_peers(pos: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
 }
 
 fn loadgen(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
-    let quick = f.switch("--quick");
-    let d = if quick {
+    let d = if f.switch("--quick") {
         LoadgenConfig::quick()
     } else {
         LoadgenConfig::default()
@@ -579,7 +576,6 @@ fn loadgen(_: &[&str], f: &mut Flags<'_>) -> Result<Command, ParseError> {
             0.0..=MAX_SECONDS as f64,
         )?,
         shards: f.num("--shards", d.shards, 1..=MAX_PARALLEL)?,
-        quick,
         json: f.switch("--json"),
     })
 }
@@ -950,7 +946,6 @@ mod tests {
                 payload: 256,
                 seconds: 0.5,
                 shards: 64,
-                quick: true,
                 json: false,
             }
         );
@@ -971,14 +966,12 @@ mod tests {
                 senders,
                 seconds,
                 json,
-                quick,
                 ..
             } => {
                 assert_eq!(workers, 8);
                 assert_eq!(senders, 3);
                 assert!((seconds - 1.5).abs() < 1e-9);
                 assert!(json);
-                assert!(!quick);
             }
             _ => panic!(),
         }

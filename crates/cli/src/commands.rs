@@ -441,7 +441,6 @@ pub fn mesh_peers(addr: &str, timeout_ms: u64, raw_json: bool) -> Result<(), Cli
 
 /// `alpha loadgen` — saturate a live loopback engine and report
 /// verified-S2 throughput.
-#[allow(clippy::too_many_arguments)]
 pub fn loadgen(
     workers: usize,
     senders: usize,
@@ -449,15 +448,9 @@ pub fn loadgen(
     payload: usize,
     seconds: f64,
     shards: usize,
-    quick: bool,
     raw_json: bool,
 ) -> Result<(), CliError> {
     use alpha_transport::loadgen::{host_cores, run, LoadgenConfig};
-    let base = if quick {
-        LoadgenConfig::quick()
-    } else {
-        LoadgenConfig::default()
-    };
     let cfg = LoadgenConfig {
         workers: workers.max(1),
         senders: senders.max(1),
@@ -465,7 +458,6 @@ pub fn loadgen(
         payload,
         duration: Duration::from_secs_f64(seconds.max(0.05)),
         shards: shards.max(1),
-        ..base
     };
     if !raw_json {
         note(&format!(
@@ -493,21 +485,15 @@ pub fn loadgen(
         report.workers,
     );
     say!(
-        "handoff: in={} out={} overflow={}  lock_contended={}  reuseport={}  backend={}",
-        report.io.handoff_in,
-        report.io.handoff_out,
-        report.io.handoff_overflow,
+        "lock_contended={}  reuseport={}  backend={}",
         report.lock_contended,
         report.reuseport,
         report.udp_backend,
     );
     say!(
-        "wait: backend={}  idle_wakeups/s={:.1}  handoff_wait p50={}µs p99={}µs ({} sample(s))",
+        "wait: backend={}  idle_wakeups/s={:.1}",
         report.wait_backend,
         report.idle_wakeups_per_sec,
-        report.handoff_p50_us,
-        report.handoff_p99_us,
-        report.handoff_samples,
     );
     say!(
         "syscalls: {:.4}/datagram (recv={} send={} wait={})  send_retries={}",
@@ -905,14 +891,7 @@ mod tests {
             assert!(line[2].starts_with("p99_us="), "{h}: {line:?}");
             assert_eq!(line.len(), 3, "{h}: {line:?}");
         }
-        for key in [
-            "send_retries=",
-            "wait_calls=",
-            "handoff_in=",
-            "handoff_out=",
-            "handoff_overflow=",
-            "lock_contended=",
-        ] {
+        for key in ["send_retries=", "wait_calls=", "lock_contended="] {
             assert!(text.contains(key), "{key} missing from:\n{text}");
         }
     }

@@ -96,10 +96,9 @@ fn main() {
             payload,
             seconds,
             shards,
-            quick,
             json,
         } => commands::loadgen(
-            *workers, *senders, *flows, *payload, *seconds, *shards, *quick, *json,
+            *workers, *senders, *flows, *payload, *seconds, *shards, *json,
         ),
     };
     if let Err(e) = result {

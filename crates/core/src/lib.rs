@@ -198,8 +198,6 @@ pub struct Config {
     pub rto_micros: u64,
     /// Retransmissions before an exchange is abandoned.
     pub max_retries: u32,
-    /// Chain-verifier forward-hash bound (CPU-DoS defence).
-    pub max_skip: u64,
     /// MAC construction for pre-signatures.
     pub mac_scheme: MacScheme,
     /// How this host stores its own chains: a memory/recompute trade-off
@@ -219,7 +217,6 @@ impl Config {
             reliability: Reliability::Unreliable,
             rto_micros: 200_000,
             max_retries: 5,
-            max_skip: 128,
             mac_scheme: MacScheme::Hmac,
             chain_storage: ChainStorage::Full,
         }

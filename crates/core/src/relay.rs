@@ -158,11 +158,9 @@ impl DirectionState {
     /// A direction tracking the sender's signature chain and the
     /// receiver's acknowledgment chain from their `(anchor, index)`, with
     /// nothing buffered yet.
-    fn new(alg: Algorithm, max_skip: u64, sig: (Digest, u64), ack: (Digest, u64)) -> Self {
+    fn new(alg: Algorithm, sig: (Digest, u64), ack: (Digest, u64)) -> Self {
         use alpha_crypto::chain::ChainKind::{RoleBoundAck, RoleBoundSignature};
-        let track = |kind, (anchor, index)| {
-            ChainVerifier::new(alg, kind, anchor, index).with_max_skip(max_skip)
-        };
+        let track = |kind, (anchor, index)| ChainVerifier::new(alg, kind, anchor, index);
         DirectionState {
             sig: track(RoleBoundSignature, sig),
             ack: track(RoleBoundAck, ack),
@@ -242,8 +240,6 @@ pub struct AssociationRelay {
     cfg: RelayConfig,
     /// The deployment's MAC construction ([`Config::mac_scheme`]).
     mac_scheme: MacScheme,
-    /// The deployment's chain skip bound ([`Config::max_skip`]).
-    max_skip: u64,
     assoc_id: u64,
     /// `None` until an HS1 is seen, and again once a verified Close
     /// released the state: the association is then unknown, exactly as
@@ -260,7 +256,6 @@ impl AssociationRelay {
         AssociationRelay {
             cfg,
             mac_scheme: protocol.mac_scheme,
-            max_skip: protocol.max_skip,
             assoc_id,
             state: None,
         }
@@ -352,7 +347,7 @@ impl AssociationRelay {
         // Relays learn anchors by watching the handshake (§3.4). The relay
         // cannot judge handshake authenticity (that is the endpoints' PK
         // check); it only records anchors.
-        let (s1_rate, max_skip) = (self.cfg.s1_bytes_per_sec, self.max_skip);
+        let s1_rate = self.cfg.s1_bytes_per_sec;
         match hs.role {
             HandshakeRole::Init => {
                 let init = (
@@ -363,7 +358,7 @@ impl AssociationRelay {
                 );
                 let a = self
                     .state
-                    .get_or_insert_with(|| RelayAssociation::placeholder(alg, s1_rate, max_skip));
+                    .get_or_insert_with(|| RelayAssociation::placeholder(alg, s1_rate));
                 // A retransmitted HS1 (reply still in flight when the
                 // initiator's timer fired) carries the anchors already
                 // learned: forward it untouched. Re-arming `pending_init`
@@ -383,7 +378,7 @@ impl AssociationRelay {
                 let Some((isig, isig_i, iack, iack_i)) = a.pending_init.take() else {
                     return (RelayDecision::Forward, None);
                 };
-                let dir = |sig, ack| DirectionState::new(alg, max_skip, sig, ack);
+                let dir = |sig, ack| DirectionState::new(alg, sig, ack);
                 a.alg = alg;
                 a.fwd = dir((isig, isig_i), (hs.ack_anchor, hs.ack_anchor_index));
                 a.rev = dir((hs.sig_anchor, hs.sig_anchor_index), (iack, iack_i));
@@ -491,7 +486,7 @@ impl AssociationRelay {
                     // a Close signal releases it — a control payload, so
                     // always the last (only) packet of its chunk.
                     let a = self.state.as_mut().expect("present in phase 1");
-                    match s2_finish(self.max_skip, a, is_fwd, item.payload, now) {
+                    match s2_finish(a, is_fwd, item.payload, now) {
                         Err(reason) => (RelayDecision::Drop(reason), none()),
                         Ok(close) => {
                             if close {
@@ -562,7 +557,7 @@ impl Relay {
         resp_sig: (Digest, u64),
         resp_ack: (Digest, u64),
     ) {
-        let dir = |sig, ack| DirectionState::new(alg, self.protocol.max_skip, sig, ack);
+        let dir = |sig, ack| DirectionState::new(alg, sig, ack);
         let state = RelayAssociation {
             alg,
             fwd: dir(init_sig, resp_ack),
@@ -813,7 +808,6 @@ fn s2_prepare(
 /// verified Close signal, the association's state is to be released
 /// once this packet is forwarded.
 fn s2_finish(
-    max_skip: u64,
     a: &mut RelayAssociation,
     is_fwd: bool,
     payload: &[u8],
@@ -861,11 +855,9 @@ fn s2_finish(
         } else {
             (&mut a.rev, &mut a.fwd)
         };
-        sig_dir.sig = ChainVerifier::new(alg, RoleBoundSignature, anchors.sig.0, anchors.sig.1)
-            .with_max_skip(max_skip);
+        sig_dir.sig = ChainVerifier::new(alg, RoleBoundSignature, anchors.sig.0, anchors.sig.1);
         sig_dir.exchange = None;
-        let renewed = ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1)
-            .with_max_skip(max_skip);
+        let renewed = ChainVerifier::new(alg, RoleBoundAck, anchors.ack.0, anchors.ack.1);
         ack_dir.ack_prev = Some(std::mem::replace(&mut ack_dir.ack, renewed));
     }
     Ok(false)
@@ -905,12 +897,12 @@ fn a2_parts(
 
 impl RelayAssociation {
     /// State for an association whose handshake is still in flight.
-    fn placeholder(alg: Algorithm, s1_rate: Option<u64>, max_skip: u64) -> RelayAssociation {
+    fn placeholder(alg: Algorithm, s1_rate: Option<u64>) -> RelayAssociation {
         let blank = (Digest::zero(alg), 0);
         RelayAssociation {
             alg,
-            fwd: DirectionState::new(alg, max_skip, blank, blank),
-            rev: DirectionState::new(alg, max_skip, blank, blank),
+            fwd: DirectionState::new(alg, blank, blank),
+            rev: DirectionState::new(alg, blank, blank),
             limiter: S1Limiter::new(s1_rate),
             data_cap_fwd: None,
             data_cap_rev: None,

@@ -122,8 +122,7 @@ impl SignerChannel {
             alpha_crypto::chain::ChainKind::RoleBoundAck,
             peer_ack_anchor,
             peer_ack_anchor_index,
-        )
-        .with_max_skip(cfg.max_skip);
+        );
         SignerChannel {
             assoc_id,
             cfg,
@@ -480,8 +479,7 @@ impl SignerChannel {
             alpha_crypto::chain::ChainKind::RoleBoundAck,
             anchor,
             anchor_index,
-        )
-        .with_max_skip(self.cfg.max_skip);
+        );
         let old = std::mem::replace(&mut self.peer_ack, renewed);
         self.peer_ack_prev = self.pending.is_some().then(|| Box::new(old));
     }

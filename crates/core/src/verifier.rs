@@ -235,8 +235,7 @@ impl VerifierChannel {
             alpha_crypto::chain::ChainKind::RoleBoundSignature,
             peer_sig_anchor,
             peer_sig_anchor_index,
-        )
-        .with_max_skip(cfg.max_skip);
+        );
         VerifierChannel {
             assoc_id,
             cfg,
@@ -509,8 +508,7 @@ impl VerifierChannel {
             alpha_crypto::chain::ChainKind::RoleBoundSignature,
             anchor,
             anchor_index,
-        )
-        .with_max_skip(self.cfg.max_skip);
+        );
         self.current = None;
         self.previous = None;
     }

@@ -13,9 +13,9 @@
 //!
 //! - Flows live in a [`Sharded`] table keyed by [`FlowKey`]. Shard
 //!   selection hashes only the flow's *address* ([`addr_hash`] +
-//!   [`jump_hash`]), so a receiver thread can route a datagram to the
-//!   worker owning its shard without parsing it first, and a packet
-//!   never takes locks on two shards.
+//!   [`jump_hash`]), so a packet never takes locks on two shards: the
+//!   worker that receives a datagram judges it under that one shard's
+//!   lock, and shard `s`'s timers belong to worker `s mod W`.
 //! - Each shard embeds a [`TimerWheel`] holding every deadline its
 //!   flows own: handshake resends, protocol retransmission, the idle
 //!   check, paced chain renewal.
@@ -57,7 +57,7 @@ use crate::backoff::Backoff;
 use crate::chainstore;
 use crate::mesh;
 use crate::metrics::{EngineMetrics, PeerCounters};
-use crate::shard::{addr_hash, jump_hash, FlowKey, ShardOwners, Sharded};
+use crate::shard::{addr_hash, jump_hash, FlowKey, Sharded};
 use crate::timer::TimerWheel;
 
 // The files below are pieces of one `impl EngineCore`; each opens with
@@ -170,13 +170,6 @@ pub struct EngineCore {
     store: Mutex<FrozenStore<FlowKey>>,
     /// Global renewal token bucket + per-flow jitter source.
     pacer: Mutex<RenewalPacer>,
-    /// First-receiver-wins shard ownership: the worker whose
-    /// SO_REUSEPORT socket the kernel steers a flow's datagrams to
-    /// claims the flow's shard with one CAS and owns it end-to-end
-    /// (datagram handling + timer polling). RSS-mismatched datagrams
-    /// are handed to the owner through bounded rings by the transport
-    /// layer, so on the steady state each shard has a single toucher.
-    owners: ShardOwners,
     /// True once any relay route exists. Host-only engines (the common
     /// deployment) skip the `routes` read lock on every datagram (see
     /// [`EngineCore::route_of`]).
@@ -223,6 +216,13 @@ fn s2_run_items<'a>(views: &'a [Option<PacketView<'_>>]) -> [S2BatchItem<'a>; MA
     items
 }
 
+/// The worker (of `workers` total) that polls `shard`'s timers: shard
+/// `s` belongs to worker `s mod workers`, so every wheel has exactly
+/// one poller.
+fn poller_of(shard: usize, workers: u32) -> u32 {
+    shard as u32 % workers.max(1)
+}
+
 /// A cached deadline word as a timestamp (`u64::MAX` = none armed).
 fn deadline_of(v: u64) -> Option<Timestamp> {
     (v != u64::MAX).then_some(Timestamp::from_micros(v))
@@ -249,7 +249,6 @@ impl EngineCore {
             mesh_active: AtomicBool::new(false),
             store: Mutex::new(FrozenStore::new(cfg.frozen_budget)),
             pacer: Mutex::new(RenewalPacer::new(cfg.pacer)),
-            owners: ShardOwners::new(cfg.shards),
             has_routes: AtomicBool::new(false),
             hints: OnceLock::new(),
             metrics: EngineMetrics::new(),
@@ -273,7 +272,7 @@ impl EngineCore {
     /// until [`EngineCore::install_worker_hints`] runs.
     fn note_deadline(&self, idx: usize, v: u64) {
         let Some(h) = self.hints.get() else { return };
-        let w = self.poller_of(idx, h.workers);
+        let w = poller_of(idx, h.workers);
         let old = h.mins[w as usize].fetch_min(v, Ordering::AcqRel);
         if v < old {
             if let Some(waker) = &h.waker {
@@ -307,19 +306,11 @@ impl EngineCore {
         }
     }
 
-    /// The worker (of `workers` total) that polls `shard`'s timers: the
-    /// claimed owner, and for unclaimed shards the modulo worker, so
-    /// every wheel always has exactly one poller.
-    fn poller_of(&self, shard: usize, workers: u32) -> u32 {
-        let fallback = shard as u32 % workers.max(1);
-        self.owners.owner(shard).unwrap_or(fallback)
-    }
-
-    /// Whether `worker` (of `workers` total) polls `shard`'s timers
-    /// (see [`EngineCore::poller_of`]).
+    /// Whether `worker` (of `workers` total) polls `shard`'s timers:
+    /// shard `s` belongs to worker `s mod workers`.
     #[must_use]
     pub fn polls_shard(&self, shard: usize, worker: u32, workers: u32) -> bool {
-        self.poller_of(shard, workers) == worker
+        poller_of(shard, workers) == worker
     }
 
     /// The conservative earliest deadline among the shards `worker`
@@ -394,36 +385,17 @@ impl EngineCore {
         self.routes.read().get(&from).copied()
     }
 
-    /// Shard index owning traffic *from* this address (resolving relay
-    /// routes to the canonical pair endpoint). Receiver threads use
-    /// this to demux datagrams to workers without parsing them.
+    /// Shard index of traffic *from* this address (resolving relay
+    /// routes to the canonical pair endpoint), known without parsing
+    /// the datagram.
     #[must_use]
     pub fn shard_of_source(&self, from: SocketAddr) -> usize {
         let addr = self.route_of(from).map_or(from, |dst| canonical(from, dst));
         self.shard_of_addr(&addr)
     }
 
-    /// Claim `shard` for `worker` (first receiver wins); returns the
-    /// resulting owner. Workers call this on the first datagram they
-    /// receive for a shard — kernel RSS thereby becomes the
-    /// partitioner.
-    pub fn claim_shard(&self, shard: usize, worker: u32) -> u32 {
-        let owner = self.owners.claim(shard, worker);
-        // Ownership may have moved the shard's timers to a different
-        // poller; fold its deadline into the (new) owner's hint.
-        self.note_deadline(shard, self.deadlines[shard].load(Ordering::Acquire));
-        owner
-    }
-
-    /// Current owner of `shard`, or `None` when unclaimed.
-    #[must_use]
-    pub fn shard_owner(&self, shard: usize) -> Option<u32> {
-        self.owners.owner(shard)
-    }
-
     /// Contended shard-lock acquisitions since start (see
-    /// [`Sharded::contended`]): the live runtime's "zero shared locks
-    /// on the owned steady-state path" claim, as a counter.
+    /// [`Sharded::contended`]): how often two workers met in one shard.
     #[must_use]
     pub fn lock_contended(&self) -> u64 {
         self.shards.contended()

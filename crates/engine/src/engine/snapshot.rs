@@ -62,26 +62,14 @@ impl EngineCore {
         ])
     }
 
-    /// Live-runtime ownership + lock-discipline snapshot: which worker
-    /// owns each shard (null = unclaimed) and how many counted lock
-    /// acquisitions ever found a shard held by another thread. A
-    /// healthy share-nothing runtime keeps `lock_contended` at (or
-    /// within noise of) zero.
+    /// Live-runtime lock discipline: how many counted lock
+    /// acquisitions ever found a shard held by another thread, that is,
+    /// how often two workers met in one shard.
     fn runtime_snapshot(&self) -> Value {
-        let owners = self.owners.snapshot();
-        let claimed = owners.iter().filter(|o| o.is_some()).count() as u64;
-        let owner = |o: Option<u32>| o.map_or(Value::Null, |w| Value::U64(u64::from(w)));
-        Value::object([
-            (
-                "lock_contended".to_owned(),
-                Value::U64(self.shards.contended()),
-            ),
-            ("shards_claimed".to_owned(), Value::U64(claimed)),
-            (
-                "shard_owners".to_owned(),
-                Value::Array(owners.into_iter().map(owner).collect()),
-            ),
-        ])
+        Value::object([(
+            "lock_contended".to_owned(),
+            Value::U64(self.shards.contended()),
+        )])
     }
 
     /// Snapshot rendered as a JSON string.

@@ -80,21 +80,13 @@ fn packets_too_long_for_a_bundle_go_out_unbundled() {
 }
 
 #[test]
-fn owned_steady_state_s2_path_zero_contended_locks() {
-    // The share-nothing claim, pinned: when the receiving worker
-    // owns the flow's shard (single-toucher via handoff rings), the
-    // steady-state S2 verify path acquires zero *shared* (blocking,
-    // contended) locks — and in debug builds the per-thread lock
-    // counter bounds the uncontended CAS acquisitions to the
-    // documented budget of at most two per datagram (kind peek +
-    // state update).
+fn steady_state_s2_path_is_uncontended_within_its_lock_budget() {
+    // With no other worker in the shard, the steady-state S2 verify
+    // path acquires zero *contended* (blocking) locks — and in debug
+    // builds the per-thread lock counter bounds the uncontended
+    // acquisitions to the documented budget of at most two per
+    // datagram (kind peek + state update).
     let (mut net, key) = connected(cfg(), cfg(), 99, 77);
-
-    // The live runtime's first-receiver claim.
-    let server = net.engine(sa());
-    let shard = server.shard_of_source(ca());
-    assert_eq!(server.claim_shard(shard, 0), 0);
-    assert_eq!(server.shard_owner(shard), Some(0));
 
     // Stage one steady-state exchange by hand: S1 -> A1 -> S2.
     net.sign(ca(), key, &[b"steady-state"], Mode::Base)
@@ -104,7 +96,7 @@ fn owned_steady_state_s2_path_zero_contended_locks() {
     let s2: Vec<Datagram> = net.flight.drain(..).collect();
     assert!(!s2.is_empty(), "client staged its S2");
 
-    // Measure the S2 verify path alone, as the owning worker.
+    // Measure the S2 verify path alone, as the receiving worker.
     let server = net.engine(sa());
     crate::shard::reset_thread_lock_count();
     let contended_before = server.lock_contended();
@@ -114,27 +106,23 @@ fn owned_steady_state_s2_path_zero_contended_locks() {
     assert_eq!(
         server.lock_contended() - contended_before,
         0,
-        "owned S2 path is contention-free"
+        "a lone worker's S2 path is contention-free"
     );
     #[cfg(debug_assertions)]
     {
         let taken = crate::shard::locks_taken_on_thread();
         assert!(
             taken >= 1 && taken <= 2 * s2r.len() as u64,
-            "single-toucher lock budget: {taken} acquisitions for {} datagrams",
+            "lock budget: {taken} acquisitions for {} datagrams",
             s2r.len()
         );
     }
-    // The runtime snapshot carries the same discipline counters.
+    // The runtime snapshot carries the same counter.
     let snap = server.snapshot();
     let runtime = snap.get("runtime").expect("runtime section");
     assert_eq!(
         runtime.get("lock_contended").and_then(serde::Value::as_u64),
         Some(server.lock_contended())
-    );
-    assert_eq!(
-        runtime.get("shards_claimed").and_then(serde::Value::as_u64),
-        Some(1)
     );
 }
 
@@ -742,7 +730,6 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
     use alpha_crypto::chain::DEFAULT_MAX_SKIP;
     // Default chain length: the √n layout a deployed host runs.
     let protocol = Config::new(Algorithm::Sha1);
-    assert_eq!(protocol.max_skip, DEFAULT_MAX_SKIP);
     let sleepy = EngineConfig::new(protocol).with_hibernate_after(Some(50_000));
     let (mut net, key) = connected(EngineConfig::new(protocol), sleepy, 34, 42);
     exchange(&mut net, key, &[b"before sleep"], Mode::Base);
@@ -797,10 +784,7 @@ fn forged_wake_costs_a_trial_verification_not_a_chain_rebuild() {
 fn a_forged_s1_costs_at_most_one_skip_window_per_chain() {
     use alpha_crypto::chain::DEFAULT_MAX_SKIP;
     let protocol = Config::new(Algorithm::Sha1);
-    assert_eq!(
-        (protocol.chain_len, protocol.max_skip),
-        (1024, DEFAULT_MAX_SKIP)
-    );
+    assert_eq!(protocol.chain_len, 1024);
     let engine = EngineConfig::new(protocol).with_s1_budget(None);
     for (relay, bound) in [
         (None, DEFAULT_MAX_SKIP),

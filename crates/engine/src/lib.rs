@@ -21,7 +21,6 @@ pub mod chainstore;
 pub mod engine;
 pub mod mesh;
 pub mod metrics;
-pub mod ring;
 pub mod shard;
 pub mod timer;
 
@@ -32,9 +31,8 @@ pub use metrics::{
     EngineMetrics, Histogram, IoMetrics, IoTotals, IoWorker, MeshMetrics, PeerCounters,
     StoreMetrics,
 };
-pub use ring::HandoffRing;
 pub use shard::{
     addr_hash, jump_hash, locks_taken_on_thread, reset_thread_lock_count, AssignmentPolicy,
-    FlowKey, ShardAssignment, ShardOwners, Sharded, UNOWNED,
+    FlowKey, ShardAssignment, Sharded,
 };
 pub use timer::TimerWheel;

@@ -5,13 +5,13 @@
 //! a shard with Jump Consistent Hash, so growing the shard count (a
 //! restart-time decision today) moves only `1/n` of the flows — the
 //! property that matters once flow state is checkpointed or handed
-//! between processes. Each worker thread owns a disjoint set of shards;
-//! on the hot path a worker locks only shards it owns, so there is no
-//! cross-shard contention by construction, and the `RwLock` exists for
-//! the cold paths (stats walks, flow insertion from the supervisor).
+//! between processes. A worker judges every datagram it receives under
+//! that datagram's shard lock, and a datagram never locks two shards,
+//! so two workers only ever meet when they receive for one shard at
+//! the same moment — counted as `lock_contended`.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -19,7 +19,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 thread_local! {
     /// Debug-mode count of shard-lock acquisitions made by this thread
     /// through the counted [`Sharded::read`]/[`Sharded::write`] guards.
-    /// Tests use it to pin the lock budget of the owned steady-state
+    /// Tests use it to pin the lock budget of the steady-state
     /// path (e.g. "one batched write per S2 run, nothing else").
     static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -216,87 +216,13 @@ impl ShardAssignment {
     }
 }
 
-/// Sentinel worker id meaning "no worker has claimed this shard yet".
-pub const UNOWNED: u32 = u32::MAX;
-
-/// First-receiver-wins shard ownership table.
-///
-/// In the share-nothing runtime the kernel is the partitioner: RSS
-/// hashes a flow's 4-tuple to one SO_REUSEPORT socket, and whichever
-/// worker first receives a datagram for a shard claims it with one CAS.
-/// From then on every datagram the kernel steers elsewhere is handed to
-/// the owner through a [`crate::ring::HandoffRing`] instead of a
-/// cross-worker shard lock. Ownership is released (for reroute or
-/// worker drain) with a guarded CAS back to [`UNOWNED`].
-pub struct ShardOwners {
-    owners: Vec<AtomicU32>,
-}
-
-impl ShardOwners {
-    /// A table of `n` unowned shards.
-    #[must_use]
-    pub fn new(n: usize) -> ShardOwners {
-        ShardOwners {
-            owners: (0..n.max(1)).map(|_| AtomicU32::new(UNOWNED)).collect(),
-        }
-    }
-
-    /// Number of shards tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Always false (there is at least one shard).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Claim `shard` for `worker` if unowned; returns the resulting
-    /// owner either way (first receiver wins, later claims read it).
-    pub fn claim(&self, shard: usize, worker: u32) -> u32 {
-        match self.owners[shard].compare_exchange(
-            UNOWNED,
-            worker,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => worker,
-            Err(current) => current,
-        }
-    }
-
-    /// Current owner of `shard`, or `None` when unclaimed.
-    #[must_use]
-    pub fn owner(&self, shard: usize) -> Option<u32> {
-        let w = self.owners[shard].load(Ordering::Acquire);
-        (w != UNOWNED).then_some(w)
-    }
-
-    /// Release `shard` if (and only if) `worker` owns it, so the next
-    /// receiving worker re-claims it — used when flows reroute away.
-    pub fn release(&self, shard: usize, worker: u32) -> bool {
-        self.owners[shard]
-            .compare_exchange(worker, UNOWNED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Owner of every shard (stats walks).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Option<u32>> {
-        (0..self.owners.len()).map(|s| self.owner(s)).collect()
-    }
-}
-
 /// A fixed set of shards, each behind its own `RwLock`, with lock
 /// discipline accounting: every hot-path acquisition goes through the
 /// counted [`Sharded::read`]/[`Sharded::write`] guards, which try the
 /// lock first and count a *contended* acquisition (another thread held
-/// the shard) before falling back to a blocking acquire. On the owned
-/// steady-state path the handoff rings make each shard single-toucher,
-/// so the contended count stays at zero — the claim `engine stats`
-/// exposes as `lock_contended`.
+/// the shard) before falling back to a blocking acquire. The count is
+/// how often two workers met in one shard, which `engine stats`
+/// exposes as `lock_contended`; with one worker it stays at zero.
 pub struct Sharded<T> {
     shards: Vec<RwLock<T>>,
     contended: AtomicU64,
@@ -353,7 +279,6 @@ impl<T> Sharded<T> {
 
     /// Total contended acquisitions since construction: times a counted
     /// guard found the shard held by another thread and had to block.
-    /// Zero on the owned steady-state path by construction.
     #[must_use]
     pub fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
@@ -525,43 +450,6 @@ mod tests {
             .sum();
         assert_eq!(heavy_load, 100);
         assert!(before.worker_of(0) < 2 && after.worker_of(5) < 2);
-    }
-
-    #[test]
-    fn owners_first_claim_wins_and_release_is_guarded() {
-        let owners = ShardOwners::new(4);
-        assert_eq!(owners.owner(2), None);
-        assert_eq!(owners.claim(2, 1), 1);
-        // Second claimant loses and learns the owner.
-        assert_eq!(owners.claim(2, 3), 1);
-        assert_eq!(owners.owner(2), Some(1));
-        // Only the owner may release.
-        assert!(!owners.release(2, 3));
-        assert!(owners.release(2, 1));
-        assert_eq!(owners.owner(2), None);
-        // Re-claim after release: models re-assignment after reroute,
-        // where the next receiving worker takes the shard over.
-        assert_eq!(owners.claim(2, 3), 3);
-        assert_eq!(owners.snapshot(), vec![None, None, Some(3), None]);
-        assert_eq!(owners.len(), 4);
-    }
-
-    #[test]
-    fn owners_concurrent_claims_converge_on_one_winner() {
-        let owners = std::sync::Arc::new(ShardOwners::new(1));
-        let winners: Vec<u32> = std::thread::scope(|s| {
-            (0..8u32)
-                .map(|w| {
-                    let owners = owners.clone();
-                    s.spawn(move || owners.claim(0, w))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        let owner = owners.owner(0).unwrap();
-        assert!(winners.iter().all(|&w| w == owner), "{winners:?}");
     }
 
     #[test]

@@ -57,6 +57,13 @@ impl DsaParams {
     }
 }
 
+/// Largest prime modulus p a decoded public key may carry: a
+/// stranger's HS1 chooses the key it is verified under, so the size
+/// bounds what one handshake can cost.
+const MAX_P_BITS: usize = 3072;
+/// Largest subgroup order q a decoded public key may carry.
+const MAX_Q_BITS: usize = 256;
+
 /// Public DSA key: domain plus `y = g^x mod p`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DsaPublicKey {
@@ -189,14 +196,18 @@ impl DsaPublicKey {
         out
     }
 
-    /// Parse the [`DsaPublicKey::to_bytes`] form.
+    /// Parse the [`DsaPublicKey::to_bytes`] form. Refuses a p over
+    /// [`MAX_P_BITS`] or a q over [`MAX_Q_BITS`], and requires q < p,
+    /// 1 < g < p and 1 < y < p.
     #[must_use]
     pub fn from_bytes(mut bytes: &[u8]) -> Option<DsaPublicKey> {
         let p = crate::wirefmt::get(&mut bytes)?;
         let q = crate::wirefmt::get(&mut bytes)?;
         let g = crate::wirefmt::get(&mut bytes)?;
         let y = crate::wirefmt::get(&mut bytes)?;
-        if !bytes.is_empty() || p.is_zero() || q.is_zero() || g.is_zero() || y.is_zero() {
+        let inside = |v: &BigUint| !v.is_zero() && !v.is_one() && *v < p;
+        let sized = p.bits() <= MAX_P_BITS && q.bits() <= MAX_Q_BITS;
+        if !bytes.is_empty() || !sized || q.is_zero() || q >= p || !inside(&g) || !inside(&y) {
             return None;
         }
         Some(DsaPublicKey {
@@ -341,6 +352,38 @@ mod tests {
         assert_ne!(s1, s2); // fresh k each time
         assert!(key.public_key().verify(Algorithm::Sha1, b"m", &s1));
         assert!(key.public_key().verify(Algorithm::Sha1, b"m", &s2));
+    }
+
+    /// A decoded public key is bounded: p at most 3072 bits, q at most
+    /// 256 and below p, g and y strictly between 1 and p. Lower bounds
+    /// are not checked.
+    #[test]
+    fn public_key_decode_refuses_oversized_and_out_of_range_keys() {
+        let key = test_key(&mut rng()).public_key().clone();
+        assert_eq!(DsaPublicKey::from_bytes(&key.to_bytes()), Some(key.clone()));
+        let decode = |p: &BigUint, q: &BigUint, g: &BigUint, y: &BigUint| {
+            let (p, q, g, y) = (p.clone(), q.clone(), g.clone(), y.clone());
+            let params = DsaParams { p, q, g };
+            DsaPublicKey::from_bytes(&DsaPublicKey { params, y }.to_bytes())
+        };
+        let odd = |bits: usize| BigUint::one().shl(bits).sub(&BigUint::one());
+        let two = BigUint::from_u64(2);
+        let DsaParams { p, q, g } = &key.params;
+        let y = &key.y;
+        // The widest sizes still accepted.
+        assert!(decode(&odd(3072), &odd(256), &two, &two).is_some());
+        // One bit too wide.
+        assert!(decode(&odd(3073), q, &two, &two).is_none());
+        assert!(decode(&odd(3072), &odd(257), &two, &two).is_none());
+        // q must sit below p.
+        assert!(decode(p, p, g, y).is_none());
+        assert!(decode(&odd(200), &odd(201), &two, &two).is_none());
+        assert!(decode(p, &BigUint::zero(), g, y).is_none());
+        // g and y strictly between 1 and p.
+        for bad in [BigUint::zero(), BigUint::one(), p.clone(), p.add(&two)] {
+            assert!(decode(p, q, &bad, y).is_none(), "g = {bad:?}");
+            assert!(decode(p, q, g, &bad).is_none(), "y = {bad:?}");
+        }
     }
 
     #[test]

@@ -29,6 +29,13 @@ fn digest_info_prefix(alg: Algorithm) -> &'static [u8] {
     }
 }
 
+/// Largest modulus a decoded public key may carry. A stranger's HS1
+/// chooses the key it is verified under, so the size bounds what one
+/// handshake can cost.
+const MAX_MODULUS_BITS: usize = 4096;
+/// Public exponents must stay below `2^MAX_EXPONENT_BITS`.
+const MAX_EXPONENT_BITS: usize = 32;
+
 /// Public RSA key `(n, e)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsaPublicKey {
@@ -64,12 +71,15 @@ impl RsaPublicKey {
         out
     }
 
-    /// Parse the [`RsaPublicKey::to_bytes`] form.
+    /// Parse the [`RsaPublicKey::to_bytes`] form. Refuses a modulus
+    /// over [`MAX_MODULUS_BITS`] and an exponent that is even, below 3
+    /// or at least `2^32`.
     #[must_use]
     pub fn from_bytes(mut bytes: &[u8]) -> Option<RsaPublicKey> {
         let n = crate::wirefmt::get(&mut bytes)?;
         let e = crate::wirefmt::get(&mut bytes)?;
-        if !bytes.is_empty() || n.is_zero() || e.is_zero() {
+        let e_ok = !e.is_even() && e.bits() > 1 && e.bits() <= MAX_EXPONENT_BITS;
+        if !bytes.is_empty() || n.is_zero() || n.bits() > MAX_MODULUS_BITS || !e_ok {
             return None;
         }
         Some(RsaPublicKey { n, e })
@@ -320,6 +330,36 @@ mod tests {
         let key = RsaPrivateKey::generate(512, &mut r);
         let sig = key.sign(Algorithm::Sha1, b"msg");
         assert!(!key.public_key().verify(Algorithm::Sha256, b"msg", &sig));
+    }
+
+    /// A decoded public key is bounded: n at most 4096 bits, e odd and
+    /// in `3..2^32`. Lower bounds are not checked.
+    #[test]
+    fn public_key_decode_refuses_oversized_and_degenerate_keys() {
+        let decode = |n: &BigUint, e: &BigUint| {
+            let (n, e) = (n.clone(), e.clone());
+            RsaPublicKey::from_bytes(&RsaPublicKey { n, e }.to_bytes())
+        };
+        let odd = |bits: usize| BigUint::one().shl(bits).sub(&BigUint::one());
+        let e = BigUint::from_u64(65537);
+        let key = RsaPrivateKey::generate(512, &mut rng())
+            .public_key()
+            .clone();
+        assert_eq!(RsaPublicKey::from_bytes(&key.to_bytes()), Some(key));
+        // The largest key still accepted: a 4096-bit n, e = 2^32 - 1.
+        assert!(decode(&odd(4096), &odd(32)).is_some());
+        assert!(decode(&odd(4096), &BigUint::from_u64(3)).is_some());
+        // A modulus one bit too wide.
+        assert!(decode(&odd(4097), &e).is_none());
+        // A 512-byte n with a 512-byte e: the n is in range, the e is not.
+        assert!(decode(&odd(4096), &odd(4096)).is_none());
+        for bad_e in [0, 1, 2, 4, 65536, 1 << 32, (1 << 32) + 1, u64::MAX] {
+            assert!(
+                decode(&odd(512), &BigUint::from_u64(bad_e)).is_none(),
+                "e = {bad_e}"
+            );
+        }
+        assert!(decode(&BigUint::zero(), &e).is_none());
     }
 
     #[test]

@@ -24,15 +24,13 @@
 //!    returned handle (which closes it on drop).
 //!
 //! Wiring (one instance of everything per worker, see
-//! `crate::server`): an [`Epoll`] set watches the worker's socket, one
-//! [`EventFd`] doorbell per inbound handoff ring, and one [`TimerFd`]
-//! armed from the engine's per-worker cached min-deadline. The
-//! doorbell protocol is ring-after-push: the sender pushes onto the
-//! SPSC handoff ring (a release store) *then* writes the eventfd, so
-//! by the time the owner's `epoll_wait` reports the doorbell the
-//! datagram is already visible in the ring. Draining the ring first
-//! and the doorbell after is therefore also safe — a bell with an
-//! empty ring is a harmless spurious wake, never a lost datagram.
+//! `crate::server`): an [`Epoll`] set watches the worker's socket, its
+//! [`EventFd`] control bell and one [`TimerFd`] armed from the engine's
+//! per-worker cached min-deadline. The bell carries no data: the
+//! engine's deadline waker rings it after lowering the worker's hint,
+//! and shutdown after setting its flag, so the woken worker reads the
+//! new hint or the flag. A bell rung twice is one wake; a bell rung
+//! while the worker is awake is a harmless spurious wake later.
 
 #![cfg(target_os = "linux")]
 
@@ -42,8 +40,7 @@ use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
 
 /// Most readiness events drained per `epoll_wait` call: the socket,
-/// the timer, and every doorbell of a wide worker pool fit with room
-/// to spare.
+/// the timer and the control bell fit with room to spare.
 pub const MAX_EVENTS: usize = 64;
 
 // ---------------------------------------------------------------------------

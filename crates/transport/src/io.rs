@@ -223,10 +223,6 @@ pub struct RxDatagram {
     pub frame: Frame,
     /// The datagram was longer than the frame and lost its tail.
     pub truncated: bool,
-    /// When the receive syscall returned it (one stamp per batch on the
-    /// batched backend). Cross-worker handoff latency is measured from
-    /// here to ring drain.
-    pub received: std::time::Instant,
     /// 0: the frame is one datagram. Otherwise the frame is a coalesced
     /// run of two or more datagrams of this many bytes each, the last
     /// possibly shorter.
@@ -388,7 +384,6 @@ impl UdpIo {
                             // recv_from cannot distinguish a datagram of
                             // exactly scratch size from a truncated one.
                             truncated: n == self.scratch.len(),
-                            received: std::time::Instant::now(),
                             segment_len: 0,
                         });
                         Ok(1)

@@ -39,7 +39,7 @@ pub mod mmsg;
 mod server;
 
 pub use io::{RxDatagram, UdpBackend, UdpIo};
-pub use loadgen::{probe_handoff, HandoffProbe, LoadgenConfig, LoadgenReport};
+pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use server::{query_stats, DeliverySink, Engine, RECV_TIMEOUT, STATS_MAGIC};
 
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};

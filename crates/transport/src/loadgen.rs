@@ -7,7 +7,7 @@
 //! concurrent flows through full ALPHA exchanges (S1 → A1 → S2) over
 //! their own UDP sockets, and measures the server's verified-S2
 //! throughput with all threads actually running concurrently — kernel
-//! RSS, SO_REUSEPORT, handoff rings, timer wheels and all.
+//! RSS, SO_REUSEPORT, shard locks, timer wheels and all.
 //!
 //! The measurement window opens only after every flow has completed its
 //! handshake, so the number reported is steady-state verify throughput,
@@ -47,9 +47,10 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Server flow-table shards.
     pub shards: usize,
-    /// Hash-chain length for every association.
-    pub chain_len: u64,
 }
+
+/// Hash-chain length of every association the load generator drives.
+const CHAIN_LEN: u64 = 1024;
 
 impl Default for LoadgenConfig {
     fn default() -> LoadgenConfig {
@@ -60,7 +61,6 @@ impl Default for LoadgenConfig {
             payload: 256,
             duration: Duration::from_secs(2),
             shards: 64,
-            chain_len: 1024,
         }
     }
 }
@@ -106,8 +106,8 @@ pub struct LoadgenReport {
     /// Server-side I/O totals over the whole run (includes handshakes).
     pub io: IoTotals,
     /// Contended shard-lock acquisitions on the server over the whole
-    /// run (handshakes + claims included; steady state contributes
-    /// zero by construction).
+    /// run, handshakes included: how often two workers met in one
+    /// shard.
     pub lock_contended: u64,
     /// Whether workers got their own SO_REUSEPORT sockets.
     pub reuseport: bool,
@@ -121,13 +121,6 @@ pub struct LoadgenReport {
     /// client traffic — the wasted-CPU number the epoll wait collapses
     /// (blocking wait: ~`1s / RECV_TIMEOUT` per worker).
     pub idle_wakeups_per_sec: f64,
-    /// Cross-worker handed-off datagrams measured during the run.
-    pub handoff_samples: u64,
-    /// Median ring-wait of a handed-off datagram (µs, bucket upper
-    /// bound; 0 when no handoffs occurred).
-    pub handoff_p50_us: u64,
-    /// 99th-percentile ring-wait (µs, bucket upper bound).
-    pub handoff_p99_us: u64,
     /// Client-side signing errors (chain exhaustion etc.; should be 0).
     pub sign_errors: u64,
 }
@@ -141,14 +134,11 @@ impl LoadgenReport {
                 "{{\"runtime_mode\":\"live\",\"host_cores\":{},\"workers\":{},",
                 "\"senders\":{},\"flows\":{},\"elapsed_sec\":{:.3},",
                 "\"s2_verified\":{},\"s2_per_sec\":{:.1},",
-                "\"handoff_in\":{},\"handoff_out\":{},\"handoff_overflow\":{},",
                 "\"lock_contended\":{},\"reuseport\":{},\"udp_backend\":\"{}\",",
                 "\"wait_backend\":\"{}\",\"idle_wakeups_per_sec\":{:.1},",
                 "\"send_retries\":{},\"syscalls_per_datagram\":{:.4},",
                 "\"gso_sends\":{},\"gso_segments\":{},\"gro_recvs\":{},",
                 "\"gro_segments\":{},\"gso_refused\":{},",
-                "\"handoff_samples\":{},\"handoff_wait_p50_us\":{},",
-                "\"handoff_wait_p99_us\":{},",
                 "\"sign_errors\":{}}}"
             ),
             self.host_cores,
@@ -158,9 +148,6 @@ impl LoadgenReport {
             self.elapsed.as_secs_f64(),
             self.s2_verified,
             self.s2_per_sec,
-            self.io.handoff_in,
-            self.io.handoff_out,
-            self.io.handoff_overflow,
             self.lock_contended,
             self.reuseport,
             self.udp_backend,
@@ -173,9 +160,6 @@ impl LoadgenReport {
             self.io.gro_recvs,
             self.io.gro_segments,
             self.io.gso_refused,
-            self.handoff_samples,
-            self.handoff_p50_us,
-            self.handoff_p99_us,
             self.sign_errors,
         )
     }
@@ -187,8 +171,8 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn proto(chain_len: u64) -> Config {
-    Config::new(Algorithm::Sha1).with_chain_len(chain_len)
+fn proto() -> Config {
+    Config::new(Algorithm::Sha1).with_chain_len(CHAIN_LEN)
 }
 
 /// Drive a live engine at saturation and report verified-S2 throughput.
@@ -197,7 +181,7 @@ fn proto(chain_len: u64) -> Config {
 /// waits for every flow to finish its handshake, then opens the
 /// measurement window.
 pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    let engine_cfg = EngineConfig::new(proto(cfg.chain_len)).with_shards(cfg.shards);
+    let engine_cfg = EngineConfig::new(proto()).with_shards(cfg.shards);
     let server = Engine::bind("127.0.0.1:0", EngineCore::new(engine_cfg), cfg.workers)?;
     let server_addr = server.local_addr()?;
 
@@ -268,7 +252,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
 
     let s2_verified = s2_after.saturating_sub(s2_before);
     let io_totals = metrics.io.totals();
-    let handoffs = &metrics.io.handoff_wait_us;
     let report = LoadgenReport {
         workers: cfg.workers,
         senders: cfg.senders,
@@ -283,9 +266,6 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         udp_backend: crate::io::active().name(),
         wait_backend: metrics.io.wait_backend_name(),
         idle_wakeups_per_sec,
-        handoff_samples: handoffs.count(),
-        handoff_p50_us: handoffs.quantile_us(0.50),
-        handoff_p99_us: handoffs.quantile_us(0.99),
         sign_errors: sign_errors.load(Ordering::Relaxed),
     };
     server.shutdown();
@@ -303,7 +283,7 @@ fn sender_thread(
     connected: &AtomicUsize,
     sign_errors: &AtomicU64,
 ) -> u64 {
-    let core = EngineCore::new(EngineConfig::new(proto(cfg.chain_len)));
+    let core = EngineCore::new(EngineConfig::new(proto()));
     let socket = UdpSocket::bind("127.0.0.1:0").expect("sender bind");
     socket
         .set_read_timeout(Some(Duration::from_millis(1)))
@@ -373,139 +353,6 @@ fn sender_thread(
     exchanges
 }
 
-/// What [`probe_handoff`] measured: the wake-to-verify path of
-/// cross-worker datagrams on a lightly-loaded engine.
-#[derive(Debug, Clone)]
-pub struct HandoffProbe {
-    /// Handed-off datagrams observed. Zero when the single-socket UDP
-    /// backend is active — without SO_REUSEPORT every datagram lands on
-    /// the shared socket and there is no cross-worker path to measure.
-    pub samples: u64,
-    /// Median push-to-drain ring wait (µs, bucket upper bound).
-    pub p50_us: u64,
-    /// 99th-percentile ring wait (µs, bucket upper bound).
-    pub p99_us: u64,
-    /// Mean ring wait in µs.
-    pub mean_us: f64,
-    /// Whether workers had their own SO_REUSEPORT sockets.
-    pub reuseport: bool,
-    /// Wait backend the server's workers actually ran.
-    pub wait_backend: &'static str,
-}
-
-/// Measure cross-worker handoff latency on a lightly-loaded 2-worker
-/// engine.
-///
-/// With `preclaim`, worker 0 claims every shard before any client
-/// connects, so any datagram the kernel steers to worker 1's socket
-/// *must* cross a handoff ring — the regression-test configuration.
-/// The client side is paced (one exchange per idle flow per ~2 ms
-/// round), so the ring wait measures the receiving worker's wakeup
-/// path, not queueing under saturation: under the epoll wait the
-/// doorbell wakes the owner in microseconds; under the blocking wait
-/// the datagram sits until the owner's next timeout expiry.
-pub fn probe_handoff(duration: Duration, preclaim: bool) -> io::Result<HandoffProbe> {
-    const SHARDS: usize = 4;
-    const CLIENTS: usize = 16;
-    const CHAIN_LEN: u64 = 4096;
-
-    let engine_cfg = EngineConfig::new(proto(CHAIN_LEN)).with_shards(SHARDS);
-    let server = Engine::bind("127.0.0.1:0", EngineCore::new(engine_cfg), 2)?;
-    let server_addr = server.local_addr()?;
-    if preclaim {
-        for s in 0..server.core().shard_count() {
-            server.core().claim_shard(s, 0);
-        }
-    }
-
-    struct Client {
-        core: EngineCore,
-        socket: UdpSocket,
-        key: alpha_engine::FlowKey,
-        up: bool,
-    }
-
-    let start = Instant::now();
-    let now = |s: Instant| Timestamp::from_micros(s.elapsed().as_micros() as u64);
-    let mut rng = StdRng::seed_from_u64(0xA1FA_D00B);
-    let payload = [0x5A_u8; 64];
-    let send_out = |socket: &UdpSocket, datagrams: &[(SocketAddr, alpha_wire::Frame)]| {
-        for (dst, bytes) in datagrams {
-            let _ = socket.send_to(bytes, *dst);
-        }
-    };
-
-    // One core + socket per flow: distinct source ports make the kernel
-    // RSS hash spread the flows across both workers' sockets.
-    let mut clients = Vec::with_capacity(CLIENTS);
-    for c in 0..CLIENTS {
-        let core = EngineCore::new(EngineConfig::new(proto(CHAIN_LEN)));
-        let socket = UdpSocket::bind("127.0.0.1:0")?;
-        socket.set_nonblocking(true)?;
-        let (key, out) = core.connect(server_addr, c as u64 + 1, now(start), &mut rng);
-        send_out(&socket, &out.datagrams);
-        clients.push(Client {
-            core,
-            socket,
-            key,
-            up: false,
-        });
-    }
-
-    // Drive all clients from this thread; the server side is what we
-    // are measuring.
-    let mut buf = vec![0u8; MAX_DATAGRAM];
-    let handshake_deadline = Instant::now() + Duration::from_secs(10);
-    let mut window_open: Option<Instant> = None;
-    loop {
-        let t = now(start);
-        let mut all_up = true;
-        for cl in &mut clients {
-            let out = cl.core.poll(t, &mut rng);
-            send_out(&cl.socket, &out.datagrams);
-            cl.up |= !out.completed.is_empty();
-            while let Ok((n, from)) = cl.socket.recv_from(&mut buf) {
-                let out = cl.core.handle_datagram(from, &buf[..n], t, &mut rng);
-                send_out(&cl.socket, &out.datagrams);
-                cl.up |= !out.completed.is_empty();
-            }
-            all_up &= cl.up;
-            if window_open.is_some() && cl.up && cl.core.flow_is_idle(cl.key) {
-                if let Ok(out) = cl.core.sign_batch(cl.key, &[&payload[..]], Mode::Base, t) {
-                    send_out(&cl.socket, &out.datagrams);
-                }
-            }
-        }
-        match window_open {
-            None if all_up => window_open = Some(Instant::now()),
-            None if Instant::now() >= handshake_deadline => {
-                server.shutdown();
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "handoff probe: flows did not connect within 10s",
-                ));
-            }
-            Some(opened) if opened.elapsed() >= duration => break,
-            _ => {}
-        }
-        // Pacing: the probe measures wakeup latency, not throughput.
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    let metrics = server.core().metrics();
-    let waits = &metrics.io.handoff_wait_us;
-    let probe = HandoffProbe {
-        samples: waits.count(),
-        p50_us: waits.quantile_us(0.50),
-        p99_us: waits.quantile_us(0.99),
-        mean_us: waits.mean_us(),
-        reuseport: server.per_worker_sockets(),
-        wait_backend: metrics.io.wait_backend_name(),
-    };
-    server.shutdown();
-    Ok(probe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +380,7 @@ mod tests {
         assert!(json.contains("\"idle_wakeups_per_sec\":"));
         assert!(json.contains("\"send_retries\":"));
         assert!(json.contains("\"syscalls_per_datagram\":"));
-        assert!(json.contains("\"handoff_wait_p99_us\":"));
+        assert!(json.contains("\"lock_contended\":"));
         let v: serde::Value = serde_json::from_str(&json).expect("valid json");
         assert_eq!(
             v.get("workers").and_then(serde::Value::as_u64),

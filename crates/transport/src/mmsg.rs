@@ -489,9 +489,6 @@ pub fn recv_batch(
         return Err(io::Error::last_os_error());
     }
     let got = (rc as usize).min(want);
-    // One stamp for the whole batch: every datagram in it became
-    // visible to user space when this recvmmsg returned.
-    let received = std::time::Instant::now();
     let mut datagrams = 0;
     for (i, mut frame) in frames.drain(..got).enumerate() {
         let hdr = &hdrs[i].msg_hdr;
@@ -507,7 +504,6 @@ pub fn recv_batch(
             from,
             frame,
             truncated: hdr.msg_flags & MSG_TRUNC != 0,
-            received,
             // Only a frame the announced size actually cuts is
             // coalesced.
             segment_len: cmsgs[i]

@@ -15,59 +15,40 @@
 //!   and does classic one-datagram `recv_from` — the portable baseline
 //!   the `udp_io` bench measures the batched path against.
 //!
-//! Shard ownership is share-nothing and claimed at runtime: the first
-//! worker to receive a datagram for a shard claims it with one CAS
-//! ([`EngineCore::claim_shard`]) — kernel RSS thereby becomes the
-//! partitioner, and on the steady state the worker that owns a flow's
-//! socket also owns its shard, end-to-end (datagrams *and* timers),
-//! with no contended lock anywhere on the path. Residual RSS-mismatched
-//! datagrams (another flow hashing into an already-claimed shard, mesh
-//! reroutes) are pushed onto a bounded lock-free ring
-//! ([`alpha_engine::HandoffRing`], one per ordered worker pair) and
-//! drained by the owner at the top of its loop; when a ring is full the
-//! receiver processes the datagram itself under the shard lock (counted
-//! in `handoff_overflow`, and in `lock_contended` if the owner is in
-//! the shard at that moment) — no datagram is ever dropped to a slow
-//! owner and nobody blocks on a full ring. Ownership and handoff only
-//! engage with per-worker sockets: on the shared-socket fallback the
-//! kernel gives workers no flow affinity, so claiming would funnel
-//! nearly all traffic through the rings — those workers instead process
-//! whatever they receive under the shard locks, the pre-ownership
-//! behaviour.
-//! Unclaimed shards fall back to modulo ownership for timer polling so
-//! connecting/renewing flows never starve before their first datagram.
+//! The worker that receives a datagram judges it, under the lock of
+//! the datagram's shard; a datagram never locks two shards, and two
+//! workers only wait on each other when both receive for one shard at
+//! the same moment (counted in `lock_contended`). Shard `s`'s timers
+//! belong to worker `s mod W`, so every timer wheel has one poller.
 //!
-//! Every worker runs the same loop ([`Worker::run`]): wait, drain
-//! handoffs, poll timers, receive and ingest, flush. *How it waits* is
-//! the one per-rung difference, and it is derived from the resolved UDP
-//! backend, not selected: `wait_backend` in stats names what ran.
+//! Every worker runs the same loop ([`Worker::run`]): wait, poll
+//! timers, receive and ingest. *How it waits* is the one per-rung
+//! difference, and it is derived from the resolved UDP backend, not
+//! selected: `wait_backend` in stats names what ran.
 //!
 //! - **`epoll`** (with `mmsg`, the Linux default): the worker blocks in
-//!   one `epoll_wait` over its socket, one `eventfd` doorbell per
-//!   inbound handoff ring, and a `timerfd` armed from the engine's
-//!   per-worker min-deadline hint ([`EngineCore::worker_next_deadline`],
-//!   O(1) per iteration). Senders ring the doorbell *after* the ring
-//!   push, so a handed-off datagram is processed microseconds later
-//!   instead of "whenever the owner's read timeout expires"; timers
-//!   fire at microsecond precision; and an idle engine parks in the
-//!   kernel (a long backstop timeout bounds the wakeup rate at a few
-//!   per second). If the doorbells cannot be created at bind the whole
-//!   engine takes the blocking wait below; if one worker's epoll set or
-//!   timerfd cannot, that worker alone does.
+//!   one `epoll_wait` over its socket, its `eventfd` control bell, and
+//!   a `timerfd` armed from the engine's per-worker min-deadline hint
+//!   ([`EngineCore::worker_next_deadline`], O(1) per iteration). The
+//!   engine's deadline waker rings the bell when another thread arms a
+//!   timer earlier than the worker's hint, and [`Engine::shutdown`]
+//!   rings every bell; timers fire at microsecond precision, and an
+//!   idle engine parks in the kernel (a long backstop timeout bounds
+//!   the wakeup rate at a few per second). If the bells cannot be
+//!   created at bind the whole engine takes the blocking wait below; if
+//!   one worker's epoll set or timerfd cannot, that worker alone does.
 //! - **`fallback`** (with the portable backend, and the only wait off
 //!   Linux): the worker blocks in the receive syscall behind an
 //!   `SO_RCVTIMEO` read timeout sized from the same deadline hint,
 //!   rescanned each iteration ([`EngineCore::refresh_worker_deadline`])
 //!   and quantized to whole milliseconds so an unchanged horizon costs
-//!   no `setsockopt`. Timer lateness and handoff latency are bounded by
-//!   [`RECV_TIMEOUT`].
+//!   no `setsockopt`. Timer lateness is bounded by [`RECV_TIMEOUT`].
 //!
 //! On the `mmsg` rung each worker socket asks for coalesced receives
 //! (`UDP_GRO`), so one received frame may carry a run of datagrams from
-//! one source ([`RxDatagram::segments`]): the worker sorts, claims and
-//! hands off by frame — one source, hence one shard — and feeds the
-//! engine by segment, [`MAX_BURST`] at a time, looking at its timers
-//! between bursts so a deep receive cannot make them late.
+//! one source ([`RxDatagram::segments`]): the worker feeds the engine
+//! by segment, [`MAX_BURST`] at a time, looking at its timers between
+//! bursts so a deep receive cannot make them late.
 //!
 //! A stats datagram (prefix [`STATS_MAGIC`]) is answered inline by
 //! whichever worker receives it, so `engine stats` works against a
@@ -86,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use alpha_core::Timestamp;
 use alpha_engine::mesh;
-use alpha_engine::{EngineCore, EngineOutput, HandoffRing, IoWorker};
+use alpha_engine::{EngineCore, EngineOutput, IoWorker};
 use alpha_wire::FramePool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,7 +86,7 @@ const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 /// Most datagrams drained into one worker burst before timers and
 /// transmissions get a chance to run; bounds per-burst frame pinning.
 const MAX_BURST: usize = 32;
-/// `epoll_wait` backstop timeout: with no traffic, no doorbells and no
+/// `epoll_wait` backstop timeout: with no traffic, no bell and no
 /// armed timer, a worker still wakes this often to re-check shutdown.
 /// This is the idle-engine wakeup rate under the epoll wait (~4/s per
 /// worker, vs. 200/s at [`RECV_TIMEOUT`] under the blocking wait).
@@ -117,37 +98,12 @@ const EPOLL_BACKSTOP_MS: i32 = 250;
 /// to `net.core.rmem_max`.
 #[cfg(target_os = "linux")]
 const RECV_BUFFER_BYTES: usize = 4 << 20;
-/// Capacity (datagrams) of each cross-worker handoff ring. When a ring
-/// is full the receiving worker processes the datagram itself under the
-/// shard lock (counted in `handoff_overflow`) rather than stall or drop.
-const HANDOFF_RING: usize = 1024;
 
-/// One eventfd doorbell per ordered worker pair, mirroring the handoff
-/// rings: `cells[dst][src]` is rung by worker `src` after pushing onto
-/// `rings[dst][src]`. The diagonal `cells[w][w]` (no ring exists for a
-/// worker-to-itself handoff) is worker `w`'s *control* bell: the
-/// engine's deadline waker and [`Engine::shutdown`] ring it to knock
-/// the worker out of `epoll_wait`. Built when the resolved UDP backend
-/// is `mmsg`.
+/// One eventfd control bell per worker: `bells[w]` knocks worker `w`
+/// out of `epoll_wait`, rung by the engine's deadline waker and by
+/// [`Engine::shutdown`]. Built when the resolved UDP backend is `mmsg`.
 #[cfg(target_os = "linux")]
-struct Doorbells {
-    cells: Vec<Vec<crate::epoll::EventFd>>,
-}
-
-#[cfg(target_os = "linux")]
-impl Doorbells {
-    fn new(workers: usize) -> io::Result<Doorbells> {
-        let mut cells = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let mut row = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                row.push(crate::epoll::EventFd::new()?);
-            }
-            cells.push(row);
-        }
-        Ok(Doorbells { cells })
-    }
-}
+type Bells = Arc<Vec<crate::epoll::EventFd>>;
 
 #[cfg(target_os = "linux")]
 thread_local! {
@@ -159,7 +115,7 @@ thread_local! {
 }
 
 /// A running multi-flow engine: per-worker sockets (or one shared
-/// socket) and a worker pool owning disjoint shard sets.
+/// socket) and a worker pool over one sharded flow table.
 pub struct Engine {
     core: Arc<EngineCore>,
     io: UdpIo,
@@ -168,7 +124,7 @@ pub struct Engine {
     start: Instant,
     reuseport: bool,
     #[cfg(target_os = "linux")]
-    doorbells: Option<Arc<Doorbells>>,
+    bells: Option<Bells>,
 }
 
 /// What each verified delivery/extraction sink receives.
@@ -212,17 +168,17 @@ impl Engine {
         core.metrics().io.set_backend(backend.name());
 
         // The wait is derived from the backend: mmsg workers sleep in
-        // epoll sets, which need the doorbell mesh. Doorbell creation is
+        // epoll sets, which need a control bell each. Bell creation is
         // all-or-nothing at bind time: if any eventfd fails the whole
         // engine degrades to the blocking wait, so `wait_backend` in
         // stats always names a wait the workers can actually run.
         #[cfg(target_os = "linux")]
-        let doorbells = if backend == UdpBackend::Mmsg {
-            match Doorbells::new(workers) {
+        let bells: Option<Bells> = if backend == UdpBackend::Mmsg {
+            match (0..workers).map(|_| crate::epoll::EventFd::new()).collect() {
                 Ok(bells) => Some(Arc::new(bells)),
                 Err(e) => {
                     eprintln!(
-                        "alpha-transport: eventfd doorbells unavailable ({e}); \
+                        "alpha-transport: eventfd control bells unavailable ({e}); \
                          using the blocking wait"
                     );
                     None
@@ -232,7 +188,7 @@ impl Engine {
             None
         };
         #[cfg(target_os = "linux")]
-        let wait = if doorbells.is_some() {
+        let wait = if bells.is_some() {
             backend
         } else {
             UdpBackend::Fallback
@@ -246,11 +202,11 @@ impl Engine {
         // earliest deadline moves forward, so a sleeping worker re-arms
         // its timerfd instead of discovering the new timer late.
         #[cfg(target_os = "linux")]
-        let waker: Option<Box<dyn Fn(u32) + Send + Sync>> = doorbells.as_ref().map(|bells| {
+        let waker: Option<Box<dyn Fn(u32) + Send + Sync>> = bells.as_ref().map(|bells| {
             let bells = Arc::clone(bells);
             Box::new(move |w: u32| {
                 if CURRENT_WORKER.with(std::cell::Cell::get) != Some(w) {
-                    bells.cells[w as usize][w as usize].ring();
+                    bells[w as usize].ring();
                 }
             }) as Box<dyn Fn(u32) + Send + Sync>
         });
@@ -265,30 +221,16 @@ impl Engine {
         // RX frames are full-datagram sized (a recv must never truncate)
         // and separate from the engine's TX pool, whose frames are MTU
         // sized. Each worker caches two bursts' worth, and the pool's
-        // depot as many: frames a worker drops after a handoff go back
-        // through it to the worker that received them.
+        // depot as many.
         let rx_pool = FramePool::new(MAX_DATAGRAM, MAX_BURST * 2);
 
         let handle = sockets[0].try_clone()?;
-        // One bounded lock-free ring per ordered worker pair:
-        // `rings[dst][src]` carries datagrams worker `src` received for
-        // shards worker `dst` owns. SPSC by construction.
-        let rings: Arc<Vec<Vec<HandoffRing<RxDatagram>>>> = Arc::new(
-            (0..workers)
-                .map(|_| {
-                    (0..workers)
-                        .map(|_| HandoffRing::with_capacity(HANDOFF_RING))
-                        .collect()
-                })
-                .collect(),
-        );
         let mut threads = Vec::with_capacity(workers);
         for (w, sock) in sockets.into_iter().enumerate() {
             sock.set_read_timeout(Some(RECV_TIMEOUT))?;
             let counters = core.metrics().io.register_worker();
             let io = UdpIo::with_backend(sock, backend, Arc::clone(&counters));
             let worker = Worker {
-                index: w,
                 me: w as u32,
                 workers,
                 shards: core.shard_count(),
@@ -296,9 +238,8 @@ impl Engine {
                 counters,
                 rx_pool: rx_pool.clone(),
                 core: Arc::clone(&core),
-                rings: Arc::clone(&rings),
                 #[cfg(target_os = "linux")]
-                doorbells: doorbells.clone(),
+                bells: bells.clone(),
                 per_worker_sockets: reuseport,
                 shutdown: Arc::clone(&shutdown),
                 ready: Arc::clone(&ready),
@@ -306,8 +247,6 @@ impl Engine {
                 sink: sink.clone(),
                 rng: StdRng::from_entropy(),
                 rx: Vec::with_capacity(MAX_BURST),
-                handed: Vec::with_capacity(MAX_BURST),
-                local: Vec::with_capacity(MAX_BURST),
                 out: EngineOutput::default(),
             };
             threads.push(std::thread::spawn(move || worker.run()));
@@ -333,7 +272,7 @@ impl Engine {
             start,
             reuseport,
             #[cfg(target_os = "linux")]
-            doorbells,
+            bells,
         })
     }
 
@@ -389,9 +328,9 @@ impl Drop for Engine {
         // under the blocking wait (its read timeouts already bound the
         // reaction time).
         #[cfg(target_os = "linux")]
-        if let Some(bells) = &self.doorbells {
-            for w in 0..bells.cells.len() {
-                bells.cells[w][w].ring();
+        if let Some(bells) = &self.bells {
+            for bell in bells.iter() {
+                bell.ring();
             }
         }
         for t in self.threads.drain(..) {
@@ -428,7 +367,6 @@ fn bind_worker_sockets(
 /// Everything one worker thread owns, including its reusable scratch
 /// buffers — nothing on the steady-state path allocates per iteration.
 struct Worker {
-    index: usize,
     me: u32,
     workers: usize,
     shards: usize,
@@ -436,18 +374,11 @@ struct Worker {
     counters: Arc<IoWorker>,
     rx_pool: FramePool,
     core: Arc<EngineCore>,
-    /// `rings[dst][src]`: this worker pushes to `rings[owner][index]`
-    /// and drains `rings[index][*]`.
-    rings: Arc<Vec<Vec<HandoffRing<RxDatagram>>>>,
     /// Present iff the engine runs the epoll wait.
     #[cfg(target_os = "linux")]
-    doorbells: Option<Arc<Doorbells>>,
-    /// Whether each worker owns its own `SO_REUSEPORT` socket. Shard
-    /// ownership and handoff only make sense when the kernel pins a
-    /// flow to one worker's socket; on a shared socket every worker
-    /// receives for every shard, so claiming/handing-off would funnel
-    /// almost all traffic through the rings for nothing — those
-    /// workers process what they receive under the shard locks.
+    bells: Option<Bells>,
+    /// Whether each worker has its own `SO_REUSEPORT` socket; on one
+    /// shared socket every worker's epoll set watches the same fd.
     per_worker_sockets: bool,
     shutdown: Arc<AtomicBool>,
     /// Count of workers whose wait is installed; [`Engine::bind`]
@@ -459,11 +390,6 @@ struct Worker {
     rng: StdRng,
     /// Receive burst scratch, reused across iterations.
     rx: Vec<RxDatagram>,
-    /// Handoff-drain scratch, reused across iterations.
-    handed: Vec<RxDatagram>,
-    /// Locally-processed subset of a receive burst, reused across
-    /// iterations.
-    local: Vec<RxDatagram>,
     /// The engine's output, reused by every call this worker makes:
     /// its lists, extraction arena and delivered payload buffers stay
     /// allocated across bursts. Empty between calls.
@@ -495,9 +421,9 @@ fn control(bytes: &[u8]) -> Option<Control<'_>> {
 }
 
 impl Worker {
-    /// The worker loop, the same on both rungs: wait, drain handoffs,
-    /// poll timers, receive and ingest (each engine call flushes its
-    /// own output). Returns on shutdown.
+    /// The worker loop, the same on both rungs: wait, poll timers,
+    /// receive and ingest (each engine call flushes its own output).
+    /// Returns on shutdown.
     fn run(mut self) {
         let mut wait = Wait::install(&self);
         self.ready.fetch_add(1, Ordering::Release);
@@ -524,21 +450,13 @@ impl Worker {
             if self.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let mut now = self.now();
-            // Drain rings until below the burst cap: doorbells are
-            // edge-like (quieted by the wait), so backlog must not
-            // wait for the next ring.
-            while self.drain_handoffs(now) {
-                now = self.now();
-            }
-            self.poll_timers(now);
+            self.poll_timers(self.now());
             if woke.timer {
                 // Timers fired and were consumed; rescan to raise the
                 // hint past them (fetch_min alone can never raise it).
                 self.core.refresh_worker_deadline(self.me);
             }
             if woke.socket {
-                self.rx.clear();
                 // One receive per wake. Under epoll, level-triggered
                 // readiness re-reports whatever the burst cap left
                 // queued; under the blocking wait this receive *is*
@@ -557,34 +475,6 @@ impl Worker {
         Timestamp::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    /// Drain the handoff rings — datagrams other workers received for
-    /// shards this worker owns — bounded at one burst so timers and
-    /// the socket still get their turn. Returns whether the burst cap
-    /// was hit (rings may still carry backlog).
-    fn drain_handoffs(&mut self, now: Timestamp) -> bool {
-        self.handed.clear();
-        let waits = &self.core.metrics().io.handoff_wait_us;
-        'drain: for src in &self.rings[self.index] {
-            while let Some(d) = src.pop() {
-                waits.record(d.received.elapsed().as_micros() as u64);
-                self.handed.push(d);
-                if self.handed.len() >= MAX_BURST {
-                    break 'drain;
-                }
-            }
-        }
-        let full = self.handed.len() >= MAX_BURST;
-        if !self.handed.is_empty() {
-            self.counters
-                .handoff_in
-                .fetch_add(self.handed.len() as u64, Ordering::Relaxed);
-            let handed = std::mem::take(&mut self.handed);
-            self.feed(&handed, now);
-            self.handed = handed;
-        }
-        full
-    }
-
     /// Feed received frames to the engine, [`MAX_BURST`] datagrams per
     /// call, and dispatch each call's output. The batch is a stack
     /// array: the `(addr, &bytes)` views borrow `frames`, so a heap
@@ -598,7 +488,7 @@ impl Worker {
     fn feed(&mut self, frames: &[RxDatagram], mut now: Timestamp) {
         const EMPTY: &[u8] = &[];
         let nowhere: SocketAddr = SocketAddr::from(([0, 0, 0, 0], 0));
-        // The receiving worker answered the control segments (`ingest`).
+        // `ingest` answered the control segments.
         let mut datagrams = frames
             .iter()
             .flat_map(|d| {
@@ -662,72 +552,22 @@ impl Worker {
         }
     }
 
-    /// Sort a received burst: answer control datagrams inline, hand
-    /// RSS-mismatched frames to their owning worker, process the rest
-    /// here. A coalesced frame is sorted whole — all its datagrams have
-    /// one source, hence one shard.
+    /// Serve a received burst: answer its control segments inline,
+    /// then feed the rest to the engine. The whole burst goes in one
+    /// call, so its relay path can batch-verify and the responses leave
+    /// in one gathered send; the frames go back to the pool after.
     fn ingest(&mut self, now: Timestamp) {
         let mut rx = std::mem::take(&mut self.rx);
-        self.local.clear();
-        for d in rx.drain(..) {
-            let mut for_engine = false;
+        for d in &rx {
             for segment in d.segments() {
-                match control(segment) {
-                    Some(ctl) => self.serve_control(ctl, d.from, now),
-                    None => for_engine = true,
-                }
-            }
-            if !for_engine {
-                continue;
-            }
-            if self.workers == 1 || !self.per_worker_sockets {
-                // Sole worker, or a shared socket (no kernel flow
-                // affinity to preserve): process in place under the
-                // shard locks; shards stay unclaimed and timers
-                // stay on modulo polling.
-                self.local.push(d);
-                continue;
-            }
-            // First receiver wins: claim the shard, or learn who
-            // owns it and hand the datagram over lock-free.
-            let shard = self.core.shard_of_source(d.from);
-            let owner = self.core.claim_shard(shard, self.me);
-            if owner == self.me {
-                self.local.push(d);
-            } else {
-                match self.rings[owner as usize][self.index].push(d) {
-                    Ok(()) => {
-                        self.counters.handoff_out.fetch_add(1, Ordering::Relaxed);
-                        // Ring-after-push: the datagram is already
-                        // visible in the ring when the owner's
-                        // epoll_wait reports this bell.
-                        #[cfg(target_os = "linux")]
-                        if let Some(bells) = &self.doorbells {
-                            bells.cells[owner as usize][self.index].ring();
-                        }
-                    }
-                    Err(d) => {
-                        // Ring full: process it here under the shard
-                        // lock (contended path) rather than drop it —
-                        // the owner is behind, but the datagram must
-                        // not be lost.
-                        self.counters
-                            .handoff_overflow
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.local.push(d);
-                    }
+                if let Some(ctl) = control(segment) {
+                    self.serve_control(ctl, d.from, now);
                 }
             }
         }
+        self.feed(&rx, now);
+        rx.clear();
         self.rx = rx;
-        if !self.local.is_empty() {
-            // The whole burst goes to the engine in one call, so its
-            // relay path can batch-verify and the responses leave in
-            // one gathered send.
-            let local = std::mem::take(&mut self.local);
-            self.feed(&local, now);
-            self.local = local;
-        }
     }
 }
 
@@ -745,13 +585,13 @@ enum Wait {
     /// an `SO_RCVTIMEO` window (`read_timeout`, as last set) sized from
     /// the deadline hint.
     Blocking { read_timeout: Duration },
-    /// Linux: park in `epoll_wait` over the socket, the handoff
-    /// doorbells and a min-deadline `timerfd`.
+    /// Linux: park in `epoll_wait` over the socket, the worker's control
+    /// bell and a min-deadline `timerfd`.
     #[cfg(target_os = "linux")]
     Epoll {
         ep: crate::epoll::Epoll,
         timer: crate::epoll::TimerFd,
-        bells: Arc<Doorbells>,
+        bells: Bells,
         tokens: Vec<u64>,
         /// Deadline (µs) the timerfd is currently armed for;
         /// `u64::MAX` = disarmed. Re-arming only on change keeps
@@ -760,30 +600,31 @@ enum Wait {
     },
 }
 
-// Doorbell tokens are the source worker index; these two sit above any
-// plausible worker count.
 #[cfg(target_os = "linux")]
-const TOKEN_SOCKET: u64 = u64::MAX;
+const TOKEN_SOCKET: u64 = 0;
 #[cfg(target_os = "linux")]
-const TOKEN_TIMER: u64 = u64::MAX - 1;
+const TOKEN_TIMER: u64 = 1;
+#[cfg(target_os = "linux")]
+const TOKEN_BELL: u64 = 2;
 
 impl Wait {
-    /// The epoll wait when the engine has doorbells and this worker's
-    /// epoll set and timerfd come up; the blocking wait otherwise.
+    /// The epoll wait when the engine has control bells and this
+    /// worker's epoll set and timerfd come up; the blocking wait
+    /// otherwise.
     fn install(worker: &Worker) -> Wait {
         #[cfg(target_os = "linux")]
-        if let Some(bells) = &worker.doorbells {
+        if let Some(bells) = &worker.bells {
             CURRENT_WORKER.with(|c| c.set(Some(worker.me)));
             match Wait::epoll(worker, bells) {
                 Ok(wait) => return wait,
                 Err(e) => {
                     // This worker alone degrades to the blocking wait.
-                    // Its doorbells are rung but never drained; an
-                    // eventfd counter saturating is harmless.
+                    // Its bell is rung but never drained; an eventfd
+                    // counter saturating is harmless.
                     eprintln!(
                         "alpha-transport: worker {} readiness setup failed ({e}); \
                          using blocking waits",
-                        worker.index
+                        worker.me
                     );
                 }
             }
@@ -796,7 +637,7 @@ impl Wait {
     }
 
     #[cfg(target_os = "linux")]
-    fn epoll(worker: &Worker, bells: &Arc<Doorbells>) -> io::Result<Wait> {
+    fn epoll(worker: &Worker, bells: &Bells) -> io::Result<Wait> {
         use std::os::fd::AsRawFd;
 
         use crate::epoll::{Epoll, TimerFd, MAX_EVENTS};
@@ -812,9 +653,7 @@ impl Wait {
         )?;
         let timer = TimerFd::new()?;
         ep.add(timer.as_raw_fd(), TOKEN_TIMER, false)?;
-        for (src, bell) in bells.cells[worker.index].iter().enumerate() {
-            ep.add(bell.as_raw_fd(), src as u64, false)?;
-        }
+        ep.add(bells[worker.me as usize].as_raw_fd(), TOKEN_BELL, false)?;
         // Readiness decides when to receive, so the socket keeps a
         // token timeout only as a guard: if a spurious wake (or a
         // shared-socket race) finds the queue empty, the receive
@@ -903,12 +742,10 @@ impl Wait {
                     match t {
                         TOKEN_SOCKET => woke.socket = true,
                         TOKEN_TIMER => woke.timer = true,
-                        src => {
-                            // Quiet the bell; the rings are drained by
-                            // the loop regardless (ring-after-push
-                            // makes bell-then-ring-drain ordering safe,
-                            // see crate::epoll).
-                            bells.cells[worker.index][src as usize].drain();
+                        // Quiet the bell: the loop re-reads the deadline
+                        // hint and shutdown flag on every wake anyway.
+                        _ => {
+                            bells[worker.me as usize].drain();
                         }
                     }
                 }
@@ -1177,7 +1014,6 @@ mod tests {
                     from: source,
                     frame: bytes.into(),
                     truncated: false,
-                    received: Instant::now(),
                     segment_len,
                 }
             })
@@ -1186,7 +1022,6 @@ mod tests {
         let counters = core.metrics().io.register_worker();
         let socket = UdpSocket::bind("127.0.0.1:0").expect("worker socket");
         let mut worker = Worker {
-            index: 0,
             me: 0,
             workers: 1,
             shards: core.shard_count(),
@@ -1194,9 +1029,8 @@ mod tests {
             counters,
             rx_pool: FramePool::new(MAX_DATAGRAM, 1),
             core: Arc::clone(&core),
-            rings: Arc::new(vec![vec![HandoffRing::with_capacity(1)]]),
             #[cfg(target_os = "linux")]
-            doorbells: None,
+            bells: None,
             per_worker_sockets: false,
             shutdown: Arc::new(AtomicBool::new(false)),
             ready: Arc::new(AtomicUsize::new(0)),
@@ -1208,8 +1042,6 @@ mod tests {
             sink: None,
             rng,
             rx: backlog,
-            handed: Vec::new(),
-            local: Vec::new(),
             out: EngineOutput::default(),
         };
         let now = worker.now();
@@ -1233,6 +1065,51 @@ mod tests {
         let mut want: Vec<u64> = (0..frames as u64).collect();
         want.insert(1, TIMER_ASSOC);
         assert_eq!(arrivals, want);
+    }
+
+    /// A timer armed off the worker threads (`connect` on the caller's
+    /// thread) must reach a worker asleep in its wait: under epoll the
+    /// engine's deadline waker rings the worker's control bell, which
+    /// would otherwise sleep out its backstop.
+    #[test]
+    fn a_timer_armed_on_another_thread_wakes_the_sleeping_worker() {
+        use alpha_wire::PacketView;
+
+        let server = Engine::bind("127.0.0.1:0", EngineCore::new(engine_cfg()), 1).expect("bind");
+        let addr = server.local_addr().unwrap();
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("peer");
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Past the first handshake resend delay, so a handshake begun at
+        // time zero is due the moment it is armed.
+        while server.now().micros() < 300_000 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // A stats answer puts the worker's last wake, and so the start of
+        // its next backstop, just behind us; then it goes back to sleep.
+        query_stats(addr, Duration::from_secs(5)).expect("stats");
+        std::thread::sleep(Duration::from_millis(20));
+
+        let armed = Instant::now();
+        let mut rng = StdRng::seed_from_u64(5);
+        let peer_addr = peer.local_addr().unwrap();
+        drop(
+            server
+                .core()
+                .connect(peer_addr, 7, Timestamp::ZERO, &mut rng),
+        );
+        let mut buf = [0u8; 2048];
+        let (n, from) = peer.recv_from(&mut buf).expect("the handshake resend");
+        let waited = armed.elapsed();
+        assert_eq!(from, addr);
+        let view = PacketView::parse(&buf[..n]).expect("a handshake");
+        assert_eq!(view.assoc_id, 7);
+        // The epoll backstop is 250 ms and the blocking wait's window
+        // 5 ms; a rung bell answers in microseconds.
+        assert!(
+            waited < Duration::from_millis(100),
+            "the resend left {waited:?} after its timer was armed"
+        );
+        server.shutdown();
     }
 
     #[test]
