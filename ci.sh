@@ -36,7 +36,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # across a relay engine, 1,024 flows in lockstep), and renewal builds
 # chains; the relay fuzzer mutates a learned relay's valid traces (no
 # panic, every packet judged once, a rejected datagram changes nothing,
-# only valid S2s forwarded), the small-scope search runs every schedule
+# only valid S2s forwarded) and the host fuzzer a populated host's (no
+# panic, no packet counted twice, a rejected datagram changes nothing,
+# only the trace's payloads delivered, each once), the small-scope search runs every schedule
 # of a client, a relay and a server engine within its tier-1 bound and
 # the in-memory twin of the 32-association live test, and the relay
 # budget suite holds a relayed burst to a constant allocation count,
@@ -51,7 +53,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # re-encoding, bounded decode allocation, a thaw without a hash). Their
 # test counts are checked so that a renamed or filtered-out property
 # fails the step instead of passing with fewer tests.
-echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay fuzz, small-scope search, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
+echo "==> digest backend equivalence, padding, chain-walker (incl. frozen-checkpoint), S2-run, renewal, relay and host fuzz, small-scope search, relay budget, receiver ≡ relay and hibernation suites incl. the record fuzzer (forced scalar, forced lanes4, then auto-detected)"
 for backend in scalar lanes4 auto; do
     props=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-crypto \
         --test backend_props) || { echo "$props"; exit 1; }
@@ -88,6 +90,13 @@ for backend in scalar lanes4 auto; do
     case "$relay_fuzz" in
         *"running 2 tests"*"1 passed"*"1 ignored"*) ;;
         *) echo "ci: the relay_fuzz suite did not run its 1 test (1 ignored) under $backend" >&2; exit 1 ;;
+    esac
+    host_fuzz=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
+        --test host_fuzz) || { echo "$host_fuzz"; exit 1; }
+    echo "$host_fuzz"
+    case "$host_fuzz" in
+        *"running 2 tests"*"1 passed"*"1 ignored"*) ;;
+        *) echo "ci: the host_fuzz suite did not run its 1 test (1 ignored) under $backend" >&2; exit 1 ;;
     esac
     scope=$(ALPHA_DIGEST_BACKEND=$backend cargo test -q -p alpha-engine \
         --test small_scope) || { echo "$scope"; exit 1; }
@@ -143,6 +152,18 @@ echo "$long_fuzz"
 case "$long_fuzz" in
     *"running 1 test"*) ;;
     *) echo "ci: the relay fuzz smoke did not run its long run" >&2; exit 1 ;;
+esac
+
+# The host fuzzer's long run, the same way: ten times its tier-1 cases
+# in a release build, time-boxed (a bound on a slow or hung run).
+echo "==> host fuzz smoke (release, 100,000 cases, time-boxed to 30 s)"
+cargo test --release -q -p alpha-engine --test host_fuzz --no-run
+long_host_fuzz=$(timeout 30 cargo test --release -q -p alpha-engine --test host_fuzz \
+    -- --ignored mutated_datagrams_long_run) || { echo "$long_host_fuzz"; exit 1; }
+echo "$long_host_fuzz"
+case "$long_host_fuzz" in
+    *"running 1 test"*) ;;
+    *) echo "ci: the host fuzz smoke did not run its long run" >&2; exit 1 ;;
 esac
 
 # The small-scope search's deeper bound (three exchanges an end in

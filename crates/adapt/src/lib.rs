@@ -30,7 +30,7 @@ pub use estimator::{ChannelEstimator, ExchangeSample, FrozenEstimator, ModeKind}
 pub use policy::{Decision, HysteresisPolicy, ModePolicy};
 
 use alpha_core::{Mode, SignerEvent, Timestamp};
-use alpha_wire::{Body, Packet};
+use alpha_wire::{Body, BodyView, Packet, PacketType, PacketView};
 use serde::Value;
 
 /// Tunables for the estimator and the default policy. `Copy` so it can
@@ -208,21 +208,50 @@ impl FlowAdapt {
     /// retransmissions alike). Non-signer packets (A1/A2 of the reverse
     /// direction, handshakes) are ignored.
     pub fn observe_packets(&mut self, packets: &[Packet]) {
+        for p in packets {
+            let payload = match &p.body {
+                Body::S2 { payload, .. } => payload.len(),
+                _ => 0,
+            };
+            self.account(p.packet_type(), p.wire_len(), payload);
+        }
+    }
+
+    /// [`FlowAdapt::observe`] over encoded packets, each read in place
+    /// as a [`PacketView`]: what a byte-path caller sends.
+    pub fn observe_encoded<'a>(
+        &mut self,
+        packets: impl IntoIterator<Item = &'a [u8]>,
+        events: &[SignerEvent],
+    ) {
+        for bytes in packets {
+            if let Ok(view) = PacketView::parse(bytes) {
+                let payload = match &view.body {
+                    BodyView::S2 { payload, .. } => payload.len(),
+                    _ => 0,
+                };
+                self.account(view.packet_type(), bytes.len(), payload);
+            }
+        }
+        self.observe_events(events);
+    }
+
+    /// Count one outgoing packet of `wire_len` bytes carrying `payload`
+    /// bytes of message toward the open exchange's sample.
+    fn account(&mut self, ptype: PacketType, wire_len: usize, payload: usize) {
         let Some(cur) = self.cur.as_mut() else {
             return;
         };
-        for p in packets {
-            match &p.body {
-                Body::S1 { .. } => {
-                    cur.s1_transmissions += 1;
-                    cur.auth_bytes += p.wire_len() as u64;
-                }
-                Body::S2 { payload, .. } => {
-                    cur.s2_transmissions += 1;
-                    cur.auth_bytes += (p.wire_len() - payload.len()) as u64;
-                }
-                _ => {}
+        match ptype {
+            PacketType::S1 => {
+                cur.s1_transmissions += 1;
+                cur.auth_bytes += wire_len as u64;
             }
+            PacketType::S2 => {
+                cur.s2_transmissions += 1;
+                cur.auth_bytes += (wire_len - payload) as u64;
+            }
+            _ => {}
         }
     }
 

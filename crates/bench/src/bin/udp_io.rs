@@ -266,10 +266,9 @@ fn run_measured(
         }
     }
     // Drain: every consumed datagram either forwards or is dropped by
-    // relay policy (a shared socket drained by several workers does not
-    // preserve per-flow FIFO, so a reordered S2 can land unsolicited),
-    // so the run ends when forwards + drops reach the injected count —
-    // watching the input counter would race the final batch's dispatch.
+    // relay policy, so the run ends when forwards + drops reach the
+    // injected count — watching the input counter would race the final
+    // batch's dispatch.
     // `finished` is the instant the final count was first observed.
     let settled = || {
         metrics.io.totals().datagrams_out - base.datagrams_out + metrics.total_drops() - base_drops
@@ -341,25 +340,15 @@ fn best_measured(
     best.expect("at least one attempt")
 }
 
-/// Check exchange-level correctness of a measured run: single-worker
-/// (or per-worker-socket) runs preserve per-flow FIFO, so every
-/// exchange must verify; several workers draining one shared socket can
-/// reorder a flow's S1/S2 and shed the odd unsolicited packet, so those
-/// runs are held to a near-complete floor instead.
-fn check_verified(m: &Measured, exchanges_total: u64, fifo: bool, label: &str) {
-    if fifo {
-        assert_eq!(
-            m.s2_verified, exchanges_total,
-            "every exchange must verify at the relay ({label})"
-        );
-    } else {
-        assert!(
-            m.s2_verified * 100 >= exchanges_total * 95,
-            "shared-socket run verified too little ({label}): {}/{}",
-            m.s2_verified,
-            exchanges_total
-        );
-    }
+/// Check exchange-level correctness of a measured run: every exchange
+/// must verify. Per-worker sockets keep each flow on one worker, and on
+/// a shared socket one worker receives, so every configuration judges a
+/// flow's datagrams in the order they arrived.
+fn check_verified(m: &Measured, exchanges_total: u64, label: &str) {
+    assert_eq!(
+        m.s2_verified, exchanges_total,
+        "every exchange must verify at the relay ({label})"
+    );
 }
 
 /// Wall-clock model: the configuration as deployed, aggregate =
@@ -376,7 +365,6 @@ fn run_wall_clock(
     check_verified(
         &m,
         exchanges_total,
-        workers == 1 || m.per_worker_sockets,
         &format!("{}/{workers} workers, wall-clock", backend.name()),
     );
     RunResult {
@@ -440,7 +428,6 @@ fn run_share_nothing(
         check_verified(
             &m,
             exchanges,
-            true,
             &format!("{}/{workers} workers, slice {w}", backend.name()),
         );
         total_relayed += m.relayed;

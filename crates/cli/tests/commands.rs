@@ -149,3 +149,36 @@ fn binary_writes_into_a_closed_pipe_without_panicking() {
         assert_eq!(status.code(), Some(code), "alpha {argv:?}");
     }
 }
+
+#[test]
+fn fd_starved_serve_does_not_report_an_epoll_wait_it_never_ran() {
+    // With 12 descriptors every worker's epoll set fails to come up and
+    // each falls back to the blocking wait; the final snapshot must name
+    // the wait the workers run, not the one the backend would pair with.
+    let script = concat!(
+        "ulimit -n 12 && exec \"$0\" engine serve 127.0.0.1:0 ",
+        "--workers 4 --seconds 1"
+    );
+    let out = match std::process::Command::new("sh")
+        .args(["-c", script, env!("CARGO_BIN_EXE_alpha")])
+        .output()
+    {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("skipped: no `sh` to set the descriptor limit with ({e})");
+            return;
+        }
+    };
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("\"wait_backend\":"), "stdout: {stdout}");
+    assert!(
+        !stdout.contains("\"wait_backend\":\"epoll\""),
+        "stdout: {stdout}"
+    );
+}

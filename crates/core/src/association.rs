@@ -7,16 +7,18 @@
 
 use alpha_crypto::chain::HashChain;
 use alpha_crypto::Digest;
-use alpha_wire::{Body, Packet};
+use alpha_wire::{BodyView, Packet, PacketView};
 use rand::RngCore;
 
 use crate::batch::{self, S2BatchItem};
+use crate::outbox::Outbox;
 use crate::signer::{SignerChannel, SignerEvent};
 use crate::verifier::{S2Verdict, VerifierChannel};
 use crate::{bootstrap, renewal, signal::Signal, Config, Mode, ProtocolError, Timestamp};
 
 /// Application-visible outcome of feeding a packet (or timer tick) into an
-/// [`Association`].
+/// [`Association`]: what the byte path put in an [`Outbox`], its packets
+/// decoded.
 #[derive(Debug, Default)]
 pub struct Response {
     /// Packets to transmit, in order.
@@ -49,35 +51,31 @@ impl Response {
         self.deliveries.first().map(|(_, p)| p.as_slice())
     }
 
-    fn from_signer(out: crate::signer::SignerOutput) -> Response {
-        Response {
-            packets: out.packets,
+    /// What a byte-path call left in `out`, and the verdict on the S2
+    /// carrying `payload` when it was one: the packets decoded, the
+    /// delivered payload copied out, once.
+    fn new(out: Outbox, verdict: Option<S2Verdict<'_>>, payload: &[u8]) -> Response {
+        let mut resp = Response {
+            packets: out.to_packets(),
             signer_events: out.events,
             ..Response::default()
-        }
-    }
-
-    /// One accepted S2's verdict (of an S2 carrying `payload`) and the
-    /// replies it sent, with the delivered payload copied out of the
-    /// packet.
-    fn from_s2(v: S2Verdict<'_>, payload: &[u8], replies: Vec<Packet>) -> Response {
-        Response {
-            packets: replies,
-            deliveries: v
+        };
+        if let Some(v) = verdict {
+            resp.deliveries = v
                 .delivered
                 .map(|p| (v.seq, p.to_vec()))
                 .into_iter()
-                .collect(),
-            bundle_complete: v.bundle_complete,
-            peer_renewed: v.peer_renewed,
-            signals: v
+                .collect();
+            resp.bundle_complete = v.bundle_complete;
+            resp.peer_renewed = v.peer_renewed;
+            resp.signals = v
                 .signal
                 .then(|| Signal::parse(payload))
                 .flatten()
                 .into_iter()
-                .collect(),
-            ..Response::default()
+                .collect();
         }
+        resp
     }
 }
 
@@ -181,56 +179,81 @@ impl Association {
     /// (`Mode::Base` signs it alone; the batch modes wrap it in a
     /// one-element bundle). Returns the S1 packet.
     pub fn sign(&mut self, message: &[u8], now: Timestamp) -> Result<Packet, ProtocolError> {
-        self.signer.sign(&[message], self.cfg.mode, now)
+        self.sign_batch(&[message], self.cfg.mode, now)
     }
 
-    /// Sign a batch of messages in `mode` (ALPHA-C or ALPHA-M).
+    /// Sign a batch of messages in `mode` (ALPHA-C or ALPHA-M). Returns
+    /// the S1 packet: [`Association::sign_into`]'s, decoded.
     pub fn sign_batch(
         &mut self,
         messages: &[&[u8]],
         mode: Mode,
         now: Timestamp,
     ) -> Result<Packet, ProtocolError> {
-        self.signer.sign(messages, mode, now)
+        let mut out = Outbox::default();
+        self.sign_into(messages, mode, now, &mut out)?;
+        Ok(out.to_packets().remove(0))
+    }
+
+    /// Sign a batch of messages in `mode`, the byte path: the encoded S1
+    /// goes to `out`, and every S2 is encoded now, once, for the A1 to
+    /// release ([`SignerChannel::sign_into`]).
+    pub fn sign_into(
+        &mut self,
+        messages: &[&[u8]],
+        mode: Mode,
+        now: Timestamp,
+        out: &mut Outbox,
+    ) -> Result<(), ProtocolError> {
+        self.signer.sign_into(messages, mode, now, out)
     }
 
     /// Feed one received packet through the right channel. Verified chain
     /// renewals from the peer ([`crate::renewal`]) are applied in place and
-    /// reported via [`Response::peer_renewed`].
+    /// reported via [`Response::peer_renewed`]. The packet is encoded and
+    /// fed to [`Association::handle_view`]; a packet the wire cannot carry
+    /// is [`ProtocolError::UnexpectedPacket`].
     pub fn handle(
         &mut self,
         pkt: &Packet,
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) -> Result<Response, ProtocolError> {
-        match &pkt.body {
-            Body::S1 { .. } => Ok(Response {
-                packets: self
-                    .verifier
-                    .handle_s1(pkt, now, rng)?
-                    .into_iter()
-                    .collect(),
-                ..Response::default()
-            }),
-            Body::S2 {
-                key,
-                seq,
-                path,
-                payload,
-            } => {
-                let item = S2BatchItem {
-                    alg: pkt.alg,
-                    chain_index: pkt.chain_index,
-                    key,
-                    seq: *seq,
-                    path: path.as_slice().into(),
-                    payload,
-                };
-                self.handle_s2(pkt.assoc_id, &item, now)
+        let bytes = pkt.emit();
+        let view = PacketView::parse(&bytes).map_err(|_| ProtocolError::UnexpectedPacket)?;
+        let mut out = Outbox::default();
+        let verdict = self.handle_view(&view, now, rng, &mut out)?;
+        let payload = match &view.body {
+            BodyView::S2 { payload, .. } => payload,
+            _ => &[][..],
+        };
+        Ok(Response::new(out, verdict, payload))
+    }
+
+    /// Feed one received packet, read in place, through the right
+    /// channel: the byte path. What it sends and the signer's events go
+    /// to `out`; an S2 is verified as a run of one and its verdict
+    /// returned, its payload still borrowed.
+    pub fn handle_view<'a>(
+        &mut self,
+        view: &'a PacketView<'_>,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut Outbox,
+    ) -> Result<Option<S2Verdict<'a>>, ProtocolError> {
+        match &view.body {
+            BodyView::S1 { .. } => self.verifier.handle_s1(view, now, rng, out).map(|()| None),
+            BodyView::S2 { .. } => {
+                // Allowlist: the arm matched an S2.
+                let item = S2BatchItem::from_view(view).expect("an S2");
+                let mut verdict = [Err(ProtocolError::NoExchange)];
+                let run = std::slice::from_ref(&item);
+                self.handle_s2_run(view.assoc_id, run, now, out, &mut verdict);
+                verdict[0].map(Some)
             }
-            Body::A1 { .. } => Ok(Response::from_signer(self.signer.handle_a1(pkt, now)?)),
-            Body::A2 { .. } => Ok(Response::from_signer(self.signer.handle_a2(pkt, now)?)),
-            Body::Handshake(_) => Err(ProtocolError::UnexpectedPacket),
+            BodyView::A1 { .. } => self.signer.handle_a1(view, now, out).map(|()| None),
+            BodyView::A2 { .. } => self.signer.handle_a2(view, now, out).map(|()| None),
+            BodyView::Handshake(_) => Err(ProtocolError::UnexpectedPacket),
         }
     }
 
@@ -269,11 +292,11 @@ impl Association {
         item: &S2BatchItem<'_>,
         now: Timestamp,
     ) -> Result<Response, ProtocolError> {
-        let mut replies = Vec::new();
+        let mut replies = Outbox::default();
         let mut verdict = [Err(ProtocolError::NoExchange)];
         let item = std::slice::from_ref(item);
         self.handle_s2_run(assoc_id, item, now, &mut replies, &mut verdict);
-        verdict[0].map(|v| Response::from_s2(v, item[0].payload, replies))
+        verdict[0].map(|v| Response::new(replies, Some(v), item[0].payload))
     }
 
     /// Verify a run of S2s through the incoming channel
@@ -292,7 +315,7 @@ impl Association {
         assoc_id: u64,
         items: &[S2BatchItem<'a>],
         now: Timestamp,
-        replies: &mut Vec<Packet>,
+        replies: &mut Outbox,
         verdicts: &mut [Result<S2Verdict<'a>, ProtocolError>],
     ) {
         assert_eq!(items.len(), verdicts.len(), "one verdict per S2");
@@ -319,12 +342,19 @@ impl Association {
     }
 
     /// Drive timers: signer retransmissions, verifier buffer expiry and
-    /// verifier timeout-nacks for missing messages.
+    /// verifier timeout-nacks for missing messages
+    /// ([`Association::poll_into`], decoded).
     pub fn poll(&mut self, now: Timestamp) -> Response {
-        let nacks = self.verifier.poll(now);
-        let mut resp = Response::from_signer(self.signer.poll(now));
-        resp.packets.extend(nacks);
-        resp
+        let mut out = Outbox::default();
+        self.poll_into(now, &mut out);
+        Response::new(out, None, &[])
+    }
+
+    /// Drive timers, the byte path: the signer's retransmissions, then
+    /// the verifier's timeout-nacks, go to `out`.
+    pub fn poll_into(&mut self, now: Timestamp, out: &mut Outbox) {
+        self.signer.poll(now, out);
+        self.verifier.poll(now, out);
     }
 
     /// Earliest time [`Association::poll`] has work to do.
@@ -353,9 +383,22 @@ impl Association {
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) -> Result<(renewal::RenewalOffer, Packet), ProtocolError> {
+        let mut out = Outbox::default();
+        let offer = self.begin_renewal_into(now, rng, &mut out)?;
+        Ok((offer, out.to_packets().remove(0)))
+    }
+
+    /// [`Association::begin_renewal`], the byte path: the renewal's
+    /// encoded S1 goes to `out`.
+    pub fn begin_renewal_into(
+        &mut self,
+        now: Timestamp,
+        rng: &mut dyn RngCore,
+        out: &mut Outbox,
+    ) -> Result<renewal::RenewalOffer, ProtocolError> {
         let (offer, payload) = renewal::offer(&self.cfg, rng);
-        let s1 = self.signer.sign(&[&payload], Mode::Base, now)?;
-        Ok((offer, s1))
+        self.signer.sign_into(&[&payload], Mode::Base, now, out)?;
+        Ok(offer)
     }
 
     /// Switch to the renewed chains (after the renewal message delivered).
@@ -367,7 +410,7 @@ impl Association {
 
     /// Sign a control signal toward the peer (and every on-path relay).
     pub fn send_signal(&mut self, sig: &Signal, now: Timestamp) -> Result<Packet, ProtocolError> {
-        self.signer.sign(&[&sig.encode()], Mode::Base, now)
+        self.sign_batch(&[&sig.encode()], Mode::Base, now)
     }
 
     /// Freeze this association into a compact hibernation record

@@ -15,13 +15,11 @@
 //! unsolicited-data policy, the host's `BadSeq` and reliable-mode nacks,
 //! the signer's retransmit bookkeeping) stays with the caller.
 
-use std::borrow::Borrow;
-
-use alpha_crypto::amt::{self, AmtDisclosure};
+use alpha_crypto::amt;
 use alpha_crypto::chain::{self, ChainError, ChainKind, ChainVerifier, Role};
 use alpha_crypto::preack::{self, AckDisclosure, PreAckPair};
 use alpha_crypto::{merkle, Algorithm, Digest};
-use alpha_wire::{AckCommit, PreSignature, PreSignatureView};
+use alpha_wire::{AckCommit, AmtItemView, PreSignature, PreSignatureView};
 
 use crate::batch::{S2BatchItem, S2Check};
 use crate::ProtocolError;
@@ -240,8 +238,8 @@ pub(crate) enum Commit {
     Amt { root: Digest, leaves: u32 },
 }
 
-/// An A2's verdict disclosure, read from an owned packet or a datagram
-/// view: `I` yields the AMT items.
+/// An A2's verdict disclosure, read in place from its datagram: `I`
+/// yields the AMT items.
 pub(crate) enum Disclosure<I> {
     Flat(AckDisclosure),
     Amt(I),
@@ -274,30 +272,53 @@ impl Commit {
     /// no verdicts, so a caller only ever applies a genuine A2.
     /// `UnexpectedPacket` when the disclosure is not the committed kind,
     /// `BadMac` when a verdict does not verify.
-    pub(crate) fn verdicts<D: Borrow<AmtDisclosure>>(
+    pub(crate) fn verdicts<'a>(
         &self,
         alg: Algorithm,
         key: &Digest,
-        disclosure: Disclosure<impl IntoIterator<Item = D>>,
+        disclosure: Disclosure<impl IntoIterator<Item = AmtItemView<'a>>>,
     ) -> Result<Vec<(u32, bool)>, ProtocolError> {
-        match (self, disclosure) {
+        let mut verdicts = Vec::new();
+        self.verdicts_into(alg, key, disclosure, &mut verdicts)?;
+        Ok(verdicts)
+    }
+
+    /// [`Commit::verdicts`] into a caller's buffer, which is cleared
+    /// first and left empty on error: a role that keeps one buffer
+    /// judges its A2s without allocating.
+    pub(crate) fn verdicts_into<'a>(
+        &self,
+        alg: Algorithm,
+        key: &Digest,
+        disclosure: Disclosure<impl IntoIterator<Item = AmtItemView<'a>>>,
+        out: &mut Vec<(u32, bool)>,
+    ) -> Result<(), ProtocolError> {
+        out.clear();
+        let judged = match (self, disclosure) {
             (Commit::Flat(pair), Disclosure::Flat(d)) => {
                 if preack::verify(alg, key, &d, pair) {
-                    Ok(vec![(0, d.ack)])
+                    out.push((0, d.ack));
+                    Ok(())
                 } else {
                     Err(ProtocolError::BadMac)
                 }
             }
-            (Commit::Amt { root, leaves }, Disclosure::Amt(items)) => items
-                .into_iter()
-                .map(|item| {
-                    let item = item.borrow();
-                    amt::verify_disclosure(alg, key, *leaves as usize, item, root)
-                        .map(|ack| (item.packet_index, ack))
-                        .ok_or(ProtocolError::BadMac)
+            (Commit::Amt { root, leaves }, Disclosure::Amt(items)) => {
+                items.into_iter().try_for_each(|item| {
+                    let (index, path) = (item.packet_index, item.path.to_path());
+                    let n = *leaves as usize;
+                    let ack =
+                        amt::verify_parts(alg, key, n, index, item.ack, &item.secret, &path, root)
+                            .ok_or(ProtocolError::BadMac)?;
+                    out.push((index, ack));
+                    Ok(())
                 })
-                .collect(),
+            }
             _ => Err(ProtocolError::UnexpectedPacket),
+        };
+        if judged.is_err() {
+            out.clear();
         }
+        judged
     }
 }

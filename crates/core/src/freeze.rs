@@ -34,7 +34,7 @@ use alpha_crypto::amt::AckMerkleTree;
 use alpha_crypto::chain::{ChainKind, FrozenChain};
 use alpha_crypto::preack::{PreAckPair, PreAckSecrets, SECRET_LEN};
 use alpha_crypto::{Algorithm, Digest};
-use alpha_wire::{Packet, PreSignature, TreeDescriptor};
+use alpha_wire::{PacketView, PreSignature, TreeDescriptor};
 
 use crate::exchange::{Announced, Presig};
 use crate::verifier::{AckState, BufferedExchange, Received};
@@ -229,8 +229,8 @@ fn write_opt_exchange(w: &mut impl Sink, ex: Option<&BufferedExchange>) {
             w.u32(trees.first().map_or(0, |t| t.leaves));
         }
     }
-    w.u32(ex.a1.wire_len() as u32);
-    w.packet(&ex.a1);
+    w.u32(ex.a1.len() as u32);
+    w.bytes(&ex.a1);
     w.u64(ex.ack_key_index);
     w.digest(&ex.ack_key);
     match &ex.ack {
@@ -318,7 +318,9 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
     // intake would have buffered.
     let presig = Presig::new(presig)?;
     let a1_len = r.u32()? as usize;
-    let a1 = Packet::parse(r.take(a1_len)?).ok()?;
+    let a1 = r.take(a1_len)?;
+    PacketView::parse(a1).ok()?;
+    let a1 = a1.to_vec();
     let ack_key_index = r.u64()?;
     let ack_key = r.digest(alg)?;
     let ack = match r.u8()? {
@@ -380,7 +382,6 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Buff
 trait Sink {
     fn bytes(&mut self, v: &[u8]);
     fn chain(&mut self, chain: &FrozenChain);
-    fn packet(&mut self, pkt: &Packet);
     fn u8(&mut self, v: u8) {
         self.bytes(&[v]);
     }
@@ -402,9 +403,6 @@ impl Sink for Vec<u8> {
     fn chain(&mut self, chain: &FrozenChain) {
         chain.encode_into(self);
     }
-    fn packet(&mut self, pkt: &Packet) {
-        pkt.encode_into(self);
-    }
 }
 
 /// A sink that only counts: [`FrozenAssociation::encoded_len`].
@@ -416,9 +414,6 @@ impl Sink for Count {
     }
     fn chain(&mut self, chain: &FrozenChain) {
         self.0 += chain.stored_bytes();
-    }
-    fn packet(&mut self, pkt: &Packet) {
-        self.0 += pkt.wire_len();
     }
 }
 

@@ -25,9 +25,14 @@
 //!
 //! ## Sans-io design
 //!
-//! No state machine does I/O or reads a clock. Callers feed parsed
-//! [`alpha_wire::Packet`]s plus a [`Timestamp`] in, and get packets to
-//! transmit, payload deliveries, and verdicts back in a [`Response`].
+//! No state machine does I/O or reads a clock. Callers feed packets
+//! read in place from their datagrams ([`alpha_wire::PacketView`]) plus a
+//! [`Timestamp`] in, and get encoded packets to transmit and signer
+//! events back in an [`Outbox`], and an S2's verdict with its payload
+//! still borrowed ([`Association::handle_view`]). Every packet is encoded
+//! once, where it is made. The owned form — [`alpha_wire::Packet`]s in,
+//! a [`Response`] out ([`Association::handle`]) — is an adapter over
+//! that byte path.
 //! The same machines run unmodified under the discrete-event simulator
 //! (`alpha-sim`), the UDP transport (`alpha-transport`), unit tests, and
 //! the benchmark harnesses — which is also what lets the Table 1 harness
@@ -40,6 +45,7 @@ mod error;
 mod exchange;
 pub mod freeze;
 mod limiter;
+mod outbox;
 mod relay;
 pub mod renewal;
 pub mod signal;
@@ -52,6 +58,7 @@ pub use batch::S2BatchItem;
 pub use error::ProtocolError;
 pub use freeze::FrozenAssociation;
 pub use limiter::S1Limiter;
+pub use outbox::Outbox;
 pub use relay::{
     AssociationRelay, DropReason, Relay, RelayConfig, RelayDecision, RelayEvent, RelayViewOutcome,
 };

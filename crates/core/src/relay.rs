@@ -864,9 +864,9 @@ fn s2_finish(
 }
 
 /// The A2 judgment. Returns the verified `(seq, ack)` verdicts. AMT
-/// items are copied out of the datagram one at a time, and only once the
-/// chain element is accepted and a commitment is buffered: a forged A2
-/// costs its chain check, whatever it claims to disclose.
+/// items are read in place from the datagram, and only once the chain
+/// element is accepted and a commitment is buffered: a forged A2 costs
+/// its chain check, whatever it claims to disclose.
 fn a2_parts(
     a: &mut RelayAssociation,
     chain_index: u64,
@@ -888,7 +888,7 @@ fn a2_parts(
             ack: *ack,
             secret: *secret,
         }),
-        A2DisclosureView::Amt(items) => Disclosure::Amt(items.iter()),
+        A2DisclosureView::Amt(items) => Disclosure::Amt(items.items()),
     };
     commit
         .verdicts(alg, element, disclosure)

@@ -6,13 +6,19 @@
 //! from packing many messages into one exchange (ALPHA-C / ALPHA-M), not
 //! from pipelining exchanges.
 
+use std::sync::Arc;
+
 use alpha_crypto::chain::{ChainError, ChainVerifier, HashChain, Role};
 use alpha_crypto::merkle::MerkleTree;
 use alpha_crypto::preack::AckDisclosure;
 use alpha_crypto::{hmac, Digest};
-use alpha_wire::{limits, A2Disclosure, Body, Packet, PreSignature, TreeDescriptor};
+use alpha_wire::{
+    encode, limits, A2DisclosureView, BodyView, PacketList, PacketView, PreSignature,
+    TreeDescriptor,
+};
 
 use crate::exchange::{chain_step, Commit, Disclosure};
+use crate::outbox::Outbox;
 use crate::{Config, MacScheme, Mode, ProtocolError, Reliability, Timestamp};
 
 /// Events surfaced to the application by the signing side.
@@ -30,16 +36,6 @@ pub enum SignerEvent {
     ExchangeAbandoned,
 }
 
-/// What a signer-side handler produced: packets to transmit and events for
-/// the application.
-#[derive(Debug, Default)]
-pub struct SignerOutput {
-    /// Packets to put on the wire, in order.
-    pub packets: Vec<Packet>,
-    /// Application events.
-    pub events: Vec<SignerEvent>,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExchangeState {
     AwaitA1,
@@ -49,31 +45,23 @@ enum ExchangeState {
 struct Exchange {
     mode: Mode,
     reliability: Reliability,
-    key_index: u64,
-    key: Digest,
-    s1: Packet,
-    messages: Vec<Vec<u8>>,
-    /// Empty for Base/ALPHA-C; one tree for ALPHA-M; several for the
-    /// combined mode. `leaves_per_tree` maps a global sequence number to
-    /// `(tree, leaf)`.
-    trees: Vec<MerkleTree>,
-    leaves_per_tree: usize,
+    /// The S1, encoded once at sign time; the timer resends it until the
+    /// A1 arrives.
+    s1: Vec<u8>,
+    /// Every S2 of the exchange — key, seq, authentication path and
+    /// payload — encoded once at sign time, in seq order. Outboxes that
+    /// send them share this buffer ([`Outbox`]); the exchange keeps it for
+    /// retransmission until it ends.
+    s2s: Arc<PacketList>,
+    /// Payload bytes of the bundle, and nodes of its Merkle trees (none
+    /// for Base / ALPHA-C): what Table 2 counts the signer buffering.
+    payload_bytes: usize,
+    tree_nodes: usize,
     state: ExchangeState,
     commit: Option<Commit>,
     acked: Vec<bool>,
     last_tx: Timestamp,
     retries: u32,
-}
-
-impl Exchange {
-    fn path_for(&self, seq: u32) -> Vec<Digest> {
-        if self.trees.is_empty() {
-            return Vec::new();
-        }
-        let t = seq as usize / self.leaves_per_tree;
-        let j = seq as usize % self.leaves_per_tree;
-        self.trees[t].auth_path(j)
-    }
 }
 
 /// The signer half of a simplex channel: signs outgoing messages with its
@@ -90,6 +78,13 @@ pub struct SignerChannel {
     /// flow carries the field.
     peer_ack_prev: Option<Box<ChainVerifier>>,
     pending: Option<Exchange>,
+    /// The verdicts of the A2 being judged, kept so judging one
+    /// allocates nothing.
+    verdicts: Vec<(u32, bool)>,
+    /// The last exchange's S2 buffer, taken back for the next exchange
+    /// to encode into once no outbox shares it: a flow signing bundle
+    /// after bundle neither allocates nor frees one per exchange.
+    spare: Option<Arc<PacketList>>,
 }
 
 /// Authenticate an element of the peer's acknowledgment chain by `step`:
@@ -130,6 +125,8 @@ impl SignerChannel {
             peer_ack,
             peer_ack_prev: None,
             pending: None,
+            verdicts: Vec::new(),
+            spare: None,
         }
     }
 
@@ -175,27 +172,23 @@ impl SignerChannel {
         match &self.pending {
             None => 0,
             Some(ex) => {
-                let msgs: usize = ex.messages.iter().map(Vec::len).sum();
-                let tree: usize = ex
-                    .trees
-                    .iter()
-                    .map(|t| (2 * t.leaf_count().next_power_of_two() - 1) * h)
-                    .sum();
                 let commit = ex.commit.as_ref().map_or(0, Commit::stored_bytes);
-                msgs + h + tree + commit
+                ex.payload_bytes + h + ex.tree_nodes * h + commit
             }
         }
     }
 
-    /// Start a signature exchange over `messages` in `mode`, producing the
-    /// S1 packet. `Base` requires exactly one message; `Cumulative` and
-    /// `Merkle` accept up to the wire limits.
-    pub fn sign(
+    /// Start a signature exchange over `messages` in `mode`: the S1
+    /// goes to `out`, and every S2 is encoded now, for the A1 to release.
+    /// `Base` requires exactly one message; `Cumulative` and `Merkle`
+    /// accept up to the wire limits.
+    pub fn sign_into(
         &mut self,
         messages: &[&[u8]],
         mode: Mode,
         now: Timestamp,
-    ) -> Result<Packet, ProtocolError> {
+        out: &mut Outbox,
+    ) -> Result<(), ProtocolError> {
         if self.pending.is_some() {
             return Err(ProtocolError::ExchangeInProgress);
         }
@@ -295,42 +288,82 @@ impl SignerChannel {
                 )
             }
         };
-        let s1 = Packet {
-            assoc_id: self.assoc_id,
+        // Encoded once, kept for the timer, and copied to the outbox.
+        let mut s1 = Vec::with_capacity(encode::s1_len(alg, &presig));
+        encode::s1(
+            &mut s1,
             alg,
-            chain_index: announce_index,
-            body: Body::S1 {
-                element: announce,
-                presig,
-            },
+            self.assoc_id,
+            announce_index,
+            &announce,
+            &presig,
+        );
+        out.own().push(&s1);
+        // Everything an S2 carries is known now: encode each once, into
+        // one buffer sized for the bundle. Message `seq`'s tree (none in
+        // Base / ALPHA-C) and its leaf there:
+        let tree_of = |seq: usize| {
+            let tree = trees.get(seq / leaves_per_tree)?;
+            Some((tree, seq % leaves_per_tree))
         };
+        let bytes: usize = messages
+            .iter()
+            .enumerate()
+            .map(|(seq, m)| {
+                let depth = tree_of(seq).map_or(0, |(tree, _)| tree.depth());
+                encode::s2_len(alg, depth, m.len())
+            })
+            .sum();
+        // No weak references are ever made, so a spare with one strong
+        // reference is unshared.
+        let mut shared = self
+            .spare
+            .take()
+            .filter(|spare| Arc::strong_count(spare) == 1)
+            .unwrap_or_default();
+        // Allowlist: `shared` is the spare no outbox shares any more, or
+        // new.
+        let s2s = Arc::get_mut(&mut shared).expect("an unshared S2 buffer");
+        s2s.clear();
+        s2s.reserve(messages.len(), bytes);
+        for (seq, payload) in messages.iter().enumerate() {
+            let path = tree_of(seq).map(|(tree, leaf)| tree.siblings(leaf));
+            s2s.push_with(|buf| {
+                let (id, seq) = (self.assoc_id, seq as u32);
+                match path {
+                    Some(path) => encode::s2(buf, alg, id, key_index, &key, seq, path, payload),
+                    None => encode::s2(buf, alg, id, key_index, &key, seq, [].into_iter(), payload),
+                }
+            });
+        }
         self.pending = Some(Exchange {
             mode,
             reliability: self.cfg.reliability,
-            key_index,
-            key,
-            s1: s1.clone(),
-            messages: messages.iter().map(|m| m.to_vec()).collect(),
-            trees,
-            leaves_per_tree,
+            s1,
+            s2s: shared,
+            payload_bytes: messages.iter().map(|m| m.len()).sum(),
+            tree_nodes: trees
+                .iter()
+                .map(|t| 2 * t.leaf_count().next_power_of_two() - 1)
+                .sum(),
             state: ExchangeState::AwaitA1,
             commit: None,
             acked: vec![false; messages.len()],
             last_tx: now,
             retries: 0,
         });
-        Ok(s1)
+        Ok(())
     }
 
-    /// Process an A1 packet. On success returns the S2 packets for every
-    /// message of the exchange.
+    /// Process an A1. On success every S2 of the exchange goes to `out`.
     pub fn handle_a1(
         &mut self,
-        pkt: &Packet,
+        pkt: &PacketView<'_>,
         now: Timestamp,
-    ) -> Result<SignerOutput, ProtocolError> {
+        out: &mut Outbox,
+    ) -> Result<(), ProtocolError> {
         self.check_packet(pkt)?;
-        let Body::A1 { element, commit } = &pkt.body else {
+        let BodyView::A1 { element, commit } = &pkt.body else {
             return Err(ProtocolError::UnexpectedPacket);
         };
         let Some(ex) = self.pending.as_mut() else {
@@ -339,7 +372,7 @@ impl SignerChannel {
         if ex.state != ExchangeState::AwaitA1 {
             // §3.2.2: after sending S2, further A1 pre-(n)acks are discarded
             // so temporal separation holds.
-            return Ok(SignerOutput::default());
+            return Ok(());
         }
         peer_ack_step(&mut self.peer_ack, self.peer_ack_prev.as_deref_mut(), |v| {
             v.accept_role(pkt.chain_index, element, Role::Announce)
@@ -351,38 +384,35 @@ impl SignerChannel {
             let commit = Commit::new(commit).filter(|c| match (ex.mode, c) {
                 (Mode::Base | Mode::Cumulative, Commit::Flat(_)) => true,
                 (Mode::Merkle | Mode::CumulativeMerkle { .. }, Commit::Amt { leaves, .. }) => {
-                    *leaves as usize == ex.messages.len()
+                    *leaves as usize == ex.acked.len()
                 }
                 _ => false,
             });
             ex.commit = Some(commit.ok_or(ProtocolError::UnexpectedPacket)?);
         }
 
-        let packets = Self::build_s2s(self.assoc_id, &self.cfg, ex, None);
-        let mut out = SignerOutput {
-            packets,
-            events: Vec::new(),
-        };
+        out.share_all(&ex.s2s);
         if ex.reliability == Reliability::Reliable {
             ex.state = ExchangeState::AwaitA2;
             ex.last_tx = now;
             ex.retries = 0;
         } else {
             out.events.push(SignerEvent::ExchangeComplete);
-            self.pending = None;
+            self.end_exchange();
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Process an A2 packet (reliable mode): per-message verdicts. Nacked
-    /// messages are retransmitted immediately.
+    /// Process an A2 (reliable mode): per-message verdicts. Nacked
+    /// messages go to `out` for immediate retransmission.
     pub fn handle_a2(
         &mut self,
-        pkt: &Packet,
+        pkt: &PacketView<'_>,
         now: Timestamp,
-    ) -> Result<SignerOutput, ProtocolError> {
+        out: &mut Outbox,
+    ) -> Result<(), ProtocolError> {
         self.check_packet(pkt)?;
-        let Body::A2 {
+        let BodyView::A2 {
             element,
             disclosure,
         } = &pkt.body
@@ -405,13 +435,14 @@ impl SignerChannel {
             return Err(ProtocolError::UnexpectedPacket);
         };
         let disclosure = match disclosure {
-            A2Disclosure::Flat { ack, secret } => Disclosure::Flat(AckDisclosure {
+            A2DisclosureView::Flat { ack, secret } => Disclosure::Flat(AckDisclosure {
                 ack: *ack,
                 secret: *secret,
             }),
-            A2Disclosure::Amt(items) => Disclosure::Amt(items),
+            A2DisclosureView::Amt(items) => Disclosure::Amt(items.items()),
         };
-        let verdicts = commit.verdicts(self.cfg.algorithm, element, disclosure)?;
+        let alg = self.cfg.algorithm;
+        commit.verdicts_into(alg, element, disclosure, &mut self.verdicts)?;
 
         // A flat verdict covers the whole bundle.
         let n = ex.acked.len() as u32;
@@ -419,44 +450,47 @@ impl SignerChannel {
             Commit::Flat(_) => 0..n,
             Commit::Amt { .. } => seq..seq + 1,
         };
-        let mut events = Vec::new();
-        let mut retransmit: Vec<u32> = Vec::new();
-        for (seq, ack) in verdicts {
+        let (mut acked, mut nacked) = (false, false);
+        for &(seq, ack) in &self.verdicts {
             for seq in seqs(seq) {
                 if !ack {
-                    events.push(SignerEvent::Nacked(seq));
-                    retransmit.push(seq);
+                    out.events.push(SignerEvent::Nacked(seq));
+                    nacked = true;
                 } else if !std::mem::replace(&mut ex.acked[seq as usize], true) {
-                    events.push(SignerEvent::Acked(seq));
+                    out.events.push(SignerEvent::Acked(seq));
+                    acked = true;
                 }
             }
         }
 
         // Forward progress (fresh acks) resets the abandonment counter, so
         // only a genuinely stalled exchange is dropped.
-        if events.iter().any(|e| matches!(e, SignerEvent::Acked(_))) {
+        if acked {
             ex.retries = 0;
         }
-        let mut packets = Vec::new();
-        if !retransmit.is_empty() {
+        if nacked {
             ex.retries += 1;
             if ex.retries > self.cfg.max_retries {
-                events.push(SignerEvent::ExchangeAbandoned);
-                self.pending = None;
-                return Ok(SignerOutput { packets, events });
+                out.events.push(SignerEvent::ExchangeAbandoned);
+                self.end_exchange();
+                return Ok(());
             }
-            packets = Self::build_s2s(self.assoc_id, &self.cfg, ex, Some(&retransmit));
+            let nacks = self.verdicts.iter().filter(|(_, ack)| !ack);
+            out.share_picked(&ex.s2s, nacks.flat_map(|&(seq, _)| seqs(seq)));
             ex.last_tx = now;
         }
-        if self
-            .pending
-            .as_ref()
-            .is_some_and(|ex| ex.acked.iter().all(|&a| a))
-        {
-            events.push(SignerEvent::ExchangeComplete);
-            self.pending = None;
+        if ex.acked.iter().all(|&a| a) {
+            out.events.push(SignerEvent::ExchangeComplete);
+            self.end_exchange();
         }
-        Ok(SignerOutput { packets, events })
+        Ok(())
+    }
+
+    /// End the outstanding exchange, keeping its S2 buffer as the
+    /// spare: an outbox that still shares it sends it first, and the
+    /// next exchange reuses it only if none does by then.
+    fn end_exchange(&mut self) {
+        self.spare = self.pending.take().map(|ex| ex.s2s);
     }
 
     /// Replace this channel's signature chain (chain renewal). Fails while
@@ -521,37 +555,29 @@ impl SignerChannel {
         ch
     }
 
-    /// Drive retransmission timers. Returns packets to (re)send and any
-    /// abandonment event.
-    pub fn poll(&mut self, now: Timestamp) -> SignerOutput {
-        let mut out = SignerOutput::default();
+    /// Drive retransmission timers: packets to (re)send and any
+    /// abandonment event go to `out`.
+    pub fn poll(&mut self, now: Timestamp, out: &mut Outbox) {
         let Some(ex) = self.pending.as_mut() else {
-            return out;
+            return;
         };
         if now.since(ex.last_tx) < self.cfg.rto_micros {
-            return out;
+            return;
         }
         if ex.retries >= self.cfg.max_retries {
             out.events.push(SignerEvent::ExchangeAbandoned);
-            self.pending = None;
-            return out;
+            self.end_exchange();
+            return;
         }
         ex.retries += 1;
         ex.last_tx = now;
         match ex.state {
-            ExchangeState::AwaitA1 => out.packets.push(ex.s1.clone()),
+            ExchangeState::AwaitA1 => out.own().push(&ex.s1),
             ExchangeState::AwaitA2 => {
-                let unacked: Vec<u32> = ex
-                    .acked
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &a)| !a)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                out.packets = Self::build_s2s(self.assoc_id, &self.cfg, ex, Some(&unacked));
+                let unacked = ex.acked.iter().enumerate().filter(|(_, &a)| !a);
+                out.share_picked(&ex.s2s, unacked.map(|(seq, _)| seq as u32));
             }
         }
-        out
     }
 
     /// Earliest time at which [`SignerChannel::poll`] will act, if any.
@@ -562,31 +588,7 @@ impl SignerChannel {
             .map(|ex| ex.last_tx.plus_micros(self.cfg.rto_micros))
     }
 
-    fn build_s2s(assoc_id: u64, cfg: &Config, ex: &Exchange, only: Option<&[u32]>) -> Vec<Packet> {
-        let seqs: Vec<u32> = match only {
-            Some(list) => list.to_vec(),
-            None => (0..ex.messages.len() as u32).collect(),
-        };
-        seqs.into_iter()
-            .filter(|&seq| (seq as usize) < ex.messages.len())
-            .map(|seq| {
-                let path = ex.path_for(seq);
-                Packet {
-                    assoc_id,
-                    alg: cfg.algorithm,
-                    chain_index: ex.key_index,
-                    body: Body::S2 {
-                        key: ex.key,
-                        seq,
-                        path,
-                        payload: ex.messages[seq as usize].clone(),
-                    },
-                }
-            })
-            .collect()
-    }
-
-    fn check_packet(&self, pkt: &Packet) -> Result<(), ProtocolError> {
+    fn check_packet(&self, pkt: &PacketView<'_>) -> Result<(), ProtocolError> {
         if pkt.assoc_id != self.assoc_id {
             return Err(ProtocolError::WrongAssociation);
         }
@@ -619,6 +621,7 @@ pub fn message_mac(
 mod tests {
     use super::*;
     use crate::Association;
+    use alpha_wire::{A2Disclosure, Body};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -12,13 +12,15 @@
 
 use alpha_crypto::amt::AckMerkleTree;
 use alpha_crypto::chain::{ChainVerifier, HashChain, Role};
+use alpha_crypto::merkle::DigestPath;
 use alpha_crypto::preack::{PreAckPair, PreAckSecrets};
 use alpha_crypto::Digest;
-use alpha_wire::{limits, A2Disclosure, AckCommit, Body, Packet, PreSignature};
+use alpha_wire::{encode, limits, AckCommit, BodyView, PacketView, PreSignatureView};
 use rand::RngCore;
 
 use crate::batch::{self, S2BatchItem, S2Check, RUN};
 use crate::exchange::{self, Announced, Presig};
+use crate::outbox::Outbox;
 use crate::{Config, ProtocolError, Reliability, Timestamp};
 
 /// What the verifying side made of one S2 it accepted
@@ -146,8 +148,9 @@ impl Received {
 #[derive(Clone)]
 pub(crate) struct BufferedExchange {
     pub(crate) s1: Announced,
-    /// Stored A1 for idempotent replies to duplicate S1s.
-    pub(crate) a1: Packet,
+    /// The A1 as it was sent, encoded, for idempotent replies to
+    /// duplicate S1s.
+    pub(crate) a1: Vec<u8>,
     pub(crate) ack_key_index: u64,
     pub(crate) ack_key: Digest,
     pub(crate) ack: AckState,
@@ -169,7 +172,7 @@ impl BufferedExchange {
     /// arrived or been nacked yet (a decoded record restores both times).
     pub(crate) fn new(
         s1: Announced,
-        a1: Packet,
+        a1: Vec<u8>,
         ack_key_index: u64,
         ack_key: Digest,
         ack: AckState,
@@ -284,25 +287,27 @@ impl VerifierChannel {
         }
     }
 
-    /// Process an S1 packet. Returns the A1 reply (or nothing while
+    /// Process an S1: its A1 reply goes to `out` (nothing does while
     /// unwilling to receive).
     pub fn handle_s1(
         &mut self,
-        pkt: &Packet,
+        pkt: &PacketView<'_>,
         now: Timestamp,
         rng: &mut dyn RngCore,
-    ) -> Result<Option<Packet>, ProtocolError> {
+        out: &mut Outbox,
+    ) -> Result<(), ProtocolError> {
         self.check_packet(pkt)?;
-        let Body::S1 { element, presig } = &pkt.body else {
+        let BodyView::S1 { element, presig } = &pkt.body else {
             return Err(ProtocolError::UnexpectedPacket);
         };
         if !self.accepting {
-            return Ok(None);
+            return Ok(());
         }
         // Duplicate of the current exchange's S1 (lost A1): replay the A1.
         if let Some(ex) = &self.current {
             if ex.s1.index == pkt.chain_index {
-                return Ok(Some(ex.a1.clone()));
+                out.own().push(&ex.a1);
+                return Ok(());
             }
         }
         let covered = presig.covered();
@@ -322,8 +327,11 @@ impl VerifierChannel {
         // Reliable mode commits to verdicts: a flat pre-(n)ack pair for
         // MACs, an AMT over the bundle for Merkle roots.
         let reliable = self.cfg.reliability == Reliability::Reliable;
-        let flat = matches!(presig, PreSignature::Cumulative(_));
-        let presig = Presig::new(presig.clone()).ok_or(ProtocolError::UnexpectedPacket)?;
+        let flat = matches!(presig, PreSignatureView::Cumulative(_));
+        if !Presig::admits(presig) {
+            return Err(ProtocolError::UnexpectedPacket);
+        }
+        let presig = Presig::copy_of(presig, None);
         let ((a_index, a_element), (ack_key_index, ack_key)) = self
             .ack_chain
             .disclose_pair()
@@ -353,24 +361,19 @@ impl VerifierChannel {
             (AckState::Amt(amt), commit)
         };
 
-        let a1 = Packet {
-            assoc_id: self.assoc_id,
-            alg,
-            chain_index: a_index,
-            body: Body::A1 {
-                element: a_element,
-                commit,
-            },
-        };
+        let id = self.assoc_id;
+        out.own()
+            .push_with(|buf| encode::a1(buf, alg, id, a_index, &a_element, &commit));
+        let a1 = out.own().last().to_vec();
         let s1 = Announced {
             index: pkt.chain_index,
             announce: *element,
             presig,
         };
         let received = Received::none(covered as usize);
-        let ex = BufferedExchange::new(s1, a1.clone(), ack_key_index, ack_key, ack, received, now);
+        let ex = BufferedExchange::new(s1, a1, ack_key_index, ack_key, ack, received, now);
         self.previous = self.current.replace(ex);
-        Ok(Some(a1))
+        Ok(())
     }
 
     /// Verify a run of S2s of association `assoc_id`: authenticate each
@@ -395,7 +398,7 @@ impl VerifierChannel {
         assoc_id: u64,
         items: &[S2BatchItem<'a>],
         now: Timestamp,
-        replies: &mut Vec<Packet>,
+        replies: &mut Outbox,
         verdicts: &mut [Result<S2Verdict<'a>, ProtocolError>],
     ) {
         assert_eq!(items.len(), verdicts.len(), "one verdict per S2");
@@ -457,7 +460,7 @@ impl VerifierChannel {
         valid: bool,
         payload: &'a [u8],
         now: Timestamp,
-        replies: &mut Vec<Packet>,
+        replies: &mut Outbox,
     ) -> Result<S2Verdict<'a>, ProtocolError> {
         let mut verdict = S2Verdict {
             seq,
@@ -469,13 +472,10 @@ impl VerifierChannel {
         if !valid {
             // Reliable mode: disclose a nack so the signer retransmits
             // without waiting for its timer; unreliable mode: drop.
-            let nack = self.make_verdict(in_current, seq, false);
-            return match nack {
-                Some(reply) => {
-                    replies.push(reply);
-                    Ok(verdict)
-                }
-                None => Err(ProtocolError::BadMac),
+            return if self.make_verdict(in_current, seq, false, replies) {
+                Ok(verdict)
+            } else {
+                Err(ProtocolError::BadMac)
             };
         }
         // Allowlist: prepare matched this exchange, and no S2 releases
@@ -491,7 +491,7 @@ impl VerifierChannel {
         let first_time = ex.receive(seq);
         verdict.delivered = first_time.then_some(payload);
         verdict.bundle_complete = first_time && ex.missing == 0;
-        replies.extend(self.make_verdict(in_current, seq, true));
+        self.make_verdict(in_current, seq, true, replies);
         Ok(verdict)
     }
 
@@ -554,9 +554,9 @@ impl VerifierChannel {
 
     /// Expire a stale exchange, and — in reliable AMT mode — proactively
     /// nack sequence numbers still missing one RTO after the burst began,
-    /// so the signer repairs loss without waiting out its own timer.
-    /// Returns nack packets to transmit.
-    pub fn poll(&mut self, now: Timestamp) -> Vec<Packet> {
+    /// so the signer repairs loss without waiting out its own timer. The
+    /// nack goes to `out`.
+    pub fn poll(&mut self, now: Timestamp, out: &mut Outbox) {
         if let Some(ex) = &self.current {
             if now.since(ex.created_at) > self.exchange_ttl {
                 self.current = None;
@@ -568,53 +568,58 @@ impl VerifierChannel {
             }
         }
         let rto = self.cfg.rto_micros;
-        let missing: Vec<u32> = match &self.current {
-            Some(ex)
-                if matches!(ex.ack, AckState::Amt(_))
-                    && ex.first_s2_at.is_some_and(|t| now.since(t) >= rto)
-                    && now.since(ex.last_nack_at) >= rto
-                    && ex.missing > 0 =>
-            {
-                ex.received.missing().collect()
-            }
-            _ => return Vec::new(),
+        let (alg, assoc_id) = (self.cfg.algorithm, self.assoc_id);
+        let Some(ex) = self.current.as_mut() else {
+            return;
         };
-        // Allowlist: `missing` is only non-empty when the match above saw
-        // `Some(ex)` with an AMT ack state, and nothing in between mutates
-        // `self.current`.
-        let ex = self.current.as_mut().expect("matched above");
-        ex.last_nack_at = now;
         let AckState::Amt(amt) = &ex.ack else {
-            unreachable!("matched above")
+            return;
         };
-        let items: Vec<_> = missing
-            .iter()
-            .map(|&seq| amt.disclose(seq as usize, false))
+        let due = ex.first_s2_at.is_some_and(|t| now.since(t) >= rto)
+            && now.since(ex.last_nack_at) >= rto
+            && ex.missing > 0;
+        if !due {
+            return;
+        }
+        ex.last_nack_at = now;
+        // One A2 carries at most `MAX_DISCLOSURES` verdicts; the rest
+        // are nacked by the polls after, as these are repaired.
+        let nacks: Vec<_> = ex
+            .received
+            .missing()
+            .take(limits::MAX_DISCLOSURES)
+            .map(|seq| amt.disclose(seq as usize, false))
             .collect();
-        vec![Packet {
-            assoc_id: self.assoc_id,
-            alg: self.cfg.algorithm,
-            chain_index: ex.ack_key_index,
-            body: Body::A2 {
-                element: ex.ack_key,
-                disclosure: A2Disclosure::Amt(items),
-            },
-        }]
+        let items = nacks.iter().map(|d| encode::AmtItem {
+            packet_index: d.packet_index,
+            ack: d.ack,
+            secret: &d.secret,
+            path: &d.path,
+        });
+        let (index, key) = (ex.ack_key_index, ex.ack_key);
+        out.own()
+            .push_with(|buf| encode::a2_amt(buf, alg, assoc_id, index, &key, items));
     }
 
-    /// Construct the verdict A2 for `seq` if the mode calls for one.
+    /// Write the verdict A2 for `seq` to `out` if the mode calls for one;
+    /// returns whether it did.
     ///
     /// Flat mode sends a single ack once the whole bundle has verified (or
     /// a nack at the first failure); AMT mode acknowledges every packet
     /// individually (selective acknowledgment).
-    fn make_verdict(&mut self, in_current: bool, seq: u32, ok: bool) -> Option<Packet> {
+    fn make_verdict(&mut self, in_current: bool, seq: u32, ok: bool, out: &mut Outbox) -> bool {
+        let (alg, assoc_id) = (self.cfg.algorithm, self.assoc_id);
         let ex = if in_current {
-            self.current.as_mut()?
+            self.current.as_mut()
         } else {
-            self.previous.as_mut()?
+            self.previous.as_mut()
         };
-        let (disclosure, key_index, key) = match &mut ex.ack {
-            AckState::None => return None,
+        let Some(ex) = ex else {
+            return false;
+        };
+        let (index, key) = (ex.ack_key_index, ex.ack_key);
+        match &mut ex.ack {
+            AckState::None => false,
             AckState::Flat {
                 pair: _,
                 secrets,
@@ -622,39 +627,36 @@ impl VerifierChannel {
             } => {
                 if ok {
                     if ex.missing > 0 {
-                        return None;
+                        return false;
                     }
                     *verdict_sent = true;
                 } else if *verdict_sent {
-                    return None;
+                    return false;
                 }
                 let d = alpha_crypto::preack::disclose(secrets, ok);
-                (
-                    A2Disclosure::Flat {
-                        ack: d.ack,
-                        secret: d.secret,
-                    },
-                    ex.ack_key_index,
-                    ex.ack_key,
-                )
+                out.own().push_with(|buf| {
+                    encode::a2_flat(buf, alg, assoc_id, index, &key, d.ack, &d.secret);
+                });
+                true
             }
             AckState::Amt(amt) => {
-                let d = amt.disclose(seq as usize, ok);
-                (A2Disclosure::Amt(vec![d]), ex.ack_key_index, ex.ack_key)
+                let mut path = DigestPath::empty(alg);
+                let secret = amt.disclose_into(seq as usize, ok, &mut path);
+                let item = encode::AmtItem {
+                    packet_index: seq,
+                    ack: ok,
+                    secret: &secret,
+                    path: path.as_slice(),
+                };
+                out.own().push_with(|buf| {
+                    encode::a2_amt(buf, alg, assoc_id, index, &key, std::iter::once(item));
+                });
+                true
             }
-        };
-        Some(Packet {
-            assoc_id: self.assoc_id,
-            alg: self.cfg.algorithm,
-            chain_index: key_index,
-            body: Body::A2 {
-                element: key,
-                disclosure,
-            },
-        })
+        }
     }
 
-    fn check_packet(&self, pkt: &Packet) -> Result<(), ProtocolError> {
+    fn check_packet(&self, pkt: &PacketView<'_>) -> Result<(), ProtocolError> {
         if pkt.assoc_id != self.assoc_id {
             return Err(ProtocolError::WrongAssociation);
         }
@@ -669,6 +671,7 @@ impl VerifierChannel {
 mod tests {
     use super::*;
     use crate::{Association, Mode};
+    use alpha_wire::{A2Disclosure, Body, Packet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -714,6 +717,40 @@ mod tests {
         assert_eq!(missing(&mut bob), (Some(1), Some(0)));
         assert_eq!(feed(&mut bob, &second[1]), (1, true));
         assert_eq!(missing(&mut bob), (Some(0), Some(0)));
+    }
+
+    /// A timeout-nack names at most the wire's limit of verdicts, so
+    /// the A2 it is sent in decodes: a bundle of 1,100 with one S2
+    /// arrived nacks 1,024 of the 1,099 missing.
+    #[test]
+    fn a_timeout_nack_fits_one_a2() {
+        let cfg = Config::new(alpha_crypto::Algorithm::Sha1)
+            .with_chain_len(64)
+            .with_reliability(Reliability::Reliable);
+        let mut rng = StdRng::seed_from_u64(4);
+        let (mut alice, mut bob) = Association::pair(cfg, 1, &mut rng);
+        let t = Timestamp::ZERO;
+        let msgs: Vec<Vec<u8>> = (0..1100u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+        let s1 = alice.sign_batch(&refs, Mode::Merkle, t).unwrap();
+        let a1 = bob.handle(&s1, t, &mut rng).unwrap().packet().unwrap();
+        let s2s = alice.handle(&a1, t, &mut rng).unwrap().packets;
+        bob.handle(&s2s[0], t, &mut rng).unwrap();
+        let later = t.plus_micros(cfg.rto_micros);
+        let nacks = bob.poll(later).packets;
+        let [Packet {
+            body:
+                Body::A2 {
+                    disclosure: A2Disclosure::Amt(items),
+                    ..
+                },
+            ..
+        }] = &nacks[..]
+        else {
+            panic!("one AMT nack");
+        };
+        assert_eq!(items.len(), limits::MAX_DISCLOSURES);
+        assert!(items.iter().all(|d| !d.ack && d.packet_index >= 1));
     }
 
     /// An S1 the verifier cannot answer, because its acknowledgment chain

@@ -22,7 +22,7 @@
 //! go-back-n retransmission schemes over ALPHA-M.
 
 use crate::backend::{self, Padded};
-use crate::merkle::MerkleTree;
+use crate::merkle::{DigestPath, MerkleTree};
 use crate::{Algorithm, Digest};
 use rand::RngCore;
 
@@ -152,39 +152,45 @@ impl AckMerkleTree {
 
     fn top_children(&self) -> [Digest; 2] {
         // The tree has ≥ 2 leaves, so depth ≥ 1 and the children of the
-        // root exist; recompute them from the two half-roots via paths.
-        // MerkleTree retains levels, so pull them through auth_path of leaf 0:
-        // the last path entry of leaf 0 is the right child; the left child
-        // is the root of the left subtree, reconstructible — instead we
-        // simply rebuild from the stored levels through the public API:
-        let path0 = self.tree.auth_path(0);
-        let depth = path0.len();
-        let leaf0 = self.tree.leaf(0);
-        // Reconstruct left child by walking leaf 0 up depth-1 levels.
-        let mut cur = leaf0;
-        let mut idx = 0usize;
-        for sib in &path0[..depth - 1] {
-            cur = if idx.is_multiple_of(2) {
-                self.alg.hash_parts(&[cur.as_bytes(), sib.as_bytes()])
+        // root exist: walk leaf 0 up to the left child; the right child
+        // is leaf 0's last sibling.
+        let depth = self.tree.depth();
+        let mut cur = self.tree.leaf(0);
+        let mut right = cur;
+        for (level, sib) in self.tree.siblings(0).enumerate() {
+            if level + 1 == depth {
+                right = sib;
             } else {
-                self.alg.hash_parts(&[sib.as_bytes(), cur.as_bytes()])
-            };
-            idx >>= 1;
+                cur = self.alg.hash_parts(&[cur.as_bytes(), sib.as_bytes()]);
+            }
         }
-        [cur, path0[depth - 1]]
+        [cur, right]
     }
 
     /// Disclose the verdict for packet `j` (`0 ≤ j < n`).
     #[must_use]
     pub fn disclose(&self, j: usize, ack: bool) -> AmtDisclosure {
-        assert!(j < self.n, "packet index out of range");
-        let leaf_index = if ack { j } else { self.n + j };
+        let mut path = DigestPath::empty(self.alg);
+        let secret = self.disclose_into(j, ack, &mut path);
         AmtDisclosure {
             packet_index: j as u32,
             ack,
-            secret: self.secrets[leaf_index],
-            path: self.tree.auth_path(leaf_index),
+            secret,
+            path: path.to_vec(),
         }
+    }
+
+    /// [`AckMerkleTree::disclose`] without an allocation: the
+    /// authentication path goes into `path`, and the leaf secret is
+    /// returned.
+    ///
+    /// # Panics
+    /// Panics if `j` is not a packet this AMT acknowledges.
+    pub fn disclose_into(&self, j: usize, ack: bool, path: &mut DigestPath) -> [u8; SECRET_LEN] {
+        assert!(j < self.n, "packet index out of range");
+        let leaf_index = if ack { j } else { self.n + j };
+        self.tree.auth_path_into(leaf_index, path);
+        self.secrets[leaf_index]
     }
 
     /// Bytes the verifier holds for this AMT: `2n` secrets plus every tree
@@ -225,18 +231,36 @@ pub fn verify_disclosure(
     disclosure: &AmtDisclosure,
     root: &Digest,
 ) -> Option<bool> {
-    let j = disclosure.packet_index as usize;
-    if j >= n || disclosure.path.is_empty() {
+    let d = disclosure;
+    verify_parts(alg, key, n, d.packet_index, d.ack, &d.secret, &d.path, root)
+}
+
+/// [`verify_disclosure`] over a disclosure's fields, however they are
+/// held: packet index, verdict, leaf secret and authentication path.
+#[allow(clippy::too_many_arguments)] // one disclosure's fields
+#[must_use]
+pub fn verify_parts(
+    alg: Algorithm,
+    key: &Digest,
+    n: usize,
+    packet_index: u32,
+    ack: bool,
+    secret: &[u8; SECRET_LEN],
+    path: &[Digest],
+    root: &Digest,
+) -> Option<bool> {
+    let j = packet_index as usize;
+    if j >= n || path.is_empty() {
         return None;
     }
     let expected_depth = crate::merkle::log2_ceil(2 * n as u64) as usize;
-    if disclosure.path.len() != expected_depth {
+    if path.len() != expected_depth {
         return None;
     }
-    let leaf_index = if disclosure.ack { j } else { n + j };
-    let mut cur = leaf_digest(alg, disclosure.packet_index, &disclosure.secret);
+    let leaf_index = if ack { j } else { n + j };
+    let mut cur = leaf_digest(alg, packet_index, secret);
     let mut idx = leaf_index;
-    for sib in &disclosure.path[..disclosure.path.len() - 1] {
+    for sib in &path[..path.len() - 1] {
         cur = if idx % 2 == 0 {
             alg.hash_parts(&[cur.as_bytes(), sib.as_bytes()])
         } else {
@@ -244,11 +268,11 @@ pub fn verify_disclosure(
         };
         idx >>= 1;
     }
-    let sib = disclosure.path[disclosure.path.len() - 1];
+    let sib = path[path.len() - 1];
     let children = if idx % 2 == 0 { [cur, sib] } else { [sib, cur] };
     let computed = keyed_root_from_children(alg, &children, key);
     if crate::ct_eq(computed.as_bytes(), root.as_bytes()) {
-        Some(disclosure.ack)
+        Some(ack)
     } else {
         None
     }

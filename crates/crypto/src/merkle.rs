@@ -110,9 +110,11 @@ impl std::ops::Deref for DigestPath {
 #[derive(Clone)]
 pub struct MerkleTree {
     alg: Algorithm,
-    /// `levels[0]` are the (padded) leaves; `levels.last()` is a single
-    /// node: the unkeyed root.
-    levels: Vec<Vec<Digest>>,
+    /// Every node, level by level in one allocation: the (padded)
+    /// leaves first, then each level above them, the unkeyed root last.
+    nodes: Vec<Digest>,
+    /// Leaves after padding to a power of two.
+    padded: usize,
     real_leaves: usize,
 }
 
@@ -124,15 +126,46 @@ impl MerkleTree {
     #[must_use]
     pub fn build(alg: Algorithm, leaves: &[Digest]) -> MerkleTree {
         assert!(!leaves.is_empty(), "Merkle tree needs at least one leaf");
-        let padded = leaves.len().next_power_of_two();
-        let mut level0: Vec<Digest> = leaves.to_vec();
-        level0.resize(padded, Digest::zero(alg));
-        let mut levels = vec![level0];
-        while levels.last().expect("non-empty").len() > 1 {
-            // Sibling pairs are independent, so a whole level hashes in
-            // lane-parallel sweeps (byte-identical to the scalar loop).
-            let prev = levels.last().expect("non-empty");
-            let mut next = vec![Digest::zero(alg); prev.len() / 2];
+        let mut tree = MerkleTree::unbuilt(alg, leaves.len());
+        tree.nodes[..leaves.len()].copy_from_slice(leaves);
+        tree.hash_levels();
+        tree
+    }
+
+    /// Build a tree directly over message payloads (hashes each first).
+    ///
+    /// Panics on an empty message set, as [`MerkleTree::build`] does.
+    #[must_use]
+    pub fn from_messages<M: AsRef<[u8]>>(alg: Algorithm, messages: &[M]) -> MerkleTree {
+        assert!(!messages.is_empty(), "Merkle tree needs at least one leaf");
+        let inputs: Vec<&[u8]> = messages.iter().map(AsRef::as_ref).collect();
+        let mut tree = MerkleTree::unbuilt(alg, inputs.len());
+        backend::digest_batch(alg, &inputs, &mut tree.nodes[..inputs.len()]);
+        tree.hash_levels();
+        tree
+    }
+
+    /// A tree of `leaves ≥ 1` real leaves whose nodes are all zero
+    /// digests (so padding leaves are already in place).
+    fn unbuilt(alg: Algorithm, leaves: usize) -> MerkleTree {
+        let padded = leaves.next_power_of_two();
+        MerkleTree {
+            alg,
+            nodes: vec![Digest::zero(alg); 2 * padded - 1],
+            padded,
+            real_leaves: leaves,
+        }
+    }
+
+    /// Hash every level above the leaves, bottom up. Sibling pairs are
+    /// independent, so a whole level hashes in lane-parallel sweeps
+    /// (byte-identical to the scalar loop).
+    fn hash_levels(&mut self) {
+        let (mut start, mut width) = (0, self.padded);
+        while width > 1 {
+            let (below, above) = self.nodes.split_at_mut(start + width);
+            let prev = &below[start..];
+            let next = &mut above[..width / 2];
             for (pairs, out) in prev
                 .chunks(2 * backend::LANES)
                 .zip(next.chunks_mut(backend::LANES))
@@ -141,24 +174,18 @@ impl MerkleTree {
                 for (node, pair) in nodes.iter_mut().zip(pairs.chunks_exact(2)) {
                     *node = Padded::new(&[pair[0].as_bytes(), pair[1].as_bytes()]);
                 }
-                backend::hash_lanes_with(backend::active(), alg, &nodes[..out.len()], out);
+                backend::hash_lanes_with(backend::active(), self.alg, &nodes[..out.len()], out);
             }
-            levels.push(next);
-        }
-        MerkleTree {
-            alg,
-            levels,
-            real_leaves: leaves.len(),
+            start += width;
+            width /= 2;
         }
     }
 
-    /// Build a tree directly over message payloads (hashes each first).
-    #[must_use]
-    pub fn from_messages<M: AsRef<[u8]>>(alg: Algorithm, messages: &[M]) -> MerkleTree {
-        let inputs: Vec<&[u8]> = messages.iter().map(AsRef::as_ref).collect();
-        let mut leaves = vec![Digest::zero(alg); inputs.len()];
-        backend::digest_batch(alg, &inputs, &mut leaves);
-        MerkleTree::build(alg, &leaves)
+    /// The nodes of level `l` (0 = the padded leaves).
+    fn level(&self, l: usize) -> &[Digest] {
+        let width = self.padded >> l;
+        let start = 2 * (self.padded - width);
+        &self.nodes[start..start + width]
     }
 
     /// Number of real (non-padding) leaves.
@@ -170,13 +197,13 @@ impl MerkleTree {
     /// Tree depth: `⌈log2(padded leaves)⌉`; 0 for a single-leaf tree.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.levels.len() - 1
+        self.padded.trailing_zeros() as usize
     }
 
     /// The unkeyed root (top node).
     #[must_use]
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("non-empty")[0]
+        self.nodes[self.nodes.len() - 1]
     }
 
     /// The ALPHA-M pre-signature: the root keyed with the signer's next
@@ -185,9 +212,9 @@ impl MerkleTree {
     #[must_use]
     pub fn keyed_root(&self, key: &Digest) -> Digest {
         if self.depth() == 0 {
-            hash_node(self.alg, &[key.as_bytes(), self.levels[0][0].as_bytes()])
+            hash_node(self.alg, &[key.as_bytes(), self.nodes[0].as_bytes()])
         } else {
-            let top_children = &self.levels[self.levels.len() - 2];
+            let top_children = self.level(self.depth() - 1);
             hash_node(
                 self.alg,
                 &[
@@ -199,31 +226,29 @@ impl MerkleTree {
         }
     }
 
-    /// The authentication path `{Bc}` for leaf `j`: the sibling at every
-    /// level from the leaves up to (and including) the children of the
-    /// root. Length equals [`MerkleTree::depth`].
+    /// The authentication path `{Bc}` for leaf `j`, sibling by sibling:
+    /// the sibling at every level from the leaves up to (and including)
+    /// the children of the root. Its length is [`MerkleTree::depth`].
+    ///
+    /// # Panics
+    /// Panics if `j` is not a real leaf.
+    pub fn siblings(&self, j: usize) -> impl ExactSizeIterator<Item = Digest> + '_ {
+        assert!(j < self.real_leaves, "leaf index out of range");
+        (0..self.depth()).map(move |l| self.level(l)[(j >> l) ^ 1])
+    }
+
+    /// [`MerkleTree::siblings`] collected.
     #[must_use]
     pub fn auth_path(&self, j: usize) -> Vec<Digest> {
-        assert!(j < self.real_leaves, "leaf index out of range");
-        let mut path = Vec::with_capacity(self.depth());
-        let mut idx = j;
-        for level in &self.levels[..self.levels.len() - 1] {
-            path.push(level[idx ^ 1]);
-            idx >>= 1;
-        }
-        path
+        self.siblings(j).collect()
     }
 
     /// Like [`MerkleTree::auth_path`], but writes into a caller-owned
-    /// [`DigestPath`] so the per-S2 send path allocates nothing: the sender
-    /// clears and refills one stack path per packet of a bundle.
+    /// [`DigestPath`], so a path costs no allocation.
     pub fn auth_path_into(&self, j: usize, out: &mut DigestPath) {
-        assert!(j < self.real_leaves, "leaf index out of range");
         out.clear();
-        let mut idx = j;
-        for level in &self.levels[..self.levels.len() - 1] {
-            out.push(level[idx ^ 1]);
-            idx >>= 1;
+        for d in self.siblings(j) {
+            out.push(d);
         }
     }
 
@@ -231,7 +256,7 @@ impl MerkleTree {
     #[must_use]
     pub fn leaf(&self, j: usize) -> Digest {
         assert!(j < self.real_leaves, "leaf index out of range");
-        self.levels[0][j]
+        self.nodes[j]
     }
 }
 

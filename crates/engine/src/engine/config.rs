@@ -3,7 +3,7 @@
 use std::net::SocketAddr;
 
 use alpha_adapt::AdaptConfig;
-use alpha_core::{Config, ProtocolError, RelayConfig};
+use alpha_core::{Config, Outbox, ProtocolError, RelayConfig};
 use alpha_store::PacerConfig;
 use alpha_wire::Frame;
 
@@ -207,6 +207,10 @@ pub struct EngineOutput {
     /// Payload buffers of deliveries [`EngineOutput::clear`] took back,
     /// for the next deliveries to copy into.
     spare: Vec<Vec<u8>>,
+    /// The host paths' outbox, lent to one flow's protocol call at a
+    /// time ([`EngineOutput::lend_outbox`]) and cleared on return, so its
+    /// buffers serve every call the output does.
+    outbox: Outbox,
 }
 
 impl EngineOutput {
@@ -239,6 +243,19 @@ impl EngineOutput {
             burst_bytes: bytes,
             ..Pending::default()
         };
+    }
+
+    /// The output's outbox, emptied, for one protocol call; hand it back
+    /// with [`EngineOutput::return_outbox`].
+    pub(super) fn lend_outbox(&mut self) -> Outbox {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Take back the outbox [`EngineOutput::lend_outbox`] lent, clearing
+    /// it for the next call.
+    pub(super) fn return_outbox(&mut self, mut outbox: Outbox) {
+        outbox.clear();
+        self.outbox = outbox;
     }
 
     /// Stage a datagram toward `dst`.

@@ -60,19 +60,25 @@ impl HostFlow {
     }
 }
 
-/// Ingest: feed one parsed packet to an association. S2 packets — the
-/// data path — are verified as a run of one, borrowed from the datagram;
-/// the rare control packets materialise an owned [`Packet`].
+/// Ingest: feed one parsed packet to an association, read in place
+/// ([`Association::handle_view`]). What it sends and the signer's events
+/// go to `outbox`; an S2's delivery goes straight to `out`, counted as a
+/// verified S2.
 pub(super) fn ingest(
     assoc: &mut Association,
     view: &PacketView<'_>,
     now: Timestamp,
     rng: &mut dyn RngCore,
-) -> Result<Response, ProtocolError> {
-    match S2BatchItem::from_view(view) {
-        Some(item) => assoc.handle_s2(view.assoc_id, &item, now),
-        None => assoc.handle(&view.to_packet(), now, rng),
+    outbox: &mut Outbox,
+    out: &mut EngineOutput,
+) -> Result<(), ProtocolError> {
+    if let Some(v) = assoc.handle_view(view, now, rng, outbox)? {
+        if let Some(payload) = v.delivered {
+            out.deliver(view.assoc_id, v.seq, payload);
+            out.pending.s2_verified += 1;
+        }
     }
+    Ok(())
 }
 
 /// Map a host-side protocol rejection onto the drop taxonomy.
@@ -235,7 +241,9 @@ impl EngineCore {
                 self.metrics.flows_active.fetch_add(1, Ordering::Relaxed);
                 self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
                 out.completed.push(key);
-                self.push_packets(out, key.peer, &[reply]);
+                let mut frame = self.pool.checkout();
+                reply.encode_into(frame.buf_mut());
+                out.push_datagram(key.peer, frame);
             }
             Err(_) => self.metrics.record_drop(DropReason::Malformed),
         }
@@ -341,7 +349,9 @@ impl EngineCore {
     }
 
     /// Shared signing path: `fixed` forces a mode (classic
-    /// `sign_batch`), `None` asks the flow's controller.
+    /// `sign_batch`), `None` asks the flow's controller. The S1 is
+    /// encoded once, and so is every S2, kept by the exchange for the
+    /// A1.
     fn sign_on_flow(
         &self,
         key: FlowKey,
@@ -364,19 +374,21 @@ impl EngineCore {
             (None, Some(a)) => a.plan(messages.len()),
             (None, None) => (self.cfg.protocol.mode, messages.len()),
         };
-        let pkt = flow.assoc.sign_batch(&messages[..take], mode, now)?;
+        let mut outbox = Outbox::default();
+        flow.assoc
+            .sign_into(&messages[..take], mode, now, &mut outbox)?;
         flow.inflight_since = Some(now);
         flow.last_seen = now;
         if let Some(a) = flow.adapt.as_mut() {
             let payload: u64 = messages[..take].iter().map(|m| m.len() as u64).sum();
             a.begin_exchange(mode, take, payload, now);
-            a.observe_packets(std::slice::from_ref(&pkt));
+            a.observe_encoded(outbox.packets(), &[]);
         }
         if flow.arm_poll(&mut shard.wheel, key) {
             self.cache_deadline(shard);
         }
         drop(guard);
-        self.push_packets(&mut out, key.peer, &[pkt]);
+        self.push_packets(&mut out, key.peer, outbox.packets());
         self.publish(&mut out);
         Ok((take, out))
     }
@@ -393,7 +405,7 @@ impl EngineCore {
     }
 
     /// Established host flow (`ingress` passes the held shard lock in):
-    /// ingest the packet, settle the response.
+    /// ingest the packet, settle what it produced.
     pub(super) fn host_handle(
         &self,
         mut guard: RwLockWriteGuard<'_, Shard>,
@@ -412,18 +424,20 @@ impl EngineCore {
                 a.on_a1(now);
             }
         }
-        match ingest(&mut flow.assoc, view, now, rng) {
-            Ok(mut resp) => {
-                self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
+        let mut outbox = out.lend_outbox();
+        match ingest(&mut flow.assoc, view, now, rng, &mut outbox, out) {
+            Ok(()) => {
+                self.settle(&mut shard.wheel, key, flow, &mut outbox, now, Some(rng));
                 self.cache_deadline(shard);
                 drop(guard);
-                self.stage(out, key, resp);
+                self.push_packets(out, key.peer, outbox.packets());
             }
             Err(e) => {
                 drop(guard);
                 self.metrics.record_drop(protocol_drop_reason(e));
             }
         }
+        out.return_outbox(outbox);
     }
 
     /// A run of consecutive S2s of one association from one datagram
@@ -460,9 +474,9 @@ impl EngineCore {
         let run = &items[..views.len()];
         let mut verdicts = [Err(ProtocolError::NoExchange); MAX_BUNDLE];
         let verdicts = &mut verdicts[..run.len()];
-        let mut replies = Vec::new();
+        let mut outbox = out.lend_outbox();
         flow.assoc
-            .handle_s2_run(key.assoc_id, run, now, &mut replies, verdicts);
+            .handle_s2_run(key.assoc_id, run, now, &mut outbox, verdicts);
         let mut delivered = 0;
         let mut verified = false;
         out.delivered.reserve(run.len());
@@ -479,30 +493,26 @@ impl EngineCore {
                 Err(e) => self.metrics.record_drop(protocol_drop_reason(*e)),
             }
         }
-        if !verified {
-            return;
+        if verified {
+            self.settle(&mut shard.wheel, key, flow, &mut outbox, now, Some(rng));
+            self.cache_deadline(shard);
+            drop(guard);
+            out.pending.s2_verified += delivered;
+            for reply in outbox.packets() {
+                self.push_bytes(out, key.peer, reply);
+            }
         }
-        let mut resp = Response {
-            packets: replies,
-            ..Response::default()
-        };
-        self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
-        self.cache_deadline(shard);
-        drop(guard);
-        out.pending.s2_verified += delivered;
-        for reply in &resp.packets {
-            self.push_packets(out, key.peer, std::slice::from_ref(reply));
-        }
+        out.return_outbox(outbox);
     }
 
-    /// Settle: fold one [`Response`] into the flow's engine state —
-    /// RTT sample, adaptation, renewal lifecycle, next poll deadline —
-    /// under the shard write lock, on the datagram, thaw and timer paths
-    /// alike. The caller then refreshes `cache_deadline`, drops the lock
-    /// and hands the response to [`EngineCore::stage`].
+    /// Settle: fold what one protocol call left in `outbox` into the
+    /// flow's engine state — RTT sample, adaptation, renewal lifecycle,
+    /// next poll deadline — under the shard write lock, on the datagram,
+    /// thaw and timer paths alike. The caller then refreshes
+    /// `cache_deadline`, drops the lock and sends the outbox's packets.
     ///
     /// `from_peer` (with the rng a renewal draws its chains from): the
-    /// response answers a datagram that verified, not a timer fire. Only
+    /// outbox answers a datagram that verified, not a timer fire. Only
     /// that proves a live peer, so only that refreshes the idle clock
     /// and may begin a chain renewal ([`EngineCore::renew_when_low`]; a
     /// timer re-offering abandoned renewals would burn a dead peer's
@@ -512,7 +522,7 @@ impl EngineCore {
         wheel: &mut TimerWheel<FlowKey>,
         key: FlowKey,
         flow: &mut HostFlow,
-        resp: &mut Response,
+        outbox: &mut Outbox,
         now: Timestamp,
         from_peer: Option<&mut dyn RngCore>,
     ) {
@@ -523,7 +533,7 @@ impl EngineCore {
         }
         if let Some(a) = flow.adapt.as_mut() {
             let before = a.switches_total();
-            a.observe(&resp.packets, &resp.signer_events);
+            a.observe_encoded(outbox.packets(), &outbox.events);
             self.metrics
                 .adapt_switches
                 .fetch_add(a.switches_total() - before, Ordering::Relaxed);
@@ -537,13 +547,13 @@ impl EngineCore {
         // frees the slot for a future attempt.
         let mut committed = false;
         if matches!(flow.renewal, RenewalSlot::Offered(_)) {
-            if resp.signer_events.contains(&SignerEvent::ExchangeComplete) {
+            if outbox.events.contains(&SignerEvent::ExchangeComplete) {
                 if let RenewalSlot::Offered(offer) =
                     std::mem::replace(&mut flow.renewal, RenewalSlot::Idle)
                 {
                     committed = flow.assoc.commit_renewal(*offer).is_ok();
                 }
-            } else if resp.signer_events.contains(&SignerEvent::ExchangeAbandoned) {
+            } else if outbox.events.contains(&SignerEvent::ExchangeAbandoned) {
                 flow.renewal = RenewalSlot::Idle;
             }
         }
@@ -553,7 +563,7 @@ impl EngineCore {
             // (even a `renew_below` above a whole chain's budget must not
             // renew in a loop).
             if !committed {
-                self.renew_when_low(wheel, key, flow, resp, now, rng);
+                self.renew_when_low(wheel, key, flow, outbox, now, rng);
             }
         }
         flow.arm_poll(wheel, key);
@@ -562,7 +572,7 @@ impl EngineCore {
     /// Renewal on the datagram path: a verified datagram left the flow's
     /// signer idle with at most `renew_below` exchanges on its shorter
     /// chain ([`Association::remaining_exchanges`]), so the renewal
-    /// begins right here, its S1 riding out in `resp` — if the global
+    /// begins right here, its S1 riding out in `outbox` — if the global
     /// pacer admits it, or unconditionally on the flow's last spare
     /// exchange, so a flow whose peer answers never reaches
     /// `ChainExhausted`. A deferred flow arms a jittered renewal timer
@@ -573,7 +583,7 @@ impl EngineCore {
         wheel: &mut TimerWheel<FlowKey>,
         key: FlowKey,
         flow: &mut HostFlow,
-        resp: &mut Response,
+        outbox: &mut Outbox,
         now: Timestamp,
         rng: &mut dyn RngCore,
     ) {
@@ -585,7 +595,7 @@ impl EngineCore {
             return;
         }
         if left <= 1 || self.pacer.lock().admit(now.micros()) {
-            flow.renewal = self.offer_renewal(flow, now, rng, &mut resp.packets);
+            flow.renewal = self.offer_renewal(flow, now, rng, outbox);
             return;
         }
         self.metrics
@@ -600,16 +610,16 @@ impl EngineCore {
     }
 
     /// Offer a chain renewal on a flow whose signer is idle, its S1
-    /// appended to `packets`: the flow's new renewal slot is `Offered`,
+    /// encoded into `outbox`: the flow's new renewal slot is `Offered`,
     /// or `Idle` when the signature chain cannot carry the offer.
     pub(super) fn offer_renewal(
         &self,
         flow: &mut HostFlow,
         now: Timestamp,
         rng: &mut dyn RngCore,
-        packets: &mut Vec<Packet>,
+        outbox: &mut Outbox,
     ) -> RenewalSlot {
-        let Ok((offer, s1)) = flow.assoc.begin_renewal(now, rng) else {
+        let Ok(offer) = flow.assoc.begin_renewal_into(now, rng, outbox) else {
             return RenewalSlot::Idle;
         };
         flow.inflight_since = Some(now);
@@ -617,20 +627,6 @@ impl EngineCore {
             .store
             .renewals_started
             .fetch_add(1, Ordering::Relaxed);
-        packets.push(s1);
         RenewalSlot::Offered(Box::new(offer))
-    }
-
-    /// Hand a settled response to the caller: deliveries (counted as
-    /// verified S2s), then its packets as one datagram toward the flow's
-    /// peer. Needs no lock.
-    pub(super) fn stage(&self, out: &mut EngineOutput, key: FlowKey, resp: Response) {
-        out.pending.s2_verified += resp.deliveries.len() as u64;
-        out.delivered.extend(
-            resp.deliveries
-                .into_iter()
-                .map(|(seq, p)| (key.assoc_id, seq, p)),
-        );
-        self.push_packets(out, key.peer, &resp.packets);
     }
 }

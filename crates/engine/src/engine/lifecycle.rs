@@ -120,8 +120,9 @@ impl EngineCore {
             return;
         };
         let mut assoc = Association::thaw(self.cfg.protocol, &frozen);
-        match ingest(&mut assoc, view, now, rng) {
-            Ok(mut resp) => {
+        let mut outbox = out.lend_outbox();
+        match ingest(&mut assoc, view, now, rng, &mut outbox, out) {
+            Ok(()) => {
                 let adapt = match (self.cfg.adapt, &frozen_adapt) {
                     (Some(cfg), Some(fa)) => Some(Box::new(FlowAdapt::restore(cfg, fa))),
                     _ => self.new_adapt(),
@@ -129,7 +130,7 @@ impl EngineCore {
                 let flow = self.fresh_host(assoc, adapt, limiter, now);
                 self.install(shard, key, flow);
                 if let Some(FlowState::Host(flow)) = shard.flows.get_mut(&key) {
-                    self.settle(&mut shard.wheel, key, flow, &mut resp, now, Some(rng));
+                    self.settle(&mut shard.wheel, key, flow, &mut outbox, now, Some(rng));
                 }
                 self.cache_deadline(shard);
                 self.metrics.store.thawed.fetch_add(1, Ordering::Relaxed);
@@ -142,7 +143,7 @@ impl EngineCore {
                     .thaw_latency_us
                     .record(wake_timer.elapsed().as_micros() as u64);
                 drop(guard);
-                self.stage(out, key, resp);
+                self.push_packets(out, key.peer, outbox.packets());
             }
             Err(e) => {
                 // Forged or stale: re-freeze the record exactly as it
@@ -158,6 +159,7 @@ impl EngineCore {
                 self.reap_evicted(evicted);
             }
         }
+        out.return_outbox(outbox);
     }
 
     /// Freeze one idle host flow into the store, leaving a

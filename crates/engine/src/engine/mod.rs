@@ -44,12 +44,12 @@ use alpha_adapt::{FlowAdapt, FrozenAdapt};
 use alpha_core::bootstrap::{self, AuthRequirement, Handshaker};
 use alpha_core::renewal::RenewalOffer;
 use alpha_core::{
-    Association, AssociationRelay, DropReason, FrozenAssociation, Mode, ProtocolError,
-    RelayDecision, RelayViewOutcome, Response, S1Limiter, S2BatchItem, SignerEvent, Timestamp,
+    Association, AssociationRelay, DropReason, FrozenAssociation, Mode, Outbox, ProtocolError,
+    RelayDecision, RelayViewOutcome, S1Limiter, S2BatchItem, SignerEvent, Timestamp,
 };
 use alpha_store::{FrozenStore, RenewalPacer};
 use alpha_wire::limits::MAX_BUNDLE;
-use alpha_wire::{bundle, BodyView, FramePool, HandshakeRole, Packet, PacketType, PacketView};
+use alpha_wire::{bundle, BodyView, FramePool, HandshakeRole, PacketType, PacketView};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::RngCore;
 
@@ -450,36 +450,45 @@ impl EngineCore {
         }
     }
 
-    /// Record and stage outbound packets for `dst` as one datagram
-    /// (bundling multi-packet responses like the transport does),
-    /// encoded into pooled frames.
-    fn push_packets(&self, out: &mut EngineOutput, dst: SocketAddr, packets: &[Packet]) {
-        match packets {
-            [] => {}
-            [one] => {
-                let mut frame = self.pool.checkout();
-                one.encode_into(frame.buf_mut());
-                out.push_datagram(dst, frame);
+    /// Stage encoded packets for `dst`, framed as they always have
+    /// been: one packet is a datagram of its own; several go out in
+    /// bundles of up to `MAX_BUNDLE` packets, a trailing single one
+    /// bundled too. Each bundle is spliced from the packets' bytes into a
+    /// pooled frame ([`bundle::frame_slices_into`]), the one copy between
+    /// an encoded packet and the socket.
+    fn push_packets<'p>(
+        &self,
+        out: &mut EngineOutput,
+        dst: SocketAddr,
+        packets: impl ExactSizeIterator<Item = &'p [u8]> + Clone,
+    ) {
+        if packets.len() == 1 {
+            packets.for_each(|one| self.push_bytes(out, dst, one));
+            return;
+        }
+        let mut rest = packets;
+        while rest.len() > 0 {
+            let mut chunk: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
+            let n = rest.len().min(MAX_BUNDLE);
+            for slot in &mut chunk[..n] {
+                // Allowlist: `n` is at most what is left.
+                *slot = rest.next().expect("a packet left");
             }
-            many => {
-                for chunk in many.chunks(MAX_BUNDLE) {
-                    let mut frame = self.pool.checkout();
-                    // `chunks` yields 1..=MAX_BUNDLE packets, so only a
-                    // packet longer than the bundle's u16 length prefix
-                    // (a 64 KiB S2) can be refused; the frame is then as
-                    // checked out and the chunk goes out unbundled.
-                    match bundle::emit_into(chunk, frame.buf_mut()) {
-                        Ok(()) => out.push_datagram(dst, frame),
-                        Err(_) => chunk
-                            .iter()
-                            .for_each(|p| self.push_packets(out, dst, std::slice::from_ref(p))),
-                    }
-                }
+            let mut frame = self.pool.checkout();
+            // Only a packet longer than the bundle's u16 length prefix
+            // (a 64 KiB S2) can be refused; the frame is then as checked
+            // out and the chunk goes out unbundled.
+            match bundle::frame_slices_into(&chunk[..n], frame.buf_mut()) {
+                Ok(()) => out.push_datagram(dst, frame),
+                Err(_) => chunk[..n]
+                    .iter()
+                    .for_each(|one| self.push_bytes(out, dst, one)),
             }
         }
     }
 
-    /// Stage raw pre-encoded bytes (handshake resends) in a pooled frame.
+    /// Stage one encoded packet (or a handshake resend) as a datagram of
+    /// its own, copied into a pooled frame.
     fn push_bytes(&self, out: &mut EngineOutput, dst: SocketAddr, bytes: &[u8]) {
         let mut frame = self.pool.checkout();
         frame.buf_mut().extend_from_slice(bytes);

@@ -8,6 +8,7 @@ use std::sync::atomic::Ordering;
 use alpha_core::{Config, Mode};
 use alpha_crypto::Algorithm;
 use alpha_store::PacerConfig;
+use alpha_wire::Packet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -58,7 +58,7 @@ impl EngineCore {
         self.metrics
             .timer_fires
             .fetch_add(fired.len() as u64, Ordering::Relaxed);
-        let mut staged: Vec<(FlowKey, Response)> = Vec::new();
+        let mut staged: Vec<(FlowKey, Outbox)> = Vec::new();
         let mut dead: Vec<FlowKey> = Vec::new();
         let mut to_freeze: Vec<FlowKey> = Vec::new();
         for key in fired {
@@ -103,16 +103,16 @@ impl EngineCore {
         self.cache_deadline(shard);
         drop(guard);
         self.reap_evicted(evicted);
-        for (key, resp) in staged {
-            self.stage(out, key, resp);
+        for (key, outbox) in &staged {
+            self.push_packets(out, key.peer, outbox.packets());
         }
         self.publish(out);
     }
 
     /// A wheel fire is just a wake-up; the host flow decides which of
     /// its deadlines — idle check, renewal, protocol poll — is actually
-    /// due. Responses are queued on `staged` for the caller to stage
-    /// once the shard lock is released. Returns `true` when the flow
+    /// due. Outboxes are queued on `staged` for the caller to send once
+    /// the shard lock is released. Returns `true` when the flow
     /// has been quiet for the whole hibernation period and should be
     /// frozen.
     fn poll_host(
@@ -122,7 +122,7 @@ impl EngineCore {
         flow: &mut HostFlow,
         now: Timestamp,
         rng: &mut dyn RngCore,
-        staged: &mut Vec<(FlowKey, Response)>,
+        staged: &mut Vec<(FlowKey, Outbox)>,
     ) -> bool {
         if flow.poll_armed.is_some_and(|t| t <= now) {
             flow.poll_armed = None;
@@ -161,10 +161,10 @@ impl EngineCore {
                 let jitter = self.pacer.lock().jitter_us(key.stable_hash());
                 RenewalSlot::Scheduled(now.plus_micros(RENEWAL_RETRY_US + jitter))
             } else {
-                let mut resp = Response::default();
-                let slot = self.offer_renewal(flow, now, rng, &mut resp.packets);
-                if !resp.packets.is_empty() {
-                    staged.push((key, resp));
+                let mut outbox = Outbox::default();
+                let slot = self.offer_renewal(flow, now, rng, &mut outbox);
+                if outbox.packet_count() > 0 {
+                    staged.push((key, outbox));
                 }
                 slot
             };
@@ -180,9 +180,10 @@ impl EngineCore {
             Some(_) => {
                 // Timer-driven: no datagram arrived, so the idle clock
                 // is not refreshed and no renewal begins here.
-                let mut resp = flow.assoc.poll(now);
-                self.settle(wheel, key, flow, &mut resp, now, None);
-                staged.push((key, resp));
+                let mut outbox = Outbox::default();
+                flow.assoc.poll_into(now, &mut outbox);
+                self.settle(wheel, key, flow, &mut outbox, now, None);
+                staged.push((key, outbox));
             }
         }
         false

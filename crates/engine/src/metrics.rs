@@ -326,7 +326,8 @@ impl IoTotals {
 #[derive(Default)]
 pub struct IoMetrics {
     backend: Mutex<Option<&'static str>>,
-    wait_backend: Mutex<Option<&'static str>>,
+    /// The wait each worker loop installed, in the order they did.
+    waits: Mutex<Vec<&'static str>>,
     workers: Mutex<Vec<Arc<IoWorker>>>,
 }
 
@@ -343,16 +344,26 @@ impl IoMetrics {
         self.backend.lock().unwrap_or("none")
     }
 
-    /// Record which wait backend the engine's workers block in.
-    pub fn set_wait_backend(&self, name: &'static str) {
-        *self.wait_backend.lock() = Some(name);
+    /// Record the wait one worker loop installed (`"epoll"` or
+    /// `"fallback"`), once it has installed it.
+    pub fn record_worker_wait(&self, name: &'static str) {
+        self.waits.lock().push(name);
     }
 
-    /// The recorded wait backend name, `"none"` when no worker loop has
+    /// The wait the engine's workers block in, from what each recorded:
+    /// `"epoll"` when every one runs the epoll wait, `"fallback"` when
+    /// none does, `"mixed"` otherwise; `"none"` when no worker loop has
     /// attached (sans-io tests, single-threaded endpoints).
     #[must_use]
     pub fn wait_backend_name(&self) -> &'static str {
-        self.wait_backend.lock().unwrap_or("none")
+        let waits = self.waits.lock();
+        let epoll = waits.iter().filter(|&&w| w == "epoll").count();
+        match (waits.len(), epoll) {
+            (0, _) => "none",
+            (n, e) if e == n => "epoll",
+            (_, 0) => "fallback",
+            _ => "mixed",
+        }
     }
 
     /// Register (and return) a fresh per-worker counter block.
@@ -804,7 +815,7 @@ mod tests {
             set(a);
         }
         m.io.set_backend("mmsg");
-        m.io.set_wait_backend("epoll");
+        m.io.record_worker_wait("epoll");
         for _ in 0..2 {
             let w = m.io.register_worker();
             for a in [

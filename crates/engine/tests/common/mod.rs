@@ -1,8 +1,10 @@
 //! What the engine's integration suites share: the virtual network
-//! ([`net`]) and the counting allocator the allocation suites install
-//! (`run_allocs.rs`, `relay_budget.rs`).
+//! ([`net`]), the fuzzers' byte mutations ([`mutate`]) and the counting
+//! allocator the allocation suites install (`run_allocs.rs`,
+//! `relay_budget.rs`, `host_budget.rs`).
 #![allow(dead_code)]
 
+pub mod mutate;
 pub mod net;
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -86,9 +86,10 @@ impl UdpBackend {
     /// Name of the wait an engine worker pairs with this backend, as
     /// reported in `wait_backend`: `"epoll"` (readiness set, doorbells,
     /// timerfd) with `mmsg`, `"fallback"` (blocking receive behind a
-    /// read timeout) with the portable backend. An engine whose
-    /// doorbells fail to come up at bind reports `"fallback"` whatever
-    /// this says.
+    /// read timeout) with the portable backend. Stats report the waits
+    /// the workers actually installed: an engine whose doorbells fail
+    /// to come up at bind reports `"fallback"` whatever this says, and
+    /// one where only some workers' epoll sets came up `"mixed"`.
     #[must_use]
     pub fn wait_name(self) -> &'static str {
         match self {

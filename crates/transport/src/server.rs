@@ -9,11 +9,17 @@
 //!   hash pins each remote source to one member socket, so every flow's
 //!   datagrams arrive on one worker, in order, spread across workers by
 //!   kernel RSS. If the group bind fails (platform policy, exotic
-//!   kernels) the engine falls back to one shared socket cloned per
-//!   worker — same semantics, serialized syscalls.
-//! - On the `fallback` backend every worker clones one shared socket
-//!   and does classic one-datagram `recv_from` — the portable baseline
-//!   the `udp_io` bench measures the batched path against.
+//!   kernels) the engine falls back to one shared socket.
+//! - On the `fallback` backend the workers share one socket, read with
+//!   classic one-datagram `recv_from` — the portable baseline the
+//!   `udp_io` bench measures the batched path against.
+//!
+//! On a shared socket only worker 0 receives; the other workers run
+//! their timers. A flow's back-to-back datagrams (an S1 and its S2, an
+//! S2 and the next S1) must be judged in the order they arrived, and
+//! two workers taking turns at one socket would race each other from
+//! the receive to the judgment. Per-worker sockets keep each source's
+//! datagrams on one worker, so every worker receives there.
 //!
 //! The worker that receives a datagram judges it, under the lock of
 //! the datagram's shard; a datagram never locks two shards, and two
@@ -170,8 +176,9 @@ impl Engine {
         // The wait is derived from the backend: mmsg workers sleep in
         // epoll sets, which need a control bell each. Bell creation is
         // all-or-nothing at bind time: if any eventfd fails the whole
-        // engine degrades to the blocking wait, so `wait_backend` in
-        // stats always names a wait the workers can actually run.
+        // engine degrades to the blocking wait. A worker whose epoll set
+        // then fails degrades alone; `wait_backend` in stats is derived
+        // from the wait each worker installed.
         #[cfg(target_os = "linux")]
         let bells: Option<Bells> = if backend == UdpBackend::Mmsg {
             match (0..workers).map(|_| crate::epoll::EventFd::new()).collect() {
@@ -187,15 +194,6 @@ impl Engine {
         } else {
             None
         };
-        #[cfg(target_os = "linux")]
-        let wait = if bells.is_some() {
-            backend
-        } else {
-            UdpBackend::Fallback
-        };
-        #[cfg(not(target_os = "linux"))]
-        let wait = UdpBackend::Fallback;
-        core.metrics().io.set_wait_backend(wait.wait_name());
 
         // Per-worker min-deadline hints; under epoll the engine also
         // gets a waker that rings a worker's control bell whenever its
@@ -240,7 +238,7 @@ impl Engine {
                 core: Arc::clone(&core),
                 #[cfg(target_os = "linux")]
                 bells: bells.clone(),
-                per_worker_sockets: reuseport,
+                receives: reuseport || w == 0,
                 shutdown: Arc::clone(&shutdown),
                 ready: Arc::clone(&ready),
                 start,
@@ -377,9 +375,11 @@ struct Worker {
     /// Present iff the engine runs the epoll wait.
     #[cfg(target_os = "linux")]
     bells: Option<Bells>,
-    /// Whether each worker has its own `SO_REUSEPORT` socket; on one
-    /// shared socket every worker's epoll set watches the same fd.
-    per_worker_sockets: bool,
+    /// Whether this worker reads the socket: every worker of a
+    /// `SO_REUSEPORT` group (or a lone worker), worker 0 alone on a
+    /// shared socket, so that a shared socket's datagrams are judged in
+    /// the order they arrived.
+    receives: bool,
     shutdown: Arc<AtomicBool>,
     /// Count of workers whose wait is installed; [`Engine::bind`]
     /// blocks (bounded) until it reaches `workers` so callers never
@@ -426,6 +426,8 @@ impl Worker {
     /// Returns on shutdown.
     fn run(mut self) {
         let mut wait = Wait::install(&self);
+        // Stats name the wait the workers actually run, worker by worker.
+        self.core.metrics().io.record_worker_wait(wait.name());
         self.ready.fetch_add(1, Ordering::Release);
         loop {
             if self.shutdown.load(Ordering::Relaxed) {
@@ -636,6 +638,16 @@ impl Wait {
         }
     }
 
+    /// The wait's name in stats: `UdpBackend::wait_name` of the rung
+    /// that runs it.
+    fn name(&self) -> &'static str {
+        match self {
+            Wait::Blocking { .. } => UdpBackend::Fallback.wait_name(),
+            #[cfg(target_os = "linux")]
+            Wait::Epoll { .. } => UdpBackend::Mmsg.wait_name(),
+        }
+    }
+
     #[cfg(target_os = "linux")]
     fn epoll(worker: &Worker, bells: &Bells) -> io::Result<Wait> {
         use std::os::fd::AsRawFd;
@@ -643,27 +655,21 @@ impl Wait {
         use crate::epoll::{Epoll, TimerFd, MAX_EVENTS};
 
         let ep = Epoll::new()?;
-        // On a shared socket every worker's set watches the same fd;
-        // EPOLLEXCLUSIVE wakes one worker per datagram instead of the
-        // whole herd.
-        ep.add(
-            worker.io.socket().as_raw_fd(),
-            TOKEN_SOCKET,
-            !worker.per_worker_sockets,
-        )?;
         let timer = TimerFd::new()?;
         ep.add(timer.as_raw_fd(), TOKEN_TIMER, false)?;
         ep.add(bells[worker.me as usize].as_raw_fd(), TOKEN_BELL, false)?;
-        // Readiness decides when to receive, so the socket keeps a
-        // token timeout only as a guard: if a spurious wake (or a
-        // shared-socket race) finds the queue empty, the receive
-        // blocks one jiffy instead of [`RECV_TIMEOUT`]. Sends stay
-        // blocking — under saturation the kernel applies backpressure
-        // instead of dropping.
-        worker
-            .io
-            .socket()
-            .set_read_timeout(Some(Duration::from_micros(1)))?;
+        if worker.receives {
+            ep.add(worker.io.socket().as_raw_fd(), TOKEN_SOCKET, false)?;
+            // Readiness decides when to receive, so the socket keeps a
+            // token timeout only as a guard: if a spurious wake finds
+            // the queue empty, the receive blocks one jiffy instead of
+            // [`RECV_TIMEOUT`]. Sends stay blocking — under saturation
+            // the kernel applies backpressure instead of dropping.
+            worker
+                .io
+                .socket()
+                .set_read_timeout(Some(Duration::from_micros(1)))?;
+        }
         Ok(Wait::Epoll {
             ep,
             timer,
@@ -695,6 +701,15 @@ impl Wait {
                 // deadline horizon costs no setsockopt on the hot path.
                 let window =
                     Duration::from_millis((window.as_micros() as u64).div_ceil(1000).max(1));
+                if !worker.receives {
+                    // Timers only: sleep the window, leave the socket
+                    // (and its read timeout) to the worker that reads it.
+                    std::thread::sleep(window);
+                    return Ok(Woke {
+                        socket: false,
+                        timer: true,
+                    });
+                }
                 if window != *read_timeout {
                     if worker.io.socket().set_read_timeout(Some(window)).is_err() {
                         arm_failed();
@@ -1031,7 +1046,7 @@ mod tests {
             core: Arc::clone(&core),
             #[cfg(target_os = "linux")]
             bells: None,
-            per_worker_sockets: false,
+            receives: true,
             shutdown: Arc::new(AtomicBool::new(false)),
             ready: Arc::new(AtomicUsize::new(0)),
             // Backdated: the resend (due within 100 ms of time zero)

@@ -21,17 +21,19 @@
 //! unit and property tests.
 
 mod cursor;
+pub mod encode;
 mod packet;
 mod pool;
 mod view;
 
+pub use encode::PacketList;
 pub use packet::{
     bundle, A2Disclosure, AckCommit, Body, Handshake, HandshakeAuth, HandshakeRole, Packet,
     PacketType, PreSignature, TreeDescriptor,
 };
 pub use pool::{Frame, FramePool, PoolStats};
 pub use view::{
-    A2DisclosureView, AmtSlice, BodyView, DigestPath, DigestSlice, HandshakeAuthView,
+    A2DisclosureView, AmtItemView, AmtSlice, BodyView, DigestPath, DigestSlice, HandshakeAuthView,
     HandshakeView, PacketView, PreSignatureView, TreeSlice,
 };
 

@@ -17,6 +17,7 @@
 //! instead of discarding everything after a gap.
 
 use crate::cursor::Writer;
+use crate::encode;
 use crate::view::PacketView;
 use crate::Error;
 use alpha_crypto::amt::{AmtDisclosure, SECRET_LEN};
@@ -98,22 +99,26 @@ pub mod bundle {
                 out.extend_from_slice(one);
                 Ok(())
             }
-            many => {
-                if many.len() > limits::MAX_BUNDLE {
-                    return Err(Error::LimitExceeded);
-                }
-                out.push(BUNDLE_TAG);
-                out.push(many.len() as u8);
-                for p in many {
-                    if p.len() > u16::MAX as usize {
-                        return Err(Error::LimitExceeded);
-                    }
-                    out.extend_from_slice(&(p.len() as u16).to_be_bytes());
-                    out.extend_from_slice(p);
-                }
-                Ok(())
-            }
+            many => frame_slices_into(many, out),
         }
+    }
+
+    /// Bundle framing around 1 to [`limits::MAX_BUNDLE`] encoded
+    /// packets, even one: the frame [`emit_into`] makes of the same
+    /// packets. Like [`emit_into`], `out` is as it was found on error.
+    pub fn frame_slices_into(packets: &[&[u8]], out: &mut Vec<u8>) -> Result<(), Error> {
+        if !(1..=limits::MAX_BUNDLE).contains(&packets.len())
+            || packets.iter().any(|p| p.len() > u16::MAX as usize)
+        {
+            return Err(Error::LimitExceeded);
+        }
+        out.push(BUNDLE_TAG);
+        out.push(packets.len() as u8);
+        for p in packets {
+            out.extend_from_slice(&(p.len() as u16).to_be_bytes());
+            out.extend_from_slice(p);
+        }
+        Ok(())
     }
 
     /// Split a frame into its constituent packet slices without parsing
@@ -381,97 +386,44 @@ impl Packet {
     /// clears (not drops) the buffer between packets to recycle its
     /// allocation.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut w = Writer::new(out);
-        w.u16(MAGIC);
-        w.u8(VERSION);
-        w.u8(self.packet_type() as u8);
-        w.u8(alg_tag(self.alg));
-        w.u64(self.assoc_id);
-        w.u64(self.chain_index);
+        let (alg, id, index) = (self.alg, self.assoc_id, self.chain_index);
         match &self.body {
-            Body::S1 { element, presig } => {
-                w.digest(element);
-                match presig {
-                    PreSignature::Cumulative(macs) => {
-                        w.u8(1);
-                        w.u16(macs.len() as u16);
-                        for m in macs {
-                            w.digest(m);
-                        }
-                    }
-                    PreSignature::MerkleRoot { root, leaves } => {
-                        w.u8(2);
-                        w.u32(*leaves);
-                        w.digest(root);
-                    }
-                    PreSignature::MerkleForest(trees) => {
-                        w.u8(3);
-                        w.u16(trees.len() as u16);
-                        for t in trees {
-                            w.u32(t.leaves);
-                            w.digest(&t.root);
-                        }
-                    }
-                }
-            }
-            Body::A1 { element, commit } => {
-                w.digest(element);
-                match commit {
-                    AckCommit::None => w.u8(0),
-                    AckCommit::Flat { pre_ack, pre_nack } => {
-                        w.u8(1);
-                        w.digest(pre_ack);
-                        w.digest(pre_nack);
-                    }
-                    AckCommit::Amt { root, leaves } => {
-                        w.u8(2);
-                        w.u32(*leaves);
-                        w.digest(root);
-                    }
-                }
-            }
+            Body::S1 { element, presig } => encode::s1(out, alg, id, index, element, presig),
+            Body::A1 { element, commit } => encode::a1(out, alg, id, index, element, commit),
             Body::S2 {
                 key,
                 seq,
                 path,
                 payload,
-            } => {
-                w.digest(key);
-                w.u32(*seq);
-                w.u8(path.len() as u8);
-                for p in path {
-                    w.digest(p);
-                }
-                w.u16(payload.len() as u16);
-                w.bytes(payload);
-            }
+            } => encode::s2(
+                out,
+                alg,
+                id,
+                index,
+                key,
+                *seq,
+                path.iter().copied(),
+                payload,
+            ),
             Body::A2 {
                 element,
-                disclosure,
+                disclosure: A2Disclosure::Flat { ack, secret },
+            } => encode::a2_flat(out, alg, id, index, element, *ack, secret),
+            Body::A2 {
+                element,
+                disclosure: A2Disclosure::Amt(items),
             } => {
-                w.digest(element);
-                match disclosure {
-                    A2Disclosure::Flat { ack, secret } => {
-                        w.u8(1);
-                        w.u8(u8::from(*ack));
-                        w.bytes(secret);
-                    }
-                    A2Disclosure::Amt(items) => {
-                        w.u8(2);
-                        w.u16(items.len() as u16);
-                        for it in items {
-                            w.u32(it.packet_index);
-                            w.u8(u8::from(it.ack));
-                            w.bytes(&it.secret);
-                            w.u8(it.path.len() as u8);
-                            for p in &it.path {
-                                w.digest(p);
-                            }
-                        }
-                    }
-                }
+                let items = items.iter().map(|it| encode::AmtItem {
+                    packet_index: it.packet_index,
+                    ack: it.ack,
+                    secret: &it.secret,
+                    path: &it.path,
+                });
+                encode::a2_amt(out, alg, id, index, element, items);
             }
             Body::Handshake(h) => {
+                let mut w = Writer::new(out);
+                encode::header(&mut w, self.packet_type(), alg, id, index);
                 w.u64(h.sig_anchor_index);
                 w.digest(&h.sig_anchor);
                 w.u64(h.ack_anchor_index);
@@ -496,49 +448,46 @@ impl Packet {
     #[must_use]
     pub fn wire_len(&self) -> usize {
         let dl = self.alg.digest_len();
-        const HEADER: usize = 21; // magic 2 + ver 1 + type 1 + alg 1 + assoc 8 + index 8
-        HEADER
-            + match &self.body {
-                Body::S1 { presig, .. } => {
-                    dl + 1
-                        + match presig {
-                            PreSignature::Cumulative(macs) => 2 + macs.len() * dl,
-                            PreSignature::MerkleRoot { .. } => 4 + dl,
-                            PreSignature::MerkleForest(trees) => 2 + trees.len() * (4 + dl),
-                        }
-                }
-                Body::A1 { commit, .. } => {
-                    dl + 1
-                        + match commit {
-                            AckCommit::None => 0,
-                            AckCommit::Flat { .. } => 2 * dl,
-                            AckCommit::Amt { .. } => 4 + dl,
-                        }
-                }
-                Body::S2 { path, payload, .. } => dl + 4 + 1 + path.len() * dl + 2 + payload.len(),
-                Body::A2 { disclosure, .. } => {
-                    dl + 1
-                        + match disclosure {
-                            A2Disclosure::Flat { .. } => 1 + SECRET_LEN,
-                            A2Disclosure::Amt(items) => {
-                                2 + items
-                                    .iter()
-                                    .map(|it| 4 + 1 + SECRET_LEN + 1 + it.path.len() * dl)
-                                    .sum::<usize>()
-                            }
-                        }
-                }
-                Body::Handshake(h) => {
-                    8 + dl
-                        + 8
-                        + dl
-                        + 1
-                        + match &h.auth {
-                            None => 0,
-                            Some(a) => 1 + 2 + a.public_key.len() + 2 + a.signature.len(),
-                        }
-                }
+        match &self.body {
+            Body::S1 { presig, .. } => encode::s1_len(self.alg, presig),
+            Body::S2 { path, payload, .. } => encode::s2_len(self.alg, path.len(), payload.len()),
+            Body::A1 { commit, .. } => {
+                encode::HEADER
+                    + dl
+                    + 1
+                    + match commit {
+                        AckCommit::None => 0,
+                        AckCommit::Flat { .. } => 2 * dl,
+                        AckCommit::Amt { .. } => 4 + dl,
+                    }
             }
+            Body::A2 { disclosure, .. } => {
+                encode::HEADER
+                    + dl
+                    + 1
+                    + match disclosure {
+                        A2Disclosure::Flat { .. } => 1 + SECRET_LEN,
+                        A2Disclosure::Amt(items) => {
+                            2 + items
+                                .iter()
+                                .map(|it| 4 + 1 + SECRET_LEN + 1 + it.path.len() * dl)
+                                .sum::<usize>()
+                        }
+                    }
+            }
+            Body::Handshake(h) => {
+                encode::HEADER
+                    + 8
+                    + dl
+                    + 8
+                    + dl
+                    + 1
+                    + match &h.auth {
+                        None => 0,
+                        Some(a) => 1 + 2 + a.public_key.len() + 2 + a.signature.len(),
+                    }
+            }
+        }
     }
 
     /// Parse a packet; rejects any malformed, oversized, or trailing

@@ -218,6 +218,37 @@ impl<'a> AmtSlice<'a> {
     pub fn to_vec(&self) -> Vec<AmtDisclosure> {
         self.iter().collect()
     }
+
+    /// Iterate the disclosures in place: each item's path stays borrowed
+    /// from the datagram, so a walk allocates nothing.
+    pub fn items(&self) -> impl Iterator<Item = AmtItemView<'a>> + 'a {
+        let alg = self.alg;
+        let mut r = Reader::new(self.bytes);
+        (0..self.count).map_while(move |_| {
+            let (packet_index, ack, secret, path_len) = amt_item_head(&mut r).ok()?;
+            let path = r.take(path_len * alg.digest_len()).ok()?;
+            Some(AmtItemView {
+                packet_index,
+                ack,
+                secret,
+                path: DigestSlice::new(alg, path_len, path),
+            })
+        })
+    }
+}
+
+/// One AMT verdict disclosure of an A2, read in place
+/// ([`AmtSlice::items`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AmtItemView<'a> {
+    /// Packet index within the covered bundle.
+    pub packet_index: u32,
+    /// `true` = acknowledged.
+    pub ack: bool,
+    /// The disclosed leaf secret.
+    pub secret: [u8; SECRET_LEN],
+    /// Authentication path, borrowed.
+    pub path: DigestSlice<'a>,
 }
 
 /// Borrowed verdict disclosure of an A2.

@@ -669,7 +669,7 @@ proptest! {
             }
             t = t.plus_micros(1_100);
             next.extend(alice.poll(t).packets);
-            bob.verifier().poll(t);
+            bob.verifier().poll(t, &mut alpha::core::Outbox::default());
             wire = next;
         }
         // With ≤50% structured loss and 400 rounds, the exchange converges
