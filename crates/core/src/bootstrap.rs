@@ -17,7 +17,9 @@
 
 use alpha_crypto::chain::{ChainKind, HashChain};
 use alpha_pk::{PublicKey, Signer, VerifyingKey};
-use alpha_wire::{Body, Handshake, HandshakeAuth, HandshakeRole, Packet};
+use alpha_wire::{
+    Body, BodyView, Handshake, HandshakeAuth, HandshakeRole, HandshakeView, Packet, PacketView,
+};
 use rand::RngCore;
 
 use crate::{Association, Config, ProtocolError};
@@ -72,7 +74,9 @@ pub fn initiate(
 }
 
 /// Responder side: process HS1, emit HS2, and stand up the association.
-/// Returns the peer's key when the handshake was authenticated.
+/// Returns the peer's key when the handshake was authenticated. The HS1
+/// is encoded and read as [`respond_view`] reads it; one the wire cannot
+/// carry is [`ProtocolError::BadHandshake`].
 pub fn respond(
     cfg: Config,
     init: &Packet,
@@ -80,7 +84,20 @@ pub fn respond(
     require: AuthRequirement<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<(Association, Packet, Option<PublicKey>), ProtocolError> {
-    let Body::Handshake(hs) = &init.body else {
+    let bytes = init.emit();
+    let init = PacketView::parse(&bytes).map_err(|_| ProtocolError::BadHandshake)?;
+    respond_view(cfg, &init, auth, require, rng)
+}
+
+/// [`respond`] to an HS1 read in place from its datagram.
+pub fn respond_view(
+    cfg: Config,
+    init: &PacketView<'_>,
+    auth: Option<&dyn Signer>,
+    require: AuthRequirement<'_>,
+    rng: &mut dyn RngCore,
+) -> Result<(Association, Packet, Option<PublicKey>), ProtocolError> {
+    let BodyView::Handshake(hs) = &init.body else {
         return Err(ProtocolError::BadHandshake);
     };
     if hs.role != HandshakeRole::Init || init.alg != cfg.algorithm {
@@ -116,12 +133,27 @@ impl Handshaker {
     }
 
     /// Initiator side: process the HS2 reply and stand up the association.
+    /// The HS2 is encoded and read as [`Handshaker::complete_view`]
+    /// reads it; one the wire cannot carry is
+    /// [`ProtocolError::BadHandshake`].
     pub fn complete(
         self,
         reply: &Packet,
         require: AuthRequirement<'_>,
     ) -> Result<(Association, Option<PublicKey>), ProtocolError> {
-        let Body::Handshake(hs) = &reply.body else {
+        let bytes = reply.emit();
+        let reply = PacketView::parse(&bytes).map_err(|_| ProtocolError::BadHandshake)?;
+        self.complete_view(&reply, require)
+    }
+
+    /// [`Handshaker::complete`] with an HS2 read in place from its
+    /// datagram.
+    pub fn complete_view(
+        self,
+        reply: &PacketView<'_>,
+        require: AuthRequirement<'_>,
+    ) -> Result<(Association, Option<PublicKey>), ProtocolError> {
+        let BodyView::Handshake(hs) = &reply.body else {
             return Err(ProtocolError::BadHandshake);
         };
         if hs.role != HandshakeRole::Reply
@@ -201,26 +233,26 @@ fn handshake_packet(
 
 fn check_auth(
     assoc_id: u64,
-    hs: &Handshake,
+    hs: &HandshakeView<'_>,
     require: AuthRequirement<'_>,
 ) -> Result<Option<PublicKey>, ProtocolError> {
     match require {
         AuthRequirement::None => Ok(None),
         AuthRequirement::AnyKey => {
             let auth = hs.auth.as_ref().ok_or(ProtocolError::BadAuth)?;
-            let key = PublicKey::from_bytes(auth.scheme, &auth.public_key)
+            let key = PublicKey::from_bytes(auth.scheme, auth.public_key)
                 .ok_or(ProtocolError::BadAuth)?;
-            verify_hs(assoc_id, hs, &key, &auth.signature)?;
+            verify_hs(assoc_id, hs, &key, auth.signature)?;
             Ok(Some(key))
         }
         AuthRequirement::Pinned(expected) => {
             let auth = hs.auth.as_ref().ok_or(ProtocolError::BadAuth)?;
-            let key = PublicKey::from_bytes(auth.scheme, &auth.public_key)
+            let key = PublicKey::from_bytes(auth.scheme, auth.public_key)
                 .ok_or(ProtocolError::BadAuth)?;
             if &key != expected {
                 return Err(ProtocolError::BadAuth);
             }
-            verify_hs(assoc_id, hs, &key, &auth.signature)?;
+            verify_hs(assoc_id, hs, &key, auth.signature)?;
             Ok(Some(key))
         }
     }
@@ -228,7 +260,7 @@ fn check_auth(
 
 fn verify_hs(
     assoc_id: u64,
-    hs: &Handshake,
+    hs: &HandshakeView<'_>,
     key: &PublicKey,
     signature: &[u8],
 ) -> Result<(), ProtocolError> {

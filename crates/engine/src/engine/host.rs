@@ -229,9 +229,7 @@ impl EngineCore {
             self.metrics.record_drop(DropReason::UnknownAssociation);
             return;
         }
-        // Handshakes are rare and carry owned blobs anyway: materialise.
-        let pkt = view.to_packet();
-        match bootstrap::respond(self.cfg.protocol, &pkt, None, AuthRequirement::None, rng) {
+        match bootstrap::respond_view(self.cfg.protocol, view, None, AuthRequirement::None, rng) {
             Ok((assoc, reply, _key)) => {
                 let idx = self.shard_index(&key);
                 let mut limiter = self.new_limiter();
@@ -279,7 +277,7 @@ impl EngineCore {
         let Some(hs) = hs.take() else {
             return;
         };
-        match hs.complete(&view.to_packet(), AuthRequirement::None) {
+        match hs.complete_view(view, AuthRequirement::None) {
             Ok((assoc, _peer_key)) => {
                 let flow = self.fresh_host(assoc, self.new_adapt(), limiter, now);
                 self.install(&mut shard, key, flow);

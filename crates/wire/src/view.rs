@@ -308,6 +308,21 @@ pub struct HandshakeView<'a> {
 }
 
 impl HandshakeView<'_> {
+    /// The byte string a protected bootstrap signs
+    /// ([`Handshake::signed_bytes`]).
+    #[must_use]
+    pub fn signed_bytes(&self, assoc_id: u64) -> Vec<u8> {
+        let anchors = Handshake {
+            role: self.role,
+            sig_anchor: self.sig_anchor,
+            sig_anchor_index: self.sig_anchor_index,
+            ack_anchor: self.ack_anchor,
+            ack_anchor_index: self.ack_anchor_index,
+            auth: None,
+        };
+        anchors.signed_bytes(assoc_id)
+    }
+
     /// Copy into the owned representation.
     #[must_use]
     pub fn to_handshake(&self) -> Handshake {
