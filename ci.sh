@@ -229,7 +229,7 @@ cargo run --release --example mesh_smoke
 # time. So each regenerates results/ byte for byte (well under a
 # second each in release). A change that moves a figure fails here;
 # regenerate results/ and say why in EXPERIMENTS.md.
-echo "==> paper outputs: tables 1-3 and 6, figures 5-6, flows_scaling, wmn_estimate, wsn_estimate, alpha sim and six examples regenerate results/ byte-identical (release)"
+echo "==> paper outputs: tables 1-3 and 6, figures 5-6, flows_scaling, wmn_estimate, wsn_estimate, alpha sim (default and Base mode) and six examples regenerate results/ byte-identical (release)"
 for bin in table1 table2 table3 table6 fig5 fig6 flows_scaling wmn_estimate wsn_estimate; do
     cargo run --release -q -p alpha-bench --bin "$bin" | diff "results/$bin.txt" - || {
         echo "ci: $bin output differs from results/$bin.txt" >&2
@@ -238,6 +238,12 @@ for bin in table1 table2 table3 table6 fig5 fig6 flows_scaling wmn_estimate wsn_
 done
 cargo run --release -q -p alpha-cli --bin alpha -- sim | diff results/alpha_sim.txt - || {
     echo "ci: alpha sim output differs from results/alpha_sim.txt" >&2
+    exit 1
+}
+# A Base-mode run, so a Base sender that silently delivers nothing fails.
+cargo run --release -q -p alpha-cli --bin alpha -- sim --relays 1 --messages 50 --mode base \
+    | diff results/alpha_sim_base.txt - || {
+    echo "ci: alpha sim --mode base output differs from results/alpha_sim_base.txt" >&2
     exit 1
 }
 for example in quickstart flood_defense mesh_stream sensor_net longlived_association middlebox_signaling; do

@@ -98,6 +98,28 @@ fn sim_accepts_all_devices_and_modes() {
 }
 
 #[test]
+fn base_mode_sim_delivers_every_message() {
+    // The default `--batch 10` must not stop a Base sender, whose
+    // exchange carries one message. An unreliable flow loses what the
+    // links lose (the default 1 %), so every message arrives on lossless
+    // links or on a reliable flow.
+    for extra in [&["--loss", "0"][..], &["--reliable"]] {
+        let argv = ["sim", "--relays", "1", "--messages", "50", "--mode", "base"];
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_alpha"))
+            .args(argv)
+            .args(extra)
+            .output()
+            .expect("alpha runs");
+        assert!(out.status.success(), "alpha sim {extra:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("delivered: 50/50 messages"),
+            "alpha sim {extra:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn binary_refuses_an_unknown_flag_with_exit_2() {
     // `trace` opens no socket, and the refusal must come before it
     // reads its file: nothing reaches stdout.

@@ -96,9 +96,9 @@ impl FlowKey {
 /// Stable FNV-1a hash of an address alone (no association id).
 ///
 /// The engine places all flows of one peer (or one relay address pair)
-/// on the same shard, so a receiver thread can demux a datagram to its
-/// owning worker from the source address — before parsing the packet to
-/// learn the association id.
+/// on the same shard, so a datagram locks one shard, found from its
+/// source address — before parsing the packet to learn the association
+/// id.
 #[must_use]
 pub fn addr_hash(addr: &SocketAddr) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -10,8 +10,8 @@
 //! a fresh relay up on the trace up to one datagram, applies one to
 //! three mutations to that datagram — a bit flip, a truncation, a splice
 //! with another datagram of the trace, a bundle's count or length prefix
-//! rewritten, or a packet's type byte swapped — feeds it, and holds the
-//! relay to these rules:
+//! rewritten, or a packet's type byte swapped (`common::mutate`) — feeds
+//! it, and holds the relay to these rules:
 //!
 //! - nothing panics;
 //! - every packet is accounted for exactly once: a datagram that does
@@ -39,11 +39,9 @@ use std::sync::atomic::Ordering::Relaxed;
 use alpha_core::{Config, MacScheme, Mode, RelayConfig, Reliability, Timestamp};
 use alpha_crypto::Algorithm;
 use alpha_engine::{EngineConfig, EngineCore};
-use alpha_wire::bundle;
-use alpha_wire::limits::MAX_BUNDLE;
+use common::mutate::{mutate, split};
 use common::net::{addr, is_s2, Net};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
@@ -87,12 +85,6 @@ impl Trace {
             })
             .expect("a routed source")
     }
-}
-
-fn split(bytes: &[u8]) -> Option<Vec<&[u8]>> {
-    let mut slices: [&[u8]; MAX_BUNDLE] = [&[]; MAX_BUNDLE];
-    let n = bundle::split(bytes, &mut slices).ok()?;
-    Some(slices[..n].to_vec())
 }
 
 /// Two client and server engine pairs, one Base unreliable flow and one
@@ -168,74 +160,6 @@ fn relay(trace: &Trace) -> EngineCore {
         relay.add_route(a, b);
     }
     relay
-}
-
-/// Values a hostile bundle count or length prefix would claim.
-const PREFIXES: [u16; 7] = [0, 1, 2, 16, 17, 0x7fff, 0xffff];
-
-/// Apply one mutation to `bytes`, described in `log`.
-fn mutate(bytes: &mut Vec<u8>, trace: &Trace, rng: &mut StdRng, log: &mut Vec<String>) {
-    if bytes.is_empty() {
-        bytes.push(rng.gen());
-        log.push("grow from empty".to_owned());
-        return;
-    }
-    let at = rng.gen_range(0..bytes.len());
-    match rng.gen_range(0..5u8) {
-        0 => {
-            let bit = rng.gen_range(0..8u8);
-            bytes[at] ^= 1 << bit;
-            log.push(format!("flip bit {bit} of byte {at}"));
-        }
-        1 => {
-            bytes.truncate(at);
-            log.push(format!("truncate to {at}"));
-        }
-        2 => {
-            let (_, other) = trace.datagrams.choose(rng).expect("non-empty");
-            let from = rng.gen_range(0..other.len());
-            bytes.splice(at.., other[from..].iter().copied());
-            log.push(format!("splice at {at} from byte {from} of another"));
-        }
-        3 => {
-            // A bundle's count byte or one of its length prefixes; a
-            // bare packet's first two bytes.
-            let mut prefixes = vec![0];
-            if bytes[0] == bundle::BUNDLE_TAG && bytes.len() > 2 {
-                let mut pos = 2;
-                while pos + 2 <= bytes.len() {
-                    prefixes.push(pos);
-                    pos += 2 + usize::from(u16::from_be_bytes([bytes[pos], bytes[pos + 1]]));
-                }
-            }
-            let pos = *prefixes.choose(rng).expect("non-empty");
-            let value = *PREFIXES.choose(rng).expect("non-empty");
-            if pos == 0 && bytes[0] == bundle::BUNDLE_TAG && bytes.len() > 1 {
-                bytes[1] = value as u8;
-                log.push(format!("bundle count {}", value as u8));
-            } else {
-                let end = (pos + 2).min(bytes.len());
-                bytes[pos..end].copy_from_slice(&value.to_be_bytes()[..end - pos]);
-                log.push(format!("length prefix at {pos} to {value:#x}"));
-            }
-        }
-        _ => {
-            // The type byte of one packet of the datagram.
-            let starts: Vec<usize> = match split(bytes) {
-                Some(slices) if bytes[0] == bundle::BUNDLE_TAG => slices
-                    .iter()
-                    .map(|s| s.as_ptr() as usize - bytes.as_ptr() as usize)
-                    .collect(),
-                _ => vec![0],
-            };
-            let at = starts.choose(rng).expect("non-empty") + 3;
-            if at < bytes.len() {
-                let to = rng.gen_range(0..=7u8);
-                bytes[at] = to;
-                log.push(format!("type byte at {at} to {to}"));
-            }
-        }
-    }
 }
 
 /// Counters a judged datagram may move.
@@ -373,6 +297,7 @@ fn fuzz_deployment(mac: MacScheme, cases: usize) {
         "{mac:?}: every S2 verified"
     );
 
+    let others: Vec<&[u8]> = trace.datagrams.iter().map(|(_, d)| d.as_slice()).collect();
     let mut rng = StdRng::seed_from_u64(0x0F0A_2E1A);
     let mut failures: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut forwarded = 0;
@@ -386,7 +311,7 @@ fn fuzz_deployment(mac: MacScheme, cases: usize) {
         let mut bytes = valid.clone();
         let mut log = Vec::new();
         for _ in 0..rng.gen_range(1..=3) {
-            mutate(&mut bytes, &trace, &mut rng, &mut log);
+            mutate(&mut bytes, &others, &mut rng, &mut log);
         }
         let packets_out = relay.metrics().packets_out.load(Relaxed);
         match check(&relay, *from, &bytes, &trace, &valid_s2s) {

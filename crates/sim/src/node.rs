@@ -95,11 +95,12 @@ pub struct SenderApp {
 }
 
 impl SenderApp {
-    /// A stream of `total` messages of `len` bytes, `batch` per exchange.
+    /// A stream of `total` messages of `len` bytes, `batch` per exchange
+    /// (one in Base mode, whose exchange carries one message).
     #[must_use]
     pub fn new(mode: Mode, batch: usize, len: usize, total: usize) -> SenderApp {
         SenderApp {
-            batch: batch.max(1),
+            batch: if mode == Mode::Base { 1 } else { batch.max(1) },
             mode,
             payload_len: len.max(16),
             total_messages: total,
@@ -333,12 +334,7 @@ impl Endpoint {
                             .map(|_| make_payload(app.payload_len, ctx.now, ctx.rng))
                             .collect();
                         let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-                        let mode = if n == 1 && app.mode == Mode::Base {
-                            Mode::Base
-                        } else {
-                            app.mode
-                        };
-                        match assoc.sign_batch(&refs, mode, ctx.now) {
+                        match assoc.sign_batch(&refs, app.mode, ctx.now) {
                             Ok(s1) => {
                                 app.sent += n;
                                 app.inflight = n;

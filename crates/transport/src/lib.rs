@@ -53,7 +53,7 @@ use alpha_engine::{
     Backoff, EngineConfig, EngineCore, EngineError, EngineOutput, FlowKey, IoWorker,
 };
 use alpha_pk::{PublicKey, Signer};
-use alpha_wire::FramePool;
+use alpha_wire::{BodyView, FramePool, HandshakeRole, PacketView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -236,16 +236,21 @@ impl UdpHost {
             if io.recv_batch(&pool, &mut rx, MAX_BATCH)? == 0 {
                 continue;
             }
-            for d in &rx {
-                let Ok(pkt) = alpha_wire::Packet::parse(&d.frame) else {
-                    continue;
-                };
-                match hs.complete(&pkt, require) {
-                    Ok((assoc, peer_key)) => {
-                        return Ok(UdpHost::from_parts(io, pool, peer, assoc, rng, peer_key));
-                    }
-                    Err(e) => return Err(TransportError::Protocol(e)),
-                }
+            // Everything but the peer's HS2 for this association is
+            // noise while connecting (an HS1 reflection, another
+            // association's packet, a spoofed datagram), as in the
+            // engine's connecting flows.
+            let reply = rx.iter().find_map(|d| {
+                let view = PacketView::parse(&d.frame).ok()?;
+                let is_hs2 =
+                    matches!(&view.body, BodyView::Handshake(h) if h.role == HandshakeRole::Reply);
+                (d.from == peer && is_hs2 && view.assoc_id == assoc_id).then_some(view)
+            });
+            if let Some(reply) = reply {
+                let (assoc, peer_key) = hs
+                    .complete_view(&reply, require)
+                    .map_err(TransportError::Protocol)?;
+                return Ok(UdpHost::from_parts(io, pool, peer, assoc, rng, peer_key));
             }
         }
     }
@@ -299,10 +304,10 @@ impl UdpHost {
                 continue;
             }
             for d in &rx {
-                let Ok(pkt) = alpha_wire::Packet::parse(&d.frame) else {
+                let Ok(view) = PacketView::parse(&d.frame) else {
                     continue;
                 };
-                match bootstrap::respond(cfg, &pkt, auth.identity, require, &mut rng) {
+                match bootstrap::respond_view(cfg, &view, auth.identity, require, &mut rng) {
                     Ok((assoc, reply, peer_key)) => {
                         io.socket().send_to(&reply.emit(), d.from)?;
                         return Ok(UdpHost::from_parts(io, pool, d.from, assoc, rng, peer_key));
@@ -533,6 +538,38 @@ mod tests {
         assert!(forwarded >= 5, "handshake + exchange forwarded");
         let extracted = extracted.lock().unwrap();
         assert_eq!(extracted.len(), 3, "relay verified every payload");
+    }
+
+    #[test]
+    fn connect_skips_stray_datagrams_before_the_hs2() {
+        // The peer is a bare socket: it reads the HS1 and sends the
+        // client four strays before the genuine HS2.
+        let c = cfg();
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peer_addr = peer.local_addr().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let client = std::thread::spawn(move || {
+            let timeout = Duration::from_secs(10);
+            UdpHost::connect_socket(c, 7, socket, peer_addr, timeout, HandshakeAuth::default())
+        });
+        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let (n, from) = peer.recv_from(&mut buf).unwrap();
+        let hs1 = PacketView::parse(&buf[..n]).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let none = AuthRequirement::None;
+        let (_, reply, _) = bootstrap::respond_view(c, &hs1, None, none, &mut rng).unwrap();
+        let (_, other_hs1) = bootstrap::initiate(c, 8, None, &mut rng);
+        let (_, other_reply, _) = bootstrap::respond(c, &other_hs1, None, none, &mut rng).unwrap();
+        peer.send_to(&buf[..n], from).unwrap(); // its own HS1, reflected
+        peer.send_to(&other_reply.emit(), from).unwrap(); // another association's HS2
+        stranger.send_to(&reply.emit(), from).unwrap(); // the HS2, from someone else
+        stranger.send_to(b"garbage", from).unwrap();
+        peer.send_to(&reply.emit(), from).unwrap();
+        let host = client.join().unwrap().expect("connect skips the strays");
+        assert_eq!(host.engine().flow_count(), 1);
     }
 
     #[test]

@@ -218,8 +218,7 @@ impl Engine {
         let sink = sink.map(Arc::new);
         // RX frames are full-datagram sized (a recv must never truncate)
         // and separate from the engine's TX pool, whose frames are MTU
-        // sized. Each worker caches two bursts' worth, and the pool's
-        // depot as many.
+        // sized. Each worker caches two bursts' worth.
         let rx_pool = FramePool::new(MAX_DATAGRAM, MAX_BURST * 2);
 
         let handle = sockets[0].try_clone()?;
