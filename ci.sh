@@ -166,6 +166,21 @@ case "$long_host_fuzz" in
     *) echo "ci: the host fuzz smoke did not run its long run" >&2; exit 1 ;;
 esac
 
+# The kernel fuzzer's long run: four hundred seeds of its sweep (the
+# SHA-1 kernels from random chaining states, the 16-lane one over ragged
+# runs, and every batch width 1..=40 through the batch entry points)
+# in a release build, time-boxed (a bound on a slow or hung run; about
+# 7 s on the 2-vCPU host).
+echo "==> kernel fuzz smoke (release, 400 seeds, time-boxed to 30 s)"
+cargo test --release -q -p alpha-crypto --test kernel_fuzz --no-run
+long_kernel_fuzz=$(timeout 30 cargo test --release -q -p alpha-crypto --test kernel_fuzz \
+    -- --ignored long_run) || { echo "$long_kernel_fuzz"; exit 1; }
+echo "$long_kernel_fuzz"
+case "$long_kernel_fuzz" in
+    *"running 1 test"*) ;;
+    *) echo "ci: the kernel fuzz smoke did not run its long run" >&2; exit 1 ;;
+esac
+
 # The small-scope search's deeper bound (three exchanges an end in
 # order, one with two deviations) in a release build; the box bounds a
 # slow or hung run (about 22 s on the 2-vCPU host).

@@ -17,6 +17,14 @@
 //! 4. **End-to-end relay S2/sec**: the engine-scaling harness in
 //!    miniature, with bundled ALPHA-C exchanges flowing through one
 //!    relay `EngineCore`, re-run with the backend forced to each tier.
+//! 5. **The SHA-1 batch path**: ns per 64-byte block of a `digest_batch`
+//!    of 16 × 1 KiB and of `MerkleTree::from_messages` over 32 × 1 KiB
+//!    (what an ALPHA-M signer and verifier hash), per tier; ns per block
+//!    of each SHA-1 kernel (SHA-NI at 1, 2, 4 and 8 streams, 16 lanes);
+//!    and the crossover behind the 16-lane kernel's job threshold — per job
+//!    count, ns per job of the 16-lane kernel against SHA-NI's one and
+//!    two streams, for one-block jobs (Merkle nodes) and 17-block jobs
+//!    (1 KiB leaves).
 //!
 //! Output: tables on stdout and `BENCH_digest.json`. `--quick` shrinks
 //! everything into a ci.sh smoke gate (no throughput assertions, since
@@ -30,8 +38,9 @@ use std::time::Instant;
 use alpha_bench::table;
 use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::{Config, Mode, Timestamp};
-use alpha_crypto::backend::{self, BackendKind};
+use alpha_crypto::backend::{self, kernels, BackendKind};
 use alpha_crypto::chain::{ChainKind, ChainStorage, HashChain};
+use alpha_crypto::merkle::MerkleTree;
 use alpha_crypto::{Algorithm, Digest};
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::bundle;
@@ -125,6 +134,109 @@ fn batch_mbs(kind: BackendKind, alg: Algorithm, len: usize, n: usize, budget_byt
     }
     let secs = t.elapsed().as_secs_f64();
     (iters * n * len) as f64 / secs / 1e6
+}
+
+/// 64-byte blocks SHA-1 compresses for a `len`-byte message.
+fn blocks_of(len: usize) -> usize {
+    (len + 9).div_ceil(64)
+}
+
+/// Ns per compressed block of the two SHA-1 batch shapes an ALPHA-M
+/// bundle of 1 KiB messages hashes, `(call, ns per block)`.
+fn batch_path_rows(kind: BackendKind, iters: usize) -> Vec<(&'static str, f64)> {
+    let alg = Algorithm::Sha1;
+    let msgs: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 1024]).collect();
+    let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+    let mut out = vec![Digest::zero(alg); 16];
+    let ns = forced_ns(kind, iters, || {
+        backend::digest_batch(alg, black_box(&refs[..16]), &mut out);
+    });
+    let batch = ("digest_batch_16x1KiB", ns / (16 * blocks_of(1024)) as f64);
+    let ns = forced_ns(kind, iters, || {
+        black_box(MerkleTree::from_messages(alg, black_box(&refs)));
+    });
+    // 32 leaves of 17 blocks and 31 one-block nodes.
+    let merkle = (
+        "merkle_from_messages_32x1KiB",
+        ns / (32 * blocks_of(1024) + 31) as f64,
+    );
+    vec![batch, merkle]
+}
+
+/// One row of the 16-lane kernel's crossover: ns per job for `jobs`
+/// jobs of `blocks` blocks each, SHA-NI streams (pairs, an odd one alone)
+/// against one 16-lane call with `jobs` live lanes.
+struct Crossover {
+    blocks: usize,
+    jobs: usize,
+    sha_ni: f64,
+    wide: f64,
+}
+
+fn crossover_rows(blocks: usize, iters: usize) -> Vec<Crossover> {
+    let data = vec![0x5Au8; 64 * blocks];
+    (1..=kernels::WIDE)
+        .map(|jobs| {
+            let mut pair = [[0u32; 5]; 2];
+            let mut one = [[0u32; 5]; 1];
+            let sha_ni = forced_ns(BackendKind::ShaNi, iters, || {
+                for _ in 0..jobs / 2 {
+                    kernels::sha1_sha_ni(&mut pair, [black_box(&data), &data]);
+                }
+                if jobs % 2 == 1 {
+                    kernels::sha1_sha_ni(&mut one, [black_box(&data)]);
+                }
+            });
+            let mut lanes = [[0u32; kernels::WIDE]; 5];
+            let wide = forced_ns(BackendKind::ShaNi, iters, || {
+                let runs =
+                    core::array::from_fn(|l| if l < jobs { black_box(&data[..]) } else { &[] });
+                kernels::sha1_wide(&mut lanes, runs);
+            });
+            black_box((pair, one, lanes));
+            Crossover {
+                blocks,
+                jobs,
+                sha_ni: sha_ni / jobs as f64,
+                wide: wide / jobs as f64,
+            }
+        })
+        .collect()
+}
+
+/// Ns per block of each SHA-1 kernel over 17-block (1 KiB message)
+/// runs: SHA-NI with 1, 2, 4 and 8 interleaved streams, and all 16
+/// lanes of the 16-lane kernel.
+fn kernel_rows(iters: usize) -> Vec<(&'static str, f64)> {
+    fn sha_ni<const N: usize>(data: &[u8], iters: usize) -> f64 {
+        let mut states = [[0u32; 5]; N];
+        let ns = forced_ns(BackendKind::ShaNi, iters, || {
+            kernels::sha1_sha_ni(&mut states, [black_box(data); N]);
+        });
+        ns / (N * data.len() / 64) as f64
+    }
+    let data = vec![0x5Au8; 64 * blocks_of(1024)];
+    let mut lanes = [[0u32; kernels::WIDE]; 5];
+    let wide = forced_ns(BackendKind::ShaNi, iters, || {
+        kernels::sha1_wide(&mut lanes, [black_box(&data[..]); kernels::WIDE]);
+    });
+    vec![
+        ("sha_ni_1", sha_ni::<1>(&data, iters)),
+        ("sha_ni_2", sha_ni::<2>(&data, iters)),
+        ("sha_ni_4", sha_ni::<4>(&data, iters)),
+        ("sha_ni_8", sha_ni::<8>(&data, iters)),
+        ("wide_16", wide / (kernels::WIDE * blocks_of(1024)) as f64),
+    ]
+}
+
+/// Fewest jobs from which the 16-lane kernel is the cheaper one at every
+/// larger count too (one past the lanes if it never is).
+fn crossover_at(rows: &[Crossover]) -> usize {
+    rows.iter()
+        .rev()
+        .take_while(|r| r.wide <= r.sha_ni)
+        .last()
+        .map_or(kernels::WIDE + 1, |r| r.jobs)
 }
 
 /// One relay flow's pre-generated traffic: handshake (unmeasured) and
@@ -310,6 +422,74 @@ fn main() {
         &one_shot_table,
     );
 
+    // 5: the SHA-1 batch path, backend forced per row, and the 16-lane
+    // kernel's crossover against SHA-NI.
+    let batch_iters = if quick { 20 } else { 400 };
+    let mut batch_path: Vec<(BackendKind, &str, f64)> = Vec::new();
+    for &kind in &backends {
+        for (call, ns) in batch_path_rows(kind, batch_iters) {
+            batch_path.push((kind, call, ns));
+        }
+    }
+    let wide = kernels::wide();
+    table::print(
+        "SHA-1 batch path — ns per 64-byte block (16-lane kernel for SHA-1 batches of 6+ jobs on any tier but scalar, when AVX-512F/BW is present)",
+        &["call", "backend", "ns/block"],
+        &batch_path
+            .iter()
+            .map(|(kind, call, ns)| vec![(*call).to_owned(), kind.name().to_owned(), format!("{ns:.1}")])
+            .collect::<Vec<_>>(),
+    );
+    let both = wide && BackendKind::ShaNi.is_supported();
+    let crossover: Vec<Crossover> = if both {
+        [1, blocks_of(1024)]
+            .into_iter()
+            .flat_map(|blocks| crossover_rows(blocks, batch_iters * 10 / blocks))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let kernel_ns = if both {
+        kernel_rows(batch_iters)
+    } else {
+        Vec::new()
+    };
+    backend::force(detected).expect("detected backend is supported");
+    if crossover.is_empty() {
+        println!("\n16-lane kernel crossover: n/a (needs SHA-NI and AVX-512F/BW)");
+    } else {
+        table::print(
+            "SHA-1 kernels — ns per 64-byte block over 17-block runs",
+            &["kernel", "ns/block"],
+            &kernel_ns
+                .iter()
+                .map(|(kernel, ns)| vec![(*kernel).to_owned(), format!("{ns:.1}")])
+                .collect::<Vec<_>>(),
+        );
+        table::print(
+            "16-lane SHA-1 kernel against SHA-NI — ns per job, by jobs per batch",
+            &["blocks/job", "jobs", "sha-ni ns/job", "16-lane ns/job"],
+            &crossover
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.blocks.to_string(),
+                        r.jobs.to_string(),
+                        format!("{:.1}", r.sha_ni),
+                        format!("{:.1}", r.wide),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        );
+    }
+    let crossovers: Vec<(usize, usize)> = crossover
+        .chunk_by(|a, b| a.blocks == b.blocks)
+        .map(|rows| (rows[0].blocks, crossover_at(rows)))
+        .collect();
+    for (blocks, at) in &crossovers {
+        println!("16-lane kernel cheaper than SHA-NI from {at} jobs of {blocks} block(s)");
+    }
+
     // 4: end-to-end relay verification, backend forced per run.
     let (flows, exchanges, bundle_msgs) = if quick { (8, 2, 4) } else { (64, 4, 8) };
     let cfg = Config::new(Algorithm::Sha256).with_chain_len(64);
@@ -401,7 +581,51 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"e2e_speedup_vs_scalar\": {e2e_speedup:.4}");
+    let _ = writeln!(json, "  \"e2e_speedup_vs_scalar\": {e2e_speedup:.4},");
+    let _ = writeln!(json, "  \"sha1_batch_ns_per_block\": [");
+    for (i, (kind, call, ns)) in batch_path.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"backend\": \"{}\", \"call\": \"{call}\", \"ns_per_block\": {ns:.2}}}{}",
+            kind.name(),
+            if i + 1 == batch_path.len() { "" } else { "," }
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"wide_kernel\": {wide},");
+    let _ = writeln!(
+        json,
+        "  \"kernel_ns_per_block\": {{{}}},",
+        kernel_ns
+            .iter()
+            .map(|(kernel, ns)| format!("\"{kernel}\": {ns:.2}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let _ = writeln!(json, "  \"wide_crossover\": {{");
+    let _ = writeln!(
+        json,
+        "    \"cheaper_from_jobs\": [{}],",
+        crossovers
+            .iter()
+            .map(|(blocks, at)| format!("{{\"blocks_per_job\": {blocks}, \"jobs\": {at}}}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let _ = writeln!(json, "    \"rows\": [");
+    for (i, r) in crossover.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "      {{\"blocks_per_job\": {}, \"jobs\": {}, \"sha_ni_ns_per_job\": {:.1},              \"wide_ns_per_job\": {:.1}}}{}",
+            r.blocks,
+            r.jobs,
+            r.sha_ni,
+            r.wide,
+            if i + 1 == crossover.len() { "" } else { "," }
+        );
+    }
+    let _ = writeln!(json, "    ]");
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     alpha_bench::write_artefact("BENCH_digest.json", &json);
 

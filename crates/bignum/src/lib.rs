@@ -25,6 +25,8 @@
 mod div;
 mod modular;
 pub mod prime;
+#[cfg(test)]
+mod props;
 
 use rand::RngCore;
 use std::cmp::Ordering;

@@ -193,7 +193,7 @@ impl BigUint {
     }
 
     /// Division-based square-and-multiply (any modulus; slow path).
-    fn modpow_plain(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
+    pub(crate) fn modpow_plain(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
         let mut result = BigUint::one().rem(modulus);
         let mut base = self.rem(modulus);
         for i in 0..exp.bits() {

@@ -309,9 +309,10 @@ pub fn sim(o: &SimOpts) -> Result<(), CliError> {
     }
     let sm = &sim.metrics[s];
     say!(
-        "sender: cpu {:.1} ms, energy {:.1} mJ; receiver drops {:?}",
+        "sender: cpu {:.1} ms, energy {:.1} mJ, drops {:?}; receiver drops {:?}",
         sm.cpu_ns / 1e6,
         sm.energy_uj / 1e3,
+        sm.drops,
         m.drops
     );
     if let Some(trace) = sim.trace() {

@@ -120,6 +120,28 @@ fn base_mode_sim_delivers_every_message() {
 }
 
 #[test]
+fn sim_report_prints_the_senders_drops() {
+    // A sender whose exchanges fail counts them as its own drops; the
+    // report names them on the sender's line, beside the receiver's.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_alpha"))
+        .args(["sim", "--relays", "1", "--messages", "8", "--batch", "4"])
+        .args(["--seconds", "10"])
+        .output()
+        .expect("alpha runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let sender = stdout
+        .lines()
+        .find(|line| line.starts_with("sender: "))
+        .unwrap_or_else(|| panic!("no sender line: {stdout}"));
+    let (own, receiver) = sender
+        .split_once("; receiver drops {")
+        .unwrap_or_else(|| panic!("no receiver drops: {sender}"));
+    assert!(own.contains(", drops {"), "no sender drops: {sender}");
+    assert!(receiver.ends_with('}'), "{sender}");
+}
+
+#[test]
 fn binary_refuses_an_unknown_flag_with_exit_2() {
     // `trace` opens no socket, and the refusal must come before it
     // reads its file: nothing reaches stdout.

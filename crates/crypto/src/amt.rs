@@ -109,13 +109,13 @@ impl AckMerkleTree {
         // across lanes (byte-identical to the scalar `leaf_digest` loop).
         let mut leaves = vec![Digest::zero(alg); 2 * n];
         for (k, (secrets, out)) in secrets
-            .chunks(backend::LANES)
-            .zip(leaves.chunks_mut(backend::LANES))
+            .chunks(backend::BATCH)
+            .zip(leaves.chunks_mut(backend::BATCH))
             .enumerate()
         {
-            let mut jobs = [Padded::EMPTY; backend::LANES];
+            let mut jobs = [Padded::EMPTY; backend::BATCH];
             for (j, (job, secret)) in jobs.iter_mut().zip(secrets).enumerate() {
-                let x = (((k * backend::LANES + j) % n) as u32).to_be_bytes();
+                let x = (((k * backend::BATCH + j) % n) as u32).to_be_bytes();
                 job.fill(&[&x, secret]);
             }
             backend::hash_lanes_with(backend::active(), alg, &jobs[..out.len()], out);

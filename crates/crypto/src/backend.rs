@@ -461,8 +461,10 @@ impl Blocks64 for Padded {
 /// Hash many independent inputs with the active backend.
 ///
 /// Byte-identical to calling [`Algorithm::hash`] per input (and records the
-/// same per-invocation instrumentation in [`crate::counting`]), but lets a
-/// lane-parallel backend process up to four inputs per compression sweep.
+/// same per-invocation instrumentation in [`crate::counting`]), but hands
+/// the backend up to 16 inputs per call: sixteen per compression sweep on
+/// the AVX-512 SHA-1 kernel, four on the lanes4 tier, two interleaved on
+/// SHA-NI (see [`hash_lanes_with`]'s dispatch).
 ///
 /// # Panics
 /// Panics if `inputs.len() != out.len()`.
@@ -485,30 +487,60 @@ pub fn digest_batch_using(kind: BackendKind, alg: Algorithm, inputs: &[&[u8]], o
             }
         }
         Algorithm::Sha1 | Algorithm::Sha256 => {
-            let mut i = 0;
-            while i < inputs.len() {
-                let take = (inputs.len() - i).min(LANES);
-                let mut jobs = [PartsRef::new(&[]); LANES];
-                for (j, input) in inputs[i..i + take].iter().enumerate() {
-                    jobs[j] = PartsRef::one(input);
-                }
-                hash_lanes_with(kind, alg, &jobs[..take], &mut out[i..i + take]);
-                i += take;
+            // As in `mac_parts_batch_using`: a few inputs do not set up
+            // sixteen jobs.
+            if inputs.len() <= LANES {
+                digest_chunks::<LANES>(kind, alg, inputs, out);
+            } else {
+                digest_chunks::<BATCH>(kind, alg, inputs, out);
             }
         }
     }
 }
 
-/// Lane width of the batch paths (matches the 4-lane portable backend).
+/// [`digest_batch_using`]'s SHA path, `N` inputs per chunk.
+fn digest_chunks<const N: usize>(
+    kind: BackendKind,
+    alg: Algorithm,
+    inputs: &[&[u8]],
+    out: &mut [Digest],
+) {
+    for (inputs, out) in inputs.chunks(N).zip(out.chunks_mut(N)) {
+        let mut jobs = [PartsRef::new(&[]); N];
+        for (job, input) in jobs.iter_mut().zip(inputs) {
+            *job = PartsRef::one(input);
+        }
+        hash_lanes_with(kind, alg, &jobs[..inputs.len()], out);
+    }
+}
+
+/// Lane width of the portable 4-lane backend.
 pub(crate) const LANES: usize = 4;
+
+/// Jobs the batch callers (`digest_batch`, HMAC batches, Merkle levels,
+/// AMT leaves) hand [`hash_lanes_with`] per call: one sweep of the
+/// 16-lane SHA-1 kernel.
+pub(crate) const BATCH: usize = 16;
+
+/// Fewest SHA-1 jobs that take the 16-lane kernel. Its sweep costs the
+/// same however many of its lanes are live (12.5 ns per block for all
+/// 16 on the reference host, against 36–44 ns per block on SHA-NI), so
+/// below this count a batch is cheaper on SHA-NI. `digest_throughput`
+/// measures the crossover (`wide_crossover` in `BENCH_digest.json`): 6
+/// jobs of one block, 5 of 17.
+#[cfg(target_arch = "x86_64")]
+const X16_MIN_JOBS: usize = 6;
 
 /// Hash independent messages — multi-part ([`PartsRef`]) or pre-padded
 /// ([`Padded`]) — honoring `kind`: byte-identical to [`Algorithm::hash`]
-/// of each message, one [`crate::counting`] invocation each. The lanes4
-/// tier sweeps four messages at a time; the others run neighbours of
-/// equal block count as two streams (interleaved by SHA-NI), the rest
-/// alone. MMO, which has no 64-byte block, hashes each message in turn.
-/// Every batch digest, HMAC pass, Merkle node and AMT leaf is hashed here.
+/// of each message, one [`crate::counting`] invocation each. A run of at
+/// least `X16_MIN_JOBS` SHA-1 messages on any tier but scalar, on a
+/// CPU with AVX-512F/BW, goes to the 16-lane kernel, sixteen at a time
+/// whatever their block counts. Otherwise the lanes4 tier sweeps four
+/// messages at a time, and the others run neighbours of equal block count
+/// as two streams (interleaved by SHA-NI), the rest alone. MMO, which has
+/// no 64-byte block, hashes each message in turn. Every batch digest,
+/// HMAC pass, Merkle node and AMT leaf is hashed here.
 ///
 /// # Panics
 /// Panics if `jobs` and `out` differ in length.
@@ -527,6 +559,32 @@ pub(crate) fn hash_lanes_with<J: Blocks64>(
         }
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if alg == Algorithm::Sha1
+        && kind != BackendKind::Scalar
+        && jobs.len() >= X16_MIN_JOBS
+        && crate::shani::x16_detected()
+    {
+        // Sixteen at a time; a last chunk too short for the kernel goes
+        // the narrow way.
+        for (jobs, out) in jobs.chunks(BATCH).zip(out.chunks_mut(BATCH)) {
+            if jobs.len() < X16_MIN_JOBS {
+                hash_narrow(kind, alg, jobs, out);
+                continue;
+            }
+            sha1_x16(jobs, out);
+            for job in jobs {
+                counting::record(alg, job.total_len());
+            }
+        }
+        return;
+    }
+    hash_narrow(kind, alg, jobs, out);
+}
+
+/// [`hash_lanes_with`] without the 16-lane kernel: four messages at a
+/// time on the lanes4 sweep, or neighbours as SHA-NI / scalar streams.
+fn hash_narrow<J: Blocks64>(kind: BackendKind, alg: Algorithm, jobs: &[J], out: &mut [Digest]) {
     for (jobs, out) in jobs.chunks(LANES).zip(out.chunks_mut(LANES)) {
         if kind == BackendKind::Lanes4 && jobs.len() > 1 {
             // Lane-parallel only pays off with >1 message on the portable tier.
@@ -557,6 +615,51 @@ pub(crate) fn hash_lanes_with<J: Blocks64>(
         }
     }
 }
+
+/// Up to 16 SHA-1 messages in one pass of the 16-lane kernel, whatever
+/// their block counts (no counting): every lane's blocks that lie ready
+/// in memory in place, then the rest assembled, [`X16_TAIL`] per lane per
+/// kernel call.
+#[cfg(target_arch = "x86_64")]
+fn sha1_x16<J: Blocks64>(jobs: &[J], out: &mut [Digest]) {
+    use crate::shani::{sha1_compress_x16, X16};
+    debug_assert!(jobs.len() <= X16 && jobs.len() == out.len());
+    let mut state = crate::sha1::INIT.map(|word| [word; X16]);
+    let mut ready: [&[u8]; X16] = [&[]; X16];
+    let mut done = [0usize; X16];
+    for ((run, done), job) in ready.iter_mut().zip(&mut done).zip(jobs) {
+        *run = job.ready_blocks();
+        *done = run.len() / 64;
+    }
+    sha1_compress_x16(&mut state, ready);
+    let mut tail = [[[0u8; 64]; X16_TAIL]; X16];
+    loop {
+        let mut taken = [0usize; X16];
+        for (l, job) in jobs.iter().enumerate() {
+            taken[l] = (job.num_blocks64() - done[l]).min(X16_TAIL);
+            for (k, block) in tail[l][..taken[l]].iter_mut().enumerate() {
+                job.fill_block64(done[l] + k, block);
+            }
+            done[l] += taken[l];
+        }
+        if taken == [0; X16] {
+            break;
+        }
+        sha1_compress_x16(
+            &mut state,
+            core::array::from_fn(|l| &tail[l].as_flattened()[..taken[l] * 64]),
+        );
+    }
+    for (l, slot) in out.iter_mut().enumerate() {
+        let words: [u32; 5] = core::array::from_fn(|i| state[i][l]);
+        *slot = Digest::from_be_words(&words);
+    }
+}
+
+/// Assembled blocks per lane per 16-lane kernel call: a one-part
+/// message's padding fits in one call.
+#[cfg(target_arch = "x86_64")]
+const X16_TAIL: usize = 2;
 
 /// Hash `N` messages that are each one already-padded 64-byte block (no
 /// counting) — the chain walker's step.
@@ -672,23 +775,39 @@ pub fn mac_parts_batch_using(
         return;
     }
     debug_assert_eq!(block, 64);
-    let mut i = 0;
-    while i < keys.len() {
-        let take = (keys.len() - i).min(LANES);
+    // Stack arrays sized to the batch, so a lone MAC (a relay's Base S2)
+    // does not set up sixteen lanes' pads and jobs.
+    if keys.len() <= LANES {
+        mac_chunks::<LANES>(kind, alg, keys, msgs, out);
+    } else {
+        mac_chunks::<BATCH>(kind, alg, keys, msgs, out);
+    }
+}
+
+/// [`mac_parts_batch_using`]'s batch path, `N` MACs per chunk.
+fn mac_chunks<const N: usize>(
+    kind: BackendKind,
+    alg: Algorithm,
+    keys: &[&[u8]],
+    msgs: &[&[&[u8]]],
+    out: &mut [Digest],
+) {
+    for ((keys, msgs), out) in keys.chunks(N).zip(msgs.chunks(N)).zip(out.chunks_mut(N)) {
+        let take = keys.len();
         // RFC 2104 inner/outer pad keys, one 64-byte block each per lane.
-        let mut ipad = [[0x36u8; 64]; LANES];
-        let mut opad = [[0x5cu8; 64]; LANES];
+        let mut ipad = [[0x36u8; 64]; N];
+        let mut opad = [[0x5cu8; 64]; N];
         for j in 0..take {
-            for (b, k) in keys[i + j].iter().enumerate() {
+            for (b, k) in keys[j].iter().enumerate() {
                 ipad[j][b] ^= k;
                 opad[j][b] ^= k;
             }
         }
         // Inner pass: H(ipad_key | msg...).
-        let mut inner = [Digest::zero(alg); LANES];
-        let mut jobs = [PartsRef::new(&[]); LANES];
+        let mut inner = [Digest::zero(alg); N];
+        let mut jobs = [PartsRef::new(&[]); N];
         for j in 0..take {
-            let msg = msgs[i + j];
+            let msg = msgs[j];
             assert!(
                 msg.len() < MAX_PARTS,
                 "mac_batch message has too many parts"
@@ -700,15 +819,76 @@ pub fn mac_parts_batch_using(
         }
         hash_lanes_with(kind, alg, &jobs[..take], &mut inner[..take]);
         // Outer pass: H(opad_key | inner).
-        let mut jobs = [PartsRef::new(&[]); LANES];
+        let mut jobs = [PartsRef::new(&[]); N];
         for j in 0..take {
             jobs[j] = PartsRef::new(&[&opad[j], inner[j].as_bytes()]);
         }
-        hash_lanes_with(kind, alg, &jobs[..take], &mut out[i..i + take]);
+        hash_lanes_with(kind, alg, &jobs[..take], out);
         for _ in 0..take {
             counting::record_mac(2);
         }
-        i += take;
+    }
+}
+
+/// The SHA-1 compression kernels themselves, over caller-chosen chaining
+/// states and block runs: for the kernel fuzzer (`tests/kernel_fuzz.rs`)
+/// and the digest bench's crossover rows. Not protocol API — every
+/// protocol path reaches the kernels through the batch entry points above.
+#[doc(hidden)]
+pub mod kernels {
+    use super::BackendKind;
+
+    /// Lanes of the wide kernel.
+    pub const WIDE: usize = super::BATCH;
+
+    /// Whether [`sha1_sha_ni`] runs SHA-NI on this CPU (else scalar).
+    #[must_use]
+    pub fn sha_ni() -> bool {
+        BackendKind::ShaNi.is_supported()
+    }
+
+    /// Whether [`sha1_wide`] runs the AVX-512 kernel on this CPU (else
+    /// scalar).
+    #[must_use]
+    pub fn wide() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let wide = crate::shani::x16_detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        wide
+    }
+
+    /// The scalar reference: `blocks` (a multiple of 64 bytes) into `state`.
+    pub fn sha1_scalar(state: &mut [u32; 5], blocks: &[u8]) {
+        super::sha1_compress_with(BackendKind::Scalar, std::array::from_mut(state), [blocks]);
+    }
+
+    /// `N` streams of equal-length runs through the SHA-NI kernel.
+    ///
+    /// # Panics
+    /// Panics if the runs differ in length.
+    pub fn sha1_sha_ni<const N: usize>(states: &mut [[u32; 5]; N], blocks: [&[u8]; N]) {
+        super::sha1_compress_with(BackendKind::ShaNi, states, blocks);
+    }
+
+    /// 16 runs, of any lengths that are multiples of 64, through the wide
+    /// kernel, in its word-major layout: `states[i][l]` is word `i` of
+    /// lane `l`'s chaining value. A lane stops at the end of its run.
+    ///
+    /// # Panics
+    /// Panics if a run's length is not a multiple of 64.
+    pub fn sha1_wide(states: &mut [[u32; WIDE]; 5], blocks: [&[u8]; WIDE]) {
+        #[cfg(target_arch = "x86_64")]
+        crate::shani::sha1_compress_x16(states, blocks);
+        #[cfg(not(target_arch = "x86_64"))]
+        for (l, run) in blocks.iter().enumerate() {
+            assert!(run.len() % 64 == 0, "run is not whole blocks");
+            let mut lane: [u32; 5] = core::array::from_fn(|i| states[i][l]);
+            sha1_scalar(&mut lane, run);
+            for (row, word) in states.iter_mut().zip(lane) {
+                row[l] = word;
+            }
+        }
     }
 }
 

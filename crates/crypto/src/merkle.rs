@@ -167,10 +167,10 @@ impl MerkleTree {
             let prev = &below[start..];
             let next = &mut above[..width / 2];
             for (pairs, out) in prev
-                .chunks(2 * backend::LANES)
-                .zip(next.chunks_mut(backend::LANES))
+                .chunks(2 * backend::BATCH)
+                .zip(next.chunks_mut(backend::BATCH))
             {
-                let mut nodes = [Padded::EMPTY; backend::LANES];
+                let mut nodes = [Padded::EMPTY; backend::BATCH];
                 for (node, pair) in nodes.iter_mut().zip(pairs.chunks_exact(2)) {
                     *node = Padded::new(&[pair[0].as_bytes(), pair[1].as_bytes()]);
                 }

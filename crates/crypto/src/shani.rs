@@ -1,5 +1,6 @@
-//! x86_64 SHA-NI kernels and the SSE2 4-lane sweeps behind the `Lanes4`
-//! tier. **The only module in the crate containing `unsafe`.**
+//! x86_64 SHA-NI kernels, the AVX-512 16-lane SHA-1 kernel and the SSE2
+//! 4-lane sweeps behind the `Lanes4` tier. **The only module in the crate
+//! containing `unsafe`.**
 //!
 //! Safety argument, once for the whole module: every `unsafe` block here is
 //! one of exactly two shapes.
@@ -10,18 +11,28 @@
 //!    (`SHA_NI` below) and fall back to the scalar code when the feature is
 //!    absent; backend selection ([`crate::backend::active`] / `force`)
 //!    independently refuses `ShaNi` on such CPUs, so that check is defence
-//!    in depth, not the only line. The SSE2 wrappers need no check: SSE2 is
-//!    part of the x86_64 baseline and this module compiles only on x86_64.
-//! 2. `_mm_loadu_si128` / `_mm_storeu_si128` on pointers derived from Rust
-//!    references: the `[u32; 5]` / `[u32; 8]` state arrays, a local
+//!    in depth, not the only line. The 16-lane wrapper gates its call the
+//!    same way on AVX-512F and AVX-512BW (`AVX512` below) and falls back to
+//!    scalar; the batch dispatcher checks the same flag before it routes a
+//!    batch there. The SSE2 wrappers need no check: SSE2 is part of the
+//!    x86_64 baseline and this module compiles only on x86_64.
+//! 2. Unaligned vector loads and stores (`_mm_loadu_si128` /
+//!    `_mm_storeu_si128`, `_mm512_loadu_si512` / `_mm512_storeu_si512`) on
+//!    pointers derived from Rust references: the `[u32; 5]` / `[u32; 8]`
+//!    state arrays, the 16-lane kernel's `[u32; 16]` state rows, a local
 //!    `[u32; 4]`, the static `sha256::K` table, and 64-byte block slices
-//!    cut by a bounds-checked range index. The `u` forms have no alignment
-//!    requirement, and every pointer spans only bytes inside the borrowed
-//!    array or slice, so the accesses are in-bounds reads/writes of live
-//!    memory.
+//!    cut by a bounds-checked range index (a 16-lane kernel lane past the
+//!    end of its run loads a constant zero block instead). The `u` forms
+//!    have no alignment requirement, and every pointer spans only bytes
+//!    inside the borrowed array or slice, so the accesses are in-bounds
+//!    reads/writes of live memory. No load gathers across allocations: the
+//!    16-lane kernel loads each lane's block whole and transposes the 16
+//!    blocks in registers.
 //!
-//! The round sequences follow the canonical Intel SHA extension flows; the
-//! property tests in `tests/backend_props.rs` and the in-module tests assert
+//! The round sequences follow the canonical Intel SHA extension flows and,
+//! for the 16-lane kernel, the FIPS 180-4 rounds written once per lane
+//! vector; `tests/backend_props.rs`, `tests/kernel_fuzz.rs` (random
+//! chaining states, ragged 16-lane runs) and the in-module tests assert
 //! bit-exact equivalence with the scalar implementations for every input
 //! length across block boundaries, which is the real guarantee of
 //! correctness here.
@@ -448,6 +459,181 @@ unsafe fn sha1_compress_ni<const N: usize>(states: &mut [[u32; 5]; N], blocks: [
         // SAFETY: shape 2 — unaligned store back into state[0..4].
         unsafe { _mm_storeu_si128(states[s].as_mut_ptr().cast(), dcba) };
         states[s][4] = _mm_extract_epi32(e[s], 3) as u32;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 16-lane SHA-1 (the wide batch kernel under SHA-1 batches).
+//
+// SHA-NI runs one message's rounds on one port, so interleaving streams
+// buys little once that port is saturated. This kernel instead keeps one
+// SHA-1 state word of 16 independent messages in each `__m512i` (the
+// multi-buffer layout of Gueron & Krasnov, "Simultaneous hashing of
+// multiple messages", 2012): f is one `vpternlogd`, the rotates `vprold`,
+// and the 16-word schedule window stays in registers.
+// ---------------------------------------------------------------------------
+
+/// Lanes of [`sha1_compress_x16`].
+pub(crate) const X16: usize = 16;
+
+static AVX512: OnceLock<bool> = OnceLock::new();
+
+/// Whether [`sha1_compress_x16`] runs the AVX-512 kernel on this CPU.
+pub(crate) fn x16_detected() -> bool {
+    *AVX512.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    })
+}
+
+/// SHA-1 compression of 16 independent streams held word-major:
+/// `state[i][l]` is word `i` of lane `l`'s chaining value. Lane `l`
+/// absorbs the 64-byte blocks of `blocks[l]`; the runs may differ in
+/// length, and a lane stops updating after its last block (an empty run
+/// leaves its lane as it was). Falls back to scalar when AVX-512F/BW is
+/// absent (see module safety argument).
+///
+/// # Panics
+/// Panics if a run's length is not a multiple of 64.
+pub(crate) fn sha1_compress_x16(state: &mut [[u32; X16]; 5], blocks: [&[u8]; X16]) {
+    assert!(blocks.iter().all(|b| b.len() % 64 == 0));
+    if x16_detected() {
+        // SAFETY: shape 1 — target_feature("avx512f,avx512bw") call gated
+        // on x16_detected().
+        unsafe { sha1_compress_x16_avx512(state, blocks) }
+    } else {
+        for (l, blocks) in blocks.iter().enumerate() {
+            let mut lane: [u32; 5] = core::array::from_fn(|i| state[i][l]);
+            for block in blocks.chunks_exact(64) {
+                // Allowlist: chunks_exact(64) yields exactly 64-byte slices.
+                let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+                crate::sha1::compress_block(&mut lane, block);
+            }
+            for (row, word) in state.iter_mut().zip(lane) {
+                row[l] = word;
+            }
+        }
+    }
+}
+
+/// Transpose a 16 × 16 matrix of u32s held as 16 row vectors: output `j`
+/// holds element `j` of every input, input `i`'s at position `i`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose16(r: [__m512i; 16]) -> [__m512i; 16] {
+    // Interleave rows pairwise, then in fours, within each 128-bit quarter:
+    // u[4g + m], quarter k, holds element 4k + m of rows 4g..4g + 4.
+    let t: [__m512i; 16] = core::array::from_fn(|i| {
+        let (a, b) = (r[i & !1], r[i | 1]);
+        if i & 1 == 0 {
+            _mm512_unpacklo_epi32(a, b)
+        } else {
+            _mm512_unpackhi_epi32(a, b)
+        }
+    });
+    let u: [__m512i; 16] = core::array::from_fn(|i| {
+        let (g, m) = (i / 4, i % 4);
+        let (a, b) = (t[4 * g + (m >> 1)], t[4 * g + 2 + (m >> 1)]);
+        if m & 1 == 0 {
+            _mm512_unpacklo_epi64(a, b)
+        } else {
+            _mm512_unpackhi_epi64(a, b)
+        }
+    });
+    // Then a 4 × 4 transpose of 128-bit quarters across u[m], u[4 + m],
+    // u[8 + m], u[12 + m]: output 4k + m gathers quarter k of each.
+    let mut out = [_mm512_setzero_si512(); 16];
+    for m in 0..4 {
+        let (a, b, c, d) = (u[m], u[4 + m], u[8 + m], u[12 + m]);
+        let ab_lo = _mm512_shuffle_i32x4::<0x44>(a, b);
+        let ab_hi = _mm512_shuffle_i32x4::<0xEE>(a, b);
+        let cd_lo = _mm512_shuffle_i32x4::<0x44>(c, d);
+        let cd_hi = _mm512_shuffle_i32x4::<0xEE>(c, d);
+        out[m] = _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo);
+        out[4 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_lo, cd_lo);
+        out[8 + m] = _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi);
+        out[12 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_hi, cd_hi);
+    }
+    out
+}
+
+/// The AVX-512 body of [`sha1_compress_x16`]: bit-identical per lane to
+/// `sha1::compress_block` over that lane's run.
+#[target_feature(enable = "avx512f,avx512bw")]
+fn sha1_compress_x16_avx512(state: &mut [[u32; X16]; 5], blocks: [&[u8]; X16]) {
+    const NO_BLOCK: [u8; 64] = [0; 64];
+    // Big-endian words: reverse the bytes of each dword.
+    let bswap = _mm512_set4_epi32(0x0c0d_0e0f, 0x0809_0a0b, 0x0405_0607, 0x0001_0203);
+    let runs: [usize; X16] = blocks.map(|b| b.len() / 64);
+    let longest = runs.iter().copied().max().unwrap_or(0);
+    let mut h = [_mm512_setzero_si512(); 5];
+    for (hi, row) in h.iter_mut().zip(state.iter()) {
+        // SAFETY: shape 2 — unaligned load of one 16-word state row.
+        *hi = unsafe { _mm512_loadu_si512(row.as_ptr().cast()) };
+    }
+
+    for idx in 0..longest {
+        // Lanes still inside their run; the others hash a zero block whose
+        // result is masked off below.
+        let live = runs
+            .iter()
+            .enumerate()
+            .fold(0u16, |m, (l, &n)| m | (u16::from(idx < n) << l));
+        let mut rows = [_mm512_setzero_si512(); X16];
+        for (row, run) in rows.iter_mut().zip(blocks) {
+            let block = run.get(idx * 64..(idx + 1) * 64).unwrap_or(&NO_BLOCK);
+            // SAFETY: shape 2 — one unaligned 64-byte load inside the
+            // bounds-checked 64-byte block slice.
+            *row = _mm512_shuffle_epi8(unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }, bswap);
+        }
+        let mut w = transpose16(rows);
+
+        let [mut a, mut b, mut c, mut d, mut e] = h;
+        // Rounds `$t` of one 20-round group with round function `$f` (a
+        // `vpternlogd` truth table over b, c, d) and constant `$k`. `$t`
+        // is a literal, so the schedule window indices are constants and
+        // `w` stays in registers.
+        macro_rules! rounds {
+            ($f:literal, $k:literal; $($t:literal)*) => {{
+                let k = _mm512_set1_epi32(($k as u32) as i32);
+                $(
+                    if $t >= 16 {
+                        // w[t] = rol1(w[t-3] ^ w[t-8] ^ w[t-14] ^ w[t-16]).
+                        let x = _mm512_ternarylogic_epi32::<0x96>(
+                            w[($t + 13) % 16],
+                            w[($t + 8) % 16],
+                            w[($t + 2) % 16],
+                        );
+                        w[$t % 16] = _mm512_rol_epi32::<1>(_mm512_xor_si512(x, w[$t % 16]));
+                    }
+                    let f = _mm512_ternarylogic_epi32::<$f>(b, c, d);
+                    let tmp = _mm512_add_epi32(
+                        _mm512_add_epi32(_mm512_rol_epi32::<5>(a), f),
+                        _mm512_add_epi32(e, _mm512_add_epi32(k, w[$t % 16])),
+                    );
+                    e = d;
+                    d = c;
+                    c = _mm512_rol_epi32::<30>(b);
+                    b = a;
+                    a = tmp;
+                )*
+            }};
+        }
+        // Ch = b ? c : d (0xCA); parity (0x96); majority (0xE8).
+        rounds!(0xCA, 0x5A82_7999; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+        rounds!(0x96, 0x6ED9_EBA1; 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+        rounds!(0xE8, 0x8F1B_BCDC; 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+        rounds!(0x96, 0xCA62_C1D6; 60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
+
+        // Davies–Meyer feed-forward, only in live lanes.
+        for (hi, v) in h.iter_mut().zip([a, b, c, d, e]) {
+            *hi = _mm512_mask_add_epi32(*hi, live, *hi, v);
+        }
+    }
+
+    for (row, v) in state.iter_mut().zip(h) {
+        // SAFETY: shape 2 — unaligned store back into a 16-word state row.
+        unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
     }
 }
 
